@@ -5,6 +5,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every report below is validated by a python3 script; without python3 the
+# gates would check nothing, so refuse to run rather than pass.
+if ! command -v python3 >/dev/null 2>&1; then
+  echo "check.sh: python3 is required to validate the JSON reports" >&2
+  exit 1
+fi
+
 echo "== build =="
 dune build @all
 
@@ -48,13 +55,7 @@ assert p["iterations"], "no per-iteration records"
 print("profile OK: %d spans over %s, %d iteration records, %d counters"
       % (len(p["spans"]), sorted(kinds), len(p["iterations"]), len(p["counters"])))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate.py" "$tmp/p.json"
-else
-  # no python in the image: at least require a non-empty profile
-  test -s "$tmp/p.json"
-  echo "profile written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate.py" "$tmp/p.json"
 
 echo "== persistent-index smoke =="
 # A pure TC fixpoint on the relational path (--no-pbme keeps the bit-matrix
@@ -91,12 +92,7 @@ print("index manager OK: %d iterations, %d builds, %d appends, %d reuse hits, %d
       % (iters, builds, c.get("executor.index_appends", 0),
          c.get("executor.index_reuse_hits", 0), c.get("executor.index_rehashes", 0)))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_index.py" "$tmp/pidx.json"
-else
-  test -s "$tmp/pidx.json"
-  echo "index profile written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_index.py" "$tmp/pidx.json"
 
 # results must be identical with the manager disabled (row order inside the
 # unordered bag output may differ; the tuple sets may not)
@@ -132,12 +128,7 @@ print("kernel profile OK: %d compiled rules, %d executions, %d fused probes, %d 
       % (c["kernel.compiled_rules"], c["kernel.execs"],
          c.get("kernel.fused_probes", 0), c.get("kernel.emitted", 0)))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_kernel.py" "$tmp/pkern.json"
-else
-  test -s "$tmp/pkern.json"
-  echo "kernel profile written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_kernel.py" "$tmp/pkern.json"
 
 # Kernel benchmark: the fused path must be at least 2x faster in simulated
 # time on recursive TC, with byte-identical outputs on every workload.
@@ -156,12 +147,7 @@ assert tc["ratio"] >= 2.0, \
 print("BENCH_kernel OK: tc %.1fx with %d compiled rules, %d workloads identical"
       % (tc["ratio"], tc["compiled_rules"], len(b["workloads"])))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_bench_kernel.py" BENCH_kernel.json
-else
-  test -s BENCH_kernel.json
-  echo "BENCH_kernel.json written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_bench_kernel.py" BENCH_kernel.json
 
 echo "== explain smoke =="
 # Why-provenance and the explain surface: a derived TC fact must explain
@@ -200,12 +186,7 @@ print("BENCH_prov OK: " + ", ".join(
     "%s %.2fx (%d tags)" % (w["workload"], w["overhead"], w["recorded"])
     for w in b["workloads"]))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_bench_prov.py" BENCH_prov.json
-else
-  test -s BENCH_prov.json
-  echo "BENCH_prov.json written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_bench_prov.py" BENCH_prov.json
 
 echo "== sharded execution smoke =="
 # The same TC fixpoint across 4 simulated shard nodes must produce exactly
@@ -237,12 +218,7 @@ print("shard profile OK: %d supersteps, %d shuffle tuples, %d broadcast tuples"
       % (c["shard.supersteps"], c["shard.shuffle_tuples"],
          c.get("shard.broadcast_tuples", 0)))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_shard.py" "$tmp/pshard.json"
-else
-  test -s "$tmp/pshard.json"
-  echo "shard profile written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_shard.py" "$tmp/pshard.json"
 
 # Scaling benchmark: outputs must agree at every node count and the
 # colocated 4-shard run must beat the forced-shuffle makespan.
@@ -259,12 +235,7 @@ assert col[(4, False)]["shuffle_tuples"] > 0, "forced-shuffle run charged nothin
 print("BENCH_shard OK: %d configs, colocated 4-shard %.4fs vs forced shuffle %.4fs"
       % (len(b["configs"]), col[(4, True)]["makespan_s"], col[(4, False)]["makespan_s"]))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_bench_shard.py" BENCH_shard.json
-else
-  test -s BENCH_shard.json
-  echo "BENCH_shard.json written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_bench_shard.py" BENCH_shard.json
 
 echo "== differential fuzz smoke =="
 # A fixed-seed campaign over every engine and every optimization-toggle
@@ -285,12 +256,7 @@ assert runs["total"] == runs["ok"] + runs["skipped"] + runs["diverged"] + runs["
 print("fuzz OK: seed %d, %d cases x %d runners = %d runs, %d ok, %d skipped"
       % (r["seed"], r["cases"], r["runners"], runs["total"], runs["ok"], runs["skipped"]))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_fuzz.py" "$tmp/fuzz.json"
-else
-  test -s "$tmp/fuzz.json"
-  echo "fuzz report written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_fuzz.py" "$tmp/fuzz.json"
 
 echo "== delta-stream fuzz smoke =="
 # Fixed-seed delta-sequence campaign: random insert/retract streams
@@ -309,12 +275,7 @@ assert r["ops"] > r["versions"], "streams carried fewer ops than versions"
 print("delta fuzz OK: seed %d, %d cases, %d versions, %d ops, 0 divergences"
       % (r["seed"], r["cases"], r["versions"], r["ops"]))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_dfuzz.py" "$tmp/dfuzz.json"
-else
-  test -s "$tmp/dfuzz.json"
-  echo "delta fuzz report written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_dfuzz.py" "$tmp/dfuzz.json"
 
 echo "== incremental maintenance smoke =="
 # The demo workload carries a mid-run insert+retract delta. With
@@ -348,12 +309,7 @@ assert not diff, "refreshed results differ from recompute for %s" % diff
 print("ivm smoke OK: %d deltas applied, %d entries refreshed, "
       "%d queries byte-identical to recompute" % (wc["delta_applied"], wc["refreshed"], len(ws)))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_ivm.py" "$tmp/serve_ivm.json" "$tmp/serve_noivm.json"
-else
-  test -s "$tmp/serve_ivm.json" && test -s "$tmp/serve_noivm.json"
-  echo "ivm reports written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_ivm.py" "$tmp/serve_ivm.json" "$tmp/serve_noivm.json"
 
 # Incremental-vs-recompute benchmark: the maintained view must beat
 # recompute-per-delta on the serving-shaped churn stream, with identical
@@ -372,12 +328,7 @@ assert b["ratio"] > 1.0, \
 print("BENCH_ivm OK: %d deltas, recompute/incremental = %.1fx, outputs identical"
       % (b["deltas"], b["ratio"]))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_bench_ivm.py" "$BENCH_IVM"
-else
-  test -s "$BENCH_IVM"
-  echo "BENCH_ivm.json written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_bench_ivm.py" "$BENCH_IVM"
 
 echo "== CLI serve smoke =="
 dune exec bin/recstep_cli.exe -- serve programs/serve_demo.workload \
@@ -403,12 +354,7 @@ assert len(r["queries"]) == c["submitted"], "one disposition per submission"
 print("serve OK: %d submitted, %d served, %d cache hits, p95=%.4fs"
       % (c["submitted"], c["done"], c["cache_hit"], r["latency"]["p95"]))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_serve.py" "$tmp/serve.json"
-else
-  test -s "$tmp/serve.json"
-  echo "service report written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_serve.py" "$tmp/serve.json"
 
 echo "== chaos smoke =="
 # A fixed-seed chaos campaign: seeded fault plans (allocation failures,
@@ -435,12 +381,7 @@ print("chaos OK: seed %d, %d cases, %d fault classes (%s), "
       % (r["seed"], r["cases"], r["fault_classes"],
          ",".join(sorted(r["injected"])), r["recovered"], r["rejected_typed"]))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_chaos.py" "$tmp/chaos.json"
-else
-  test -s "$tmp/chaos.json"
-  echo "chaos report written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_chaos.py" "$tmp/chaos.json"
 
 # Self-test: a plan that silently corrupts dedup MUST trip the oracle and
 # exit non-zero — a harness that stays green under seeded silent corruption
@@ -492,12 +433,7 @@ assert r["tenants_used"] > 0 and r["top_tenants"], "no tenant accounting"
 print("load smoke OK: %d tenants drawn, %d queries accounted, autoscale evals=%d up=%d down=%d"
       % (r["tenants_used"], total, a["evals"], a["up"], a["down"]))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_load.py" "$tmp/slo.json"
-else
-  test -s "$tmp/slo.json"
-  echo "SLO report written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_load.py" "$tmp/slo.json"
 
 # Autoscaler A/B benchmark: same generated load against a fixed-size
 # service and an autoscaled one. Served outputs must be byte-identical
@@ -525,11 +461,6 @@ print("BENCH_service OK: outputs identical, gold p95 %.4fs -> %.4fs, makespan %.
       % (gold_off["latency"]["p95"], gold["latency"]["p95"],
          off["slo"]["makespan_s"], on["slo"]["makespan_s"]))
 EOF
-if command -v python3 >/dev/null 2>&1; then
-  python3 "$tmp/validate_bench_load.py" BENCH_service.json
-else
-  test -s BENCH_service.json
-  echo "BENCH_service.json written (python3 unavailable, JSON not validated)"
-fi
+python3 "$tmp/validate_bench_load.py" BENCH_service.json
 
 echo "== check passed =="

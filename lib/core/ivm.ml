@@ -6,6 +6,7 @@
    "old" relations to the right. *)
 
 module Delta = Rs_relation.Delta
+module Relation = Rs_relation.Relation
 
 module Rows = Set.Make (struct
   type t = int list
@@ -24,6 +25,7 @@ type stats = {
   dred_rederived : int;
   emitted_inserts : int;
   emitted_retracts : int;
+  seeded_strata : int;
 }
 
 type mstats = {
@@ -33,6 +35,7 @@ type mstats = {
   mutable m_dred_rederived : int;
   mutable m_emitted_inserts : int;
   mutable m_emitted_retracts : int;
+  mutable m_seeded_strata : int;
 }
 
 type t = {
@@ -557,9 +560,25 @@ let zero_stats () =
     m_dred_rederived = 0;
     m_emitted_inserts = 0;
     m_emitted_retracts = 0;
+    m_seeded_strata = 0;
   }
 
-let create ?prov ~edb (program : Ast.program) =
+(* A recursive stratum's sets read from a completed engine run, or [None]
+   when any of its predicates cannot be read (the engine does not expose
+   it, or reading it fails) or comes back at the wrong arity. *)
+let adopt an fixpoint (s : Analyzer.stratum) =
+  match
+    List.map
+      (fun p ->
+        let r = fixpoint p in
+        if Relation.arity r <> Analyzer.arity an p then invalid_arg "ivm: fixpoint arity";
+        (p, Rows.of_list (List.map Array.to_list (Relation.to_rows r))))
+      s.Analyzer.preds
+  with
+  | sets -> Some sets
+  | exception _ -> None
+
+let create ?prov ?fixpoint ~edb (program : Ast.program) =
   let an = Analyzer.analyze program in
   (match an.Analyzer.agg_sigs with
   | (p, _) :: _ ->
@@ -585,26 +604,33 @@ let create ?prov ~edb (program : Ast.program) =
   (* Initial evaluation — NOT a delta apply: rules satisfied with no
      positive support (empty bodies, negation over an empty relation) would
      never be triggered by a delta, so each stratum gets one full pass.
-     Recursive strata then close semi-naively off that pass; counting
-     strata seed their derivation counts from the full enumeration. *)
+     Recursive strata then close semi-naively off that pass — or adopt the
+     engine's fixpoint, which is the same least model, when [fixpoint]
+     exposes every predicate of the stratum; counting strata seed their
+     derivation counts from the full enumeration either way. *)
   let state _ p = rel db p in
   List.iter
     (fun (s : Analyzer.stratum) ->
       if s.Analyzer.recursive then begin
-        let lits_of = List.map (fun r -> (r, indexed_body r)) s.Analyzer.rules in
-        let work = Queue.create () in
-        let put p row =
-          if not (Rows.mem row (rel db p)) then begin
-            set db p (Rows.add row (rel db p));
-            Queue.add (p, row) work
-          end
-        in
-        List.iter
-          (fun ((r : Ast.rule), lits) ->
-            eval_lits ~state lits [] (fun env ->
-                put r.Ast.head_pred (head_row env r.Ast.head_args)))
-          lits_of;
-        drain db lits_of work put
+        match Option.bind fixpoint (fun f -> adopt an f s) with
+        | Some sets ->
+            List.iter (fun (p, rows) -> set db p rows) sets;
+            t.ms.m_seeded_strata <- t.ms.m_seeded_strata + 1
+        | None ->
+            let lits_of = List.map (fun r -> (r, indexed_body r)) s.Analyzer.rules in
+            let work = Queue.create () in
+            let put p row =
+              if not (Rows.mem row (rel db p)) then begin
+                set db p (Rows.add row (rel db p));
+                Queue.add (p, row) work
+              end
+            in
+            List.iter
+              (fun ((r : Ast.rule), lits) ->
+                eval_lits ~state lits [] (fun env ->
+                    put r.Ast.head_pred (head_row env r.Ast.head_args)))
+              lits_of;
+            drain db lits_of work put
       end
       else
         List.iter
@@ -755,4 +781,5 @@ let stats t =
     dred_rederived = t.ms.m_dred_rederived;
     emitted_inserts = t.ms.m_emitted_inserts;
     emitted_retracts = t.ms.m_emitted_retracts;
+    seeded_strata = t.ms.m_seeded_strata;
   }

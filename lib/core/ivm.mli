@@ -29,7 +29,10 @@
     whose bodies hold with no positive support over the initial EDB (empty
     bodies, negation over an empty relation) would never be triggered by a
     delta, so {!create} evaluates the program to fixpoint stratum-by-
-    stratum and seeds the counts by full enumeration. *)
+    stratum and seeds the counts by full enumeration. A recursive stratum
+    can instead adopt the rows of an engine run that already reached that
+    fixpoint (see [?fixpoint]): evaluation from scratch is then done once,
+    by the engine, and the view only maintains. *)
 
 exception Unsupported of string
 (** The program uses a feature maintenance does not cover (aggregates —
@@ -48,7 +51,12 @@ val supported : Ast.program -> bool
     no aggregates). Analysis errors are not masked — an ill-formed program
     still raises {!Analyzer.Analysis_error} at {!create}. *)
 
-val create : ?prov:Provenance.t -> edb:(string * int list list) list -> Ast.program -> t
+val create :
+  ?prov:Provenance.t ->
+  ?fixpoint:(string -> Rs_relation.Relation.t) ->
+  edb:(string * int list list) list ->
+  Ast.program ->
+  t
 (** Evaluate the program to fixpoint over [edb] and return the maintained
     view. Raises {!Unsupported} on aggregates, [Analyzer.Analysis_error] /
     [Invalid_argument] on the same ill-formedness the interpreter rejects
@@ -56,7 +64,17 @@ val create : ?prov:Provenance.t -> edb:(string * int list list) list -> Ast.prog
     bootstrap evaluation is tagged, and each {!apply} afterwards reconciles
     the store against its net change (inserted rows tagged at the apply's
     sequence point, retracted rows dropped) — so a maintained view stays
-    {!Explain}-able across EDB deltas. *)
+    {!Explain}-able across EDB deltas.
+
+    [fixpoint] hands over the relations of a completed engine run over the
+    same [edb] (an engine result's [relation_of]). A recursive (DRed)
+    stratum whose predicates it all returns at the right arity adopts those
+    rows as its materialized sets and skips the bootstrap closure; a
+    stratum it cannot serve (the call raises, or returns the wrong arity)
+    is bootstrapped as without [fixpoint]. Counting strata always
+    enumerate, because they need derivation counts, which a set of rows
+    does not carry. The caller vouches that the rows are the program's
+    least model over [edb]: the view maintains whatever it adopts. *)
 
 val apply : t -> Rs_relation.Delta.t -> Rs_relation.Delta.t
 (** [apply t d] folds a typed EDB delta into the view and returns the net
@@ -92,6 +110,7 @@ type stats = {
   dred_rederived : int;  (** deletions taken back by re-derivation *)
   emitted_inserts : int;  (** IDB insertions across all emitted deltas *)
   emitted_retracts : int;  (** IDB retractions across all emitted deltas *)
+  seeded_strata : int;  (** recursive strata {!create} adopted from [fixpoint] *)
 }
 
 val stats : t -> stats

@@ -103,15 +103,19 @@ let run (ex : Executor.t) k ~dedup ~out =
   (match Inject.kernel_should_fail ~point:"kernel.exec" with
   | () -> ()
   | exception Fault.Injected _ -> raise (Degraded "kernel.exec"));
+  let offered = ref 0 in
   let emitted = ref 0 in
   let batches = ref 0 in
   (* One emit closure, monomorphized on head arity: evaluate the head
      expressions, claim the tuple in FAST-DEDUP, and append on freshness —
-     no intermediate relation ever exists. *)
+     no intermediate relation ever exists. [offered] counts every claim, so
+     the dedup counters see the same candidate multiset the interpreted
+     path's bag would hold. *)
   let emit =
     match k.out with
     | [| e0 |] ->
         fun get ->
+          incr offered;
           let v0 = Expr.eval get e0 in
           if Dedup.add1 dedup v0 then begin
             Relation.push1 out v0;
@@ -119,6 +123,7 @@ let run (ex : Executor.t) k ~dedup ~out =
           end
     | [| e0; e1 |] ->
         fun get ->
+          incr offered;
           let v0 = Expr.eval get e0 and v1 = Expr.eval get e1 in
           if Dedup.add2 dedup v0 v1 then begin
             Relation.push2 out v0 v1;
@@ -129,6 +134,7 @@ let run (ex : Executor.t) k ~dedup ~out =
            sequentially, and both dedup layouts copy on insert *)
         let row = Array.make 3 0 in
         fun get ->
+          incr offered;
           row.(0) <- Expr.eval get e0;
           row.(1) <- Expr.eval get e1;
           row.(2) <- Expr.eval get e2;
@@ -140,6 +146,7 @@ let run (ex : Executor.t) k ~dedup ~out =
         let a = Array.length exprs in
         let row = Array.make a 0 in
         fun get ->
+          incr offered;
           for i = 0 to a - 1 do
             row.(i) <- Expr.eval get exprs.(i)
           done;
@@ -210,4 +217,6 @@ let run (ex : Executor.t) k ~dedup ~out =
   count ex "kernel.execs" 1;
   count ex "kernel.batches" !batches;
   count ex "kernel.emitted" !emitted;
+  count ex "dedup.probes" !offered;
+  count ex "dedup.hits" (!offered - !emitted);
   !emitted

@@ -58,5 +58,8 @@ val run :
     iff fresh. Returns the number of tuples emitted. The caller owns
     [dedup] and [out] (including {!Relation.account} after the batch).
     Records [kernel.execs] / [kernel.fused_probes] / [kernel.emitted] /
-    [kernel.batches] / [kernel.batch_rows] on the executor's trace. May
-    raise {!Degraded} (chaos) — always before any write. *)
+    [kernel.batches] / [kernel.batch_rows] on the executor's trace, and
+    the table's [dedup.probes] (matches offered) / [dedup.hits] (offered
+    minus emitted) — the same figures the interpreted path's dedup pass
+    records for the same candidates. May raise {!Degraded} (chaos) —
+    always before any write. *)

@@ -1,6 +1,9 @@
 module Ast = Recstep.Ast
 module Ivm = Recstep.Ivm
 module Naive = Recstep.Naive
+module Provenance = Recstep.Provenance
+module Relation = Rs_relation.Relation
+module Pool = Rs_parallel.Pool
 module Delta = Rs_relation.Delta
 module Rng = Rs_util.Rng
 module Json = Rs_obs.Json
@@ -102,6 +105,46 @@ let check_version ~cseed ~version ivm mirror_rows program =
           })
     idbs
 
+(* --- the seeded twin -------------------------------------------------------- *)
+
+let seeded_view ~prov ~edb program =
+  let pool = Pool.create ~workers:2 () in
+  Pool.begin_run pool;
+  let arities = input_arities program in
+  let rels =
+    List.map
+      (fun (name, rows) ->
+        (name, Relation.of_rows ~name (List.assoc name arities) (List.map Array.of_list rows)))
+      edb
+  in
+  let result =
+    Recstep.Interpreter.run ~options:(Recstep.Interpreter.options ()) ~pool ~edb:rels program
+  in
+  Ivm.create ~prov ~fixpoint:result.Recstep.Interpreter.relation_of ~edb program
+
+let tagged_rows v pred =
+  match Ivm.provenance v with
+  | None -> []
+  | Some p -> List.filter (fun row -> Provenance.find p ~pred row <> None) (Ivm.rows v pred)
+
+let check_seeded ~cseed ~version ~reference seeded =
+  let minus a b = List.filter (fun r -> not (List.mem r b)) a in
+  List.filter_map
+    (fun pred ->
+      let want = Ivm.rows reference pred and got = Ivm.rows seeded pred in
+      let want_t = tagged_rows reference pred and got_t = tagged_rows seeded pred in
+      if want = got && want_t = got_t then None
+      else
+        Some
+          {
+            div_seed = cseed;
+            div_version = version;
+            div_pred = "seeded " ^ pred;
+            div_missing = minus want got @ minus want_t got_t;
+            div_extra = minus got want @ minus got_t want_t;
+          })
+    (Ivm.idbs reference)
+
 let mirror_rows mirror arities =
   List.map
     (fun (rel, _) ->
@@ -123,9 +166,16 @@ let run_case ~cseed ~deltas (case : Gen.case) =
       List.iter (fun row -> Hashtbl.replace tbl row ()) rows;
       Hashtbl.add mirror rel tbl)
     arities;
-  let ivm = Ivm.create ~edb:(mirror_rows mirror arities) program in
+  let edb0 = mirror_rows mirror arities in
+  let ivm = Ivm.create ~prov:(Provenance.create ()) ~edb:edb0 program in
+  let seeded = seeded_view ~prov:(Provenance.create ()) ~edb:edb0 program in
+  let check version =
+    match check_version ~cseed ~version ivm (mirror_rows mirror arities) program with
+    | [] -> check_seeded ~cseed ~version ~reference:ivm seeded
+    | divs -> divs
+  in
   let rng = Rng.create (cseed lxor 0x5eed) in
-  let divs = ref (check_version ~cseed ~version:0 ivm (mirror_rows mirror arities) program) in
+  let divs = ref (check 0) in
   let ops = ref 0 in
   let v = ref 0 in
   while !v < deltas && !divs = [] do
@@ -133,7 +183,8 @@ let run_case ~cseed ~deltas (case : Gen.case) =
     let d = gen_delta rng arities mirror in
     ops := !ops + Delta.size d;
     ignore (Ivm.apply ivm d);
-    divs := check_version ~cseed ~version:!v ivm (mirror_rows mirror arities) program
+    ignore (Ivm.apply seeded d);
+    divs := check !v
   done;
   (!v, !ops, !divs)
 

@@ -8,6 +8,12 @@
     on a set-level mirror of the EDB. The streams deliberately cover the
     retraction edge cases: retracting absent rows, retract-then-reinsert of
     a held row within one delta, and deletions that empty a relation.
+
+    Every case also maintains a {e seeded twin}: a view whose recursive
+    strata adopted an {!Recstep.Interpreter.run} fixpoint instead of
+    bootstrapping ({!seeded_view}). At every version it must hold exactly
+    the rows and the provenance-tagged rows of the bootstrapped view; a
+    mismatch is reported as a divergence on predicate ["seeded " ^ pred].
     Deterministic per seed — the CI smoke pins one. *)
 
 type divergence = {
@@ -26,6 +32,20 @@ type report = {
   ops : int;  (** total insert/retract operations streamed *)
   divergences : divergence list;
 }
+
+val seeded_view :
+  prov:Recstep.Provenance.t ->
+  edb:(string * int list list) list ->
+  Recstep.Ast.program ->
+  Recstep.Ivm.t
+(** [Ivm.create ~prov ~fixpoint] over the relations of an
+    {!Recstep.Interpreter.run} of the program on [edb] (default options, a
+    fresh pool). *)
+
+val check_seeded :
+  cseed:int -> version:int -> reference:Recstep.Ivm.t -> Recstep.Ivm.t -> divergence list
+(** Per IDB of [reference], the rows and provenance-tagged rows the seeded
+    view lacks ([div_missing]) or adds ([div_extra]). *)
 
 val case_seed : seed:int -> int -> int
 (** The derived per-case seed (the {!Gen.gen_case} input) for iteration

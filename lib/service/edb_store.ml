@@ -8,15 +8,15 @@ type db = { mutable version : int; mutable rels : (string * Relation.t) list }
 
 type t = {
   dbs : (string, db) Hashtbl.t;
-  mutable index_manager : Rs_exec.Index_manager.t option;
+  index_managers : (string, Rs_exec.Index_manager.t) Hashtbl.t;  (* by database *)
 }
 
-let create () : t = { dbs = Hashtbl.create 8; index_manager = None }
+let create () : t = { dbs = Hashtbl.create 8; index_managers = Hashtbl.create 8 }
 
-let attach_index_manager t im = t.index_manager <- Some im
+let attach_index_manager t name im = Hashtbl.replace t.index_managers name im
 
 let define t name rels =
-  (match t.index_manager with
+  (match Hashtbl.find_opt t.index_managers name with
   | Some im -> List.iter (fun (rl, _) -> Rs_exec.Index_manager.invalidate im ~name:rl) rels
   | None -> ());
   match Hashtbl.find_opt t.dbs name with
@@ -114,7 +114,7 @@ let apply t name (d : Delta.t) =
        insert-only replacement preserves the old row order as a prefix, so
        the index can be re-pointed wholesale (rebase) and extended lazily;
        a retraction breaks the prefix and forces a rebuild on next use *)
-    (match t.index_manager with
+    (match Hashtbl.find_opt t.index_managers name with
     | Some im ->
         List.iter
           (fun (rl, fresh) ->

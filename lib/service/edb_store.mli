@@ -20,13 +20,17 @@ exception Unknown_edb of string
 
 val create : unit -> t
 
-val attach_index_manager : t -> Rs_exec.Index_manager.t -> unit
-(** Attach a store-lifetime persistent index manager. From then on every
-    committed {!apply} keeps the manager's entries for the touched
+val attach_index_manager : t -> string -> Rs_exec.Index_manager.t -> unit
+(** [attach_index_manager t name im] attaches a store-lifetime persistent
+    index manager to database [name]. From then on every committed
+    {!apply} to [name] keeps the manager's entries for the touched
     relations live: an insert-only replacement is {e rebased} (the staged
     copy preserves the old row order as a prefix, so indexes re-point and
     later extend over the inserted suffix), anything with retractions is
-    invalidated. {!define} always invalidates the redefined names. *)
+    invalidated. {!define} of [name] always invalidates the redefined
+    names. The manager keys indexes by relation name only, so it must
+    serve [name] alone: two databases that both hold an [arc] each need
+    their own, or a delta on one would rebase the other's index. *)
 
 val define : t -> string -> (string * Relation.t) list -> unit
 (** [define t name rels] installs (or replaces) database [name]. The

@@ -163,8 +163,8 @@ let counter_names =
     "submitted"; "admitted"; "rejected"; "done"; "oom"; "timeout"; "unsupported";
     "fault"; "cache_hit"; "cache_miss"; "retried"; "degraded"; "deadline_miss";
     "delta_applied"; "delta_noop"; "delta_fault"; "refreshed"; "view_built";
-    "view_dropped"; "explain"; "autoscale.evals"; "autoscale.up"; "autoscale.down";
-    "autoscale.cache_up"; "autoscale.cache_down";
+    "view_seeded"; "view_dropped"; "explain"; "autoscale.evals"; "autoscale.up";
+    "autoscale.down"; "autoscale.cache_up"; "autoscale.cache_down";
   ]
 
 (* The declared outputs of a program, or all its IDBs — same convention as
@@ -207,18 +207,21 @@ let run ?(config = config ()) ~edb:store events =
   let base_workers () =
     match scaler with Some s -> Autoscale.workers s | None -> config.workers
   in
-  (* Store-lifetime persistent join indexes: keyed by base-relation name,
-     shared across every interpreter run of the service and kept live
-     across EDB deltas by the store's rebase/invalidate commit hook. *)
-  let shared_indexes =
-    let base_names = Hashtbl.create 16 in
-    List.iter
-      (fun db ->
-        List.iter (fun (rl, _) -> Hashtbl.replace base_names rl ()) (Edb_store.lookup store db))
-      (Edb_store.names store);
-    Rs_exec.Index_manager.create ~trace ~persistent:(Hashtbl.mem base_names) pool
-  in
-  Edb_store.attach_index_manager store shared_indexes;
+  (* Store-lifetime persistent join indexes, one manager per database:
+     shared across every interpreter run on that database and kept live
+     across its deltas by the store's rebase/invalidate commit hook. A
+     manager keys indexes by relation name, so one manager for the whole
+     store would let a delta on one database rebase another database's
+     index of the same name and serve its rows. *)
+  let db_indexes = Hashtbl.create 8 in
+  List.iter
+    (fun db ->
+      let names = List.map fst (Edb_store.lookup store db) in
+      let im = Rs_exec.Index_manager.create ~trace ~persistent:(fun n -> List.mem n names) pool in
+      Edb_store.attach_index_manager store db im;
+      Hashtbl.replace db_indexes db im)
+    (Edb_store.names store);
+  let shared_indexes db = Hashtbl.find db_indexes db in
   (* per-shard utilization across every sharded run of the session *)
   let shard_queries = Array.make config.shards 0 in
   let shard_busy = Array.make config.shards 0.0 in
@@ -548,7 +551,7 @@ let run ?(config = config ()) ~edb:store events =
                 let options =
                   Interpreter.options ?timeout_vs:deadline_left ~trace
                     ~persistent_indexes:knobs.Retry.k_persistent_indexes
-                    ~shared_indexes ~pbme:knobs.Retry.k_fast_path
+                    ~shared_indexes:(shared_indexes sub.edb) ~pbme:knobs.Retry.k_fast_path
                     ~fast_dedup:knobs.Retry.k_fast_path
                     ~compiled_kernels:(config.kernels && knobs.Retry.k_fast_path) ()
                 in
@@ -604,7 +607,7 @@ let run ?(config = config ()) ~edb:store events =
               bump "cache_miss" 1;
               let rels = Edb_store.lookup store sub.edb in
               let mem_before = Memtrack.live () in
-              let shared_before = Rs_exec.Index_manager.bytes shared_indexes in
+              let shared_before = Rs_exec.Index_manager.bytes (shared_indexes sub.edb) in
               let left_after elapsed = Option.map (fun d -> d -. elapsed) deadline0 in
               (* Walk the retry policy. [attempt] is 1-based; [elapsed] is
                  simulated seconds since [started] including backoffs. *)
@@ -621,7 +624,7 @@ let run ?(config = config ()) ~edb:store events =
                    after the last attempt); bytes the shared index manager
                    deliberately grew by are not a leak and stay accounted *)
                 let shared_growth =
-                  Rs_exec.Index_manager.bytes shared_indexes - shared_before
+                  Rs_exec.Index_manager.bytes (shared_indexes sub.edb) - shared_before
                 in
                 let leak = Memtrack.live () - mem_before - max 0 shared_growth in
                 if leak > 0 then Memtrack.free leak;
@@ -686,8 +689,23 @@ let run ?(config = config ()) ~edb:store events =
                             (n, List.map Array.to_list (Relation.to_rows r)))
                           rels
                       in
-                      match Ivm.create ~prov:(Provenance.create ()) ~edb:edb_rows sub.program with
-                      | ivm ->
+                      (* seed the view from this run's fixpoint instead of
+                         deriving it again; engines that materialize a
+                         relation per read account it, and the view keeps
+                         only its own sets, so those bytes go back *)
+                      let live0 = Memtrack.live () in
+                      let built =
+                        match
+                          Ivm.create ~prov:(Provenance.create ())
+                            ~fixpoint:result.Engine_intf.relation_of ~edb:edb_rows sub.program
+                        with
+                        | ivm -> Some ivm
+                        | exception Ivm.Unsupported _ -> None
+                      in
+                      let read = Memtrack.live () - live0 in
+                      if read > 0 then Memtrack.free read;
+                      match built with
+                      | Some ivm ->
                           Hashtbl.replace views (sub.edb, canonical)
                             {
                               v_ivm = ivm;
@@ -696,8 +714,9 @@ let run ?(config = config ()) ~edb:store events =
                                   .Recstep.Analyzer.edbs;
                               v_outputs = output_names sub.program;
                             };
-                          bump "view_built" 1
-                      | exception Ivm.Unsupported _ -> ()
+                          bump "view_built" 1;
+                          if (Ivm.stats ivm).Ivm.seeded_strata > 0 then bump "view_seeded" 1
+                      | None -> ()
                     end;
                     Done rows
                 | Engine_intf.Oom -> Oom
@@ -765,7 +784,7 @@ let run ?(config = config ()) ~edb:store events =
   Memtrack.set_budget config.mem_budget;
   Fun.protect
     ~finally:(fun () ->
-      Rs_exec.Index_manager.release_all shared_indexes;
+      Hashtbl.iter (fun _ im -> Rs_exec.Index_manager.release_all im) db_indexes;
       Memtrack.set_budget prev_budget)
     (fun () ->
       let rec loop () =

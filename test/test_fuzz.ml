@@ -160,7 +160,8 @@ let test_fault_injection_caught_and_shrunk () =
 
 (* Replay the frozen corpus: every delta applied through the IVM must land
    on the same IDB state as a from-scratch naive recompute on a set-level
-   mirror of the EDB. *)
+   mirror of the EDB, and a twin seeded from an interpreter fixpoint must
+   hold the same rows and tagged rows. *)
 let test_delta_corpus () =
   List.iter
     (fun (tag, src, edb, deltas) ->
@@ -179,7 +180,18 @@ let test_delta_corpus () =
             (rel, List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])))
           edb
       in
-      let ivm = Recstep.Ivm.create ~edb:(mirror_rows ()) program in
+      let prov () = Recstep.Provenance.create () in
+      let ivm = Recstep.Ivm.create ~prov:(prov ()) ~edb:(mirror_rows ()) program in
+      (* the seeded twin must match the bootstrapped view at every version *)
+      let seeded = Delta_fuzz.seeded_view ~prov:(prov ()) ~edb:(mirror_rows ()) program in
+      let check_twin v =
+        match Delta_fuzz.check_seeded ~cseed:0 ~version:v ~reference:ivm seeded with
+        | [] -> ()
+        | d :: _ ->
+            Alcotest.fail
+              (Printf.sprintf "%S: %s diverges at version %d" tag d.Delta_fuzz.div_pred v)
+      in
+      check_twin 0;
       List.iteri
         (fun v ops ->
           let d =
@@ -192,6 +204,8 @@ let test_delta_corpus () =
               Delta.empty ops
           in
           ignore (Recstep.Ivm.apply ivm d);
+          ignore (Recstep.Ivm.apply seeded d);
+          check_twin (v + 1);
           let idbs, rows_of = Naive.run ~edb:(mirror_rows ()) program in
           List.iter
             (fun pred ->

@@ -9,6 +9,7 @@ module Parser = Recstep.Parser
 module Naive = Recstep.Naive
 module Ivm = Recstep.Ivm
 module Delta = Rs_relation.Delta
+module Delta_fuzz = Rs_fuzz.Delta_fuzz
 
 let check = Alcotest.(check bool)
 
@@ -41,9 +42,35 @@ let sorted rows = List.sort_uniq compare rows
 (* Apply [deltas] one at a time; after every version check each IDB against
    a from-scratch naive recompute, and check the emitted delta nets to the
    observed output diff. *)
-let run_sequence program_src edb deltas =
+let recursive_strata program =
+  List.length
+    (List.filter
+       (fun (s : Recstep.Analyzer.stratum) -> s.Recstep.Analyzer.recursive)
+       (Recstep.Analyzer.analyze program).Recstep.Analyzer.strata)
+
+(* The seeded twin must hold the bootstrapped view's rows and tagged rows
+   exactly, at every version. *)
+let check_seeded what ~reference seeded =
+  match Delta_fuzz.check_seeded ~cseed:0 ~version:0 ~reference seeded with
+  | [] -> ()
+  | d :: _ -> Alcotest.failf "%s: %s differs from the bootstrapped view" what d.Delta_fuzz.div_pred
+
+(* [twin] (default on) also maintains a view seeded from an interpreter
+   fixpoint; programs the interpreter rejects (a rule with no positive
+   atom) turn it off. *)
+let run_sequence ?(twin = true) program_src edb deltas =
   let program = Parser.parse program_src in
-  let v = Ivm.create ~edb program in
+  let v = Ivm.create ~prov:(Recstep.Provenance.create ()) ~edb program in
+  let seeded =
+    if not twin then None
+    else begin
+      let s = Delta_fuzz.seeded_view ~prov:(Recstep.Provenance.create ()) ~edb program in
+      Alcotest.(check int) "every recursive stratum seeded" (recursive_strata program)
+        (Ivm.stats s).Ivm.seeded_strata;
+      check_seeded "bootstrap" ~reference:v s;
+      Some s
+    end
+  in
   let naive_rows edb' =
     let _, lookup = Naive.run ~edb:edb' program in
     lookup
@@ -58,6 +85,11 @@ let run_sequence program_src edb deltas =
     (fun d ->
       let before = List.map (fun p -> (p, Ivm.rows v p)) (Ivm.idbs v) in
       let out = Ivm.apply v d in
+      Option.iter
+        (fun s ->
+          check "seeded twin emits the same delta" true (Ivm.apply s d = out);
+          check_seeded "after apply" ~reference:v s)
+        seeded;
       edb := mirror_apply !edb d;
       let lookup = naive_rows !edb in
       List.iter
@@ -171,7 +203,7 @@ let test_negation_flip () =
 let test_empty_support_bootstrap () =
   (* p(1) :- !q(1). with q empty: no delta ever references q at bootstrap,
      so only a full initial evaluation can derive p(1) *)
-  let v = run_sequence empty_support_src [ ("q", []) ]
+  let v = run_sequence ~twin:false empty_support_src [ ("q", []) ]
       [ Delta.of_inserts "q" [ [| 1 |] ]; Delta.of_retracts "q" [ [| 1 |] ] ]
   in
   check "p(1) back after q emptied again" true (Ivm.rows v "p" = [ [ 1 ] ])
@@ -287,6 +319,92 @@ let test_provenance_maintained () =
   check "rederived tuple kept a tag" true (Prov.find prov ~pred:"tc" [ 1; 3 ] <> None);
   check "departed tuple lost its tag" true (Prov.find prov ~pred:"tc" [ 1; 2 ] = None)
 
+(* --- views seeded from an engine fixpoint --------------------------------- *)
+
+let mutual_src =
+  ".input e\n.output a\n.output b\n\
+   a(x, y) :- e(x, y).\n\
+   a(x, y) :- b(x, z), e(z, y).\n\
+   b(x, y) :- a(x, z), e(z, y).\n"
+
+(* recursion, then negation in a counting stratum, then recursion again *)
+let layered_src =
+  ".input e\n.input blocked 1\n.output r\n.output safe\n.output far\n\
+   r(x, y) :- e(x, y).\n\
+   r(x, y) :- r(x, z), e(z, y).\n\
+   safe(x, y) :- r(x, y), !blocked(y).\n\
+   far(x, y) :- safe(x, y).\n\
+   far(x, y) :- far(x, z), safe(z, y).\n"
+
+(* A seeded random insert/retract stream over a 6-value domain: mostly
+   inserts, retracts that often hit held rows. *)
+let random_stream ~seed rels n =
+  let module Rng = Rs_util.Rng in
+  let rng = Rng.create seed in
+  List.init n (fun _ ->
+      List.fold_left
+        (fun acc _ ->
+          let rel, arity = List.nth rels (Rng.int rng (List.length rels)) in
+          let row = Array.init arity (fun _ -> Rng.int rng 6) in
+          let mk = if Rng.bool rng 0.6 then Delta.of_inserts else Delta.of_retracts in
+          Delta.merge acc (mk rel [ row ]))
+        Delta.empty
+        (List.init (1 + Rng.int rng 4) Fun.id))
+
+(* run_sequence checks the seeded twin against the bootstrapped view (rows
+   and tag coverage) and the naive oracle at every version *)
+let test_seeded_random_streams () =
+  List.iter
+    (fun (src, edb, rels) ->
+      for seed = 1 to 8 do
+        ignore (run_sequence src edb (random_stream ~seed rels 10))
+      done)
+    [
+      (tc_src, [ ("arc", [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 0 ]; [ 3; 4 ] ]) ], [ ("arc", 2) ]);
+      (mutual_src, [ ("e", [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 0 ] ]) ], [ ("e", 2) ]);
+      ( layered_src,
+        [ ("e", [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 4; 5 ] ]); ("blocked", [ [ 2 ] ]) ],
+        [ ("e", 2); ("blocked", 1) ] );
+    ]
+
+(* A stratum the fixpoint cannot serve — the read raises, or returns the
+   wrong arity — is bootstrapped; the others are still adopted, and the
+   mixed view tracks the bootstrapped one at every version. *)
+let test_seeded_fallback () =
+  let program = Parser.parse layered_src in
+  let edb = [ ("e", [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 1 ] ]); ("blocked", [ [ 3 ] ]) ] in
+  let relation_of =
+    let pool = Rs_parallel.Pool.create ~workers:2 () in
+    Rs_parallel.Pool.begin_run pool;
+    let rels =
+      List.map
+        (fun (n, rows) ->
+          let arity = match rows with r :: _ -> List.length r | [] -> 1 in
+          (n, Rs_relation.Relation.of_rows ~name:n arity (List.map Array.of_list rows)))
+        edb
+    in
+    (Recstep.Interpreter.run ~options:(Recstep.Interpreter.options ()) ~pool ~edb:rels program)
+      .Recstep.Interpreter.relation_of
+  in
+  List.iter
+    (fun (what, fixpoint) ->
+      let reference = Ivm.create ~prov:(Recstep.Provenance.create ()) ~edb program in
+      let v = Ivm.create ~prov:(Recstep.Provenance.create ()) ~fixpoint ~edb program in
+      Alcotest.(check int) (what ^ ": one of two recursive strata seeded") 1
+        (Ivm.stats v).Ivm.seeded_strata;
+      check_seeded what ~reference v;
+      List.iter
+        (fun d ->
+          ignore (Ivm.apply reference d);
+          ignore (Ivm.apply v d);
+          check_seeded what ~reference v)
+        (random_stream ~seed:5 [ ("e", 2); ("blocked", 1) ] 10))
+    [
+      ("far unreadable", fun p -> if p = "far" then raise Not_found else relation_of p);
+      ( "r at the wrong arity",
+        fun p -> if p = "r" then Rs_relation.Relation.create ~name:"r" 3 else relation_of p );
+    ]
+
 (* --- delta module round-trips -------------------------------------------- *)
 
 let test_delta_normalize () =
@@ -328,6 +446,9 @@ let suite =
     Alcotest.test_case "supported" `Quick test_supported;
     Alcotest.test_case "provenance maintained across apply" `Quick
       test_provenance_maintained;
+    Alcotest.test_case "seeded view = bootstrap on random streams" `Quick
+      test_seeded_random_streams;
+    Alcotest.test_case "seeded view falls back per stratum" `Quick test_seeded_fallback;
     Alcotest.test_case "delta normalize" `Quick test_delta_normalize;
     Alcotest.test_case "delta counts" `Quick test_delta_counts;
   ]

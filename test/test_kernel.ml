@@ -19,17 +19,10 @@ let check = Alcotest.(check bool)
 let canon rel = List.map Array.to_list (Relation.sorted_distinct_rows rel)
 
 (* One interpreter run on a fresh pool; returns (rows of each output, trace). *)
-let run_one ~kernels src edb =
-  let program = Parser.parse src in
+let run_rels ~kernels program edb =
   let pool = Pool.create ~workers:4 () in
   Pool.begin_run pool;
   let trace = Trace.create ~now:(fun () -> Pool.vtime_now pool) () in
-  let edb =
-    List.map
-      (fun (name, arity, rows) ->
-        (name, Relation.of_rows ~name arity (List.map Array.of_list rows)))
-      edb
-  in
   let options =
     Interpreter.options ~pbme:false ~compiled_kernels:kernels ~trace ()
   in
@@ -40,6 +33,13 @@ let run_one ~kernels src edb =
       program.Recstep.Ast.outputs
   in
   (outs, trace)
+
+let run_one ~kernels src edb =
+  run_rels ~kernels (Parser.parse src)
+    (List.map
+       (fun (name, arity, rows) ->
+         (name, Relation.of_rows ~name arity (List.map Array.of_list rows)))
+       edb)
 
 (* Both toggle positions must produce byte-identical canonical outputs. *)
 let run_both src edb =
@@ -280,6 +280,32 @@ let test_provenance_kernel_chaos () =
     "kernel fault never changes the answer under provenance" clean faulted;
   assert_full_coverage ~what:"faulted" faulted prov
 
+(* --- FAST-DEDUP accounting ---------------------------------------------- *)
+
+(* A kernel offers its dedup table the same candidate multiset the
+   interpreted plan materializes as a bag, so dedup.probes and dedup.hits
+   must agree exactly with kernels on and off. *)
+let test_dedup_counters_agree () =
+  let module Pa = Rs_datagen.Prog_analysis in
+  let gnp () = [ ("arc", Rs_datagen.Graphs.gnp ~seed:3 ~n:80 ~p:0.05) ] in
+  List.iter
+    (fun (what, src, inputs) ->
+      let counts kernels =
+        let _, tr = run_rels ~kernels (Parser.parse src) (inputs ()) in
+        (c tr "kernel.execs", c tr "dedup.probes", c tr "dedup.hits")
+      in
+      let execs, probes_on, hits_on = counts true in
+      let _, probes_off, hits_off = counts false in
+      check (what ^ ": kernels ran") true (execs > 0);
+      check (what ^ ": candidates were deduplicated") true (hits_on > 0);
+      Alcotest.(check int) (what ^ ": dedup.probes on = off") probes_off probes_on;
+      Alcotest.(check int) (what ^ ": dedup.hits on = off") hits_off hits_on)
+    [
+      ("tc", Recstep.Programs.tc, gnp);
+      ("csda", Recstep.Programs.csda, fun () -> Pa.csda_input ~seed:3 ~scale:1 "httpd");
+      ("cspa", Recstep.Programs.cspa, fun () -> Pa.cspa_input ~seed:3 ~scale:1 "httpd");
+    ]
+
 let suite =
   [
     Alcotest.test_case "arity-2 kernel matches interpreted" `Quick test_arity2;
@@ -300,4 +326,6 @@ let suite =
       `Quick test_provenance_all_or_nothing;
     Alcotest.test_case "provenance: kernel chaos keeps full tag coverage" `Quick
       test_provenance_kernel_chaos;
+    Alcotest.test_case "dedup counters agree with kernels on and off" `Quick
+      test_dedup_counters_agree;
   ]

@@ -307,6 +307,93 @@ let test_slo_scorecard () =
     classes;
   check "summary renders" true (String.length (Load.slo_summary t report) > 0)
 
+(* --- served rows on the default trace ------------------------------------- *)
+
+(* The default spec sends deltas to all three databases, which share the
+   relation name [arc]. Every served result — cold run, cache hit or warm
+   refresh — must equal a from-scratch evaluation over the database as it
+   stood when the query started: the base graph plus every delta to that
+   database due by then. *)
+let test_default_trace_matches_scratch () =
+  let module Relation = Rs_relation.Relation in
+  let module Delta = Rs_relation.Delta in
+  let t = Load.generate (Load.spec ()) in
+  let subs = Hashtbl.create 512 in
+  let n = ref 0 in
+  let events =
+    List.map
+      (function
+        | Service.Submit sub ->
+            incr n;
+            let sub = { sub with Service.sub_id = Printf.sprintf "q%d" !n } in
+            Hashtbl.replace subs sub.Service.sub_id sub;
+            Service.Submit sub
+        | e -> e)
+      t.Load.events
+  in
+  let deltas =
+    List.filter_map
+      (function Service.Delta { at; edb; delta } -> Some (at, edb, delta) | _ -> None)
+      events
+  in
+  check "deltas reach every database" true
+    (List.for_all
+       (fun db -> List.exists (fun (_, e, _) -> e = db) deltas)
+       [ "db_gold"; "db_silver"; "db_bronze" ]);
+  let base = t.Load.make_store () in
+  let arc_at db started =
+    let rows = Hashtbl.create 4096 in
+    List.iter
+      (fun row -> Hashtbl.replace rows row ())
+      (Relation.to_rows (List.assoc "arc" (Rs_service.Edb_store.lookup base db)));
+    List.iter
+      (fun (at, e, d) ->
+        if e = db && at <= started then
+          List.iter (fun (o : Delta.op) -> Hashtbl.replace rows o.Delta.row ()) (Delta.ops d "arc"))
+      deltas;
+    Relation.of_rows ~name:"arc" 2 (Hashtbl.fold (fun row () acc -> row :: acc) rows [])
+  in
+  let memo = Hashtbl.create 256 in
+  let scratch (sub : Service.submission) started =
+    let key =
+      ( sub.Service.edb,
+        List.length (List.filter (fun (at, e, _) -> e = sub.Service.edb && at <= started) deltas),
+        Rs_service.Program_key.canonical sub.Service.program )
+    in
+    match Hashtbl.find_opt memo key with
+    | Some v -> v
+    | None ->
+        let pool = Rs_parallel.Pool.create ~workers:2 () in
+        Rs_parallel.Pool.begin_run pool;
+        let r =
+          Recstep.Interpreter.run ~options:(Recstep.Interpreter.options ()) ~pool
+            ~edb:[ ("arc", arc_at sub.Service.edb started) ] sub.Service.program
+        in
+        let v =
+          List.map
+            (fun (name, rel) -> (name, Relation.sorted_distinct_rows rel))
+            r.Recstep.Interpreter.outputs
+        in
+        Hashtbl.replace memo key v;
+        v
+  in
+  let report = Service.run ~edb:(t.Load.make_store ()) events in
+  check "deltas applied" true (Service.counter report "delta_applied" = List.length deltas);
+  let served = ref 0 in
+  List.iter
+    (fun (c : Service.completion) ->
+      match (c.Service.c_outcome, c.Service.c_started) with
+      | Service.Done v, Some started ->
+          incr served;
+          let want = scratch (Hashtbl.find subs c.Service.c_id) started in
+          let sum = Rs_service.Result_cache.value_checksum in
+          if sum v <> sum want then
+            Alcotest.failf "%s on %s: served rows differ from a from-scratch run" c.Service.c_id
+              c.Service.c_edb
+      | _ -> ())
+    report.Service.completions;
+  check_int "every query served" (List.length t.Load.events - List.length deltas) !served
+
 let suite =
   [
     Alcotest.test_case "scheduler: 50k-tenant pop order is deterministic"
@@ -324,4 +411,6 @@ let suite =
       test_autoscale_policy;
     Alcotest.test_case "slo scorecard over a live run" `Quick
       test_slo_scorecard;
+    Alcotest.test_case "default trace serves from-scratch rows" `Quick
+      test_default_trace_matches_scratch;
   ]

@@ -154,6 +154,7 @@ let test_service_warm_refresh () =
   Alcotest.(check int) "repeat and post-delta both hit" 2 (Service.counter r "cache_hit");
   Alcotest.(check int) "only the first misses" 1 (Service.counter r "cache_miss");
   Alcotest.(check int) "one view built" 1 (Service.counter r "view_built");
+  Alcotest.(check int) "the view adopted the run's fixpoint" 1 (Service.counter r "view_seeded");
   Alcotest.(check int) "one entry refreshed" 1 (Service.counter r "refreshed");
   Alcotest.(check int) "nothing dropped" 0 (Service.counter r "view_dropped");
   Alcotest.(check int) "refresh counted in cache stats" 1
@@ -265,6 +266,51 @@ let test_service_shared_indexes () =
   Alcotest.(check int) "no rebase on a retraction" 0 (counter r3 "executor.index_rebases");
   Alcotest.(check bool) "post-retract run rebuilds" true
     (counter r3 "executor.index_builds" > builds_two_runs)
+
+(* Two databases that both hold an [arc] over the same vertices: the
+   persistent indexes of one must never serve the other. A's reach query
+   builds an index over A's arc; an insert-only delta then grows B's arc to
+   exactly A's row count, which a manager keyed by relation name alone takes
+   as licence to rebase A's index onto B's relation (and, with no rehash
+   due, B's next run reuses A's chains as they are). B's reach must still
+   follow B's arcs. *)
+let test_service_indexes_per_database () =
+  let reach =
+    Recstep.Programs.parsed
+      ".input arc\nreach(y) :- arc(0, y).\nreach(y) :- reach(x), arc(x, y).\n.output reach"
+  in
+  let a_rows = List.init 8 (fun i -> [ i; (i + 1) mod 8 ]) in
+  let b_rows = [ [ 0; 2 ]; [ 2; 4 ]; [ 4; 6 ] ] in
+  let b_added = [ [ 6; 1 ]; [ 1; 3 ]; [ 3; 5 ]; [ 5; 7 ]; [ 7; 0 ] ] in
+  let t = Edb_store.create () in
+  let rel rows =
+    let r = Relation.of_rows ~name:"arc" 2 (List.map Array.of_list rows) in
+    Relation.account r;
+    r
+  in
+  Edb_store.define t "a" [ ("arc", rel a_rows) ];
+  Edb_store.define t "b" [ ("arc", rel b_rows) ];
+  let events =
+    [
+      Service.Submit (Service.submission ~at:0.0 ~tenant:"ta" ~edb:"a" reach);
+      Service.delta_event ~at:50.0 ~edb:"b"
+        (Delta.of_inserts "arc" (List.map Array.of_list b_added));
+      Service.Submit (Service.submission ~at:100.0 ~tenant:"tb" ~edb:"b" reach);
+    ]
+  in
+  let r = Service.run ~edb:t events in
+  check_identities r;
+  let want edb =
+    let _, lookup = Recstep.Naive.run ~edb:[ ("arc", edb) ] reach in
+    List.map Array.of_list (List.sort_uniq compare (lookup "reach"))
+  in
+  match r.Service.completions with
+  | [ { Service.c_outcome = Service.Done va; _ }; { Service.c_outcome = Service.Done vb; _ } ] ->
+      Alcotest.(check bool) "a served its own rows" true (List.assoc "reach" va = want a_rows);
+      Alcotest.(check int) "b reaches all of its ring" 8 (List.length (List.assoc "reach" vb));
+      Alcotest.(check bool) "b served its own rows after the delta" true
+        (List.assoc "reach" vb = want (b_rows @ b_added))
+  | _ -> Alcotest.fail "expected two Done completions"
 
 (* --- sharded serving --- *)
 
@@ -641,6 +687,8 @@ let suite =
       test_service_refresh_fallback;
     Alcotest.test_case "shared indexes survive runs and deltas" `Quick
       test_service_shared_indexes;
+    Alcotest.test_case "persistent indexes are per database" `Quick
+      test_service_indexes_per_database;
     Alcotest.test_case "sharded serving with per-shard stats" `Quick test_service_sharded;
     Alcotest.test_case "admission: memory budget" `Quick test_admission_memory;
     Alcotest.test_case "admission: bounded queue" `Quick test_admission_queue_full;
