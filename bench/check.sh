@@ -131,7 +131,8 @@ EOF
 python3 "$tmp/validate_kernel.py" "$tmp/pkern.json"
 
 # Kernel benchmark: the fused path must be at least 2x faster in simulated
-# time on recursive TC, with byte-identical outputs on every workload.
+# time on recursive TC, with byte-identical outputs on every workload, and
+# SG's three-atom recursive rule must compile to an n-way chain kernel.
 dune exec bench/main.exe -- --only kernel >/dev/null
 cat >"$tmp/validate_bench_kernel.py" <<'EOF'
 import json, sys
@@ -144,8 +145,11 @@ tc = ws["tc"]
 assert tc["compiled_rules"] > 0, "TC recursive rule did not compile"
 assert tc["ratio"] >= 2.0, \
     "kernels under 2x on recursive TC: %.2fx" % tc["ratio"]
-print("BENCH_kernel OK: tc %.1fx with %d compiled rules, %d workloads identical"
-      % (tc["ratio"], tc["compiled_rules"], len(b["workloads"])))
+sg = ws["sg"]
+assert sg["compiled_rules"] > 0, "SG three-atom recursive rule did not compile"
+assert sg["identical"], "SG outputs diverged between kernel and interpreted runs"
+print("BENCH_kernel OK: tc %.1fx with %d compiled rules, sg %d compiled rules, %d workloads identical"
+      % (tc["ratio"], tc["compiled_rules"], sg["compiled_rules"], len(b["workloads"])))
 EOF
 python3 "$tmp/validate_bench_kernel.py" BENCH_kernel.json
 

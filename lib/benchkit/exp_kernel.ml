@@ -8,10 +8,10 @@
     held off, so the relational path under test actually executes) on fresh
     pools and compares {e simulated} runtimes. TC's delta plan is exactly
     the fused binary shape, so its speedup is the headline number; SG's
-    recursive rule is a three-way join outside the monomorphized shapes, so
-    it documents the fallback ladder: zero compiled rules, ratio ≈ 1, same
-    answer. Outputs must be byte-identical on both sides of every row.
-    Results land in [BENCH_kernel.json]. *)
+    recursive rule is a three-atom join driven from its middle Δ-atom, so
+    it exercises the n-way chain shape: one compiled rule whose two steps
+    probe [arc]'s index on its first column. Outputs must be byte-identical
+    on both sides of every row. Results land in [BENCH_kernel.json]. *)
 
 module Interpreter = Recstep.Interpreter
 module Programs = Recstep.Programs

@@ -1,6 +1,6 @@
 (** Compiled rule kernels vs the interpreted fixpoint: the same recursive
     workloads (TC, whose delta plan is the fused binary shape, and SG,
-    whose three-way join documents the fallback ladder) run with
+    whose three-atom rule compiles to an n-way chain) run with
     [compiled_kernels] on and off, PBME held off, on fresh pools. Prints
     the per-workload table and writes the machine-readable summary —
     per-side simulated runtimes, the off/on speedup ratio, kernel counters,

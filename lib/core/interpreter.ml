@@ -445,25 +445,25 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
     let n_rules = List.length rule_deltas in
     if (not options.compiled_kernels) || n_rules = 0 then None
     else
-      match Cost.kernel_gate ~recursive ~has_agg:(agg <> None) ~head_arity:arity with
-      | Error _reason ->
-          count_kernel "kernel.fallback_rules" n_rules;
-          None
-      | Ok () -> (
-          let rec go acc = function
-            | [] -> Some (List.rev acc)
-            | (dpred, plan) :: rest -> (
-                match Kernel.compile exec ~probe_table:(Planner.delta_name dpred) plan with
-                | Ok k -> go (k :: acc) rest
-                | Error _reason -> None)
-          in
-          match go [] (List.concat rule_deltas) with
-          | Some ks ->
-              count_kernel "kernel.compiled_rules" n_rules;
-              Some ks
-          | None ->
-              count_kernel "kernel.fallback_rules" n_rules;
-              None)
+      let ks =
+        match Cost.kernel_gate ~recursive ~has_agg:(agg <> None) ~head_arity:arity with
+        | Error _reason -> None
+        | Ok () ->
+            let rec go acc = function
+              | [] -> Some (List.rev acc)
+              | (dpred, plan) :: rest -> (
+                  match Kernel.compile exec ~probe_table:(Planner.delta_name dpred) plan with
+                  | Ok k -> go (k :: acc) rest
+                  | Error _reason -> None)
+            in
+            go [] (List.concat rule_deltas)
+      in
+      (* both counters are recorded, one of them 0, so a fully compiled (or
+         fully refused) run still reports the other *)
+      let compiled = match ks with Some _ -> n_rules | None -> 0 in
+      count_kernel "kernel.compiled_rules" compiled;
+      count_kernel "kernel.fallback_rules" (n_rules - compiled);
+      ks
   in
   (* Kernel-path evaluation of one IDB's live delta plans: matches stream
      straight through FAST-DEDUP into the candidate relation, no query

@@ -43,5 +43,5 @@ val kernel_gate :
 (** Whether a rule is worth compiling to a fused kernel. [Error reason]
     (["cold"] — non-recursive stratum, runs once; ["aggregate"];
     ["arity"] — head wider than {!kernel_max_arity}) means: stay on the
-    interpreted path. Shape restrictions (negation, >2-atom join trees)
+    interpreted path. Shape restrictions (negation, disconnected bodies)
     are decided later by [Kernel.compile], which sees the plans. *)

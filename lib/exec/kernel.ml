@@ -25,7 +25,28 @@ type binary = {
   b_probe_is_left : bool;
 }
 
-type shape = Binary of binary | Unary of probe_side
+(* One join step of an n-way chain: probe [s_name]'s index on [s_keys]
+   (local columns) with the values at frame columns [s_probe], copy the
+   matched row into the frame at [s_off], then test [s_preds] — the atom's
+   own filters plus any equality that did not become a key column — over
+   the frame. *)
+type step = {
+  s_name : string;
+  s_off : int;
+  s_arity : int;
+  s_keys : int array;
+  s_probe : int array;
+  s_preds : Expr.pred list;
+}
+
+type chain = {
+  c_delta : step;  (* the Δ-atom; its [s_keys]/[s_probe] are empty *)
+  c_steps : step array;  (* the other atoms, in binding order *)
+  c_extra : Expr.pred list;  (* the residual, over the combined frame *)
+  c_width : int;  (* total arity of the combined frame *)
+}
+
+type shape = Binary of binary | Unary of probe_side | Chain of chain
 
 type t = { shape : shape; out : Expr.t array; arity : int }
 
@@ -37,6 +58,88 @@ let rec flatten_scan preds = function
   | Plan.Filter (ps, src) -> flatten_scan (preds @ ps) src
   | _ -> None
 
+(* An atom of a flattened join tree, as a step not yet keyed: its filters
+   are already shifted into the combined frame. *)
+let atom_step table_arity ~off (name, preds) =
+  {
+    s_name = name;
+    s_off = off;
+    s_arity = table_arity name;
+    s_keys = [||];
+    s_probe = [||];
+    s_preds = List.map (Expr.shift_pred off) preds;
+  }
+
+(* Flatten the planner's left-deep [Join (Join (a, b), c)] into its atoms in
+   body order plus the column equalities between them, both sides in the
+   combined frame. Inner joins never carry a residual or a projection. *)
+let rec flatten_joins table_arity = function
+  | Plan.Join { l; r; lkeys; rkeys; extra = []; out = None } -> (
+      match (flatten_joins table_arity l, flatten_scan [] r) with
+      | Ok (atoms, eqs, width), Some scan ->
+          let atom = atom_step table_arity ~off:width scan in
+          let eqs' = Array.to_list (Array.map2 (fun lc rc -> (lc, width + rc)) lkeys rkeys) in
+          Ok (atoms @ [ atom ], eqs @ eqs', width + atom.s_arity)
+      | (Error _ as e), _ -> e
+      | Ok _, None -> Error "shape")
+  | Plan.Join _ -> Error "shape"
+  | p -> (
+      match flatten_scan [] p with
+      | None -> Error "shape"
+      | Some scan ->
+          let atom = atom_step table_arity ~off:0 scan in
+          Ok ([ atom ], [], atom.s_arity))
+
+(* The n-way chain: the Δ-atom drives; each remaining atom, in body order,
+   joins as soon as an equality connects it to the atoms already bound. Every
+   equality is consumed once, at the step that binds its later side: as a key
+   column if that column is not keyed yet, else as a test. *)
+let compile_chain table_arity ~probe_table (j : Plan.join) =
+  match flatten_joins table_arity (Plan.Join { j with extra = []; out = None }) with
+  | Error _ as e -> e
+  | Ok (atoms, eqs, width) -> (
+      match List.partition (fun a -> a.s_name = probe_table) atoms with
+      | [ delta ], rest ->
+          let owns a c = c >= a.s_off && c < a.s_off + a.s_arity in
+          let rec order bound eqs rest acc =
+            if rest = [] then Ok (List.rev acc)
+            else
+              let is_bound c = List.exists (fun b -> owns b c) bound in
+              (* [Some (col of a, bound col)] when [e] links [a] to the bound set *)
+              let link a (x, y) =
+                if owns a x && is_bound y then Some (x, y)
+                else if owns a y && is_bound x then Some (y, x)
+                else None
+              in
+              match List.find_opt (fun a -> List.exists (fun e -> link a e <> None) eqs) rest with
+              | None -> Error "cross"
+              | Some a ->
+                  let mine, others = List.partition (fun e -> link a e <> None) eqs in
+                  let keys, tests =
+                    List.fold_left
+                      (fun (keys, tests) e ->
+                        let ac, bc = Option.get (link a e) in
+                        if List.mem_assoc ac keys then
+                          (keys, tests @ [ Expr.Cmp (Expr.Eq, Expr.Col ac, Expr.Col bc) ])
+                        else (keys @ [ (ac, bc) ], tests))
+                      ([], []) mine
+                  in
+                  let step =
+                    {
+                      a with
+                      s_keys = Array.of_list (List.map (fun (ac, _) -> ac - a.s_off) keys);
+                      s_probe = Array.of_list (List.map snd keys);
+                      s_preds = a.s_preds @ tests;
+                    }
+                  in
+                  order (a :: bound) others (List.filter (fun b -> b != a) rest) (step :: acc)
+          in
+          Result.map
+            (fun steps ->
+              { c_delta = delta; c_steps = Array.of_list steps; c_extra = j.extra; c_width = width })
+            (order [ delta ] eqs rest [])
+      | _ -> Error "probe")
+
 let compile_shape (ex : Executor.t) ~probe_table plan =
   let table_arity name = Relation.arity (Catalog.rel ex.catalog name) in
   match plan with
@@ -46,6 +149,10 @@ let compile_shape (ex : Executor.t) ~probe_table plan =
           Ok { shape = Unary { p_name = name; p_preds = preds }; out; arity = Array.length out }
       | Some _ -> Error "probe"
       | None -> Error "shape")
+  | Plan.Join ({ l = Plan.Join _; out = Some out; _ } as j) ->
+      Result.map
+        (fun c -> { shape = Chain c; out; arity = Array.length out })
+        (compile_chain table_arity ~probe_table j)
   | Plan.Join { l; r; lkeys; rkeys; extra; out = Some out } -> (
       match (flatten_scan [] l, flatten_scan [] r) with
       | Some (lname, lpreds), Some (rname, rpreds) -> (
@@ -213,6 +320,66 @@ let run (ex : Executor.t) k ~dedup ~out =
             if p_preds = [] || List.for_all (Expr.test pget) p_preds then probe_row prow
           done);
       if owned then Executor.index_release idx;
+      count ex "kernel.fused_probes" n
+  | Chain ch ->
+      (* Every bound atom's row is copied into one frame of the combined
+         width; keys, filters, the residual and the head all read it. The
+         virtual pool runs chunks sequentially and the steps nest strictly,
+         so each step's scratch key and frame slice are never live twice. *)
+      let frame = Array.make ch.c_width 0 in
+      let get c = frame.(c) in
+      let acquired = ref [] in
+      let index_for s rel =
+        let key = (s.s_name, s.s_keys) in
+        match List.assoc_opt key !acquired with
+        | Some (idx, _) -> idx
+        | None ->
+            let ((idx, _) as got) = Executor.acquire_index ex ~scan_name:s.s_name rel s.s_keys in
+            acquired := (key, got) :: !acquired;
+            idx
+      in
+      let bind rel s row =
+        for j = 0 to s.s_arity - 1 do
+          frame.(s.s_off + j) <- Relation.get rel ~row ~col:j
+        done
+      in
+      let passes preds = preds = [] || List.for_all (Expr.test get) preds in
+      let finish () = if passes ch.c_extra then emit get in
+      let d = ch.c_delta in
+      let drel = Catalog.rel ex.catalog d.s_name in
+      let n = Relation.nrows drel in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun (_, (idx, owned)) -> if owned then Executor.index_release idx) !acquired)
+        (fun () ->
+          (* Compose the steps innermost-first into one closure per step. *)
+          let body =
+            Array.fold_right
+              (fun s next ->
+                let rel = Catalog.rel ex.catalog s.s_name in
+                let idx = index_for s rel in
+                let visit row =
+                  bind rel s row;
+                  if passes s.s_preds then next ()
+                in
+                match s.s_probe with
+                | [| c0 |] -> fun () -> Executor.index_iter_matches1 idx frame.(c0) visit
+                | [| c0; c1 |] ->
+                    fun () -> Executor.index_iter_matches2 idx frame.(c0) frame.(c1) visit
+                | probe ->
+                    let key = Array.make (Array.length probe) 0 in
+                    fun () ->
+                      Array.iteri (fun i c -> key.(i) <- frame.(c)) probe;
+                      Executor.index_iter_matches idx key visit)
+              ch.c_steps finish
+          in
+          Pool.parallel_for ex.pool 0 n (fun lo hi ->
+              incr batches;
+              count ex "kernel.batch_rows" (hi - lo);
+              for row = lo to hi - 1 do
+                bind drel d row;
+                if passes d.s_preds then body ()
+              done));
       count ex "kernel.fused_probes" n);
   count ex "kernel.execs" 1;
   count ex "kernel.batches" !batches;

@@ -16,10 +16,23 @@
     ({!Rs_relation.Dedup}) insertion fused into the probe loop. No
     intermediate relation is materialized and no query is issued.
 
-    Supported shapes: [Join] of two (possibly filtered) scans with the
-    Δ-table on exactly one side, and [Project] over a filtered scan of the
-    Δ-table (linear single-atom rules). Everything else — negation, deeper
-    join trees, aggregates — returns [Error reason] and stays interpreted;
+    Supported shapes, each with the Δ-table scanned exactly once:
+    - [Unary]: [Project] over a filtered scan of the Δ-table (linear
+      single-atom rules);
+    - [Binary]: [Join] of two (possibly filtered) scans, the Δ-table on
+      one side;
+    - [Chain]: a left-deep join of three or more filtered scans. The tree is
+      flattened into atoms (each with its local filters and its offset in
+      the combined frame) plus the equalities between frame columns. The
+      Δ-atom drives; each remaining atom, in body order, joins as soon as it
+      shares a variable with the atoms already bound, keyed on every one of
+      its columns equated to a bound column (a variable shared by three
+      atoms gives a 2-column key). Each atom's filters are tested at the
+      step that binds it, the residual at emit. Every step's index comes
+      from the same three-tier policy, acquired once per distinct
+      (table, key columns) pair per run.
+    Negation, aggregates and bodies where some atom shares no variable with
+    the rest (["cross"]) return [Error reason] and stay interpreted;
     {!Cost.kernel_gate} screens out cold / aggregate / wide-headed rules
     before plans are even inspected. Specialization is monomorphic in head
     arity (1/2/3 fast paths, generic fallback) and probe-key shape (1/2
@@ -46,7 +59,7 @@ val compile :
   Executor.t -> probe_table:string -> Plan.t -> (t, string) result
 (** [compile ex ~probe_table plan] compiles [plan] into a fused kernel that
     scans [probe_table] (the rule's Δ-table for this plan) and probes the
-    other side. [Error reason] (["shape"] / ["negation"] / ["aggregate"] /
+    other atoms. [Error reason] (["shape"] / ["negation"] / ["aggregate"] /
     ["cross"] / ["probe"] / ["chaos"]) means the rule must stay on the
     interpreted path. Compilation never touches table contents — only the
     catalog's arities — so it is safe at stratum setup. *)

@@ -217,6 +217,19 @@ let fuzz_corpus : (string * string * (string * int list list) list) list =
        p2(x) :- p0(x, x).\n\
        .output p0\n.output p1\n.output p2",
       [ ("e0", [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 0 ]; [ 2; 2 ] ]) ] );
+    (* A non-linear three-atom recursive rule (Andersen's load rule): two
+       delta plans, each an n-way chain kernel, one driven from the middle
+       atom and one from the last with the first atom reached only through
+       the middle one. *)
+    ( "kernel shapes: non-linear three-atom chain",
+      ".input e0\n.input e1\n\
+       p0(x, y) :- e1(x, y).\n\
+       p0(x, w) :- e0(x, y), p0(y, z), p0(z, w).\n\
+       .output p0",
+      [
+        ("e0", [ [ 0; 1 ]; [ 1; 2 ]; [ 3; 3 ]; [ 4; 0 ] ]);
+        ("e1", [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 4; 1 ]; [ 2; 2 ] ]);
+      ] );
   ]
 
 (* --- delta-sequence regression corpus -----------------------------------

@@ -66,7 +66,13 @@ let test_arity2 () =
   check "rows emitted" true (c tr_on "kernel.emitted" > 0);
   check "no fallback" true (c tr_on "kernel.fallbacks" = 0);
   check "toggle off compiles nothing" true (c tr_off "kernel.compiled_rules" = 0);
-  check "toggle off executes nothing" true (c tr_off "kernel.execs" = 0)
+  check "toggle off executes nothing" true (c tr_off "kernel.execs" = 0);
+  (* a fully compiled run still records its fallback count, as 0 —
+     [c] would read a missing counter as 0 too *)
+  let counters = Trace.counters tr_on in
+  check "compiled_rules recorded" true (List.mem_assoc "kernel.compiled_rules" counters);
+  check "fallback_rules recorded" true (List.mem_assoc "kernel.fallback_rules" counters);
+  Alcotest.(check int) "fallback_rules is 0" 0 (List.assoc "kernel.fallback_rules" counters)
 
 let test_arity1 () =
   (* unary head: reachability from a source set *)
@@ -124,6 +130,137 @@ let test_filters_fused () =
   in
   let tr_on, _ = run_both src edb in
   check "rules compiled" true (c tr_on "kernel.compiled_rules" > 0)
+
+(* --- n-way chains: three or more atoms ------------------------------------- *)
+
+let chain_edb =
+  [
+    ("e0", 2, [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 0 ]; [ 2; 4 ]; [ 4; 4 ] ]);
+    ("e1", 2, [ [ 1; 0 ]; [ 2; 2 ]; [ 3; 1 ]; [ 4; 3 ]; [ 0; 4 ] ]);
+  ]
+
+(* (what, program, EDB): every case is a recursive rule of three atoms. *)
+let chain_cases =
+  let with_chain_edb what rule =
+    (what, ".input e0\n.input e1\np0(x, y) :- e0(x, y).\n" ^ rule ^ "\n.output p0", chain_edb)
+  in
+  [
+    (* the Δ-atom drives from the first, middle and last body position; with
+       Δ last the first atom only connects through the middle one *)
+    with_chain_edb "delta first" "p0(x, w) :- p0(x, y), e0(y, z), e1(z, w).";
+    with_chain_edb "delta middle" "p0(x, w) :- e1(x, y), p0(y, z), e0(z, w).";
+    with_chain_edb "delta last" "p0(x, w) :- e0(x, y), e1(y, z), p0(z, w).";
+    (* comparisons spanning the first and last atoms stay in the residual,
+       tested once every atom is bound *)
+    with_chain_edb "cross-side comparison"
+      "p0(x, w) :- p0(x, y), e0(y, z), e1(z, w), x < w, w != y.";
+    (* x is shared by all three atoms: with Δ = p0 driving, e0 is keyed on x
+       alone and e1 then on (x, w) — one column equated to e0, one to p0.
+       e1 holds several w per x, and p0 holds (x, w) pairs e1 lacks, so a
+       key on x alone would join them. *)
+    ( "2-column key",
+      ".input e0\n.input e1\n.input e2\n\
+       p0(x, y) :- e2(x, y).\n\
+       p0(y, w) :- e0(x, y), e1(x, w), p0(x, w).\n\
+       .output p0",
+      [
+        ("e0", 2, [ [ 0; 5 ]; [ 1; 5 ]; [ 5; 0 ] ]);
+        ("e1", 2, [ [ 0; 1 ]; [ 0; 4 ]; [ 1; 3 ]; [ 5; 1 ]; [ 5; 6 ] ]);
+        ("e2", 2, [ [ 0; 1 ]; [ 0; 2 ]; [ 1; 3 ] ]);
+      ] );
+    (* a constant and a repeated variable on a middle atom become its local
+       filters, tested at the step that binds it; p1's repeated variable
+       sits on the middle Δ-atom, tested before the chain probes anything *)
+    ( "middle-atom filters",
+      ".input e0\n.input e2\n\
+       p0(x, y) :- e0(x, y).\n\
+       p0(x, w) :- p0(x, y), e2(y, 1, z, z), e0(z, w).\n\
+       p1(x, y) :- e0(x, y).\n\
+       p1(w, x) :- e0(x, y), p1(y, y), e0(y, w).\n\
+       .output p0\n.output p1",
+      [
+        ("e0", 2, [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 0 ]; [ 4; 5 ]; [ 4; 4 ]; [ 5; 4 ] ]);
+        ( "e2",
+          4,
+          [ [ 1; 1; 2; 2 ]; [ 1; 0; 3; 3 ]; [ 2; 1; 3; 4 ]; [ 3; 1; 4; 4 ]; [ 5; 1; 0; 0 ] ] );
+      ] );
+    (* an arity-3 head over a chain whose last step keys on three columns —
+       the generic key path *)
+    ( "arity-3 head",
+      ".input e1\n.input e2\n\
+       p0(x, y, z) :- e1(x, y, z).\n\
+       p0(x, y, w) :- p0(x, y, z), e1(y, z, w), e2(x, y, w).\n\
+       .output p0",
+      [
+        ("e1", 3, [ [ 0; 1; 2 ]; [ 1; 2; 3 ]; [ 2; 3; 0 ]; [ 1; 3; 1 ]; [ 3; 0; 1 ] ]);
+        ("e2", 3, [ [ 0; 1; 3 ]; [ 1; 2; 0 ]; [ 0; 1; 1 ]; [ 2; 3; 1 ] ]);
+      ] );
+  ]
+
+(* Every case must match the interpreted run ([run_both]), compile each of
+   its IDB's rules and actually run a kernel. *)
+let test_chain_cases () =
+  List.iter
+    (fun (what, src, edb) ->
+      let tr_on, _ = run_both src edb in
+      check (what ^ ": rules compiled") true (c tr_on "kernel.compiled_rules" > 0);
+      Alcotest.(check int) (what ^ ": nothing fell back") 0 (c tr_on "kernel.fallback_rules");
+      check (what ^ ": kernels executed") true (c tr_on "kernel.execs" > 0);
+      check (what ^ ": rows emitted") true (c tr_on "kernel.emitted" > 0))
+    chain_cases
+
+let test_chain_disconnected () =
+  (* s(u) shares no variable with the rest of the body: the chain cannot
+     order it, so the IDB stays interpreted (a cross product) *)
+  let src =
+    ".input e0\n.input s\n\
+     p0(x, y) :- e0(x, y).\n\
+     p0(x, y) :- p0(x, z), e0(z, y), s(u).\n\
+     .output p0"
+  in
+  let edb = [ ("e0", 2, [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 0 ] ]); ("s", 1, [ [ 7 ]; [ 8 ] ]) ] in
+  let tr_on, _ = run_both src edb in
+  check "compile refused" true (c tr_on "kernel.fallback_rules" > 0);
+  Alcotest.(check int) "nothing compiled" 0 (c tr_on "kernel.compiled_rules");
+  Alcotest.(check int) "nothing executed" 0 (c tr_on "kernel.execs")
+
+let test_chain_extra_equality () =
+  (* A hand-built plan (the planner never emits one) where c.0 is equated to
+     both a.0 and b.0, and b only connects through y: the second equality
+     cannot be a key column of c's step and must still be tested. The
+     kernel's output must equal the executor's deduplicated result. *)
+  let module Expr = Rs_exec.Expr in
+  let module Plan = Rs_exec.Plan in
+  let module Catalog = Rs_exec.Catalog in
+  let module Executor = Rs_exec.Executor in
+  let module Kernel = Rs_exec.Kernel in
+  let module Dedup = Rs_relation.Dedup in
+  let pool = Pool.create ~workers:4 () in
+  Pool.begin_run pool;
+  let catalog = Catalog.create () in
+  let reg name arity rows =
+    Catalog.register catalog name (Relation.of_rows ~name arity (List.map Array.of_list rows))
+  in
+  reg "a@delta" 2 [ [ 1; 10 ]; [ 2; 10 ]; [ 3; 11 ] ];
+  reg "b" 2 [ [ 1; 10 ]; [ 2; 10 ]; [ 5; 11 ]; [ 3; 11 ] ];
+  reg "c" 1 [ [ 1 ]; [ 2 ]; [ 3 ]; [ 5 ] ];
+  let ex = Executor.create pool catalog in
+  let inner = Plan.join2 (Plan.Scan "a@delta") [| 1 |] (Plan.Scan "b") [| 1 |] in
+  let plan =
+    Plan.join2 ~out:[| Expr.Col 0; Expr.Col 2 |] inner [| 0; 2 |] (Plan.Scan "c") [| 0; 0 |]
+  in
+  let want = canon (Executor.run_query ex plan) in
+  let k =
+    match Kernel.compile ex ~probe_table:"a@delta" plan with
+    | Ok k -> k
+    | Error reason -> Alcotest.failf "chain refused: %s" reason
+  in
+  let dedup = Dedup.create Dedup.Fast 2 in
+  let out = Relation.create 2 in
+  ignore (Kernel.run ex k ~dedup ~out);
+  Dedup.release dedup;
+  Alcotest.(check (list (list int))) "kernel = executor" want (canon out);
+  Alcotest.(check (list (list int))) "only a.0 = b.0 = c.0" [ [ 1; 1 ]; [ 2; 2 ]; [ 3; 3 ] ] want
 
 (* --- the cost-model gate and unsupported shapes --------------------------- *)
 
@@ -192,14 +329,21 @@ let test_chaos_compile_fault () =
 let test_chaos_exec_fault () =
   (* after=1 lets the single compile probe through, limit=1 degrades exactly
      one kernel execution: that round re-evaluates interpreted, later rounds
-     run the kernel again, and the answer still matches the clean run *)
-  let clean, _ = run_one ~kernels:false tc_src tc_edb in
-  let faulted, tr = run_with_plan "kernel:p=1,after=1,limit=1" tc_src tc_edb in
-  Alcotest.(check (list (pair string (list (list int)))))
-    "exec fault never changes the answer" clean faulted;
-  check "rules compiled" true (c tr "kernel.compiled_rules" > 0);
-  check "one degraded execution" true (c tr "kernel.fallbacks" = 1);
-  check "later rounds still fused" true (c tr "kernel.execs" > 0)
+     run the kernel again, and the answer still matches the clean run. TC's
+     delta plan is a binary kernel; SG's is a 3-way chain. *)
+  let sg_edb =
+    [ ("arc", 2, [ [ 0; 1 ]; [ 0; 2 ]; [ 1; 3 ]; [ 2; 4 ]; [ 3; 5 ]; [ 4; 6 ]; [ 5; 7 ] ]) ]
+  in
+  List.iter
+    (fun (what, src, edb) ->
+      let clean, _ = run_one ~kernels:false src edb in
+      let faulted, tr = run_with_plan "kernel:p=1,after=1,limit=1" src edb in
+      Alcotest.(check (list (pair string (list (list int)))))
+        (what ^ ": exec fault never changes the answer") clean faulted;
+      check (what ^ ": rules compiled") true (c tr "kernel.compiled_rules" > 0);
+      check (what ^ ": one degraded execution") true (c tr "kernel.fallbacks" = 1);
+      check (what ^ ": later rounds still fused") true (c tr "kernel.execs" > 0))
+    [ ("tc", tc_src, tc_edb); ("sg", Recstep.Programs.sg, sg_edb) ]
 
 let test_chaos_persistent_exec_fault () =
   (* unbounded exec faults: every round degrades to the interpreted path;
@@ -292,11 +436,13 @@ let test_dedup_counters_agree () =
     (fun (what, src, inputs) ->
       let counts kernels =
         let _, tr = run_rels ~kernels (Parser.parse src) (inputs ()) in
-        (c tr "kernel.execs", c tr "dedup.probes", c tr "dedup.hits")
+        (tr, c tr "dedup.probes", c tr "dedup.hits")
       in
-      let execs, probes_on, hits_on = counts true in
+      let tr, probes_on, hits_on = counts true in
       let _, probes_off, hits_off = counts false in
-      check (what ^ ": kernels ran") true (execs > 0);
+      check (what ^ ": kernels ran") true (c tr "kernel.execs" > 0);
+      (* every recursive rule of these programs is a 2- or 3-atom chain *)
+      Alcotest.(check int) (what ^ ": no rule fell back") 0 (c tr "kernel.fallback_rules");
       check (what ^ ": candidates were deduplicated") true (hits_on > 0);
       Alcotest.(check int) (what ^ ": dedup.probes on = off") probes_off probes_on;
       Alcotest.(check int) (what ^ ": dedup.hits on = off") hits_off hits_on)
@@ -304,6 +450,7 @@ let test_dedup_counters_agree () =
       ("tc", Recstep.Programs.tc, gnp);
       ("csda", Recstep.Programs.csda, fun () -> Pa.csda_input ~seed:3 ~scale:1 "httpd");
       ("cspa", Recstep.Programs.cspa, fun () -> Pa.cspa_input ~seed:3 ~scale:1 "httpd");
+      ("andersen", Recstep.Programs.andersen, fun () -> Pa.andersen ~seed:3 ~nvars:300);
     ]
 
 let suite =
@@ -313,6 +460,11 @@ let suite =
     Alcotest.test_case "arity-3 kernel matches interpreted" `Quick test_arity3;
     Alcotest.test_case "unary (no-join) kernel shape" `Quick test_unary_shape;
     Alcotest.test_case "local predicates fused into the closure" `Quick test_filters_fused;
+    Alcotest.test_case "chain: three-atom rules match interpreted" `Quick test_chain_cases;
+    Alcotest.test_case "chain: disconnected body stays interpreted" `Quick
+      test_chain_disconnected;
+    Alcotest.test_case "chain: an equality beyond the key is tested" `Quick
+      test_chain_extra_equality;
     Alcotest.test_case "gate: wide head stays interpreted" `Quick test_fallback_wide_head;
     Alcotest.test_case "gate: negation stays interpreted" `Quick test_fallback_negation;
     Alcotest.test_case "cold rules never touch the kernel path" `Quick
