@@ -133,6 +133,8 @@ python3 "$tmp/validate_kernel.py" "$tmp/pkern.json"
 # Kernel benchmark: the fused path must be at least 2x faster in simulated
 # time on recursive TC, with byte-identical outputs on every workload, and
 # SG's three-atom recursive rule must compile to an n-way chain kernel.
+# CSPA's non-linear rules must make the same dedup probes with kernels on
+# and off: both paths run the same exact delta plans.
 dune exec bench/main.exe -- --only kernel >/dev/null
 cat >"$tmp/validate_bench_kernel.py" <<'EOF'
 import json, sys
@@ -148,8 +150,17 @@ assert tc["ratio"] >= 2.0, \
 sg = ws["sg"]
 assert sg["compiled_rules"] > 0, "SG three-atom recursive rule did not compile"
 assert sg["identical"], "SG outputs diverged between kernel and interpreted runs"
-print("BENCH_kernel OK: tc %.1fx with %d compiled rules, sg %d compiled rules, %d workloads identical"
-      % (tc["ratio"], tc["compiled_rules"], sg["compiled_rules"], len(b["workloads"])))
+cspa = ws["cspa"]
+assert cspa["compiled_rules"] > 0, "CSPA recursive rules did not compile"
+assert cspa["identical"], "CSPA outputs diverged between kernel and interpreted runs"
+assert cspa["dedup_probes_on"] > 0, "CSPA made no dedup probes"
+assert cspa["dedup_probes_on"] == cspa["dedup_probes_off"], \
+    "CSPA dedup probes differ, kernels %d vs interpreted %d: the paths ran different delta plans" \
+    % (cspa["dedup_probes_on"], cspa["dedup_probes_off"])
+print("BENCH_kernel OK: tc %.1fx with %d compiled rules, sg %d compiled rules, "
+      "cspa %d dedup probes on both paths, %d workloads identical"
+      % (tc["ratio"], tc["compiled_rules"], sg["compiled_rules"], cspa["dedup_probes_on"],
+         len(b["workloads"])))
 EOF
 python3 "$tmp/validate_bench_kernel.py" BENCH_kernel.json
 

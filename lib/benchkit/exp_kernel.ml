@@ -10,8 +10,12 @@
     the fused binary shape, so its speedup is the headline number; SG's
     recursive rule is a three-atom join driven from its middle Δ-atom, so
     it exercises the n-way chain shape: one compiled rule whose two steps
-    probe [arc]'s index on its first column. Outputs must be byte-identical
-    on both sides of every row. Results land in [BENCH_kernel.json]. *)
+    probe [arc]'s index on its first column. CSPA's non-linear, mutually
+    recursive rules read the old rows of the atoms before their Δ
+    ([Rs_exec.Plan.Old]), as a bounded build side or chain step; its
+    dedup probe counts must be equal on both sides, which shows both paths
+    run the same exact delta plans. Outputs must be byte-identical on both
+    sides of every row. Results land in [BENCH_kernel.json]. *)
 
 module Interpreter = Recstep.Interpreter
 module Programs = Recstep.Programs
@@ -42,7 +46,7 @@ let dag ~seed ~n ~deg =
   done;
   Relation.of_rows ~name:"arc" 2 !rows
 
-let run_side ~kernels program arc =
+let run_side ~kernels program edb =
   let pool = Pool.create ~workers:8 () in
   Pool.begin_run pool;
   let trace = Trace.create ~now:(fun () -> Pool.vtime_now pool) () in
@@ -50,7 +54,9 @@ let run_side ~kernels program arc =
     Interpreter.options ~pbme:false ~compiled_kernels:kernels ~trace ()
   in
   let result =
-    Interpreter.run ~options ~pool ~edb:[ ("arc", Relation.copy arc) ] program
+    Interpreter.run ~options ~pool
+      ~edb:(List.map (fun (name, rel) -> (name, Relation.copy rel)) edb)
+      program
   in
   let outputs =
     List.map
@@ -59,17 +65,18 @@ let run_side ~kernels program arc =
   in
   (outputs, (Pool.stats pool).Pool.vtime, trace)
 
-let workload ~name ~src ~arc =
+let workload ~name ~src ~edb =
   let program = Programs.parsed src in
-  let on_out, on_s, on_tr = run_side ~kernels:true program arc in
-  let off_out, off_s, _ = run_side ~kernels:false program arc in
+  let on_out, on_s, on_tr = run_side ~kernels:true program edb in
+  let off_out, off_s, off_tr = run_side ~kernels:false program edb in
+  let edges = List.fold_left (fun acc (_, rel) -> acc + Relation.nrows rel) 0 edb in
   let identical = on_out = off_out in
   let ratio = if on_s > 0. then off_s /. on_s else 0. in
   let compiled = Trace.counter on_tr "kernel.compiled_rules" in
   let row =
     [
       name;
-      string_of_int (Relation.nrows arc);
+      string_of_int edges;
       string_of_int compiled;
       Printf.sprintf "%.4f" off_s;
       Printf.sprintf "%.4f" on_s;
@@ -81,11 +88,13 @@ let workload ~name ~src ~arc =
     Json.Obj
       [
         ("workload", Json.String name);
-        ("edges", Json.Int (Relation.nrows arc));
+        ("edges", Json.Int edges);
         ("compiled_rules", Json.Int compiled);
         ("fallback_rules", Json.Int (Trace.counter on_tr "kernel.fallback_rules"));
         ("fused_probes", Json.Int (Trace.counter on_tr "kernel.fused_probes"));
         ("emitted", Json.Int (Trace.counter on_tr "kernel.emitted"));
+        ("dedup_probes_on", Json.Int (Trace.counter on_tr "dedup.probes"));
+        ("dedup_probes_off", Json.Int (Trace.counter off_tr "dedup.probes"));
         ("kernels_off_s", Json.Float off_s);
         ("kernels_on_s", Json.Float on_s);
         ("ratio", Json.Float ratio);
@@ -101,8 +110,10 @@ let exp ~scale =
   let sg_arc = Graphs.gnp ~seed:3 ~n:(48 * scale) ~p:0.06 in
   let results =
     [
-      workload ~name:"tc" ~src:Programs.tc ~arc:tc_arc;
-      workload ~name:"sg" ~src:Programs.sg ~arc:sg_arc;
+      workload ~name:"tc" ~src:Programs.tc ~edb:[ ("arc", tc_arc) ];
+      workload ~name:"sg" ~src:Programs.sg ~edb:[ ("arc", sg_arc) ];
+      workload ~name:"cspa" ~src:Programs.cspa
+        ~edb:(Rs_datagen.Prog_analysis.cspa_input ~seed:3 ~scale "httpd");
     ]
   in
   Rs_util.Table_printer.print

@@ -494,7 +494,19 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
   in
   (* Process the deduplicated candidates of one IDB; returns |Δ|.
      [stratum]/[iteration] locate the absorption on the fixpoint timeline
-     for provenance tags. *)
+     for provenance tags.
+
+     Suffix invariant: whenever delta plans run, every recursive,
+     non-aggregated IDB table ends with exactly its Δ-table's rows, so the
+     planner's [Plan.Old] reads (the rows before the Δ-suffix) are the table
+     as it stood before the last absorb. Four things keep it true:
+     - absorb appends Δ to the table (below) and makes it the Δ-table;
+     - the [Ev_none] drain empties a Δ-table and leaves its table alone;
+     - each stratum ends with every Δ-table emptied;
+     - a Jacobi round evaluates every IDB before it absorbs any.
+     Aggregated IDBs rebuild their table every round, so the planner never
+     reads their old rows. [Executor.old_bound] raises when a Δ-table is
+     longer than its table. *)
   let absorb_candidates ~stratum ~iteration (st : idb_state) rdelta =
     match st.agg with
     | Some ag ->

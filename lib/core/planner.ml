@@ -20,10 +20,10 @@ let cmp_to_exec = function
 
 (* Scan of one body atom: constants and repeated variables become filter
    predicates; returns the plan and the atom's variable bindings
-   (first-occurrence column per variable). [table] lets the caller redirect
-   the scan to the Δ-table. *)
-let atom_scan ?table a =
-  let name = Option.value table ~default:a.pred in
+   (first-occurrence column per variable). [source] lets the caller redirect
+   the read to the Δ-table or to the rows before it. *)
+let atom_scan ?source a =
+  let source = Option.value source ~default:(Plan.Scan a.pred) in
   let preds = ref [] and binds = ref [] in
   List.iteri
     (fun i t ->
@@ -36,7 +36,7 @@ let atom_scan ?table a =
       | Wildcard -> assert false (* normalized away by the analyzer *))
     a.args;
   let plan =
-    match !preds with [] -> Plan.Scan name | ps -> Plan.Filter (ps, Plan.Scan name)
+    match !preds with [] -> source | ps -> Plan.Filter (ps, source)
   in
   (plan, List.rev !binds)
 
@@ -65,30 +65,37 @@ let head_exprs binds head_args =
        head_args)
 
 (* Compile the rule body with the [i]-th current-stratum atom occurrence
-   (if [delta_occurrence >= 0]) redirected to its Δ-table. *)
+   (if [delta_occurrence >= 0]) redirected to its Δ-table. Earlier recursive
+   occurrences read only the rows before their table's Δ-suffix ([Plan.Old]),
+   later ones the whole table: the product rule
+   Δ(R⋈S) = ΔR⋈S_new ∪ R_old⋈ΔS, so the delta plans of one rule derive each
+   combination of rows exactly once. An aggregated IDB's table is rebuilt
+   every round and its Δ is not a suffix of it, so it is always read whole. *)
 let compile_body analyzer stratum rule ~delta_occurrence =
-  ignore analyzer;
   let positive =
     List.filter_map (function L_pos a -> Some a | L_neg _ | L_cmp _ -> None) rule.body
   in
   let recursive_here a = List.mem a.pred stratum.Analyzer.preds in
   (* Index the recursive occurrences among positive atoms. *)
   let occurrence = ref (-1) in
-  let table_for a =
-    if recursive_here a then begin
+  let source_for a =
+    if not (recursive_here a) then None
+    else begin
       incr occurrence;
-      if !occurrence = delta_occurrence then Some (delta_name a.pred) else None
+      if !occurrence = delta_occurrence then Some (Plan.Scan (delta_name a.pred))
+      else if !occurrence < delta_occurrence && Analyzer.agg_sig analyzer a.pred = None then
+        Some (Plan.Old { table = a.pred; delta = delta_name a.pred })
+      else None
     end
-    else None
   in
   match positive with
   | [] -> fail "rule with no positive atom reached the planner: %s" (rule_to_string rule)
   | first :: rest ->
-      let first_plan, first_binds = atom_scan ?table:(table_for first) first in
+      let first_plan, first_binds = atom_scan ?source:(source_for first) first in
       let plan, binds, arity =
         List.fold_left
           (fun (plan, binds, arity) a ->
-            let a_plan, a_binds = atom_scan ?table:(table_for a) a in
+            let a_plan, a_binds = atom_scan ?source:(source_for a) a in
             let shared =
               List.filter_map
                 (fun (v, ac) ->
@@ -193,7 +200,6 @@ let compile_rule analyzer stratum rule =
             | L_pos _ | L_neg _ | L_cmp _ -> None)
           rule.body
       in
-      ignore analyzer;
       Query
         {
           base = build ~delta_occurrence:(-1);

@@ -6,9 +6,13 @@
     anti-joins against lower-stratum tables, and the head projection
     embedded in the top operator. For rules in a recursive stratum the
     semi-naive delta rewriting produces one subplan per occurrence of a
-    current-stratum predicate, scanning that occurrence's Δ-table and the
-    full tables elsewhere (the overlap between subplans is absorbed by the
-    engine's dedup step, as with QuickStep's UNION ALL translation).
+    current-stratum predicate, scanning that occurrence's Δ-table. The
+    rewriting is exact: recursive occurrences before the Δ read the rows
+    before their table's Δ-suffix ({!Plan.Old}), those after it read the
+    full table, so no combination of Δ rows is derived by two subplans.
+    Aggregated IDBs are always read in full (their Δ is not a suffix of
+    their table); a rule with one recursive atom gets plain full scans,
+    exactly as before.
 
     Aggregate-headed rules compile to *candidate* plans: the aggregate
     argument's value is emitted as a plain column and the engine's aggregate

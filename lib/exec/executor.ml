@@ -25,6 +25,7 @@ let arity_of t p = Plan.arity (fun name -> Relation.arity (Catalog.rel t.catalog
 (* short operator label for trace spans/events *)
 let plan_label = function
   | Plan.Scan n -> "scan:" ^ n
+  | Plan.Old { table; _ } -> "old:" ^ table
   | Plan.Rel _ -> "rel"
   | Plan.Filter _ -> "filter"
   | Plan.Project _ -> "project"
@@ -129,6 +130,17 @@ let index_iter_matches1 = idx_iter_matches1
 let index_iter_matches2 = idx_iter_matches2
 let index_release = idx_release
 
+(* The row bound of an [Old] read: how many rows of [table] come before
+   its Δ-suffix. A Δ longer than its table means the suffix invariant is
+   broken, and reading a prefix would silently drop or repeat rows. *)
+let old_bound t ~table ~delta =
+  let n = Relation.nrows (Catalog.rel t.catalog table) in
+  let d = Relation.nrows (Catalog.rel t.catalog delta) in
+  if d > n then
+    invalid_arg
+      (Printf.sprintf "Plan.Old: %s has %d rows, more than the %d of %s" delta d n table);
+  n - d
+
 (* Merge per-chunk output fragments in chunk order (the virtual pool runs
    chunks sequentially, so a list ref is race-free; chunk order keeps results
    deterministic). *)
@@ -143,11 +155,20 @@ let chunked_output t ~arity ~n f =
 let rec eval t (cache : cache option) plan : Relation.t =
   match plan with
   | Plan.Scan name -> Catalog.rel t.catalog name
+  | Plan.Old _ ->
+      (* only reached where no operator reads the prefix in place *)
+      let input, n = eval_rows t cache plan in
+      let arity = Relation.arity input in
+      chunked_output t ~arity ~n (fun frag lo hi ->
+          for row = lo to hi - 1 do
+            for c = 0 to arity - 1 do
+              Int_vec.push (Relation.col frag c) (Relation.get input ~row ~col:c)
+            done
+          done)
   | Plan.Rel r -> r
   | Plan.Filter (preds, src) ->
-      let input = eval t cache src in
+      let input, n = eval_rows t cache src in
       let arity = Relation.arity input in
-      let n = Relation.nrows input in
       chunked_output t ~arity ~n (fun frag lo hi ->
           for row = lo to hi - 1 do
             let get c = Relation.get input ~row ~col:c in
@@ -176,9 +197,19 @@ let rec eval t (cache : cache option) plan : Relation.t =
       Relation.concat_parallel t.pool arity parts
   | Plan.Aggregate a -> eval_agg t cache a
 
+(* The relation an operator reads and how many of its leading rows the plan
+   covers: an [Old] reads its table in place up to the Δ-suffix, anything
+   else is evaluated whole. *)
+and eval_rows t cache = function
+  | Plan.Old { table; delta } -> (Catalog.rel t.catalog table, old_bound t ~table ~delta)
+  | p ->
+      let r = eval t cache p in
+      (r, Relation.nrows r)
+
 and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
-  let scan_name = function Plan.Scan n -> Some n | _ -> None in
-  let lrel = eval t cache l and rrel = eval t cache r in
+  (* [Old] shares its table's index with a full scan of it *)
+  let scan_name = function Plan.Scan n | Plan.Old { table = n; _ } -> Some n | _ -> None in
+  let lrel, lbound = eval_rows t cache l and rrel, rbound = eval_rows t cache r in
   let la = Relation.arity lrel in
   let out_arity =
     match out with Some es -> Array.length es | None -> la + Relation.arity rrel
@@ -198,12 +229,13 @@ and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
         let est_l = estimate t l and est_r = estimate t r in
         est_l <= est_r
   in
-  let brel, bkeys, bname, prel, pkeys =
-    if build_left then (lrel, lkeys, lname, rrel, rkeys)
-    else (rrel, rkeys, rname, lrel, lkeys)
+  let brel, bkeys, bname, bbound, prel, pkeys, n =
+    if build_left then (lrel, lkeys, lname, lbound, rrel, rkeys, rbound)
+    else (rrel, rkeys, rname, rbound, lrel, lkeys, lbound)
   in
+  (* The index covers the whole build table; an [Old] build side skips the
+     matches in its Δ-suffix (they lead each newest-first chain). *)
   let idx, own_index = build_index t ?cache ?scan_name:bname brel bkeys in
-  let n = Relation.nrows prel in
   let key = Array.make (Array.length pkeys) 0 in
   let result =
     chunked_output t ~arity:out_arity ~n (fun frag lo hi ->
@@ -215,7 +247,7 @@ and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
                 if c < la then Relation.get lrel ~row:lrow ~col:c
                 else Relation.get rrel ~row:rrow ~col:(c - la)
               in
-              if List.for_all (Expr.test get) extra then
+              if brow < bbound && List.for_all (Expr.test get) extra then
                 match out with
                 | Some exprs ->
                     Array.iteri

@@ -90,6 +90,12 @@ val acquire_index :
     releases it); otherwise a transient index is built and [owned] is
     [true] — the caller must {!index_release} it. *)
 
+val old_bound : t -> table:string -> delta:string -> int
+(** [old_bound t ~table ~delta] is the row bound of
+    [Plan.Old { table; delta }]: [nrows table - nrows delta], the rows of
+    [table] before its Δ-suffix. Raises [Invalid_argument] when [delta] has
+    more rows than [table]. *)
+
 val index_iter_matches : built_index -> int array -> (int -> unit) -> unit
 
 val index_iter_matches1 : built_index -> int -> (int -> unit) -> unit

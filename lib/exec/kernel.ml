@@ -1,4 +1,5 @@
 module Relation = Rs_relation.Relation
+module Int_vec = Rs_util.Int_vec
 module Dedup = Rs_relation.Dedup
 module Pool = Rs_parallel.Pool
 module Fault = Rs_chaos.Fault
@@ -18,6 +19,9 @@ type probe_side = { p_name : string; p_preds : Expr.pred list }
 type binary = {
   b_probe : probe_side;  (* the Δ-side, scanned row by row *)
   b_build_name : string;  (* the indexed side *)
+  b_build_before : string option;
+      (* [Some delta] when the build side is [Plan.Old]: matches at rows
+         from the table's Δ-suffix on are skipped *)
   b_probe_keys : int array;
   b_build_keys : int array;
   b_extra : Expr.pred list;  (* over the combined l++r frame *)
@@ -26,12 +30,13 @@ type binary = {
 }
 
 (* One join step of an n-way chain: probe [s_name]'s index on [s_keys]
-   (local columns) with the values at frame columns [s_probe], copy the
-   matched row into the frame at [s_off], then test [s_preds] — the atom's
-   own filters plus any equality that did not become a key column — over
-   the frame. *)
+   (local columns) with the values at frame columns [s_probe], skip matches
+   at or past the bound [s_before] puts on the table, copy the matched row
+   into the frame at [s_off], then test [s_preds] — the atom's own filters
+   plus any equality that did not become a key column — over the frame. *)
 type step = {
   s_name : string;
+  s_before : string option;  (* as [b_build_before] *)
   s_off : int;
   s_arity : int;
   s_keys : int array;
@@ -48,21 +53,34 @@ type chain = {
 
 type shape = Binary of binary | Unary of probe_side | Chain of chain
 
-type t = { shape : shape; out : Expr.t array; arity : int }
+(* [cols] is the head as plain frame columns, when every head expression
+   is one: such heads emit without evaluating [out]. *)
+type t = { shape : shape; out : Expr.t array; cols : int array option; arity : int }
 
 let arity k = k.arity
 
-(* Collapse Filter* over a Scan; anything deeper is not kernel-shaped. *)
+let make shape out =
+  let cols =
+    if Array.for_all (function Expr.Col _ -> true | _ -> false) out then
+      Some (Array.map (function Expr.Col c -> c | _ -> assert false) out)
+    else None
+  in
+  { shape; out; cols; arity = Array.length out }
+
+(* Collapse Filter* over a Scan or an Old into (table, the Δ-table bounding
+   it if any, filters); anything deeper is not kernel-shaped. *)
 let rec flatten_scan preds = function
-  | Plan.Scan name -> Some (name, preds)
+  | Plan.Scan name -> Some (name, None, preds)
+  | Plan.Old { table; delta } -> Some (table, Some delta, preds)
   | Plan.Filter (ps, src) -> flatten_scan (preds @ ps) src
   | _ -> None
 
 (* An atom of a flattened join tree, as a step not yet keyed: its filters
    are already shifted into the combined frame. *)
-let atom_step table_arity ~off (name, preds) =
+let atom_step table_arity ~off (name, before, preds) =
   {
     s_name = name;
+    s_before = before;
     s_off = off;
     s_arity = table_arity name;
     s_keys = [||];
@@ -98,7 +116,7 @@ let compile_chain table_arity ~probe_table (j : Plan.join) =
   match flatten_joins table_arity (Plan.Join { j with extra = []; out = None }) with
   | Error _ as e -> e
   | Ok (atoms, eqs, width) -> (
-      match List.partition (fun a -> a.s_name = probe_table) atoms with
+      match List.partition (fun a -> a.s_name = probe_table && a.s_before = None) atoms with
       | [ delta ], rest ->
           let owns a c = c >= a.s_off && c < a.s_off + a.s_arity in
           let rec order bound eqs rest acc =
@@ -145,51 +163,51 @@ let compile_shape (ex : Executor.t) ~probe_table plan =
   match plan with
   | Plan.Project (out, src) -> (
       match flatten_scan [] src with
-      | Some (name, preds) when name = probe_table ->
-          Ok { shape = Unary { p_name = name; p_preds = preds }; out; arity = Array.length out }
+      | Some (name, None, preds) when name = probe_table ->
+          Ok (make (Unary { p_name = name; p_preds = preds }) out)
       | Some _ -> Error "probe"
       | None -> Error "shape")
   | Plan.Join ({ l = Plan.Join _; out = Some out; _ } as j) ->
       Result.map
-        (fun c -> { shape = Chain c; out; arity = Array.length out })
+        (fun c -> make (Chain c) out)
         (compile_chain table_arity ~probe_table j)
   | Plan.Join { l; r; lkeys; rkeys; extra; out = Some out } -> (
       match (flatten_scan [] l, flatten_scan [] r) with
-      | Some (lname, lpreds), Some (rname, rpreds) -> (
+      | Some (lname, lbefore, lpreds), Some (rname, rbefore, rpreds) -> (
           if Array.length lkeys = 0 then Error "cross"
           else
-            match (lname = probe_table, rname = probe_table) with
+            let drives name before = name = probe_table && before = None in
+            match (drives lname lbefore, drives rname rbefore) with
             | true, true | false, false -> Error "probe"
             | probe_is_left, _ ->
                 let la = table_arity lname in
-                let probe, probe_keys, build_name, build_keys, build_preds =
+                let probe, probe_keys, build_name, build_before, build_keys, build_preds =
                   if probe_is_left then
                     (* build side is the right table: lift its local filters
                        into the combined frame *)
                     ( { p_name = lname; p_preds = lpreds },
                       lkeys,
                       rname,
+                      rbefore,
                       rkeys,
                       List.map (Expr.shift_pred la) rpreds )
                   else
-                    ({ p_name = rname; p_preds = rpreds }, rkeys, lname, lkeys, lpreds)
+                    ({ p_name = rname; p_preds = rpreds }, rkeys, lname, lbefore, lkeys, lpreds)
                 in
                 Ok
-                  {
-                    shape =
-                      Binary
+                  (make
+                     (Binary
                         {
                           b_probe = probe;
                           b_build_name = build_name;
+                          b_build_before = build_before;
                           b_probe_keys = probe_keys;
                           b_build_keys = build_keys;
                           b_extra = build_preds @ extra;
                           b_la = la;
                           b_probe_is_left = probe_is_left;
-                        };
-                    out;
-                    arity = Array.length out;
-                  })
+                        })
+                     out))
       | _ -> Error "shape")
   | Plan.Join { out = None; _ } -> Error "shape"
   | Plan.AntiJoin _ -> Error "negation"
@@ -204,6 +222,11 @@ let compile ex ~probe_table plan =
 let count (ex : Executor.t) name n =
   match ex.trace with Some tr -> Rs_obs.Trace.count tr name n | None -> ()
 
+(* The row bound a step's [Old] puts on its table, or [max_int]. *)
+let bound_of ex name = function
+  | None -> max_int
+  | Some delta -> Executor.old_bound ex ~table:name ~delta
+
 let run (ex : Executor.t) k ~dedup ~out =
   (* The exec probe sits before any write, so a fired fault leaves [dedup]
      and [out] untouched and the caller can re-evaluate interpreted. *)
@@ -213,54 +236,46 @@ let run (ex : Executor.t) k ~dedup ~out =
   let offered = ref 0 in
   let emitted = ref 0 in
   let batches = ref 0 in
-  (* One emit closure, monomorphized on head arity: evaluate the head
-     expressions, claim the tuple in FAST-DEDUP, and append on freshness —
-     no intermediate relation ever exists. [offered] counts every claim, so
-     the dedup counters see the same candidate multiset the interpreted
-     path's bag would hold. *)
-  let emit =
+  (* Emit, monomorphized on head arity: claim the tuple in FAST-DEDUP and
+     append on freshness — no intermediate relation ever exists. [offered]
+     counts every claim, so the dedup counters see the same candidate
+     multiset the interpreted path's bag would hold. *)
+  let emit1 v0 =
+    incr offered;
+    if Dedup.add1 dedup v0 then begin
+      Relation.push1 out v0;
+      incr emitted
+    end
+  in
+  let emit2 v0 v1 =
+    incr offered;
+    if Dedup.add2 dedup v0 v1 then begin
+      Relation.push2 out v0 v1;
+      incr emitted
+    end
+  in
+  (* wider heads fill a scratch tuple; it is chunk-safe: the virtual pool runs
+     chunks sequentially, and both dedup layouts copy on insert *)
+  let tuple = Array.make k.arity 0 in
+  let emit_tuple () =
+    incr offered;
+    if Dedup.add_row dedup tuple then begin
+      (if k.arity = 3 then Relation.push3 out tuple.(0) tuple.(1) tuple.(2)
+       else Relation.push_row out tuple);
+      incr emitted
+    end
+  in
+  (* Computed heads evaluate their expressions over a column accessor. *)
+  let emit_get =
     match k.out with
-    | [| e0 |] ->
-        fun get ->
-          incr offered;
-          let v0 = Expr.eval get e0 in
-          if Dedup.add1 dedup v0 then begin
-            Relation.push1 out v0;
-            incr emitted
-          end
-    | [| e0; e1 |] ->
-        fun get ->
-          incr offered;
-          let v0 = Expr.eval get e0 and v1 = Expr.eval get e1 in
-          if Dedup.add2 dedup v0 v1 then begin
-            Relation.push2 out v0 v1;
-            incr emitted
-          end
-    | [| e0; e1; e2 |] ->
-        (* scratch row is chunk-safe: the virtual pool runs chunks
-           sequentially, and both dedup layouts copy on insert *)
-        let row = Array.make 3 0 in
-        fun get ->
-          incr offered;
-          row.(0) <- Expr.eval get e0;
-          row.(1) <- Expr.eval get e1;
-          row.(2) <- Expr.eval get e2;
-          if Dedup.add_row dedup row then begin
-            Relation.push3 out row.(0) row.(1) row.(2);
-            incr emitted
-          end
+    | [| e0 |] -> fun get -> emit1 (Expr.eval get e0)
+    | [| e0; e1 |] -> fun get -> emit2 (Expr.eval get e0) (Expr.eval get e1)
     | exprs ->
-        let a = Array.length exprs in
-        let row = Array.make a 0 in
         fun get ->
-          incr offered;
-          for i = 0 to a - 1 do
-            row.(i) <- Expr.eval get exprs.(i)
+          for i = 0 to k.arity - 1 do
+            tuple.(i) <- Expr.eval get exprs.(i)
           done;
-          if Dedup.add_row dedup row then begin
-            Relation.push_row out row;
-            incr emitted
-          end
+          emit_tuple ()
   in
   (match k.shape with
   | Unary u ->
@@ -271,24 +286,69 @@ let run (ex : Executor.t) k ~dedup ~out =
           count ex "kernel.batch_rows" (hi - lo);
           for row = lo to hi - 1 do
             let get c = Relation.get prel ~row ~col:c in
-            if List.for_all (Expr.test get) u.p_preds then emit get
+            if List.for_all (Expr.test get) u.p_preds then emit_get get
           done);
       count ex "kernel.fused_probes" n
   | Binary b ->
       let prel = Catalog.rel ex.catalog b.b_probe.p_name in
       let brel = Catalog.rel ex.catalog b.b_build_name in
       let idx, owned = Executor.acquire_index ex ~scan_name:b.b_build_name brel b.b_build_keys in
+      let bound = bound_of ex b.b_build_name b.b_build_before in
       let la = b.b_la in
       let lrel, rrel = if b.b_probe_is_left then (prel, brel) else (brel, prel) in
       let p_preds = b.b_probe.p_preds in
-      let has_extra = b.b_extra <> [] in
-      let visit prow brow =
-        let lrow, rrow = if b.b_probe_is_left then (prow, brow) else (brow, prow) in
-        let get c =
-          if c < la then Relation.get lrel ~row:lrow ~col:c
-          else Relation.get rrel ~row:rrow ~col:(c - la)
-        in
-        if (not has_extra) || List.for_all (Expr.test get) b.b_extra then emit get
+      (* [load prow] runs once per surviving probe row, [visit prow brow]
+         once per match; matches at or past [bound] are skipped. *)
+      let load, visit =
+        match k.cols with
+        | Some cols when b.b_extra = [] ->
+            (* Column-direct emit: a head column of the probe row is read
+               once per probe row into [pv]; one of the build row is read
+               straight from its column. *)
+            let pv = Array.make k.arity 0 in
+            let on_probe c = (c < la) = b.b_probe_is_left in
+            let local c = if c < la then c else c - la in
+            let load prow =
+              for i = 0 to k.arity - 1 do
+                if on_probe cols.(i) then pv.(i) <- Relation.get prel ~row:prow ~col:(local cols.(i))
+              done
+            in
+            let reader i c =
+              if on_probe c then fun _ -> pv.(i)
+              else
+                let v = Relation.col brel (local c) in
+                fun brow -> Int_vec.get v brow
+            in
+            let visit =
+              match cols with
+              | [| c0 |] ->
+                  let r0 = reader 0 c0 in
+                  fun _ brow -> if brow < bound then emit1 (r0 brow)
+              | [| c0; c1 |] ->
+                  let r0 = reader 0 c0 and r1 = reader 1 c1 in
+                  fun _ brow -> if brow < bound then emit2 (r0 brow) (r1 brow)
+              | cols ->
+                  let rs = Array.mapi reader cols in
+                  fun _ brow ->
+                    if brow < bound then begin
+                      for i = 0 to k.arity - 1 do
+                        tuple.(i) <- rs.(i) brow
+                      done;
+                      emit_tuple ()
+                    end
+            in
+            (load, visit)
+        | _ ->
+            let visit prow brow =
+              if brow < bound then
+                let lrow, rrow = if b.b_probe_is_left then (prow, brow) else (brow, prow) in
+                let get c =
+                  if c < la then Relation.get lrel ~row:lrow ~col:c
+                  else Relation.get rrel ~row:rrow ~col:(c - la)
+                in
+                if b.b_extra = [] || List.for_all (Expr.test get) b.b_extra then emit_get get
+            in
+            (ignore, visit)
       in
       (* Probe closure monomorphized on key shape: 1- and 2-column keys go
          through the specialized index entry points (no key array). *)
@@ -317,7 +377,10 @@ let run (ex : Executor.t) k ~dedup ~out =
           count ex "kernel.batch_rows" (hi - lo);
           for prow = lo to hi - 1 do
             let pget c = Relation.get prel ~row:prow ~col:c in
-            if p_preds = [] || List.for_all (Expr.test pget) p_preds then probe_row prow
+            if p_preds = [] || List.for_all (Expr.test pget) p_preds then begin
+              load prow;
+              probe_row prow
+            end
           done);
       if owned then Executor.index_release idx;
       count ex "kernel.fused_probes" n
@@ -344,7 +407,20 @@ let run (ex : Executor.t) k ~dedup ~out =
         done
       in
       let passes preds = preds = [] || List.for_all (Expr.test get) preds in
-      let finish () = if passes ch.c_extra then emit get in
+      (* a head of plain columns emits straight from the frame *)
+      let emit =
+        match k.cols with
+        | Some [| c0 |] -> fun () -> emit1 frame.(c0)
+        | Some [| c0; c1 |] -> fun () -> emit2 frame.(c0) frame.(c1)
+        | Some cols ->
+            fun () ->
+              for i = 0 to k.arity - 1 do
+                tuple.(i) <- frame.(cols.(i))
+              done;
+              emit_tuple ()
+        | None -> fun () -> emit_get get
+      in
+      let finish () = if passes ch.c_extra then emit () in
       let d = ch.c_delta in
       let drel = Catalog.rel ex.catalog d.s_name in
       let n = Relation.nrows drel in
@@ -358,9 +434,12 @@ let run (ex : Executor.t) k ~dedup ~out =
               (fun s next ->
                 let rel = Catalog.rel ex.catalog s.s_name in
                 let idx = index_for s rel in
+                let bound = bound_of ex s.s_name s.s_before in
                 let visit row =
-                  bind rel s row;
-                  if passes s.s_preds then next ()
+                  if row < bound then begin
+                    bind rel s row;
+                    if passes s.s_preds then next ()
+                  end
                 in
                 match s.s_probe with
                 | [| c0 |] -> fun () -> Executor.index_iter_matches1 idx frame.(c0) visit

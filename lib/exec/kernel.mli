@@ -38,6 +38,18 @@
     arity (1/2/3 fast paths, generic fallback) and probe-key shape (1/2
     column specializations).
 
+    Row bounds: a [Binary] build side or a [Chain] step may be a
+    {!Plan.constructor-Old} read, the rows of a recursive table before its
+    Δ-suffix. It probes the table's index as a full scan would (the index
+    is shared: acquisition is keyed on table and key columns only) and
+    skips matches at rows from {!Executor.old_bound} on, before binding.
+
+    Column-direct emit: when every head expression is a plain column,
+    [Binary] (with no residual) reads the probe row's head columns once per
+    probe row and the build row's straight from its columns, and [Chain]
+    emits straight from its frame — no per-match accessor closure.
+    Computed heads and residuals evaluate through {!Expr}.
+
     Chaos: both entry points probe {!Rs_chaos.Inject.kernel_should_fail}.
     A compile-time fire yields [Error "chaos"]; an exec-time fire raises
     {!Degraded} {e before any write}, so the interpreter can always fall

@@ -4,6 +4,7 @@ type agg_op = Min | Max | Sum | Count | Avg
 
 type t =
   | Scan of string
+  | Old of { table : string; delta : string }
   | Rel of Relation.t
   | Filter of Expr.pred list * t
   | Project of Expr.t array * t
@@ -26,7 +27,7 @@ and anti = { al : t; ar : t; alkeys : int array; arkeys : int array }
 and agg = { group : Expr.t array; aggs : (agg_op * Expr.t) array; src : t }
 
 let rec arity lookup = function
-  | Scan name -> lookup name
+  | Scan name | Old { table = name; _ } -> lookup name
   | Rel r -> Relation.arity r
   | Filter (_, p) -> arity lookup p
   | Project (exprs, _) -> Array.length exprs
@@ -41,6 +42,7 @@ let rec arity lookup = function
 
 let rec estimate rows = function
   | Scan name -> rows name
+  | Old { table; delta } -> max 0 (rows table - rows delta)
   | Rel r -> Relation.nrows r
   | Filter (_, p) -> (estimate rows p / 3) + 1
   | Project (_, p) -> estimate rows p
@@ -58,6 +60,8 @@ let to_string p =
   let keys ks = String.concat "," (Array.to_list (Array.map string_of_int ks)) in
   let rec go d = function
     | Scan name -> Buffer.add_string buf (Printf.sprintf "%sScan %s\n" (pad d) name)
+    | Old { table; delta } ->
+        Buffer.add_string buf (Printf.sprintf "%sOld %s before %s\n" (pad d) table delta)
     | Rel r ->
         Buffer.add_string buf
           (Printf.sprintf "%sRel %s(%d rows)\n" (pad d) (Relation.name r) (Relation.nrows r))

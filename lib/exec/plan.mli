@@ -8,12 +8,27 @@ module Hash_index = Rs_relation.Hash_index
     projection embedded in the top join ([out]), negated atoms become
     {!constructor-AntiJoin}s, aggregation heads become {!constructor-Aggregate}s,
     and UIE groups the per-rule plans of one IDB under a single
-    {!constructor-UnionAll}. *)
+    {!constructor-UnionAll}.
+
+    {b Exact deltas.} A rule with several recursive atoms gets one delta
+    plan per recursive occurrence. The plan whose Δ sits at occurrence [i]
+    reads every earlier recursive occurrence through {!constructor-Old}
+    (the rows before that table's Δ-suffix) and every later one through
+    {!constructor-Scan} (the whole table): the product rule
+    [Δ(R⋈S) = ΔR⋈S_new ∪ R_old⋈ΔS]. Each combination of rows with at
+    least one Δ row is then derived by exactly one plan. Aggregated IDBs
+    are rebuilt every round, so their Δ is not a suffix and they always
+    stay [Scan]. *)
 
 type agg_op = Min | Max | Sum | Count | Avg
 
 type t =
   | Scan of string  (** named table in the catalog *)
+  | Old of { table : string; delta : string }
+      (** rows [\[0, nrows table - nrows delta)] of [table]: the rows that
+          come before its Δ-suffix. Evaluating it raises [Invalid_argument]
+          when [delta] is longer than [table], i.e. when the suffix invariant
+          the interpreter keeps (see [Interpreter]) does not hold. *)
   | Rel of Relation.t  (** anonymous materialized input *)
   | Filter of Expr.pred list * t
   | Project of Expr.t array * t
@@ -41,7 +56,8 @@ val arity : (string -> int) -> t -> int
 
 val estimate : (string -> int) -> t -> int
 (** Cardinality estimate from (possibly stale) catalog row counts — the
-    optimizer input that OOF keeps fresh. *)
+    optimizer input that OOF keeps fresh. An {!constructor-Old} is estimated
+    as its table's rows minus its Δ's rows, clamped at 0. *)
 
 val to_string : t -> string
 (** Multi-line plan rendering, for logging and tests. *)

@@ -273,7 +273,7 @@ let plan_rule an part stratum ~rule_index (rule : Ast.rule) =
    names (cheaper than re-deriving placement; Scan is by name). *)
 let rec plan_scans acc (p : Plan.t) =
   match p with
-  | Plan.Scan s -> s :: acc
+  | Plan.Scan s | Plan.Old { table = s; _ } -> s :: acc
   | Plan.Rel _ -> acc
   | Plan.Filter (_, input) | Plan.Project (_, input) -> plan_scans acc input
   | Plan.Join { l; r; _ } -> plan_scans (plan_scans acc l) r

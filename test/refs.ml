@@ -230,6 +230,18 @@ let fuzz_corpus : (string * string * (string * int list list) list) list =
         ("e0", [ [ 0; 1 ]; [ 1; 2 ]; [ 3; 3 ]; [ 4; 0 ] ]);
         ("e1", [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 4; 1 ]; [ 2; 2 ] ]);
       ] );
+    (* Exact deltas in mutual recursion: with the Δ at p1(y, z), the earlier
+       p0 and p1(y, 3) read only the rows before their tables' Δ-suffixes,
+       p1's through the filter of its constant. A wrong bound loses or
+       repeats derivations; the sharded runners keep the per-occurrence
+       rewriting and must still agree. *)
+    ( "exact deltas: mutual recursion, constant on an earlier atom",
+      ".input e0\n\
+       p0(x, y) :- e0(x, y).\n\
+       p1(y, x) :- p0(x, y).\n\
+       p0(x, z) :- p0(x, y), p1(y, 3), p1(y, z).\n\
+       .output p0\n.output p1",
+      [ ("e0", [ [ 0; 1 ]; [ 3; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 2 ]; [ 4; 3 ]; [ 2; 0 ] ]) ] );
   ]
 
 (* --- delta-sequence regression corpus -----------------------------------

@@ -120,6 +120,108 @@ let test_planner_delta_variants () =
   (* addressOf rule: 0 recursive atoms; assign rule: 1; load/store rules: 2 *)
   Alcotest.(check (list int)) "delta plan counts" [ 0; 1; 2; 2 ] (List.map deltas rules)
 
+(* How each delta plan of [head]'s recursive rules reads its atoms, in body
+   order: a Δ-table by name, a full table by name, the rows before a
+   table's Δ-suffix as "old:<table>". One list per rule, one per plan. *)
+let delta_reads src head =
+  let module Plan = Rs_exec.Plan in
+  let rec reads = function
+    | Plan.Scan n -> [ n ]
+    | Plan.Old { table; _ } -> [ "old:" ^ table ]
+    | Plan.Rel _ -> []
+    | Plan.Filter (_, p) | Plan.Project (_, p) -> reads p
+    | Plan.Join { l; r; _ } -> reads l @ reads r
+    | Plan.AntiJoin { al; ar; _ } -> reads al @ reads ar
+    | Plan.UnionAll ps -> List.concat_map reads ps
+    | Plan.Aggregate { src; _ } -> reads src
+  in
+  let an = Analyzer.analyze (Parser.parse src) in
+  let stratum = List.find (fun s -> List.mem head s.Analyzer.preds) an.Analyzer.strata in
+  List.filter_map
+    (fun r ->
+      if r.Ast.head_pred <> head then None
+      else
+        match Planner.compile_rule an stratum r with
+        | Planner.Query { deltas = []; _ } | Planner.Fact _ -> None
+        | Planner.Query { deltas; _ } -> Some (List.map (fun (_, p) -> reads p) deltas))
+    stratum.Analyzer.rules
+
+let test_planner_exact_deltas () =
+  let check_reads what want src head =
+    Alcotest.(check (list (list (list string)))) what want (delta_reads src head)
+  in
+  (* Δ at occurrence i: earlier recursive occurrences read the old rows,
+     later ones the full table; EDB atoms are never touched *)
+  check_reads "three recursive atoms"
+    [
+      [
+        [ "p@delta"; "p"; "p" ];
+        [ "old:p"; "p@delta"; "p" ];
+        [ "old:p"; "old:p"; "p@delta" ];
+      ];
+    ]
+    ".input e
+p(x, y) :- e(x, y).
+p(x, w) :- p(x, y), p(y, z), p(z, w).
+.output p" "p";
+  check_reads "Andersen: EDB atom first"
+    [
+      [ [ "assign"; "pointsTo@delta" ] ];
+      [ [ "load"; "pointsTo@delta"; "pointsTo" ]; [ "load"; "old:pointsTo"; "pointsTo@delta" ] ];
+      [ [ "store"; "pointsTo@delta"; "pointsTo" ]; [ "store"; "old:pointsTo"; "pointsTo@delta" ] ];
+    ]
+    Programs.andersen "pointsTo";
+  (* mutual recursion: the old rows of the other IDB, filtered by its
+     constant *)
+  check_reads "mutual recursion, constant on the earlier atom"
+    [ [ [ "q@delta"; "p" ]; [ "old:q"; "p@delta" ] ] ]
+    ".input e
+p(x, y) :- e(x, y).
+q(x, y) :- p(x, y).
+     p(x, z) :- q(x, 3), p(x, z).
+.output p"
+    "p";
+  (* an aggregated IDB is rebuilt every round: its Δ is no suffix, so both
+     plans read the whole table *)
+  check_reads "aggregated IDB keeps full scans"
+    [ [ [ "m@delta"; "m" ]; [ "m"; "m@delta" ] ] ]
+    ".input e
+m(x, MIN(y)) :- e(x, y).
+m(x, MIN(y)) :- m(x, z), m(z, y).
+.output m" "m";
+  (* a rule with one recursive atom plans exactly as before: its delta plan
+     is its base plan with that atom's scan moved to the Δ-table *)
+  List.iter
+    (fun (name, src) ->
+      let an = Analyzer.analyze (Parser.parse src) in
+      List.iter
+        (fun (stratum : Analyzer.stratum) ->
+          List.iter
+            (fun r ->
+              match Planner.compile_rule an stratum r with
+              | Planner.Query { base; deltas = [ (dpred, plan) ] } ->
+                  let to_delta line =
+                    if String.trim line = "Scan " ^ dpred then line ^ "@delta" else line
+                  in
+                  let want =
+                    String.concat "\n"
+                      (List.map to_delta (String.split_on_char '\n' (Rs_exec.Plan.to_string base)))
+                  in
+                  Alcotest.(check string) (name ^ ": delta plan = base plan") want
+                    (Rs_exec.Plan.to_string plan)
+              | Planner.Query { deltas = []; _ } | Planner.Fact _ -> ()
+              | Planner.Query _ -> Alcotest.failf "%s: a rule with two recursive atoms" name)
+            stratum.Analyzer.rules)
+        an.Analyzer.strata)
+    [
+      ("tc", Programs.tc);
+      ("csda", Programs.csda);
+      ("reach", Programs.reach);
+      ("sg", Programs.sg);
+      ("cc", Programs.cc);
+      ("sssp", Programs.sssp);
+    ]
+
 let test_planner_fact () =
   let program = Parser.parse "p(1, 2).\np(x, y) :- p(x, y)." in
   let an = Analyzer.analyze program in
@@ -449,6 +551,7 @@ let suite =
     Alcotest.test_case "analyzer aggregate signatures" `Quick test_analyzer_agg_sig;
     Alcotest.test_case "planner delta variants" `Quick test_planner_delta_variants;
     Alcotest.test_case "planner facts" `Quick test_planner_fact;
+    Alcotest.test_case "planner exact delta variants" `Quick test_planner_exact_deltas;
     Alcotest.test_case "frontend parse errors are typed" `Quick test_frontend_parse_error;
     Alcotest.test_case "pattern TC" `Quick test_pattern_tc;
     Alcotest.test_case "pattern SG" `Quick test_pattern_sg;

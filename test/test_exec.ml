@@ -366,6 +366,80 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_hash_join_eq_nested_loop; prop_join_extra_preds; prop_opsd_eq_tpsd ]
 
+(* --- Old: the rows before a table's Δ-suffix ------------------------------ *)
+
+(* "t" holds 8 rows, the last 3 of them its Δ "t@delta". Every plan over
+   [Old t] must equal, as a bag, the same plan over the first 5 rows
+   materialized as an anonymous relation. [persistent] picks which tables
+   the executor's index manager keeps; [d_rows] sizes the other join input
+   so that the estimates pick the build side under test. *)
+let t_rows = [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 1; 4 ]; [ 3; 1 ]; [ 2; 5 ]; [ 1; 6 ]; [ 0; 7 ] ]
+
+let old_exec ~persistent ~d_rows =
+  let pool = Pool.create ~workers:4 () in
+  Pool.begin_run pool;
+  let catalog = Catalog.create () in
+  let reg name rows =
+    Catalog.register catalog name (Relation.of_rows ~name 2 (List.map Array.of_list rows));
+    Catalog.analyze_rows catalog name
+  in
+  reg "t" t_rows;
+  reg "t@delta" (List.filteri (fun i _ -> i >= 5) t_rows);
+  reg "d" d_rows;
+  let index_manager = Rs_exec.Index_manager.create ~persistent pool in
+  Executor.create ~query_overhead_s:0.0 ~index_manager pool catalog
+
+let prefix = Plan.Rel (Relation.of_rows 2 (List.map Array.of_list (List.filteri (fun i _ -> i < 5) t_rows)))
+let old_t = Plan.Old { table = "t"; delta = "t@delta" }
+
+let bag rel = List.sort compare (List.map Array.to_list (Relation.to_rows rel))
+
+let test_old_reads () =
+  let few = [ [ 1; 0 ]; [ 2; 9 ] ] in
+  let many = List.init 12 (fun i -> [ i mod 4; i ]) in
+  let none _ = false in
+  List.iter
+    (fun (what, exec, plan_of) ->
+      let want = bag (Executor.run_query exec (plan_of prefix)) in
+      let got = bag (Executor.run_query exec (plan_of old_t)) in
+      check (what ^ ": some rows") true (want <> []);
+      Alcotest.(check (list (list int))) (what ^ ": Old = materialized prefix") want got)
+    [
+      ("bare", old_exec ~persistent:none ~d_rows:few, fun src -> src);
+      (* the probe loop stops at the bound *)
+      ( "probe side",
+        old_exec ~persistent:none ~d_rows:few,
+        fun src -> Plan.join2 (Plan.Scan "d") [| 0 |] src [| 0 |] );
+      (* a transient index over the whole table, Δ-suffix matches skipped *)
+      ( "build side",
+        old_exec ~persistent:none ~d_rows:many,
+        fun src -> Plan.join2 src [| 0 |] (Plan.Scan "d") [| 0 |] );
+      (* the managed index of "t", shared with full scans of it *)
+      ( "managed build side",
+        old_exec ~persistent:(fun n -> n = "t") ~d_rows:few,
+        fun src -> Plan.join2 (Plan.Scan "d") [| 0 |] src [| 0 |] );
+      (* a constant on the atom: the filter reads the prefix in place *)
+      ( "under a filter",
+        old_exec ~persistent:none ~d_rows:many,
+        fun src ->
+          Plan.join2
+            (Plan.Filter ([ Expr.Cmp (Expr.Eq, Expr.Col 0, Expr.Const 1) ], src))
+            [| 0 |] (Plan.Scan "d") [| 0 |] );
+    ]
+
+let test_old_invariant_guard () =
+  (* a Δ longer than its table breaks the suffix invariant: Old must refuse
+     to read, not return a wrong prefix *)
+  let exec, catalog = make_exec () in
+  Catalog.register catalog "t" (Relation.of_rows 2 [ [| 0; 1 |] ]);
+  Catalog.register catalog "t@delta" (Relation.of_rows 2 [ [| 0; 1 |]; [| 1; 2 |] ]);
+  (match Executor.run_query exec old_t with
+  | _ -> Alcotest.fail "Old read past its Δ-suffix"
+  | exception Invalid_argument _ -> ());
+  match Executor.old_bound exec ~table:"t" ~delta:"t@delta" with
+  | _ -> Alcotest.fail "old_bound accepted a Δ longer than its table"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "expr eval" `Quick test_expr_eval;
@@ -383,5 +457,7 @@ let suite =
     Alcotest.test_case "index manager parent chain and rebase" `Quick
       test_index_manager_parent_rebase;
     Alcotest.test_case "executor reuses managed index" `Quick test_executor_uses_manager;
+    Alcotest.test_case "Old reads the rows before the Δ-suffix" `Quick test_old_reads;
+    Alcotest.test_case "Old refuses a Δ longer than its table" `Quick test_old_invariant_guard;
   ]
   @ qsuite

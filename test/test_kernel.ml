@@ -51,6 +51,19 @@ let run_both src edb =
 
 let c tr name = Trace.counter tr name
 
+(* [run_both] plus the naive oracle: kernels on, kernels off and the
+   textbook evaluator agree on every output. *)
+let run_all src edb =
+  let on, tr_on = run_one ~kernels:true src edb in
+  let off, tr_off = run_one ~kernels:false src edb in
+  let _, lookup =
+    Recstep.Naive.run ~edb:(List.map (fun (name, _, rows) -> (name, rows)) edb) (Parser.parse src)
+  in
+  let oracle = List.map (fun (name, _) -> (name, lookup name)) on in
+  Alcotest.(check (list (pair string (list (list int))))) "kernels on = oracle" oracle on;
+  Alcotest.(check (list (pair string (list (list int))))) "kernels off = oracle" oracle off;
+  (tr_on, tr_off)
+
 (* --- per-arity closures vs the interpreted path --------------------------- *)
 
 let tc_src =
@@ -428,30 +441,254 @@ let test_provenance_kernel_chaos () =
 
 (* A kernel offers its dedup table the same candidate multiset the
    interpreted plan materializes as a bag, so dedup.probes and dedup.hits
-   must agree exactly with kernels on and off. *)
+   must agree exactly with kernels on and off — which also shows both paths
+   run the same exact delta plans. An aggregated IDB never compiles (the
+   cost gate refuses it), so its case only shows the interpreted run is
+   deterministic; test_core pins its plans' full scans. *)
 let test_dedup_counters_agree () =
   let module Pa = Rs_datagen.Prog_analysis in
   let gnp () = [ ("arc", Rs_datagen.Graphs.gnp ~seed:3 ~n:80 ~p:0.05) ] in
+  let mutual =
+    ".input arc\n\
+     a(x, y) :- arc(x, y).\n\
+     b(x, z) :- a(x, y), a(y, z).\n\
+     a(x, z) :- b(x, y), a(y, z).\n\
+     .output a\n.output b"
+  in
+  let aggregated =
+    ".input arc\nm(x, MIN(y)) :- arc(x, y).\nm(x, MIN(y)) :- m(x, z), m(z, y).\n.output m"
+  in
   List.iter
-    (fun (what, src, inputs) ->
+    (fun (what, compiles, src, inputs) ->
       let counts kernels =
         let _, tr = run_rels ~kernels (Parser.parse src) (inputs ()) in
         (tr, c tr "dedup.probes", c tr "dedup.hits")
       in
       let tr, probes_on, hits_on = counts true in
       let _, probes_off, hits_off = counts false in
-      check (what ^ ": kernels ran") true (c tr "kernel.execs" > 0);
-      (* every recursive rule of these programs is a 2- or 3-atom chain *)
-      Alcotest.(check int) (what ^ ": no rule fell back") 0 (c tr "kernel.fallback_rules");
+      check (what ^ ": kernels ran") compiles (c tr "kernel.execs" > 0);
+      (* every recursive rule of the compiling programs is a 2- or 3-atom
+         chain *)
+      if compiles then
+        Alcotest.(check int) (what ^ ": no rule fell back") 0 (c tr "kernel.fallback_rules");
       check (what ^ ": candidates were deduplicated") true (hits_on > 0);
       Alcotest.(check int) (what ^ ": dedup.probes on = off") probes_off probes_on;
       Alcotest.(check int) (what ^ ": dedup.hits on = off") hits_off hits_on)
     [
-      ("tc", Recstep.Programs.tc, gnp);
-      ("csda", Recstep.Programs.csda, fun () -> Pa.csda_input ~seed:3 ~scale:1 "httpd");
-      ("cspa", Recstep.Programs.cspa, fun () -> Pa.cspa_input ~seed:3 ~scale:1 "httpd");
-      ("andersen", Recstep.Programs.andersen, fun () -> Pa.andersen ~seed:3 ~nvars:300);
+      ("tc", true, Recstep.Programs.tc, gnp);
+      ("sg", true, Recstep.Programs.sg, gnp);
+      ("mutual non-linear", true, mutual, gnp);
+      ("aggregated non-linear", false, aggregated, gnp);
+      ("csda", true, Recstep.Programs.csda, fun () -> Pa.csda_input ~seed:3 ~scale:1 "httpd");
+      ("cspa", true, Recstep.Programs.cspa, fun () -> Pa.cspa_input ~seed:3 ~scale:1 "httpd");
+      ("andersen", true, Recstep.Programs.andersen, fun () -> Pa.andersen ~seed:3 ~nvars:300);
     ]
+
+(* --- exact deltas: earlier recursive atoms read the old rows --------------- *)
+
+(* The delta plans the planner gives [head]'s rules, in rule order. *)
+let delta_plans src head =
+  let an = Recstep.Analyzer.analyze (Parser.parse src) in
+  let stratum = List.find (fun s -> List.mem head s.Recstep.Analyzer.preds) an.Recstep.Analyzer.strata in
+  List.concat_map
+    (fun r ->
+      if r.Recstep.Ast.head_pred <> head then []
+      else
+        match Recstep.Planner.compile_rule an stratum r with
+        | Recstep.Planner.Query { deltas; _ } -> List.map snd deltas
+        | Recstep.Planner.Fact _ -> [])
+    stratum.Recstep.Analyzer.rules
+
+(* Replace every [Old] read of [plan] with [old_rows] as an anonymous
+   relation, or with a full scan of its table. *)
+let rec materialize ?old_rows plan =
+  let module Plan = Rs_exec.Plan in
+  match plan with
+  | Plan.Old { table; _ } -> (
+      match old_rows with
+      | Some rows -> Plan.Rel (Relation.of_rows 2 (List.map Array.of_list rows))
+      | None -> Plan.Scan table)
+  | Plan.Filter (ps, p) -> Plan.Filter (ps, materialize ?old_rows p)
+  | Plan.Join j -> Plan.Join { j with l = materialize ?old_rows j.l; r = materialize ?old_rows j.r }
+  | p -> p
+
+(* One plan fused over a catalog where "p" ends with its Δ "p@delta", as
+   the interpreter keeps it. The kernel's output must be the executor's bag
+   for the same plan with its old rows materialized, deduplicated, and the
+   kernel must offer exactly the bag's rows to its dedup table. Returns the
+   number offered. *)
+let kernel_vs_executor ~what ~p_rows ~delta_rows plan =
+  let module Catalog = Rs_exec.Catalog in
+  let module Executor = Rs_exec.Executor in
+  let module Kernel = Rs_exec.Kernel in
+  let module Dedup = Rs_relation.Dedup in
+  let pool = Pool.create ~workers:4 () in
+  Pool.begin_run pool;
+  let trace = Trace.create ~now:(fun () -> Pool.vtime_now pool) () in
+  let catalog = Catalog.create () in
+  let reg name rows =
+    Catalog.register catalog name (Relation.of_rows ~name 2 (List.map Array.of_list rows))
+  in
+  reg "p" (p_rows @ delta_rows);
+  reg "p@delta" delta_rows;
+  let index_manager = Rs_exec.Index_manager.create ~persistent:(fun n -> n = "p") pool in
+  let ex = Executor.create ~index_manager ~trace pool catalog in
+  let bag = Executor.run_query ex (materialize ~old_rows:p_rows plan) in
+  let k =
+    match Kernel.compile ex ~probe_table:"p@delta" plan with
+    | Ok k -> k
+    | Error reason -> Alcotest.failf "%s: kernel refused: %s" what reason
+  in
+  let dedup = Dedup.create Dedup.Fast 2 in
+  let out = Relation.create 2 in
+  ignore (Kernel.run ex k ~dedup ~out);
+  Dedup.release dedup;
+  Alcotest.(check (list (list int))) (what ^ ": kernel = executor") (canon bag) (canon out);
+  Alcotest.(check int) (what ^ ": offered = bag rows") (Relation.nrows bag) (c trace "dedup.probes");
+  Relation.nrows bag
+
+let test_kernel_old_steps () =
+  let p_rows = [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 1 ]; [ 1; 4 ] ] in
+  let delta_rows = [ [ 2; 1 ]; [ 4; 2 ]; [ 1; 3 ] ] in
+  (* p(x, z) :- p(x, y), p(y, z) with Δ second: a Binary kernel whose build
+     side is the old rows of p *)
+  let binary = delta_plans ".input e\np(x, y) :- e(x, y).\np(x, z) :- p(x, y), p(y, z).\n.output p" "p" in
+  (* p(x, w) :- p(x, y), p(y, z), p(z, w) with Δ last: a Chain kernel with
+     two old steps before the Δ *)
+  let chain =
+    delta_plans ".input e\np(x, y) :- e(x, y).\np(x, w) :- p(x, y), p(y, z), p(z, w).\n.output p" "p"
+  in
+  let run what plan = kernel_vs_executor ~what ~p_rows ~delta_rows plan in
+  (* the old rows matter: reading the full tables instead derives more *)
+  let full what plan = run (what ^ " over full tables") (materialize plan) in
+  match (binary, chain) with
+  | [ _; b ], [ _; _; ch ] ->
+      check "binary: old rows bound the build side" true (run "binary" b < full "binary" b);
+      check "chain: old rows bound both steps" true (run "chain" ch < full "chain" ch)
+  | _ -> Alcotest.fail "expected 2 and 3 delta plans"
+
+(* (what, program, EDB): non-linear rules whose plans read old rows. *)
+let exact_cases =
+  [
+    ( "non-linear TC",
+      ".input e0\np0(x, y) :- e0(x, y).\np0(x, z) :- p0(x, y), p0(y, z).\n.output p0",
+      [ ("e0", 2, [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 0 ]; [ 2; 4 ]; [ 4; 5 ] ]) ] );
+    ( "three recursive atoms",
+      ".input e0\np0(x, y) :- e0(x, y).\np0(x, w) :- p0(x, y), p0(y, z), p0(z, w).\n.output p0",
+      [ ("e0", 2, [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 4; 5 ]; [ 5; 6 ]; [ 6; 2 ] ]) ] );
+    (* the old rows of p1 pass through the filter of its constant *)
+    ( "mutual recursion, constant on the earlier atom",
+      ".input e0\n\
+       p0(x, y) :- e0(x, y).\n\
+       p1(y, x) :- p0(x, y).\n\
+       p0(x, z) :- p0(x, y), p1(y, 3), p1(y, z).\n\
+       .output p0\n.output p1",
+      [ ("e0", 2, [ [ 0; 1 ]; [ 3; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 2 ]; [ 4; 3 ]; [ 2; 0 ] ]) ] );
+  ]
+
+let test_exact_cases () =
+  List.iter
+    (fun (what, src, edb) ->
+      let tr_on, tr_off = run_all src edb in
+      check (what ^ ": kernels executed") true (c tr_on "kernel.execs" > 0);
+      Alcotest.(check int) (what ^ ": dedup.probes on = off") (c tr_off "dedup.probes")
+        (c tr_on "dedup.probes"))
+    exact_cases
+
+(* Non-linear TC on the chain 0 -> 1 -> ... -> n. Round r reads the paths
+   of length <= L (L = 1, 2, 4, ..., capped at n) with Δ the ones longer
+   than L/2, and a path of length i joins one of length j in
+   n - i - j + 1 ways. The exact rewriting derives every joinable pair
+   with a Δ row once: pairs(T, T) - pairs(Told, Told) per round. The
+   per-occurrence rewriting derived pairs(Δ, T) + pairs(T, Δ), which counts
+   the pairs(Δ, Δ) combinations twice. Iteration 0 offers the n edges. *)
+let test_nonlinear_tc_probes_pinned () =
+  let n = 8 in
+  let pairs (ilo, ihi) (jlo, jhi) =
+    let acc = ref 0 in
+    for i = ilo to ihi do
+      for j = jlo to jhi do
+        acc := !acc + max 0 (n - i - j + 1)
+      done
+    done;
+    !acc
+  in
+  let rec rounds lo hi (exact, both, dd) =
+    if lo >= hi then (exact, both, dd)
+    else
+      rounds hi (min n (2 * hi))
+        ( exact + pairs (1, hi) (1, hi) - pairs (1, lo) (1, lo),
+          both + pairs (lo + 1, hi) (1, hi) + pairs (1, hi) (lo + 1, hi),
+          dd + pairs (lo + 1, hi) (lo + 1, hi) )
+  in
+  let exact, per_occurrence, delta_delta = rounds 0 1 (n, n, 0) in
+  Alcotest.(check int) "closed form: the two rewritings differ by Δ⋈Δ" per_occurrence
+    (exact + delta_delta);
+  Alcotest.(check (list int)) "closed form at n = 8" [ 92; 112; 20 ]
+    [ exact; per_occurrence; delta_delta ];
+  let src = ".input e0\np0(x, y) :- e0(x, y).\np0(x, z) :- p0(x, y), p0(y, z).\n.output p0" in
+  let edb = [ ("e0", 2, List.init n (fun i -> [ i; i + 1 ])) ] in
+  let tr_on, tr_off = run_all src edb in
+  Alcotest.(check int) "dedup.probes, kernels on" exact (c tr_on "dedup.probes");
+  Alcotest.(check int) "dedup.probes, kernels off" exact (c tr_off "dedup.probes")
+
+(* --- the suffix invariant under the Ev_none drain and kernel faults ------ *)
+
+let test_drain_keeps_suffix () =
+  (* One Δ is live per round, moving a -> b -> c -> a. In round 1 only b's
+     plan runs: a's and c's all skip and their Δs are drained. In round 2
+     b's plan skips and Δb is drained while c derives. In round 3 a's plan
+     with the Δ at c reads the old rows of b — all of b, since its Δ was
+     drained — and must still derive every (b, Δc) combination. *)
+  let src =
+    ".input e0\n\
+     a(x, y) :- e0(x, y).\n\
+     b(x, z) :- a(x, y), e0(y, z).\n\
+     c(x, z) :- b(x, y), e0(y, z).\n\
+     a(x, z) :- b(x, y), c(y, z).\n\
+     .output a\n.output b\n.output c"
+  in
+  let edb = [ ("e0", 2, List.init 12 (fun i -> [ i; (i + 1) mod 12 ])) ] in
+  let tr_on, _ = run_all src edb in
+  check "kernels executed" true (c tr_on "kernel.execs" > 0);
+  let rounds = Trace.iterations tr_on in
+  let skipped_while_other_ran =
+    List.exists
+      (fun (it : Trace.iteration) ->
+        it.Trace.it_iteration > 0 && it.Trace.it_delta_rows = 0
+        && List.exists
+             (fun (o : Trace.iteration) ->
+               o.Trace.it_iteration = it.Trace.it_iteration && o.Trace.it_idb <> it.Trace.it_idb
+               && o.Trace.it_delta_rows > 0)
+             rounds)
+      rounds
+  in
+  check "one IDB drained while the other derived" true skipped_while_other_ran
+
+let test_chaos_bounded_chain () =
+  (* Two compile probes pass, then round 1's two executions and round 2's
+     first; the fault fires at round 2's second kernel — the chain whose
+     first p0 step reads the old rows. Its round re-runs interpreted on the
+     same plans and the answer must not change. *)
+  let src =
+    ".input e0\n.input e1\n\
+     p0(x, y) :- e1(x, y).\n\
+     p0(x, w) :- e0(x, y), p0(y, z), p0(z, w).\n\
+     .output p0"
+  in
+  let edb =
+    [
+      ("e0", 2, [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 4; 0 ] ]);
+      ("e1", 2, List.init 8 (fun i -> [ i; (i + 1) mod 8 ]));
+    ]
+  in
+  ignore (run_all src edb);
+  let want, _ = run_one ~kernels:false src edb in
+  let faulted, tr = run_with_plan "kernel:p=1,after=5,limit=1" src edb in
+  Alcotest.(check (list (pair string (list (list int)))))
+    "a degraded bounded chain never changes the answer" want faulted;
+  Alcotest.(check int) "one degraded round" 1 (c tr "kernel.fallbacks");
+  check "later rounds still fused" true (c tr "kernel.execs" > 3)
 
 let suite =
   [
@@ -480,4 +717,13 @@ let suite =
       test_provenance_kernel_chaos;
     Alcotest.test_case "dedup counters agree with kernels on and off" `Quick
       test_dedup_counters_agree;
+    Alcotest.test_case "exact deltas: Old steps in binary and chain kernels" `Quick
+      test_kernel_old_steps;
+    Alcotest.test_case "exact deltas: non-linear rules match the oracle" `Quick test_exact_cases;
+    Alcotest.test_case "exact deltas: non-linear TC probes in closed form" `Quick
+      test_nonlinear_tc_probes_pinned;
+    Alcotest.test_case "exact deltas: Ev_none drain keeps the suffix" `Quick
+      test_drain_keeps_suffix;
+    Alcotest.test_case "exact deltas: chaos on a bounded chain kernel" `Quick
+      test_chaos_bounded_chain;
   ]
