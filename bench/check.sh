@@ -203,55 +203,6 @@ print("BENCH_prov OK: " + ", ".join(
 EOF
 python3 "$tmp/validate_bench_prov.py" BENCH_prov.json
 
-echo "== sharded execution smoke =="
-# The same TC fixpoint across 4 simulated shard nodes must produce exactly
-# the unsharded tuple set; with colocation analysis disabled the outputs
-# stay identical but every retained head tuple is charged as a repartition,
-# so the shuffle counters must light up in the profile.
-dune exec bin/recstep_cli.exe -- run "$tmp/tc_only.dl" --fact "arc=$tmp/arc.tsv" \
-  --shards 4 --out "$tmp/shard4" >/dev/null
-sort "$tmp/shard4/tc.tsv" >"$tmp/tc_shard4.sorted"
-cmp "$tmp/tc_on.sorted" "$tmp/tc_shard4.sorted"
-echo "results identical sharded (4 nodes) and unsharded"
-
-dune exec bin/recstep_cli.exe -- run "$tmp/tc_only.dl" --fact "arc=$tmp/arc.tsv" \
-  --shards 4 --no-colocation --profile "$tmp/pshard.json" \
-  --out "$tmp/shard4_noco" >/dev/null
-sort "$tmp/shard4_noco/tc.tsv" >"$tmp/tc_shard4_noco.sorted"
-cmp "$tmp/tc_on.sorted" "$tmp/tc_shard4_noco.sorted"
-
-cat >"$tmp/validate_shard.py" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    p = json.load(f)
-c = p["counters"]
-assert c.get("shard.shards") == 4, "profile not from a 4-shard run: %s" % c.get("shard.shards")
-assert c.get("shard.supersteps", 0) > 0, "no supersteps recorded"
-assert c.get("shard.shuffle_tuples", 0) > 0, \
-    "--no-colocation charged no shuffle traffic"
-print("shard profile OK: %d supersteps, %d shuffle tuples, %d broadcast tuples"
-      % (c["shard.supersteps"], c["shard.shuffle_tuples"],
-         c.get("shard.broadcast_tuples", 0)))
-EOF
-python3 "$tmp/validate_shard.py" "$tmp/pshard.json"
-
-# Scaling benchmark: outputs must agree at every node count and the
-# colocated 4-shard run must beat the forced-shuffle makespan.
-dune exec bench/main.exe -- --only shard >/dev/null
-cat >"$tmp/validate_bench_shard.py" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["identical"], "sharded outputs diverged across node counts"
-assert b["colocated_beats_shuffle"], "colocated 4-shard run lost to forced shuffle"
-col = {(c["shards"], c["colocation"]): c for c in b["configs"]}
-assert col[(4, True)]["shuffle_tuples"] == 0, "colocated TC shuffled tuples"
-assert col[(4, False)]["shuffle_tuples"] > 0, "forced-shuffle run charged nothing"
-print("BENCH_shard OK: %d configs, colocated 4-shard %.4fs vs forced shuffle %.4fs"
-      % (len(b["configs"]), col[(4, True)]["makespan_s"], col[(4, False)]["makespan_s"]))
-EOF
-python3 "$tmp/validate_bench_shard.py" BENCH_shard.json
-
 echo "== differential fuzz smoke =="
 # A fixed-seed campaign over every engine and every optimization-toggle
 # configuration must agree with the naive reference evaluator on all cases.

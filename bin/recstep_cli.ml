@@ -74,7 +74,7 @@ let parse_program path =
       raise (Recstep.Frontend.Parse_error { path; line; msg = message })
 
 let run_cmd program_path facts out_dir engine workers verbose explain_only profile dsd
-    no_pbme no_kernels no_persistent_indexes shards no_colocation rebalance =
+    no_pbme no_kernels no_persistent_indexes =
   with_input_errors @@ fun () ->
   let program = parse_program program_path in
   if explain_only then explain_plan program
@@ -98,31 +98,6 @@ let run_cmd program_path facts out_dir engine workers verbose explain_only profi
   in
   let lookup =
     match engine with
-    | None when shards > 1 -> (
-        (* sharded execution: hash-partitioned simulated nodes with
-           colocation-aware planning (see DESIGN.md §13) *)
-        let options =
-          Rs_shard.Shard_exec.options ~shards ~colocation:(not no_colocation) ~rebalance
-            ~dsd ~persistent_indexes:(not no_persistent_indexes) ?trace ()
-        in
-        match Rs_shard.Shard_exec.run ~options ~pool ~edb program with
-        | result ->
-            if verbose then
-              Printf.printf
-                "iterations=%d queries=%d supersteps=%d rules: colocated=%d \
-                 broadcast=%d shuffled=%d  shuffle_tuples=%d broadcast_tuples=%d \
-                 rebalance_moves=%d recoveries=%d\n"
-                result.Rs_shard.Shard_exec.iterations result.Rs_shard.Shard_exec.queries
-                result.Rs_shard.Shard_exec.supersteps
-                result.Rs_shard.Shard_exec.colocated_rules
-                result.Rs_shard.Shard_exec.broadcast_rules
-                result.Rs_shard.Shard_exec.shuffled_rules
-                result.Rs_shard.Shard_exec.shuffle_tuples
-                result.Rs_shard.Shard_exec.broadcast_tuples
-                result.Rs_shard.Shard_exec.rebalance_moves
-                result.Rs_shard.Shard_exec.recoveries;
-            result.Rs_shard.Shard_exec.relation_of
-        | exception Rs_shard.Shard_exec.Unsupported m -> die "unsupported program: %s" m)
     | None ->
         let options =
           Recstep.Interpreter.options ~dsd ~pbme:(not no_pbme)
@@ -264,13 +239,13 @@ let explain_cmd program_path fact_spec facts workers sample no_provenance max_st
   ignore (Rs_parallel.Pool.stats pool)
 
 let serve_cmd script_path workers queue cache_bytes no_cache seed mem_budget no_ivm
-    ivm_max_delta shards no_kernels autoscale_flag autoscale_min autoscale_max
+    ivm_max_delta no_kernels autoscale_flag autoscale_min autoscale_max
     report_path verbose =
   with_input_errors @@ fun () ->
   let script = Rs_service.Script.load script_path in
-  let setting key = List.assoc_opt key script.Rs_service.Script.settings in
-  let int_setting key = Option.bind (setting key) int_of_string_opt in
-  let float_setting key = Option.bind (setting key) float_of_string_opt in
+  let int_setting = Rs_service.Script.int_setting script in
+  let float_setting = Rs_service.Script.float_setting script in
+  let bool_setting = Rs_service.Script.bool_setting script in
   (* precedence: explicit flag > script [set] line > built-in default *)
   let pick cli s default = match cli with Some v -> v | None -> Option.value s ~default in
   let workers = pick workers (int_setting "workers") 8 in
@@ -283,21 +258,11 @@ let serve_cmd script_path workers queue cache_bytes no_cache seed mem_budget no_
     match mem_budget with Some b -> Some b | None -> int_setting "budget"
   in
   let cache_hit_cost_s = Option.value (float_setting "hit_cost") ~default:1e-4 in
-  let ivm =
-    if no_ivm then false
-    else
-      Option.value (Option.bind (setting "ivm") bool_of_string_opt) ~default:true
-  in
+  let ivm = (not no_ivm) && Option.value (bool_setting "ivm") ~default:true in
   let ivm_max_delta = pick ivm_max_delta (int_setting "ivm_max_delta") 512 in
-  let shards = pick shards (int_setting "shards") 1 in
-  let kernels =
-    if no_kernels then false
-    else
-      Option.value (Option.bind (setting "kernels") bool_of_string_opt) ~default:true
-  in
+  let kernels = (not no_kernels) && Option.value (bool_setting "kernels") ~default:true in
   let autoscale_on =
-    autoscale_flag
-    || Option.value (Option.bind (setting "autoscale") bool_of_string_opt) ~default:false
+    autoscale_flag || Option.value (bool_setting "autoscale") ~default:false
   in
   let autoscale =
     if not autoscale_on then None
@@ -320,7 +285,7 @@ let serve_cmd script_path workers queue cache_bytes no_cache seed mem_budget no_
     script.Rs_service.Script.defs;
   let config =
     Rs_service.Service.config ~workers ~queue_capacity ?mem_budget ~cache_bytes
-      ~cache_hit_cost_s ~seed ~ivm ~ivm_max_delta ~shards ~kernels ?autoscale ()
+      ~cache_hit_cost_s ~seed ~ivm ~ivm_max_delta ~kernels ?autoscale ()
   in
   let report = Rs_service.Service.run ~config ~edb:store script.Rs_service.Script.events in
   print_string (Rs_service.Service.report_summary report);
@@ -553,7 +518,7 @@ let facts_arg =
 let out_arg = Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"DIR" ~doc:"write output relations as TSV under DIR")
 
 let engine_arg =
-  Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"NAME" ~doc:"evaluate with one of the seven registry engines instead of the stock interpreter: RecStep, Souffle-like, bddbddb-like, Graspan-like, BigDatalog-like, Distributed-BigDatalog, Sharded-RecStep")
+  Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"NAME" ~doc:"evaluate with one of the six registry engines instead of the stock interpreter: RecStep, Souffle-like, bddbddb-like, Graspan-like, BigDatalog-like, Distributed-BigDatalog")
 
 let workers_arg = Arg.(value & opt int 16 & info [ "workers"; "j" ] ~doc:"simulated worker count")
 
@@ -577,17 +542,8 @@ let no_kernels_arg =
 let no_persistent_indexes_arg =
   Arg.(value & flag & info [ "no-persistent-indexes" ] ~doc:"disable the fixpoint-lifetime index manager (rebuild join indexes per query, the pre-optimization behavior)")
 
-let shards_arg =
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc:"evaluate on N simulated shard nodes with hash partitioning and colocation-aware join planning (1 = single-node interpreter)")
-
-let no_colocation_arg =
-  Arg.(value & flag & info [ "no-colocation" ] ~doc:"charge every derived tuple as a repartition shuffle even when colocation would keep it node-local (cost-model ablation; results are unchanged)")
-
-let rebalance_arg =
-  Arg.(value & flag & info [ "rebalance" ] ~doc:"detect load skew between fixpoint strata and migrate hot partition buckets to colder shard nodes")
-
 let run_term =
-  Term.(const run_cmd $ program_arg $ facts_arg $ out_arg $ engine_arg $ workers_arg $ verbose_arg $ explain_arg $ profile_arg $ dsd_arg $ no_pbme_arg $ no_kernels_arg $ no_persistent_indexes_arg $ shards_arg $ no_colocation_arg $ rebalance_arg)
+  Term.(const run_cmd $ program_arg $ facts_arg $ out_arg $ engine_arg $ workers_arg $ verbose_arg $ explain_arg $ profile_arg $ dsd_arg $ no_pbme_arg $ no_kernels_arg $ no_persistent_indexes_arg)
 
 let fact_pos_arg =
   Arg.(required & pos 1 (some string) None & info [] ~docv:"FACT" ~doc:"the fact to explain, e.g. 'tc(1, 3)'")
@@ -638,9 +594,6 @@ let no_ivm_arg =
 let ivm_max_delta_arg =
   Arg.(value & opt (some int) None & info [ "ivm-max-delta" ] ~docv:"OPS" ~doc:"net delta size above which warm refresh falls back to invalidation (default: script setting or 512)")
 
-let serve_shards_arg =
-  Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc:"run engine-less submissions on N simulated shard nodes and report per-shard utilization (default: script setting or 1)")
-
 let serve_no_kernels_arg =
   Arg.(value & flag & info [ "no-kernels" ] ~doc:"disable the compiled rule kernels for engine-less submissions (default: script 'kernels' setting or enabled)")
 
@@ -657,7 +610,7 @@ let serve_term =
   Term.(
     const serve_cmd $ script_arg $ serve_workers_arg $ queue_arg $ cache_bytes_arg
     $ no_cache_arg $ serve_seed_arg $ mem_budget_arg $ no_ivm_arg $ ivm_max_delta_arg
-    $ serve_shards_arg $ serve_no_kernels_arg $ serve_autoscale_arg
+    $ serve_no_kernels_arg $ serve_autoscale_arg
     $ serve_autoscale_min_arg $ serve_autoscale_max_arg $ report_arg $ verbose_arg)
 
 let tenants_arg =
@@ -749,7 +702,7 @@ let chaos_iters_arg =
   Arg.(value & opt int 50 & info [ "iters"; "n" ] ~docv:"K" ~doc:"number of chaos cases (program x fault plan) to run")
 
 let plan_arg =
-  Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"PLAN" ~doc:"force one fault plan for every case instead of the builtin rotation; syntax: 'class:key=value,...;class:...' with classes mem, txn, stall, crash, dedup, dedup_drop, index, cache, delta, node_loss, shuffle_drop, kernel — e.g. 'mem:p=1,threshold=65536,limit=1;crash:p=0.5'")
+  Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"PLAN" ~doc:"force one fault plan for every case instead of the builtin rotation; syntax: 'class:key=value,...;class:...' with classes mem, txn, stall, crash, dedup, dedup_drop, index, cache, delta, kernel — e.g. 'mem:p=1,threshold=65536,limit=1;crash:p=0.5'")
 
 let chaos_report_arg =
   Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc:"write the campaign report (per-class fire counts, outcome histogram, violations, leaks) to FILE as JSON")

@@ -8,15 +8,13 @@ type cls =
   | Index_fail
   | Cache_corrupt
   | Delta_abort
-  | Node_loss
-  | Shuffle_drop
   | Kernel_fail
 
 exception Injected of { cls : cls; point : string }
 
 let all_classes =
   [ Mem; Txn; Stall; Crash; Dedup_fail; Dedup_drop; Index_fail; Cache_corrupt; Delta_abort;
-    Node_loss; Shuffle_drop; Kernel_fail ]
+    Kernel_fail ]
 
 let cls_index = function
   | Mem -> 0
@@ -28,9 +26,7 @@ let cls_index = function
   | Index_fail -> 6
   | Cache_corrupt -> 7
   | Delta_abort -> 8
-  | Node_loss -> 9
-  | Shuffle_drop -> 10
-  | Kernel_fail -> 11
+  | Kernel_fail -> 9
 
 let n_classes = List.length all_classes
 
@@ -44,8 +40,6 @@ let cls_name = function
   | Index_fail -> "index"
   | Cache_corrupt -> "cache"
   | Delta_abort -> "delta"
-  | Node_loss -> "node_loss"
-  | Shuffle_drop -> "shuffle_drop"
   | Kernel_fail -> "kernel"
 
 let cls_of_name = function
@@ -58,8 +52,6 @@ let cls_of_name = function
   | "index" -> Some Index_fail
   | "cache" -> Some Cache_corrupt
   | "delta" -> Some Delta_abort
-  | "node_loss" -> Some Node_loss
-  | "shuffle_drop" -> Some Shuffle_drop
   | "kernel" -> Some Kernel_fail
   | _ -> None
 

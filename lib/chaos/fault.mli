@@ -23,12 +23,6 @@
       stages every relation's change before committing any, so a fired
       probe must leave the store (and hence the version-keyed result cache
       and maintained views) exactly at the pre-delta state;
-    - {!Node_loss} — a simulated shard node dies at the start of a work
-      section. The sharded executor must re-execute the lost node's stratum
-      from the last committed fragment snapshot;
-    - {!Shuffle_drop} — a repartition exchange message is lost in flight.
-      Recovered the same way: the stratum restarts from committed state, so
-      a dropped message can never silently shrink an output;
     - {!Kernel_fail} — a compiled rule kernel fails to compile or to
       execute. Typed and fully recoverable: the interpreter falls back to
       the interpreted plan for that rule, so a fired probe can change
@@ -44,8 +38,6 @@ type cls =
   | Index_fail
   | Cache_corrupt
   | Delta_abort
-  | Node_loss
-  | Shuffle_drop
   | Kernel_fail
 
 exception Injected of { cls : cls; point : string }
@@ -63,7 +55,7 @@ val cls_index : cls -> int
 
 val cls_name : cls -> string
 (** "mem" / "txn" / "stall" / "crash" / "dedup" / "dedup_drop" / "index" /
-    "cache" / "delta" / "node_loss" / "shuffle_drop" / "kernel" — the
+    "cache" / "delta" / "kernel" — the
     plan-syntax and report vocabulary. *)
 
 val cls_of_name : string -> cls option

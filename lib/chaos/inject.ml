@@ -125,8 +125,4 @@ let cache_should_corrupt () = probe Fault.Cache_corrupt
 
 let delta_should_abort ~point = raise_if Fault.Delta_abort point
 
-let node_should_fail ~point = raise_if Fault.Node_loss point
-
-let shuffle_should_drop ~point = raise_if Fault.Shuffle_drop point
-
 let kernel_should_fail ~point = raise_if Fault.Kernel_fail point

@@ -69,16 +69,6 @@ val delta_should_abort : point:string -> unit
     steps of [Edb_store.apply], before anything commits — firing must be
     indistinguishable from the delta never having arrived. *)
 
-val node_should_fail : point:string -> unit
-(** {!Fault.Node_loss}: raises {!Fault.Injected} when the simulated shard
-    node entering this work section should die. The sharded executor
-    catches it and re-executes the stratum from committed fragments. *)
-
-val shuffle_should_drop : point:string -> unit
-(** {!Fault.Shuffle_drop}: raises {!Fault.Injected} when a repartition
-    exchange message should be lost in flight. Recovered like node loss:
-    the stratum restarts from committed state. *)
-
 val kernel_should_fail : point:string -> unit
 (** {!Fault.Kernel_fail}: raises {!Fault.Injected} when a compiled rule
     kernel should fail at the given point ([kernel.compile] /

@@ -6,12 +6,10 @@ let bigdatalog_like : Engine_intf.engine = (module Bigdatalog_like)
 let distributed_bigdatalog = Bigdatalog_like.distributed
 let graspan_like : Engine_intf.engine = (module Graspan_like)
 let bddbddb_like : Engine_intf.engine = (module Bddbddb_like)
-let sharded_recstep : Engine_intf.engine = (module Sharded_recstep)
 
 let all =
   [
     recstep;
-    sharded_recstep;
     souffle_like;
     bigdatalog_like;
     distributed_bigdatalog;

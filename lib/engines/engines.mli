@@ -14,12 +14,8 @@ val graspan_like : Engine_intf.engine
 
 val bddbddb_like : Engine_intf.engine
 
-val sharded_recstep : Engine_intf.engine
-(** RecStep over four simulated shard nodes ({!Rs_shard.Shard_exec}):
-    scale-out with real movement costs, no aggregates. *)
-
 val all : Engine_intf.engine list
-(** All seven, RecStep first. *)
+(** All six, RecStep first. *)
 
 val name : Engine_intf.engine -> string
 

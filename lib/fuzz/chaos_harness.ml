@@ -30,11 +30,6 @@ let builtin_plans =
     "delta:p=1,limit=1";
     "delta:p=1";
     "txn:p=0.4,limit=2;crash:p=0.3,limit=1;index:p=0.5,limit=1;mem:p=1,threshold=8192,limit=1";
-    (* shard classes: the harness runs these cases through the sharded
-       executor (4 nodes), where the classes have probe points *)
-    "node_loss:p=1,limit=1";
-    "shuffle_drop:p=1,limit=2";
-    "node_loss:p=1";
     (* kernel faults: compile-time fires demote rules to the interpreted
        path, exec-time fires degrade mid-fixpoint — both must recover with
        identical results *)
@@ -137,14 +132,6 @@ let run_case ~iter ~cseed ~plan_str (case : Gen.case) (oracle : Differ.oracle) =
   let has_stall =
     List.exists (fun (s : Fault.spec) -> s.Fault.cls = Fault.Stall) plan.Fault.specs
   in
-  (* shard fault classes only have probe points inside the sharded
-     executor: route those cases through it so the plan can fire *)
-  let has_shard_fault =
-    List.exists
-      (fun (s : Fault.spec) ->
-        s.Fault.cls = Fault.Node_loss || s.Fault.cls = Fault.Shuffle_drop)
-      plan.Fault.specs
-  in
   (* only the stall plan gets a deadline: a tight budget elsewhere would
      turn unrelated cases into timeouts and hide the class under test *)
   let deadline_vs = if has_stall then Some 0.05 else None in
@@ -152,9 +139,7 @@ let run_case ~iter ~cseed ~plan_str (case : Gen.case) (oracle : Differ.oracle) =
     Service.Submit
       (Service.submission ~at ?deadline_vs ~tenant:"chaos" ~edb:"g" case.Gen.program)
   in
-  let config =
-    Service.config ~workers:8 ~seed:1 ~shards:(if has_shard_fault then 4 else 1) ()
-  in
+  let config = Service.config ~workers:8 ~seed:1 () in
   let ran =
     Inject.with_plan plan (fun () ->
         match

@@ -26,9 +26,8 @@
 
     Without an explicit plan the campaign cycles a builtin rotation that
     covers every fault class — recovered single faults, unrecoverable
-    storms, a silent stall, a corrupted cache entry, an aborted delta, and
-    the shard classes ([node_loss], [shuffle_drop]), whose cases run
-    through the sharded executor (4 nodes) so the plans have probe points.
+    storms, a silent stall, a corrupted cache entry, an aborted delta and
+    compiled-kernel faults.
     Forcing [~plan:"dedup_drop:p=0.5"] is the harness's self-test: silent
     dedup corruption must produce violations (a campaign that stays green
     under it proves nothing). *)

@@ -109,7 +109,6 @@ type toggles = {
   pbme : bool;
   fast_dedup : bool;
   kernels : bool;
-  shards : int;  (** 1 = the stock interpreter; > 1 = {!Rs_shard.Shard_exec} *)
 }
 
 let toggle_matrix =
@@ -121,12 +120,8 @@ let toggle_matrix =
             (fun pbme ->
               List.concat_map
                 (fun fast_dedup ->
-                  List.concat_map
-                    (fun kernels ->
-                      List.map
-                        (fun shards ->
-                          { persistent_indexes; dsd; pbme; fast_dedup; kernels; shards })
-                        [ 1; 4 ])
+                  List.map
+                    (fun kernels -> { persistent_indexes; dsd; pbme; fast_dedup; kernels })
                     [ true; false ])
                 [ true; false ])
             [ true; false ])
@@ -134,7 +129,7 @@ let toggle_matrix =
     [ true; false ]
 
 let toggle_label t =
-  Printf.sprintf "recstep[pi=%s,dsd=%s,pbme=%s,dedup=%s,kern=%s,shards=%d]"
+  Printf.sprintf "recstep[pi=%s,dsd=%s,pbme=%s,dedup=%s,kern=%s]"
     (if t.persistent_indexes then "on" else "off")
     (match t.dsd with
     | Interpreter.Dsd_dynamic -> "dyn"
@@ -143,39 +138,22 @@ let toggle_label t =
     (if t.pbme then "on" else "off")
     (if t.fast_dedup then "fast" else "boxed")
     (if t.kernels then "on" else "off")
-    t.shards
 
 let toggle_runner t =
   {
     rname = toggle_label t;
     run =
       guarded_run (fun pool edb program ->
-          if t.shards > 1 then (
-            (* [pbme] and [kernels] have no shard-side analogue: each node
-               always builds its fragments from scratch through the
-               interpreted superstep loop, so those toggles only pick the
-               matrix point's label apart. *)
-            let options =
-              Rs_shard.Shard_exec.options ~shards:t.shards
-                ~persistent_indexes:t.persistent_indexes ~dsd:t.dsd
-                ~fast_dedup:t.fast_dedup ()
-            in
-            match Rs_shard.Shard_exec.run ~options ~pool ~edb program with
-            | result ->
-                fun p -> canon (result.Rs_shard.Shard_exec.relation_of p)
-            | exception Rs_shard.Shard_exec.Unsupported m ->
-                Engine_intf.unsupported "%s" m)
-          else
-            let options =
-              Interpreter.options ~persistent_indexes:t.persistent_indexes ~dsd:t.dsd
-                ~pbme:t.pbme ~fast_dedup:t.fast_dedup ~compiled_kernels:t.kernels ()
-            in
-            let result = Interpreter.run ~options ~pool ~edb program in
-            fun p -> canon (result.Interpreter.relation_of p));
+          let options =
+            Interpreter.options ~persistent_indexes:t.persistent_indexes ~dsd:t.dsd
+              ~pbme:t.pbme ~fast_dedup:t.fast_dedup ~compiled_kernels:t.kernels ()
+          in
+          let result = Interpreter.run ~options ~pool ~edb program in
+          fun p -> canon (result.Interpreter.relation_of p));
   }
 
 (* All runners: the baseline engines (including the stock RecStep
-   configuration) plus the full 2 x 3 x 2 x 2 x 2 x 2 toggle matrix. *)
+   configuration) plus the full 2 x 3 x 2 x 2 x 2 toggle matrix. *)
 let all_runners () =
   List.map (fun (module E : Engine_intf.S) -> engine_runner (module E)) Engines.all
   @ List.map toggle_runner toggle_matrix

@@ -2,12 +2,11 @@
 
     Each {!runner} evaluates a generated case and diffs every IDB's
     canonical rows against the naive reference evaluator
-    ({!Recstep.Naive}). Runners cover the seven registry engines (via
+    ({!Recstep.Naive}). Runners cover the six registry engines (via
     {!Rs_engines.Engine_intf.run_guarded}) and the RecStep interpreter
     pinned to every point of the optimization-toggle matrix
-    (persistent_indexes x dsd x pbme x dedup backend x compiled kernels x
-    shards ∈ {1, 4} — 96 configurations; the sharded points run
-    {!Rs_shard.Shard_exec}).
+    (persistent_indexes x dsd x pbme x dedup backend x compiled kernels —
+    48 configurations).
     Programs outside a runner's fragment are {!Skipped}; any crash, OOM or
     timeout is {!Failed} (cases are tiny — those are bugs, not limits). *)
 
@@ -44,14 +43,10 @@ type toggles = {
   pbme : bool;
   fast_dedup : bool;
   kernels : bool;  (** compiled rule kernels ({!Rs_exec.Kernel}) *)
-  shards : int;  (** 1 = the stock interpreter; > 1 = {!Rs_shard.Shard_exec} *)
 }
 
 val toggle_matrix : toggles list
-(** The full 2 x 3 x 2 x 2 x 2 x 2 cross product (shards ∈ [{1; 4}]) —
-    96 configurations. Sharded points skip aggregate programs (outside the
-    shard fragment) and ignore [pbme]/[kernels], which have no shard-side
-    analogue. *)
+(** The full 2 x 3 x 2 x 2 x 2 cross product — 48 configurations. *)
 
 val toggle_label : toggles -> string
 

@@ -111,21 +111,6 @@ let record_batch t durations =
 
 let consumed t = (t.real_in_batches, t.sim_in_batches, t.busy)
 
-let absorb t ~real ~sim ~busy =
-  (* Like [record_batch] with the makespan computed elsewhere: [real] wall
-     seconds already spent inside sub-domain batches are lifted off this
-     pool's serial account and replaced by [sim] simulated seconds. No stall
-     factor — faults fire inside the sub-domain pools where the work ran. *)
-  if real > 0.0 || sim > 0.0 then begin
-    let vstart = vtime_now t -. real in
-    t.real_in_batches <- t.real_in_batches +. real;
-    t.sim_in_batches <- t.sim_in_batches +. sim;
-    t.busy <- t.busy +. busy;
-    t.events <- { ev_vstart = vstart; ev_vlen = sim; ev_busy = busy } :: t.events;
-    let v = vtime_now t in
-    List.iter (fun f -> f v) t.progress
-  end
-
 let add_serial t s =
   if s > 0.0 then begin
     let vstart = vtime_now t in

@@ -56,18 +56,11 @@ val add_serial : t -> float -> unit
     backend, per-stage scheduling overhead in the BigDatalog-like engine. *)
 
 val consumed : t -> float * float * float
-(** [(real, sim, busy)] accumulated in batches since {!begin_run}. Diffing
-    two snapshots brackets a section of work on this pool; the sharded
-    executor uses this to re-account per-node work onto the coordinator's
-    clock via {!absorb}. *)
-
-val absorb : t -> real:float -> sim:float -> busy:float -> unit
-(** [absorb t ~real ~sim ~busy] books one batch whose makespan was computed
-    elsewhere: [real] wall seconds (already elapsed inside sub-domain pools)
-    are moved off this pool's serial account and [sim] simulated seconds are
-    charged in their place, with [busy] worker-busy seconds. The sharded
-    coordinator uses this to charge each superstep at the slowest node's
-    cost while counting every node's busy time. *)
+(** [(real, sim, busy)] accumulated since {!begin_run}: the wall seconds
+    spent inside batches, the simulated seconds charged for batches and
+    {!add_serial} charges, and the worker-busy seconds. Its caller is the
+    benchmark program ([perfbench]), which splits simulated time into its
+    serial, batch-makespan and charged parts from it. *)
 
 val map_tasks : t -> (unit -> 'a) list -> 'a list
 (** Runs heterogeneous tasks as one batch and returns their results in

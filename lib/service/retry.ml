@@ -44,10 +44,6 @@ let failure_name = function
 let retryable = function
   | Oom_failure -> true
   | Fault_failure (Rs_chaos.Fault.Txn | Crash | Dedup_fail | Index_fail) -> true
-  (* A lost shard node or dropped shuffle message that exhausted the sharded
-     executor's own stratum retries is still transient at the service level:
-     a fresh attempt re-runs from the committed store. *)
-  | Fault_failure (Rs_chaos.Fault.Node_loss | Shuffle_drop) -> true
   (* Delta_abort fires at delta application, not query execution: the store
      rolls back atomically and the retry ladder has nothing to re-run.
      Kernel_fail is recovered inside the interpreter (fallback to the

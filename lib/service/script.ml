@@ -9,6 +9,36 @@ type t = {
   events : Service.event list;
 }
 
+(* Every [set] key the serve command reads, with the type of its value.
+   [parse] rejects any other key and any value that does not parse as its
+   key's type, so a typo cannot silently fall back to a default. *)
+type kind = Int | Float | Bool
+
+let setting_kinds =
+  [
+    ("workers", Int);
+    ("queue", Int);
+    ("cache_bytes", Int);
+    ("seed", Int);
+    ("budget", Int);
+    ("hit_cost", Float);
+    ("ivm", Bool);
+    ("ivm_max_delta", Int);
+    ("kernels", Bool);
+    ("autoscale", Bool);
+    ("autoscale_min", Int);
+    ("autoscale_max", Int);
+    ("autoscale_target_ms", Float);
+  ]
+
+let kind_name = function Int -> "an integer" | Float -> "a number" | Bool -> "true or false"
+
+let parses kind v =
+  match kind with
+  | Int -> int_of_string_opt v <> None
+  | Float -> float_of_string_opt v <> None
+  | Bool -> bool_of_string_opt v <> None
+
 let tokens line =
   String.split_on_char ' ' line
   |> List.concat_map (String.split_on_char '\t')
@@ -98,7 +128,12 @@ let parse ?(path = "<script>") src =
       if line <> "" && line.[0] <> '#' then
         try
         match tokens line with
-        | "set" :: key :: value :: [] -> settings := (key, value) :: !settings
+        | "set" :: key :: value :: [] -> (
+            match List.assoc_opt key setting_kinds with
+            | None -> err "unknown setting %S" key
+            | Some kind when not (parses kind value) ->
+                err "set %s takes %s, got %S" key (kind_name kind) value
+            | Some _ -> settings := (key, value) :: !settings)
         | "set" :: _ -> err "set takes exactly: set KEY VALUE"
         | "edb" :: name :: spec :: rest -> (
             let rel, arity = parse_spec spec in
@@ -193,6 +228,18 @@ let parse ?(path = "<script>") src =
         with Failure msg -> fail msg)
     lines;
   { settings = List.rev !settings; defs = List.rev !defs; events = List.rev !events }
+
+(* Typed reads of a [set] value. [parse] has already checked the value, so
+   the conversion cannot fail; asking for an undeclared key or with the
+   wrong type is a programming error. *)
+let setting kind conv t key =
+  if List.assoc_opt key setting_kinds <> Some kind then
+    invalid_arg (Printf.sprintf "Script: setting %S does not take %s" key (kind_name kind));
+  Option.map (fun v -> Option.get (conv v)) (List.assoc_opt key t.settings)
+
+let int_setting = setting Int int_of_string_opt
+let float_setting = setting Float float_of_string_opt
+let bool_setting = setting Bool bool_of_string_opt
 
 let load path =
   let ic = open_in path in

@@ -7,7 +7,6 @@
     # settings the CLI takes as defaults (flags override)
     set workers 8
     set cache_bytes 67108864
-    set shards 4
 
     # databases: inline rows, or a fact file (same TSV format as --fact)
     edb g1 arc:2 = 0 1; 1 2; 2 3; 3 4
@@ -21,6 +20,12 @@
     delta at=1 g1 arc = 4 5; 5 6
     retract at=1.5 g1 arc = 0 1
     v}
+
+    [set] keys and their value types: [workers], [queue], [cache_bytes],
+    [seed], [budget], [ivm_max_delta], [autoscale_min], [autoscale_max]
+    (integers); [hit_cost], [autoscale_target_ms] (numbers); [ivm],
+    [kernels], [autoscale] ([true]/[false]). Any other key, or a value
+    that does not parse as its key's type, is a {!Script_error}.
 
     [delta] inserts rows, [retract] removes them (both net out against the
     store's current contents — see {!Edb_store.apply}); each line becomes
@@ -36,7 +41,8 @@ exception Script_error of { path : string; line : int; msg : string }
     one-line error, like [Recstep.Frontend.Parse_error]. *)
 
 type t = {
-  settings : (string * string) list;  (** [set] lines, in order *)
+  settings : (string * string) list;
+      (** [set] lines, in order; keys and values already validated *)
   defs : (string * (string * Rs_relation.Relation.t) list) list;
       (** databases to install in the {!Edb_store}, in order *)
   events : Service.event list;  (** submissions and deltas, in script order *)
@@ -45,6 +51,16 @@ type t = {
 val parse : ?path:string -> string -> t
 (** Parse script text; [path] is used in errors and as the base directory
     for [program] and [@] fact-file references (default: current dir). *)
+
+val int_setting : t -> string -> int option
+(** [int_setting t key] is the first [set key] value, or [None]. Raises
+    [Invalid_argument] when [key] is not an integer setting. *)
+
+val float_setting : t -> string -> float option
+(** As {!int_setting}, for the number-valued keys. *)
+
+val bool_setting : t -> string -> bool option
+(** As {!int_setting}, for the [true]/[false] keys. *)
 
 val load : string -> t
 (** Read and {!parse} a script file. *)

@@ -90,14 +90,13 @@ type config = {
   retry : Retry.policy;
   ivm : bool;
   ivm_max_delta : int;
-  shards : int;
   kernels : bool;
   autoscale : Autoscale.policy option;
 }
 
 let config ?(workers = 8) ?(queue_capacity = 64) ?mem_budget
     ?(cache_bytes = 64 * 1024 * 1024) ?(cache_hit_cost_s = 1e-4) ?(seed = 1)
-    ?(retry = Retry.default) ?(ivm = true) ?(ivm_max_delta = 512) ?(shards = 1)
+    ?(retry = Retry.default) ?(ivm = true) ?(ivm_max_delta = 512)
     ?(kernels = true) ?autoscale () =
   {
     workers;
@@ -109,18 +108,9 @@ let config ?(workers = 8) ?(queue_capacity = 64) ?mem_budget
     retry;
     ivm;
     ivm_max_delta;
-    shards = max 1 shards;
     kernels;
     autoscale;
   }
-
-type shard_stat = {
-  sh_shard : int;
-  sh_queries : int;
-  sh_busy_s : float;
-  sh_sim_s : float;
-  sh_rows : int;
-}
 
 type latency_note = {
   ln_query : string;
@@ -154,7 +144,6 @@ type report = {
   served_degraded : int;
   throughput : float;
   vtime : float;
-  shard_stats : shard_stat list;
   trace : Trace.t;
 }
 
@@ -222,23 +211,6 @@ let run ?(config = config ()) ~edb:store events =
       Hashtbl.replace db_indexes db im)
     (Edb_store.names store);
   let shared_indexes db = Hashtbl.find db_indexes db in
-  (* per-shard utilization across every sharded run of the session *)
-  let shard_queries = Array.make config.shards 0 in
-  let shard_busy = Array.make config.shards 0.0 in
-  let shard_sim = Array.make config.shards 0.0 in
-  let shard_rows = Array.make config.shards 0 in
-  let note_shards (stats : Rs_shard.Shard_exec.node_stats list) =
-    List.iter
-      (fun (ns : Rs_shard.Shard_exec.node_stats) ->
-        let i = ns.Rs_shard.Shard_exec.ns_node in
-        if i < config.shards then begin
-          shard_queries.(i) <- shard_queries.(i) + ns.Rs_shard.Shard_exec.ns_queries;
-          shard_busy.(i) <- shard_busy.(i) +. ns.Rs_shard.Shard_exec.ns_busy_s;
-          shard_sim.(i) <- shard_sim.(i) +. ns.Rs_shard.Shard_exec.ns_sim_s;
-          shard_rows.(i) <- ns.Rs_shard.Shard_exec.ns_rows
-        end)
-      stats
-  in
   (* Maintained views: one {!Recstep.Ivm} instance per (database, canonical
      program) that has produced a cacheable result. On a registered delta
      the views absorb the net change and hand the result cache its entries'
@@ -524,25 +496,6 @@ let run ?(config = config ()) ~edb:store events =
     let res =
       match
         match sub.engine with
-        | None when config.shards > 1 ->
-            (* Sharded default path: the distributed executor with the
-               ladder's degradable knobs mapped onto its options. *)
-            Engine_intf.guard (fun () ->
-                let options =
-                  Rs_shard.Shard_exec.options ~shards:config.shards
-                    ?timeout_vs:deadline_left ~trace
-                    ~persistent_indexes:knobs.Retry.k_persistent_indexes
-                    ~fast_dedup:knobs.Retry.k_fast_path ()
-                in
-                match Rs_shard.Shard_exec.run ~options ~pool ~edb:rels sub.program with
-                | r ->
-                    note_shards r.Rs_shard.Shard_exec.node_stats;
-                    Engine_intf.mk_result ~pool ~trace
-                      ~iterations:r.Rs_shard.Shard_exec.iterations
-                      ~queries:r.Rs_shard.Shard_exec.queries
-                      r.Rs_shard.Shard_exec.relation_of
-                | exception Rs_shard.Shard_exec.Unsupported m ->
-                    Engine_intf.unsupported "%s" m)
         | None ->
             (* Default path: drive the RecStep interpreter directly, so the
                ladder's lower rungs can turn engine structures off. At
@@ -823,18 +776,6 @@ let run ?(config = config ()) ~edb:store events =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
   in
   let served = Array.length served_latencies in
-  let shard_stats =
-    if config.shards <= 1 then []
-    else
-      List.init config.shards (fun i ->
-          {
-            sh_shard = i;
-            sh_queries = shard_queries.(i);
-            sh_busy_s = shard_busy.(i);
-            sh_sim_s = shard_sim.(i);
-            sh_rows = shard_rows.(i);
-          })
-  in
   {
     completions;
     explanations = List.rev !explanations;
@@ -847,7 +788,6 @@ let run ?(config = config ()) ~edb:store events =
     served_degraded;
     throughput = (if !clock > 0.0 then float_of_int served /. !clock else 0.0);
     vtime = !clock;
-    shard_stats;
     trace;
   }
 
@@ -897,7 +837,7 @@ let report_json r =
   in
   let cache = r.cache in
   Json.Obj
-    ([
+    [
       ("version", Json.Int 1);
       ("vtime", Json.Float r.vtime);
       ("throughput", Json.Float r.throughput);
@@ -965,28 +905,6 @@ let report_json r =
                      ]))
              r.explanations) );
     ]
-    @
-    match r.shard_stats with
-    | [] -> []
-    | stats ->
-        [
-          ( "shards",
-            Json.List
-              (List.map
-                 (fun s ->
-                   Json.Obj
-                     [
-                       ("shard", Json.Int s.sh_shard);
-                       ("queries", Json.Int s.sh_queries);
-                       ("busy_s", Json.Float s.sh_busy_s);
-                       ("sim_s", Json.Float s.sh_sim_s);
-                       ("rows", Json.Int s.sh_rows);
-                       ( "utilization",
-                         Json.Float
-                           (if s.sh_sim_s > 0.0 then s.sh_busy_s /. s.sh_sim_s else 0.0) );
-                     ])
-                 stats) );
-        ])
 
 let report_summary r =
   let rows =
@@ -1015,20 +933,6 @@ let report_summary r =
   let counters =
     String.concat "  " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.counters)
   in
-  let shards =
-    match r.shard_stats with
-    | [] -> ""
-    | stats ->
-        "shards: "
-        ^ String.concat "  "
-            (List.map
-               (fun s ->
-                 Printf.sprintf "s%d q=%d rows=%d util=%.2f" s.sh_shard s.sh_queries
-                   s.sh_rows
-                   (if s.sh_sim_s > 0.0 then s.sh_busy_s /. s.sh_sim_s else 0.0))
-               stats)
-        ^ "\n"
-  in
   let explanations =
     match r.explanations with
     | [] -> ""
@@ -1054,6 +958,6 @@ let report_summary r =
              xs)
   in
   Printf.sprintf
-    "%s%s\n%s%slatency p50=%.4fs p95=%.4fs p99=%.4fs  throughput=%.2f q/s  vtime=%.4fs\n"
-    table counters shards explanations r.p50_latency r.p95_latency r.p99_latency
+    "%s%s\n%slatency p50=%.4fs p95=%.4fs p99=%.4fs  throughput=%.2f q/s  vtime=%.4fs\n"
+    table counters explanations r.p50_latency r.p95_latency r.p99_latency
     r.throughput r.vtime

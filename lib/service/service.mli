@@ -138,12 +138,8 @@ type config = {
       (** net delta size (ops) above which warm refresh falls back to
           invalidation — past this point recomputation tends to beat
           maintenance, and the view bootstrap cost stops amortizing *)
-  shards : int;
-      (** > 1 routes engine-less submissions through the sharded executor
-          ({!Rs_shard.Shard_exec}) with this many simulated nodes; the
-          report then carries per-shard utilization *)
   kernels : bool;
-      (** compiled rule kernels for engine-less unsharded submissions; the
+      (** compiled rule kernels for engine-less submissions; the
           retry ladder's [No_fast_path] rung disables them together with the
           other fast-path structures *)
   autoscale : Autoscale.policy option;
@@ -165,22 +161,13 @@ val config :
   ?retry:Retry.policy ->
   ?ivm:bool ->
   ?ivm_max_delta:int ->
-  ?shards:int ->
   ?kernels:bool ->
   ?autoscale:Autoscale.policy ->
   unit ->
   config
 (** Defaults: 8 workers, queue capacity 64, no memory budget, 64 MiB cache,
     100 µs per cache hit, seed 1, {!Retry.default}, maintenance on with a
-    512-op refresh threshold, 1 shard (unsharded), compiled kernels on. *)
-
-type shard_stat = {
-  sh_shard : int;
-  sh_queries : int;  (** backend queries this shard node executed *)
-  sh_busy_s : float;  (** summed worker-busy seconds across runs *)
-  sh_sim_s : float;  (** summed simulated wall seconds across runs *)
-  sh_rows : int;  (** resident rows after the last sharded run *)
-}
+    512-op refresh threshold, compiled kernels on. *)
 
 type latency_note = {
   ln_query : string;  (** the tenant's latest dispatched query on the EDB *)
@@ -223,7 +210,6 @@ type report = {
           SLO accounting can flag them *)
   throughput : float;  (** served queries per simulated second *)
   vtime : float;  (** service clock when the last event settled *)
-  shard_stats : shard_stat list;  (** per-shard utilization; [] when unsharded *)
   trace : Trace.t;  (** service + nested engine spans, service counters *)
 }
 (** Counters: [submitted], [admitted], [rejected], [done], [oom],

@@ -233,8 +233,7 @@ let fuzz_corpus : (string * string * (string * int list list) list) list =
     (* Exact deltas in mutual recursion: with the Δ at p1(y, z), the earlier
        p0 and p1(y, 3) read only the rows before their tables' Δ-suffixes,
        p1's through the filter of its constant. A wrong bound loses or
-       repeats derivations; the sharded runners keep the per-occurrence
-       rewriting and must still agree. *)
+       repeats derivations. *)
     ( "exact deltas: mutual recursion, constant on an earlier atom",
       ".input e0\n\
        p0(x, y) :- e0(x, y).\n\
@@ -322,14 +321,6 @@ let chaos_corpus : (string * string * string list) list =
        correctly — the harness checks rows against the store's final state. *)
     ("aborted delta leaves store and cache consistent", "delta:p=1", [ "done"; "done" ]);
     ("single delta abort only loses that delta", "delta:p=1,limit=1", [ "done"; "done" ]);
-    (* Shard classes route the case through the sharded executor (4 nodes):
-       each stratum snapshots committed state, so a bounded plan is
-       recovered in place and stays invisible in the outputs, while an
-       unbounded one exhausts the recovery budget and the fault escapes as
-       a typed rejection. *)
-    ("lost shard node is recovered in place", "node_loss:p=1,limit=1", [ "done"; "done" ]);
-    ("dropped shuffle is recovered in place", "shuffle_drop:p=1,limit=2", [ "done"; "done" ]);
-    ("persistent node loss ends in a typed fault", "node_loss:p=1", [ "fault"; "fault" ]);
     (* Kernel_fail is the one class the interpreter absorbs entirely: a
        fired compile probe leaves the rule interpreted, a fired exec probe
        degrades that round before anything is written, and in both cases

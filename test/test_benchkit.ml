@@ -64,7 +64,7 @@ let test_resample () =
 
 let test_registry () =
   let ids = List.map (fun e -> e.Registry.id) Registry.all in
-  Alcotest.(check int) "25 experiments" 25 (List.length ids);
+  Alcotest.(check int) "24 experiments" 24 (List.length ids);
   check "unique ids" true (List.length (List.sort_uniq compare ids) = List.length ids);
   check "find" true (Registry.find "fig10" <> None);
   check "find missing" true (Registry.find "fig99" = None);
@@ -72,7 +72,7 @@ let test_registry () =
     (fun id -> check ("has " ^ id) true (List.mem id ids))
     [ "table1"; "fig2"; "fig3"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12";
       "fig13"; "fig14"; "fig15"; "fig16"; "table4"; "costmodel"; "coord_sweep"; "uie_sharing";
-      "service"; "load"; "join"; "ivm"; "shard"; "kernel" ]
+      "service"; "load"; "join"; "ivm"; "kernel" ]
 
 let test_workload_catalog () =
   let gn = Workloads.gn_series ~scale:1 in

@@ -39,13 +39,20 @@ let test_plan_syntax () =
   expect_error "mem:p=abc";
   expect_error "mem:p=1;mem:p=0.5";
   expect_error "mem:p=2";
+  expect_error "node_loss:p=1";
+  expect_error "shuffle_drop:p=1";
   (match Fault.plan [ Fault.spec Fault.Txn; Fault.spec Fault.Txn ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate class accepted");
   List.iter
     (fun c -> check "cls_of_name inverts cls_name" true
         (Fault.cls_of_name (Fault.cls_name c) = Some c))
-    Fault.all_classes
+    Fault.all_classes;
+  (* per-class injector arrays have length [n_classes]: the index must map
+     the class list one-to-one onto [0, n_classes) *)
+  check "cls_index is a bijection onto [0, n_classes)" true
+    (List.sort compare (List.map Fault.cls_index Fault.all_classes)
+    = List.init Fault.n_classes Fun.id)
 
 (* --- deterministic, scoped activation ------------------------------------ *)
 

@@ -54,13 +54,13 @@ let gen_graph = Refs.arbitrary_edges ~max_nodes:9 ~max_edges:20 ()
 let prop_engines_agree_tc =
   QCheck2.Test.make ~name:"all engines agree on TC" ~count:25 gen_graph (fun edges ->
       QCheck2.assume (edges <> []);
-      agree Programs.tc [ ("arc", Refs.relation_of_edges edges) ] [ "tc" ] = 7)
+      agree Programs.tc [ ("arc", Refs.relation_of_edges edges) ] [ "tc" ] = 6)
 
 let prop_engines_agree_sg =
   QCheck2.Test.make ~name:"all engines agree on SG" ~count:20 gen_graph (fun edges ->
       QCheck2.assume (edges <> []);
-      (* Graspan cannot express SG's != literal: 6 engines run *)
-      agree Programs.sg [ ("arc", Refs.relation_of_edges edges) ] [ "sg" ] = 6)
+      (* Graspan cannot express SG's != literal: 5 engines run *)
+      agree Programs.sg [ ("arc", Refs.relation_of_edges edges) ] [ "sg" ] = 5)
 
 let prop_engines_agree_andersen =
   QCheck2.Test.make ~name:"engines agree on Andersen" ~count:15
@@ -81,13 +81,12 @@ let prop_engines_agree_andersen =
         ~engines:
           [
             Engines.recstep;
-            Engines.sharded_recstep;
             Engines.souffle_like;
             Engines.bigdatalog_like;
             Engines.bddbddb_like;
           ]
         Programs.andersen edb [ "pointsTo" ]
-      = 5)
+      = 4)
 
 let prop_engines_agree_cspa =
   QCheck2.Test.make ~name:"engines agree on CSPA" ~count:15
@@ -100,8 +99,8 @@ let prop_engines_agree_cspa =
           ("dereference", Refs.relation_of_edges ~name:"dereference" deref);
         ]
       in
-      (* both BigDatalog configurations reject mutual recursion: 5 of 7 run *)
-      agree Programs.cspa edb [ "valueFlow"; "memoryAlias"; "valueAlias" ] = 5)
+      (* both BigDatalog configurations reject mutual recursion: 4 of 6 run *)
+      agree Programs.cspa edb [ "valueFlow"; "memoryAlias"; "valueAlias" ] = 4)
 
 let prop_engines_agree_csda =
   QCheck2.Test.make ~name:"engines agree on CSDA" ~count:20
@@ -114,7 +113,7 @@ let prop_engines_agree_csda =
           ("arc", Refs.relation_of_edges arc);
         ]
       in
-      agree Programs.csda edb [ "null" ] = 7)
+      agree Programs.csda edb [ "null" ] = 6)
 
 let even_odd =
   {|
@@ -129,19 +128,13 @@ let prop_engines_agree_even_odd =
   QCheck2.Test.make ~name:"engines agree on mutual even/odd" ~count:20 gen_graph
     (fun edges ->
       QCheck2.assume (edges <> []);
-      (* graspan rejects (unary head), both bigdatalogs reject (mutual): 4 run *)
+      (* graspan rejects (unary head), both bigdatalogs reject (mutual): 3 run *)
       agree
-        ~engines:
-          [
-            Engines.recstep;
-            Engines.sharded_recstep;
-            Engines.souffle_like;
-            Engines.bddbddb_like;
-          ]
+        ~engines:[ Engines.recstep; Engines.souffle_like; Engines.bddbddb_like ]
         even_odd
         [ ("next", Refs.relation_of_edges ~name:"next" edges) ]
         [ "even"; "odd" ]
-      = 4)
+      = 3)
 
 (* --- capability gating (Table 1) --- *)
 
@@ -161,9 +154,6 @@ let suite_gating () =
   expect_unsupported Engines.bigdatalog_like Programs.cspa
     [ ("assign", some_edges); ("dereference", Refs.relation_of_edges ~name:"dereference" []) ];
   expect_unsupported Engines.souffle_like Programs.cc [ ("arc", some_edges) ];
-  expect_unsupported Engines.sharded_recstep Programs.cc [ ("arc", some_edges) ];
-  expect_unsupported Engines.sharded_recstep Programs.sssp
-    [ ("arc", arc3 ()); ("id", id0 ()) ];
   expect_unsupported Engines.souffle_like Programs.sssp
     [ ("arc", arc3 ()); ("id", id0 ()) ];
   expect_unsupported Engines.graspan_like Programs.cc [ ("arc", some_edges) ];
@@ -313,9 +303,8 @@ let test_explain_corpus () =
     Refs.explain_corpus
 
 let test_engines_registry () =
-  Alcotest.(check int) "seven engines" 7 (List.length Engines.all);
+  Alcotest.(check int) "six engines" 6 (List.length Engines.all);
   check "lookup" true (Engines.by_name "RecStep" <> None);
-  check "sharded lookup" true (Engines.by_name "Sharded-RecStep" <> None);
   check "unknown" true (Engines.by_name "nope" = None)
 
 let qsuite =

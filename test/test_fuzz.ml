@@ -113,7 +113,6 @@ let test_fault_injection_caught_and_shrunk () =
         pbme = false;
         fast_dedup = true;
         kernels = true;
-        shards = 1;
       }
   in
   let plan =

@@ -19,7 +19,6 @@ let () =
       ("datagen", Test_datagen.suite);
       ("integration", Test_integration.suite);
       ("invariants", Test_invariants.suite);
-      ("shard", Test_shard.suite);
       ("fuzz", Test_fuzz.suite);
       ("chaos", Test_chaos.suite);
       ("benchkit", Test_benchkit.suite);

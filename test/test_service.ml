@@ -312,45 +312,6 @@ let test_service_indexes_per_database () =
         (List.assoc "reach" vb = want (b_rows @ b_added))
   | _ -> Alcotest.fail "expected two Done completions"
 
-(* --- sharded serving --- *)
-
-let test_service_sharded () =
-  let sub ~at = Service.submission ~at ~tenant:"t" ~edb:"g" tc in
-  let events = [ Service.Submit (sub ~at:0.0); Service.Submit (sub ~at:100.0) ] in
-  let sharded =
-    Service.run
-      ~config:(Service.config ~shards:4 ~cache_bytes:0 ~ivm:false ())
-      ~edb:(store ()) events
-  in
-  check_identities sharded;
-  Alcotest.(check int) "both served sharded" 2 (Service.counter sharded "done");
-  Alcotest.(check int) "one stat row per shard" 4
-    (List.length sharded.Service.shard_stats);
-  List.iter
-    (fun (s : Service.shard_stat) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shard %d executed queries" s.Service.sh_shard)
-        true
-        (s.Service.sh_queries > 0))
-    sharded.Service.shard_stats;
-  let unsharded =
-    Service.run
-      ~config:(Service.config ~cache_bytes:0 ~ivm:false ())
-      ~edb:(store ()) events
-  in
-  Alcotest.(check int) "unsharded report has no shard stats" 0
-    (List.length unsharded.Service.shard_stats);
-  let rows r =
-    List.map
-      (fun (c : Service.completion) ->
-        match c.Service.c_outcome with
-        | Service.Done v -> List.map (fun (n, rs) -> (n, List.map Array.to_list rs)) v
-        | _ -> Alcotest.fail "expected Done")
-      r.Service.completions
-  in
-  Alcotest.(check bool) "sharded rows = unsharded rows" true
-    (rows sharded = rows unsharded)
-
 (* --- admission control --- *)
 
 let test_admission_memory () =
@@ -468,6 +429,8 @@ let test_script_parse () =
   in
   let s = Script.parse src in
   Alcotest.(check (list (pair string string))) "settings" [ ("workers", "4") ] s.Script.settings;
+  Alcotest.(check (option int)) "typed read" (Some 4) (Script.int_setting s "workers");
+  Alcotest.(check (option int)) "unset key" None (Script.int_setting s "queue");
   Alcotest.(check int) "one database" 1 (List.length s.Script.defs);
   (match s.Script.events with
   | [ Service.Submit s1; Service.Submit s2; Service.Delta d1; Service.Delta d2 ] ->
@@ -484,10 +447,14 @@ let test_script_parse () =
            (fun (o : Delta.op) -> o.Delta.sign = Delta.Retract)
            (Delta.ops d2.delta "arc"))
   | _ -> Alcotest.fail "expected submit, submit, delta, retract");
-  (* malformed lines carry their position *)
-  (match Script.parse ~path:"w" "set workers 4\nbogus directive\n" with
-  | _ -> Alcotest.fail "expected Script_error"
-  | exception Script.Script_error { line = 2; _ } -> ());
+  (* malformed lines carry their position; an unknown setting key or a
+     value of the wrong type is malformed too, never a silent default *)
+  List.iter
+    (fun bad ->
+      match Script.parse ~path:"w" ("set workers 4\n" ^ bad ^ "\n") with
+      | _ -> Alcotest.fail (Printf.sprintf "expected Script_error for %S" bad)
+      | exception Script.Script_error { line = 2; _ } -> ())
+    [ "bogus directive"; "set shards 4"; "set workers eight" ];
   Sys.remove prog
 
 (* Renderer round-trip: a mixed delta rendered to script lines parses back
@@ -689,7 +656,6 @@ let suite =
       test_service_shared_indexes;
     Alcotest.test_case "persistent indexes are per database" `Quick
       test_service_indexes_per_database;
-    Alcotest.test_case "sharded serving with per-shard stats" `Quick test_service_sharded;
     Alcotest.test_case "admission: memory budget" `Quick test_admission_memory;
     Alcotest.test_case "admission: bounded queue" `Quick test_admission_queue_full;
     Alcotest.test_case "admission: unknown edb" `Quick test_admission_unknown_edb;
