@@ -97,11 +97,26 @@ python3 "$tmp/validate_index.py" "$tmp/pidx.json"
 # results must be identical with the manager disabled (row order inside the
 # unordered bag output may differ; the tuple sets may not)
 dune exec bin/recstep_cli.exe -- run "$tmp/tc_only.dl" --fact "arc=$tmp/arc.tsv" \
-  --no-pbme --dsd opsd --no-persistent-indexes --out "$tmp/idx_off" >/dev/null
+  --no-pbme --dsd opsd --no-persistent-indexes --profile "$tmp/pidx_off.json" \
+  --out "$tmp/idx_off" >/dev/null
 sort "$tmp/idx_on/tc.tsv" >"$tmp/tc_on.sorted"
 sort "$tmp/idx_off/tc.tsv" >"$tmp/tc_off.sorted"
 cmp "$tmp/tc_on.sorted" "$tmp/tc_off.sorted"
 echo "results identical with and without persistent indexes"
+
+# The ablation keeps no index across queries, so it rebuilds at least once
+# per fixpoint iteration.
+cat >"$tmp/validate_index_off.py" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    c = json.load(f)["counters"]
+iters = c["interpreter.iterations"]
+builds = c["executor.index_builds"]
+assert builds >= iters, \
+    "no-persistent-indexes run reused indexes: %d builds over %d iterations" % (builds, iters)
+print("index ablation OK: %d builds over %d iterations" % (builds, iters))
+EOF
+python3 "$tmp/validate_index_off.py" "$tmp/pidx_off.json"
 
 echo "== compiled-kernel smoke =="
 # The same relational TC fixpoint with the fused rule kernels on (default)

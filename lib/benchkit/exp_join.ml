@@ -1,15 +1,13 @@
 module Pool = Rs_parallel.Pool
 module Relation = Rs_relation.Relation
 module Hash_index = Rs_relation.Hash_index
-module Radix_index = Rs_relation.Radix_index
 module Rng = Rs_util.Rng
 
-type strategy = Rebuild_chained | Delta_append | Rebuild_radix
+type strategy = Rebuild_chained | Delta_append
 
 let strategy_name = function
   | Rebuild_chained -> "rebuild-chained"
   | Delta_append -> "delta-append"
-  | Rebuild_radix -> "rebuild-radix"
 
 type iteration_sample = { ix_index_s : float; ix_probe_s : float }
 
@@ -28,31 +26,21 @@ let run_strategy pool ~iters ~base_rows ~delta_rows strategy =
     done
   in
   push base_rows;
-  let chained = ref None in
+  let appended = ref None in
   let samples = ref [] in
   for _it = 1 to iters do
     push delta_rows;
     let t0 = Pool.vtime_now pool in
-    let probe1 =
-      match strategy with
-      | Rebuild_chained ->
+    let idx =
+      match (strategy, !appended) with
+      | Rebuild_chained, _ -> Hash_index.build_pool pool full [| 0 |]
+      | Delta_append, Some idx ->
+          ignore (Hash_index.append_pool pool idx);
+          idx
+      | Delta_append, None ->
           let idx = Hash_index.build_pool pool full [| 0 |] in
-          Hash_index.iter_matches1 idx
-      | Delta_append ->
-          let idx =
-            match !chained with
-            | Some idx ->
-                ignore (Hash_index.append_pool pool idx);
-                idx
-            | None ->
-                let idx = Hash_index.build_pool pool full [| 0 |] in
-                chained := Some idx;
-                idx
-          in
-          Hash_index.iter_matches1 idx
-      | Rebuild_radix ->
-          let idx = Radix_index.build_pool pool full [| 0 |] in
-          Radix_index.iter_matches1 idx
+          appended := Some idx;
+          idx
     in
     let t1 = Pool.vtime_now pool in
     (* probe with the delta suffix, chunk-parallel like the executor's join *)
@@ -61,7 +49,7 @@ let run_strategy pool ~iters ~base_rows ~delta_rows strategy =
     Pool.parallel_for pool (n - delta_rows) n (fun lo hi ->
         let local = ref 0 in
         for row = lo to hi - 1 do
-          probe1 (Relation.get full ~row ~col:0) (fun _ -> incr local)
+          Hash_index.iter_matches1 idx (Relation.get full ~row ~col:0) (fun _ -> incr local)
         done;
         hits := !hits + !local);
     ignore !hits;
@@ -74,10 +62,10 @@ let total f samples = List.fold_left (fun a s -> a +. f s) 0.0 samples
 
 let exp ~scale =
   Report.section ~id:"join"
-    ~title:"EXTRA: join-index maintenance — rebuild vs delta-append vs radix";
+    ~title:"EXTRA: join-index maintenance — rebuild vs delta-append";
   let iters = 12 in
   let base_rows = 20_000 * scale and delta_rows = 4_000 * scale in
-  let strategies = [ Rebuild_chained; Delta_append; Rebuild_radix ] in
+  let strategies = [ Rebuild_chained; Delta_append ] in
   let runs =
     List.map
       (fun strategy ->
@@ -110,8 +98,7 @@ let exp ~scale =
   Rs_util.Table_printer.print ~header rows;
   Report.note
     "(rebuild pays O(|full|) every iteration; delta-append pays O(|delta|) amortized, \
-     with occasional doubling rehashes; radix is the fastest one-shot build but still \
-     rebuilds — the executor uses it for large transient sides only)";
+     with occasional doubling rehashes)";
   let total_of strategy =
     let _, _, samples = List.find (fun (s, _, _) -> s = strategy) runs in
     total (fun s -> s.ix_index_s) samples

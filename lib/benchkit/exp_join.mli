@@ -2,15 +2,13 @@
 
     Isolates the cost the executor's {!Rs_exec.Index_manager} removes: a full
     relation grows by a delta each iteration (the semi-naive recursive
-    shape), and the full-table join index is maintained three ways —
+    shape), and the full-table join index is maintained two ways —
 
     - rebuild-chained: fresh {!Rs_relation.Hash_index.build_pool} every
       iteration (the pre-manager executor behavior);
     - delta-append: one build, then
       {!Rs_relation.Hash_index.append_pool} over the appended suffix each
-      iteration (what the manager does for recursive tables);
-    - rebuild-radix: fresh {!Rs_relation.Radix_index.build_pool} every
-      iteration (the layout the executor picks for large transient sides).
+      iteration (what the manager does for recursive tables).
 
     Each iteration the index is probed once per delta row, as in the
     delta-rule join. The report table has one row per iteration with the

@@ -24,7 +24,7 @@ let all =
     { id = "uie_sharing"; title = "EXTRA: UIE batching vs cache sharing"; run = (fun ~scale -> Exp_extra.uie_sharing ~scale) };
     { id = "service"; title = "EXTRA: serving throughput, result cache on vs off"; run = (fun ~scale -> Exp_service.service ~scale) };
     { id = "load"; title = "EXTRA: SLO scorecard under Zipf burst load, autoscaler on vs off (BENCH_service.json)"; run = (fun ~scale -> Exp_load.exp ~scale) };
-    { id = "join"; title = "EXTRA: join-index maintenance — rebuild vs delta-append vs radix"; run = (fun ~scale -> Exp_join.exp ~scale) };
+    { id = "join"; title = "EXTRA: join-index maintenance — rebuild vs delta-append"; run = (fun ~scale -> Exp_join.exp ~scale) };
     { id = "ivm"; title = "EXTRA: incremental maintenance vs recompute-per-delta (BENCH_ivm.json)"; run = (fun ~scale -> Exp_ivm.exp ~scale) };
     { id = "kernel"; title = "EXTRA: compiled rule kernels vs interpreted fixpoint (BENCH_kernel.json)"; run = (fun ~scale -> Exp_kernel.exp ~scale) };
     { id = "prov"; title = "EXTRA: why-provenance recording overhead, tags on vs off (BENCH_prov.json)"; run = (fun ~scale -> Exp_prov.exp ~scale) };

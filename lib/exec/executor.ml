@@ -1,6 +1,5 @@
 module Relation = Rs_relation.Relation
 module Hash_index = Rs_relation.Hash_index
-module Radix_index = Rs_relation.Radix_index
 module Pool = Rs_parallel.Pool
 module Int_vec = Rs_util.Int_vec
 
@@ -10,13 +9,12 @@ type t = {
   query_overhead_s : float;
   share_builds : bool;
   index_manager : Index_manager.t option;
-  radix_min_rows : int;
   trace : Rs_obs.Trace.t option;
 }
 
-let create ?(query_overhead_s = 0.0005) ?(share_builds = true) ?index_manager
-    ?(radix_min_rows = 16384) ?trace pool catalog =
-  { pool; catalog; query_overhead_s; share_builds; index_manager; radix_min_rows; trace }
+let create ?(query_overhead_s = 0.0005) ?(share_builds = true) ?index_manager ?trace pool
+    catalog =
+  { pool; catalog; query_overhead_s; share_builds; index_manager; trace }
 
 let estimate t p = Plan.estimate (fun name -> Catalog.stat_rows t.catalog name) p
 
@@ -34,54 +32,16 @@ let plan_label = function
   | Plan.UnionAll ps -> Printf.sprintf "union_all(%d)" (List.length ps)
   | Plan.Aggregate _ -> "aggregate"
 
-(* Either index layout behind one probe interface: the executor's cost
-   policy picks radix (partitioned open addressing) for large one-shot
-   builds and the chained layout for cached / persistent ones. Both
-   enumerate matches newest-row-first, so the choice never changes result
-   bytes. *)
-type built_index = Chained of Hash_index.t | Radix of Radix_index.t
-
-let idx_iter_matches idx key f =
-  match idx with
-  | Chained i -> Hash_index.iter_matches i key f
-  | Radix i -> Radix_index.iter_matches i key f
-
-let idx_iter_matches1 idx k f =
-  match idx with
-  | Chained i -> Hash_index.iter_matches1 i k f
-  | Radix i -> Radix_index.iter_matches1 i k f
-
-let idx_iter_matches2 idx k0 k1 f =
-  match idx with
-  | Chained i -> Hash_index.iter_matches2 i k0 k1 f
-  | Radix i -> Radix_index.iter_matches2 i k0 k1 f
-
-let idx_mem idx key =
-  match idx with Chained i -> Hash_index.mem i key | Radix i -> Radix_index.mem i key
-
-let idx_bytes = function Chained i -> Hash_index.bytes i | Radix i -> Radix_index.bytes i
-
-let idx_account = function Chained i -> Hash_index.account i | Radix i -> Radix_index.account i
-
-let idx_release = function Chained i -> Hash_index.release i | Radix i -> Radix_index.release i
-
 let count t name n =
   match t.trace with Some tr -> Rs_obs.Trace.count tr name n | None -> ()
 
-let note_index_build t idx =
-  count t "executor.index_builds" 1;
-  count t "executor.index_bytes" (idx_bytes idx);
-  match idx with Radix _ -> count t "executor.index_radix_builds" 1 | Chained _ -> ()
-
-(* One-shot build for an anonymous (or non-persistent) build side: radix for
-   large inputs, chained otherwise. *)
+(* Build an index the manager does not own: a per-query cache entry or a
+   transient build side. *)
 let build_transient t rel keys =
-  let idx =
-    if Relation.nrows rel >= t.radix_min_rows then Radix (Radix_index.build_pool t.pool rel keys)
-    else Chained (Hash_index.build_pool t.pool rel keys)
-  in
-  idx_account idx;
-  note_index_build t idx;
+  let idx = Hash_index.build_pool t.pool rel keys in
+  Hash_index.account idx;
+  count t "executor.index_builds" 1;
+  count t "executor.index_bytes" (Hash_index.bytes idx);
   idx
 
 (* Per-query cache of hash tables built on named tables, keyed by
@@ -102,7 +62,7 @@ let managed t = function
    caller's to release. *)
 let build_index t ?(cache : cache option) ?scan_name rel keys =
   match managed t scan_name with
-  | Some (m, name) -> (Chained (Index_manager.get m ~name rel keys), false)
+  | Some (m, name) -> (Index_manager.get m ~name rel keys, false)
   | None -> (
       match (cache, scan_name) with
       | Some c, Some name -> (
@@ -110,13 +70,11 @@ let build_index t ?(cache : cache option) ?scan_name rel keys =
           match Hashtbl.find_opt c k with
           | Some idx ->
               count t "executor.index_cache_hits" 1;
-              (Chained idx, false)
+              (idx, false)
           | None ->
-              let idx = Hash_index.build_pool t.pool rel keys in
-              Hash_index.account idx;
-              note_index_build t (Chained idx);
+              let idx = build_transient t rel keys in
               Hashtbl.add c k idx;
-              (Chained idx, false))
+              (idx, false))
       | _ -> (build_transient t rel keys, true))
 
 let release_cache (c : cache) = Hashtbl.iter (fun _ idx -> Hash_index.release idx) c
@@ -124,11 +82,6 @@ let release_cache (c : cache) = Hashtbl.iter (fun _ idx -> Hash_index.release id
 (* Index acquisition for compiled kernels: same three-tier policy as a
    join's build side, minus the per-query cache (a kernel is not a query). *)
 let acquire_index t ?scan_name rel keys = build_index t ?scan_name rel keys
-
-let index_iter_matches = idx_iter_matches
-let index_iter_matches1 = idx_iter_matches1
-let index_iter_matches2 = idx_iter_matches2
-let index_release = idx_release
 
 (* The row bound of an [Old] read: how many rows of [table] come before
    its Δ-suffix. A Δ longer than its table means the suffix invariant is
@@ -241,7 +194,7 @@ and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
     chunked_output t ~arity:out_arity ~n (fun frag lo hi ->
         for prow = lo to hi - 1 do
           Array.iteri (fun i c -> key.(i) <- Relation.get prel ~row:prow ~col:c) pkeys;
-          idx_iter_matches idx key (fun brow ->
+          Hash_index.iter_matches idx key (fun brow ->
               let lrow, rrow = if build_left then (brow, prow) else (prow, brow) in
               let get c =
                 if c < la then Relation.get lrel ~row:lrow ~col:c
@@ -259,7 +212,7 @@ and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
                     done)
         done)
   in
-  if own_index then idx_release idx;
+  if own_index then Hash_index.release idx;
   result
 
 and eval_anti t cache { Plan.al; ar; alkeys; arkeys } =
@@ -275,13 +228,13 @@ and eval_anti t cache { Plan.al; ar; alkeys; arkeys } =
     chunked_output t ~arity ~n (fun frag lo hi ->
         for row = lo to hi - 1 do
           Array.iteri (fun i c -> key.(i) <- Relation.get lrel ~row ~col:c) alkeys;
-          if not (idx_mem idx key) then
+          if not (Hash_index.mem idx key) then
             for c = 0 to arity - 1 do
               Int_vec.push (Relation.col frag c) (Relation.get lrel ~row ~col:c)
             done
         done)
   in
-  if own_index then idx_release idx;
+  if own_index then Hash_index.release idx;
   result
 
 and eval_agg t cache { Plan.group; aggs; src } =
@@ -395,7 +348,7 @@ let all_cols rel = Array.init (Relation.arity rel) (fun i -> i)
 let full_table_index t ?name r =
   let keys = all_cols r in
   match managed t name with
-  | Some (m, name) -> (Chained (Index_manager.get m ~name r keys), false)
+  | Some (m, name) -> (Index_manager.get m ~name r keys, false)
   | None -> (build_transient t r keys, true)
 
 let opsd_impl t ?name ~rdelta ~r () =
@@ -410,14 +363,14 @@ let opsd_impl t ?name ~rdelta ~r () =
           for c = 0 to arity - 1 do
             key.(c) <- Relation.get rdelta ~row ~col:c
           done;
-          if idx_mem idx key then incr matched
+          if Hash_index.mem idx key then incr matched
           else
             for c = 0 to arity - 1 do
               Int_vec.push (Relation.col frag c) key.(c)
             done
         done)
   in
-  if own_index then idx_release idx;
+  if own_index then Hash_index.release idx;
   (out, !matched)
 
 let tpsd_impl t ?name ~rdelta ~r () =
@@ -440,13 +393,13 @@ let tpsd_impl t ?name ~rdelta ~r () =
         for c = 0 to arity - 1 do
           key.(c) <- Relation.get probe ~row ~col:c
         done;
-        if idx_mem hb key then
+        if Hash_index.mem hb key then
           for c = 0 to arity - 1 do
             Int_vec.push (Relation.col inter c) key.(c)
           done
       done);
   Relation.account inter;
-  if own_hb then idx_release hb;
+  if own_hb then Hash_index.release hb;
   (* The probe side may contain tuples of [r] several times only if [r] had
      duplicates; IDB tables are deduplicated, so [inter] is a set. *)
   (* Phase 2: Rδ − r. *)
@@ -458,13 +411,13 @@ let tpsd_impl t ?name ~rdelta ~r () =
           for c = 0 to arity - 1 do
             key.(c) <- Relation.get rdelta ~row ~col:c
           done;
-          if not (idx_mem hr key) then
+          if not (Hash_index.mem hr key) then
             for c = 0 to arity - 1 do
               Int_vec.push (Relation.col frag c) key.(c)
             done
         done)
   in
-  idx_release hr;
+  Hash_index.release hr;
   let inter_n = Relation.nrows inter in
   Relation.release inter;
   (out, inter_n)

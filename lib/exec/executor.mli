@@ -10,15 +10,15 @@ module Hash_index = Rs_relation.Hash_index
     [dedup] call, as in Algorithm 1).
 
     Build-side indexes come from three tiers, cheapest first:
-    - the {!Index_manager} (when attached): persistent chained indexes on
+    - the {!Index_manager} (when attached): persistent indexes on
       named tables, reused across queries and delta-appended across fixpoint
       iterations — a join against a managed table costs only its probes;
     - the per-query [share_builds] cache: one build shared by the subplans
       of a UNION ALL (the cache-sharing effect of UIE);
-    - a transient build, released when the operator finishes: chained for
-      small inputs, {!Rs_relation.Radix_index} (partitioned open addressing)
-      for builds of at least [radix_min_rows] rows, where the pointer-free
-      probe path wins. *)
+    - a transient build, released when the operator finishes.
+
+    Every tier builds a {!Hash_index}, so one probe interface serves every
+    join, anti-join, set difference and kernel. *)
 
 type t = {
   pool : Rs_parallel.Pool.t;
@@ -31,8 +31,6 @@ type t = {
   index_manager : Index_manager.t option;
       (** when set, indexes on tables the manager deems persistent outlive
           the query; the manager owns and releases them *)
-  radix_min_rows : int;
-      (** one-shot builds at or above this row count use the radix layout *)
   trace : Rs_obs.Trace.t option;
       (** when set, each query records an ["executor"] span labelled with the
           top plan operator, counters (queries, est/actual rows, index
@@ -44,7 +42,6 @@ val create :
   ?query_overhead_s:float ->
   ?share_builds:bool ->
   ?index_manager:Index_manager.t ->
-  ?radix_min_rows:int ->
   ?trace:Rs_obs.Trace.t ->
   Rs_parallel.Pool.t ->
   Catalog.t ->
@@ -74,34 +71,20 @@ val estimate : t -> Plan.t -> int
 (** {2 Index acquisition for compiled kernels}
 
     {!Kernel} probes build-side indexes directly instead of issuing queries;
-    it acquires them through the same three-tier policy as a join's build
-    side (manager-persistent, else transient radix/chained). *)
-
-type built_index
-(** Either index layout behind one probe interface; matches enumerate
-    newest-row-first in both, so the layout choice never changes result
-    bytes. *)
+    it acquires them through the same policy as a join's build side
+    (manager-persistent, else transient) and probes them with
+    {!Hash_index.iter_matches} and its specializations. *)
 
 val acquire_index :
-  t -> ?scan_name:string -> Relation.t -> int array -> built_index * bool
+  t -> ?scan_name:string -> Relation.t -> int array -> Hash_index.t * bool
 (** [acquire_index t ?scan_name rel keys] returns [(idx, owned)]. When
     [scan_name] names a table the {!Index_manager} deems persistent, the
     manager's index is returned and [owned] is [false] (the manager
     releases it); otherwise a transient index is built and [owned] is
-    [true] — the caller must {!index_release} it. *)
+    [true] — the caller must {!Hash_index.release} it. *)
 
 val old_bound : t -> table:string -> delta:string -> int
 (** [old_bound t ~table ~delta] is the row bound of
     [Plan.Old { table; delta }]: [nrows table - nrows delta], the rows of
     [table] before its Δ-suffix. Raises [Invalid_argument] when [delta] has
     more rows than [table]. *)
-
-val index_iter_matches : built_index -> int array -> (int -> unit) -> unit
-
-val index_iter_matches1 : built_index -> int -> (int -> unit) -> unit
-(** Specialization for one-column keys. *)
-
-val index_iter_matches2 : built_index -> int -> int -> (int -> unit) -> unit
-(** Specialization for two-column keys. *)
-
-val index_release : built_index -> unit

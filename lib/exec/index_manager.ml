@@ -8,17 +8,10 @@ type t = {
   parent : t option;
   tbl : (string * int list, Hash_index.t) Hashtbl.t;
   trace : Rs_obs.Trace.t option;
-  mutable builds : int;
-  mutable appends : int;
-  mutable reuse_hits : int;
-  mutable rehashes : int;
-  mutable rebases : int;
-  mutable invalidations : int;
 }
 
 let create ?trace ?parent ~persistent pool =
-  { pool; persistent; parent; tbl = Hashtbl.create 16; trace; builds = 0; appends = 0;
-    reuse_hits = 0; rehashes = 0; rebases = 0; invalidations = 0 }
+  { pool; persistent; parent; tbl = Hashtbl.create 16; trace }
 
 let eligible t name =
   t.persistent name
@@ -28,7 +21,6 @@ let count t name n =
   match t.trace with Some tr -> Rs_obs.Trace.count tr name n | None -> ()
 
 let note_build t idx =
-  t.builds <- t.builds + 1;
   count t "executor.index_builds" 1;
   count t "executor.index_bytes" (Hash_index.bytes idx)
 
@@ -62,7 +54,6 @@ let rec get t ~name rel keys =
              && Hash_index.generation idx = Relation.generation rel
              && Hash_index.indexed_rows idx <= Relation.nrows rel ->
           if Hash_index.indexed_rows idx = Relation.nrows rel then begin
-            t.reuse_hits <- t.reuse_hits + 1;
             count t "executor.index_reuse_hits" 1;
             idx
           end
@@ -73,8 +64,6 @@ let rec get t ~name rel keys =
             ignore (Hash_index.append_pool t.pool idx);
             let dr = Hash_index.rehashes idx - r0 in
             Hash_index.account idx;
-            t.appends <- t.appends + 1;
-            t.rehashes <- t.rehashes + dr;
             count t "executor.index_appends" 1;
             if dr > 0 then count t "executor.index_rehashes" dr;
             idx
@@ -93,7 +82,6 @@ let invalidate t ~name =
     (fun (key, idx) ->
       Hash_index.release idx;
       Hashtbl.remove t.tbl key;
-      t.invalidations <- t.invalidations + 1;
       count t "executor.index_invalidations" 1)
     (entries_of t name)
 
@@ -101,26 +89,16 @@ let rebase_to t ~name rel =
   List.iter
     (fun (key, idx) ->
       match Hash_index.rebase idx rel with
-      | () ->
-          t.rebases <- t.rebases + 1;
-          count t "executor.index_rebases" 1
+      | () -> count t "executor.index_rebases" 1
       | exception Invalid_argument _ ->
           (* replacement does not extend the indexed prefix — fall back to
              dropping the entry; the next access rebuilds *)
           Hash_index.release idx;
           Hashtbl.remove t.tbl key;
-          t.invalidations <- t.invalidations + 1;
-          count t "executor.index_invalidations" 1)
+              count t "executor.index_invalidations" 1)
     (entries_of t name)
 
 let bytes t = Hashtbl.fold (fun _ idx acc -> acc + Hash_index.bytes idx) t.tbl 0
-
-let builds t = t.builds
-let appends t = t.appends
-let reuse_hits t = t.reuse_hits
-let rehashes t = t.rehashes
-let rebases t = t.rebases
-let invalidations t = t.invalidations
 
 let release_all t =
   (* the parent (if any) is owned by whoever created it: leave it intact *)

@@ -26,8 +26,10 @@
 
     All index bytes are accounted against {!Rs_storage.Memtrack}; the owner
     must call {!release_all} when the run ends. With a trace attached the
-    manager maintains the [executor.index_builds], [executor.index_appends],
-    [executor.index_reuse_hits] and [executor.index_rehashes] counters. *)
+    manager counts its work in the [executor.index_builds],
+    [executor.index_appends], [executor.index_reuse_hits],
+    [executor.index_rehashes], [executor.index_rebases] and
+    [executor.index_invalidations] counters. *)
 
 type t
 
@@ -53,18 +55,6 @@ val get : t -> name:string -> Rs_relation.Relation.t -> int array -> Rs_relation
     dictate. The returned index is owned by the manager — callers must not
     release it. *)
 
-val builds : t -> int
-(** Full builds performed (first access and every invalidation). *)
-
-val appends : t -> int
-(** Delta-append maintenance passes performed. *)
-
-val reuse_hits : t -> int
-(** Accesses satisfied by an index that was already up to date. *)
-
-val rehashes : t -> int
-(** Bucket-table doublings triggered by appends. *)
-
 val rebase_to : t -> name:string -> Rs_relation.Relation.t -> unit
 (** [rebase_to t ~name rel] re-points every index held under [name] at the
     replacement relation [rel] via {!Rs_relation.Hash_index.rebase} — valid
@@ -76,9 +66,6 @@ val invalidate : t -> name:string -> unit
 (** Release and drop every index held under [name]; the next access
     rebuilds. For replacements that do {e not} preserve the indexed prefix
     (retractions). *)
-
-val rebases : t -> int
-val invalidations : t -> int
 
 val bytes : t -> int
 (** Accounted footprint of every index currently held (not the parent's) —

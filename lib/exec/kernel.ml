@@ -1,6 +1,7 @@
 module Relation = Rs_relation.Relation
 module Int_vec = Rs_util.Int_vec
 module Dedup = Rs_relation.Dedup
+module Hash_index = Rs_relation.Hash_index
 module Pool = Rs_parallel.Pool
 module Fault = Rs_chaos.Fault
 module Inject = Rs_chaos.Inject
@@ -356,12 +357,12 @@ let run (ex : Executor.t) k ~dedup ~out =
         match b.b_probe_keys with
         | [| c0 |] ->
             fun prow ->
-              Executor.index_iter_matches1 idx
+              Hash_index.iter_matches1 idx
                 (Relation.get prel ~row:prow ~col:c0)
                 (fun brow -> visit prow brow)
         | [| c0; c1 |] ->
             fun prow ->
-              Executor.index_iter_matches2 idx
+              Hash_index.iter_matches2 idx
                 (Relation.get prel ~row:prow ~col:c0)
                 (Relation.get prel ~row:prow ~col:c1)
                 (fun brow -> visit prow brow)
@@ -369,7 +370,7 @@ let run (ex : Executor.t) k ~dedup ~out =
             let key = Array.make (Array.length pkeys) 0 in
             fun prow ->
               Array.iteri (fun i c -> key.(i) <- Relation.get prel ~row:prow ~col:c) pkeys;
-              Executor.index_iter_matches idx key (fun brow -> visit prow brow)
+              Hash_index.iter_matches idx key (fun brow -> visit prow brow)
       in
       let n = Relation.nrows prel in
       Pool.parallel_for ex.pool 0 n (fun lo hi ->
@@ -382,7 +383,7 @@ let run (ex : Executor.t) k ~dedup ~out =
               probe_row prow
             end
           done);
-      if owned then Executor.index_release idx;
+      if owned then Hash_index.release idx;
       count ex "kernel.fused_probes" n
   | Chain ch ->
       (* Every bound atom's row is copied into one frame of the combined
@@ -426,7 +427,7 @@ let run (ex : Executor.t) k ~dedup ~out =
       let n = Relation.nrows drel in
       Fun.protect
         ~finally:(fun () ->
-          List.iter (fun (_, (idx, owned)) -> if owned then Executor.index_release idx) !acquired)
+          List.iter (fun (_, (idx, owned)) -> if owned then Hash_index.release idx) !acquired)
         (fun () ->
           (* Compose the steps innermost-first into one closure per step. *)
           let body =
@@ -442,14 +443,14 @@ let run (ex : Executor.t) k ~dedup ~out =
                   end
                 in
                 match s.s_probe with
-                | [| c0 |] -> fun () -> Executor.index_iter_matches1 idx frame.(c0) visit
+                | [| c0 |] -> fun () -> Hash_index.iter_matches1 idx frame.(c0) visit
                 | [| c0; c1 |] ->
-                    fun () -> Executor.index_iter_matches2 idx frame.(c0) frame.(c1) visit
+                    fun () -> Hash_index.iter_matches2 idx frame.(c0) frame.(c1) visit
                 | probe ->
                     let key = Array.make (Array.length probe) 0 in
                     fun () ->
                       Array.iteri (fun i c -> key.(i) <- frame.(c)) probe;
-                      Executor.index_iter_matches idx key visit)
+                      Hash_index.iter_matches idx key visit)
               ch.c_steps finish
           in
           Pool.parallel_for ex.pool 0 n (fun lo hi ->

@@ -29,57 +29,49 @@ let row_key_hash rel key_cols row =
         (fun acc c -> Int_key.hash_combine acc (Relation.get rel ~row ~col:c))
         0x9E3779B9 key_cols
 
-let build rel key_cols =
-  (* Chaos fault point: index build allocation fails. *)
-  Rs_chaos.Inject.index_should_fail ~point:"hash_index.build";
+(* An index over all current rows of [rel] with every chain still empty. *)
+let empty rel key_cols =
   let n = Relation.nrows rel in
   let cap = pow2_at_least (2 * max 8 n) in
-  let heads = Array.make cap (-1) in
-  let nexts = Array.make (max 1 n) (-1) in
-  let mask = cap - 1 in
-  for row = 0 to n - 1 do
+  { rel; key_cols; heads = Array.make cap (-1); nexts = Array.make (max 1 n) (-1);
+    mask = cap - 1; n; generation = Relation.generation rel; rehashes = 0; accounted = 0 }
+
+(* Prepend rows [lo, hi) to their bucket chains. Rows go in ascending order,
+   so each chain ends up in descending row order (newest first), whichever
+   pass linked them. *)
+let link t lo hi =
+  let rel = t.rel and key_cols = t.key_cols and heads = t.heads and nexts = t.nexts
+  and mask = t.mask in
+  for row = lo to hi - 1 do
     let h = row_key_hash rel key_cols row land mask in
     nexts.(row) <- heads.(h);
     heads.(h) <- row
-  done;
-  { rel; key_cols; heads; nexts; mask; n; generation = Relation.generation rel;
-    rehashes = 0; accounted = 0 }
+  done
 
+let build rel key_cols =
+  (* Chaos fault point: index build allocation fails. *)
+  Rs_chaos.Inject.index_should_fail ~point:"hash_index.build";
+  let t = empty rel key_cols in
+  link t 0 t.n;
+  t
+
+(* The virtual pool runs chunks back to back, so the two-step prepend in
+   [link] is deterministic. A real threaded build would need a CAS retry
+   loop on the bucket head (cf. Cck_concurrent); because such a loop makes
+   each insertion independent, the pass is still *charged* as parallel
+   work. *)
 let build_pool pool rel key_cols =
   Rs_chaos.Inject.index_should_fail ~point:"hash_index.build_pool";
-  let n = Relation.nrows rel in
-  let cap = pow2_at_least (2 * max 8 n) in
-  let heads = Array.make cap (-1) in
-  let nexts = Array.make (max 1 n) (-1) in
-  let mask = cap - 1 in
-  (* The virtual pool runs chunks back to back, so the two-step prepend below
-     is deterministic. A real threaded build would need a CAS retry loop on
-     the bucket head (cf. Cck_concurrent); because such a loop makes each
-     insertion independent, the pass is still *charged* as parallel work. *)
-  Rs_parallel.Pool.parallel_for pool 0 n (fun lo hi ->
-      for row = lo to hi - 1 do
-        let h = row_key_hash rel key_cols row land mask in
-        nexts.(row) <- heads.(h);
-        heads.(h) <- row
-      done);
-  { rel; key_cols; heads; nexts; mask; n; generation = Relation.generation rel;
-    rehashes = 0; accounted = 0 }
+  let t = empty rel key_cols in
+  Rs_parallel.Pool.parallel_for pool 0 t.n (link t);
+  t
 
 (* Relink every indexed row into a table of [cap] buckets, chunk-parallel
-   like [build_pool]. Rows are prepended in ascending order, so each chain
-   ends up in descending row order — the same layout a fresh [build]
-   produces. *)
+   like [build_pool] — the same layout a fresh [build] produces. *)
 let rehash pool t cap =
-  let heads = Array.make cap (-1) in
-  let mask = cap - 1 in
-  Rs_parallel.Pool.parallel_for pool 0 t.n (fun lo hi ->
-      for row = lo to hi - 1 do
-        let h = row_key_hash t.rel t.key_cols row land mask in
-        t.nexts.(row) <- heads.(h);
-        heads.(h) <- row
-      done);
-  t.heads <- heads;
-  t.mask <- mask;
+  t.heads <- Array.make cap (-1);
+  t.mask <- cap - 1;
+  Rs_parallel.Pool.parallel_for pool 0 t.n (link t);
   t.rehashes <- t.rehashes + 1
 
 let append_pool pool t =
@@ -106,12 +98,7 @@ let append_pool pool t =
       t.n <- new_n;
       (* new rows are prepended ahead of older ones — exactly where a full
          rebuild would put them, so probe order is unchanged *)
-      Rs_parallel.Pool.parallel_for pool lo new_n (fun clo chi ->
-          for row = clo to chi - 1 do
-            let h = row_key_hash t.rel t.key_cols row land t.mask in
-            t.nexts.(row) <- t.heads.(h);
-            t.heads.(h) <- row
-          done)
+      Rs_parallel.Pool.parallel_for pool lo new_n (link t)
     end
   end;
   t.generation <- Relation.generation t.rel;
@@ -144,13 +131,18 @@ let key_eq t row key =
   in
   go 0
 
-let iter_matches t key f =
+(* First row of the chain a probe [key] hashes to; the hash agrees with
+   [row_key_hash] on the indexed columns. *)
+let bucket t key =
   let h =
     match Array.length t.key_cols with
     | 1 -> Int_key.hash key.(0)
     | 2 -> Int_key.hash (Int_key.pack2 key.(0) key.(1))
     | _ -> Array.fold_left Int_key.hash_combine 0x9E3779B9 key
   in
+  t.heads.(h land t.mask)
+
+let iter_matches t key f =
   let nexts = t.nexts in
   let rec walk row =
     if row >= 0 then begin
@@ -158,7 +150,7 @@ let iter_matches t key f =
       walk nexts.(row)
     end
   in
-  walk t.heads.(h land t.mask)
+  walk (bucket t key)
 
 let iter_matches1 t k f =
   let c = t.key_cols.(0) in
@@ -183,15 +175,9 @@ let iter_matches2 t k1 k2 f =
   walk t.heads.(Int_key.hash (Int_key.pack2 k1 k2) land t.mask)
 
 let mem t key =
-  let h =
-    match Array.length t.key_cols with
-    | 1 -> Int_key.hash key.(0)
-    | 2 -> Int_key.hash (Int_key.pack2 key.(0) key.(1))
-    | _ -> Array.fold_left Int_key.hash_combine 0x9E3779B9 key
-  in
   let nexts = t.nexts in
   let rec walk row = row >= 0 && (key_eq t row key || walk nexts.(row)) in
-  walk t.heads.(h land t.mask)
+  walk (bucket t key)
 
 let bytes t = 8 * (Array.length t.heads + Array.length t.nexts)
 

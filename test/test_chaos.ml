@@ -156,6 +156,23 @@ let test_pool_crash_then_recover () =
           Atomic.set acc (Atomic.get acc + (hi - lo)));
       check_int "pool usable after crash" 100 (Atomic.get acc))
 
+(* A large transient build side (OPSD with no index manager) goes through
+   the [index] fault point, as every index build does. *)
+let test_index_fault_on_large_build () =
+  let pool = Pool.create ~workers:4 () in
+  Pool.begin_run pool;
+  let ex = Rs_exec.Executor.create pool (Rs_exec.Catalog.create ()) in
+  let r = Relation.create 2 in
+  for i = 0 to 19_999 do
+    Relation.push2 r i (i * 7)
+  done;
+  let rdelta = Relation.of_rows 2 [ [| 1; 7 |]; [| 3; 3 |] ] in
+  Inject.with_plan (Fault.plan_of_string ~seed:1 "index:p=1") (fun () ->
+      match Rs_exec.Executor.opsd ex ~rdelta ~r () with
+      | _ -> Alcotest.fail "armed index fault did not fire on a 20,000-row build"
+      | exception Fault.Injected { cls = Fault.Index_fail; point } ->
+          Alcotest.(check string) "fault point" "hash_index.build_pool" point)
+
 (* --- the retry policy ---------------------------------------------------- *)
 
 let test_retry_backoff_sequence () =
@@ -374,6 +391,8 @@ let suite =
       test_pool_stall_inflates_vtime;
     Alcotest.test_case "pool crash is typed and survivable" `Quick
       test_pool_crash_then_recover;
+    Alcotest.test_case "index fault reaches a large transient build" `Quick
+      test_index_fault_on_large_build;
     Alcotest.test_case "retry: backoff sequence" `Quick test_retry_backoff_sequence;
     Alcotest.test_case "retry: ladder and knobs are cumulative" `Quick
       test_retry_ladder_knobs;

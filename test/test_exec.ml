@@ -210,40 +210,49 @@ let test_share_builds_cache () =
 
 module Index_manager = Rs_exec.Index_manager
 module Hash_index = Rs_relation.Hash_index
+module Trace = Rs_obs.Trace
+
+(* A manager with its own trace: the manager's work is read back from the
+   [executor.index_*] counters it records. *)
+let traced_manager ?parent ~persistent pool =
+  let tr = Trace.create ~now:(fun () -> Pool.vtime_now pool) () in
+  (Index_manager.create ~trace:tr ?parent ~persistent pool, tr)
+
+let index_count tr what = Trace.counter tr ("executor.index_" ^ what)
 
 let test_index_manager_lifecycle () =
   Rs_storage.Memtrack.hard_reset ();
   let pool = Pool.create ~workers:4 () in
   Pool.begin_run pool;
-  let m = Index_manager.create ~persistent:(fun n -> n = "tc" || n = "arc") pool in
+  let m, tr = traced_manager ~persistent:(fun n -> n = "tc" || n = "arc") pool in
   check "eligible" true (Index_manager.eligible m "tc");
   check "not eligible" false (Index_manager.eligible m "delta_tc");
   let r = Relation.of_rows 2 [ [| 1; 2 |]; [| 2; 3 |] ] in
   let i1 = Index_manager.get m ~name:"tc" r [| 0 |] in
-  Alcotest.(check int) "one build" 1 (Index_manager.builds m);
+  Alcotest.(check int) "one build" 1 (index_count tr "builds");
   (* unchanged relation: same physical index back, counted as a reuse hit *)
   let i2 = Index_manager.get m ~name:"tc" r [| 0 |] in
   check "reused physically" true (i1 == i2);
-  Alcotest.(check int) "reuse hit" 1 (Index_manager.reuse_hits m);
+  Alcotest.(check int) "reuse hit" 1 (index_count tr "reuse_hits");
   (* grown relation: delta-append, not rebuild *)
   Relation.push2 r 3 4;
   let i3 = Index_manager.get m ~name:"tc" r [| 0 |] in
   check "appended in place" true (i1 == i3);
-  Alcotest.(check int) "append counted" 1 (Index_manager.appends m);
-  Alcotest.(check int) "still one build" 1 (Index_manager.builds m);
+  Alcotest.(check int) "append counted" 1 (index_count tr "appends");
+  Alcotest.(check int) "still one build" 1 (index_count tr "builds");
   Alcotest.(check int) "covers appended row" 3 (Hash_index.indexed_rows i3);
   (* distinct key columns are a distinct entry *)
   ignore (Index_manager.get m ~name:"tc" r [| 1 |]);
-  Alcotest.(check int) "second pattern builds" 2 (Index_manager.builds m);
+  Alcotest.(check int) "second pattern builds" 2 (index_count tr "builds");
   (* generation bump (in-place rewrite) invalidates *)
   Relation.clear r;
   Relation.push2 r 9 9;
   ignore (Index_manager.get m ~name:"tc" r [| 0 |]);
-  Alcotest.(check int) "rebuild after clear" 3 (Index_manager.builds m);
+  Alcotest.(check int) "rebuild after clear" 3 (index_count tr "builds");
   (* identity change (catalog replace_table churn) invalidates *)
   let r' = Relation.of_rows 2 [ [| 5; 5 |] ] in
   ignore (Index_manager.get m ~name:"tc" r' [| 0 |]);
-  Alcotest.(check int) "rebuild after replace" 4 (Index_manager.builds m);
+  Alcotest.(check int) "rebuild after replace" 4 (index_count tr "builds");
   check "bytes accounted" true (Rs_storage.Memtrack.live () > 0);
   Index_manager.release_all m;
   Alcotest.(check int) "release_all returns bytes" 0 (Rs_storage.Memtrack.live ())
@@ -258,10 +267,10 @@ let test_index_manager_clear_repopulate () =
   Rs_storage.Memtrack.hard_reset ();
   let pool = Pool.create ~workers:4 () in
   Pool.begin_run pool;
-  let m = Index_manager.create ~persistent:(fun _ -> true) pool in
+  let m, tr = traced_manager ~persistent:(fun _ -> true) pool in
   let r = Relation.of_rows 2 [ [| 1; 2 |]; [| 3; 4 |] ] in
   let i1 = Index_manager.get m ~name:"scratch" r [| 0 |] in
-  Alcotest.(check int) "initial build" 1 (Index_manager.builds m);
+  Alcotest.(check int) "initial build" 1 (index_count tr "builds");
   check "old key present" true (Hash_index.mem i1 [| 1; 2 |]);
   (* scratch-table pattern of a multi-stratum program: same physical
      relation cleared and refilled within one fixpoint, growing past the
@@ -272,8 +281,8 @@ let test_index_manager_clear_repopulate () =
   Relation.push2 r 9 10;
   let i2 = Index_manager.get m ~name:"scratch" r [| 0 |] in
   Alcotest.(check int) "rewrite forces a rebuild, not an append" 2
-    (Index_manager.builds m);
-  Alcotest.(check int) "no stale append" 0 (Index_manager.appends m);
+    (index_count tr "builds");
+  Alcotest.(check int) "no stale append" 0 (index_count tr "appends");
   Alcotest.(check int) "index covers the new rows only" 3 (Hash_index.indexed_rows i2);
   check "new keys found" true
     (Hash_index.mem i2 [| 5; 6 |] && Hash_index.mem i2 [| 7; 8 |]
@@ -290,30 +299,30 @@ let test_index_manager_parent_rebase () =
   Rs_storage.Memtrack.hard_reset ();
   let pool = Pool.create ~workers:4 () in
   Pool.begin_run pool;
-  let parent = Index_manager.create ~persistent:(fun n -> n = "arc") pool in
-  let child = Index_manager.create ~parent ~persistent:(fun _ -> true) pool in
+  let parent, tr = traced_manager ~persistent:(fun n -> n = "arc") pool in
+  let child, child_tr = traced_manager ~parent ~persistent:(fun _ -> true) pool in
   let arc = Relation.of_rows 2 [ [| 1; 2 |]; [| 2; 3 |] ] in
   let i1 = Index_manager.get child ~name:"arc" arc [| 0 |] in
-  Alcotest.(check int) "build lands in the parent" 1 (Index_manager.builds parent);
-  Alcotest.(check int) "no build in the child" 0 (Index_manager.builds child);
+  Alcotest.(check int) "build lands in the parent" 1 (index_count tr "builds");
+  Alcotest.(check int) "no build in the child" 0 (index_count child_tr "builds");
   (* a fresh child (the next interpreter run) still sees the parent's entry *)
   Index_manager.release_all child;
-  let child2 = Index_manager.create ~parent ~persistent:(fun _ -> true) pool in
+  let child2, child2_tr = traced_manager ~parent ~persistent:(fun _ -> true) pool in
   let i2 = Index_manager.get child2 ~name:"arc" arc [| 0 |] in
   check "index survives the child's release" true (i1 == i2);
-  Alcotest.(check int) "still one build" 1 (Index_manager.builds parent);
-  Alcotest.(check int) "reuse hit in the parent" 1 (Index_manager.reuse_hits parent);
+  Alcotest.(check int) "still one build" 1 (index_count tr "builds");
+  Alcotest.(check int) "reuse hit in the parent" 1 (index_count tr "reuse_hits");
   (* insert-only replacement (Edb_store.apply staging keeps old rows as a
      prefix): rebase re-points the entry and adopts the new generation *)
   let arc2 = Relation.copy arc in
   Relation.push2 arc2 3 4;
   Index_manager.rebase_to parent ~name:"arc" arc2;
-  Alcotest.(check int) "rebase counted" 1 (Index_manager.rebases parent);
+  Alcotest.(check int) "rebase counted" 1 (index_count tr "rebases");
   let i3 = Index_manager.get child2 ~name:"arc" arc2 [| 0 |] in
   check "rebased entry reused" true (i1 == i3);
   Alcotest.(check int) "suffix covered by append, not rebuild" 1
-    (Index_manager.appends parent);
-  Alcotest.(check int) "no rebuild after rebase" 1 (Index_manager.builds parent);
+    (index_count tr "appends");
+  Alcotest.(check int) "no rebuild after rebase" 1 (index_count tr "builds");
   check "generation adopted from the replacement" true
     (Hash_index.generation i3 = Relation.generation arc2);
   Alcotest.(check int) "covers the appended row" 3 (Hash_index.indexed_rows i3);
@@ -321,16 +330,17 @@ let test_index_manager_parent_rebase () =
   (* a retraction does not preserve the indexed prefix: invalidate, rebuild *)
   let arc3 = Relation.of_rows 2 [ [| 2; 3 |] ] in
   Index_manager.invalidate parent ~name:"arc";
-  Alcotest.(check int) "invalidation counted" 1 (Index_manager.invalidations parent);
+  Alcotest.(check int) "invalidation counted" 1 (index_count tr "invalidations");
   ignore (Index_manager.get child2 ~name:"arc" arc3 [| 0 |]);
-  Alcotest.(check int) "rebuild after invalidate" 2 (Index_manager.builds parent);
+  Alcotest.(check int) "rebuild after invalidate" 2 (index_count tr "builds");
   (* rebase refuses a shrinking replacement on its own: the entry is dropped
      and counted as an invalidation instead of silently going stale *)
   Index_manager.rebase_to parent ~name:"arc" (Relation.of_rows 2 []);
   Alcotest.(check int) "refused rebase drops the entry" 2
-    (Index_manager.invalidations parent);
-  Alcotest.(check int) "refused rebase is not a rebase" 1 (Index_manager.rebases parent);
+    (index_count tr "invalidations");
+  Alcotest.(check int) "refused rebase is not a rebase" 1 (index_count tr "rebases");
   check "parent bytes tracked" true (Index_manager.bytes parent >= 0);
+  Alcotest.(check int) "every build lands in the parent" 0 (index_count child2_tr "builds");
   Index_manager.release_all child2;
   Index_manager.release_all parent;
   Alcotest.(check int) "all bytes returned" 0 (Rs_storage.Memtrack.live ())
@@ -344,13 +354,13 @@ let test_executor_uses_manager () =
   Catalog.register catalog "e"
     (Relation.of_rows 2 [ [| 1; 2 |]; [| 2; 3 |]; [| 3; 1 |] ]);
   Catalog.register catalog "d" (Relation.of_rows 2 [ [| 0; 1 |]; [| 0; 2 |] ]);
-  let m = Index_manager.create ~persistent:(fun n -> n = "e") pool in
+  let m, tr = traced_manager ~persistent:(fun n -> n = "e") pool in
   let exec = Executor.create ~query_overhead_s:0.0 ~index_manager:m pool catalog in
   let plan = Plan.join2 (Plan.Scan "d") [| 1 |] (Plan.Scan "e") [| 0 |] in
   let out1 = Executor.run_query exec plan in
   let out2 = Executor.run_query exec plan in
-  Alcotest.(check int) "one build across two queries" 1 (Index_manager.builds m);
-  check "second query reused" true (Index_manager.reuse_hits m >= 1);
+  Alcotest.(check int) "one build across two queries" 1 (index_count tr "builds");
+  check "second query reused" true (index_count tr "reuse_hits" >= 1);
   let exec_plain = Executor.create ~query_overhead_s:0.0 pool catalog in
   let ref_out = Executor.run_query exec_plain plan in
   let rows rel = Relation.to_rows rel |> List.map Array.to_list in

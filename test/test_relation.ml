@@ -1,7 +1,6 @@
 module Relation = Rs_relation.Relation
 module Dedup = Rs_relation.Dedup
 module Hash_index = Rs_relation.Hash_index
-module Radix_index = Rs_relation.Radix_index
 module Cck = Rs_relation.Cck_concurrent
 module Pool = Rs_parallel.Pool
 
@@ -195,55 +194,16 @@ let test_index_three_col () =
   Hash_index.iter_matches idx [| 1; 2; 3 |] (fun row -> hits := row :: !hits);
   Alcotest.(check (list int)) "3-col key matches" [ 0; 2 ] (List.sort compare !hits);
   check "3-col mem" true (Hash_index.mem idx [| 2; 2; 3 |]);
-  check "3-col not mem" false (Hash_index.mem idx [| 2; 2; 4 |]);
-  let pool = Pool.create ~workers:4 () in
-  Pool.begin_run pool;
-  let radix = Radix_index.build_pool pool r [| 0; 1; 2 |] in
-  let rhits = ref [] in
-  Radix_index.iter_matches radix [| 1; 2; 3 |] (fun row -> rhits := row :: !rhits);
-  Alcotest.(check (list int)) "radix 3-col key matches" [ 0; 2 ] (List.sort compare !rhits);
-  check "radix 3-col mem" true (Radix_index.mem radix [| 2; 2; 3 |]);
-  check "radix 3-col not mem" false (Radix_index.mem radix [| 2; 2; 4 |])
+  check "3-col not mem" false (Hash_index.mem idx [| 2; 2; 4 |])
 
 let test_index_memtrack_roundtrip () =
   Rs_storage.Memtrack.hard_reset ();
-  let pool = Pool.create ~workers:4 () in
-  Pool.begin_run pool;
   let r = Relation.of_rows 3 (List.init 500 (fun i -> [| i mod 17; i mod 5; i |])) in
-  let chained = Hash_index.build r [| 0; 1; 2 |] in
-  Hash_index.account chained;
-  let live_chained = Rs_storage.Memtrack.live () in
-  check "chained accounted" true (live_chained > 0);
-  let radix = Radix_index.build_pool pool r [| 0; 1; 2 |] in
-  Radix_index.account radix;
-  check "radix accounted on top" true (Rs_storage.Memtrack.live () > live_chained);
-  Radix_index.release radix;
-  Alcotest.(check int) "radix released" live_chained (Rs_storage.Memtrack.live ());
-  Hash_index.release chained;
+  let idx = Hash_index.build r [| 0; 1; 2 |] in
+  Hash_index.account idx;
+  check "chained accounted" true (Rs_storage.Memtrack.live () > 0);
+  Hash_index.release idx;
   Alcotest.(check int) "all released" 0 (Rs_storage.Memtrack.live ())
-
-let gen_triples =
-  QCheck2.Gen.(list (pair (int_range 0 30) (pair (int_range 0 30) (int_range 0 30))))
-
-let prop_radix_eq_chained =
-  QCheck2.Test.make ~name:"radix index = chained index (incl. order)" ~count:150
-    gen_triples
-    (fun triples ->
-      let pool = Pool.create ~workers:4 () in
-      Pool.begin_run pool;
-      let r = Relation.create 3 in
-      List.iter (fun (x, (y, z)) -> Relation.push3 r x y z) triples;
-      let chained = Hash_index.build_pool pool r [| 0; 1 |] in
-      let radix = Radix_index.build_pool pool r [| 0; 1 |] in
-      List.for_all
-        (fun (x, (y, _)) ->
-          let a = ref [] and b = ref [] in
-          Hash_index.iter_matches2 chained x y (fun i -> a := i :: !a);
-          Radix_index.iter_matches2 radix x y (fun i -> b := i :: !b);
-          (* exact list equality: the two layouts must enumerate matches in
-             the same (newest-first) order for byte-identical join output *)
-          !a = !b)
-        triples)
 
 let prop_append_eq_rebuild =
   QCheck2.Test.make ~name:"append_pool = fresh rebuild" ~count:100
@@ -295,24 +255,6 @@ let test_append_rehash_growth () =
   done;
   Alcotest.(check int) "post-rehash probe" !expected !hits
 
-let test_radix_multi_partition () =
-  (* enough rows to force partition_bits > 0 and exercise the partitioned
-     probe path (partition select on low bits, home slot on high bits) *)
-  let pool = Pool.create ~workers:4 () in
-  Pool.begin_run pool;
-  let n = 40_000 in
-  let r = Relation.create 2 in
-  for i = 0 to n - 1 do
-    Relation.push2 r (i mod 4096) i
-  done;
-  let radix = Radix_index.build_pool pool r [| 0 |] in
-  check "multiple partitions" true (Radix_index.partitions radix > 1);
-  let hits = ref [] in
-  Radix_index.iter_matches1 radix 17 (fun row -> hits := row :: !hits);
-  let expected = List.init (n / 4096 + (if 17 < n mod 4096 then 1 else 0)) (fun k -> 17 + (k * 4096)) in
-  Alcotest.(check (list int)) "all occurrences found" expected (List.sort compare !hits);
-  check "absent key" false (Radix_index.mem radix [| 5000 |])
-
 let test_generation_tracking () =
   let r = Relation.of_rows 2 [ [| 1; 2 |] ] in
   let g0 = Relation.generation r in
@@ -331,7 +273,6 @@ let qsuite =
       prop_dedup_fast_eq_boxed;
       prop_index_matches_scan;
       prop_build_pool_equals_build;
-      prop_radix_eq_chained;
       prop_append_eq_rebuild;
     ]
 
@@ -351,7 +292,6 @@ let suite =
     Alcotest.test_case "index three-column (fold branch)" `Quick test_index_three_col;
     Alcotest.test_case "index memtrack round-trip" `Quick test_index_memtrack_roundtrip;
     Alcotest.test_case "append rehash growth" `Quick test_append_rehash_growth;
-    Alcotest.test_case "radix multi-partition probe" `Quick test_radix_multi_partition;
     Alcotest.test_case "relation generation tracking" `Quick test_generation_tracking;
   ]
   @ qsuite
