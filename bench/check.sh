@@ -82,7 +82,8 @@ builds = c["executor.index_builds"]
 assert iters >= 5, "TC fixpoint too short to be meaningful: %d iterations" % iters
 assert c.get("executor.index_reuse_hits", 0) > 0, "no index reuse across iterations"
 # This program has exactly two persistent access patterns (arc keyed on
-# column 0 for the delta-rule join, tc keyed on all columns for OPSD), so
+# column 0 for the delta-rule join, tc keyed on all columns for the
+# kernel's anti-probe and iteration 0's OPSD), so
 # builds must stay O(#patterns) — not O(#iterations).  Allow a small
 # constant slack for transient builds outside the fixpoint.
 assert builds <= 4, \
@@ -121,7 +122,8 @@ python3 "$tmp/validate_index_off.py" "$tmp/pidx_off.json"
 echo "== compiled-kernel smoke =="
 # The same relational TC fixpoint with the fused rule kernels on (default)
 # and off: output checksums must be byte-identical, and the profile must
-# show the recursive rule actually compiled (not silently gated out).
+# show the recursive rule actually compiled (not silently gated out) and
+# the per-iteration set-difference pass gone.
 dune exec bin/recstep_cli.exe -- run "$tmp/tc_only.dl" --fact "arc=$tmp/arc.tsv" \
   --no-pbme --profile "$tmp/pkern.json" --out "$tmp/kern_on" >/dev/null
 dune exec bin/recstep_cli.exe -- run "$tmp/tc_only.dl" --fact "arc=$tmp/arc.tsv" \
@@ -139,9 +141,17 @@ c = p["counters"]
 assert c.get("kernel.compiled_rules", 0) > 0, "no rule compiled to a fused kernel"
 assert c.get("kernel.execs", 0) > 0, "compiled kernels never executed"
 assert c.get("kernel.fallbacks", 0) == 0, "kernel executions degraded without faults"
-print("kernel profile OK: %d compiled rules, %d executions, %d fused probes, %d rows emitted"
-      % (c["kernel.compiled_rules"], c["kernel.execs"],
-         c.get("kernel.fused_probes", 0), c.get("kernel.emitted", 0)))
+# The kernels do the set difference themselves (an anti-probe of R's
+# full-column index): only iteration 0's absorb runs a separate OPSD/TPSD
+# pass, and nothing rebuilds an index per iteration.
+sd = [s for s in p["spans"] if s["kind"] == "executor" and s["name"] in ("opsd", "tpsd")]
+assert len(sd) <= 1, "%d set-difference passes with kernels on (expected at most 1)" % len(sd)
+builds = c["executor.index_builds"]
+assert builds <= 2, "%d index builds with kernels on (expected at most 2)" % builds
+print("kernel profile OK: %d compiled rules, %d executions, %d fused probes, %d rows emitted, "
+      "%d set-difference pass(es), %d index builds"
+      % (c["kernel.compiled_rules"], c["kernel.execs"], c["kernel.fused_probes"],
+         c["kernel.emitted"], len(sd), builds))
 EOF
 python3 "$tmp/validate_kernel.py" "$tmp/pkern.json"
 

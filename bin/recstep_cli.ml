@@ -531,7 +531,7 @@ let profile_arg =
   Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc:"record an execution trace (spans, counters, per-iteration deltas) and write it to FILE as JSON; with --verbose also print a summary")
 
 let dsd_arg =
-  Arg.(value & opt string "dynamic" & info [ "dsd" ] ~docv:"MODE" ~doc:"set-difference strategy: dynamic (cost model), opsd, or tpsd")
+  Arg.(value & opt string "dynamic" & info [ "dsd" ] ~docv:"MODE" ~doc:"set-difference strategy of interpreted strata: dynamic (the cost model; OPSD whenever the table's index persists), opsd, or tpsd. Compiled kernels do the set difference themselves.")
 
 let no_pbme_arg =
   Arg.(value & flag & info [ "no-pbme" ] ~doc:"disable the bit-matrix kernels for TC/SG-shaped strata (forces the relational path)")

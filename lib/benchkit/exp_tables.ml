@@ -126,7 +126,8 @@ let costmodel () =
         let t_opsd = time (fun () -> Rs_exec.Executor.opsd exec ~rdelta ~r) in
         let t_tpsd = time (fun () -> Rs_exec.Executor.tpsd exec ~rdelta ~r) in
         let model =
-          Cost.choose ~alpha ~r_rows:n_r ~rdelta_rows:n_delta ~mu_prev:(Some 2.0)
+          Cost.choose ~alpha ~r_index_persists:false ~r_rows:n_r ~rdelta_rows:n_delta
+            ~mu_prev:(Some 2.0)
         in
         [
           Printf.sprintf "%.1f" beta;

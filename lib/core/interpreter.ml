@@ -238,8 +238,10 @@ type idb_state = {
 (* What one IDB produced in a recursive round, before absorption. *)
 type eval_result =
   | Ev_none  (* every subplan skipped *)
-  | Ev_raw of Relation.t  (* interpreted bag; dedup still pending *)
-  | Ev_dedup of Relation.t  (* kernel output; already deduplicated *)
+  | Ev_raw of Relation.t  (* interpreted bag; dedup and set difference pending *)
+  | Ev_delta of { delta : Relation.t; claimed : int }
+      (* kernel output: already the Δ, [claimed] the fresh candidates it
+         was cut from *)
 
 let run ?(options = default_options) ?on_iteration ~pool ~edb program =
   let an = Analyzer.analyze program in
@@ -325,9 +327,10 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
     | None -> ()
   in
   (* Why-provenance recording: every tuple that enters an IDB relation does
-     so through exactly one absorption point per path — the Δ produced by
-     [absorb_candidates] (interpreted plans and compiled kernels both feed
-     it their deduplicated candidates) or the PBME solve's output relation.
+     so through exactly one absorption point per path — the Δ appended by
+     [absorb_delta] (interpreted plans reach it through dedup and DSD,
+     compiled kernels hand it their Δ directly), an aggregated IDB's Δ in
+     [absorb_candidates], or the PBME solve's output relation.
      Tagging the absorbed rows therefore covers every derived tuple with no
      per-path special cases: with sampling at 1.0 an IDB can never end up
      half-tagged, whichever mix of kernels, degraded rounds and retries
@@ -466,22 +469,34 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
       ks
   in
   (* Kernel-path evaluation of one IDB's live delta plans: matches stream
-     straight through FAST-DEDUP into the candidate relation, no query
-     issued and no intermediate bag. A chaos-degraded kernel re-evaluates
-     interpreted — the probe fires before any write, so falling back can
-     never double-count. *)
+     straight through FAST-DEDUP and an anti-probe of R's full-column index
+     into the Δ, no query issued, no intermediate bag and no separate set
+     difference. The index is acquired as OPSD's [full_table_index] does
+     (every column as the key), so one persistent index serves both; it is
+     acquired before the dedup table so an index fault raises before any
+     allocation or write. A chaos-degraded kernel re-evaluates interpreted
+     — the probe fires before any write, so falling back can never
+     double-count. *)
   let eval_kernels plans ks ~name ~arity =
+    let r = Catalog.rel catalog name in
+    let r_index, owned =
+      Executor.acquire_index exec ~scan_name:name r (Array.init arity (fun i -> i))
+    in
+    Fun.protect ~finally:(fun () -> if owned then Rs_relation.Hash_index.release r_index)
+    @@ fun () ->
     let dd = Dedup.create ~expected:(dedup_expected plans) dedup_mode arity in
-    let out = Relation.create ~name:(name ^ "@cand") arity in
-    match List.iter (fun k -> ignore (Kernel.run exec k ~dedup:dd ~out)) ks with
-    | () ->
+    let out = Relation.create ~name:(Planner.delta_name name) arity in
+    match List.fold_left (fun n k -> n + Kernel.run exec k ~dedup:dd ~r_index ~out) 0 ks with
+    | claimed ->
         Dedup.release dd;
         Relation.account out;
+        (* the kernel stands in for a query: under per-query transactions its
+           output is written back at its boundary, as [issue] does *)
         if not options.eost then begin
           Txn.note_dirty txn (Relation.bytes out);
           Txn.query_boundary txn
         end;
-        Ev_dedup out
+        Ev_delta { delta = out; claimed }
     | exception Kernel.Degraded _ ->
         Dedup.release dd;
         Relation.release out;
@@ -492,9 +507,24 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
         Relation.release out;
         raise e
   in
-  (* Process the deduplicated candidates of one IDB; returns |Δ|.
-     [stratum]/[iteration] locate the absorption on the fixpoint timeline
-     for provenance tags.
+  (* The DSD decision for one absorb, on the stats and trace. *)
+  let note_choice (st : idb_state) choice ~r_rows ~rdelta_rows =
+    note_dsd choice;
+    match trace with
+    | Some tr ->
+        (* OPSD/TPSD decision with the cost-model inputs that drove it *)
+        Rs_obs.Trace.event tr ~kind:"dsd"
+          (match choice with Cost.Opsd -> "opsd" | Cost.Tpsd -> "tpsd")
+          (("r_rows", float_of_int r_rows)
+          :: ("rdelta_rows", float_of_int rdelta_rows)
+          :: ("alpha", options.alpha)
+          :: (match st.mu_prev with Some m -> [ ("mu_prev", m) ] | None -> []))
+    | None -> ()
+  in
+  (* Append one non-aggregated IDB's Δ to its table and make it the
+     Δ-table; returns |Δ|. [stratum]/[iteration] locate the absorption on
+     the fixpoint timeline for provenance tags. [claimed] is |Rδ|, the
+     candidate set the Δ was cut from, for the next DSD µ.
 
      Suffix invariant: whenever delta plans run, every recursive,
      non-aggregated IDB table ends with exactly its Δ-table's rows, so the
@@ -507,6 +537,23 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
      Aggregated IDBs rebuild their table every round, so the planner never
      reads their old rows. [Executor.old_bound] raises when a Δ-table is
      longer than its table. *)
+  let absorb_delta ~stratum ~iteration (st : idb_state) ~claimed delta =
+    st.mu_prev <-
+      Some
+        (Cost.observed_mu ~rdelta_rows:claimed
+           ~intersection_rows:(claimed - Relation.nrows delta));
+    let r = Catalog.rel catalog st.name in
+    Relation.append_all r delta;
+    Relation.account r;
+    if not options.eost then begin
+      Txn.note_dirty txn (Relation.bytes delta);
+      Txn.query_boundary txn
+    end;
+    prov_record ~pred:st.name ~stratum ~iteration delta;
+    replace_table (Planner.delta_name st.name) delta;
+    Relation.nrows delta
+  in
+  (* Process the deduplicated candidates [rdelta] of one IDB; returns |Δ|. *)
   let absorb_candidates ~stratum ~iteration (st : idb_state) rdelta =
     match st.agg with
     | Some ag ->
@@ -567,35 +614,17 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
           match options.dsd with
           | Dsd_force_opsd -> Cost.Opsd
           | Dsd_force_tpsd -> Cost.Tpsd
-          | Dsd_dynamic -> Cost.choose ~alpha:options.alpha ~r_rows ~rdelta_rows ~mu_prev:st.mu_prev
+          | Dsd_dynamic ->
+              Cost.choose ~alpha:options.alpha ~r_index_persists:(index_manager <> None) ~r_rows
+                ~rdelta_rows ~mu_prev:st.mu_prev
         in
-        note_dsd choice;
-        (match trace with
-        | Some tr ->
-            (* OPSD/TPSD decision with the cost-model inputs that drove it *)
-            Rs_obs.Trace.event tr ~kind:"dsd"
-              (match choice with Cost.Opsd -> "opsd" | Cost.Tpsd -> "tpsd")
-              (("r_rows", float_of_int r_rows)
-              :: ("rdelta_rows", float_of_int rdelta_rows)
-              :: ("alpha", options.alpha)
-              :: (match st.mu_prev with Some m -> [ ("mu_prev", m) ] | None -> []))
-        | None -> ());
-        let delta, intersection =
+        note_choice st choice ~r_rows ~rdelta_rows;
+        let delta =
           match choice with
           | Cost.Opsd -> Executor.opsd exec ~name:st.name ~rdelta ~r ()
           | Cost.Tpsd -> Executor.tpsd exec ~name:st.name ~rdelta ~r ()
         in
-        st.mu_prev <-
-          Some (Cost.observed_mu ~rdelta_rows:(Relation.nrows rdelta) ~intersection_rows:intersection);
-        Relation.append_all r delta;
-        Relation.account r;
-        if not options.eost then begin
-          Txn.note_dirty txn (Relation.bytes delta);
-          Txn.query_boundary txn
-        end;
-        prov_record ~pred:st.name ~stratum ~iteration delta;
-        replace_table (Planner.delta_name st.name) delta;
-        Relation.nrows delta
+        absorb_delta ~stratum ~iteration st ~claimed:rdelta_rows delta
   in
   (* --- per-stratum evaluation --- *)
   let eval_stratum (stratum : Analyzer.stratum) =
@@ -729,6 +758,21 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
             in
             List.iter
               (fun (st, plans, result) ->
+                let note d =
+                  note_iteration
+                    {
+                      it_stratum = stratum.index;
+                      it_iteration = !iteration;
+                      it_idb = st.name;
+                      it_delta_rows = d;
+                      it_vtime = Pool.vtime_now pool;
+                    }
+                in
+                let absorbed d =
+                  analyze_updated [ st.name; Planner.delta_name st.name ];
+                  if d > 0 then any := true;
+                  note d
+                in
                 match result with
                 | Ev_none ->
                     (* Every subplan was skipped, but this IDB's own Δ-table
@@ -740,14 +784,7 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
                       replace_table dn (Relation.create ~name:dn st.arity);
                       analyze_updated [ dn ]
                     end;
-                    note_iteration
-                      {
-                        it_stratum = stratum.index;
-                        it_iteration = !iteration;
-                        it_idb = st.name;
-                        it_delta_rows = 0;
-                        it_vtime = Pool.vtime_now pool;
-                      }
+                    note 0
                 | Ev_raw rt ->
                     let rdelta =
                       Dedup.dedup_relation_parallel ~expected:(dedup_expected plans) ?trace ~pool
@@ -756,30 +793,15 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
                     if not options.hoard_memory then Relation.release rt;
                     let d = absorb_candidates ~stratum:stratum.index ~iteration:!iteration st rdelta in
                     if not options.hoard_memory then Relation.release rdelta;
-                    analyze_updated [ st.name; Planner.delta_name st.name ];
-                    if d > 0 then any := true;
-                    note_iteration
-                      {
-                        it_stratum = stratum.index;
-                        it_iteration = !iteration;
-                        it_idb = st.name;
-                        it_delta_rows = d;
-                        it_vtime = Pool.vtime_now pool;
-                      }
-                | Ev_dedup rdelta ->
-                    (* kernel output is already a set: skip the dedup pass *)
-                    let d = absorb_candidates ~stratum:stratum.index ~iteration:!iteration st rdelta in
-                    if not options.hoard_memory then Relation.release rdelta;
-                    analyze_updated [ st.name; Planner.delta_name st.name ];
-                    if d > 0 then any := true;
-                    note_iteration
-                      {
-                        it_stratum = stratum.index;
-                        it_iteration = !iteration;
-                        it_idb = st.name;
-                        it_delta_rows = d;
-                        it_vtime = Pool.vtime_now pool;
-                      })
+                    absorbed d
+                | Ev_delta { delta; claimed } ->
+                    (* kernel output is already the Δ: no dedup pass and no
+                       set difference. The kernel ran OPSD's anti-probe, so
+                       the absorb records an OPSD choice. *)
+                    note_choice st Cost.Opsd ~r_rows:(Catalog.stat_rows catalog st.name)
+                      ~rdelta_rows:claimed;
+                    absorbed
+                      (absorb_delta ~stratum:stratum.index ~iteration:!iteration st ~claimed delta))
               produced);
         continue_ := !any
       done

@@ -95,8 +95,11 @@ let calibrate pool () =
   let beta_star = if beta_star < 2.5 then 2.5 else if beta_star > 64.0 then 64.0 else beta_star in
   beta_star /. (beta_star -. 2.0)
 
-let choose ~alpha ~r_rows ~rdelta_rows ~mu_prev =
-  if rdelta_rows = 0 then Opsd
+(* A persistent full-column index on R makes OPSD's build free, and TPSD's
+   first phase is OPSD's whole probe loop: the α model only decides when R
+   is re-indexed per query. *)
+let choose ~alpha ~r_index_persists ~r_rows ~rdelta_rows ~mu_prev =
+  if r_index_persists || rdelta_rows = 0 then Opsd
   else begin
     let beta = float_of_int r_rows /. float_of_int rdelta_rows in
     if beta <= 1.0 then Opsd

@@ -25,10 +25,23 @@ val default_alpha : float
 
 type choice = Opsd | Tpsd
 
-val choose : alpha:float -> r_rows:int -> rdelta_rows:int -> mu_prev:float option -> choice
+val choose :
+  alpha:float ->
+  r_index_persists:bool ->
+  r_rows:int ->
+  rdelta_rows:int ->
+  mu_prev:float option ->
+  choice
 (** The DSD decision rule above. [mu_prev] is |Rδ|/|r| from the previous
     iteration, unknown on the first ([None] → OPSD in the uncertain band,
-    since small [µ] favours OPSD and the first iterations have small [R]). *)
+    since small [µ] favours OPSD and the first iterations have small [R]).
+
+    [r_index_persists] says R's full-column index outlives the query and is
+    only delta-appended (the executor's {!Index_manager}). Then OPSD's build
+    term — the whole premise of the model — costs nothing, and TPSD's first
+    phase is OPSD's entire probe loop, so the answer is OPSD without
+    consulting α. The model runs when R is re-indexed per query, the
+    paper's setting. *)
 
 val observed_mu : rdelta_rows:int -> intersection_rows:int -> float
 (** Helper to fold this iteration's µ for the next decision. *)

@@ -351,76 +351,66 @@ let full_table_index t ?name r =
   | Some (m, name) -> (Index_manager.get m ~name r keys, false)
   | None -> (build_transient t r keys, true)
 
+(* An index [acquire] hands out with an ownership flag, released on every
+   exit path of [f] — a worker crash included — when the caller owns it. *)
+let with_owned (idx, own) f =
+  Fun.protect ~finally:(fun () -> if own then Hash_index.release idx) (fun () -> f idx)
+
 let opsd_impl t ?name ~rdelta ~r () =
-  let idx, own_index = full_table_index t ?name r in
+  with_owned (full_table_index t ?name r) @@ fun idx ->
   let n = Relation.nrows rdelta in
   let arity = Relation.arity rdelta in
   let key = Array.make arity 0 in
-  let matched = ref 0 in
-  let out =
-    chunked_output t ~arity ~n (fun frag lo hi ->
-        for row = lo to hi - 1 do
+  chunked_output t ~arity ~n (fun frag lo hi ->
+      for row = lo to hi - 1 do
+        for c = 0 to arity - 1 do
+          key.(c) <- Relation.get rdelta ~row ~col:c
+        done;
+        if not (Hash_index.mem idx key) then
           for c = 0 to arity - 1 do
-            key.(c) <- Relation.get rdelta ~row ~col:c
-          done;
-          if Hash_index.mem idx key then incr matched
-          else
-            for c = 0 to arity - 1 do
-              Int_vec.push (Relation.col frag c) key.(c)
-            done
-        done)
-  in
-  if own_index then Hash_index.release idx;
-  (out, !matched)
+            Int_vec.push (Relation.col frag c) key.(c)
+          done
+      done)
 
 let tpsd_impl t ?name ~rdelta ~r () =
   let arity = Relation.arity rdelta in
   let keys = all_cols rdelta in
+  let key = Array.make arity 0 in
   (* Phase 1: intersection, building on the smaller input — unless [r]'s
      persistent index already exists, which makes the build side free. *)
   let r_side = Relation.nrows r <= Relation.nrows rdelta || managed t name <> None in
-  let hb, own_hb, probe =
-    if r_side then
-      let idx, own = full_table_index t ?name r in
-      (idx, own, rdelta)
-    else (build_transient t rdelta keys, true, r)
+  let build, probe =
+    if r_side then (full_table_index t ?name r, rdelta)
+    else ((build_transient t rdelta keys, true), r)
   in
   let inter = Relation.create arity in
-  let key = Array.make arity 0 in
-  let n = Relation.nrows probe in
-  Pool.parallel_for t.pool 0 n (fun lo hi ->
-      for row = lo to hi - 1 do
-        for c = 0 to arity - 1 do
-          key.(c) <- Relation.get probe ~row ~col:c
-        done;
-        if Hash_index.mem hb key then
-          for c = 0 to arity - 1 do
-            Int_vec.push (Relation.col inter c) key.(c)
-          done
-      done);
+  Fun.protect ~finally:(fun () -> Relation.release inter) @@ fun () ->
+  with_owned build (fun hb ->
+      Pool.parallel_for t.pool 0 (Relation.nrows probe) (fun lo hi ->
+          for row = lo to hi - 1 do
+            for c = 0 to arity - 1 do
+              key.(c) <- Relation.get probe ~row ~col:c
+            done;
+            if Hash_index.mem hb key then
+              for c = 0 to arity - 1 do
+                Int_vec.push (Relation.col inter c) key.(c)
+              done
+          done));
   Relation.account inter;
-  if own_hb then Hash_index.release hb;
   (* The probe side may contain tuples of [r] several times only if [r] had
      duplicates; IDB tables are deduplicated, so [inter] is a set. *)
   (* Phase 2: Rδ − r. *)
-  let hr = build_transient t inter keys in
-  let nd = Relation.nrows rdelta in
-  let out =
-    chunked_output t ~arity ~n:nd (fun frag lo hi ->
-        for row = lo to hi - 1 do
-          for c = 0 to arity - 1 do
-            key.(c) <- Relation.get rdelta ~row ~col:c
-          done;
-          if not (Hash_index.mem hr key) then
+  with_owned (build_transient t inter keys, true) (fun hr ->
+      chunked_output t ~arity ~n:(Relation.nrows rdelta) (fun frag lo hi ->
+          for row = lo to hi - 1 do
             for c = 0 to arity - 1 do
-              Int_vec.push (Relation.col frag c) key.(c)
-            done
-        done)
-  in
-  Hash_index.release hr;
-  let inter_n = Relation.nrows inter in
-  Relation.release inter;
-  (out, inter_n)
+              key.(c) <- Relation.get rdelta ~row ~col:c
+            done;
+            if not (Hash_index.mem hr key) then
+              for c = 0 to arity - 1 do
+                Int_vec.push (Relation.col frag c) key.(c)
+              done
+          done))
 
 let with_span t name f =
   match t.trace with Some tr -> Rs_obs.Trace.span tr ~kind:"executor" name f | None -> f ()

@@ -51,18 +51,19 @@ val run_query : t -> Plan.t -> Relation.t
 (** Executes one query. The result is a fresh materialized relation (not
     registered in the catalog). *)
 
-val opsd : t -> ?name:string -> rdelta:Relation.t -> r:Relation.t -> unit -> Relation.t * int
+val opsd : t -> ?name:string -> rdelta:Relation.t -> r:Relation.t -> unit -> Relation.t
 (** One-phase set difference [Rδ − R] (Algorithm 4): hash table on [R],
-    anti-probe with [Rδ]. Returns [(ΔR, |Rδ ∩ R|)] — the intersection
-    cardinality feeds the next iteration's µ. When [name] names a managed
-    table, [R]'s all-column index persists across iterations and is
-    delta-appended instead of rebuilt. *)
+    anti-probe with [Rδ]. Returns ΔR; [|Rδ| − |ΔR|] is the intersection
+    the next iteration's µ is made of. When [name] names a managed table,
+    [R]'s all-column index persists across iterations and is
+    delta-appended instead of rebuilt; a transient one is released on
+    every exit path. *)
 
-val tpsd : t -> ?name:string -> rdelta:Relation.t -> r:Relation.t -> unit -> Relation.t * int
+val tpsd : t -> ?name:string -> rdelta:Relation.t -> r:Relation.t -> unit -> Relation.t
 (** Two-phase set difference (Algorithm 5): intersect first (building on the
     smaller input, or on [R]'s persistent index when [name] is managed —
-    an already-built side is free), then [Rδ − r]. Same result and return
-    convention as {!opsd}. *)
+    an already-built side is free), then [Rδ − r]. Same result as
+    {!opsd}. *)
 
 val estimate : t -> Plan.t -> int
 (** The optimizer's cardinality estimate for a plan under current catalog

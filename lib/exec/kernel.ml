@@ -228,7 +228,7 @@ let bound_of ex name = function
   | None -> max_int
   | Some delta -> Executor.old_bound ex ~table:name ~delta
 
-let run (ex : Executor.t) k ~dedup ~out =
+let run (ex : Executor.t) k ~dedup ~r_index ~out =
   (* The exec probe sits before any write, so a fired fault leaves [dedup]
      and [out] untouched and the caller can re-evaluate interpreted. *)
   (match Inject.kernel_should_fail ~point:"kernel.exec" with
@@ -237,22 +237,23 @@ let run (ex : Executor.t) k ~dedup ~out =
   let offered = ref 0 in
   let emitted = ref 0 in
   let batches = ref 0 in
-  (* Emit, monomorphized on head arity: claim the tuple in FAST-DEDUP and
-     append on freshness — no intermediate relation ever exists. [offered]
-     counts every claim, so the dedup counters see the same candidate
-     multiset the interpreted path's bag would hold. *)
+  (* Emit, monomorphized on head arity: claim the tuple in FAST-DEDUP, then
+     anti-probe R's full-column index and append only a tuple R lacks — the
+     set difference runs inside the loop, and no intermediate relation ever
+     exists. Claiming first keeps [offered] and [emitted] the figures of
+     the candidate multiset the interpreted path's bag would hold. *)
   let emit1 v0 =
     incr offered;
     if Dedup.add1 dedup v0 then begin
-      Relation.push1 out v0;
-      incr emitted
+      incr emitted;
+      if not (Hash_index.mem1 r_index v0) then Relation.push1 out v0
     end
   in
   let emit2 v0 v1 =
     incr offered;
     if Dedup.add2 dedup v0 v1 then begin
-      Relation.push2 out v0 v1;
-      incr emitted
+      incr emitted;
+      if not (Hash_index.mem2 r_index v0 v1) then Relation.push2 out v0 v1
     end
   in
   (* wider heads fill a scratch tuple; it is chunk-safe: the virtual pool runs
@@ -261,9 +262,10 @@ let run (ex : Executor.t) k ~dedup ~out =
   let emit_tuple () =
     incr offered;
     if Dedup.add_row dedup tuple then begin
-      (if k.arity = 3 then Relation.push3 out tuple.(0) tuple.(1) tuple.(2)
-       else Relation.push_row out tuple);
-      incr emitted
+      incr emitted;
+      if not (Hash_index.mem r_index tuple) then
+        if k.arity = 3 then Relation.push3 out tuple.(0) tuple.(1) tuple.(2)
+        else Relation.push_row out tuple
     end
   in
   (* Computed heads evaluate their expressions over a column accessor. *)
@@ -293,7 +295,6 @@ let run (ex : Executor.t) k ~dedup ~out =
   | Binary b ->
       let prel = Catalog.rel ex.catalog b.b_probe.p_name in
       let brel = Catalog.rel ex.catalog b.b_build_name in
-      let idx, owned = Executor.acquire_index ex ~scan_name:b.b_build_name brel b.b_build_keys in
       let bound = bound_of ex b.b_build_name b.b_build_before in
       let la = b.b_la in
       let lrel, rrel = if b.b_probe_is_left then (prel, brel) else (brel, prel) in
@@ -351,6 +352,7 @@ let run (ex : Executor.t) k ~dedup ~out =
             in
             (ignore, visit)
       in
+      let idx, owned = Executor.acquire_index ex ~scan_name:b.b_build_name brel b.b_build_keys in
       (* Probe closure monomorphized on key shape: 1- and 2-column keys go
          through the specialized index entry points (no key array). *)
       let probe_row =
@@ -373,17 +375,19 @@ let run (ex : Executor.t) k ~dedup ~out =
               Hash_index.iter_matches idx key (fun brow -> visit prow brow)
       in
       let n = Relation.nrows prel in
-      Pool.parallel_for ex.pool 0 n (fun lo hi ->
-          incr batches;
-          count ex "kernel.batch_rows" (hi - lo);
-          for prow = lo to hi - 1 do
-            let pget c = Relation.get prel ~row:prow ~col:c in
-            if p_preds = [] || List.for_all (Expr.test pget) p_preds then begin
-              load prow;
-              probe_row prow
-            end
-          done);
-      if owned then Hash_index.release idx;
+      Fun.protect
+        ~finally:(fun () -> if owned then Hash_index.release idx)
+        (fun () ->
+          Pool.parallel_for ex.pool 0 n (fun lo hi ->
+              incr batches;
+              count ex "kernel.batch_rows" (hi - lo);
+              for prow = lo to hi - 1 do
+                let pget c = Relation.get prel ~row:prow ~col:c in
+                if p_preds = [] || List.for_all (Expr.test pget) p_preds then begin
+                  load prow;
+                  probe_row prow
+                end
+              done));
       count ex "kernel.fused_probes" n
   | Chain ch ->
       (* Every bound atom's row is copied into one frame of the combined

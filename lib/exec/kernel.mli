@@ -12,9 +12,19 @@
     specification: a scan of the Δ-table (batched over the worker pool)
     probing the other side's index — acquired through the executor's
     three-tier policy, so recursive and EDB tables hit the persistent
-    {!Index_manager} indexes — with head projection and FAST-DEDUP
-    ({!Rs_relation.Dedup}) insertion fused into the probe loop. No
-    intermediate relation is materialized and no query is issued.
+    {!Index_manager} indexes — with head projection, FAST-DEDUP
+    ({!Rs_relation.Dedup}) insertion and the semi-naive set difference
+    fused into the probe loop. No intermediate relation is materialized,
+    no query is issued and no separate OPSD/TPSD pass runs: the kernel's
+    output is the iteration's Δ.
+
+    Emit order: a surviving match is first claimed in the dedup table; a
+    fresh claim is then looked up in the head table R's full-column index
+    (the {e anti-probe}) and written out only if R lacks it. Claiming first
+    keeps the dedup figures those of the interpreted path's candidate bag:
+    [dedup.probes] counts every match offered, [dedup.hits] the repeats,
+    and [kernel.emitted] the fresh claims — the candidate set Rδ, a
+    superset of the Δ by the tuples R already held.
 
     Supported shapes, each with the Δ-table scanned exactly once:
     - [Unary]: [Project] over a filtered scan of the Δ-table (linear
@@ -77,14 +87,24 @@ val compile :
     catalog's arities — so it is safe at stratum setup. *)
 
 val run :
-  Executor.t -> t -> dedup:Rs_relation.Dedup.t -> out:Rs_relation.Relation.t -> int
-(** [run ex k ~dedup ~out] executes the kernel batch-at-a-time over the
-    pool: every surviving match is claimed in [dedup] and appended to [out]
-    iff fresh. Returns the number of tuples emitted. The caller owns
-    [dedup] and [out] (including {!Relation.account} after the batch).
-    Records [kernel.execs] / [kernel.fused_probes] / [kernel.emitted] /
-    [kernel.batches] / [kernel.batch_rows] on the executor's trace, and
-    the table's [dedup.probes] (matches offered) / [dedup.hits] (offered
-    minus emitted) — the same figures the interpreted path's dedup pass
-    records for the same candidates. May raise {!Degraded} (chaos) —
-    always before any write. *)
+  Executor.t ->
+  t ->
+  dedup:Rs_relation.Dedup.t ->
+  r_index:Rs_relation.Hash_index.t ->
+  out:Rs_relation.Relation.t ->
+  int
+(** [run ex k ~dedup ~r_index ~out] executes the kernel batch-at-a-time
+    over the pool: every surviving match is claimed in [dedup], and a fresh
+    claim is appended to [out] iff it has no row in [r_index] — an index of
+    the head table keyed by every column, covering all its rows. [out] then
+    holds [Rδ − R], the Δ. Returns the number of fresh claims ([|Rδ|]), so
+    [|Rδ| − |Δ|] is the intersection the DSD µ is made of. The caller owns
+    [dedup], [r_index] and [out] (including {!Relation.account} after the
+    batch). Records [kernel.execs] / [kernel.fused_probes] /
+    [kernel.emitted] (fresh claims) / [kernel.batches] /
+    [kernel.batch_rows] on the executor's trace, and the table's
+    [dedup.probes] (matches offered) / [dedup.hits] (offered minus fresh
+    claims) — the same figures the interpreted path's dedup pass records
+    for the same candidates. May raise {!Degraded} (chaos) — always before
+    any write. A transient build-side index it acquires is released on
+    every exit path, a worker crash included. *)

@@ -131,16 +131,17 @@ let key_eq t row key =
   in
   go 0
 
-(* First row of the chain a probe [key] hashes to; the hash agrees with
-   [row_key_hash] on the indexed columns. *)
+(* First row of the chain a probe key hashes to; the hash agrees with
+   [row_key_hash] on the indexed columns. [bucket1]/[bucket2] take 1- and
+   2-column keys without a key array. *)
+let bucket1 t k = t.heads.(Int_key.hash k land t.mask)
+let bucket2 t k1 k2 = t.heads.(Int_key.hash (Int_key.pack2 k1 k2) land t.mask)
+
 let bucket t key =
-  let h =
-    match Array.length t.key_cols with
-    | 1 -> Int_key.hash key.(0)
-    | 2 -> Int_key.hash (Int_key.pack2 key.(0) key.(1))
-    | _ -> Array.fold_left Int_key.hash_combine 0x9E3779B9 key
-  in
-  t.heads.(h land t.mask)
+  match Array.length t.key_cols with
+  | 1 -> bucket1 t key.(0)
+  | 2 -> bucket2 t key.(0) key.(1)
+  | _ -> t.heads.(Array.fold_left Int_key.hash_combine 0x9E3779B9 key land t.mask)
 
 let iter_matches t key f =
   let nexts = t.nexts in
@@ -161,7 +162,7 @@ let iter_matches1 t k f =
       walk nexts.(row)
     end
   in
-  walk t.heads.(Int_key.hash k land t.mask)
+  walk (bucket1 t k)
 
 let iter_matches2 t k1 k2 f =
   let c1 = t.key_cols.(0) and c2 = t.key_cols.(1) in
@@ -172,12 +173,28 @@ let iter_matches2 t k1 k2 f =
       walk nexts.(row)
     end
   in
-  walk t.heads.(Int_key.hash (Int_key.pack2 k1 k2) land t.mask)
+  walk (bucket2 t k1 k2)
 
 let mem t key =
   let nexts = t.nexts in
   let rec walk row = row >= 0 && (key_eq t row key || walk nexts.(row)) in
   walk (bucket t key)
+
+let mem1 t k =
+  let c = t.key_cols.(0) in
+  let nexts = t.nexts in
+  let rec walk row = row >= 0 && (Relation.get t.rel ~row ~col:c = k || walk nexts.(row)) in
+  walk (bucket1 t k)
+
+let mem2 t k1 k2 =
+  let c1 = t.key_cols.(0) and c2 = t.key_cols.(1) in
+  let nexts = t.nexts in
+  let rec walk row =
+    row >= 0
+    && ((Relation.get t.rel ~row ~col:c1 = k1 && Relation.get t.rel ~row ~col:c2 = k2)
+       || walk nexts.(row))
+  in
+  walk (bucket2 t k1 k2)
 
 let bytes t = 8 * (Array.length t.heads + Array.length t.nexts)
 

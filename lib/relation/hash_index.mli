@@ -70,6 +70,13 @@ val iter_matches1 : t -> int -> (int -> unit) -> unit
 (** Specialization for one-column keys. *)
 
 val mem : t -> int array -> bool
+(** [mem idx key] is whether some indexed row's key columns equal [key]. *)
+
+val mem1 : t -> int -> bool
+(** {!mem} for one-column keys, without a key array. *)
+
+val mem2 : t -> int -> int -> bool
+(** {!mem} for two-column keys, without a key array. *)
 
 val nrows : t -> int
 

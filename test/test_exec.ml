@@ -107,14 +107,14 @@ let prop_opsd_eq_tpsd =
       let distinct rows = List.sort_uniq compare rows in
       let rdelta = Relation.of_rows 2 (List.map Array.of_list (distinct delta_rows)) in
       let r = Relation.of_rows 2 (List.map Array.of_list (distinct r_rows)) in
-      let o, oi = Executor.opsd exec ~rdelta ~r () in
-      let t, ti = Executor.tpsd exec ~rdelta ~r () in
+      let o = Executor.opsd exec ~rdelta ~r () in
+      let t = Executor.tpsd exec ~rdelta ~r () in
       let norm rel = List.sort compare (Relation.to_rows rel |> List.map Array.to_list) in
       let expected =
         List.filter (fun row -> not (List.mem row (distinct r_rows))) (distinct delta_rows)
         |> List.sort compare
       in
-      norm o = expected && norm t = expected && oi = ti)
+      norm o = expected && norm t = expected)
 
 let test_filter_project_union () =
   let exec, catalog = make_exec () in
@@ -182,16 +182,24 @@ let test_catalog_stats () =
   check "dropped" false (Catalog.mem catalog "t")
 
 let test_cost_choose_regions () =
+  let choose ?(persists = false) ~r_rows ~rdelta_rows mu_prev =
+    Cost.choose ~alpha:2.0 ~r_index_persists:persists ~r_rows ~rdelta_rows ~mu_prev
+  in
   (* β <= 1 → OPSD regardless *)
-  check "beta<=1" true (Cost.choose ~alpha:2.0 ~r_rows:5 ~rdelta_rows:10 ~mu_prev:None = Cost.Opsd);
+  check "beta<=1" true (choose ~r_rows:5 ~rdelta_rows:10 None = Cost.Opsd);
   (* β above threshold 2α/(α-1) = 4 → TPSD *)
-  check "beta large" true (Cost.choose ~alpha:2.0 ~r_rows:100 ~rdelta_rows:10 ~mu_prev:None = Cost.Tpsd);
+  check "beta large" true (choose ~r_rows:100 ~rdelta_rows:10 None = Cost.Tpsd);
   (* uncertain band without µ → OPSD *)
-  check "band no mu" true (Cost.choose ~alpha:2.0 ~r_rows:30 ~rdelta_rows:10 ~mu_prev:None = Cost.Opsd);
+  check "band no mu" true (choose ~r_rows:30 ~rdelta_rows:10 None = Cost.Opsd);
   (* uncertain band, µ large: sign of β(α-1) - (α + α/µ) decides *)
-  check "band large mu" true
-    (Cost.choose ~alpha:2.0 ~r_rows:35 ~rdelta_rows:10 ~mu_prev:(Some 100.0) = Cost.Tpsd);
-  check "empty delta" true (Cost.choose ~alpha:2.0 ~r_rows:35 ~rdelta_rows:0 ~mu_prev:None = Cost.Opsd)
+  check "band large mu" true (choose ~r_rows:35 ~rdelta_rows:10 (Some 100.0) = Cost.Tpsd);
+  check "empty delta" true (choose ~r_rows:35 ~rdelta_rows:0 None = Cost.Opsd);
+  (* a persistent index on R makes OPSD's build free: OPSD in both regions
+     the model gives to TPSD *)
+  check "persistent index, beta large" true
+    (choose ~persists:true ~r_rows:100 ~rdelta_rows:10 None = Cost.Opsd);
+  check "persistent index, band large mu" true
+    (choose ~persists:true ~r_rows:35 ~rdelta_rows:10 (Some 100.0) = Cost.Opsd)
 
 let test_observed_mu () =
   check "mu" true (abs_float (Cost.observed_mu ~rdelta_rows:10 ~intersection_rows:5 -. 2.0) < 1e-9);

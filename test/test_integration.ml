@@ -215,7 +215,9 @@ let test_bigdatalog_recursive_aggregation () =
     (List.sort compare (List.map (fun t -> t.(0)) (Relation.sorted_distinct_rows (lookup "cc"))))
 
 let test_interpreter_dsd_switches () =
-  (* on a long-running TC the DSD chooser should use both translations *)
+  (* every absorb of a long-running TC records its set-difference choice;
+     with kernels and persistent indexes on, every one is OPSD — iteration
+     0 by the cost model, the rest the anti-probe inside the kernel *)
   let arc = Rs_datagen.Graphs.gnp ~seed:17 ~n:400 ~p:0.02 in
   let options =
     { Interpreter.default_options with pbme = false; dsd = Interpreter.Dsd_dynamic }

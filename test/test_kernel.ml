@@ -18,15 +18,20 @@ let check = Alcotest.(check bool)
 
 let canon rel = List.map Array.to_list (Relation.sorted_distinct_rows rel)
 
+(* A full-column index over an empty head table: the kernel's anti-probe
+   then keeps every fresh claim, so its output is the deduplicated bag. *)
+let empty_r_index arity =
+  Rs_relation.Hash_index.build (Relation.create arity) (Array.init arity Fun.id)
+
 (* One interpreter run on a fresh pool; returns (rows of each output, trace). *)
-let run_rels ~kernels program edb =
+let run_rels ?persistent_indexes ?on_iteration ~kernels program edb =
   let pool = Pool.create ~workers:4 () in
   Pool.begin_run pool;
   let trace = Trace.create ~now:(fun () -> Pool.vtime_now pool) () in
   let options =
-    Interpreter.options ~pbme:false ~compiled_kernels:kernels ~trace ()
+    Interpreter.options ~pbme:false ~compiled_kernels:kernels ?persistent_indexes ~trace ()
   in
-  let result = Interpreter.run ~options ~pool ~edb program in
+  let result = Interpreter.run ~options ?on_iteration ~pool ~edb program in
   let outs =
     List.map
       (fun name -> (name, canon (result.Interpreter.relation_of name)))
@@ -270,7 +275,7 @@ let test_chain_extra_equality () =
   in
   let dedup = Dedup.create Dedup.Fast 2 in
   let out = Relation.create 2 in
-  ignore (Kernel.run ex k ~dedup ~out);
+  ignore (Kernel.run ex k ~dedup ~r_index:(empty_r_index 2) ~out);
   Dedup.release dedup;
   Alcotest.(check (list (list int))) "kernel = executor" want (canon out);
   Alcotest.(check (list (list int))) "only a.0 = b.0 = c.0" [ [ 1; 1 ]; [ 2; 2 ]; [ 3; 3 ] ] want
@@ -368,6 +373,62 @@ let test_chaos_persistent_exec_fault () =
   check "every round degraded" true (c tr "kernel.fallbacks" > 0);
   check "no fused execution completed" true (c tr "kernel.execs" = 0)
 
+(* A worker crash unwinding a transient index must hand its bytes back.
+   With no index manager, a Binary kernel's build side and OPSD's and
+   TPSD's hash tables are all transient builds. [~after] sweeps every
+   crash point from the first pool chunk on, up to the first run no fault
+   reaches; after each fired crash, Memtrack.live is where it started. *)
+let test_crash_releases_transient_indexes () =
+  let module Catalog = Rs_exec.Catalog in
+  let module Executor = Rs_exec.Executor in
+  let module Kernel = Rs_exec.Kernel in
+  let module Plan = Rs_exec.Plan in
+  let module Dedup = Rs_relation.Dedup in
+  let module Memtrack = Rs_storage.Memtrack in
+  let pool = Pool.create ~workers:4 () in
+  Pool.begin_run pool;
+  let catalog = Catalog.create () in
+  let rel rows = Relation.of_rows 2 (List.map (fun (x, y) -> [| x; y |]) rows) in
+  let edges = List.init 40 (fun i -> (i, (i * 7) mod 40)) in
+  Catalog.register catalog "e" (rel edges);
+  Catalog.register catalog "p@delta" (rel (List.filteri (fun i _ -> i mod 2 = 0) edges));
+  let ex = Executor.create pool catalog in
+  let plan =
+    Plan.join2 ~out:[| Rs_exec.Expr.Col 0; Rs_exec.Expr.Col 3 |] (Plan.Scan "p@delta") [| 1 |]
+      (Plan.Scan "e") [| 0 |]
+  in
+  let k =
+    match Kernel.compile ex ~probe_table:"p@delta" plan with
+    | Ok k -> k
+    | Error reason -> Alcotest.failf "binary kernel refused: %s" reason
+  in
+  let r = rel (List.init 30 (fun i -> (i, i + 1))) in
+  let rdelta = rel (List.init 50 (fun i -> (i, i + 1 + (i mod 3)))) in
+  let sweep what run =
+    let rec go after =
+      let live = Memtrack.live () in
+      let faults = Fault.plan [ Fault.spec ~after ~limit:1 Fault.Crash ] in
+      match Inject.with_plan faults run with
+      | () -> check (what ^ ": some crash point fired") true (after > 0)
+      | exception Fault.Injected _ ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: live bytes after a crash at after=%d" what after)
+            live (Memtrack.live ());
+          go (after + 1)
+    in
+    go 0
+  in
+  sweep "binary kernel" (fun () ->
+      let dedup = Dedup.create Dedup.Fast 2 in
+      Fun.protect ~finally:(fun () -> Dedup.release dedup) (fun () ->
+          ignore (Kernel.run ex k ~dedup ~r_index:(empty_r_index 2) ~out:(Relation.create 2))));
+  (* R smaller than Rδ: TPSD builds on R; larger: on Rδ *)
+  List.iter
+    (fun (what, r, rdelta) ->
+      sweep ("opsd, " ^ what) (fun () -> Relation.release (Executor.opsd ex ~rdelta ~r ()));
+      sweep ("tpsd, " ^ what) (fun () -> Relation.release (Executor.tpsd ex ~rdelta ~r ())))
+    [ ("small R", r, rdelta); ("large R", rdelta, r) ]
+
 (* --- provenance × kernels: all-or-nothing tagging -------------------------- *)
 
 (* Tags are recorded at the single absorption point both paths share, so a
@@ -442,9 +503,13 @@ let test_provenance_kernel_chaos () =
 (* A kernel offers its dedup table the same candidate multiset the
    interpreted plan materializes as a bag, so dedup.probes and dedup.hits
    must agree exactly with kernels on and off — which also shows both paths
-   run the same exact delta plans. An aggregated IDB never compiles (the
-   cost gate refuses it), so its case only shows the interpreted run is
-   deterministic; test_core pins its plans' full scans. *)
+   run the same exact delta plans. The kernel's anti-probe of R replaces
+   the interpreted set difference, so every stratum, iteration and IDB
+   must get the same |Δ| with kernels on, kernels off, and kernels on over
+   a transient per-iteration anti-probe index (persistent indexes off). An
+   aggregated IDB never compiles (the cost gate refuses it), so its case
+   only shows the interpreted run is deterministic; test_core pins its
+   plans' full scans. *)
 let test_dedup_counters_agree () =
   let module Pa = Rs_datagen.Prog_analysis in
   let gnp () = [ ("arc", Rs_datagen.Graphs.gnp ~seed:3 ~n:80 ~p:0.05) ] in
@@ -460,12 +525,26 @@ let test_dedup_counters_agree () =
   in
   List.iter
     (fun (what, compiles, src, inputs) ->
-      let counts kernels =
-        let _, tr = run_rels ~kernels (Parser.parse src) (inputs ()) in
-        (tr, c tr "dedup.probes", c tr "dedup.hits")
+      let counts ?persistent_indexes kernels =
+        let deltas = ref [] in
+        let on_iteration (it : Interpreter.iteration_info) =
+          deltas :=
+            ((it.Interpreter.it_stratum, it.it_iteration), (it.it_idb, it.it_delta_rows))
+            :: !deltas
+        in
+        let _, tr =
+          run_rels ?persistent_indexes ~on_iteration ~kernels (Parser.parse src) (inputs ())
+        in
+        (tr, c tr "dedup.probes", c tr "dedup.hits", List.rev !deltas)
       in
-      let tr, probes_on, hits_on = counts true in
-      let _, probes_off, hits_off = counts false in
+      let tr, probes_on, hits_on, deltas_on = counts true in
+      let _, probes_off, hits_off, deltas_off = counts false in
+      let _, _, _, deltas_transient = counts ~persistent_indexes:false true in
+      let same_deltas = Alcotest.(check (list (pair (pair int int) (pair string int)))) in
+      check (what ^ ": iterations recorded") true (deltas_on <> []);
+      same_deltas (what ^ ": |Δ| per iteration, kernels on = off") deltas_off deltas_on;
+      same_deltas (what ^ ": |Δ| per iteration, persistent = transient anti-probe index")
+        deltas_on deltas_transient;
       check (what ^ ": kernels ran") compiles (c tr "kernel.execs" > 0);
       (* every recursive rule of the compiling programs is a 2- or 3-atom
          chain *)
@@ -541,7 +620,7 @@ let kernel_vs_executor ~what ~p_rows ~delta_rows plan =
   in
   let dedup = Dedup.create Dedup.Fast 2 in
   let out = Relation.create 2 in
-  ignore (Kernel.run ex k ~dedup ~out);
+  ignore (Kernel.run ex k ~dedup ~r_index:(empty_r_index 2) ~out);
   Dedup.release dedup;
   Alcotest.(check (list (list int))) (what ^ ": kernel = executor") (canon bag) (canon out);
   Alcotest.(check int) (what ^ ": offered = bag rows") (Relation.nrows bag) (c trace "dedup.probes");
@@ -711,6 +790,8 @@ let suite =
       test_chaos_exec_fault;
     Alcotest.test_case "chaos: persistent exec faults stay correct" `Quick
       test_chaos_persistent_exec_fault;
+    Alcotest.test_case "chaos: a crash releases transient indexes" `Quick
+      test_crash_releases_transient_indexes;
     Alcotest.test_case "provenance: kernel and interpreted tag all-or-nothing"
       `Quick test_provenance_all_or_nothing;
     Alcotest.test_case "provenance: kernel chaos keeps full tag coverage" `Quick
