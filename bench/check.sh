@@ -454,4 +454,24 @@ print("BENCH_service OK: outputs identical, gold p95 %.4fs -> %.4fs, makespan %.
 EOF
 python3 "$tmp/validate_bench_load.py" BENCH_service.json
 
+echo "== perfbench smoke =="
+# One traced pa-join batch through the repository benchmark: the served
+# answers must match their reference checksums and pa-join's counter-based
+# property must hold. serve-churn stays out: its floor property compares
+# host-timed miss latency against the charged floor, which a loaded CI
+# machine can fail without any defect in the code.
+sh perfbench/run.sh --workload pa-join --seed 1 --seconds 0 --trace 1 >"$tmp/perf.out"
+cat >"$tmp/validate_perf.py" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    lines = f.read().splitlines()
+assert lines, "perfbench printed nothing"
+r = json.loads(lines[-1])
+assert r["correct"] is True, "perfbench reported correct=%r" % r["correct"]
+assert r["attempted"] > 0, "perfbench attempted no operations"
+assert r["failed"] == 0, "perfbench: %d of %d operations failed" % (r["failed"], r["attempted"])
+print("perfbench smoke OK: %d operations, all correct" % r["attempted"])
+EOF
+python3 "$tmp/validate_perf.py" "$tmp/perf.out"
+
 echo "== check passed =="

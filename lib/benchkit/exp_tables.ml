@@ -119,12 +119,13 @@ let costmodel () =
         let exec = Rs_exec.Executor.create ~query_overhead_s:0.0 pool catalog in
         let time f =
           let t0 = Rs_util.Clock.now () in
-          let x = f () in
-          ignore x;
-          Rs_util.Clock.now () -. t0
+          let delta = f () in
+          let t = Rs_util.Clock.now () -. t0 in
+          Rs_relation.Relation.release delta;
+          t
         in
-        let t_opsd = time (fun () -> Rs_exec.Executor.opsd exec ~rdelta ~r) in
-        let t_tpsd = time (fun () -> Rs_exec.Executor.tpsd exec ~rdelta ~r) in
+        let t_opsd = time (fun () -> Rs_exec.Executor.opsd exec ~rdelta ~r ()) in
+        let t_tpsd = time (fun () -> Rs_exec.Executor.tpsd exec ~rdelta ~r ()) in
         let model =
           Cost.choose ~alpha ~r_index_persists:false ~r_rows:n_r ~rdelta_rows:n_delta
             ~mu_prev:(Some 2.0)

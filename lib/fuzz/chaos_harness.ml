@@ -117,8 +117,7 @@ let run_case ~iter ~cseed ~plan_str (case : Gen.case) (oracle : Differ.oracle) =
   Edb_store.define store "g" rels;
   let store_rows () =
     List.map
-      (fun (n, r) ->
-        (n, List.sort_uniq compare (List.map Array.to_list (Relation.to_rows r))))
+      (fun (n, r) -> (n, List.map Array.to_list (Relation.sorted_distinct_rows r)))
       (Edb_store.lookup store "g")
   in
   let store_bytes () =

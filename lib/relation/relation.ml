@@ -114,12 +114,106 @@ let release t =
   Memtrack.free t.accounted;
   t.accounted <- 0
 
-let sorted_distinct_rows t =
-  let rows = to_rows t in
-  let sorted = List.sort compare rows in
-  let rec dedup = function
-    | a :: b :: rest when a = b -> dedup (b :: rest)
-    | a :: rest -> a :: dedup rest
-    | [] -> []
+(* Stable LSD radix sort of [keys], read as unsigned offsets from their
+   minimum: negative keys and spans wider than [max_int] sort exactly. The
+   digit width follows [n], so a small input never clears 2^16 counters. *)
+let radix_sort keys =
+  let n = Array.length keys in
+  if n > 1 then begin
+    let lo = ref keys.(0) and hi = ref keys.(0) in
+    for i = 1 to n - 1 do
+      let k = Array.unsafe_get keys i in
+      if k < !lo then lo := k else if k > !hi then hi := k
+    done;
+    let lo = !lo in
+    let span = !hi - lo in
+    let bits = ref 0 and log_n = ref 0 in
+    while !bits < Sys.int_size && span lsr !bits <> 0 do incr bits done;
+    while 1 lsl !log_n < n do incr log_n done;
+    let width = max 4 (min 16 !log_n) in
+    let passes = (!bits + width - 1) / width in
+    if passes > 0 then begin
+      let width = (!bits + passes - 1) / passes in
+      let mask = (1 lsl width) - 1 in
+      let count = Array.make (mask + 2) 0 in
+      let src = ref keys and dst = ref (Array.make n 0) in
+      for p = 0 to passes - 1 do
+        let shift = p * width and s = !src and d = !dst in
+        Array.fill count 0 (mask + 2) 0;
+        for i = 0 to n - 1 do
+          let b = (((Array.unsafe_get s i - lo) lsr shift) land mask) + 1 in
+          Array.unsafe_set count b (Array.unsafe_get count b + 1)
+        done;
+        for b = 1 to mask do
+          count.(b) <- count.(b) + count.(b - 1)
+        done;
+        for i = 0 to n - 1 do
+          let k = Array.unsafe_get s i in
+          let b = ((k - lo) lsr shift) land mask in
+          let pos = Array.unsafe_get count b in
+          Array.unsafe_set d pos k;
+          Array.unsafe_set count b (pos + 1)
+        done;
+        src := d;
+        dst := s
+      done;
+      if !src != keys then Array.blit !src 0 keys 0 n
+    end
+  end
+
+(* Sorted distinct rows from packed [keys], built from the end so the list
+   needs no reversal, adjacent duplicates skipped. *)
+let distinct_rows_of_keys keys row =
+  radix_sort keys;
+  let acc = ref [] in
+  for i = Array.length keys - 1 downto 0 do
+    let k = keys.(i) in
+    if i = Array.length keys - 1 || k <> keys.(i + 1) then acc := row k :: !acc
+  done;
+  !acc
+
+(* Packed keys of a binary relation, or [None] as soon as a pair falls
+   outside [Int_key.fits2]; [pack2] keeps the lexicographic order. *)
+let packed_pairs xs ys n =
+  let keys = Array.make n 0 and i = ref 0 in
+  while !i < n && Rs_util.Int_key.fits2 xs.(!i) ys.(!i) do
+    keys.(!i) <- Rs_util.Int_key.pack2 xs.(!i) ys.(!i);
+    incr i
+  done;
+  if !i = n then Some keys else None
+
+(* Any arity and range: sort a row-index permutation column by column. *)
+let general_sorted_distinct n cols =
+  let arity = Array.length cols in
+  let cmp a b =
+    let r = ref 0 and c = ref 0 in
+    while !r = 0 && !c < arity do
+      let col = Array.unsafe_get cols !c in
+      r := Int.compare (Array.unsafe_get col a) (Array.unsafe_get col b);
+      incr c
+    done;
+    !r
   in
-  dedup sorted
+  let perm = Array.init n Fun.id in
+  Array.stable_sort cmp perm;
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    let r = perm.(i) in
+    if i = n - 1 || cmp r perm.(i + 1) <> 0 then
+      acc := Array.init arity (fun c -> cols.(c).(r)) :: !acc
+  done;
+  !acc
+
+let sorted_distinct_rows t =
+  let n = nrows t in
+  let cols = Array.map Int_vec.unsafe_data t.cols in
+  match cols with
+  | [| xs |] -> distinct_rows_of_keys (Array.sub xs 0 n) (fun k -> [| k |])
+  | [| xs; ys |] -> (
+      match packed_pairs xs ys n with
+      | Some keys ->
+          distinct_rows_of_keys keys (fun k ->
+              let x, y = Rs_util.Int_key.unpack2 k in
+              [| x; y |])
+      | None -> general_sorted_distinct n cols)
+  | _ -> general_sorted_distinct n cols

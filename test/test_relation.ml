@@ -22,6 +22,52 @@ let test_relation_roundtrip () =
   Alcotest.(check int) "kept duplicates (bag)" 3 (Relation.nrows r);
   Alcotest.(check int) "distinct" 2 (List.length (Relation.sorted_distinct_rows r))
 
+(* The canonical form as it was first written: box every row, polymorphic
+   sort, drop adjacent duplicates. [sorted_distinct_rows] must match it. *)
+let reference_sorted_distinct r =
+  let rec dedup = function
+    | a :: b :: rest when a = b -> dedup (b :: rest)
+    | a :: rest -> a :: dedup rest
+    | [] -> []
+  in
+  dedup (List.sort compare (Relation.to_rows r))
+
+(* Small values (many duplicates), the full packable range, or anything:
+   negatives, [min_int]/[max_int] and pairs at or above 2^31. *)
+let gen_canon_rows =
+  let open QCheck2.Gen in
+  let edge = Rs_util.Int_key.max_attr in
+  let small = int_range 0 20 in
+  let packable = oneof [ int_range 0 edge; oneofl [ 0; 1; edge - 1; edge ] ] in
+  let any =
+    oneof
+      [
+        small;
+        int_range (-50) 50;
+        int;
+        oneofl [ min_int; max_int; -1; edge; edge + 1; 1 lsl 32; min_int + 1; max_int - 1 ];
+      ]
+  in
+  let* arity = int_range 1 4 in
+  let* value = oneofl [ small; packable; any ] in
+  let+ rows = list_size (int_range 0 600) (array_size (return arity) value) in
+  (arity, rows)
+
+let prop_sorted_distinct_matches_reference =
+  QCheck2.Test.make ~name:"sorted_distinct_rows = boxed polymorphic sort" ~count:300
+    gen_canon_rows (fun (arity, rows) ->
+      let r = Relation.of_rows arity rows in
+      Relation.sorted_distinct_rows r = reference_sorted_distinct r)
+
+let test_sorted_distinct_late_unpackable () =
+  (* every pair packs except the last row, so the packability scan has to
+     reach the end before it may take the packed path *)
+  let rows = List.init 1000 (fun i -> [| i mod 37; i mod 11 |]) @ [ [| 1 lsl 31; 0 |] ] in
+  let r = Relation.of_rows 2 rows in
+  let got = Relation.sorted_distinct_rows r in
+  check "equals reference" true (got = reference_sorted_distinct r);
+  check "out-of-range row last" true (List.nth got (List.length got - 1) = [| 1 lsl 31; 0 |])
+
 let test_relation_copy_append () =
   let a = Relation.of_rows 2 [ [| 1; 2 |] ] in
   let b = Relation.copy a in
@@ -274,12 +320,15 @@ let qsuite =
       prop_index_matches_scan;
       prop_build_pool_equals_build;
       prop_append_eq_rebuild;
+      prop_sorted_distinct_matches_reference;
     ]
 
 let suite =
   [
     Alcotest.test_case "relation basics" `Quick test_relation_basic;
     Alcotest.test_case "relation bag vs distinct" `Quick test_relation_roundtrip;
+    Alcotest.test_case "sorted_distinct late unpackable row" `Quick
+      test_sorted_distinct_late_unpackable;
     Alcotest.test_case "relation copy/append" `Quick test_relation_copy_append;
     Alcotest.test_case "concat_parallel order" `Quick test_concat_parallel;
     Alcotest.test_case "memory accounting" `Quick test_accounting;
