@@ -341,13 +341,10 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
     match options.provenance with
     | None -> ()
     | Some p ->
-        let n = Relation.nrows rel and arity = Relation.arity rel in
+        let n = Relation.nrows rel in
         if n > 0 then begin
           let before = Provenance.recorded p in
-          for row = 0 to n - 1 do
-            let t = List.init arity (fun col -> Relation.get rel ~row ~col) in
-            Provenance.record p ~pred ~stratum ~iteration t
-          done;
+          Provenance.record_relation p ~pred ~stratum ~iteration rel;
           let tagged = Provenance.recorded p - before in
           Pool.add_serial pool
             ((float_of_int n *. prov_scan_cost) +. (float_of_int tagged *. prov_tag_cost));

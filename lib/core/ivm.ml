@@ -654,10 +654,12 @@ let create ?prov ?fixpoint ~edb (program : Ast.program) =
         (fun (s : Analyzer.stratum) ->
           List.iter
             (fun pred ->
+              let rows = rel db pred in
+              Provenance.reserve p ~pred ~arity:(Analyzer.arity an pred) (Rows.cardinal rows);
               Rows.iter
                 (fun row ->
                   Provenance.record p ~pred ~stratum:s.Analyzer.index ~iteration:0 row)
-                (rel db pred))
+                rows)
             s.Analyzer.preds)
         an.Analyzer.strata);
   t

@@ -45,7 +45,17 @@ val sampled : t -> pred:string -> int list -> bool
 val record : t -> pred:string -> stratum:int -> iteration:int -> int list -> unit
 (** Tag one tuple. First write wins (a re-derivation in a later iteration
     keeps the original tag); sampled-out tuples are counted but not
-    stored. *)
+    stored. Every tuple of one [pred] must have the same arity. *)
+
+val reserve : t -> pred:string -> arity:int -> int -> unit
+(** Make room for [n] more tuples of [pred] at once. A caller that knows a
+    batch's size before tagging it row by row (IVM seeding a view) then
+    allocates the table once instead of growing it. *)
+
+val record_relation :
+  t -> pred:string -> stratum:int -> iteration:int -> Rs_relation.Relation.t -> unit
+(** [record] for every row of a relation, read column by column: the
+    absorption points hand their whole Δ here, so no row is boxed. *)
 
 val retract : t -> pred:string -> int list -> unit
 (** Drop the tag of a tuple that left its relation (IVM retraction). *)

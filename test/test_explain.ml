@@ -137,6 +137,77 @@ let test_sampling_deterministic () =
        false
      with Invalid_argument _ -> true)
 
+(* The tag store against a boxed model: record, batch-record, reserve,
+   retract and find over a small domain (many collisions, long probe runs,
+   log copies after retractions), checking every tag, [tagged] and
+   [recorded]. *)
+type store_op =
+  | Record of string * int list * int
+  | Record_batch of string * int list list * int
+  | Retract of string * int list
+  | Reserve of string * int
+
+let gen_store_ops =
+  let open QCheck2.Gen in
+  let* arity = int_range 1 3 in
+  let row = list_size (return arity) (int_range (-3) 7) in
+  let pred = oneofl [ "p"; "q" ] in
+  let op =
+    frequency
+      [
+        (4, map3 (fun p r i -> Record (p, r, i)) pred row (int_range 0 5));
+        (1, map3 (fun p rs i -> Record_batch (p, rs, i)) pred (list_size (int_range 0 40) row) (int_range 0 5));
+        (3, map2 (fun p r -> Retract (p, r)) pred row);
+        (1, map2 (fun p n -> Reserve (p, n)) pred (int_range 0 40));
+      ]
+  in
+  let+ ops = list_size (int_range 0 300) op in
+  (arity, ops)
+
+let prop_store_matches_model =
+  QCheck2.Test.make ~name:"tag store = boxed model" ~count:300 gen_store_ops (fun (arity, ops) ->
+      let prov = Provenance.create () in
+      let model = Hashtbl.create 64 and seq = ref 0 and recorded = ref 0 in
+      let record p row iteration =
+        if not (Hashtbl.mem model (p, row)) then begin
+          incr seq;
+          incr recorded;
+          Hashtbl.replace model (p, row)
+            { Provenance.t_stratum = 1; t_iteration = iteration; t_seq = !seq }
+        end
+      in
+      let agrees () =
+        List.for_all
+          (fun p ->
+            Provenance.tagged prov ~pred:p
+            = Hashtbl.fold (fun (p', _) _ n -> if p' = p then n + 1 else n) model 0)
+          [ "p"; "q" ]
+        && Provenance.recorded prov = !recorded
+        && Hashtbl.fold
+             (fun (p, row) tag ok -> ok && Provenance.find prov ~pred:p row = Some tag)
+             model true
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Record (p, row, iteration) ->
+              Provenance.record prov ~pred:p ~stratum:1 ~iteration row;
+              record p row iteration
+          | Record_batch (p, rows, iteration) ->
+              Provenance.record_relation prov ~pred:p ~stratum:1 ~iteration
+                (Relation.of_rows arity (List.map Array.of_list rows));
+              List.iter (fun row -> record p row iteration) rows
+          | Retract (p, row) ->
+              Provenance.retract prov ~pred:p row;
+              Hashtbl.remove model (p, row)
+          | Reserve (p, n) -> Provenance.reserve prov ~pred:p ~arity n);
+          (match op with
+          | Record (p, row, _) | Retract (p, row) ->
+              Provenance.find prov ~pred:p row = Hashtbl.find_opt model (p, row)
+          | Record_batch _ | Reserve _ -> true)
+          && agrees ())
+        ops)
+
 (* --- pathological databases --- *)
 
 let test_no_proof_on_inconsistent_db () =
@@ -173,4 +244,5 @@ let suite =
     Alcotest.test_case "no proof on inconsistent db" `Quick test_no_proof_on_inconsistent_db;
     Alcotest.test_case "budget" `Quick test_budget;
     Alcotest.test_case "json shape" `Quick test_json_shape;
+    QCheck_alcotest.to_alcotest prop_store_matches_model;
   ]
