@@ -1,10 +1,6 @@
 module Json = Rs_obs.Json
 
-module Rows = Set.Make (struct
-  type t = int list
-
-  let compare = compare
-end)
+open Row_eval
 
 type node =
   | N_edb of { pred : string; row : int list }
@@ -25,76 +21,6 @@ and premise =
 type outcome = Explained of node | Absent | No_proof | Budget_exceeded of int
 
 exception Budget
-
-(* --- expression evaluation (the naive evaluator's semantics) ------------- *)
-
-type env = (string * int) list
-
-let rec eval_expr (env : env) = function
-  | Ast.T (Ast.Const c) -> c
-  | Ast.T (Ast.Var v) -> (
-      match List.assoc_opt v env with
-      | Some c -> c
-      | None -> invalid_arg ("explain: unbound variable " ^ v))
-  | Ast.T Ast.Wildcard -> invalid_arg "explain: wildcard in expression"
-  | Ast.Add (a, b) -> eval_expr env a + eval_expr env b
-  | Ast.Sub (a, b) -> eval_expr env a - eval_expr env b
-  | Ast.Mul (a, b) -> eval_expr env a * eval_expr env b
-
-let cmp_holds op a b =
-  match op with
-  | Ast.Eq -> a = b
-  | Ast.Ne -> a <> b
-  | Ast.Lt -> a < b
-  | Ast.Le -> a <= b
-  | Ast.Gt -> a > b
-  | Ast.Ge -> a >= b
-
-let match_args env args row =
-  let rec go env args row =
-    match (args, row) with
-    | [], [] -> Some env
-    | a :: args', v :: row' -> (
-        match a with
-        | Ast.Const c -> if c = v then go env args' row' else None
-        | Ast.Wildcard -> go env args' row'
-        | Ast.Var x -> (
-            match List.assoc_opt x env with
-            | Some c -> if c = v then go env args' row' else None
-            | None -> go ((x, v) :: env) args' row'))
-    | _ -> None
-  in
-  go env args row
-
-let ground_args env args =
-  List.map
-    (function
-      | Ast.Const c -> c
-      | Ast.Var x -> (
-          match List.assoc_opt x env with
-          | Some c -> c
-          | None -> invalid_arg ("explain: unsafe negation on " ^ x))
-      | Ast.Wildcard -> invalid_arg "explain: wildcard under negation")
-    args
-
-(* Bind the head against a concrete row. Plain terms bind variables;
-   aggregate positions contribute no bindings (their value is checked by
-   the witness search), so the returned env covers exactly the group
-   variables. *)
-let head_env head_args row =
-  let rec go env hs vs =
-    match (hs, vs) with
-    | [], [] -> Some env
-    | Ast.H_term (Ast.Const c) :: hs', v :: vs' -> if c = v then go env hs' vs' else None
-    | Ast.H_term (Ast.Var x) :: hs', v :: vs' -> (
-        match List.assoc_opt x env with
-        | Some c -> if c = v then go env hs' vs' else None
-        | None -> go ((x, v) :: env) hs' vs')
-    | Ast.H_term Ast.Wildcard :: _, _ -> invalid_arg "explain: wildcard in head"
-    | Ast.H_agg _ :: hs', _ :: vs' -> go env hs' vs'
-    | _ -> None
-  in
-  go [] head_args row
 
 (* --- the proof search ---------------------------------------------------- *)
 
@@ -135,22 +61,20 @@ let seq_of st pred row =
    backtracks. A plain partition keeps each half in lexicographic order, so
    the result is still deterministic for a given store. *)
 let candidates st ~goal_seq (a : Ast.atom) env =
-  let all =
-    Rows.fold
-      (fun row acc -> if match_args env a.Ast.args row <> None then row :: acc else acc)
-      (set_of st a.Ast.pred) []
-    |> List.rev
-  in
+  let all = ref [] in
+  iter_matches (set_of st a.Ast.pred) a.Ast.args env (fun row env' ->
+      all := (row, env') :: !all);
+  let all = List.rev !all in
   match goal_seq with
-  | None -> all
   | Some gseq when not (is_edb st a.Ast.pred) ->
       let early, late =
         List.partition
-          (fun row -> match seq_of st a.Ast.pred row with Some s -> s < gseq | None -> false)
+          (fun (row, _) ->
+            match seq_of st a.Ast.pred row with Some s -> s < gseq | None -> false)
           all
       in
       early @ late
-  | Some _ -> all
+  | _ -> all
 
 let numbered_rules an =
   List.mapi (fun i r -> (i + 1, r)) an.Analyzer.program.Ast.rules
@@ -183,7 +107,7 @@ let rec prove st path pred row =
                 | None -> None
                 | Some env0 -> (
                     match prove_body st path ~goal_seq r.Ast.body env0 with
-                    | Some (premises, _) ->
+                    | Some premises ->
                         Some (N_rule { pred; row; rule_index = idx; rule = r; agg = None; premises })
                     | None -> None))
             (numbered_rules st.an)
@@ -197,21 +121,18 @@ let rec prove st path pred row =
 (* Prove every body literal under [env0]: positives bind (and are proved in
    place, so an unprovable candidate row is backtracked immediately),
    negations and comparisons check once the positives ground them. Returns
-   the premises in proof order plus the final env. *)
+   the premises in proof order. *)
 and prove_body st path ~goal_seq body env0 =
   let pos, rest = List.partition (function Ast.L_pos _ -> true | _ -> false) body in
   let rec go env acc = function
-    | [] -> Some (List.rev acc, env)
+    | [] -> Some (List.rev acc)
     | Ast.L_pos a :: tl ->
         List.find_map
-          (fun row ->
+          (fun (row, env') ->
             step st;
-            match match_args env a.Ast.args row with
-            | None -> None
-            | Some env' -> (
-                match prove st path a.Ast.pred row with
-                | Some n -> go env' (P_fact n :: acc) tl
-                | None -> None))
+            match prove st path a.Ast.pred row with
+            | Some n -> go env' (P_fact n :: acc) tl
+            | None -> None)
           (candidates st ~goal_seq a env)
     | Ast.L_neg a :: tl ->
         step st;
@@ -222,19 +143,7 @@ and prove_body st path ~goal_seq body env0 =
         step st;
         let lv = eval_expr env l and rv = eval_expr env r in
         if cmp_holds op lv rv then
-          go env
-            (P_cmp
-               (Printf.sprintf "%d %s %d" lv
-                  (match op with
-                  | Ast.Eq -> "="
-                  | Ast.Ne -> "!="
-                  | Ast.Lt -> "<"
-                  | Ast.Le -> "<="
-                  | Ast.Gt -> ">"
-                  | Ast.Ge -> ">=")
-                  rv)
-            :: acc)
-            tl
+          go env (P_cmp (Printf.sprintf "%d %s %d" lv (Ast.cmp_to_string op) rv) :: acc) tl
         else None
   in
   go env0 [] (pos @ rest)
@@ -242,10 +151,11 @@ and prove_body st path ~goal_seq body env0 =
 (* Aggregate heads: enumerate the body matches of the fact's group (the
    head env binds exactly the group variables), check the row's aggregate
    values are what the matches produce, and explain through a witness
-   match — for MIN/MAX the match attaining the value (its premises are
+   match — for MIN/MAX a match attaining the value (its premises are
    recursively explained, which walks SSSP-style recursive aggregation
-   down to the EDB), for SUM/COUNT/AVG the first match, with the
-   contributing count in the label. *)
+   down to the EDB), for SUM/COUNT/AVG any match, with the contributing
+   count in the label. Witnesses are tried in enumeration order until one
+   proves: the first may only cycle back through the goal. *)
 and prove_agg st path ~goal_seq idx (r : Ast.rule) row =
   match head_env r.Ast.head_args row with
   | None -> None
@@ -258,79 +168,69 @@ and prove_agg st path ~goal_seq idx (r : Ast.rule) row =
       in
       let rowa = Array.of_list row in
       (* Enumerate matches without proving premises first (cheap), then
-         prove the chosen witness. *)
+         prove the witnesses. *)
       let matches = ref [] in
-      let enum () =
-        let rec go env = function
-          | [] -> matches := env :: !matches
-          | Ast.L_pos a :: tl ->
-              List.iter
-                (fun row ->
-                  step st;
-                  match match_args env a.Ast.args row with
-                  | Some env' -> go env' tl
-                  | None -> ())
-                (candidates st ~goal_seq a env)
-          | Ast.L_neg a :: tl ->
-              step st;
-              if not (Rows.mem (ground_args env a.Ast.args) (set_of st a.Ast.pred)) then go env tl
-          | Ast.L_cmp (op, l, rr) :: tl ->
-              step st;
-              if cmp_holds op (eval_expr env l) (eval_expr env rr) then go env tl
-        in
-        let pos, rest = List.partition (function Ast.L_pos _ -> true | _ -> false) r.Ast.body in
-        go env0 (pos @ rest)
-      in
-      enum ();
+      eval_lits
+        ~tick:(fun () -> step st)
+        ~scan:(fun _ a env f ->
+          List.iter (fun (row, env') -> f row env') (candidates st ~goal_seq a env))
+        ~state:(fun _ p -> set_of st p)
+        (indexed_body r) env0
+        (fun env -> matches := env :: !matches);
       let matches = List.rev !matches in
       let n_matches = List.length matches in
-      if n_matches = 0 then None
-      else
-        let witness_ok env =
-          List.for_all
-            (fun (i, op, e) ->
-              match op with
-              | Ast.Min | Ast.Max -> eval_expr env e = rowa.(i)
-              | Ast.Sum | Ast.Count | Ast.Avg -> true)
-            aggs
-        in
-        (* MIN/MAX demand a match attaining the stored value; the bag
-           aggregates have no single witness, so any match serves as the
-           sample chain. *)
-        let needs_witness =
-          List.exists (fun (_, op, _) -> op = Ast.Min || op = Ast.Max) aggs
-        in
-        let witness =
-          if needs_witness then List.find_opt witness_ok matches
-          else match matches with m :: _ -> Some m | [] -> None
-        in
-        match witness with
-        | None -> None
-        | Some env ->
-            (* re-prove the witness env's body so premises carry full chains *)
-            let pinned =
-              List.map
-                (function
-                  | Ast.L_pos a -> Ast.L_pos { a with Ast.args = List.map (fun t -> (match t with Ast.Var x -> (match List.assoc_opt x env with Some c -> Ast.Const c | None -> t) | _ -> t)) a.Ast.args }
-                  | l -> l)
-                r.Ast.body
-            in
-            (match prove_body st path ~goal_seq pinned env0 with
-            | None -> None
-            | Some (premises, _) ->
-                let label =
-                  String.concat ", "
-                    (List.map
-                       (fun (_, op, _) ->
-                         Printf.sprintf "%s%s of %d match%s" (Ast.agg_op_to_string op)
-                           (if op = Ast.Min || op = Ast.Max then " witness" else "")
-                           n_matches
-                           (if n_matches = 1 then "" else "es"))
-                       aggs)
+      let witness_ok env =
+        List.for_all
+          (fun (i, op, e) ->
+            match op with
+            | Ast.Min | Ast.Max -> eval_expr env e = rowa.(i)
+            | Ast.Sum | Ast.Count | Ast.Avg -> true)
+          aggs
+      in
+      (* Re-prove a witness env's body with its bindings pinned, so the
+         premises carry full chains. *)
+      let pin env =
+        List.map
+          (function
+            | Ast.L_pos a ->
+                let pin_term = function
+                  | Ast.Var x as t -> (
+                      match List.assoc_opt x env with Some c -> Ast.Const c | None -> t)
+                  | t -> t
                 in
-                Some
-                  (N_rule
-                     { pred = r.Ast.head_pred; row; rule_index = idx; rule = r; agg = Some label; premises }))
+                Ast.L_pos { a with Ast.args = List.map pin_term a.Ast.args }
+            | l -> l)
+          r.Ast.body
+      in
+      let label =
+        String.concat ", "
+          (List.map
+             (fun (_, op, _) ->
+               Printf.sprintf "%s%s of %d match%s" (Ast.agg_op_to_string op)
+                 (if op = Ast.Min || op = Ast.Max then " witness" else "")
+                 n_matches
+                 (if n_matches = 1 then "" else "es"))
+             aggs)
+      in
+      (* MIN/MAX demand a match attaining the stored value; the bag
+         aggregates have no single witness, so any match serves as the
+         sample chain. *)
+      List.find_map
+        (fun env ->
+          match prove_body st path ~goal_seq (pin env) env0 with
+          | None -> None
+          | Some premises ->
+              Some
+                (N_rule
+                   {
+                     pred = r.Ast.head_pred;
+                     row;
+                     rule_index = idx;
+                     rule = r;
+                     agg = Some label;
+                     premises;
+                   }))
+        (List.filter witness_ok matches)
 
 let explain ?prov ?(max_steps = 200_000) ~an ~rows pred row =
   let st =

@@ -5,18 +5,24 @@
     it tries the program's rules in source order, binds the head, and
     proves each body literal against the database (candidate rows in
     lexicographic order, success-memoized, cycle-safe via a path-visited
-    set). Because only the program and the final row sets drive the
-    canonical chain, the rendered explanation is byte-stable across every
-    engine that computed the same result — which is what lets the frozen
-    corpus in [test/refs.ml] pin chains across engines, and lets fuzz
-    divergences ship a chain computed from the reference evaluator.
+    set). Without tags only the program and the final row sets drive the
+    canonical chain, so the rendered explanation is byte-stable across
+    every engine that computed the same result — which is what lets the
+    frozen corpus in [test/refs.ml] pin chains across engines, and lets
+    fuzz divergences ship a chain computed from the reference evaluator.
 
     A {!Provenance.t} store, when supplied, re-orders candidate premises so
     rows absorbed {e before} the goal (smaller tag sequence) are tried
     first: on a fully-tagged run the chain then follows the actual
     semi-naive derivation order and the search never backtracks. Tags
-    never change {e whether} a fact is explainable, only how fast and
-    along which (still valid) chain.
+    change which (still valid) chain is found and how many steps that
+    takes, so under the step budget they can decide whether the search
+    finishes at all (EXPERIMENTS.md, "What provenance tags buy the proof
+    search"). A predicate whose rows were all tagged in one batch in
+    lexicographic order — by a PBME solve, or by an {!Ivm} bootstrap
+    before its first apply — keeps exactly its untagged candidate order:
+    splitting a sorted list at one point of that same order changes
+    nothing.
 
     Soundness: every reported chain is a path-acyclic proof tree — a
     well-founded derivation for positive literals by induction on height;
@@ -24,7 +30,8 @@
     because the negated relation is fully computed below the fact's
     stratum. Aggregate heads are explained through a witness match (for
     MIN/MAX: a body match attaining the aggregate value, recursively
-    explained) or the contributing-match count (SUM/COUNT/AVG). *)
+    explained) or the contributing-match count (SUM/COUNT/AVG); witnesses
+    are tried in order until one proves. *)
 
 type node =
   | N_edb of { pred : string; row : int list }  (** input leaf *)

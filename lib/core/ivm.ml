@@ -1,18 +1,14 @@
 (* Incremental view maintenance: counting for non-recursive strata, DRed
    (delete-rederive) for recursive ones. See ivm.mli for the mode-selection
-   argument; the shared machinery below mirrors the naive oracle's
-   evaluator, extended with a per-literal state selector so the delta-rule
-   expansion can read "new" relations to the left of the delta position and
-   "old" relations to the right. *)
+   argument. Rule bodies go through the row-set evaluator that Explain also
+   searches with (Row_eval); its per-literal state selector lets the
+   delta-rule expansion read "new" relations to the left of the delta
+   position and "old" relations to the right. *)
 
 module Delta = Rs_relation.Delta
 module Relation = Rs_relation.Relation
 
-module Rows = Set.Make (struct
-  type t = int list
-
-  let compare = compare
-end)
+open Row_eval
 
 exception Unsupported of string
 
@@ -54,160 +50,45 @@ let rel db pred = match Hashtbl.find_opt db pred with Some s -> s | None -> Rows
 
 let set db pred v = Hashtbl.replace db pred v
 
-(* --- the evaluator (naive.ml's machinery + indexed literals) ------------ *)
+(* --- firing rules from single rows ------------------------------------ *)
 
-type env = (string * int) list
+(* A rule entered at one body literal: a changed row of the literal's
+   relation binds the atom, the remaining literals are evaluated around it. *)
+type entry = { rule : Ast.rule; at : lit; atom : Ast.atom; rest : lit list }
 
-let rec eval_expr (env : env) = function
-  | Ast.T (Ast.Const c) -> c
-  | Ast.T (Ast.Var v) -> (
-      match List.assoc_opt v env with
-      | Some c -> c
-      | None -> invalid_arg ("ivm: unbound variable " ^ v))
-  | Ast.T Ast.Wildcard -> invalid_arg "ivm: wildcard in expression"
-  | Ast.Add (a, b) -> eval_expr env a + eval_expr env b
-  | Ast.Sub (a, b) -> eval_expr env a - eval_expr env b
-  | Ast.Mul (a, b) -> eval_expr env a * eval_expr env b
+let entries rules =
+  List.concat_map
+    (fun (r : Ast.rule) ->
+      let lits = indexed_body r in
+      List.filter_map
+        (fun x ->
+          match x.l with
+          | Ast.L_cmp _ -> None
+          | Ast.L_pos atom | Ast.L_neg atom ->
+              Some { rule = r; at = x; atom; rest = List.filter (fun y -> y.li <> x.li) lits })
+        lits)
+    rules
 
-let cmp_holds op a b =
-  match op with
-  | Ast.Eq -> a = b
-  | Ast.Ne -> a <> b
-  | Ast.Lt -> a < b
-  | Ast.Le -> a <= b
-  | Ast.Gt -> a > b
-  | Ast.Ge -> a >= b
+(* Hand [emit] every head row of [r] that extends [env] over [lits]. *)
+let derive ~state (r : Ast.rule) lits env emit =
+  eval_lits ~state lits env (fun env -> emit r.Ast.head_pred (head_row env r.Ast.head_args))
 
-let match_args env args row =
-  let rec go env args row =
-    match (args, row) with
-    | [], [] -> Some env
-    | a :: args', v :: row' -> (
-        match a with
-        | Ast.Const c -> if c = v then go env args' row' else None
-        | Ast.Wildcard -> go env args' row'
-        | Ast.Var x -> (
-            match List.assoc_opt x env with
-            | Some c -> if c = v then go env args' row' else None
-            | None -> go ((x, v) :: env) args' row'))
-    | _ -> None
-  in
-  go env args row
+(* ... and every head row [e] derives from one [row] of its literal. *)
+let fire ~state e row emit =
+  match match_args [] e.atom.Ast.args row with
+  | None -> ()
+  | Some env0 -> derive ~state e.rule e.rest env0 emit
 
-let ground_args env args =
-  List.map
-    (function
-      | Ast.Const c -> c
-      | Ast.Var x -> (
-          match List.assoc_opt x env with
-          | Some c -> c
-          | None -> invalid_arg ("ivm: unsafe negation on " ^ x))
-      | Ast.Wildcard -> invalid_arg "ivm: wildcard under negation")
-    args
-
-let head_row env head_args =
-  List.map
-    (function
-      | Ast.H_term (Ast.Const c) -> c
-      | Ast.H_term (Ast.Var x) -> (
-          match List.assoc_opt x env with
-          | Some c -> c
-          | None -> invalid_arg ("ivm: unsafe head variable " ^ x))
-      | Ast.H_term Ast.Wildcard -> invalid_arg "ivm: wildcard in head"
-      | Ast.H_agg _ -> raise (Unsupported "ivm does not maintain aggregates"))
-    head_args
-
-(* Bind the head's variables from a concrete row — the entry point of the
-   DRed re-derivation check ("is this tuple still derivable?"). *)
-let head_env head_args row =
-  let rec go env hs vs =
-    match (hs, vs) with
-    | [], [] -> Some env
-    | Ast.H_term (Ast.Const c) :: hs', v :: vs' -> if c = v then go env hs' vs' else None
-    | Ast.H_term (Ast.Var x) :: hs', v :: vs' -> (
-        match List.assoc_opt x env with
-        | Some c -> if c = v then go env hs' vs' else None
-        | None -> go ((x, v) :: env) hs' vs')
-    | Ast.H_term Ast.Wildcard :: _, _ -> invalid_arg "ivm: wildcard in head"
-    | Ast.H_agg _ :: _, _ -> raise (Unsupported "ivm does not maintain aggregates")
-    | _ -> None
-  in
-  go [] head_args row
-
-(* Body literals keep their source index so the delta-rule expansion can
-   split old/new state by position, whatever order evaluation visits them. *)
-type lit = { li : int; l : Ast.literal }
-
-let indexed_body r = List.mapi (fun li l -> { li; l }) r.Ast.body
-
-(* The leading run of already-ground argument positions. Rows.t orders
-   equal-length int lists lexicographically, so all rows extending a ground
-   prefix form a contiguous range of the set — scanning an atom costs
-   O(log n + matches) instead of a full sweep whenever its leading columns
-   are bound (the common case in delta seeding and DRed re-derivation,
-   where the head row grounds the recursive literal's key). *)
-let bound_prefix env args =
-  let rec go acc = function
-    | Ast.Const c :: tl -> go (c :: acc) tl
-    | Ast.Var x :: tl -> (
-        match List.assoc_opt x env with
-        | Some c -> go (c :: acc) tl
-        | None -> List.rev acc)
-    | Ast.Wildcard :: _ | [] -> List.rev acc
-  in
-  go [] args
-
-let iter_prefix set prefix f =
-  match prefix with
-  | [] -> Rows.iter f set
-  | _ ->
-      let rec has_prefix p row =
-        match (p, row) with
-        | [], _ -> true
-        | a :: p', b :: row' -> a = b && has_prefix p' row'
-        | _, [] -> false
-      in
-      (* [prefix] is shorter than any row, so it sorts just before the range *)
-      let rec go s =
-        match s () with
-        | Seq.Nil -> ()
-        | Seq.Cons (row, tl) ->
-            if has_prefix prefix row then begin
-              f row;
-              go tl
-            end
-      in
-      go (Rows.to_seq_from prefix set)
-
-(* Enumerate every extension of [env] satisfying [lits]; [state li pred]
-   supplies the relation value seen by the literal at source index [li].
-   Positive atoms first — the analyzer's safety check makes negations and
-   comparisons ground once the positives are matched. *)
-let eval_lits ~state lits env k =
-  let pos, rest =
-    List.partition (fun x -> match x.l with Ast.L_pos _ -> true | _ -> false) lits
-  in
-  let rec go env = function
-    | [] -> k env
-    | { li; l = Ast.L_pos a } :: tl ->
-        iter_prefix (state li a.Ast.pred) (bound_prefix env a.Ast.args) (fun row ->
-            match match_args env a.Ast.args row with
-            | Some env' -> go env' tl
-            | None -> ())
-    | { li; l = Ast.L_neg a } :: tl ->
-        if not (Rows.mem (ground_args env a.Ast.args) (state li a.Ast.pred)) then
-          go env tl
-    | { l = Ast.L_cmp (op, lhs, rhs); _ } :: tl ->
-        if cmp_holds op (eval_expr env lhs) (eval_expr env rhs) then go env tl
-  in
-  go env (pos @ rest)
-
-exception Found
-
-let exists_lits ~state lits env =
-  match eval_lits ~state lits env (fun _ -> raise Found) with
-  | () -> false
-  | exception Found -> true
+(* Drain [work]: each popped (pred, row) fires every positive body
+   occurrence of [pred]; [emit] filters duplicates and feeds the queue. *)
+let drain ~state entries work emit =
+  while not (Queue.is_empty work) do
+    let p, row = Queue.pop work in
+    List.iter
+      (fun e ->
+        match e.at.l with Ast.L_pos a when a.Ast.pred = p -> fire ~state e row emit | _ -> ())
+      entries
+  done
 
 (* --- per-apply bookkeeping ---------------------------------------------- *)
 
@@ -238,6 +119,25 @@ let counts_of t pred =
       Hashtbl.replace t.counts pred c;
       c
 
+(* External changes entering each entry's literal, each handed to
+   [f e sign rows] with its sign as seen through the literal: inserted rows
+   count +1 under a positive literal and -1 under a negated one, retracted
+   rows the reverse. Inserts come first; entries on [skip] predicates are
+   passed over. Counting takes both signs, DRed's overdelete the losses and
+   its insertion phase the gains. *)
+let seed_external chgs ~skip entries f =
+  List.iter
+    (fun e ->
+      let p = e.atom.Ast.pred in
+      if not (skip p) then
+        match Hashtbl.find_opt chgs p with
+        | None -> ()
+        | Some c ->
+            let s = match e.at.l with Ast.L_neg _ -> -1 | _ -> 1 in
+            f e s c.ins;
+            f e (-s) c.del)
+    entries
+
 (* --- counting maintenance (non-recursive strata) ------------------------ *)
 
 (* Σ_i new(<i) ⋈ ΔLi ⋈ old(>i): each delta tuple at position i seeds the
@@ -247,7 +147,7 @@ let counts_of t pred =
    count transitions through zero become the stratum's own net change. *)
 let maintain_counting t old chgs (stratum : Analyzer.stratum) =
   let dc : (string, (int list, int) Hashtbl.t) Hashtbl.t = Hashtbl.create 4 in
-  let bump pred row s =
+  let bump s pred row =
     let tbl =
       match Hashtbl.find_opt dc pred with
       | Some x -> x
@@ -258,41 +158,11 @@ let maintain_counting t old chgs (stratum : Analyzer.stratum) =
     in
     Hashtbl.replace tbl row (s + (try Hashtbl.find tbl row with Not_found -> 0))
   in
-  List.iter
-    (fun r ->
-      let lits = indexed_body r in
-      List.iter
-        (fun x ->
-          match x.l with
-          | Ast.L_cmp _ -> ()
-          | Ast.L_pos a | Ast.L_neg a -> (
-              match Hashtbl.find_opt chgs a.Ast.pred with
-              | None -> ()
-              | Some c ->
-                  let i = x.li in
-                  let rest = List.filter (fun y -> y.li <> i) lits in
-                  let state li p =
-                    if li < i then rel t.db p else old_rel t.db old p
-                  in
-                  let seed sign rows =
-                    Rows.iter
-                      (fun row ->
-                        match match_args [] a.Ast.args row with
-                        | None -> ()
-                        | Some env0 ->
-                            eval_lits ~state rest env0 (fun env ->
-                                bump r.Ast.head_pred
-                                  (head_row env r.Ast.head_args)
-                                  sign))
-                      rows
-                  in
-                  let s_ins =
-                    match x.l with Ast.L_neg _ -> -1 | _ -> 1
-                  in
-                  seed s_ins c.ins;
-                  seed (-s_ins) c.del))
-        lits)
-    stratum.Analyzer.rules;
+  seed_external chgs ~skip:(fun _ -> false) (entries stratum.Analyzer.rules)
+    (fun e sign rows ->
+      let i = e.at.li in
+      let state li p = if li < i then rel t.db p else old_rel t.db old p in
+      Rows.iter (fun row -> fire ~state e row (bump sign)) rows);
   Hashtbl.iter
     (fun pred tbl ->
       let ct = counts_of t pred in
@@ -320,48 +190,23 @@ let maintain_counting t old chgs (stratum : Analyzer.stratum) =
         tbl)
     dc
 
-(* --- semi-naive insertion propagation (shared by DRed phase C and the
-   bootstrap of recursive strata) ----------------------------------------- *)
-
-(* Drain [work]: each popped (pred, row) is joined, at every positive body
-   position naming [pred], against the current database; [put] receives the
-   derived head rows (it filters duplicates and feeds the queue). *)
-let drain db lits_of work put =
-  let state _ p = rel db p in
-  while not (Queue.is_empty work) do
-    let p, row = Queue.pop work in
-    List.iter
-      (fun (r, lits) ->
-        List.iter
-          (fun x ->
-            match x.l with
-            | Ast.L_pos a when a.Ast.pred = p -> (
-                match match_args [] a.Ast.args row with
-                | None -> ()
-                | Some env0 ->
-                    let rest = List.filter (fun y -> y.li <> x.li) lits in
-                    eval_lits ~state rest env0 (fun env ->
-                        put r.Ast.head_pred (head_row env r.Ast.head_args)))
-            | _ -> ())
-          lits)
-      lits_of
-  done
-
 (* --- DRed maintenance (recursive strata) -------------------------------- *)
 
 let maintain_dred t old chgs (stratum : Analyzer.stratum) =
   let sp = stratum.Analyzer.preds in
   let in_stratum p = List.mem p sp in
-  let lits_of =
-    List.map (fun r -> (r, indexed_body r)) stratum.Analyzer.rules
-  in
+  let bodies = List.map (fun r -> (r, indexed_body r)) stratum.Analyzer.rules in
+  let entries = entries stratum.Analyzer.rules in
   (* pre-stratum values of the stratum's own preds, for the final net diff *)
   let snap = List.map (fun p -> (p, rel t.db p)) sp in
+  let work = Queue.create () in
 
   (* Phase A — overestimate deletions against the old state. Stratum preds
      are untouched so far, so their current value is their old value;
-     changed externals read their pre-apply snapshot. *)
-  let state_old li p = ignore li; if in_stratum p then rel t.db p else old_rel t.db old p in
+     changed externals read their pre-apply snapshot. Seeds: external
+     losses (retracted rows under positive literals, inserted rows under
+     negated ones); the overestimate then propagates internally. *)
+  let state_old _ p = if in_stratum p then rel t.db p else old_rel t.db old p in
   let del : (string, Rows.t ref) Hashtbl.t = Hashtbl.create 4 in
   let del_of p =
     match Hashtbl.find_opt del p with
@@ -371,7 +216,6 @@ let maintain_dred t old chgs (stratum : Analyzer.stratum) =
         Hashtbl.replace del p r;
         r
   in
-  let work = Queue.create () in
   let mark p row =
     let d = del_of p in
     if Rows.mem row (rel t.db p) && not (Rows.mem row !d) then begin
@@ -380,55 +224,9 @@ let maintain_dred t old chgs (stratum : Analyzer.stratum) =
       Queue.add (p, row) work
     end
   in
-  let seed_losses (r, lits) x (a : Ast.atom) rows =
-    Rows.iter
-      (fun row ->
-        match match_args [] a.Ast.args row with
-        | None -> ()
-        | Some env0 ->
-            let rest = List.filter (fun y -> y.li <> x.li) lits in
-            eval_lits ~state:state_old rest env0 (fun env ->
-                mark r.Ast.head_pred (head_row env r.Ast.head_args)))
-      rows
-  in
-  List.iter
-    (fun (r, lits) ->
-      List.iter
-        (fun x ->
-          match x.l with
-          | Ast.L_cmp _ -> ()
-          | Ast.L_pos a when not (in_stratum a.Ast.pred) -> (
-              match Hashtbl.find_opt chgs a.Ast.pred with
-              | Some c when not (Rows.is_empty c.del) -> seed_losses (r, lits) x a c.del
-              | _ -> ())
-          | Ast.L_neg a -> (
-              (* a tuple entering a negated (lower-stratum) relation removes
-                 derivations *)
-              match Hashtbl.find_opt chgs a.Ast.pred with
-              | Some c when not (Rows.is_empty c.ins) -> seed_losses (r, lits) x a c.ins
-              | _ -> ())
-          | Ast.L_pos _ -> ())
-        lits)
-    lits_of;
-  (* internal propagation of the overestimate, still over old state *)
-  while not (Queue.is_empty work) do
-    let p, row = Queue.pop work in
-    List.iter
-      (fun (r, lits) ->
-        List.iter
-          (fun x ->
-            match x.l with
-            | Ast.L_pos a when a.Ast.pred = p -> (
-                match match_args [] a.Ast.args row with
-                | None -> ()
-                | Some env0 ->
-                    let rest = List.filter (fun y -> y.li <> x.li) lits in
-                    eval_lits ~state:state_old rest env0 (fun env ->
-                        mark r.Ast.head_pred (head_row env r.Ast.head_args)))
-            | _ -> ())
-          lits)
-      lits_of
-  done;
+  seed_external chgs ~skip:in_stratum entries (fun e sign rows ->
+      if sign < 0 then Rows.iter (fun row -> fire ~state:state_old e row mark) rows);
+  drain ~state:state_old entries work mark;
 
   (* Phase B — physically remove the overestimate, then give back every
      tuple still derivable from what remains. One derivability check per
@@ -443,7 +241,7 @@ let maintain_dred t old chgs (stratum : Analyzer.stratum) =
         set t.db p (Rows.diff (rel t.db p) !d)
       end)
     del;
-  let state_new li p = ignore li; rel t.db p in
+  let state_new _ p = rel t.db p in
   let derivable p row =
     List.exists
       (fun ((r : Ast.rule), lits) ->
@@ -452,89 +250,37 @@ let maintain_dred t old chgs (stratum : Analyzer.stratum) =
         match head_env r.Ast.head_args row with
         | None -> false
         | Some env0 -> exists_lits ~state:state_new lits env0)
-      lits_of
+      bodies
   in
-  let rework = Queue.create () in
   let restore p row =
     let d = del_of p in
     if Rows.mem row !d then begin
       d := Rows.remove row !d;
       set t.db p (Rows.add row (rel t.db p));
       t.ms.m_dred_rederived <- t.ms.m_dred_rederived + 1;
-      Queue.add (p, row) rework
+      Queue.add (p, row) work
     end
   in
   Hashtbl.iter
     (fun p d -> Rows.iter (fun row -> if derivable p row then restore p row) !d)
     del;
-  while not (Queue.is_empty rework) do
-    let p, row = Queue.pop rework in
-    List.iter
-      (fun ((r : Ast.rule), lits) ->
-        List.iter
-          (fun x ->
-            match x.l with
-            | Ast.L_pos a when a.Ast.pred = p -> (
-                match match_args [] a.Ast.args row with
-                | None -> ()
-                | Some env0 ->
-                    let rest = List.filter (fun y -> y.li <> x.li) lits in
-                    eval_lits ~state:state_new rest env0 (fun env ->
-                        restore r.Ast.head_pred (head_row env r.Ast.head_args)))
-            | _ -> ())
-          lits)
-      lits_of
-  done;
+  drain ~state:state_new entries work restore;
 
   (* Phase C — semi-naive insertion propagation over new state. Seeds:
      external gains (inserted rows under positive literals, retracted rows
-     under negated ones); internal derivations ride the worklist. *)
-  let iwork = Queue.create () in
+     under negated ones), evaluated directly so the delta tuple needs no
+     membership in any stratum set; internal derivations ride the
+     worklist. *)
   let put p row =
     if not (Rows.mem row (rel t.db p)) then begin
       save_old t.db old p;
       set t.db p (Rows.add row (rel t.db p));
-      Queue.add (p, row) iwork
+      Queue.add (p, row) work
     end
   in
-  List.iter
-    (fun ((r : Ast.rule), lits) ->
-      List.iter
-        (fun x ->
-          match x.l with
-          | Ast.L_cmp _ -> ()
-          | Ast.L_pos a when not (in_stratum a.Ast.pred) -> (
-              match Hashtbl.find_opt chgs a.Ast.pred with
-              | Some c when not (Rows.is_empty c.ins) ->
-                  (* seed by direct evaluation so the delta tuple needs no
-                     membership in any stratum set *)
-                  Rows.iter
-                    (fun row ->
-                      match match_args [] a.Ast.args row with
-                      | None -> ()
-                      | Some env0 ->
-                          let rest = List.filter (fun y -> y.li <> x.li) lits in
-                          eval_lits ~state:state_new rest env0 (fun env ->
-                              put r.Ast.head_pred (head_row env r.Ast.head_args)))
-                    c.ins
-              | _ -> ())
-          | Ast.L_neg a -> (
-              match Hashtbl.find_opt chgs a.Ast.pred with
-              | Some c when not (Rows.is_empty c.del) ->
-                  Rows.iter
-                    (fun row ->
-                      match match_args [] a.Ast.args row with
-                      | None -> ()
-                      | Some env0 ->
-                          let rest = List.filter (fun y -> y.li <> x.li) lits in
-                          eval_lits ~state:state_new rest env0 (fun env ->
-                              put r.Ast.head_pred (head_row env r.Ast.head_args)))
-                    c.del
-              | _ -> ())
-          | Ast.L_pos _ -> ())
-        lits)
-    lits_of;
-  drain t.db lits_of iwork put;
+  seed_external chgs ~skip:in_stratum entries (fun e sign rows ->
+      if sign > 0 then Rows.iter (fun row -> fire ~state:state_new e row put) rows);
+  drain ~state:state_new entries work put;
 
   (* net stratum change = diff against the pre-stratum snapshot *)
   List.iter
@@ -617,7 +363,6 @@ let create ?prov ?fixpoint ~edb (program : Ast.program) =
             List.iter (fun (p, rows) -> set db p rows) sets;
             t.ms.m_seeded_strata <- t.ms.m_seeded_strata + 1
         | None ->
-            let lits_of = List.map (fun r -> (r, indexed_body r)) s.Analyzer.rules in
             let work = Queue.create () in
             let put p row =
               if not (Rows.mem row (rel db p)) then begin
@@ -625,21 +370,14 @@ let create ?prov ?fixpoint ~edb (program : Ast.program) =
                 Queue.add (p, row) work
               end
             in
-            List.iter
-              (fun ((r : Ast.rule), lits) ->
-                eval_lits ~state lits [] (fun env ->
-                    put r.Ast.head_pred (head_row env r.Ast.head_args)))
-              lits_of;
-            drain db lits_of work put
+            List.iter (fun r -> derive ~state r (indexed_body r) [] put) s.Analyzer.rules;
+            drain ~state (entries s.Analyzer.rules) work put
       end
       else
         List.iter
           (fun (r : Ast.rule) ->
-            let lits = indexed_body r in
-            let pred = r.Ast.head_pred in
-            let ct = counts_of t pred in
-            eval_lits ~state lits [] (fun env ->
-                let row = head_row env r.Ast.head_args in
+            let ct = counts_of t r.Ast.head_pred in
+            derive ~state r (indexed_body r) [] (fun pred row ->
                 t.ms.m_count_updates <- t.ms.m_count_updates + 1;
                 Hashtbl.replace ct row (1 + (try Hashtbl.find ct row with Not_found -> 0));
                 set db pred (Rows.add row (rel db pred))))

@@ -182,28 +182,6 @@ let packed_pairs xs ys n =
   done;
   if !i = n then Some keys else None
 
-(* Any arity and range: sort a row-index permutation column by column. *)
-let general_sorted_distinct n cols =
-  let arity = Array.length cols in
-  let cmp a b =
-    let r = ref 0 and c = ref 0 in
-    while !r = 0 && !c < arity do
-      let col = Array.unsafe_get cols !c in
-      r := Int.compare (Array.unsafe_get col a) (Array.unsafe_get col b);
-      incr c
-    done;
-    !r
-  in
-  let perm = Array.init n Fun.id in
-  Array.stable_sort cmp perm;
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    let r = perm.(i) in
-    if i = n - 1 || cmp r perm.(i + 1) <> 0 then
-      acc := Array.init arity (fun c -> cols.(c).(r)) :: !acc
-  done;
-  !acc
-
 let sorted_distinct_rows t =
   let n = nrows t in
   let cols = Array.map Int_vec.unsafe_data t.cols in
@@ -215,5 +193,5 @@ let sorted_distinct_rows t =
           distinct_rows_of_keys keys (fun k ->
               let x, y = Rs_util.Int_key.unpack2 k in
               [| x; y |])
-      | None -> general_sorted_distinct n cols)
-  | _ -> general_sorted_distinct n cols
+      | None -> List.sort_uniq compare (to_rows t))
+  | _ -> List.sort_uniq compare (to_rows t)

@@ -84,5 +84,5 @@ val sorted_distinct_rows : t -> int array list
 (** Tuples sorted lexicographically with duplicates removed — the canonical
     form used by tests, cross-engine result comparison and every served
     answer. Arity 1, and arity 2 when every pair fits {!Rs_util.Int_key.fits2},
-    radix-sort packed keys; other relations sort a row-index permutation
-    column by column. Neither path boxes a row before its output cell. *)
+    radix-sort packed keys without boxing a row before its output cell;
+    other relations box their rows and sort them with polymorphic compare. *)

@@ -90,6 +90,59 @@ let test_aggregate_witness () =
   | _ -> Alcotest.fail "aggregate head should explain through a rule");
   check "witness chain reaches edb" true (contains (Explain.render n) "[edb]")
 
+let test_aggregate_later_witness () =
+  (* cc3(1, 0) has two MIN witnesses: x = 1 (through the self-loop) comes
+     first and cycles back through the goal itself; x = 2 proves it *)
+  let an, rows, prov, _ = run_with_prov Programs.cc [ (0, 2); (2, 1); (1, 1) ] in
+  List.iter
+    (fun prov ->
+      let n = explained (Explain.explain ?prov ~an ~rows "cc3" [ 1; 0 ]) in
+      check "chain through the second witness" true (contains (Explain.render n) "arc(2, 1) [edb]"))
+    [ Some prov; None ]
+
+(* Every row of every relation a program derives explains, with tags and
+   without, and every leaf of its chain is one of the input arcs. The search
+   does not memoize failed subgoals, so SG can exhaust the step budget even
+   on five nodes: that outcome is a known cost, not a verdict, and passes
+   (a 5,000-step budget keeps those cases cheap); [No_proof] and [Absent]
+   never do. *)
+let rec edb_leaves = function
+  | Explain.N_edb { pred; row } -> [ (pred, row) ]
+  | Explain.N_rule { premises; _ } ->
+      List.concat_map (function Explain.P_fact n -> edb_leaves n | _ -> []) premises
+
+let prop_explain_complete =
+  let gen =
+    let open QCheck2.Gen in
+    let* n = int_range 1 10 in
+    list_size (int_range 0 20) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+  in
+  let print = QCheck2.Print.(list (pair int int)) in
+  QCheck2.Test.make ~name:"every derived row explains to input arcs" ~count:100 ~print gen
+    (fun edges ->
+      List.for_all
+        (fun src ->
+          let an, rows, prov, _ = run_with_prov src edges in
+          List.for_all
+            (fun p ->
+              List.for_all
+                (fun row ->
+                  List.for_all
+                    (fun prov ->
+                      match Explain.explain ?prov ~max_steps:5_000 ~an ~rows p row with
+                      | Explain.Explained n ->
+                          List.for_all
+                            (fun (q, leaf) ->
+                              q = "arc"
+                              && match leaf with [ a; b ] -> List.mem (a, b) edges | _ -> false)
+                            (edb_leaves n)
+                      | Explain.Budget_exceeded _ -> true
+                      | Explain.No_proof | Explain.Absent -> false)
+                    [ Some prov; None ])
+                (rows p))
+            an.Analyzer.idbs)
+        [ Programs.tc; Programs.sg; Programs.ntc; Programs.cc ])
+
 (* --- provenance store behavior --- *)
 
 let test_full_coverage () =
@@ -238,6 +291,7 @@ let suite =
     Alcotest.test_case "sg chain" `Quick test_sg_chain;
     Alcotest.test_case "negation chain" `Quick test_negation_chain;
     Alcotest.test_case "aggregate witness" `Quick test_aggregate_witness;
+    Alcotest.test_case "aggregate witness after a cyclic one" `Quick test_aggregate_later_witness;
     Alcotest.test_case "full tag coverage" `Quick test_full_coverage;
     Alcotest.test_case "outputs identical with provenance" `Quick test_outputs_identical_with_provenance;
     Alcotest.test_case "sampling deterministic" `Quick test_sampling_deterministic;
@@ -245,4 +299,5 @@ let suite =
     Alcotest.test_case "budget" `Quick test_budget;
     Alcotest.test_case "json shape" `Quick test_json_shape;
     QCheck_alcotest.to_alcotest prop_store_matches_model;
+    QCheck_alcotest.to_alcotest prop_explain_complete;
   ]
