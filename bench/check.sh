@@ -468,23 +468,28 @@ EOF
 python3 "$tmp/validate_bench_load.py" BENCH_service.json
 
 echo "== perfbench smoke =="
-# One traced pa-join batch through the repository benchmark: the served
-# answers must match their reference checksums and pa-join's counter-based
-# property must hold. serve-churn stays out: its floor property compares
-# host-timed miss latency against the charged floor, which a loaded CI
-# machine can fail without any defect in the code.
-sh perfbench/run.sh --workload pa-join --seed 1 --seconds 0 --trace 1 >"$tmp/perf.out"
+# One traced batch of pa-join and of deep-chain through the repository
+# benchmark: the served answers must match their reference checksums and
+# each workload's property must hold (pa-join's counters; deep-chain's
+# more than 400 iterations). Neither depends on host speed. serve-churn
+# stays out: its floor property compares host-timed miss latency against
+# the charged floor, which a loaded CI machine can fail without any defect
+# in the code.
 cat >"$tmp/validate_perf.py" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     lines = f.read().splitlines()
-assert lines, "perfbench printed nothing"
+w = sys.argv[2]
+assert lines, "perfbench %s printed nothing" % w
 r = json.loads(lines[-1])
-assert r["correct"] is True, "perfbench reported correct=%r" % r["correct"]
-assert r["attempted"] > 0, "perfbench attempted no operations"
-assert r["failed"] == 0, "perfbench: %d of %d operations failed" % (r["failed"], r["attempted"])
-print("perfbench smoke OK: %d operations, all correct" % r["attempted"])
+assert r["correct"] is True, "perfbench %s reported correct=%r" % (w, r["correct"])
+assert r["attempted"] > 0, "perfbench %s attempted no operations" % w
+assert r["failed"] == 0, "perfbench %s: %d of %d operations failed" % (w, r["failed"], r["attempted"])
+print("perfbench smoke OK: %s, %d operations, all correct" % (w, r["attempted"]))
 EOF
-python3 "$tmp/validate_perf.py" "$tmp/perf.out"
+for w in pa-join deep-chain; do
+  sh perfbench/run.sh --workload "$w" --seed 1 --seconds 0 --trace 1 >"$tmp/perf.$w.out"
+  python3 "$tmp/validate_perf.py" "$tmp/perf.$w.out" "$w"
+done
 
 echo "== check passed =="

@@ -8,10 +8,10 @@
 
     This module is the faithful concurrent implementation, built on OCaml 5
     [Atomic] and stress-tested with real [Domain]s in the test suite. The
-    single-threaded engine path uses {!Dedup} (same layout, no atomics); the
-    two are verified to produce identical sets. Capacity is fixed at
-    creation, mirroring the paper's pre-allocation from the optimizer's
-    cardinality estimate. *)
+    single-threaded engine path uses {!Dedup}, whose compact keys sit in one
+    linear-probing table instead of chains; the tests check each against
+    set semantics. Capacity is fixed at creation, mirroring the paper's
+    pre-allocation from the optimizer's cardinality estimate. *)
 
 type t
 

@@ -4,26 +4,33 @@ module Memtrack = Rs_storage.Memtrack
 
 type mode = Fast | Boxed
 
-(* Fast arity<=2: packed keys in [keys]; chains in [nexts]; bucket heads in
-   [heads] (-1 = empty). Fast arity>2: tuples flattened into [wide], keyed by
-   combined hash; [keys] then stores the row index into [wide]. *)
+(* Fast is one linear-probing table whose capacity is a power of two at
+   least twice its entry count (it grows at load > 1/2), so every probe
+   sequence ends at an empty slot.
+
+   - Packed (arity 1, and arity 2 while every attribute is in [0, 2^31)):
+     a slot holds the compact key itself (paper §5.1: key, value and hash
+     in one word) or [empty]. Packed pairs are non-negative and never equal
+     [empty]; the one arity-1 key that does is kept out of band in
+     [has_empty_key].
+   - Wide (arity > 2, and arity-2 tables that have migrated): tuples are
+     flattened into the [wide] arena and a slot is two words, the entry id
+     ([empty] when free) and the entry's cached [wide_hash]. *)
 type fast = {
   farity : int;
-  mutable heads : int array;
-  nexts : Int_vec.t;
-  keys : Int_vec.t;
-  wide : Int_vec.t;  (* used when [packed] is false and farity > 1 *)
+  mutable slots : int array;
+  mutable mask : int;  (* capacity - 1, in slots *)
   mutable count : int;
-  mutable mask : int;
-  mutable packed : bool;
-      (* arity-2 tables start packed and migrate to the wide layout on the
-         first tuple outside [0, 2^31) (e.g. a negative attribute); arity-1
-         keys are raw values and stay packed for any int *)
+  mutable packed : bool;  (* arity-1 keys are raw values, packed for any int *)
+  mutable has_empty_key : bool;
+  wide : Int_vec.t;
 }
 
 type impl = F of fast | B of (int array, unit) Hashtbl.t
 
 type t = { mode : mode; arity : int; impl : impl; mutable accounted : int }
+
+let empty = min_int
 
 let pow2_at_least n =
   let rec go p = if p >= n then p else go (p * 2) in
@@ -38,16 +45,16 @@ let create ?(expected = 64) mode arity =
         (* Chaos fault point: allocation of a fast dedup table fails. *)
         Rs_chaos.Inject.dedup_should_fail ~point:"dedup.create";
         let cap = pow2_at_least (2 * max 16 expected) in
+        let packed = arity <= 2 in
         F
           {
             farity = arity;
-            heads = Array.make cap (-1);
-            nexts = Int_vec.create ();
-            keys = Int_vec.create ();
-            wide = Int_vec.create ();
-            count = 0;
+            slots = Array.make (if packed then cap else 2 * cap) empty;
             mask = cap - 1;
-            packed = arity <= 2;
+            count = 0;
+            packed;
+            has_empty_key = false;
+            wide = Int_vec.create ();
           }
   in
   { mode; arity; impl; accounted = 0 }
@@ -55,117 +62,131 @@ let create ?(expected = 64) mode arity =
 let mode t = t.mode
 let arity t = t.arity
 
-let rehash f =
-  (* Chaos fault point: growth of a fast dedup table fails. *)
-  Rs_chaos.Inject.dedup_should_fail ~point:"dedup.rehash";
-  let cap = 2 * Array.length f.heads in
-  let heads = Array.make cap (-1) in
-  let mask = cap - 1 in
-  let nexts = Int_vec.unsafe_data f.nexts in
-  let keys = Int_vec.unsafe_data f.keys in
-  for slot = 0 to f.count - 1 do
-    let h =
-      if f.packed then Int_key.hash keys.(slot) land mask else keys.(slot) land mask
-    in
-    nexts.(slot) <- heads.(h);
-    heads.(h) <- slot
-  done;
-  f.heads <- heads;
-  f.mask <- mask
+(* The first free slot at or after [i]; [stride] is the slot width in words. *)
+let rec free_slot slots stride mask i =
+  if slots.(stride * i) = empty then i else free_slot slots stride mask ((i + 1) land mask)
 
-(* --- packed (arity <= 2) path --- *)
-
-let fast_add_packed f key =
-  let h = Int_key.hash key land f.mask in
-  let rec walk slot =
-    if slot < 0 then false
-    else if Int_vec.get f.keys slot = key then true
-    else walk (Int_vec.get f.nexts slot)
-  in
-  if walk f.heads.(h) then false
-  else if Rs_chaos.Inject.dedup_drops ~key then false
-  else begin
-    let slot = f.count in
-    Int_vec.push f.keys key;
-    Int_vec.push f.nexts f.heads.(h);
-    f.heads.(h) <- slot;
-    f.count <- f.count + 1;
-    if f.count > Array.length f.heads then rehash f;
-    true
-  end
-
-let fast_mem_packed f key =
-  let h = Int_key.hash key land f.mask in
-  let rec walk slot =
-    if slot < 0 then false
-    else if Int_vec.get f.keys slot = key then true
-    else walk (Int_vec.get f.nexts slot)
-  in
-  walk f.heads.(h)
-
-(* --- wide (arity > 2) path: keys stores the combined hash; wide stores the
-   flattened tuple; equality re-checks attributes. --- *)
+(* Stores a wide entry in the first free slot of its hash's probe sequence. *)
+let place_wide slots mask id hk =
+  let j = free_slot slots 2 mask (hk land mask) in
+  slots.(2 * j) <- id;
+  slots.((2 * j) + 1) <- hk
 
 let wide_hash row =
   Array.fold_left Int_key.hash_combine 0x9E3779B9 row
 
-let wide_eq f slot row =
-  let base = slot * f.farity in
+(* Doubles the capacity and re-inserts every slot; wide slots keep their
+   entry ids and cached hashes. *)
+let grow f =
+  (* Chaos fault point: growth of a fast dedup table fails. *)
+  Rs_chaos.Inject.dedup_should_fail ~point:"dedup.rehash";
+  let old = f.slots in
+  let cap = 2 * (f.mask + 1) in
+  let mask = cap - 1 in
+  if f.packed then begin
+    let slots = Array.make cap empty in
+    for i = 0 to f.mask do
+      let key = old.(i) in
+      if key <> empty then slots.(free_slot slots 1 mask (Int_key.hash key land mask)) <- key
+    done;
+    f.slots <- slots
+  end
+  else begin
+    let slots = Array.make (2 * cap) empty in
+    for i = 0 to f.mask do
+      let id = old.(2 * i) in
+      if id <> empty then place_wide slots mask id old.((2 * i) + 1)
+    done;
+    f.slots <- slots
+  end;
+  f.mask <- mask
+
+let claimed f =
+  f.count <- f.count + 1;
+  if 2 * f.count > f.mask + 1 then grow f
+
+(* --- packed path --- *)
+
+(* Probes for [key] (never [empty]) from slot [i]: [-1] if it is stored,
+   else the empty slot that ends its probe sequence. *)
+let rec probe_packed slots mask key i =
+  let s = slots.(i) in
+  if s = key then -1
+  else if s = empty then i
+  else probe_packed slots mask key ((i + 1) land mask)
+
+let fast_add_packed f key =
+  if key = empty then
+    if f.has_empty_key || Rs_chaos.Inject.dedup_drops ~key then false
+    else begin
+      f.has_empty_key <- true;
+      claimed f;
+      true
+    end
+  else
+    let i = probe_packed f.slots f.mask key (Int_key.hash key land f.mask) in
+    if i < 0 || Rs_chaos.Inject.dedup_drops ~key then false
+    else begin
+      f.slots.(i) <- key;
+      claimed f;
+      true
+    end
+
+let fast_mem_packed f key =
+  if key = empty then f.has_empty_key
+  else probe_packed f.slots f.mask key (Int_key.hash key land f.mask) < 0
+
+(* --- wide path: the slot's cached hash filters, the arena decides --- *)
+
+let wide_eq f id row =
+  let base = id * f.farity in
   let rec go i = i = f.farity || (Int_vec.get f.wide (base + i) = row.(i) && go (i + 1)) in
   go 0
 
+let rec probe_wide f slots mask row hk i =
+  let id = slots.(2 * i) in
+  if id = empty then i
+  else if slots.((2 * i) + 1) = hk && wide_eq f id row then -1
+  else probe_wide f slots mask row hk ((i + 1) land mask)
+
 let fast_add_wide f row =
   let hk = wide_hash row in
-  let h = hk land f.mask in
-  let rec walk slot =
-    if slot < 0 then false
-    else if Int_vec.get f.keys slot = hk && wide_eq f slot row then true
-    else walk (Int_vec.get f.nexts slot)
-  in
-  if walk f.heads.(h) then false
-  else if Rs_chaos.Inject.dedup_drops ~key:hk then false
+  let i = probe_wide f f.slots f.mask row hk (hk land f.mask) in
+  if i < 0 || Rs_chaos.Inject.dedup_drops ~key:hk then false
   else begin
-    let slot = f.count in
-    Int_vec.push f.keys hk;
-    Int_vec.push f.nexts f.heads.(h);
+    f.slots.(2 * i) <- f.count;
+    f.slots.((2 * i) + 1) <- hk;
     Array.iter (Int_vec.push f.wide) row;
-    f.heads.(h) <- slot;
-    f.count <- f.count + 1;
-    if f.count > Array.length f.heads then rehash f;
+    claimed f;
     true
   end
 
 let fast_mem_wide f row =
   let hk = wide_hash row in
-  let h = hk land f.mask in
-  let rec walk slot =
-    if slot < 0 then false
-    else if Int_vec.get f.keys slot = hk && wide_eq f slot row then true
-    else walk (Int_vec.get f.nexts slot)
-  in
-  walk f.heads.(h)
+  probe_wide f f.slots f.mask row hk (hk land f.mask) < 0
 
 (* Packed arity-2 keys require attributes in [0, 2^31): the integer-mapped
    active domains of the paper's workloads satisfy this (§5.2), but parsed
    programs and EDBs may carry negative constants. The first tuple outside
-   the packed range migrates the table to the wide layout: unpack every
-   stored pair, re-key by tuple hash, and rebuild the buckets in place. *)
+   the packed range migrates the table to the wide layout at the same
+   capacity: every stored pair is unpacked into the arena and re-slotted by
+   its tuple hash. *)
 let migrate_to_wide f =
-  let keys = Int_vec.unsafe_data f.keys in
-  for slot = 0 to f.count - 1 do
-    let x, y = Int_key.unpack2 keys.(slot) in
-    Int_vec.push f.wide x;
-    Int_vec.push f.wide y;
-    keys.(slot) <- wide_hash [| x; y |]
+  let old = f.slots in
+  let slots = Array.make (2 * (f.mask + 1)) empty in
+  let id = ref 0 in
+  for i = 0 to f.mask do
+    let key = old.(i) in
+    if key <> empty then begin
+      let x, y = Int_key.unpack2 key in
+      Int_vec.push f.wide x;
+      Int_vec.push f.wide y;
+      place_wide slots f.mask !id (wide_hash [| x; y |]);
+      incr id
+    end
   done;
-  f.packed <- false;
-  Array.fill f.heads 0 (Array.length f.heads) (-1);
-  let nexts = Int_vec.unsafe_data f.nexts in
-  for slot = 0 to f.count - 1 do
-    let h = keys.(slot) land f.mask in
-    nexts.(slot) <- f.heads.(h);
-    f.heads.(h) <- slot
-  done
+  f.slots <- slots;
+  f.packed <- false
 
 let fast_add2 f x y =
   if f.packed then
@@ -226,8 +247,6 @@ let mem_row t row =
       else fast_mem_wide f row
   | B h -> Hashtbl.mem h row
 
-let mem2 t x y = mem_row t [| x; y |]
-
 let cardinal t =
   match t.impl with F f -> f.count | B h -> Hashtbl.length h
 
@@ -237,10 +256,7 @@ let boxed_entry_bytes arity = 8 * (3 + 1 + arity) + 16
 
 let bytes t =
   match t.impl with
-  | F f ->
-      (8 * Array.length f.heads)
-      + Int_vec.capacity_bytes f.nexts + Int_vec.capacity_bytes f.keys
-      + Int_vec.capacity_bytes f.wide
+  | F f -> (8 * Array.length f.slots) + Int_vec.capacity_bytes f.wide
   | B h -> (Hashtbl.length h * boxed_entry_bytes t.arity) + (8 * 16)
 
 let account t =
@@ -290,13 +306,11 @@ let dedup_relation_parallel ?expected ?trace ~pool mode r =
     let arity = Relation.arity r in
     let n = Relation.nrows r in
     let t = create ~expected:(Option.value expected ~default:(max 16 n)) mode arity in
-    let out = Relation.create ~name:(Relation.name r ^ "_dedup") arity in
     let fragments = ref [] in
     Rs_parallel.Pool.parallel_for pool 0 n (fun lo hi ->
         let frag = Relation.create arity in
         dedup_chunk t r frag lo hi;
         fragments := frag :: !fragments);
-    ignore out;
     let merged = Relation.concat_parallel pool arity (List.rev !fragments) in
     account t;
     release t;

@@ -1,33 +1,41 @@
 (** Tuple-set structures for deduplication (the paper's FAST-DEDUP).
 
-    The paper's CCK-GSCHT is a global separate-chaining hash table whose
-    entries are Compact Concatenated Keys: the whole tuple packed into one
-    machine word that serves as key, value and hash at once. We provide:
+    The paper's dedup table stores Compact Concatenated Keys: the whole
+    tuple packed into one machine word that serves as key, value and hash
+    at once (§5.1). We provide:
 
-    - {!Fast}: the CCK-GSCHT. Tuples of arity <= 2 are packed with
-      {!Rs_util.Int_key.pack2} while every attribute stays in [0, 2^31);
-      the first out-of-range pair (e.g. a negative constant from a parsed
-      program) migrates the table to the wider flattened-arena layout that
-      arity > 2 tuples always use — combined hashing, still pointer-free.
+    - {!Fast}: one open-addressing (linear-probing) table. Tuples of arity
+      <= 2 are packed with {!Rs_util.Int_key.pack2} while every attribute
+      stays in [0, 2^31), and the compact key sits in the slot itself, so a
+      claim reads one slot per probe step. The first out-of-range pair
+      (e.g. a negative constant from a parsed program) migrates the table
+      to the wider layout that arity > 2 tuples always use: tuples in a
+      flattened arena, slots holding entry ids and cached combined hashes —
+      still pointer-free. Capacity is a power of two at least twice
+      [expected], and the table doubles at load > 1/2.
     - {!Boxed}: the "un-specialized" baseline used for the FAST-DEDUP-off
       ablation — a stdlib [Hashtbl] keyed by boxed [int array] tuples, which
       costs extra allocation, hashing and per-entry overhead.
+
+    The paper's separate-chaining, latch-free layout (Figure 5) lives on
+    only in {!Cck_concurrent}.
 
     Memory is accounted to {!Rs_storage.Memtrack} (real array sizes for
     {!Fast}; a per-entry estimate of the GC-heap footprint for {!Boxed}).
 
     Fault injection: the {!Fast} insert paths probe
     {!Rs_chaos.Inject.dedup_drops} (silent per-key derivation loss — the
-    corruption the differential fuzzer must catch) and table creation/growth
-    probe {!Rs_chaos.Inject.dedup_should_fail}. Both are no-ops unless a
-    chaos plan is armed in scope; {!Boxed} is unaffected. *)
+    corruption the differential fuzzer must catch) and table creation
+    ([dedup.create]) and growth ([dedup.rehash]) probe
+    {!Rs_chaos.Inject.dedup_should_fail}. Both are no-ops unless a chaos
+    plan is armed in scope; {!Boxed} is unaffected. *)
 
 type mode = Fast | Boxed
 
 type t
 
 val create : ?expected:int -> mode -> int -> t
-(** [create mode arity] makes an empty set. [expected] pre-sizes the bucket
+(** [create mode arity] makes an empty set. [expected] pre-sizes the slot
     array, mirroring the paper's pre-allocation from the optimizer's
     estimate. *)
 
@@ -43,8 +51,6 @@ val add_row : t -> int array -> bool
 val add1 : t -> int -> bool
 
 val mem_row : t -> int array -> bool
-
-val mem2 : t -> int -> int -> bool
 
 val cardinal : t -> int
 
@@ -66,6 +72,6 @@ val dedup_relation_parallel :
   ?expected:int -> ?trace:Rs_obs.Trace.t -> pool:Rs_parallel.Pool.t -> mode -> Relation.t
   -> Relation.t
 (** Like {!dedup_relation}, but tuples are inserted chunk-parallel through
-    the worker pool — the CCK-GSCHT is a *global latch-free* table built for
-    exactly this access pattern (paper Figure 5), so the engine's dedup step
+    the worker pool — the paper's dedup table is one *global* table built for
+    exactly this access pattern (Figure 5), so the engine's dedup step
     scales with cores. Output order is per-chunk first-occurrence. *)

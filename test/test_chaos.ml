@@ -7,6 +7,7 @@ module Inject = Rs_chaos.Inject
 module Memtrack = Rs_storage.Memtrack
 module Pool = Rs_parallel.Pool
 module Relation = Rs_relation.Relation
+module Dedup = Rs_relation.Dedup
 module Retry = Rs_service.Retry
 module Service = Rs_service.Service
 module Edb_store = Rs_service.Edb_store
@@ -121,6 +122,30 @@ let test_memtrack_probe () =
       check_int "post-limit alloc lands" 1112 (Memtrack.live ());
       check "mem fire counted" true (List.assoc_opt Fault.Mem (Inject.fires ()) = Some 1));
   Memtrack.hard_reset ()
+
+(* Both FAST-DEDUP table fault points: creation, and the growth step of a
+   table made before the plan was armed. [expected] 16 gives 32 slots, which
+   hold 16 keys at load 1/2, so the 17th claim grows the table. *)
+let test_dedup_table_faults () =
+  let plan = Fault.plan_of_string "dedup:p=1.0" in
+  let expect_fault point f =
+    match f () with
+    | _ -> Alcotest.fail ("armed dedup fault did not fire at " ^ point)
+    | exception Fault.Injected { cls = Fault.Dedup_fail; point = p } ->
+        Alcotest.(check string) "fault point" point p
+  in
+  List.iter
+    (fun arity ->
+      Inject.with_plan plan (fun () ->
+          expect_fault "dedup.create" (fun () -> Dedup.create Dedup.Fast arity));
+      let t = Dedup.create ~expected:16 Dedup.Fast arity in
+      let row i = Array.make arity i in
+      Inject.with_plan plan (fun () ->
+          for i = 0 to 15 do
+            check "claims below the growth load do not probe" true (Dedup.add_row t (row i))
+          done;
+          expect_fault "dedup.rehash" (fun () -> Dedup.add_row t (row 16))))
+    [ 1; 2; 3 ]
 
 let test_pool_stall_inflates_vtime () =
   let work pool =
@@ -387,6 +412,8 @@ let suite =
     Alcotest.test_case "injection is deterministic per seed" `Quick test_inject_determinism;
     Alcotest.test_case "with_plan scopes and restores" `Quick test_with_plan_scoping;
     Alcotest.test_case "memtrack probe fires and rolls back" `Quick test_memtrack_probe;
+    Alcotest.test_case "dedup table faults at create and growth" `Quick
+      test_dedup_table_faults;
     Alcotest.test_case "pool stall inflates the virtual clock" `Quick
       test_pool_stall_inflates_vtime;
     Alcotest.test_case "pool crash is typed and survivable" `Quick

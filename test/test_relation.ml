@@ -117,15 +117,53 @@ let prop_dedup_parallel_matches =
       let d = Dedup.dedup_relation_parallel ~pool Dedup.Fast r in
       Refs.sorted_pairs (Relation.to_rows d) = List.sort_uniq compare pairs)
 
+(* Model check of Fast against Boxed: interleaved claims and lookups on
+   every arity that takes its own Fast path, comparing every return value
+   and the cardinality after every call. A small [expected] makes the table grow several
+   times. The extreme values include [min_int] (the packed layout's empty
+   slot marker, a legal arity-1 key) and the first values outside
+   [0, 2^31), which migrate an arity-2 table mid-stream. *)
+type dedup_op = Add_row of int array | Add1 of int | Add2 of int * int | Mem_row of int array
+
+let gen_dedup_case =
+  let open QCheck2.Gen in
+  let extreme = oneofl [ min_int; max_int; (1 lsl 31) - 1; 1 lsl 31; -1; -7; 0 ] in
+  let* arity = int_range 1 4 in
+  let* expected = int_range 0 8 in
+  (* weight 0 keeps a case inside the packed range; otherwise values may be
+     negative, and about [weight] in 40 are extreme *)
+  let* weight = int_range 0 3 in
+  let value =
+    if weight = 0 then int_range 0 100 else frequency [ (40, int_range (-5) 100); (weight, extreme) ]
+  in
+  let row = array_size (return arity) value in
+  let op =
+    frequency
+      ([ (3, map (fun r -> Add_row r) row); (2, map (fun r -> Mem_row r) row) ]
+      @ (if arity = 1 then [ (3, map (fun x -> Add1 x) value) ] else [])
+      @ if arity = 2 then [ (3, map2 (fun x y -> Add2 (x, y)) value value) ] else [])
+  in
+  let+ ops = list_size (int_range 0 300) op in
+  (arity, expected, ops)
+
 let prop_dedup_fast_eq_boxed =
-  QCheck2.Test.make ~name:"fast dedup = boxed dedup" ~count:100
-    QCheck2.Gen.(list (array_size (return 3) (int_range 0 30)))
-    (fun rows ->
-      let mk mode =
-        let t = Dedup.create mode 3 in
-        List.map (fun row -> Dedup.add_row t row) rows
+  QCheck2.Test.make ~name:"fast dedup = boxed dedup" ~count:300 gen_dedup_case
+    (fun (arity, expected, ops) ->
+      let run mode =
+        let t = Dedup.create ~expected mode arity in
+        List.map
+          (fun op ->
+            let answer =
+              match op with
+              | Add_row r -> Dedup.add_row t r
+              | Add1 x -> Dedup.add1 t x
+              | Add2 (x, y) -> Dedup.add2 t x y
+              | Mem_row r -> Dedup.mem_row t r
+            in
+            (answer, Dedup.cardinal t))
+          ops
       in
-      mk Dedup.Fast = mk Dedup.Boxed)
+      run Dedup.Fast = run Dedup.Boxed)
 
 let test_dedup_wide_membership () =
   let t = Dedup.create Dedup.Fast 4 in
