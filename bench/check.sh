@@ -81,9 +81,9 @@ iters = c["interpreter.iterations"]
 builds = c["executor.index_builds"]
 assert iters >= 5, "TC fixpoint too short to be meaningful: %d iterations" % iters
 assert c.get("executor.index_reuse_hits", 0) > 0, "no index reuse across iterations"
-# This program has exactly two persistent access patterns (arc keyed on
-# column 0 for the delta-rule join, tc keyed on all columns for the
-# kernel's anti-probe and iteration 0's OPSD), so
+# This program has exactly two persistent access patterns (arc's join
+# index on column 0 for the delta-rule join, tc's membership set on all
+# columns for the kernel's anti-probe and iteration 0's OPSD), so
 # builds must stay O(#patterns) — not O(#iterations).  Allow a small
 # constant slack for transient builds outside the fixpoint.
 assert builds <= 4, \
@@ -469,9 +469,11 @@ python3 "$tmp/validate_bench_load.py" BENCH_service.json
 
 echo "== perfbench smoke =="
 # One traced batch of pa-join and of deep-chain through the repository
-# benchmark: the served answers must match their reference checksums and
+# benchmark: the served answers must match their reference checksums,
 # each workload's property must hold (pa-join's counters; deep-chain's
-# more than 400 iterations). Neither depends on host speed. serve-churn
+# more than 400 iterations), and every work counter must repeat exactly
+# across the traced repetitions (trace.drifting_counters present and 0).
+# None of these depends on host speed. serve-churn
 # stays out: its floor property compares host-timed miss latency against
 # the charged floor, which a loaded CI machine can fail without any defect
 # in the code.
@@ -485,7 +487,11 @@ r = json.loads(lines[-1])
 assert r["correct"] is True, "perfbench %s reported correct=%r" % (w, r["correct"])
 assert r["attempted"] > 0, "perfbench %s attempted no operations" % w
 assert r["failed"] == 0, "perfbench %s: %d of %d operations failed" % (w, r["failed"], r["attempted"])
-print("perfbench smoke OK: %s, %d operations, all correct" % (w, r["attempted"]))
+drift = r["metrics"].get("trace.drifting_counters")
+assert drift is not None, "perfbench %s reported no trace.drifting_counters" % w
+assert drift["value"] == 0, "perfbench %s: %r counters drift across repetitions" % (w, drift["value"])
+print("perfbench smoke OK: %s, %d operations, all correct, no drifting counter"
+      % (w, r["attempted"]))
 EOF
 for w in pa-join deep-chain; do
   sh perfbench/run.sh --workload "$w" --seed 1 --seconds 0 --trace 1 >"$tmp/perf.$w.out"

@@ -16,7 +16,8 @@
     - {!Dedup_drop} — the fast dedup paths silently claim a fraction of
       fresh keys are duplicates. The only {e silent-corruption} class: it is
       what the differential oracle must catch, never a typed failure;
-    - {!Index_fail} — a {!Rs_relation.Hash_index} build/append fails;
+    - {!Index_fail} — a {!Rs_relation.Hash_index} or membership-set
+      build/append fails;
     - {!Cache_corrupt} — a result-cache entry is corrupted at insert (the
       cache's checksum must detect it on the next hit);
     - {!Delta_abort} — a typed EDB delta fails mid-application. The store

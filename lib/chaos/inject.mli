@@ -1,9 +1,10 @@
 (** Scoped, deterministic activation of a {!Fault.plan}.
 
     The instrumented layers (Memtrack, Txn, Pool, Dedup, Hash_index, the
-    result cache) call the probe functions below at their named fault
-    points. With no plan active every probe is a single ref read returning
-    "don't fire", so production runs pay nothing.
+    index manager's membership sets, the result cache) call the probe
+    functions below at their named fault points. With no plan active every
+    probe is a single ref read returning "don't fire", so production runs
+    pay nothing.
 
     Activation is dynamically scoped: {!with_plan} arms a plan for the
     duration of a callback and restores the previous state on {e every}
@@ -56,8 +57,8 @@ val dedup_drops : key:int -> bool
     probe), replacing the old global [Dedup.chaos_drop] flag. *)
 
 val index_should_fail : point:string -> unit
-(** {!Fault.Index_fail}: raises {!Fault.Injected} when a hash-index
-    build/append should fail. *)
+(** {!Fault.Index_fail}: raises {!Fault.Injected} when a hash-index or
+    membership-set build/append should fail. *)
 
 val cache_should_corrupt : unit -> bool
 (** {!Fault.Cache_corrupt}: [true] when the entry being inserted should be

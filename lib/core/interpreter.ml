@@ -466,24 +466,24 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
       ks
   in
   (* Kernel-path evaluation of one IDB's live delta plans: matches stream
-     straight through FAST-DEDUP and an anti-probe of R's full-column index
+     straight through FAST-DEDUP and an anti-probe of R's membership set
      into the Δ, no query issued, no intermediate bag and no separate set
-     difference. The index is acquired as OPSD's [full_table_index] does
-     (every column as the key), so one persistent index serves both; it is
-     acquired before the dedup table so an index fault raises before any
-     allocation or write. A chaos-degraded kernel re-evaluates interpreted
-     — the probe fires before any write, so falling back can never
-     double-count. *)
+     difference. The set is acquired as OPSD's [full_table_set] does (every
+     column as the key), so R has one persistent membership set whichever
+     path produced its Δ; it is acquired before the dedup table so an index
+     fault raises before any allocation or write. A chaos-degraded kernel
+     re-evaluates interpreted — the probe fires before any write, so
+     falling back can never double-count. *)
   let eval_kernels plans ks ~name ~arity =
     let r = Catalog.rel catalog name in
-    let r_index, owned =
-      Executor.acquire_index exec ~scan_name:name r (Array.init arity (fun i -> i))
+    let r_set, owned =
+      Executor.acquire_set exec ~scan_name:name r (Array.init arity (fun i -> i))
     in
-    Fun.protect ~finally:(fun () -> if owned then Rs_relation.Hash_index.release r_index)
+    Fun.protect ~finally:(fun () -> if owned then Dedup.release r_set)
     @@ fun () ->
     let dd = Dedup.create ~expected:(dedup_expected plans) dedup_mode arity in
     let out = Relation.create ~name:(Planner.delta_name name) arity in
-    match List.fold_left (fun n k -> n + Kernel.run exec k ~dedup:dd ~r_index ~out) 0 ks with
+    match List.fold_left (fun n k -> n + Kernel.run exec k ~dedup:dd ~r_set ~out) 0 ks with
     | claimed ->
         Dedup.release dd;
         Relation.account out;

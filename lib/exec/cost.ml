@@ -1,44 +1,39 @@
 module Relation = Rs_relation.Relation
-module Hash_index = Rs_relation.Hash_index
+module Dedup = Rs_relation.Dedup
 type choice = Opsd | Tpsd
 
 let default_alpha = 1.3
 
 (* Self-contained set-difference micro-kernels for calibration (mirrors of
-   Algorithms 4 and 5 without the executor plumbing). *)
-let mini_opsd ~rdelta ~r =
-  let keys = [| 0; 1 |] in
-  let idx = Hash_index.build r keys in
+   Algorithms 4 and 5 without the executor plumbing): the hash tables are
+   membership sets, as the executor's are. *)
+let pair_set r =
+  let n = Relation.nrows r in
+  let set = Dedup.create_set ~expected:n 2 in
+  Dedup.add_rows set r [| 0; 1 |] 0 n;
+  set
+
+let count_absent ~rdelta set =
   let kept = ref 0 in
-  let key = Array.make 2 0 in
   for row = 0 to Relation.nrows rdelta - 1 do
-    key.(0) <- Relation.get rdelta ~row ~col:0;
-    key.(1) <- Relation.get rdelta ~row ~col:1;
-    if not (Hash_index.mem idx key) then incr kept
+    if not (Dedup.mem2 set (Relation.get rdelta ~row ~col:0) (Relation.get rdelta ~row ~col:1))
+    then incr kept
   done;
   !kept
 
+let mini_opsd ~rdelta ~r = count_absent ~rdelta (pair_set r)
+
 let mini_tpsd ~rdelta ~r =
-  let keys = [| 0; 1 |] in
   let build, probe =
     if Relation.nrows r <= Relation.nrows rdelta then (r, rdelta) else (rdelta, r)
   in
-  let hb = Hash_index.build build keys in
+  let hb = pair_set build in
   let inter = Relation.create 2 in
-  let key = Array.make 2 0 in
   for row = 0 to Relation.nrows probe - 1 do
-    key.(0) <- Relation.get probe ~row ~col:0;
-    key.(1) <- Relation.get probe ~row ~col:1;
-    if Hash_index.mem hb key then Relation.push2 inter key.(0) key.(1)
+    let x = Relation.get probe ~row ~col:0 and y = Relation.get probe ~row ~col:1 in
+    if Dedup.mem2 hb x y then Relation.push2 inter x y
   done;
-  let hr = Hash_index.build inter keys in
-  let kept = ref 0 in
-  for row = 0 to Relation.nrows rdelta - 1 do
-    key.(0) <- Relation.get rdelta ~row ~col:0;
-    key.(1) <- Relation.get rdelta ~row ~col:1;
-    if not (Hash_index.mem hr key) then incr kept
-  done;
-  !kept
+  count_absent ~rdelta (pair_set inter)
 
 (* Offline training (the paper's pre-computed α): run both set-difference
    translations on synthetic (R, Rδ) pairs of growing β = |R|/|Rδ| and fit α
@@ -95,7 +90,7 @@ let calibrate pool () =
   let beta_star = if beta_star < 2.5 then 2.5 else if beta_star > 64.0 then 64.0 else beta_star in
   beta_star /. (beta_star -. 2.0)
 
-(* A persistent full-column index on R makes OPSD's build free, and TPSD's
+(* A persistent membership set of R makes OPSD's build free, and TPSD's
    first phase is OPSD's whole probe loop: the α model only decides when R
    is re-indexed per query. *)
 let choose ~alpha ~r_index_persists ~r_rows ~rdelta_rows ~mu_prev =

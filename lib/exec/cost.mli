@@ -36,7 +36,7 @@ val choose :
     iteration, unknown on the first ([None] → OPSD in the uncertain band,
     since small [µ] favours OPSD and the first iterations have small [R]).
 
-    [r_index_persists] says R's full-column index outlives the query and is
+    [r_index_persists] says R's membership set outlives the query and is
     only delta-appended (the executor's {!Index_manager}). Then OPSD's build
     term — the whole premise of the model — costs nothing, and TPSD's first
     phase is OPSD's entire probe loop, so the answer is OPSD without

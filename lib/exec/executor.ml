@@ -1,5 +1,6 @@
 module Relation = Rs_relation.Relation
 module Hash_index = Rs_relation.Hash_index
+module Dedup = Rs_relation.Dedup
 module Pool = Rs_parallel.Pool
 module Int_vec = Rs_util.Int_vec
 
@@ -44,10 +45,21 @@ let build_transient t rel keys =
   count t "executor.index_bytes" (Hash_index.bytes idx);
   idx
 
-(* Per-query cache of hash tables built on named tables, keyed by
-   (table, key columns). Shared across the subplans of a UNION ALL when
-   [share_builds] — the cache-sharing effect of UIE. *)
-type cache = (string * int list, Hash_index.t) Hashtbl.t
+(* The same for a membership set. *)
+let build_transient_set t rel keys =
+  let set = Index_manager.build_set t.pool rel keys in
+  Dedup.account set;
+  count t "executor.index_builds" 1;
+  count t "executor.index_bytes" (Dedup.bytes set);
+  set
+
+(* Per-query cache of join indexes and membership sets built on named
+   tables, keyed by (table, key columns). Shared across the subplans of a
+   UNION ALL when [share_builds] — the cache-sharing effect of UIE. *)
+type cache = {
+  indexes : (string * int list, Hash_index.t) Hashtbl.t;
+  sets : (string * int list, Dedup.t) Hashtbl.t;
+}
 
 let managed t = function
   | Some name -> (
@@ -56,32 +68,52 @@ let managed t = function
       | _ -> None)
   | None -> None
 
-(* Acquire a build-side index for [rel] keyed by [keys]. Ownership: manager
-   indexes persist across queries (the manager releases them); cache indexes
-   live until the query's [release_cache]; transient indexes are the
-   caller's to release. *)
-let build_index t ?(cache : cache option) ?scan_name rel keys =
+(* The three-tier acquisition policy, for either structure: [from_manager]
+   and [build] make one, [tbl] picks its per-query cache. Ownership:
+   manager structures persist across queries (the manager releases them);
+   cache entries live until the query's [release_cache]; transient ones are
+   the caller's to release. *)
+let acquire t ~from_manager ~build ~tbl ?(cache : cache option) ?scan_name rel keys =
   match managed t scan_name with
-  | Some (m, name) -> (Index_manager.get m ~name rel keys, false)
+  | Some (m, name) -> (from_manager m ~name rel keys, false)
   | None -> (
       match (cache, scan_name) with
       | Some c, Some name -> (
           let k = (name, Array.to_list keys) in
-          match Hashtbl.find_opt c k with
-          | Some idx ->
+          match Hashtbl.find_opt (tbl c) k with
+          | Some x ->
               count t "executor.index_cache_hits" 1;
-              (idx, false)
+              (x, false)
           | None ->
-              let idx = build_transient t rel keys in
-              Hashtbl.add c k idx;
-              (idx, false))
-      | _ -> (build_transient t rel keys, true))
+              let x = build t rel keys in
+              Hashtbl.add (tbl c) k x;
+              (x, false))
+      | _ -> (build t rel keys, true))
 
-let release_cache (c : cache) = Hashtbl.iter (fun _ idx -> Hash_index.release idx) c
+(* A build-side index for [rel] keyed by [keys]. *)
+let build_index t ?cache ?scan_name rel keys =
+  acquire t ~from_manager:Index_manager.get ~build:build_transient ~tbl:(fun c -> c.indexes)
+    ?cache ?scan_name rel keys
 
-(* Index acquisition for compiled kernels: same three-tier policy as a
-   join's build side, minus the per-query cache (a kernel is not a query). *)
+(* A membership set of [rel]'s rows projected on [keys]. *)
+let build_member_set t ?cache ?scan_name rel keys =
+  acquire t ~from_manager:Index_manager.get_set ~build:build_transient_set
+    ~tbl:(fun c -> c.sets) ?cache ?scan_name rel keys
+
+(* A set [build_member_set] hands out with an ownership flag, released on
+   every exit path of [f] — a worker crash included — when the caller owns
+   it. *)
+let with_owned (set, own) f =
+  Fun.protect ~finally:(fun () -> if own then Dedup.release set) (fun () -> f set)
+
+let release_cache c =
+  Hashtbl.iter (fun _ idx -> Hash_index.release idx) c.indexes;
+  Hashtbl.iter (fun _ set -> Dedup.release set) c.sets
+
+(* Acquisition for compiled kernels: same three-tier policy as a join's
+   build side, minus the per-query cache (a kernel is not a query). *)
 let acquire_index t ?scan_name rel keys = build_index t ?scan_name rel keys
+let acquire_set t ?scan_name rel keys = build_member_set t ?scan_name rel keys
 
 (* The row bound of an [Old] read: how many rows of [table] come before
    its Δ-suffix. A Δ longer than its table means the suffix invariant is
@@ -219,23 +251,28 @@ and eval_anti t cache { Plan.al; ar; alkeys; arkeys } =
   let scan_name = function Plan.Scan n -> Some n | _ -> None in
   let lrel = eval t cache al and rrel = eval t cache ar in
   let arity = Relation.arity lrel in
-  (* The negated side is a lower-stratum table under stratification, so its
-     index persists across every iteration of this stratum's fixpoint. *)
-  let idx, own_index = build_index t ?cache ?scan_name:(scan_name ar) rrel arkeys in
   let n = Relation.nrows lrel in
-  let key = Array.make (Array.length alkeys) 0 in
-  let result =
+  let copy_if keep =
     chunked_output t ~arity ~n (fun frag lo hi ->
         for row = lo to hi - 1 do
-          Array.iteri (fun i c -> key.(i) <- Relation.get lrel ~row ~col:c) alkeys;
-          if not (Hash_index.mem idx key) then
+          if keep row then
             for c = 0 to arity - 1 do
               Int_vec.push (Relation.col frag c) (Relation.get lrel ~row ~col:c)
             done
         done)
   in
-  if own_index then Hash_index.release idx;
-  result
+  if Array.length arkeys = 0 then
+    (* a negated atom that binds no variable holds for every row or none *)
+    let none = Relation.nrows rrel = 0 in
+    copy_if (fun _ -> none)
+  else
+    (* The negated side is a lower-stratum table under stratification, so
+       its set persists across every iteration of this stratum's fixpoint. *)
+    with_owned (build_member_set t ?cache ?scan_name:(scan_name ar) rrel arkeys) @@ fun set ->
+    let key = Array.make (Array.length alkeys) 0 in
+    copy_if (fun row ->
+        Array.iteri (fun i c -> key.(i) <- Relation.get lrel ~row ~col:c) alkeys;
+        not (Dedup.mem_row set key))
 
 and eval_agg t cache { Plan.group; aggs; src } =
   let input = eval t cache src in
@@ -317,7 +354,10 @@ and eval_agg t cache { Plan.group; aggs; src } =
 let run_query t plan =
   Pool.add_serial t.pool t.query_overhead_s;
   let go () =
-    let cache : cache option = if t.share_builds then Some (Hashtbl.create 8) else None in
+    let cache =
+      if t.share_builds then Some { indexes = Hashtbl.create 8; sets = Hashtbl.create 8 }
+      else None
+    in
     let result = eval t cache plan in
     (match cache with Some c -> release_cache c | None -> ());
     result
@@ -341,57 +381,48 @@ let run_query t plan =
 
 let all_cols rel = Array.init (Relation.arity rel) (fun i -> i)
 
-(* Index over the full table [r] keyed by every column: the dedup /
-   anti-probe side of both set-difference translations. When [r] is a
-   managed recursive table its index persists across iterations and only
-   the delta suffix is appended each round. *)
-let full_table_index t ?name r =
-  let keys = all_cols r in
-  match managed t name with
-  | Some (m, name) -> (Index_manager.get m ~name r keys, false)
-  | None -> (build_transient t r keys, true)
+(* Membership set of the full table [r]: the anti-probe side of both
+   set-difference translations. When [r] is a managed recursive table its
+   set persists across iterations and only the delta suffix is added each
+   round. *)
+let full_table_set t ?name r = build_member_set t ?scan_name:name r (all_cols r)
 
-(* An index [acquire] hands out with an ownership flag, released on every
-   exit path of [f] — a worker crash included — when the caller owns it. *)
-let with_owned (idx, own) f =
-  Fun.protect ~finally:(fun () -> if own then Hash_index.release idx) (fun () -> f idx)
-
-let opsd_impl t ?name ~rdelta ~r () =
-  with_owned (full_table_index t ?name r) @@ fun idx ->
-  let n = Relation.nrows rdelta in
-  let arity = Relation.arity rdelta in
+(* The rows of [src] whose tuple is not in [set], chunk-parallel. *)
+let anti_probe t src set =
+  let arity = Relation.arity src in
   let key = Array.make arity 0 in
-  chunked_output t ~arity ~n (fun frag lo hi ->
+  chunked_output t ~arity ~n:(Relation.nrows src) (fun frag lo hi ->
       for row = lo to hi - 1 do
         for c = 0 to arity - 1 do
-          key.(c) <- Relation.get rdelta ~row ~col:c
+          key.(c) <- Relation.get src ~row ~col:c
         done;
-        if not (Hash_index.mem idx key) then
+        if not (Dedup.mem_row set key) then
           for c = 0 to arity - 1 do
             Int_vec.push (Relation.col frag c) key.(c)
           done
       done)
 
+let opsd_impl t ?name ~rdelta ~r () = with_owned (full_table_set t ?name r) (anti_probe t rdelta)
+
 let tpsd_impl t ?name ~rdelta ~r () =
   let arity = Relation.arity rdelta in
-  let keys = all_cols rdelta in
   let key = Array.make arity 0 in
   (* Phase 1: intersection, building on the smaller input — unless [r]'s
-     persistent index already exists, which makes the build side free. *)
+     persistent set already exists, which makes the build side free. *)
   let r_side = Relation.nrows r <= Relation.nrows rdelta || managed t name <> None in
   let build, probe =
-    if r_side then (full_table_index t ?name r, rdelta)
-    else ((build_transient t rdelta keys, true), r)
+    if r_side then (full_table_set t ?name r, rdelta)
+    else ((build_transient_set t rdelta (all_cols rdelta), true), r)
   in
   let inter = Relation.create arity in
   Fun.protect ~finally:(fun () -> Relation.release inter) @@ fun () ->
-  with_owned build (fun hb ->
+  with_owned build (fun set ->
       Pool.parallel_for t.pool 0 (Relation.nrows probe) (fun lo hi ->
           for row = lo to hi - 1 do
             for c = 0 to arity - 1 do
               key.(c) <- Relation.get probe ~row ~col:c
             done;
-            if Hash_index.mem hb key then
+            if Dedup.mem_row set key then
               for c = 0 to arity - 1 do
                 Int_vec.push (Relation.col inter c) key.(c)
               done
@@ -400,17 +431,7 @@ let tpsd_impl t ?name ~rdelta ~r () =
   (* The probe side may contain tuples of [r] several times only if [r] had
      duplicates; IDB tables are deduplicated, so [inter] is a set. *)
   (* Phase 2: Rδ − r. *)
-  with_owned (build_transient t inter keys, true) (fun hr ->
-      chunked_output t ~arity ~n:(Relation.nrows rdelta) (fun frag lo hi ->
-          for row = lo to hi - 1 do
-            for c = 0 to arity - 1 do
-              key.(c) <- Relation.get rdelta ~row ~col:c
-            done;
-            if not (Hash_index.mem hr key) then
-              for c = 0 to arity - 1 do
-                Int_vec.push (Relation.col frag c) key.(c)
-              done
-          done))
+  with_owned (build_transient_set t inter (all_cols inter), true) (anti_probe t rdelta)
 
 let with_span t name f =
   match t.trace with Some tr -> Rs_obs.Trace.span tr ~kind:"executor" name f | None -> f ()

@@ -1,5 +1,6 @@
 module Relation = Rs_relation.Relation
 module Hash_index = Rs_relation.Hash_index
+module Dedup = Rs_relation.Dedup
 (** Physical execution of logical plans — the parallel RDBMS backend.
 
     Plays QuickStep's role: each {!run_query} call is one "SQL query" issued
@@ -17,8 +18,10 @@ module Hash_index = Rs_relation.Hash_index
       of a UNION ALL (the cache-sharing effect of UIE);
     - a transient build, released when the operator finishes.
 
-    Every tier builds a {!Hash_index}, so one probe interface serves every
-    join, anti-join, set difference and kernel. *)
+    Joins probe a {!Hash_index}. Operators that only ask whether a tuple is
+    present — anti-joins, both set differences and the kernels'
+    anti-probe — probe a membership set instead (a FAST-DEDUP table,
+    {!Dedup.create_set}), acquired through the same three tiers. *)
 
 type t = {
   pool : Rs_parallel.Pool.t;
@@ -54,16 +57,16 @@ val run_query : t -> Plan.t -> Relation.t
 val opsd : t -> ?name:string -> rdelta:Relation.t -> r:Relation.t -> unit -> Relation.t
 (** One-phase set difference [Rδ − R] (Algorithm 4): hash table on [R],
     anti-probe with [Rδ]. Returns ΔR; [|Rδ| − |ΔR|] is the intersection
-    the next iteration's µ is made of. When [name] names a managed table,
-    [R]'s all-column index persists across iterations and is
-    delta-appended instead of rebuilt; a transient one is released on
-    every exit path. *)
+    the next iteration's µ is made of. The hash table is a membership set
+    of [R]'s tuples. When [name] names a managed table, it persists across
+    iterations and is delta-appended instead of rebuilt; a transient one is
+    released on every exit path. *)
 
 val tpsd : t -> ?name:string -> rdelta:Relation.t -> r:Relation.t -> unit -> Relation.t
 (** Two-phase set difference (Algorithm 5): intersect first (building on the
-    smaller input, or on [R]'s persistent index when [name] is managed —
-    an already-built side is free), then [Rδ − r]. Same result as
-    {!opsd}. *)
+    smaller input, or on [R]'s persistent set when [name] is managed —
+    an already-built side is free), then [Rδ − r]. Both phases probe
+    membership sets. Same result as {!opsd}. *)
 
 val estimate : t -> Plan.t -> int
 (** The optimizer's cardinality estimate for a plan under current catalog
@@ -71,10 +74,9 @@ val estimate : t -> Plan.t -> int
 
 (** {2 Index acquisition for compiled kernels}
 
-    {!Kernel} probes build-side indexes directly instead of issuing queries;
-    it acquires them through the same policy as a join's build side
-    (manager-persistent, else transient) and probes them with
-    {!Hash_index.iter_matches} and its specializations. *)
+    {!Kernel} probes build-side indexes and the head table's membership set
+    directly instead of issuing queries; it acquires them through the same
+    policy as a join's build side (manager-persistent, else transient). *)
 
 val acquire_index :
   t -> ?scan_name:string -> Relation.t -> int array -> Hash_index.t * bool
@@ -83,6 +85,12 @@ val acquire_index :
     manager's index is returned and [owned] is [false] (the manager
     releases it); otherwise a transient index is built and [owned] is
     [true] — the caller must {!Hash_index.release} it. *)
+
+val acquire_set : t -> ?scan_name:string -> Relation.t -> int array -> Dedup.t * bool
+(** [acquire_set t ?scan_name rel keys] is {!acquire_index} for a
+    membership set of [rel]'s rows projected on [keys]: the manager's
+    persistent set ([owned = false]) or a transient one the caller must
+    {!Dedup.release}. *)
 
 val old_bound : t -> table:string -> delta:string -> int
 (** [old_bound t ~table ~delta] is the row bound of

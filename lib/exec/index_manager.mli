@@ -1,4 +1,5 @@
-(** Persistent, delta-maintained join indexes with fixpoint lifetime.
+(** Persistent, delta-maintained join indexes and membership sets with
+    fixpoint lifetime.
 
     The dominant per-iteration cost of semi-naive evaluation is rebuilding
     hash tables for joins (the observation behind the paper's UIE sharing).
@@ -19,17 +20,31 @@
     the relation's {!Rs_relation.Relation.generation} is unchanged (clears
     and in-place rewrites bump it). Anything else rebuilds.
 
+    Membership questions ("is this tuple in R?": the set differences, the
+    kernels' anti-probe, anti-joins) do not use a join index. They go to a
+    {e membership set} ({!get_set}): a {!Rs_relation.Dedup.create_set}
+    table of R's rows projected on the key columns. Sets are held by the
+    same [(table name, key columns)] key in a table of their own, under the
+    same validity rules; a grown relation's fresh suffix is added in one
+    {!Rs_parallel.Pool.parallel_for} batch, charged as parallel work just
+    as an index append is.
+
     The [persistent] predicate supplied at creation decides which table
     names are worth managing (the interpreter passes EDBs and
     non-aggregated IDB full tables; per-iteration delta tables are excluded
     because their backing relation changes identity every iteration).
 
-    All index bytes are accounted against {!Rs_storage.Memtrack}; the owner
-    must call {!release_all} when the run ends. With a trace attached the
-    manager counts its work in the [executor.index_builds],
-    [executor.index_appends], [executor.index_reuse_hits],
-    [executor.index_rehashes], [executor.index_rebases] and
-    [executor.index_invalidations] counters. *)
+    All index and set bytes are accounted against {!Rs_storage.Memtrack};
+    the owner must call {!release_all} when the run ends. With a trace
+    attached the manager counts its work, indexes and sets alike, in the
+    [executor.index_builds], [executor.index_appends],
+    [executor.index_reuse_hits], [executor.index_bytes] (at build),
+    [executor.index_rebases] and [executor.index_invalidations] counters;
+    [executor.index_rehashes] counts join-index bucket doublings only.
+
+    Chaos: a set build probes {!Rs_chaos.Inject.index_should_fail} at
+    [index_set.build] and a set append at [index_set.append], each before
+    it writes anything. *)
 
 type t
 
@@ -55,23 +70,35 @@ val get : t -> name:string -> Rs_relation.Relation.t -> int array -> Rs_relation
     dictate. The returned index is owned by the manager — callers must not
     release it. *)
 
+val get_set : t -> name:string -> Rs_relation.Relation.t -> int array -> Rs_relation.Dedup.t
+(** [get_set t ~name rel keys] returns a membership set of all current rows
+    of [rel] projected on [keys], reusing / delta-appending / rebuilding
+    under {!get}'s rules. Owned by the manager — callers must not release
+    it. *)
+
+val build_set : Rs_parallel.Pool.t -> Rs_relation.Relation.t -> int array -> Rs_relation.Dedup.t
+(** [build_set pool rel keys] is a transient membership set of [rel]'s rows
+    projected on [keys], filled chunk-parallel and not yet accounted: the
+    caller accounts and releases it. Probes [index_set.build] first. *)
+
 val rebase_to : t -> name:string -> Rs_relation.Relation.t -> unit
-(** [rebase_to t ~name rel] re-points every index held under [name] at the
-    replacement relation [rel] via {!Rs_relation.Hash_index.rebase} — valid
-    when [rel]'s prefix preserves the old rows in order (an insert-only
-    [Edb_store.apply]). Entries the rebase precondition rejects are dropped
-    instead (counted as invalidations). *)
+(** [rebase_to t ~name rel] re-points every index and set held under
+    [name] at the replacement relation [rel] ({!Rs_relation.Hash_index.rebase}
+    for indexes) — valid when [rel]'s prefix preserves the old rows in
+    order (an insert-only [Edb_store.apply]). Entries the rebase
+    precondition rejects are dropped instead (counted as invalidations). *)
 
 val invalidate : t -> name:string -> unit
-(** Release and drop every index held under [name]; the next access
-    rebuilds. For replacements that do {e not} preserve the indexed prefix
-    (retractions). *)
+(** Release and drop every index and set held under [name]; the next
+    access rebuilds. For replacements that do {e not} preserve the covered
+    prefix (retractions). *)
 
 val bytes : t -> int
-(** Accounted footprint of every index currently held (not the parent's) —
-    lets an owner distinguish deliberate index growth from a leak. *)
+(** Accounted footprint of every index and set currently held (not the
+    parent's) — lets an owner distinguish deliberate index growth from a
+    leak. *)
 
 val release_all : t -> unit
-(** Return every managed index's bytes to {!Rs_storage.Memtrack} and drop
-    all entries ({e not} the parent's, if one was supplied). Call when the
-    run ends (normally or by OOM/timeout). *)
+(** Return every managed index's and set's bytes to {!Rs_storage.Memtrack}
+    and drop all entries ({e not} the parent's, if one was supplied). Call
+    when the run ends (normally or by OOM/timeout). *)

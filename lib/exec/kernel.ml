@@ -228,7 +228,7 @@ let bound_of ex name = function
   | None -> max_int
   | Some delta -> Executor.old_bound ex ~table:name ~delta
 
-let run (ex : Executor.t) k ~dedup ~r_index ~out =
+let run (ex : Executor.t) k ~dedup ~r_set ~out =
   (* The exec probe sits before any write, so a fired fault leaves [dedup]
      and [out] untouched and the caller can re-evaluate interpreted. *)
   (match Inject.kernel_should_fail ~point:"kernel.exec" with
@@ -238,7 +238,7 @@ let run (ex : Executor.t) k ~dedup ~r_index ~out =
   let emitted = ref 0 in
   let batches = ref 0 in
   (* Emit, monomorphized on head arity: claim the tuple in FAST-DEDUP, then
-     anti-probe R's full-column index and append only a tuple R lacks — the
+     anti-probe R's membership set and append only a tuple R lacks — the
      set difference runs inside the loop, and no intermediate relation ever
      exists. Claiming first keeps [offered] and [emitted] the figures of
      the candidate multiset the interpreted path's bag would hold. *)
@@ -246,14 +246,14 @@ let run (ex : Executor.t) k ~dedup ~r_index ~out =
     incr offered;
     if Dedup.add1 dedup v0 then begin
       incr emitted;
-      if not (Hash_index.mem1 r_index v0) then Relation.push1 out v0
+      if not (Dedup.mem1 r_set v0) then Relation.push1 out v0
     end
   in
   let emit2 v0 v1 =
     incr offered;
     if Dedup.add2 dedup v0 v1 then begin
       incr emitted;
-      if not (Hash_index.mem2 r_index v0 v1) then Relation.push2 out v0 v1
+      if not (Dedup.mem2 r_set v0 v1) then Relation.push2 out v0 v1
     end
   in
   (* wider heads fill a scratch tuple; it is chunk-safe: the virtual pool runs
@@ -263,7 +263,7 @@ let run (ex : Executor.t) k ~dedup ~r_index ~out =
     incr offered;
     if Dedup.add_row dedup tuple then begin
       incr emitted;
-      if not (Hash_index.mem r_index tuple) then
+      if not (Dedup.mem_row r_set tuple) then
         if k.arity = 3 then Relation.push3 out tuple.(0) tuple.(1) tuple.(2)
         else Relation.push_row out tuple
     end

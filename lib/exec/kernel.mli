@@ -19,9 +19,10 @@
     output is the iteration's Δ.
 
     Emit order: a surviving match is first claimed in the dedup table; a
-    fresh claim is then looked up in the head table R's full-column index
-    (the {e anti-probe}) and written out only if R lacks it. Claiming first
-    keeps the dedup figures those of the interpreted path's candidate bag:
+    fresh claim is then looked up in the head table R's membership set (the
+    {e anti-probe}, a {!Rs_relation.Dedup.create_set} table of R's tuples)
+    and written out only if R lacks it. Claiming first keeps the dedup
+    figures those of the interpreted path's candidate bag:
     [dedup.probes] counts every match offered, [dedup.hits] the repeats,
     and [kernel.emitted] the fresh claims — the candidate set Rδ, a
     superset of the Δ by the tuples R already held.
@@ -90,21 +91,21 @@ val run :
   Executor.t ->
   t ->
   dedup:Rs_relation.Dedup.t ->
-  r_index:Rs_relation.Hash_index.t ->
+  r_set:Rs_relation.Dedup.t ->
   out:Rs_relation.Relation.t ->
   int
-(** [run ex k ~dedup ~r_index ~out] executes the kernel batch-at-a-time
+(** [run ex k ~dedup ~r_set ~out] executes the kernel batch-at-a-time
     over the pool: every surviving match is claimed in [dedup], and a fresh
-    claim is appended to [out] iff it has no row in [r_index] — an index of
-    the head table keyed by every column, covering all its rows. [out] then
-    holds [Rδ − R], the Δ. Returns the number of fresh claims ([|Rδ|]), so
-    [|Rδ| − |Δ|] is the intersection the DSD µ is made of. The caller owns
-    [dedup], [r_index] and [out] (including {!Relation.account} after the
-    batch). Records [kernel.execs] / [kernel.fused_probes] /
-    [kernel.emitted] (fresh claims) / [kernel.batches] /
-    [kernel.batch_rows] on the executor's trace, and the table's
-    [dedup.probes] (matches offered) / [dedup.hits] (offered minus fresh
-    claims) — the same figures the interpreted path's dedup pass records
-    for the same candidates. May raise {!Degraded} (chaos) — always before
-    any write. A transient build-side index it acquires is released on
-    every exit path, a worker crash included. *)
+    claim is appended to [out] iff [r_set] — the membership set of every
+    tuple of the head table — lacks it. [out] then holds [Rδ − R], the Δ.
+    Returns the number of fresh claims ([|Rδ|]), so [|Rδ| − |Δ|] is the
+    intersection the DSD µ is made of. The caller owns [dedup], [r_set] and
+    [out] (including {!Relation.account} after the batch). Records
+    [kernel.execs] / [kernel.fused_probes] / [kernel.emitted] (fresh
+    claims) / [kernel.batches] / [kernel.batch_rows] on the executor's
+    trace, and the table's [dedup.probes] (matches offered) /
+    [dedup.hits] (offered minus fresh claims) — the same figures the
+    interpreted path's dedup pass records for the same candidates. May
+    raise {!Degraded} (chaos) — always before any write. A transient
+    build-side index it acquires is released on every exit path, a worker
+    crash included. *)

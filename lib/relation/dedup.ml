@@ -24,6 +24,7 @@ type fast = {
   mutable packed : bool;  (* arity-1 keys are raw values, packed for any int *)
   mutable has_empty_key : bool;
   wide : Int_vec.t;
+  chaos : bool;  (* probes the dedup fault points; off for membership sets *)
 }
 
 type impl = F of fast | B of (int array, unit) Hashtbl.t
@@ -36,6 +37,21 @@ let pow2_at_least n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 16
 
+let fast_table ~chaos ~cap arity =
+  let packed = arity <= 2 in
+  F
+    {
+      farity = arity;
+      slots = Array.make (if packed then cap else 2 * cap) empty;
+      mask = cap - 1;
+      count = 0;
+      packed;
+      has_empty_key = false;
+      (* a packed table touches its arena only if it migrates *)
+      wide = Int_vec.create ~capacity:(if packed then 1 else 16) ();
+      chaos;
+    }
+
 let create ?(expected = 64) mode arity =
   if arity < 1 then invalid_arg "Dedup.create";
   let impl =
@@ -44,20 +60,16 @@ let create ?(expected = 64) mode arity =
     | Fast ->
         (* Chaos fault point: allocation of a fast dedup table fails. *)
         Rs_chaos.Inject.dedup_should_fail ~point:"dedup.create";
-        let cap = pow2_at_least (2 * max 16 expected) in
-        let packed = arity <= 2 in
-        F
-          {
-            farity = arity;
-            slots = Array.make (if packed then cap else 2 * cap) empty;
-            mask = cap - 1;
-            count = 0;
-            packed;
-            has_empty_key = false;
-            wide = Int_vec.create ();
-          }
+        fast_table ~chaos:true ~cap:(pow2_at_least (2 * max 16 expected)) arity
   in
   { mode; arity; impl; accounted = 0 }
+
+let create_set ?(expected = 64) arity =
+  if arity < 1 then invalid_arg "Dedup.create_set";
+  (* sized like a join index's bucket array (at least 16 slots), not with
+     a dedup table's 32-slot floor *)
+  let cap = pow2_at_least (2 * expected) in
+  { mode = Fast; arity; impl = fast_table ~chaos:false ~cap arity; accounted = 0 }
 
 let mode t = t.mode
 let arity t = t.arity
@@ -79,7 +91,7 @@ let wide_hash row =
    entry ids and cached hashes. *)
 let grow f =
   (* Chaos fault point: growth of a fast dedup table fails. *)
-  Rs_chaos.Inject.dedup_should_fail ~point:"dedup.rehash";
+  if f.chaos then Rs_chaos.Inject.dedup_should_fail ~point:"dedup.rehash";
   let old = f.slots in
   let cap = 2 * (f.mask + 1) in
   let mask = cap - 1 in
@@ -117,7 +129,7 @@ let rec probe_packed slots mask key i =
 
 let fast_add_packed f key =
   if key = empty then
-    if f.has_empty_key || Rs_chaos.Inject.dedup_drops ~key then false
+    if f.has_empty_key || (f.chaos && Rs_chaos.Inject.dedup_drops ~key) then false
     else begin
       f.has_empty_key <- true;
       claimed f;
@@ -125,7 +137,7 @@ let fast_add_packed f key =
     end
   else
     let i = probe_packed f.slots f.mask key (Int_key.hash key land f.mask) in
-    if i < 0 || Rs_chaos.Inject.dedup_drops ~key then false
+    if i < 0 || (f.chaos && Rs_chaos.Inject.dedup_drops ~key) then false
     else begin
       f.slots.(i) <- key;
       claimed f;
@@ -152,7 +164,7 @@ let rec probe_wide f slots mask row hk i =
 let fast_add_wide f row =
   let hk = wide_hash row in
   let i = probe_wide f f.slots f.mask row hk (hk land f.mask) in
-  if i < 0 || Rs_chaos.Inject.dedup_drops ~key:hk then false
+  if i < 0 || (f.chaos && Rs_chaos.Inject.dedup_drops ~key:hk) then false
   else begin
     f.slots.(2 * i) <- f.count;
     f.slots.((2 * i) + 1) <- hk;
@@ -246,6 +258,34 @@ let mem_row t row =
       else if t.arity = 2 then fast_mem2 f row.(0) row.(1)
       else fast_mem_wide f row
   | B h -> Hashtbl.mem h row
+
+let mem1 t x =
+  assert (t.arity = 1);
+  match t.impl with F f -> fast_mem_packed f x | B h -> Hashtbl.mem h [| x |]
+
+let mem2 t x y =
+  assert (t.arity = 2);
+  match t.impl with F f -> fast_mem2 f x y | B h -> Hashtbl.mem h [| x; y |]
+
+let add_rows t r cols lo hi =
+  if Array.length cols <> t.arity then invalid_arg "Dedup.add_rows";
+  match cols with
+  | [| c0 |] ->
+      let v0 = Relation.col r c0 in
+      for i = lo to hi - 1 do
+        ignore (add1 t (Int_vec.get v0 i))
+      done
+  | [| c0; c1 |] ->
+      let v0 = Relation.col r c0 and v1 = Relation.col r c1 in
+      for i = lo to hi - 1 do
+        ignore (add2 t (Int_vec.get v0 i) (Int_vec.get v1 i))
+      done
+  | _ ->
+      let row = Array.make t.arity 0 in
+      for i = lo to hi - 1 do
+        Array.iteri (fun j c -> row.(j) <- Relation.get r ~row:i ~col:c) cols;
+        ignore (add_row t row)
+      done
 
 let cardinal t =
   match t.impl with F f -> f.count | B h -> Hashtbl.length h

@@ -23,12 +23,18 @@
     Memory is accounted to {!Rs_storage.Memtrack} (real array sizes for
     {!Fast}; a per-entry estimate of the GC-heap footprint for {!Boxed}).
 
-    Fault injection: the {!Fast} insert paths probe
+    The same {!Fast} table is also the engine's only answer to "is this
+    tuple in R?": {!create_set} makes a {e membership set}, which the
+    executor's index manager fills from a relation's rows ({!add_rows}) and
+    the set differences and anti-joins probe ({!mem1}, {!mem2},
+    {!mem_row}).
+
+    Fault injection: the {!Fast} insert paths of a dedup table probe
     {!Rs_chaos.Inject.dedup_drops} (silent per-key derivation loss — the
     corruption the differential fuzzer must catch) and table creation
     ([dedup.create]) and growth ([dedup.rehash]) probe
     {!Rs_chaos.Inject.dedup_should_fail}. Both are no-ops unless a chaos
-    plan is armed in scope; {!Boxed} is unaffected. *)
+    plan is armed in scope; {!Boxed} and membership sets are unaffected. *)
 
 type mode = Fast | Boxed
 
@@ -38,6 +44,12 @@ val create : ?expected:int -> mode -> int -> t
 (** [create mode arity] makes an empty set. [expected] pre-sizes the slot
     array, mirroring the paper's pre-allocation from the optimizer's
     estimate. *)
+
+val create_set : ?expected:int -> int -> t
+(** [create_set arity] makes an empty membership set in the {!Fast}
+    layout, whatever the [fast_dedup] toggle says. It probes no fault point
+    and never drops a key: its owner (the index manager) probes
+    {!Rs_chaos.Inject.index_should_fail} before it writes. *)
 
 val mode : t -> mode
 
@@ -51,6 +63,17 @@ val add_row : t -> int array -> bool
 val add1 : t -> int -> bool
 
 val mem_row : t -> int array -> bool
+
+val mem1 : t -> int -> bool
+(** {!mem_row} for arity 1, without a tuple array. *)
+
+val mem2 : t -> int -> int -> bool
+(** {!mem_row} for arity 2, without a tuple array. *)
+
+val add_rows : t -> Relation.t -> int array -> int -> int -> unit
+(** [add_rows t r cols lo hi] inserts rows [\[lo, hi)] of [r], each
+    projected on [cols] (whose length must be [arity t]). The signature of
+    a {!Rs_parallel.Pool.parallel_for} chunk. *)
 
 val cardinal : t -> int
 

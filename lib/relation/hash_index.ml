@@ -175,27 +175,6 @@ let iter_matches2 t k1 k2 f =
   in
   walk (bucket2 t k1 k2)
 
-let mem t key =
-  let nexts = t.nexts in
-  let rec walk row = row >= 0 && (key_eq t row key || walk nexts.(row)) in
-  walk (bucket t key)
-
-let mem1 t k =
-  let c = t.key_cols.(0) in
-  let nexts = t.nexts in
-  let rec walk row = row >= 0 && (Relation.get t.rel ~row ~col:c = k || walk nexts.(row)) in
-  walk (bucket1 t k)
-
-let mem2 t k1 k2 =
-  let c1 = t.key_cols.(0) and c2 = t.key_cols.(1) in
-  let nexts = t.nexts in
-  let rec walk row =
-    row >= 0
-    && ((Relation.get t.rel ~row ~col:c1 = k1 && Relation.get t.rel ~row ~col:c2 = k2)
-       || walk nexts.(row))
-  in
-  walk (bucket2 t k1 k2)
-
 let bytes t = 8 * (Array.length t.heads + Array.length t.nexts)
 
 let account t =

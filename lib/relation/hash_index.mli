@@ -1,7 +1,9 @@
 (** Multi-map hash index from key columns to row ids.
 
-    The build side of every hash join, anti-join and group-by in the
-    executor. Chains are stored in flat arrays (no boxing), matching the
+    The build side of every hash join in the executor and the compiled
+    kernels — a join multimap only: membership questions (anti-joins, set
+    difference, the kernels' anti-probe) go to a {!Dedup.create_set} table
+    instead. Chains are stored in flat arrays (no boxing), matching the
     storage discipline of the rest of the backend.
 
     An index covers rows [\[0, indexed_rows)] of its relation. When the
@@ -68,15 +70,6 @@ val iter_matches2 : t -> int -> int -> (int -> unit) -> unit
 
 val iter_matches1 : t -> int -> (int -> unit) -> unit
 (** Specialization for one-column keys. *)
-
-val mem : t -> int array -> bool
-(** [mem idx key] is whether some indexed row's key columns equal [key]. *)
-
-val mem1 : t -> int -> bool
-(** {!mem} for one-column keys, without a key array. *)
-
-val mem2 : t -> int -> int -> bool
-(** {!mem} for two-column keys, without a key array. *)
 
 val nrows : t -> int
 

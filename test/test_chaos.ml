@@ -181,8 +181,9 @@ let test_pool_crash_then_recover () =
           Atomic.set acc (Atomic.get acc + (hi - lo)));
       check_int "pool usable after crash" 100 (Atomic.get acc))
 
-(* A large transient build side (OPSD with no index manager) goes through
-   the [index] fault point, as every index build does. *)
+(* A large transient build side (OPSD with no index manager: a membership
+   set of R) goes through the [index] fault point, as every index and set
+   build does. *)
 let test_index_fault_on_large_build () =
   let pool = Pool.create ~workers:4 () in
   Pool.begin_run pool;
@@ -196,7 +197,58 @@ let test_index_fault_on_large_build () =
       match Rs_exec.Executor.opsd ex ~rdelta ~r () with
       | _ -> Alcotest.fail "armed index fault did not fire on a 20,000-row build"
       | exception Fault.Injected { cls = Fault.Index_fail; point } ->
-          Alcotest.(check string) "fault point" "hash_index.build_pool" point)
+          Alcotest.(check string) "fault point" "index_set.build" point)
+
+(* Membership sets probe the [index] class at build and at append, each
+   before it writes: a fired build leaves the manager holding nothing, a
+   fired append leaves the set exactly as it was and the next acquisition
+   appends. *)
+let test_index_fault_on_sets () =
+  Memtrack.hard_reset ();
+  let module Index_manager = Rs_exec.Index_manager in
+  let pool = Pool.create ~workers:4 () in
+  Pool.begin_run pool;
+  let m = Index_manager.create ~persistent:(fun _ -> true) pool in
+  let r = Relation.of_rows 2 [ [| 1; 2 |]; [| 2; 3 |] ] in
+  let get () = Index_manager.get_set m ~name:"r" r [| 0; 1 |] in
+  let fires_at point =
+    Inject.with_plan (Fault.plan_of_string ~seed:1 "index:p=1") (fun () ->
+        match get () with
+        | _ -> Alcotest.failf "armed index fault did not fire at %s" point
+        | exception Fault.Injected { cls = Fault.Index_fail; point = p } ->
+            Alcotest.(check string) "fault point" point p)
+  in
+  fires_at "index_set.build";
+  check_int "a failed build holds nothing" 0 (Index_manager.bytes m);
+  check_int "a failed build accounts nothing" 0 (Memtrack.live ());
+  let s = get () in
+  let card = Dedup.cardinal s and bytes = Index_manager.bytes m in
+  Relation.push2 r 3 4;
+  fires_at "index_set.append";
+  check "a failed append writes nothing" true
+    (Dedup.cardinal s = card && (not (Dedup.mem2 s 3 4)) && Index_manager.bytes m = bytes);
+  let s' = get () in
+  check "the next acquisition appends" true (s == s' && Dedup.mem2 s' 3 4);
+  Index_manager.release_all m;
+  check_int "all bytes returned" 0 (Memtrack.live ())
+
+(* [Dedup_drop] means "dedup lost a derivation": it never reaches a
+   membership set, whose loss would instead mean a wrong set difference. *)
+let test_dedup_drop_spares_sets () =
+  let pool = Pool.create ~workers:4 () in
+  Pool.begin_run pool;
+  let r = Relation.of_rows 2 (List.init 64 (fun i -> [| i; i * 3 |])) in
+  Inject.with_plan (Fault.plan_of_string ~seed:1 "dedup_drop:p=1") (fun () ->
+      let table = Dedup.create Dedup.Fast 2 in
+      check "the plan drops dedup claims" false (Dedup.add2 table 1 3);
+      let set = Rs_exec.Index_manager.build_set pool r [| 0; 1 |] in
+      check_int "the set holds every row" 64 (Dedup.cardinal set);
+      check "every row is a member" true
+        (List.for_all (fun i -> Dedup.mem2 set i (i * 3)) (List.init 64 Fun.id));
+      let ex = Rs_exec.Executor.create pool (Rs_exec.Catalog.create ()) in
+      let rdelta = Relation.of_rows 2 [ [| 1; 3 |]; [| 1; 4 |] ] in
+      let diff = Rs_exec.Executor.opsd ex ~rdelta ~r () in
+      check "OPSD is exact" true (Relation.to_rows diff = [ [| 1; 4 |] ]))
 
 (* --- the retry policy ---------------------------------------------------- *)
 
@@ -325,6 +377,58 @@ let run_one ?deadline_vs ?retry plan_specs =
   check_int "live bytes back to baseline" baseline (Memtrack.live ());
   (report, List.hd report.Service.completions)
 
+(* The kernel path acquires its head table's set before it allocates its
+   dedup table or writes its Δ. [reach] runs on compiled kernels in the
+   service; firing the [index] class once at each of its probes in turn,
+   the engine run dies with the typed fault (one of them a kernel
+   iteration's set append), and the service retries it to the unarmed
+   answer with every byte returned. *)
+let test_index_fault_degrades_kernel () =
+  let reach = Recstep.Programs.parsed Recstep.Programs.reach in
+  let edb () =
+    let id = Relation.of_rows ~name:"id" 1 [ [| 0 |] ] in
+    Relation.account id;
+    [ ("arc", ring 6); ("id", id) ]
+  in
+  let once after = Fault.plan ~seed:1 [ Fault.spec ~after ~limit:1 Fault.Index_fail ] in
+  (* the engine alone: which point each probe is *)
+  let engine () =
+    let pool = Pool.create ~workers:4 () in
+    Pool.begin_run pool;
+    let options = Recstep.Interpreter.options ~pbme:false ~compiled_kernels:true () in
+    ignore (Recstep.Interpreter.run ~options ~pool ~edb:(edb ()) reach)
+  in
+  let rec points after acc =
+    match Inject.with_plan (once after) engine with
+    | () -> List.rev acc
+    | exception Fault.Injected { cls = Fault.Index_fail; point } ->
+        points (after + 1) (point :: acc)
+  in
+  let points = points 0 [] in
+  check "set build probed" true (List.mem "index_set.build" points);
+  check "set append probed" true (List.mem "index_set.append" points);
+  (* the service: every single fault is retried to the unarmed answer *)
+  let serve plan =
+    Memtrack.hard_reset ();
+    Memtrack.set_budget None;
+    let s = Edb_store.create () in
+    Edb_store.define s "g" (edb ());
+    let baseline = Memtrack.live () in
+    let config = Service.config ~workers:8 ~seed:1 () in
+    let sub = Service.Submit (Service.submission ~tenant:"t" ~edb:"g" reach) in
+    let report = Inject.with_plan plan (fun () -> Service.run ~config ~edb:s [ sub ]) in
+    check_int "live bytes back to baseline" baseline (Memtrack.live ());
+    (List.hd report.Service.completions).Service.c_outcome
+  in
+  let expected = serve (Fault.plan []) in
+  List.iteri
+    (fun after point ->
+      match serve (once after) with
+      | Service.Done _ as o ->
+          check (Printf.sprintf "answer after a fault at %s" point) true (o = expected)
+      | o -> Alcotest.failf "fault at %s: expected done, got %s" point (Service.outcome_label o))
+    points
+
 let test_service_retries_txn_abort () =
   let report, c = run_one [ Fault.spec ~limit:1 Fault.Txn ] in
   (match c.Service.c_outcome with
@@ -420,6 +524,9 @@ let suite =
       test_pool_crash_then_recover;
     Alcotest.test_case "index fault reaches a large transient build" `Quick
       test_index_fault_on_large_build;
+    Alcotest.test_case "index fault at set build and append" `Quick test_index_fault_on_sets;
+    Alcotest.test_case "dedup_drop never reaches a membership set" `Quick
+      test_dedup_drop_spares_sets;
     Alcotest.test_case "retry: backoff sequence" `Quick test_retry_backoff_sequence;
     Alcotest.test_case "retry: ladder and knobs are cumulative" `Quick
       test_retry_ladder_knobs;
@@ -429,6 +536,8 @@ let suite =
     Alcotest.test_case "cache refuses stale and degraded results" `Quick
       test_cache_refuses_stale_and_degraded;
     Alcotest.test_case "service retries a txn abort" `Quick test_service_retries_txn_abort;
+    Alcotest.test_case "index fault degrades a kernel run cleanly" `Quick
+      test_index_fault_degrades_kernel;
     Alcotest.test_case "service degrades on memory faults" `Quick
       test_service_degrades_on_mem_fault;
     Alcotest.test_case "service turns exhausted backoff into timeout" `Quick

@@ -228,6 +228,12 @@ let traced_manager ?parent ~persistent pool =
 
 let index_count tr what = Trace.counter tr ("executor.index_" ^ what)
 
+(* Whether a one-column index holds a row whose key is [k]. *)
+let has_key idx k =
+  let found = ref false in
+  Hash_index.iter_matches1 idx k (fun _ -> found := true);
+  !found
+
 let test_index_manager_lifecycle () =
   Rs_storage.Memtrack.hard_reset ();
   let pool = Pool.create ~workers:4 () in
@@ -279,7 +285,7 @@ let test_index_manager_clear_repopulate () =
   let r = Relation.of_rows 2 [ [| 1; 2 |]; [| 3; 4 |] ] in
   let i1 = Index_manager.get m ~name:"scratch" r [| 0 |] in
   Alcotest.(check int) "initial build" 1 (index_count tr "builds");
-  check "old key present" true (Hash_index.mem i1 [| 1; 2 |]);
+  check "old key present" true (has_key i1 1);
   (* scratch-table pattern of a multi-stratum program: same physical
      relation cleared and refilled within one fixpoint, growing past the
      previously indexed count *)
@@ -293,9 +299,8 @@ let test_index_manager_clear_repopulate () =
   Alcotest.(check int) "no stale append" 0 (index_count tr "appends");
   Alcotest.(check int) "index covers the new rows only" 3 (Hash_index.indexed_rows i2);
   check "new keys found" true
-    (Hash_index.mem i2 [| 5; 6 |] && Hash_index.mem i2 [| 7; 8 |]
-    && Hash_index.mem i2 [| 9; 10 |]);
-  check "old keys gone" false (Hash_index.mem i2 [| 1; 2 |]);
+    (has_key i2 5 && has_key i2 7 && has_key i2 9);
+  check "old keys gone" false (has_key i2 1);
   Index_manager.release_all m
 
 (* The serving-layer contract behind shared indexes: a store-lifetime parent
@@ -334,7 +339,7 @@ let test_index_manager_parent_rebase () =
   check "generation adopted from the replacement" true
     (Hash_index.generation i3 = Relation.generation arc2);
   Alcotest.(check int) "covers the appended row" 3 (Hash_index.indexed_rows i3);
-  check "new key reachable" true (Hash_index.mem i3 [| 3; 4 |]);
+  check "new key reachable" true (has_key i3 3);
   (* a retraction does not preserve the indexed prefix: invalidate, rebuild *)
   let arc3 = Relation.of_rows 2 [ [| 2; 3 |] ] in
   Index_manager.invalidate parent ~name:"arc";
@@ -380,9 +385,177 @@ let test_executor_uses_manager () =
   Alcotest.(check (list (list int))) "stable across reuse" (rows out1) (rows out2);
   Index_manager.release_all m
 
+(* --- membership sets: every set-difference path against a List model --- *)
+
+module Dedup = Rs_relation.Dedup
+module Kernel = Rs_exec.Kernel
+
+(* Values that reach every layout of a membership set: small ones collide,
+   [min_int] is the packed table's empty marker, and negatives, [max_int]
+   and 2^31 leave the packed pair range, so an arity-2 set migrates to the
+   wide layout — on the build or, when they only occur in R's tail, on an
+   append. *)
+let gen_member =
+  QCheck2.Gen.(
+    frequency
+      [ (6, int_range (-3) 3); (1, oneofl [ min_int; max_int; (1 lsl 31) - 1; 1 lsl 31 ]) ])
+
+(* (arity, Rδ rows, R's first rows, R's appended rows); Rδ may repeat rows. *)
+let gen_setdiff =
+  QCheck2.Gen.(
+    int_range 1 4 >>= fun arity ->
+    let rows = list_size (int_range 0 10) (array_repeat arity gen_member) in
+    quad (return arity) rows rows rows)
+
+let print_setdiff (arity, d, r0, r1) =
+  let rows l =
+    String.concat "; "
+      (List.map (fun a -> String.concat "," (List.map string_of_int (Array.to_list a))) l)
+  in
+  Printf.sprintf "arity %d, delta [%s], r [%s] + [%s]" arity (rows d) (rows r0) (rows r1)
+
+let prop_set_difference_model =
+  QCheck2.Test.make ~name:"set-difference paths = List set difference" ~count:300
+    ~print:print_setdiff gen_setdiff (fun (arity, d_rows, r_head, r_tail) ->
+      let pool = Pool.create ~workers:4 () in
+      Pool.begin_run pool;
+      let catalog = Catalog.create () in
+      let r = Relation.of_rows ~name:"r" arity r_head in
+      let rdelta = Relation.of_rows ~name:"d" arity d_rows in
+      Catalog.register catalog "r" r;
+      Catalog.register catalog "d" rdelta;
+      let m, tr = traced_manager ~persistent:(fun n -> n = "r") pool in
+      let managed = Executor.create ~query_overhead_s:0.0 ~index_manager:m pool catalog in
+      let plain = Executor.create ~query_overhead_s:0.0 pool catalog in
+      (* R's set is built over its first rows; the rest arrive as a delta
+         suffix, so every managed probe below goes through an append *)
+      ignore (Index_manager.get_set m ~name:"r" r (Array.init arity Fun.id));
+      List.iter (Relation.push_row r) r_tail;
+      let r_rows = r_head @ r_tail in
+      let bag l = List.sort compare (List.map Array.to_list l) in
+      let rows rel = bag (Relation.to_rows rel) in
+      let expected = bag (List.filter (fun t -> not (List.mem t r_rows)) d_rows) in
+      (* R padded with rows Rδ never holds, longer than Rδ: unmanaged TPSD
+         then builds on Rδ; the managed one always builds on R *)
+      let r_big = Relation.copy r in
+      for i = 0 to List.length d_rows do
+        Relation.push_row r_big (Array.make arity (100 + i))
+      done;
+      let all = Array.init arity Fun.id in
+      let anti ex ~lk ~rk =
+        Executor.run_query ex
+          (Plan.AntiJoin { al = Plan.Scan "d"; ar = Plan.Scan "r"; alkeys = lk; arkeys = rk })
+      in
+      (* a projected anti-join: Rδ's first column against R's last *)
+      let last = [| arity - 1 |] in
+      let expected_proj =
+        bag
+          (List.filter
+             (fun t -> not (List.exists (fun u -> u.(arity - 1) = t.(0)) r_rows))
+             d_rows)
+      in
+      let kernel =
+        match
+          Kernel.compile managed ~probe_table:"d"
+            (Plan.Project (Array.init arity (fun i -> Expr.Col i), Plan.Scan "d"))
+        with
+        | Ok k ->
+            let dedup = Dedup.create Dedup.Fast arity in
+            let out = Relation.create arity in
+            let r_set, _ = Executor.acquire_set managed ~scan_name:"r" r all in
+            ignore (Kernel.run managed k ~dedup ~r_set ~out);
+            Dedup.release dedup;
+            rows out
+        | Error reason -> failwith reason
+      in
+      let ok =
+        rows (Executor.opsd plain ~rdelta ~r ()) = expected
+        && rows (Executor.opsd managed ~name:"r" ~rdelta ~r ()) = expected
+        && rows (Executor.tpsd plain ~rdelta ~r:r_big ()) = expected
+        && rows (Executor.tpsd managed ~name:"r" ~rdelta ~r ()) = expected
+        && rows (anti plain ~lk:all ~rk:all) = expected
+        && rows (anti managed ~lk:all ~rk:all) = expected
+        && rows (anti managed ~lk:[| 0 |] ~rk:last) = expected_proj
+        && kernel = List.sort_uniq compare expected
+      in
+      (* one build of R's full-column set and one of its last-column set
+         (the same set at arity 1); every other acquisition is a reuse or,
+         once when R had a tail, an append *)
+      let builds = index_count tr "builds" and appends = index_count tr "appends" in
+      Index_manager.release_all m;
+      ok && builds = (if arity = 1 then 1 else 2) && appends = if r_tail = [] then 0 else 1)
+
+(* A membership set through its whole life in the manager: build, append,
+   reuse, rebuild after a generation bump, rebase through an insert-only
+   [Edb_store.apply], invalidation by a retracting one and by hand. *)
+let test_index_manager_set_lifecycle () =
+  Rs_storage.Memtrack.hard_reset ();
+  let pool = Pool.create ~workers:4 () in
+  Pool.begin_run pool;
+  let m, tr = traced_manager ~persistent:(fun n -> n = "tc") pool in
+  let r = Relation.of_rows 2 [ [| 1; 2 |]; [| 2; 3 |] ] in
+  let s1 = Index_manager.get_set m ~name:"tc" r [| 0; 1 |] in
+  Alcotest.(check int) "one build" 1 (index_count tr "builds");
+  check "built rows present" true (Dedup.mem2 s1 1 2 && Dedup.mem2 s1 2 3);
+  check "absent row" false (Dedup.mem2 s1 3 4);
+  let s2 = Index_manager.get_set m ~name:"tc" r [| 0; 1 |] in
+  check "reused physically" true (s1 == s2);
+  Alcotest.(check int) "reuse hit" 1 (index_count tr "reuse_hits");
+  Relation.push2 r 3 4;
+  let s3 = Index_manager.get_set m ~name:"tc" r [| 0; 1 |] in
+  check "appended in place" true (s1 == s3);
+  Alcotest.(check int) "append counted" 1 (index_count tr "appends");
+  check "appended row present" true (Dedup.mem2 s3 3 4);
+  (* a projection is a distinct entry, and holds projected tuples *)
+  let proj = Index_manager.get_set m ~name:"tc" r [| 1 |] in
+  Alcotest.(check int) "second pattern builds" 2 (index_count tr "builds");
+  check "projected value present" true (Dedup.mem1 proj 4 && not (Dedup.mem1 proj 1));
+  (* a join index on the same key is a separate structure *)
+  ignore (Index_manager.get m ~name:"tc" r [| 1 |]);
+  Alcotest.(check int) "index is not the set" 3 (index_count tr "builds");
+  Relation.clear r;
+  Relation.push2 r 9 9;
+  let s4 = Index_manager.get_set m ~name:"tc" r [| 0; 1 |] in
+  Alcotest.(check int) "rebuild after clear" 4 (index_count tr "builds");
+  Alcotest.(check int) "no stale append" 1 (index_count tr "appends");
+  check "rewritten rows only" true (Dedup.mem2 s4 9 9 && not (Dedup.mem2 s4 1 2));
+  check "bytes accounted" true (Index_manager.bytes m > 0);
+  Index_manager.release_all m;
+  Alcotest.(check int) "release_all returns bytes" 0 (Rs_storage.Memtrack.live ());
+  (* the store's manager keeps a base relation's set live across deltas *)
+  let module Edb_store = Rs_service.Edb_store in
+  let module Delta = Rs_relation.Delta in
+  let store = Edb_store.create () in
+  Edb_store.define store "g" [ ("arc", Relation.of_rows ~name:"arc" 2 [ [| 1; 2 |]; [| 2; 3 |] ]) ];
+  let sm, str = traced_manager ~persistent:(fun n -> n = "arc") pool in
+  Edb_store.attach_index_manager store "g" sm;
+  let arc () = List.assoc "arc" (Edb_store.lookup store "g") in
+  let a1 = Index_manager.get_set sm ~name:"arc" (arc ()) [| 0; 1 |] in
+  ignore (Edb_store.apply store "g" (Delta.of_inserts "arc" [ [| 5; 6 |] ]));
+  Alcotest.(check int) "insert-only delta rebases" 1 (index_count str "rebases");
+  let a2 = Index_manager.get_set sm ~name:"arc" (arc ()) [| 0; 1 |] in
+  check "rebased set reused" true (a1 == a2);
+  Alcotest.(check int) "suffix appended, not rebuilt" 1 (index_count str "appends");
+  Alcotest.(check int) "still one build" 1 (index_count str "builds");
+  check "inserted row present" true (Dedup.mem2 a2 5 6);
+  ignore (Edb_store.apply store "g" (Delta.of_retracts "arc" [ [| 1; 2 |] ]));
+  Alcotest.(check int) "retraction invalidates" 1 (index_count str "invalidations");
+  let a3 = Index_manager.get_set sm ~name:"arc" (arc ()) [| 0; 1 |] in
+  Alcotest.(check int) "rebuilt after the retraction" 2 (index_count str "builds");
+  check "retracted row gone" false (Dedup.mem2 a3 1 2);
+  Index_manager.invalidate sm ~name:"arc";
+  Alcotest.(check int) "invalidate drops the set" 2 (index_count str "invalidations");
+  Alcotest.(check int) "no bytes held" 0 (Index_manager.bytes sm);
+  Index_manager.release_all sm
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_hash_join_eq_nested_loop; prop_join_extra_preds; prop_opsd_eq_tpsd ]
+    [
+      prop_hash_join_eq_nested_loop;
+      prop_join_extra_preds;
+      prop_opsd_eq_tpsd;
+      prop_set_difference_model;
+    ]
 
 (* --- Old: the rows before a table's Δ-suffix ------------------------------ *)
 
@@ -474,6 +647,8 @@ let suite =
       test_index_manager_clear_repopulate;
     Alcotest.test_case "index manager parent chain and rebase" `Quick
       test_index_manager_parent_rebase;
+    Alcotest.test_case "index manager membership-set lifecycle" `Quick
+      test_index_manager_set_lifecycle;
     Alcotest.test_case "executor reuses managed index" `Quick test_executor_uses_manager;
     Alcotest.test_case "Old reads the rows before the Δ-suffix" `Quick test_old_reads;
     Alcotest.test_case "Old refuses a Δ longer than its table" `Quick test_old_invariant_guard;

@@ -18,10 +18,9 @@ let check = Alcotest.(check bool)
 
 let canon rel = List.map Array.to_list (Relation.sorted_distinct_rows rel)
 
-(* A full-column index over an empty head table: the kernel's anti-probe
-   then keeps every fresh claim, so its output is the deduplicated bag. *)
-let empty_r_index arity =
-  Rs_relation.Hash_index.build (Relation.create arity) (Array.init arity Fun.id)
+(* The membership set of an empty head table: the kernel's anti-probe then
+   keeps every fresh claim, so its output is the deduplicated bag. *)
+let empty_r_set arity = Rs_relation.Dedup.create_set arity
 
 (* One interpreter run on a fresh pool; returns (rows of each output, trace). *)
 let run_rels ?persistent_indexes ?on_iteration ~kernels program edb =
@@ -275,7 +274,7 @@ let test_chain_extra_equality () =
   in
   let dedup = Dedup.create Dedup.Fast 2 in
   let out = Relation.create 2 in
-  ignore (Kernel.run ex k ~dedup ~r_index:(empty_r_index 2) ~out);
+  ignore (Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~out);
   Dedup.release dedup;
   Alcotest.(check (list (list int))) "kernel = executor" want (canon out);
   Alcotest.(check (list (list int))) "only a.0 = b.0 = c.0" [ [ 1; 1 ]; [ 2; 2 ]; [ 3; 3 ] ] want
@@ -421,7 +420,7 @@ let test_crash_releases_transient_indexes () =
   sweep "binary kernel" (fun () ->
       let dedup = Dedup.create Dedup.Fast 2 in
       Fun.protect ~finally:(fun () -> Dedup.release dedup) (fun () ->
-          ignore (Kernel.run ex k ~dedup ~r_index:(empty_r_index 2) ~out:(Relation.create 2))));
+          ignore (Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~out:(Relation.create 2))));
   (* R smaller than Rδ: TPSD builds on R; larger: on Rδ *)
   List.iter
     (fun (what, r, rdelta) ->
@@ -620,7 +619,7 @@ let kernel_vs_executor ~what ~p_rows ~delta_rows plan =
   in
   let dedup = Dedup.create Dedup.Fast 2 in
   let out = Relation.create 2 in
-  ignore (Kernel.run ex k ~dedup ~r_index:(empty_r_index 2) ~out);
+  ignore (Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~out);
   Dedup.release dedup;
   Alcotest.(check (list (list int))) (what ^ ": kernel = executor") (canon bag) (canon out);
   Alcotest.(check int) (what ^ ": offered = bag rows") (Relation.nrows bag) (c trace "dedup.probes");
