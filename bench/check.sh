@@ -83,7 +83,7 @@ assert iters >= 5, "TC fixpoint too short to be meaningful: %d iterations" % ite
 assert c.get("executor.index_reuse_hits", 0) > 0, "no index reuse across iterations"
 # This program has exactly two persistent access patterns (arc's join
 # index on column 0 for the delta-rule join, tc's membership set on all
-# columns for the kernel's anti-probe and iteration 0's OPSD), so
+# columns for the kernel's claims and iteration 0's OPSD), so
 # builds must stay O(#patterns) — not O(#iterations).  Allow a small
 # constant slack for transient builds outside the fixpoint.
 assert builds <= 4, \
@@ -141,8 +141,8 @@ c = p["counters"]
 assert c.get("kernel.compiled_rules", 0) > 0, "no rule compiled to a fused kernel"
 assert c.get("kernel.execs", 0) > 0, "compiled kernels never executed"
 assert c.get("kernel.fallbacks", 0) == 0, "kernel executions degraded without faults"
-# The kernels do the set difference themselves (an anti-probe of R's
-# full-column index): only iteration 0's absorb runs a separate OPSD/TPSD
+# The kernels do the set difference themselves (claims into R's
+# full-column membership set): only iteration 0's absorb runs a separate OPSD/TPSD
 # pass, and nothing rebuilds an index per iteration.
 sd = [s for s in p["spans"] if s["kind"] == "executor" and s["name"] in ("opsd", "tpsd")]
 assert len(sd) <= 1, "%d set-difference passes with kernels on (expected at most 1)" % len(sd)
@@ -386,6 +386,26 @@ print("chaos OK: seed %d, %d cases, %d fault classes (%s), "
          ",".join(sorted(r["injected"])), r["recovered"], r["rejected_typed"]))
 EOF
 python3 "$tmp/validate_chaos.py" "$tmp/chaos.json"
+
+# Kernel arm: compiled kernels claim every tuple they emit into the head
+# table's membership set, so a round whose later kernel degrades leaves
+# claims R never receives unless the fallback drops the set. Half of all
+# kernel probes fire here; every case must still end correct.
+dune exec bin/recstep_cli.exe -- chaos --seed 42 --iters 30 --plan "kernel:p=0.5" \
+  --report "$tmp/chaos_kernel.json" >/dev/null
+
+cat >"$tmp/validate_chaos_kernel.py" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    r = json.load(f)
+assert r["clean"], "kernel chaos arm not clean: %s" % r["violations"]
+assert r["violations"] == [], "kernel chaos arm has violations"
+assert r["leaks"] == 0, "kernel chaos arm leaked live bytes"
+assert r["injected"].get("kernel", 0) >= 1, "kernel chaos arm injected no kernel fault"
+print("chaos kernel arm OK: %d kernel faults injected, %d recovered"
+      % (r["injected"]["kernel"], r["recovered"]))
+EOF
+python3 "$tmp/validate_chaos_kernel.py" "$tmp/chaos_kernel.json"
 
 # Self-test: a plan that silently corrupts dedup MUST trip the oracle and
 # exit non-zero — a harness that stays green under seeded silent corruption

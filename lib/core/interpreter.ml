@@ -466,21 +466,31 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
       ks
   in
   (* Kernel-path evaluation of one IDB's live delta plans: matches stream
-     straight through FAST-DEDUP and an anti-probe of R's membership set
-     into the Δ, no query issued, no intermediate bag and no separate set
-     difference. The set is acquired as OPSD's [full_table_set] does (every
-     column as the key), so R has one persistent membership set whichever
-     path produced its Δ; it is acquired before the dedup table so an index
-     fault raises before any allocation or write. A chaos-degraded kernel
-     re-evaluates interpreted — the probe fires before any write, so
-     falling back can never double-count. *)
+     straight through one two-table claim — FAST-DEDUP, then R's
+     membership set — into the Δ, no query issued, no intermediate bag and
+     no separate set difference. The set is R's full-column set, the one
+     OPSD's [full_table_set] probes, so R has one persistent membership set
+     whichever path produced its Δ. It is claimed for writing before the
+     dedup table is made, so an index fault raises before any allocation
+     or write; the kernels add every tuple they emit to it, and the absorb
+     then only records that it covers R's new rows ([cover_r_set]).
+     A chaos-degraded kernel re-evaluates interpreted — its probe fires
+     before any write, so falling back can never double-count — but an
+     earlier kernel of the round may already have claimed tuples into R's
+     set that R will not receive through this Δ: any exit without a Δ
+     drops the set, and the fallback's set difference rebuilds it. *)
+  let r_set_keys arity = Array.init arity Fun.id in
   let eval_kernels plans ks ~name ~arity =
     let r = Catalog.rel catalog name in
-    let r_set, owned =
-      Executor.acquire_set exec ~scan_name:name r (Array.init arity (fun i -> i))
-    in
+    let r_set, owned = Executor.claim_set exec ~scan_name:name r (r_set_keys arity) in
     Fun.protect ~finally:(fun () -> if owned then Dedup.release r_set)
     @@ fun () ->
+    let abandon dd out =
+      Dedup.release dd;
+      Relation.release out;
+      if not owned then
+        Option.iter (fun m -> Rs_exec.Index_manager.drop_set m ~name (r_set_keys arity)) index_manager
+    in
     let dd = Dedup.create ~expected:(dedup_expected plans) dedup_mode arity in
     let out = Relation.create ~name:(Planner.delta_name name) arity in
     match List.fold_left (fun n k -> n + Kernel.run exec k ~dedup:dd ~r_set ~out) 0 ks with
@@ -495,14 +505,21 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
         end;
         Ev_delta { delta = out; claimed }
     | exception Kernel.Degraded _ ->
-        Dedup.release dd;
-        Relation.release out;
+        abandon dd out;
         count_kernel "kernel.fallbacks" 1;
         (match eval_plans plans with Some rt -> Ev_raw rt | None -> Ev_none)
     | exception e ->
-        Dedup.release dd;
-        Relation.release out;
+        abandon dd out;
         raise e
+  in
+  (* After a kernel round's Δ is appended to R, R's managed set (which the
+     kernels claimed the Δ into) covers R again. *)
+  let cover_r_set (st : idb_state) =
+    Option.iter
+      (fun m ->
+        Rs_exec.Index_manager.cover_set m ~name:st.name (Catalog.rel catalog st.name)
+          (r_set_keys st.arity))
+      index_manager
   in
   (* The DSD decision for one absorb, on the stats and trace. *)
   let note_choice (st : idb_state) choice ~r_rows ~rdelta_rows =
@@ -793,12 +810,14 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
                     absorbed d
                 | Ev_delta { delta; claimed } ->
                     (* kernel output is already the Δ: no dedup pass and no
-                       set difference. The kernel ran OPSD's anti-probe, so
-                       the absorb records an OPSD choice. *)
+                       set difference. The kernel ran OPSD's probe of R's
+                       set inside its claims, so the absorb records an OPSD
+                       choice. *)
                     note_choice st Cost.Opsd ~r_rows:(Catalog.stat_rows catalog st.name)
                       ~rdelta_rows:claimed;
-                    absorbed
-                      (absorb_delta ~stratum:stratum.index ~iteration:!iteration st ~claimed delta))
+                    let d = absorb_delta ~stratum:stratum.index ~iteration:!iteration st ~claimed delta in
+                    cover_r_set st;
+                    absorbed d)
               produced);
         continue_ := !any
       done

@@ -111,9 +111,13 @@ let release_cache c =
   Hashtbl.iter (fun _ set -> Dedup.release set) c.sets
 
 (* Acquisition for compiled kernels: same three-tier policy as a join's
-   build side, minus the per-query cache (a kernel is not a query). *)
+   build side, minus the per-query cache (a kernel is not a query). The
+   head table's set is taken for writing: the kernels claim into it. *)
 let acquire_index t ?scan_name rel keys = build_index t ?scan_name rel keys
-let acquire_set t ?scan_name rel keys = build_member_set t ?scan_name rel keys
+
+let claim_set t ?scan_name rel keys =
+  acquire t ~from_manager:Index_manager.claim_set ~build:build_transient_set
+    ~tbl:(fun c -> c.sets) ?scan_name rel keys
 
 (* The row bound of an [Old] read: how many rows of [table] come before
    its Δ-suffix. A Δ longer than its table means the suffix invariant is

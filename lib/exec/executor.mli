@@ -19,8 +19,8 @@ module Dedup = Rs_relation.Dedup
     - a transient build, released when the operator finishes.
 
     Joins probe a {!Hash_index}. Operators that only ask whether a tuple is
-    present — anti-joins, both set differences and the kernels'
-    anti-probe — probe a membership set instead (a FAST-DEDUP table,
+    present — anti-joins, both set differences and the kernels' claims
+    into the head table's set — probe a membership set instead (a FAST-DEDUP table,
     {!Dedup.create_set}), acquired through the same three tiers. *)
 
 type t = {
@@ -74,9 +74,10 @@ val estimate : t -> Plan.t -> int
 
 (** {2 Index acquisition for compiled kernels}
 
-    {!Kernel} probes build-side indexes and the head table's membership set
-    directly instead of issuing queries; it acquires them through the same
-    policy as a join's build side (manager-persistent, else transient). *)
+    {!Kernel} probes build-side indexes and claims into the head table's
+    membership set directly instead of issuing queries; it acquires them
+    through the same policy as a join's build side (manager-persistent,
+    else transient). *)
 
 val acquire_index :
   t -> ?scan_name:string -> Relation.t -> int array -> Hash_index.t * bool
@@ -86,11 +87,13 @@ val acquire_index :
     releases it); otherwise a transient index is built and [owned] is
     [true] — the caller must {!Hash_index.release} it. *)
 
-val acquire_set : t -> ?scan_name:string -> Relation.t -> int array -> Dedup.t * bool
-(** [acquire_set t ?scan_name rel keys] is {!acquire_index} for a
-    membership set of [rel]'s rows projected on [keys]: the manager's
-    persistent set ([owned = false]) or a transient one the caller must
-    {!Dedup.release}. *)
+val claim_set : t -> ?scan_name:string -> Relation.t -> int array -> Dedup.t * bool
+(** [claim_set t ?scan_name rel keys] is {!acquire_index} for the
+    membership set of [rel]'s rows projected on [keys] that the kernels
+    will write to: the manager's persistent set taken with
+    {!Index_manager.claim_set} ([owned = false]; the caller then owes the
+    manager a {!Index_manager.cover_set} or {!Index_manager.drop_set}) or
+    a transient one the caller must {!Dedup.release}. *)
 
 val old_bound : t -> table:string -> delta:string -> int
 (** [old_bound t ~table ~delta] is the row bound of

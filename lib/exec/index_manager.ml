@@ -97,33 +97,84 @@ let get t ~name rel keys =
          this name, or the relation was destructively mutated *)
       rebuild t key rel keys
 
-let get_set t ~name rel keys =
-  let t = owner t name in
-  let key = (name, Array.to_list keys) in
+(* The entry under [key] if it still covers a prefix of [rel] (the
+   validity rule of [get]); a stale entry is released and dropped. *)
+let valid_set t key rel =
   match Hashtbl.find_opt t.sets key with
-  | Some e
-    (* the same validity rule as [get]'s *)
-    when e.rel == rel && e.gen = Relation.generation rel && e.rows <= Relation.nrows rel ->
-      let n = Relation.nrows rel in
-      if e.rows = n then count t "executor.index_reuse_hits" 1
-      else begin
-        (* Chaos fault point: a set append fails, before any write. *)
-        Rs_chaos.Inject.index_should_fail ~point:"index_set.append";
-        Pool.parallel_for t.pool e.rows n (Dedup.add_rows e.set rel keys);
-        e.rows <- n;
-        Dedup.account e.set;
-        count t "executor.index_appends" 1
-      end;
-      e.set
+  | Some e when e.rel == rel && e.gen = Relation.generation rel && e.rows <= Relation.nrows rel ->
+      Some e
   | stale ->
       Option.iter release_set stale;
       Hashtbl.remove t.sets key;
-      let set = build_set t.pool rel keys in
-      Dedup.account set;
-      note_build t (Dedup.bytes set);
-      Hashtbl.replace t.sets key
-        { set; rel; rows = Relation.nrows rel; gen = Relation.generation rel };
-      set
+      None
+
+(* Adds the rows [rel] gained since [e] last covered it. *)
+let append_suffix t e rel keys =
+  let n = Relation.nrows rel in
+  Pool.parallel_for t.pool e.rows n (Dedup.add_rows e.set rel keys);
+  e.rows <- n;
+  Dedup.account e.set;
+  count t "executor.index_appends" 1
+
+let build_entry t key rel keys =
+  let set = build_set t.pool rel keys in
+  Dedup.account set;
+  note_build t (Dedup.bytes set);
+  let e = { set; rel; rows = Relation.nrows rel; gen = Relation.generation rel } in
+  Hashtbl.replace t.sets key e;
+  e
+
+(* The manager holding [name]'s sets and the key of the set on [keys]. *)
+let set_slot t ~name keys = (owner t name, (name, Array.to_list keys))
+
+let get_set t ~name rel keys =
+  let t, key = set_slot t ~name keys in
+  match valid_set t key rel with
+  | Some e ->
+      if e.rows = Relation.nrows rel then count t "executor.index_reuse_hits" 1
+      else begin
+        (* Chaos fault point: a set append fails, before any write. *)
+        Rs_chaos.Inject.index_should_fail ~point:"index_set.append";
+        append_suffix t e rel keys
+      end;
+      e.set
+  | None -> (build_entry t key rel keys).set
+
+let claim_set t ~name rel keys =
+  let t, key = set_slot t ~name keys in
+  match valid_set t key rel with
+  | Some e ->
+      (* Chaos fault point: the writer's append fails, before any write —
+         the catch-up below or the writer's own claims. *)
+      Rs_chaos.Inject.index_should_fail ~point:"index_set.append";
+      if e.rows = Relation.nrows rel then count t "executor.index_reuse_hits" 1
+      else append_suffix t e rel keys;
+      e.set
+  | None ->
+      let e = build_entry t key rel keys in
+      Rs_chaos.Inject.index_should_fail ~point:"index_set.append";
+      e.set
+
+let cover_set t ~name rel keys =
+  let t, key = set_slot t ~name keys in
+  match Hashtbl.find_opt t.sets key with
+  | Some e when e.rel == rel && e.gen = Relation.generation rel ->
+      e.rows <- Relation.nrows rel;
+      Dedup.account e.set
+  | Some _ | None -> ()
+
+let drop_set t ~name keys =
+  let t, key = set_slot t ~name keys in
+  match Hashtbl.find_opt t.sets key with
+  | Some e ->
+      release_set e;
+      Hashtbl.remove t.sets key;
+      count t "executor.index_invalidations" 1
+  | None -> ()
+
+let peek_set t ~name keys =
+  let t, key = set_slot t ~name keys in
+  Option.map (fun e -> (e.rel, e.set)) (Hashtbl.find_opt t.sets key)
 
 (* Sets hold values, not row ids: a replacement that keeps the covered
    rows as its prefix leaves a set valid verbatim. *)

@@ -21,13 +21,23 @@
     and in-place rewrites bump it). Anything else rebuilds.
 
     Membership questions ("is this tuple in R?": the set differences, the
-    kernels' anti-probe, anti-joins) do not use a join index. They go to a
+    kernels' claims, anti-joins) do not use a join index. They go to a
     {e membership set} ({!get_set}): a {!Rs_relation.Dedup.create_set}
     table of R's rows projected on the key columns. Sets are held by the
     same [(table name, key columns)] key in a table of their own, under the
     same validity rules; a grown relation's fresh suffix is added in one
     {!Rs_parallel.Pool.parallel_for} batch, charged as parallel work just
     as an index append is.
+
+    Who writes R's full-column set: on interpreted strata the manager
+    itself, appending each absorbed Δ at the next access. On compiled-kernel
+    strata the kernels do: the interpreter takes the set with
+    {!claim_set} (which probes [index_set.append] once per round, before
+    the kernels' first claim), every fresh tuple a kernel emits is claimed
+    in it, and after the absorb {!cover_set} records that it already holds
+    the Δ — so the next round appends nothing. A round whose kernel
+    degrades drops the set ({!drop_set}) before the interpreted fallback's
+    set difference rebuilds it.
 
     The [persistent] predicate supplied at creation decides which table
     names are worth managing (the interpreter passes EDBs and
@@ -43,8 +53,8 @@
     [executor.index_rehashes] counts join-index bucket doublings only.
 
     Chaos: a set build probes {!Rs_chaos.Inject.index_should_fail} at
-    [index_set.build] and a set append at [index_set.append], each before
-    it writes anything. *)
+    [index_set.build] and a set append at [index_set.append] ({!claim_set}
+    once per call), each before it writes anything. *)
 
 type t
 
@@ -75,6 +85,34 @@ val get_set : t -> name:string -> Rs_relation.Relation.t -> int array -> Rs_rela
     of [rel] projected on [keys], reusing / delta-appending / rebuilding
     under {!get}'s rules. Owned by the manager — callers must not release
     it. *)
+
+val claim_set : t -> name:string -> Rs_relation.Relation.t -> int array -> Rs_relation.Dedup.t
+(** [claim_set t ~name rel keys] is {!get_set} for a caller that will
+    itself add [rel]'s next rows to the set — the compiled kernels, which
+    claim every tuple they emit in the head table's set. It probes
+    [index_set.append] exactly once, before any write: before the catch-up
+    append of rows [rel] gained since the set last covered it, and before
+    the caller's own claims. Until {!cover_set} the set holds rows [rel]
+    lacks, so nothing else may probe it in between; a caller that ends up
+    not appending those rows must {!drop_set} it. *)
+
+val cover_set : t -> name:string -> Rs_relation.Relation.t -> int array -> unit
+(** [cover_set t ~name rel keys] records that the set {!claim_set} handed
+    out already holds every current row of [rel] (the caller appended its
+    claimed rows to [rel]), so the next {!get_set} or {!claim_set} appends
+    nothing. Reconciles the set's bytes with the memory tracker. A no-op
+    when no valid set is held. *)
+
+val drop_set : t -> name:string -> int array -> unit
+(** [drop_set t ~name keys] releases and drops the set held under
+    [(name, keys)] (counted as an invalidation); the next access rebuilds
+    it from the relation's rows. *)
+
+val peek_set :
+  t -> name:string -> int array -> (Rs_relation.Relation.t * Rs_relation.Dedup.t) option
+(** [peek_set t ~name keys] is the set held under [(name, keys)] and the
+    relation it was taken over, as they stand: no validity check, no
+    append, no counter. For invariant checks. *)
 
 val build_set : Rs_parallel.Pool.t -> Rs_relation.Relation.t -> int array -> Rs_relation.Dedup.t
 (** [build_set pool rel keys] is a transient membership set of [rel]'s rows

@@ -229,44 +229,51 @@ let bound_of ex name = function
   | Some delta -> Executor.old_bound ex ~table:name ~delta
 
 let run (ex : Executor.t) k ~dedup ~r_set ~out =
-  (* The exec probe sits before any write, so a fired fault leaves [dedup]
-     and [out] untouched and the caller can re-evaluate interpreted. *)
+  (* The exec probe sits before any write, so a fired fault leaves [dedup],
+     [r_set] and [out] untouched. *)
   (match Inject.kernel_should_fail ~point:"kernel.exec" with
   | () -> ()
   | exception Fault.Injected _ -> raise (Degraded "kernel.exec"));
   let offered = ref 0 in
   let emitted = ref 0 in
   let batches = ref 0 in
-  (* Emit, monomorphized on head arity: claim the tuple in FAST-DEDUP, then
-     anti-probe R's membership set and append only a tuple R lacks — the
-     set difference runs inside the loop, and no intermediate relation ever
-     exists. Claiming first keeps [offered] and [emitted] the figures of
-     the candidate multiset the interpreted path's bag would hold. *)
+  (* Emit, monomorphized on head arity: one two-table claim hashes the
+     tuple once, claims it in FAST-DEDUP and, when fresh, in R's membership
+     set, and a tuple R's set lacked is appended — the set difference runs
+     inside the loop, R's set stays current for the next iteration, and no
+     intermediate relation ever exists. Claiming in the dedup table first
+     keeps [offered] and [emitted] the figures of the candidate multiset
+     the interpreted path's bag would hold. *)
   let emit1 v0 =
     incr offered;
-    if Dedup.add1 dedup v0 then begin
-      incr emitted;
-      if not (Dedup.mem1 r_set v0) then Relation.push1 out v0
-    end
+    match Dedup.claim1 dedup ~set:r_set v0 with
+    | Dedup.Repeat -> ()
+    | Dedup.Known -> incr emitted
+    | Dedup.Added ->
+        incr emitted;
+        Relation.push1 out v0
   in
   let emit2 v0 v1 =
     incr offered;
-    if Dedup.add2 dedup v0 v1 then begin
-      incr emitted;
-      if not (Dedup.mem2 r_set v0 v1) then Relation.push2 out v0 v1
-    end
+    match Dedup.claim2 dedup ~set:r_set v0 v1 with
+    | Dedup.Repeat -> ()
+    | Dedup.Known -> incr emitted
+    | Dedup.Added ->
+        incr emitted;
+        Relation.push2 out v0 v1
   in
   (* wider heads fill a scratch tuple; it is chunk-safe: the virtual pool runs
      chunks sequentially, and both dedup layouts copy on insert *)
   let tuple = Array.make k.arity 0 in
   let emit_tuple () =
     incr offered;
-    if Dedup.add_row dedup tuple then begin
-      incr emitted;
-      if not (Dedup.mem_row r_set tuple) then
+    match Dedup.claim_row dedup ~set:r_set tuple with
+    | Dedup.Repeat -> ()
+    | Dedup.Known -> incr emitted
+    | Dedup.Added ->
+        incr emitted;
         if k.arity = 3 then Relation.push3 out tuple.(0) tuple.(1) tuple.(2)
         else Relation.push_row out tuple
-    end
   in
   (* Computed heads evaluate their expressions over a column accessor. *)
   let emit_get =

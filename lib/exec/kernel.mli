@@ -18,14 +18,17 @@
     no query is issued and no separate OPSD/TPSD pass runs: the kernel's
     output is the iteration's Δ.
 
-    Emit order: a surviving match is first claimed in the dedup table; a
-    fresh claim is then looked up in the head table R's membership set (the
-    {e anti-probe}, a {!Rs_relation.Dedup.create_set} table of R's tuples)
-    and written out only if R lacks it. Claiming first keeps the dedup
-    figures those of the interpreted path's candidate bag:
-    [dedup.probes] counts every match offered, [dedup.hits] the repeats,
-    and [kernel.emitted] the fresh claims — the candidate set Rδ, a
-    superset of the Δ by the tuples R already held.
+    Emit order: a surviving match is claimed with one two-table claim
+    ({!Rs_relation.Dedup.claim2}): its packed key is hashed once, claimed
+    in the dedup table and, when that claim is fresh, claimed in the head
+    table R's membership set (a {!Rs_relation.Dedup.create_set} table of
+    R's tuples). A tuple new to the set is written out. The set therefore
+    already holds R's next rows when the Δ is absorbed, and the index
+    manager appends nothing to it next iteration. Claiming in the dedup
+    table first keeps the dedup figures those of the interpreted path's
+    candidate bag: [dedup.probes] counts every match offered,
+    [dedup.hits] the repeats, and [kernel.emitted] the fresh claims — the
+    candidate set Rδ, a superset of the Δ by the tuples R already held.
 
     Supported shapes, each with the Δ-table scanned exactly once:
     - [Unary]: [Project] over a filtered scan of the Δ-table (linear
@@ -63,14 +66,16 @@
 
     Chaos: both entry points probe {!Rs_chaos.Inject.kernel_should_fail}.
     A compile-time fire yields [Error "chaos"]; an exec-time fire raises
-    {!Degraded} {e before any write}, so the interpreter can always fall
-    back to the interpreted plan — a kernel fault can cost time, never
-    correctness. *)
+    {!Degraded} {e before any write} of that kernel, so the interpreter can
+    always fall back to the interpreted plan — a kernel fault can cost
+    time, never correctness. Earlier kernels of the same round may already
+    have claimed tuples in the head table's set, so the fallback drops that
+    set before its set difference. *)
 
 exception Degraded of string
 (** Raised by {!run} when an armed {!Rs_chaos.Fault.Kernel_fail} plan fires
     at [kernel.exec]. Guaranteed to be raised before the kernel writes to
-    its dedup table or output relation. *)
+    its dedup table, the head table's set or its output relation. *)
 
 type t
 (** A compiled kernel for one delta plan of one rule. *)
@@ -96,11 +101,15 @@ val run :
   int
 (** [run ex k ~dedup ~r_set ~out] executes the kernel batch-at-a-time
     over the pool: every surviving match is claimed in [dedup], and a fresh
-    claim is appended to [out] iff [r_set] — the membership set of every
-    tuple of the head table — lacks it. [out] then holds [Rδ − R], the Δ.
-    Returns the number of fresh claims ([|Rδ|]), so [|Rδ| − |Δ|] is the
+    claim is claimed in [r_set] — the membership set of every tuple of the
+    head table — and appended to [out] iff [r_set] lacked it. [out] then
+    holds [Rδ − R], the Δ, and [r_set] holds [R ∪ Δ]: it runs ahead of the
+    head table until the caller absorbs the Δ, and a caller that does not
+    absorb it (a later kernel of the same round degrades) must drop the
+    set. Returns the number of fresh claims ([|Rδ|]), so [|Rδ| − |Δ|] is the
     intersection the DSD µ is made of. The caller owns [dedup], [r_set] and
-    [out] (including {!Relation.account} after the batch). Records
+    [out] (including {!Relation.account} and {!Rs_relation.Dedup.account}
+    after the batch). Records
     [kernel.execs] / [kernel.fused_probes] / [kernel.emitted] (fresh
     claims) / [kernel.batches] / [kernel.batch_rows] on the executor's
     trace, and the table's [dedup.probes] (matches offered) /

@@ -259,13 +259,93 @@ let mem_row t row =
       else fast_mem_wide f row
   | B h -> Hashtbl.mem h row
 
-let mem1 t x =
-  assert (t.arity = 1);
-  match t.impl with F f -> fast_mem_packed f x | B h -> Hashtbl.mem h [| x |]
-
 let mem2 t x y =
   assert (t.arity = 2);
   match t.impl with F f -> fast_mem2 f x y | B h -> Hashtbl.mem h [| x; y |]
+
+(* --- the two-table claim: a dedup table and a membership set --- *)
+
+type claim = Repeat | Known | Added
+
+(* [add_d] claims in the dedup table, [add_s] in the set: the fallback for
+   layouts that cannot share one hash (a boxed table, one side migrated). *)
+let claim_each add_d add_s = if not (add_d ()) then Repeat else if add_s () then Added else Known
+
+let fast_of t = match t.impl with F f -> f | B _ -> invalid_arg "Dedup: not a Fast table"
+
+(* Both tables packed and [key <> empty]: one [Int_key.hash] serves both
+   probe sequences. *)
+let claim_packed d s key =
+  let h = Int_key.hash key in
+  let i = probe_packed d.slots d.mask key (h land d.mask) in
+  if i < 0 || (d.chaos && Rs_chaos.Inject.dedup_drops ~key) then Repeat
+  else begin
+    d.slots.(i) <- key;
+    claimed d;
+    let j = probe_packed s.slots s.mask key (h land s.mask) in
+    if j < 0 then Known
+    else begin
+      s.slots.(j) <- key;
+      claimed s;
+      Added
+    end
+  end
+
+let store_wide f i row hk =
+  f.slots.(2 * i) <- f.count;
+  f.slots.((2 * i) + 1) <- hk;
+  Array.iter (Int_vec.push f.wide) row;
+  claimed f
+
+(* Both tables wide: one [wide_hash] is cached in both tables' slots. *)
+let claim_wide d s row =
+  let hk = wide_hash row in
+  let i = probe_wide d d.slots d.mask row hk (hk land d.mask) in
+  if i < 0 || (d.chaos && Rs_chaos.Inject.dedup_drops ~key:hk) then Repeat
+  else begin
+    store_wide d i row hk;
+    let j = probe_wide s s.slots s.mask row hk (hk land s.mask) in
+    if j < 0 then Known
+    else begin
+      store_wide s j row hk;
+      Added
+    end
+  end
+
+let claim1 t ~set x =
+  assert (t.arity = 1);
+  let s = fast_of set in
+  match t.impl with
+  | F d when x <> empty -> claim_packed d s x
+  | _ -> claim_each (fun () -> add1 t x) (fun () -> fast_add_packed s x)
+
+let claim2 t ~set x y =
+  assert (t.arity = 2);
+  let s = fast_of set in
+  match t.impl with
+  | F d ->
+      if d.packed && s.packed && Int_key.fits2 x y then claim_packed d s (Int_key.pack2 x y)
+      else begin
+        (* the first out-of-range pair migrates whichever side is packed *)
+        if not (Int_key.fits2 x y) then begin
+          if d.packed then migrate_to_wide d;
+          if s.packed then migrate_to_wide s
+        end;
+        if d.packed || s.packed then claim_each (fun () -> fast_add2 d x y) (fun () -> fast_add2 s x y)
+        else claim_wide d s [| x; y |]
+      end
+  | B _ -> claim_each (fun () -> add2 t x y) (fun () -> fast_add2 s x y)
+
+let claim_row t ~set row =
+  if Array.length row <> t.arity || set.arity <> t.arity then invalid_arg "Dedup.claim_row";
+  match t.arity with
+  | 1 -> claim1 t ~set row.(0)
+  | 2 -> claim2 t ~set row.(0) row.(1)
+  | _ -> (
+      let s = fast_of set in
+      match t.impl with
+      | F d -> claim_wide d s row
+      | B _ -> claim_each (fun () -> add_row t row) (fun () -> fast_add_wide s row))
 
 let add_rows t r cols lo hi =
   if Array.length cols <> t.arity then invalid_arg "Dedup.add_rows";

@@ -26,8 +26,10 @@
     The same {!Fast} table is also the engine's only answer to "is this
     tuple in R?": {!create_set} makes a {e membership set}, which the
     executor's index manager fills from a relation's rows ({!add_rows}) and
-    the set differences and anti-joins probe ({!mem1}, {!mem2},
-    {!mem_row}).
+    the set differences and anti-joins probe ({!mem2},
+    {!mem_row}). The compiled kernels write a head table's set themselves,
+    with one two-table claim per emitted tuple ({!claim2}): the dedup
+    table's claim first, then, when fresh, the set's.
 
     Fault injection: the {!Fast} insert paths of a dedup table probe
     {!Rs_chaos.Inject.dedup_drops} (silent per-key derivation loss — the
@@ -64,9 +66,6 @@ val add1 : t -> int -> bool
 
 val mem_row : t -> int array -> bool
 
-val mem1 : t -> int -> bool
-(** {!mem_row} for arity 1, without a tuple array. *)
-
 val mem2 : t -> int -> int -> bool
 (** {!mem_row} for arity 2, without a tuple array. *)
 
@@ -74,6 +73,29 @@ val add_rows : t -> Relation.t -> int array -> int -> int -> unit
 (** [add_rows t r cols lo hi] inserts rows [\[lo, hi)] of [r], each
     projected on [cols] (whose length must be [arity t]). The signature of
     a {!Rs_parallel.Pool.parallel_for} chunk. *)
+
+type claim =
+  | Repeat  (** the dedup table already held the tuple *)
+  | Known  (** claimed fresh in the dedup table; the set already held it *)
+  | Added  (** claimed fresh in the dedup table and added to the set *)
+
+val claim2 : t -> set:t -> int -> int -> claim
+(** [claim2 t ~set x y] claims the pair in the dedup table [t] and, when
+    that claim is fresh, claims it in the membership set [set] too — the
+    compiled kernels' emit, which keeps the head table's set current while
+    it deduplicates. When both tables hold packed keys the pair is packed
+    and hashed once for both probe sequences; when both are wide one tuple
+    hash is computed and cached in both. A pair outside the packed range
+    migrates whichever side is still packed; any other mix of layouts (a
+    {!Boxed} table) claims in each table separately. [t] keeps its fault
+    points ({!add2}'s drop decision included: a dropped key never reaches
+    [set]); [set] must be a {!create_set} table. Arity must be 2. *)
+
+val claim1 : t -> set:t -> int -> claim
+(** {!claim2} for arity 1. *)
+
+val claim_row : t -> set:t -> int array -> claim
+(** {!claim2} for any arity; arity > 2 tables are always wide. *)
 
 val cardinal : t -> int
 

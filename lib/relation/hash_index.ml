@@ -29,10 +29,13 @@ let row_key_hash rel key_cols row =
         (fun acc c -> Int_key.hash_combine acc (Relation.get rel ~row ~col:c))
         0x9E3779B9 key_cols
 
-(* An index over all current rows of [rel] with every chain still empty. *)
+(* An index over all current rows of [rel] with every chain still empty:
+   at least one bucket per row (load <= 1). Chains are filtered by a key
+   compare on the relation's columns, so a bucket shared by a few rows costs
+   a short walk, while every empty bucket costs a word. *)
 let empty rel key_cols =
   let n = Relation.nrows rel in
-  let cap = pow2_at_least (2 * max 8 n) in
+  let cap = pow2_at_least n in
   { rel; key_cols; heads = Array.make cap (-1); nexts = Array.make (max 1 n) (-1);
     mask = cap - 1; n; generation = Relation.generation rel; rehashes = 0; accounted = 0 }
 
@@ -86,12 +89,12 @@ let append_pool pool t =
       Array.blit t.nexts 0 nexts 0 t.n;
       t.nexts <- nexts
     end;
-    (* keep the load factor at or below 1/2, as [build] does *)
-    if 2 * new_n > Array.length t.heads then begin
-      (* over the load-factor threshold: double and relink everything (the
-         rehash links the fresh rows too) *)
+    (* keep the load factor at or below 1, as [build] does *)
+    if new_n > Array.length t.heads then begin
+      (* over the load-factor threshold: grow to a fresh build's bucket
+         count and relink everything (the rehash links the fresh rows too) *)
       t.n <- new_n;
-      rehash pool t (pow2_at_least (2 * new_n))
+      rehash pool t (pow2_at_least new_n)
     end
     else begin
       let lo = t.n in

@@ -2,9 +2,11 @@
 
     The build side of every hash join in the executor and the compiled
     kernels — a join multimap only: membership questions (anti-joins, set
-    difference, the kernels' anti-probe) go to a {!Dedup.create_set} table
+    difference, the kernels' claims) go to a {!Dedup.create_set} table
     instead. Chains are stored in flat arrays (no boxing), matching the
-    storage discipline of the rest of the backend.
+    storage discipline of the rest of the backend: a bucket array of a
+    power-of-two size at least the number of indexed rows (load factor
+    <= 1, at least 16 buckets) and one next-link per row.
 
     An index covers rows [\[0, indexed_rows)] of its relation. When the
     relation only grows (the semi-naive recursive case: a full table
@@ -31,9 +33,11 @@ val append_pool : Rs_parallel.Pool.t -> t -> int
 (** [append_pool pool t] indexes the rows appended to the relation since the
     index was built or last appended ([\[indexed_rows, nrows)]), returning
     how many were added. The chain array grows by amortized doubling; when
-    the load factor would exceed 1/2 the bucket table doubles and every row
-    is relinked (one {!rehashes} tick). Probe order is identical to a fresh
-    {!build} of the grown relation. Refreshes the recorded {!generation}. *)
+    the load factor would exceed 1 (more rows than buckets) the bucket
+    table grows to the bucket count a fresh {!build} would pick and every
+    row is relinked (one {!rehashes} tick). Probe order — newest row first
+    within a key — is identical to a fresh {!build} of the grown relation.
+    Refreshes the recorded {!generation}. *)
 
 val rebase : t -> Relation.t -> unit
 (** [rebase t rel] re-points the index at a {e replacement} relation whose

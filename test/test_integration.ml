@@ -217,7 +217,7 @@ let test_bigdatalog_recursive_aggregation () =
 let test_interpreter_dsd_switches () =
   (* every absorb of a long-running TC records its set-difference choice;
      with kernels and persistent indexes on, every one is OPSD — iteration
-     0 by the cost model, the rest the anti-probe inside the kernel *)
+     0 by the cost model, the rest the set probe inside the kernel *)
   let arc = Rs_datagen.Graphs.gnp ~seed:17 ~n:400 ~p:0.02 in
   let options =
     { Interpreter.default_options with pbme = false; dsd = Interpreter.Dsd_dynamic }

@@ -18,8 +18,8 @@ let check = Alcotest.(check bool)
 
 let canon rel = List.map Array.to_list (Relation.sorted_distinct_rows rel)
 
-(* The membership set of an empty head table: the kernel's anti-probe then
-   keeps every fresh claim, so its output is the deduplicated bag. *)
+(* The membership set of an empty head table: every fresh claim is then
+   new to it too, so the kernel's output is the deduplicated bag. *)
 let empty_r_set arity = Rs_relation.Dedup.create_set arity
 
 (* One interpreter run on a fresh pool; returns (rows of each output, trace). *)
@@ -502,10 +502,10 @@ let test_provenance_kernel_chaos () =
 (* A kernel offers its dedup table the same candidate multiset the
    interpreted plan materializes as a bag, so dedup.probes and dedup.hits
    must agree exactly with kernels on and off — which also shows both paths
-   run the same exact delta plans. The kernel's anti-probe of R replaces
+   run the same exact delta plans. The kernel's claims into R's set replace
    the interpreted set difference, so every stratum, iteration and IDB
    must get the same |Δ| with kernels on, kernels off, and kernels on over
-   a transient per-iteration anti-probe index (persistent indexes off). An
+   a transient per-iteration set (persistent indexes off). An
    aggregated IDB never compiles (the cost gate refuses it), so its case
    only shows the interpreted run is deterministic; test_core pins its
    plans' full scans. *)
@@ -768,6 +768,138 @@ let test_chaos_bounded_chain () =
   Alcotest.(check int) "one degraded round" 1 (c tr "kernel.fallbacks");
   check "later rounds still fused" true (c tr "kernel.execs" > 3)
 
+(* --- R's membership set on kernel strata ---------------------------------- *)
+
+module Dedup = Rs_relation.Dedup
+module Index_manager = Rs_exec.Index_manager
+
+(* Per head arity: the base rule and a pool of recursive rules, each with
+   its number of recursive occurrences (= delta plans). Every body is
+   connected and free of negation and aggregates, so the whole IDB runs on
+   kernels: Unary, Binary and Chain shapes, Old steps in the two-occurrence
+   rules. *)
+let set_rules = function
+  | 1 ->
+      ( "p(x) :- e(x, y).",
+        [
+          ("p(y) :- p(x), e(x, y).", 1);
+          ("p(y) :- e(y, x), p(x).", 1);
+          ("p(z) :- p(x), e(x, y), e(y, z).", 1);
+          ("p(y) :- p(x), e(x, y), e(y, z), p(z).", 2);
+        ] )
+  | 2 ->
+      ( "p(x, y) :- e(x, y).",
+        [
+          ("p(x, y) :- p(x, z), e(z, y).", 1);
+          ("p(x, y) :- e(x, z), p(z, y).", 1);
+          ("p(y, x) :- p(x, y).", 1);
+          ("p(x, y) :- p(x, z), p(z, y).", 2);
+          ("p(x, y) :- p(x, z), e(z, w), p(w, y).", 2);
+        ] )
+  | _ ->
+      ( "p(x, y, z) :- e(x, y), e(y, z).",
+        [
+          ("p(x, y, w) :- p(x, y, z), e(z, w).", 1);
+          ("p(y, x, z) :- p(x, y, z).", 1);
+          ("p(x, w, z) :- p(x, y, z), p(y, w, z).", 2);
+          ("p(x, y, w) :- p(x, y, z), e(z, v), e(v, w).", 1);
+        ] )
+
+(* Rules whose delta plans add up to [budget] (1–3) or less, in pool order
+   after a rotation; never empty. *)
+let pick_rules pool ~rot ~budget =
+  let n = List.length pool in
+  let rotated = List.init n (fun i -> List.nth pool ((i + rot) mod n)) in
+  let rec go used acc = function
+    | [] -> List.rev acc
+    | (rule, k) :: rest ->
+        if used + k <= budget then go (used + k) ((rule, k) :: acc) rest else go used acc rest
+  in
+  match go 0 [] rotated with [] -> [ List.hd rotated ] | picked -> picked
+
+(* Small values around 0 plus [min_int], [max_int] and 2^31: pairs outside
+   the packed range migrate both the dedup table and R's set to the wide
+   layout, and an arity-1 [min_int] is the out-of-band key. *)
+let gen_value =
+  QCheck2.Gen.(frequency [ (8, int_range (-3) 3); (1, oneofl [ min_int; max_int; 1 lsl 31 ]) ])
+
+(* (head arity, rule rotation, delta budget, arc rows, fault picks) *)
+let gen_set_case =
+  QCheck2.Gen.(
+    tup5 (int_range 1 3) (int_range 0 4) (int_range 1 3)
+      (list_size (int_range 1 12) (pair gen_value gen_value))
+      (pair nat nat))
+
+let set_case_program (arity, rot, budget, _, _) =
+  let base, pool = set_rules arity in
+  let rules = pick_rules pool ~rot ~budget in
+  let src =
+    String.concat "\n" ((".input e" :: base :: List.map fst rules) @ [ ".output p" ])
+  in
+  (src, List.fold_left (fun n (_, k) -> n + k) 0 rules)
+
+let print_set_case ((_, _, _, arcs, (f1, f2)) as case) =
+  Printf.sprintf "%s\narcs [%s] picks (%d, %d)" (fst (set_case_program case))
+    (String.concat "; " (List.map (fun (x, y) -> Printf.sprintf "%d,%d" x y) arcs))
+    f1 f2
+
+(* One kernel run whose head table's set lives in a manager the test
+   holds. After every iteration of [p], the set a reader is served must
+   hold exactly [p]'s rows; returns (rows, iterations where it did not,
+   trace). *)
+let run_set_audited ?plan ~arity src arcs =
+  let pool = Pool.create ~workers:4 () in
+  Pool.begin_run pool;
+  let trace = Trace.create ~now:(fun () -> Pool.vtime_now pool) () in
+  let shared = Index_manager.create ~persistent:(fun n -> n = "p") pool in
+  let keys = Array.init arity Fun.id in
+  let bad = ref 0 in
+  let on_iteration (info : Interpreter.iteration_info) =
+    if info.it_idb = "p" then
+      match Index_manager.peek_set shared ~name:"p" keys with
+      | None -> incr bad
+      | Some (rel, _) ->
+          let set = Index_manager.get_set shared ~name:"p" rel keys in
+          let row i = Array.init arity (fun c -> Relation.get rel ~row:i ~col:c) in
+          let n = Relation.nrows rel in
+          if
+            Dedup.cardinal set <> n
+            || not (List.for_all (fun i -> Dedup.mem_row set (row i)) (List.init n Fun.id))
+          then incr bad
+  in
+  let options =
+    Interpreter.options ~pbme:false ~compiled_kernels:true ~shared_indexes:shared ~trace ()
+  in
+  let edb = [ ("e", Relation.of_rows ~name:"e" 2 (List.map (fun (x, y) -> [| x; y |]) arcs)) ] in
+  let run () = Interpreter.run ~options ~on_iteration ~pool ~edb (Parser.parse src) in
+  let result = match plan with None -> run () | Some p -> Inject.with_plan p run in
+  let rows = canon (result.Interpreter.relation_of "p") in
+  Index_manager.release_all shared;
+  (rows, !bad, trace)
+
+let prop_kernel_keeps_r_set =
+  QCheck2.Test.make ~name:"kernel strata keep R's membership set = R" ~count:200
+    ~print:print_set_case gen_set_case (fun ((arity, _, _, arcs, (f1, f2)) as case) ->
+      let src, k = set_case_program case in
+      let rows, bad, tr = run_set_audited ~arity src arcs in
+      let oracle =
+        snd (Recstep.Naive.run ~edb:[ ("e", List.map (fun (x, y) -> [ x; y ]) arcs) ] (Parser.parse src))
+          "p"
+      in
+      let execs = c tr "kernel.execs" in
+      (* Every live round runs all [k] kernels (they all scan Δp), after the
+         [k] compile probes: probe [k + k*i + q] with [q >= 1] is a later
+         kernel of round [i], after an earlier one has claimed into R's set. *)
+      let armed_ok =
+        if k < 2 || execs < k then true
+        else
+          let after = k + (k * (f1 mod (execs / k))) + 1 + (f2 mod (k - 1)) in
+          let plan = Fault.plan ~seed:1 [ Fault.spec ~after ~limit:1 Fault.Kernel_fail ] in
+          let rows', bad', tr' = run_set_audited ~plan ~arity src arcs in
+          rows' = rows && bad' = 0 && c tr' "kernel.fallbacks" = 1
+      in
+      c tr "kernel.compiled_rules" > 0 && rows = oracle && bad = 0 && armed_ok)
+
 let suite =
   [
     Alcotest.test_case "arity-2 kernel matches interpreted" `Quick test_arity2;
@@ -806,4 +938,5 @@ let suite =
       test_drain_keeps_suffix;
     Alcotest.test_case "exact deltas: chaos on a bounded chain kernel" `Quick
       test_chaos_bounded_chain;
+    QCheck_alcotest.to_alcotest prop_kernel_keeps_r_set;
   ]

@@ -345,6 +345,104 @@ let test_append_rehash_growth () =
   done;
   Alcotest.(check int) "post-rehash probe" !expected !hits
 
+(* Load <= 1 means buckets are shared: rows over a handful of distinct
+   keys on 16–32 buckets collide constantly. Every probe, through each
+   entry point, must visit exactly the covered rows with its key, newest
+   first, and agree with a fresh [build] — after the build, after an
+   append that stays under the bucket count and after one that rehashes. *)
+let gen_collide_case =
+  QCheck2.Gen.(
+    let v = frequency [ (8, int_range (-2) 2); (1, oneofl [ min_int; max_int; 1 lsl 31 ]) ] in
+    let rows = list_size (int_range 0 24) (triple v v v) in
+    quad (int_range 1 3) (list_size (int_range 0 16) (triple v v v)) rows rows)
+
+let prop_index_collisions =
+  QCheck2.Test.make ~name:"hash index at load 1: exact, newest first, = fresh build" ~count:300
+    gen_collide_case (fun (kw, base, tail1, tail2) ->
+      let pool = Pool.create ~workers:4 () in
+      Pool.begin_run pool;
+      let r = Relation.create 3 in
+      let push (x, y, z) = Relation.push3 r x y z in
+      List.iter push base;
+      let keys = Array.init kw Fun.id in
+      let idx = Hash_index.build_pool pool r keys in
+      let key_of row = Array.map (fun c -> Relation.get r ~row ~col:c) keys in
+      (* every probe in visit order, via the entry point for [kw] columns *)
+      let visit idx key =
+        let acc = ref [] in
+        let f row = acc := row :: !acc in
+        (match key with
+        | [| k |] -> Hash_index.iter_matches1 idx k f
+        | [| k1; k2 |] -> Hash_index.iter_matches2 idx k1 k2 f
+        | _ -> ());
+        Hash_index.iter_matches idx key (fun row -> acc := row :: !acc);
+        List.rev !acc
+      in
+      let exact () =
+        let n = Relation.nrows r in
+        let probes = List.init n key_of @ [ Array.make kw 7; Array.make kw min_int ] in
+        let fresh = Hash_index.build r keys in
+        Hash_index.indexed_rows idx = n
+        && List.for_all
+             (fun key ->
+               let want = List.filter (fun row -> key_of row = key) (List.init n (fun i -> n - 1 - i)) in
+               let want = if kw <= 2 then want @ want else want in
+               visit idx key = want && visit fresh key = want)
+             probes
+      in
+      let ok0 = exact () in
+      List.iter push tail1;
+      ignore (Hash_index.append_pool pool idx);
+      let ok1 = exact () in
+      List.iter push tail2;
+      ignore (Hash_index.append_pool pool idx);
+      let ok2 = exact () in
+      (* at most one row per bucket on average: more than 16 rows has grown
+         the 16-bucket table built over at most 16 *)
+      ok0 && ok1 && ok2 && (Relation.nrows r <= 16 || Hash_index.rehashes idx > 0))
+
+(* The kernels' two-table claim must behave as a claim in the dedup table
+   followed, when fresh, by an add to the set — across packed, wide and
+   migrating layouts and a boxed dedup table. *)
+let prop_two_table_claim =
+  QCheck2.Test.make ~name:"two-table claim = dedup claim then set add" ~count:300
+    QCheck2.Gen.(
+      let v = frequency [ (8, int_range (-2) 3); (1, oneofl [ min_int; max_int; 1 lsl 31 ]) ] in
+      int_range 1 3 >>= fun arity ->
+      let rows = list_size (int_range 0 30) (array_repeat arity v) in
+      triple (return arity) (pair bool rows) rows)
+    (fun (arity, (boxed, seed_rows), rows) ->
+      let mode = if boxed then Dedup.Boxed else Dedup.Fast in
+      let table = Dedup.create ~expected:4 mode arity and set = Dedup.create_set ~expected:4 arity in
+      List.iter (fun row -> ignore (Dedup.add_row set row)) seed_rows;
+      let seen = Hashtbl.create 16 and members = Hashtbl.create 16 in
+      List.iter (fun row -> Hashtbl.replace members (Array.to_list row) ()) seed_rows;
+      let claim row =
+        match row with
+        | [| x |] -> Dedup.claim1 table ~set x
+        | [| x; y |] -> Dedup.claim2 table ~set x y
+        | _ -> Dedup.claim_row table ~set row
+      in
+      List.for_all
+        (fun row ->
+          let k = Array.to_list row in
+          let want =
+            if Hashtbl.mem seen k then Dedup.Repeat
+            else begin
+              Hashtbl.replace seen k ();
+              if Hashtbl.mem members k then Dedup.Known
+              else begin
+                Hashtbl.replace members k ();
+                Dedup.Added
+              end
+            end
+          in
+          claim row = want)
+        rows
+      && Dedup.cardinal table = Hashtbl.length seen
+      && Dedup.cardinal set = Hashtbl.length members
+      && Hashtbl.fold (fun k () ok -> ok && Dedup.mem_row set (Array.of_list k)) members true)
+
 let test_generation_tracking () =
   let r = Relation.of_rows 2 [ [| 1; 2 |] ] in
   let g0 = Relation.generation r in
@@ -364,6 +462,8 @@ let qsuite =
       prop_index_matches_scan;
       prop_build_pool_equals_build;
       prop_append_eq_rebuild;
+      prop_index_collisions;
+      prop_two_table_claim;
       prop_sorted_distinct_matches_reference;
     ]
 
