@@ -168,6 +168,12 @@ with open(sys.argv[1]) as f:
 ws = {w["workload"]: w for w in b["workloads"]}
 for w in b["workloads"]:
     assert w["identical"], "%s outputs diverged between kernel and interpreted runs" % w["workload"]
+# every recursive rule of these programs must compile: a shape the kernel
+# refuses would otherwise pass on compiled_rules > 0 alone
+for name in ("tc", "sg", "cspa"):
+    assert "fallback_rules" in ws[name], "%s reports no fallback_rules" % name
+    assert ws[name]["fallback_rules"] == 0, \
+        "%s: %d recursive rules fell back to the interpreter" % (name, ws[name]["fallback_rules"])
 tc = ws["tc"]
 assert tc["compiled_rules"] > 0, "TC recursive rule did not compile"
 assert tc["ratio"] >= 2.0, \

@@ -60,8 +60,10 @@ let micro () =
         (staged (fun () ->
              let idx = Rs_relation.Hash_index.build arc [| 0 |] in
              let hits = ref 0 in
+             let key = [| 0 |] in
              for v = 0 to 299 do
-               Rs_relation.Hash_index.iter_matches1 idx v (fun _ -> incr hits)
+               key.(0) <- v;
+               Rs_relation.Hash_index.iter_matches idx key (fun _ -> incr hits)
              done));
       Test.make ~name:"fig12:reach_rmat_recstep"
         (staged

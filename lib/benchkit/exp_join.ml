@@ -47,9 +47,10 @@ let run_strategy pool ~iters ~base_rows ~delta_rows strategy =
     let n = Relation.nrows full in
     let hits = ref 0 in
     Pool.parallel_for pool (n - delta_rows) n (fun lo hi ->
-        let local = ref 0 in
+        let local = ref 0 and key = [| 0 |] in
         for row = lo to hi - 1 do
-          Hash_index.iter_matches1 idx (Relation.get full ~row ~col:0) (fun _ -> incr local)
+          key.(0) <- Relation.get full ~row ~col:0;
+          Hash_index.iter_matches idx key (fun _ -> incr local)
         done;
         hits := !hits + !local);
     ignore !hits;

@@ -392,7 +392,7 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
     incr queries;
     let r = Executor.run_query exec plan in
     if not options.eost then begin
-      Txn.note_dirty txn (Relation.bytes r);
+      Txn.note_dirty txn (Relation.row_bytes r);
       Txn.query_boundary txn
     end;
     r
@@ -500,7 +500,7 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
         (* the kernel stands in for a query: under per-query transactions its
            output is written back at its boundary, as [issue] does *)
         if not options.eost then begin
-          Txn.note_dirty txn (Relation.bytes out);
+          Txn.note_dirty txn (Relation.row_bytes out);
           Txn.query_boundary txn
         end;
         Ev_delta { delta = out; claimed }
@@ -560,7 +560,7 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
     Relation.append_all r delta;
     Relation.account r;
     if not options.eost then begin
-      Txn.note_dirty txn (Relation.bytes delta);
+      Txn.note_dirty txn (Relation.row_bytes delta);
       Txn.query_boundary txn
     end;
     prov_record ~pred:st.name ~stratum ~iteration delta;
@@ -877,7 +877,7 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
             prov_record ~pred:idb_name ~stratum:stratum.index ~iteration:0 r;
             replace_table idb_name r;
             if not options.eost then begin
-              Txn.note_dirty txn (Relation.bytes r);
+              Txn.note_dirty txn (Relation.row_bytes r);
               Txn.query_boundary txn
             end;
             analyze_updated [ idb_name ];
@@ -909,7 +909,7 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
   if options.eost then
     (* one final write-back of the result tables *)
     List.iter
-      (fun name -> Txn.note_dirty txn (Relation.bytes (Catalog.rel catalog name)))
+      (fun name -> Txn.note_dirty txn (Relation.row_bytes (Catalog.rel catalog name)))
       an.Analyzer.idbs;
   Txn.finish txn;
   let output_names = if program.Ast.outputs = [] then an.Analyzer.idbs else program.Ast.outputs in

@@ -12,7 +12,8 @@
       Appendix-A cost model (or force one);
     - [eost] — evaluation as one single transaction: pend dirty-page I/O
       until the fixpoint (off: flush after every query);
-    - [fast_dedup] — CCK-GSCHT deduplication (off: boxed hash table);
+    - [fast_dedup] — FAST-DEDUP, compact keys in one linear-probing
+      table (off: boxed hash table);
     - [pbme] — bit-matrix kernels for TC/SG-shaped strata that fit in
       memory;
     - [compiled_kernels] — fused join→project→dedup closures

@@ -14,8 +14,7 @@
 
     The simulated failure modes still travel as exceptions inside an
     engine ([Unsupported], [Recstep.Interpreter.Timeout_simulated],
-    [Rs_storage.Memtrack.Simulated_oom],
-    [Rs_relation.Cck_concurrent.Capacity_exhausted]) — but callers should
+    [Rs_storage.Memtrack.Simulated_oom]) — but callers should
     never catch them directly. {!run_guarded} (or the lower-level {!guard},
     which [Measure.run] shares) folds them all into the documented
     {!outcome} variant at the single boundary where a run's fate is
@@ -115,17 +114,13 @@ let outcome_map f = function
   | Unsupported m -> Unsupported m
   | Fault f -> Fault f
 
-(* The one place the simulated-failure exceptions are caught. Dedup-table
-   capacity exhaustion (a wrong cardinality estimate on a hot table) is a
-   memory-shaped failure of the run, so it folds into [Oom] rather than
-   escaping as an exception and killing a multi-query caller. *)
+(* The one place the simulated-failure exceptions are caught. *)
 let guard (f : unit -> 'a) : 'a outcome =
   match f () with
   | v -> Done v
   | exception Unsupported m -> Unsupported m
   | exception Recstep.Interpreter.Timeout_simulated _ -> Timeout
   | exception Rs_storage.Memtrack.Simulated_oom _ -> Oom
-  | exception Rs_relation.Cck_concurrent.Capacity_exhausted _ -> Oom
   | exception Rs_chaos.Fault.Injected { cls; point } -> Fault { cls; point }
 
 let run_guarded (module E : S) ~pool ?deadline_vs ?trace ~edb program =

@@ -16,8 +16,14 @@ let rec eval get = function
   | Sub (a, b) -> eval get a - eval get b
   | Mul (a, b) -> eval get a * eval get b
 
-let test get (Cmp (op, a, b)) =
-  let x = eval get a and y = eval get b in
+let rec eval_frame frame = function
+  | Col c -> frame.(c)
+  | Const k -> k
+  | Add (a, b) -> eval_frame frame a + eval_frame frame b
+  | Sub (a, b) -> eval_frame frame a - eval_frame frame b
+  | Mul (a, b) -> eval_frame frame a * eval_frame frame b
+
+let[@inline] holds op (x : int) (y : int) =
   match op with
   | Eq -> x = y
   | Ne -> x <> y
@@ -25,6 +31,10 @@ let test get (Cmp (op, a, b)) =
   | Le -> x <= y
   | Gt -> x > y
   | Ge -> x >= y
+
+let test get (Cmp (op, a, b)) = holds op (eval get a) (eval get b)
+
+let test_frame frame (Cmp (op, a, b)) = holds op (eval_frame frame a) (eval_frame frame b)
 
 let rec cols = function
   | Col c -> [ c ]

@@ -20,6 +20,12 @@ val eval : (int -> int) -> t -> int
 
 val test : (int -> int) -> pred -> bool
 
+val eval_frame : int array -> t -> int
+(** [eval_frame frame e] is [eval (Array.get frame) e] without the accessor
+    closure: column [c] reads [frame.(c)]. *)
+
+val test_frame : int array -> pred -> bool
+
 val cols : t -> int list
 (** Columns referenced by the expression. *)
 

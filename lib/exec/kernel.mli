@@ -8,8 +8,8 @@
     what specialized, fused evaluation buys; this module reproduces that
     shape over the columnar substrate.
 
-    {!compile} turns one delta plan of a hot recursive rule into a closure
-    specification: a scan of the Δ-table (batched over the worker pool)
+    {!compile} turns one delta plan of a hot recursive rule into a fused
+    loop: a scan of the Δ-table (batched over the worker pool)
     probing the other side's index — acquired through the executor's
     three-tier policy, so recursive and EDB tables hit the persistent
     {!Index_manager} indexes — with head projection, FAST-DEDUP
@@ -30,39 +30,48 @@
     [dedup.hits] the repeats, and [kernel.emitted] the fresh claims — the
     candidate set Rδ, a superset of the Δ by the tuples R already held.
 
-    Supported shapes, each with the Δ-table scanned exactly once:
-    - [Unary]: [Project] over a filtered scan of the Δ-table (linear
-      single-atom rules);
-    - [Binary]: [Join] of two (possibly filtered) scans, the Δ-table on
-      one side;
-    - [Chain]: a left-deep join of three or more filtered scans. The tree is
-      flattened into atoms (each with its local filters and its offset in
-      the combined frame) plus the equalities between frame columns. The
-      Δ-atom drives; each remaining atom, in body order, joins as soon as it
-      shares a variable with the atoms already bound, keyed on every one of
-      its columns equated to a bound column (a variable shared by three
-      atoms gives a 2-column key). Each atom's filters are tested at the
-      step that binds it, the residual at emit. Every step's index comes
-      from the same three-tier policy, acquired once per distinct
-      (table, key columns) pair per run.
+    One shape, a chain, with the Δ-table scanned exactly once. {!compile}
+    flattens the plan — a [Project] over a filtered scan, or a left-deep
+    join of filtered scans — into atoms (each with its local filters and
+    its offset in the combined frame, the atoms' columns side by side in
+    body order) plus the equalities between frame columns. The Δ-atom keeps
+    its body offset and drives; each remaining atom, in body order, becomes
+    a step as soon as it shares a variable with the atoms already bound,
+    keyed on every one of its columns equated to a bound column (a variable
+    shared by three atoms gives a 2-column key; a second equality on an
+    already-keyed column is tested). A single-atom rule is a chain of no
+    steps, a two-atom join one of one step, with the Δ on either side. Each
+    atom's filters are tested at the step that binds it, the residual at
+    emit. Every step's index comes from the executor's three-tier policy,
+    acquired once per distinct (table, key columns) pair per run.
     Negation, aggregates and bodies where some atom shares no variable with
     the rest (["cross"]) return [Error reason] and stay interpreted;
     {!Cost.kernel_gate} screens out cold / aggregate / wide-headed rules
-    before plans are even inspected. Specialization is monomorphic in head
-    arity (1/2/3 fast paths, generic fallback) and probe-key shape (1/2
-    column specializations).
+    before plans are even inspected.
 
-    Row bounds: a [Binary] build side or a [Chain] step may be a
-    {!Plan.constructor-Old} read, the rows of a recursive table before its
-    Δ-suffix. It probes the table's index as a full scan would (the index
-    is shared: acquisition is keyed on table and key columns only) and
-    skips matches at rows from {!Executor.old_bound} on, before binding.
+    The probe loop allocates no closure per row or match. {!run} fetches, once,
+    the raw column arrays of the Δ-table and of each step's table and each
+    step's {!Rs_relation.Hash_index.view}; then, per Δ row, it copies into
+    the frame only the columns that a later probe, a filter, the residual
+    or the head reads, and each step walks its bucket chain inline (newest
+    row first, a direct compare for 1-column keys) and binds each match the
+    same way. The one indirect call per emitted match is the emit,
+    specialized on head arity (1, 2, wider) and on plain-column heads;
+    filters, the residual and computed heads evaluate straight over the
+    frame ({!Expr.eval_frame}). The raw arrays stay valid for the whole
+    run because nothing the kernel reads grows during it: R and the
+    Δ-tables change only when the interpreter absorbs a Δ, between runs,
+    and [out] is a fresh relation none of the steps reads.
 
-    Column-direct emit: when every head expression is a plain column,
-    [Binary] (with no residual) reads the probe row's head columns once per
-    probe row and the build row's straight from its columns, and [Chain]
-    emits straight from its frame — no per-match accessor closure.
-    Computed heads and residuals evaluate through {!Expr}.
+    Emission order is fixed: Δ rows ascending and, within each step,
+    matches newest row first. The Δ's row order, and every render that
+    follows from it, depend on that order.
+
+    Row bounds: a step may be a {!Plan.constructor-Old} read, the rows of a
+    recursive table before its Δ-suffix. It probes the table's index as a
+    full scan would (the index is shared: acquisition is keyed on table and
+    key columns only) and skips matches at rows from {!Executor.old_bound}
+    on, before binding.
 
     Chaos: both entry points probe {!Rs_chaos.Inject.kernel_should_fail}.
     A compile-time fire yields [Error "chaos"]; an exec-time fire raises
@@ -106,7 +115,8 @@ val run :
     holds [Rδ − R], the Δ, and [r_set] holds [R ∪ Δ]: it runs ahead of the
     head table until the caller absorbs the Δ, and a caller that does not
     absorb it (a later kernel of the same round degrades) must drop the
-    set. Returns the number of fresh claims ([|Rδ|]), so [|Rδ| − |Δ|] is the
+    set. [out] must not be a table the kernel reads (the interpreter passes
+    a fresh one). Returns the number of fresh claims ([|Rδ|]), so [|Rδ| − |Δ|] is the
     intersection the DSD µ is made of. The caller owns [dedup], [r_set] and
     [out] (including {!Relation.account} and {!Rs_relation.Dedup.account}
     after the batch). Records

@@ -17,8 +17,10 @@
       ablation — a stdlib [Hashtbl] keyed by boxed [int array] tuples, which
       costs extra allocation, hashing and per-entry overhead.
 
-    The paper's separate-chaining, latch-free layout (Figure 5) lives on
-    only in {!Cck_concurrent}.
+    This module is FAST-DEDUP's implementation. The paper's
+    separate-chaining, latch-free layout (Figure 5) is not reproduced: the
+    worker pool is simulated and runs its chunks one after another, so no
+    figure measures a concurrent table.
 
     Memory is accounted to {!Rs_storage.Memtrack} (real array sizes for
     {!Fast}; a per-entry estimate of the GC-heap footprint for {!Boxed}).

@@ -60,9 +60,9 @@ let build rel key_cols =
 
 (* The virtual pool runs chunks back to back, so the two-step prepend in
    [link] is deterministic. A real threaded build would need a CAS retry
-   loop on the bucket head (cf. Cck_concurrent); because such a loop makes
-   each insertion independent, the pass is still *charged* as parallel
-   work. *)
+   loop on the bucket head, as the latch-free table of the paper's
+   Figure 5 has; because such a loop makes each insertion independent, the
+   pass is still *charged* as parallel work. *)
 let build_pool pool rel key_cols =
   Rs_chaos.Inject.index_should_fail ~point:"hash_index.build_pool";
   let t = empty rel key_cols in
@@ -134,17 +134,13 @@ let key_eq t row key =
   in
   go 0
 
-(* First row of the chain a probe key hashes to; the hash agrees with
-   [row_key_hash] on the indexed columns. [bucket1]/[bucket2] take 1- and
-   2-column keys without a key array. *)
-let bucket1 t k = t.heads.(Int_key.hash k land t.mask)
-let bucket2 t k1 k2 = t.heads.(Int_key.hash (Int_key.pack2 k1 k2) land t.mask)
-
-let bucket t key =
-  match Array.length t.key_cols with
-  | 1 -> bucket1 t key.(0)
-  | 2 -> bucket2 t key.(0) key.(1)
-  | _ -> t.heads.(Array.fold_left Int_key.hash_combine 0x9E3779B9 key land t.mask)
+(* The hash of a probe key; it agrees with [row_key_hash] on the indexed
+   columns. *)
+let key_hash key =
+  match Array.length key with
+  | 1 -> Int_key.hash key.(0)
+  | 2 -> Int_key.hash (Int_key.pack2 key.(0) key.(1))
+  | _ -> Array.fold_left Int_key.hash_combine 0x9E3779B9 key
 
 let iter_matches t key f =
   let nexts = t.nexts in
@@ -154,29 +150,7 @@ let iter_matches t key f =
       walk nexts.(row)
     end
   in
-  walk (bucket t key)
-
-let iter_matches1 t k f =
-  let c = t.key_cols.(0) in
-  let nexts = t.nexts in
-  let rec walk row =
-    if row >= 0 then begin
-      if Relation.get t.rel ~row ~col:c = k then f row;
-      walk nexts.(row)
-    end
-  in
-  walk (bucket1 t k)
-
-let iter_matches2 t k1 k2 f =
-  let c1 = t.key_cols.(0) and c2 = t.key_cols.(1) in
-  let nexts = t.nexts in
-  let rec walk row =
-    if row >= 0 then begin
-      if Relation.get t.rel ~row ~col:c1 = k1 && Relation.get t.rel ~row ~col:c2 = k2 then f row;
-      walk nexts.(row)
-    end
-  in
-  walk (bucket2 t k1 k2)
+  walk t.heads.(key_hash key land t.mask)
 
 let bytes t = 8 * (Array.length t.heads + Array.length t.nexts)
 
@@ -189,3 +163,16 @@ let account t =
 let release t =
   Memtrack.free t.accounted;
   t.accounted <- 0
+
+type view = { heads : int array; nexts : int array; mask : int; keys : int array array }
+
+let view (t : t) : view =
+  {
+    heads = t.heads;
+    nexts = t.nexts;
+    mask = t.mask;
+    keys = Array.map (fun c -> Int_vec.unsafe_data (Relation.col t.rel c)) t.key_cols;
+  }
+
+let first1 v k = v.heads.(Int_key.hash k land v.mask)
+let first v key = v.heads.(key_hash key land v.mask)

@@ -26,8 +26,8 @@ val build : Relation.t -> int array -> t
 val build_pool : Rs_parallel.Pool.t -> Relation.t -> int array -> t
 (** Like {!build} but with the insertion pass chunked through the worker
     pool. Chain prepends commute up to per-bucket order; a real threaded
-    build would use a CAS retry loop per bucket head (cf. Cck_concurrent),
-    so the pass is charged as parallel work. *)
+    build would use a CAS retry loop per bucket head (the latch-free table
+    of the paper's Figure 5), so the pass is charged as parallel work. *)
 
 val append_pool : Rs_parallel.Pool.t -> t -> int
 (** [append_pool pool t] indexes the rows appended to the relation since the
@@ -67,13 +67,30 @@ val rehashes : t -> int
 
 val iter_matches : t -> int array -> (int -> unit) -> unit
 (** [iter_matches idx key f] calls [f row_id] for every indexed row whose key
-    columns equal [key]. *)
+    columns equal [key], newest row first. *)
 
-val iter_matches2 : t -> int -> int -> (int -> unit) -> unit
-(** Specialization for two-column keys. *)
+type view = private {
+  heads : int array;  (** first row of each bucket's chain, or [-1] *)
+  nexts : int array;  (** the next (older) row of a row's chain, or [-1] *)
+  mask : int;  (** bucket count minus one *)
+  keys : int array array;
+      (** the raw data of the indexed relation's key columns, in key order *)
+}
+(** The index's arrays for a probe loop that walks the bucket chains
+    itself, with no closure per match: a probe key's chain starts at
+    {!first1} / {!first}, follows [nexts] down to [-1], and holds every row
+    whose key hashes to that bucket — the walker tests each row's key in
+    [keys] and skips the others. A view is read-only and stays valid until
+    the index or its relation next grows ({!append_pool}, {!rebase}, any
+    append to the relation): it is for a loop that writes neither. *)
 
-val iter_matches1 : t -> int -> (int -> unit) -> unit
-(** Specialization for one-column keys. *)
+val view : t -> view
+
+val first1 : view -> int -> int
+(** The head of the chain a one-column key hashes to. *)
+
+val first : view -> int array -> int
+(** The head of the chain [key] hashes to, any key width. *)
 
 val nrows : t -> int
 

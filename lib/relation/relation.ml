@@ -104,6 +104,8 @@ let concat_parallel pool arity fragments =
 
 let bytes t = Array.fold_left (fun acc c -> acc + Int_vec.capacity_bytes c) 0 t.cols
 
+let row_bytes t = 8 * nrows t * arity t
+
 let account t =
   let b = bytes t in
   let delta = b - t.accounted in

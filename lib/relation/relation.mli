@@ -78,7 +78,12 @@ val release : t -> unit
     interpreter deletes per-iteration temporaries). *)
 
 val bytes : t -> int
-(** Currently reserved bytes of the backing columns. *)
+(** Currently reserved bytes of the backing columns — the {!account}ed
+    figure, capacity included. *)
+
+val row_bytes : t -> int
+(** Bytes of the rows themselves, 8 per attribute: what writing the
+    relation back to storage writes. *)
 
 val sorted_distinct_rows : t -> int array list
 (** Tuples sorted lexicographically with duplicates removed — the canonical

@@ -468,6 +468,26 @@ let test_eost_io_accounting () =
   in
   check "per-query writes more than EOST" true (io false > io true)
 
+(* Write-back charges the rows written, 8 bytes per attribute, not the
+   columns' capacity. TC over the path 0 -> 1 -> 2 -> 3 (PBME off) derives
+   3, 2 and 1 new pairs in its three productive rounds. Under EOST the one
+   commit writes tc's 6 rows. Per query, each round's query or kernel
+   output and the Δ it absorbs are written at their own boundaries:
+   2 x (3 + 2 + 1) rows in 6 flushes, the empty last round writing nothing.
+   Kernels on and off write the same. *)
+let test_flush_bytes_pinned () =
+  List.iter
+    (fun (eost, kernels, flushes, rows) ->
+      let what = Printf.sprintf "eost=%b kernels=%b" eost kernels in
+      let trace = Rs_obs.Trace.create ~now:(fun () -> 0.0) () in
+      let options = Interpreter.options ~pbme:false ~eost ~compiled_kernels:kernels ~trace () in
+      let r = run_program ~options Programs.tc [ ("arc", Frontend.edges [ (0, 1); (1, 2); (2, 3) ]) ] in
+      let counter = Rs_obs.Trace.counter trace in
+      Alcotest.(check int) (what ^ ": storage.flush_bytes") (rows * 2 * 8) (counter "storage.flush_bytes");
+      Alcotest.(check int) (what ^ ": storage.flushes") flushes (counter "storage.flushes");
+      Alcotest.(check int) (what ^ ": io_bytes") (rows * 2 * 8) r.Interpreter.io_bytes)
+    [ (true, true, 1, 6); (true, false, 1, 6); (false, true, 6, 12); (false, false, 6, 12) ]
+
 (* --- lexer/parser edge cases --------------------------------------------- *)
 
 let test_lexer_comment_at_eof () =
@@ -562,6 +582,7 @@ let suite =
     Alcotest.test_case "facts + negation" `Quick test_interpreter_facts_and_negation;
     Alcotest.test_case "interpreter stats" `Quick test_interpreter_stats;
     Alcotest.test_case "EOST io accounting" `Quick test_eost_io_accounting;
+    Alcotest.test_case "write-back charges the rows written" `Quick test_flush_bytes_pinned;
     Alcotest.test_case "lexer comment at EOF" `Quick test_lexer_comment_at_eof;
     Alcotest.test_case "parser negative constants" `Quick test_parser_negative_constants;
     Alcotest.test_case "parser duplicate rules" `Quick test_parser_duplicate_rules;

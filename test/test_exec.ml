@@ -231,7 +231,7 @@ let index_count tr what = Trace.counter tr ("executor.index_" ^ what)
 (* Whether a one-column index holds a row whose key is [k]. *)
 let has_key idx k =
   let found = ref false in
-  Hash_index.iter_matches1 idx k (fun _ -> found := true);
+  Hash_index.iter_matches idx [| k |] (fun _ -> found := true);
   !found
 
 let test_index_manager_lifecycle () =

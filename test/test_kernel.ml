@@ -900,6 +900,178 @@ let prop_kernel_keeps_r_set =
       in
       c tr "kernel.compiled_rules" > 0 && rows = oracle && bad = 0 && armed_ok)
 
+(* --- one probe loop for every body: random single-rule programs --------- *)
+
+(* A random recursive rule for [p] (arity 2) over [e] (arity 2), [f]
+   (arity 3) and [p] itself, built from [seed]: a Δ-able [p] atom plus 0–2
+   atoms, each sharing a variable with the atoms before it, so every body
+   compiles. Arguments repeat bound variables (2-column keys, and
+   equalities a key cannot hold), take constants (filters) or wildcards; a
+   second [p] atom gives delta plans with [Old] steps; the head may hold a
+   constant (a computed head) and the body one comparison (a residual).
+   Atoms are shuffled, so the Δ-atom drives from any body position. *)
+let random_rule seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let bound = ref [] and nvars = ref 0 in
+  let var v = Printf.sprintf "v%d" v in
+  let pick l = List.nth l (int (List.length l)) in
+  let fresh () =
+    incr nvars;
+    !nvars - 1
+  in
+  let atom pred arity ~first =
+    let args = Array.make arity "_" in
+    let link = int arity in
+    let mine = ref [] in
+    for i = 0 to arity - 1 do
+      let v =
+        if i = link && not first then Some (pick !bound)
+        else
+          match int 7 with
+          | 0 -> None
+          | 1 -> (
+              args.(i) <- string_of_int (int 4);
+              None)
+          | 2 when !mine <> [] -> Some (pick !mine)
+          | 3 | 4 when !bound <> [] -> Some (pick !bound)
+          | _ -> Some (fresh ())
+      in
+      match v with
+      | Some v ->
+          args.(i) <- var v;
+          mine := v :: !mine
+      | None -> ()
+    done;
+    (* the first atom must bind a variable for the others to link to *)
+    if first && !mine = [] then begin
+      let v = fresh () in
+      args.(0) <- var v;
+      mine := [ v ]
+    end;
+    bound := List.sort_uniq compare (!mine @ !bound);
+    Printf.sprintf "%s(%s)" pred (String.concat ", " (Array.to_list args))
+  in
+  let first = atom "p" 2 ~first:true in
+  let others =
+    List.init (int 3) (fun _ ->
+        match int 3 with 0 -> atom "e" 2 ~first:false | 1 -> atom "f" 3 ~first:false | _ -> atom "p" 2 ~first:false)
+  in
+  let body = List.map snd (List.sort compare (List.map (fun a -> (int 1000, a)) (first :: others))) in
+  let head_arg () = if int 5 = 0 then string_of_int (int 4) else var (pick !bound) in
+  let head = Printf.sprintf "p(%s, %s)" (head_arg ()) (head_arg ()) in
+  let residual =
+    if int 2 = 0 then []
+    else
+      let rhs = if int 2 = 0 then string_of_int (int 4) else var (pick !bound) in
+      [ Printf.sprintf "%s %s %s" (var (pick !bound)) (pick [ "="; "!="; "<"; "<="; ">"; ">=" ]) rhs ]
+  in
+  Printf.sprintf "%s :- %s." head (String.concat ", " (body @ residual))
+
+let random_rule_src seed =
+  ".input e\n.input f\np(x, y) :- e(x, y).\n" ^ random_rule seed ^ "\n.output p"
+
+(* Mostly a few values, so bodies join; sometimes a wider one, so 1- and
+   2-column keys share buckets and the chain walk must compare keys. *)
+let gen_small = QCheck2.Gen.(frequency [ (6, int_range 0 4); (1, int_range 5 40) ])
+
+(* (rule seed, e rows, f rows, p's old rows, p's Δ rows) *)
+let gen_rule_case =
+  QCheck2.Gen.(
+    let pairs = list_size (int_range 0 12) (pair gen_small gen_small) in
+    tup5 (int_bound 1_000_000_000) pairs
+      (list_size (int_range 0 12) (triple gen_small gen_small gen_small))
+      pairs pairs)
+
+let print_rule_case (seed, e, f, old, delta) =
+  let pairs l = String.concat "; " (List.map (fun (x, y) -> Printf.sprintf "%d,%d" x y) l) in
+  Printf.sprintf "%s\ne [%s] f [%s] old [%s] delta [%s]" (random_rule_src seed) (pairs e)
+    (String.concat "; " (List.map (fun (x, y, z) -> Printf.sprintf "%d,%d,%d" x y z) f))
+    (pairs old) (pairs delta)
+
+(* Every delta plan of the rule, fused over a catalog where "p" ends with
+   its Δ "p@delta": the kernel's output must be the executor's bag for the
+   same plan with the old rows materialized, deduplicated, and it must
+   offer the bag's rows and claim its distinct ones. Each plan runs again
+   with an arithmetic head over the same columns. *)
+let plans_match_executor src ~e ~f ~old ~delta =
+  let module Expr = Rs_exec.Expr in
+  let module Plan = Rs_exec.Plan in
+  let module Catalog = Rs_exec.Catalog in
+  let module Executor = Rs_exec.Executor in
+  let module Kernel = Rs_exec.Kernel in
+  let rows l = List.map (fun (x, y) -> [ x; y ]) l in
+  let computed =
+    Array.mapi (fun i e -> if i = 0 then Expr.Add (Expr.Mul (e, Expr.Const 3), Expr.Const (-1)) else Expr.Sub (e, Expr.Const 2))
+  in
+  let with_computed = function
+    | Plan.Project (out, src) -> Plan.Project (computed out, src)
+    | Plan.Join ({ out = Some out; _ } as j) -> Plan.Join { j with out = Some (computed out) }
+    | p -> p
+  in
+  List.for_all
+    (fun plan ->
+      List.for_all
+        (fun plan ->
+          let pool = Pool.create ~workers:4 () in
+          Pool.begin_run pool;
+          let trace = Trace.create ~now:(fun () -> Pool.vtime_now pool) () in
+          let catalog = Catalog.create () in
+          let reg name arity rows =
+            Catalog.register catalog name (Relation.of_rows ~name arity (List.map Array.of_list rows))
+          in
+          reg "p" 2 (rows (old @ delta));
+          reg "p@delta" 2 (rows delta);
+          reg "e" 2 (rows e);
+          reg "f" 3 (List.map (fun (x, y, z) -> [ x; y; z ]) f);
+          let index_manager = Rs_exec.Index_manager.create ~persistent:(fun n -> n = "p") pool in
+          let ex = Executor.create ~index_manager ~trace pool catalog in
+          let bag = Executor.run_query ex (materialize ~old_rows:(rows old) plan) in
+          match Kernel.compile ex ~probe_table:"p@delta" plan with
+          | Error reason -> QCheck2.Test.fail_reportf "kernel refused: %s" reason
+          | Ok k ->
+              let dedup = Dedup.create Dedup.Fast 2 in
+              let out = Relation.create 2 in
+              let claimed = Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~out in
+              Dedup.release dedup;
+              Rs_exec.Index_manager.release_all index_manager;
+              let distinct = canon bag in
+              canon out = distinct
+              && c trace "dedup.probes" = Relation.nrows bag
+              && claimed = List.length distinct
+              && c trace "kernel.emitted" = claimed)
+        [ plan; with_computed plan ])
+    (delta_plans src "p")
+
+let prop_one_loop_every_body =
+  QCheck2.Test.make ~name:"one probe loop: random bodies, kernels on = off = naive" ~count:300
+    ~print:print_rule_case gen_rule_case (fun (seed, e, f, old, delta) ->
+      let src = random_rule_src seed in
+      let edb =
+        [
+          ("e", 2, List.map (fun (x, y) -> [ x; y ]) (List.sort_uniq compare e));
+          ("f", 3, List.map (fun (x, y, z) -> [ x; y; z ]) f);
+        ]
+      in
+      let on, tr_on = run_one ~kernels:true src edb in
+      let off, tr_off = run_one ~kernels:false src edb in
+      let _, lookup =
+        Recstep.Naive.run ~edb:(List.map (fun (name, _, rows) -> (name, rows)) edb) (Parser.parse src)
+      in
+      let base = List.length (List.sort_uniq compare e) in
+      (* the base rule's one interpreted dedup pass offers e's distinct
+         rows in both runs; every later candidate goes through a kernel or
+         through the interpreted pass, and the kernels' fresh claims are
+         the interpreted pass's distinct candidates *)
+      on = [ ("p", lookup "p") ]
+      && off = on
+      && c tr_on "kernel.fallback_rules" = 0
+      && c tr_on "kernel.compiled_rules" > 0
+      && c tr_on "dedup.probes" = c tr_off "dedup.probes"
+      && c tr_on "dedup.hits" = c tr_off "dedup.hits"
+      && c tr_on "kernel.emitted" = c tr_off "dedup.probes" - c tr_off "dedup.hits" - base
+      && plans_match_executor src ~e ~f ~old ~delta)
+
 let suite =
   [
     Alcotest.test_case "arity-2 kernel matches interpreted" `Quick test_arity2;
@@ -939,4 +1111,5 @@ let suite =
     Alcotest.test_case "exact deltas: chaos on a bounded chain kernel" `Quick
       test_chaos_bounded_chain;
     QCheck_alcotest.to_alcotest prop_kernel_keeps_r_set;
+    QCheck_alcotest.to_alcotest prop_one_loop_every_body;
   ]

@@ -1,7 +1,6 @@
 module Relation = Rs_relation.Relation
 module Dedup = Rs_relation.Dedup
 module Hash_index = Rs_relation.Hash_index
-module Cck = Rs_relation.Cck_concurrent
 module Pool = Rs_parallel.Pool
 
 let check = Alcotest.(check bool)
@@ -183,47 +182,6 @@ let test_dedup_rehash_growth () =
   done;
   Alcotest.(check int) "cardinal" 10000 (Dedup.cardinal t)
 
-(* --- CCK concurrent, including a real multi-domain stress test --- *)
-
-let test_cck_sequential () =
-  let t = Cck.create ~capacity:1000 ~buckets:64 in
-  check "add" true (Cck.add t 42);
-  check "dup" false (Cck.add t 42);
-  check "mem" true (Cck.mem t 42);
-  check "not mem" false (Cck.mem t 43);
-  Alcotest.(check int) "cardinal" 1 (Cck.cardinal t)
-
-let test_cck_concurrent_domains () =
-  (* Four real OCaml 5 domains hammer one table with overlapping ranges;
-     the final set must be exactly [0, 4000). *)
-  let t = Cck.create ~capacity:20000 ~buckets:1024 in
-  let worker seed () =
-    let rng = Rs_util.Rng.create seed in
-    for _ = 1 to 8000 do
-      ignore (Cck.add t (Rs_util.Rng.int rng 4000))
-    done;
-    for v = 0 to 3999 do
-      ignore (Cck.add t v)
-    done
-  in
-  let domains = List.init 4 (fun i -> Domain.spawn (worker (i + 1))) in
-  List.iter Domain.join domains;
-  Alcotest.(check int) "exactly the range" 4000 (Cck.cardinal t);
-  Alcotest.(check (list int)) "sorted contents" (List.init 4000 (fun i -> i)) (Cck.to_sorted_list t)
-
-let test_cck_capacity_exhausted () =
-  (* a full table fails with the typed exception (folded into Oom at the
-     engine boundary), never a bare [failwith] *)
-  let t = Cck.create ~capacity:4 ~buckets:16 in
-  for v = 0 to 3 do
-    check "add" true (Cck.add t v)
-  done;
-  Alcotest.check_raises "typed capacity failure"
-    (Cck.Capacity_exhausted { capacity = 4 })
-    (fun () -> ignore (Cck.add t 99));
-  Alcotest.(check bool) "guard folds it to Oom" true
-    (Rs_engines.Engine_intf.guard (fun () -> ignore (Cck.add t 100)) = Rs_engines.Engine_intf.Oom)
-
 (* --- hash index --- *)
 
 let prop_index_matches_scan =
@@ -234,7 +192,7 @@ let prop_index_matches_scan =
       List.iter (fun (x, y) -> Relation.push2 r x y) pairs;
       let idx = Hash_index.build r [| 0 |] in
       let via_index = ref [] in
-      Hash_index.iter_matches1 idx probe (fun row -> via_index := row :: !via_index);
+      Hash_index.iter_matches idx [| probe |] (fun row -> via_index := row :: !via_index);
       let naive = List.filteri (fun _ _ -> true) pairs in
       let expected =
         List.mapi (fun i (x, _) -> (i, x)) naive
@@ -268,13 +226,11 @@ let test_index_two_col_and_mem () =
   let idx = Hash_index.build r [| 0; 1 |] in
   Alcotest.(check int) "present key" 1 (matches idx [| 1; 3 |]);
   Alcotest.(check int) "absent key" 0 (matches idx [| 3; 1 |]);
-  let hits = ref 0 in
-  Hash_index.iter_matches2 idx 1 2 (fun _ -> incr hits);
-  Alcotest.(check int) "exact match" 1 !hits
+  Alcotest.(check int) "exact match" 1 (matches idx [| 1; 2 |])
 
 let test_index_three_col () =
-  (* arity >= 3 exercises the generic fold branch of row_key_hash and the
-     array-key iter_matches path (vs the 1/2-column specializations) *)
+  (* arity >= 3 exercises the generic fold branch of row_key_hash and of
+     the probe key's hash *)
   let r =
     Relation.of_rows 4
       [ [| 1; 2; 3; 9 |]; [| 1; 2; 4; 8 |]; [| 1; 2; 3; 7 |]; [| 2; 2; 3; 6 |] ]
@@ -312,8 +268,8 @@ let prop_append_eq_rebuild =
       && List.for_all
            (fun (x, _) ->
              let a = ref [] and b = ref [] in
-             Hash_index.iter_matches1 idx x (fun i -> a := i :: !a);
-             Hash_index.iter_matches1 fresh x (fun i -> b := i :: !b);
+             Hash_index.iter_matches idx [| x |] (fun i -> a := i :: !a);
+             Hash_index.iter_matches fresh [| x |] (fun i -> b := i :: !b);
              !a = !b)
            (base @ extra))
 
@@ -337,13 +293,12 @@ let test_append_rehash_growth () =
   done;
   check "rehashed" true (Hash_index.rehashes idx > 0);
   Alcotest.(check int) "covers all rows" (Relation.nrows r) (Hash_index.indexed_rows idx);
-  let hits = ref 0 in
-  Hash_index.iter_matches1 idx 3 (fun _ -> incr hits);
+  let hits = matches idx [| 3 |] in
   let expected = ref 0 in
   for row = 0 to Relation.nrows r - 1 do
     if Relation.get r ~row ~col:0 = 3 then incr expected
   done;
-  Alcotest.(check int) "post-rehash probe" !expected !hits
+  Alcotest.(check int) "post-rehash probe" !expected hits
 
 (* Load <= 1 means buckets are shared: rows over a handful of distinct
    keys on 16–32 buckets collide constantly. Every probe, through each
@@ -367,15 +322,18 @@ let prop_index_collisions =
       let keys = Array.init kw Fun.id in
       let idx = Hash_index.build_pool pool r keys in
       let key_of row = Array.map (fun c -> Relation.get r ~row ~col:c) keys in
-      (* every probe in visit order, via the entry point for [kw] columns *)
+      (* every probe in visit order, through [iter_matches] and then a
+         walk of the view's chain as the kernels make it *)
       let visit idx key =
         let acc = ref [] in
-        let f row = acc := row :: !acc in
-        (match key with
-        | [| k |] -> Hash_index.iter_matches1 idx k f
-        | [| k1; k2 |] -> Hash_index.iter_matches2 idx k1 k2 f
-        | _ -> ());
         Hash_index.iter_matches idx key (fun row -> acc := row :: !acc);
+        let v = Hash_index.view idx in
+        let row = ref (if kw = 1 then Hash_index.first1 v key.(0) else Hash_index.first v key) in
+        while !row >= 0 do
+          if Array.for_all2 (fun col k -> col.(!row) = k) v.Hash_index.keys key then
+            acc := !row :: !acc;
+          row := v.Hash_index.nexts.(!row)
+        done;
         List.rev !acc
       in
       let exact () =
@@ -386,7 +344,7 @@ let prop_index_collisions =
         && List.for_all
              (fun key ->
                let want = List.filter (fun row -> key_of row = key) (List.init n (fun i -> n - 1 - i)) in
-               let want = if kw <= 2 then want @ want else want in
+               let want = want @ want in
                visit idx key = want && visit fresh key = want)
              probes
       in
@@ -478,9 +436,6 @@ let suite =
     Alcotest.test_case "memory accounting" `Quick test_accounting;
     Alcotest.test_case "dedup wide rows" `Quick test_dedup_wide_membership;
     Alcotest.test_case "dedup rehash growth" `Quick test_dedup_rehash_growth;
-    Alcotest.test_case "cck sequential" `Quick test_cck_sequential;
-    Alcotest.test_case "cck 4-domain stress" `Quick test_cck_concurrent_domains;
-    Alcotest.test_case "cck capacity exhaustion is typed" `Quick test_cck_capacity_exhausted;
     Alcotest.test_case "index two-column" `Quick test_index_two_col_and_mem;
     Alcotest.test_case "index three-column (fold branch)" `Quick test_index_three_col;
     Alcotest.test_case "index memtrack round-trip" `Quick test_index_memtrack_roundtrip;
