@@ -344,8 +344,9 @@ echo "== CLI serve smoke =="
 dune exec bin/recstep_cli.exe -- serve programs/serve_demo.workload \
   --report "$tmp/serve.json" >/dev/null
 
-# the service report must carry the full counter set, the accounting
-# identities must hold, and the demo's repeated queries must actually hit
+# the service report must carry all 26 declared counters, the accounting
+# identities must hold, the counters must agree with the per-query list,
+# and the demo's repeated queries must actually hit
 cat >"$tmp/validate_serve.py" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -353,14 +354,27 @@ with open(sys.argv[1]) as f:
 c = r["counters"]
 need = {"submitted", "admitted", "rejected", "done", "oom", "timeout",
         "unsupported", "fault", "cache_hit", "cache_miss", "retried",
-        "degraded", "deadline_miss"}
+        "degraded", "deadline_miss", "delta_applied", "delta_noop",
+        "delta_fault", "refreshed", "view_built", "view_seeded",
+        "view_dropped", "explain", "autoscale.evals", "autoscale.up",
+        "autoscale.down", "autoscale.cache_up", "autoscale.cache_down"}
 missing = need - set(c)
-assert not missing, "missing counters: %s" % missing
+assert not missing, "missing counters: %s" % sorted(missing)
 assert c["submitted"] == c["admitted"] + c["rejected"], "submitted identity"
 assert c["admitted"] == c["done"] + c["oom"] + c["timeout"] + c["unsupported"] \
     + c["fault"], "admitted identity"
 assert c["cache_hit"] > 0, "demo workload produced no cache hits"
-assert len(r["queries"]) == c["submitted"], "one disposition per submission"
+qs = r["queries"]
+assert len(qs) == c["submitted"], "one disposition per submission"
+for o in ("done", "oom", "timeout", "unsupported", "fault", "rejected"):
+    n = sum(1 for q in qs if q["outcome"] == o)
+    assert n == c[o], "%s: %d queries, counter %d" % (o, n, c[o])
+hits = sum(1 for q in qs if q["cache_hit"])
+assert hits == c["cache_hit"], "cache_hit: %d queries, counter %d" % (hits, c["cache_hit"])
+retries = sum(q["retries"] for q in qs)
+assert retries == c["retried"], "retried: %d retries, counter %d" % (retries, c["retried"])
+rungs = sum(1 for q in qs if q["degraded"] is not None)
+assert rungs == c["degraded"], "degraded: %d queries, counter %d" % (rungs, c["degraded"])
 print("serve OK: %d submitted, %d served, %d cache hits, p95=%.4fs"
       % (c["submitted"], c["done"], c["cache_hit"], r["latency"]["p95"]))
 EOF

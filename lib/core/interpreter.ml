@@ -24,7 +24,6 @@ type options = {
   compiled_kernels : bool;
   shared_indexes : Rs_exec.Index_manager.t option;
   query_overhead_s : float;
-  alpha : float;
   timeout_vs : float option;
   hoard_memory : bool;
   share_builds : bool;
@@ -35,7 +34,7 @@ type options = {
 let options ?(uie = true) ?(oof = Oof_normal) ?(dsd = Dsd_dynamic) ?(eost = true)
     ?(fast_dedup = true) ?(pbme = true) ?(persistent_indexes = true)
     ?(compiled_kernels = true) ?shared_indexes
-    ?(query_overhead_s = 0.002) ?(alpha = Cost.default_alpha) ?timeout_vs
+    ?(query_overhead_s = 0.002) ?timeout_vs
     ?(hoard_memory = false) ?(share_builds = true) ?trace ?provenance () =
   {
     uie;
@@ -48,7 +47,6 @@ let options ?(uie = true) ?(oof = Oof_normal) ?(dsd = Dsd_dynamic) ?(eost = true
     compiled_kernels;
     shared_indexes;
     query_overhead_s;
-    alpha;
     timeout_vs;
     hoard_memory;
     share_builds;
@@ -531,7 +529,7 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
           (match choice with Cost.Opsd -> "opsd" | Cost.Tpsd -> "tpsd")
           (("r_rows", float_of_int r_rows)
           :: ("rdelta_rows", float_of_int rdelta_rows)
-          :: ("alpha", options.alpha)
+          :: ("alpha", Cost.default_alpha)
           :: (match st.mu_prev with Some m -> [ ("mu_prev", m) ] | None -> []))
     | None -> ()
   in
@@ -629,8 +627,8 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
           | Dsd_force_opsd -> Cost.Opsd
           | Dsd_force_tpsd -> Cost.Tpsd
           | Dsd_dynamic ->
-              Cost.choose ~alpha:options.alpha ~r_index_persists:(index_manager <> None) ~r_rows
-                ~rdelta_rows ~mu_prev:st.mu_prev
+              Cost.choose ~alpha:Cost.default_alpha ~r_index_persists:(index_manager <> None)
+                ~r_rows ~rdelta_rows ~mu_prev:st.mu_prev
         in
         note_choice st choice ~r_rows ~rdelta_rows;
         let delta =

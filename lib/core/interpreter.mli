@@ -54,7 +54,6 @@ type options = {
           this run's teardown — the run-local manager releases only its own
           entries *)
   query_overhead_s : float;
-  alpha : float;  (** DSD cost-model build/probe ratio (from calibration) *)
   timeout_vs : float option;  (** simulated-seconds budget per run *)
   hoard_memory : bool;
       (** keep per-iteration temporaries alive (models RDD-lineage caching in
@@ -88,7 +87,6 @@ val options :
   ?compiled_kernels:bool ->
   ?shared_indexes:Rs_exec.Index_manager.t ->
   ?query_overhead_s:float ->
-  ?alpha:float ->
   ?timeout_vs:float ->
   ?hoard_memory:bool ->
   ?share_builds:bool ->

@@ -1,7 +1,5 @@
 type rung = Full | Half_workers | No_persistent_indexes | No_fast_path
 
-let all_rungs = [ Full; Half_workers; No_persistent_indexes; No_fast_path ]
-
 let rung_name = function
   | Full -> "full"
   | Half_workers -> "half_workers"
@@ -29,10 +27,6 @@ let knobs ~workers = function
       { k_workers = max 1 (workers / 2); k_persistent_indexes = false; k_fast_path = false }
 
 type failure = Oom_failure | Fault_failure of Rs_chaos.Fault.cls
-
-let failure_name = function
-  | Oom_failure -> "oom"
-  | Fault_failure c -> "fault:" ^ Rs_chaos.Fault.cls_name c
 
 (* Which failures are worth another attempt. OOM is retryable because the
    ladder shrinks the working set (fewer workers → fewer concurrent

@@ -23,9 +23,6 @@
 
 type rung = Full | Half_workers | No_persistent_indexes | No_fast_path
 
-val all_rungs : rung list
-(** Ladder order, top ({!Full}) first. *)
-
 val rung_name : rung -> string
 
 val next_rung : rung -> rung option
@@ -39,8 +36,6 @@ val knobs : workers:int -> rung -> knobs
 (** Cumulative: every rung keeps the degradations of the rungs above it. *)
 
 type failure = Oom_failure | Fault_failure of Rs_chaos.Fault.cls
-
-val failure_name : failure -> string
 
 val retryable : failure -> bool
 

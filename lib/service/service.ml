@@ -168,34 +168,79 @@ let output_names program =
    the program never reads refresh its entries for free. *)
 type view = { v_ivm : Ivm.t; v_edbs : string list; v_outputs : string list }
 
-let view_value v =
-  List.map
-    (fun n -> (n, List.map Array.of_list (Ivm.rows v.v_ivm n)))
-    v.v_outputs
+let view_value v = List.map (fun n -> (n, List.map Array.of_list (Ivm.rows v.v_ivm n))) v.v_outputs
 
-let run ?(config = config ()) ~edb:store events =
+(* --- the service state and the per-query record -------------------------- *)
+
+(* Everything one {!run} owns. [clock] is the service's virtual clock. While
+   an engine attempt runs, [attempt_base] holds the attempt's start on that
+   clock and the trace reads [base + pool vtime], so engine spans and pool
+   batches land in place on the service timeline. *)
+type state = {
+  config : config;
+  store : Edb_store.t;
+  pool : Pool.t;
+  clock : float ref;
+  attempt_base : float option ref;
+  trace : Trace.t;
+  cache : Result_cache.t;
+  scaler : Autoscale.t option;  (* owns the base worker count when set *)
+  db_indexes : (string, Rs_exec.Index_manager.t) Hashtbl.t;
+  views : (string * string, view) Hashtbl.t;  (* by (database, canonical program) *)
+  sched : submission Scheduler.t;
+  mutable pending : event list;  (* not yet due, in time order *)
+  mutable completions : completion list;  (* newest first *)
+  mutable explanations : explanation list;  (* newest first *)
+}
+
+(* One dispatched query. The stages fill in the mutable half; [cost] sums
+   the simulated seconds they charged, and the clock reads
+   [started +. cost]. *)
+type query = {
+  sub : submission;
+  started : float;
+  canonical : string;  (* verified on lookup: a hash collision never serves foreign rows *)
+  key : Result_cache.key;
+  budget : float option;  (* deadline left at dispatch, after the queue wait *)
+  mutable outcome : outcome;  (* stays [Timeout] if the deadline expired in the queue *)
+  mutable cost : float;
+  mutable cache_hit : bool;
+  mutable retries : int;
+  mutable rung : Retry.rung;  (* of the final attempt *)
+}
+
+let bump st name n =
+  if not (List.mem name counter_names) then invalid_arg ("Service: undeclared counter " ^ name);
+  Trace.count st.trace ("service." ^ name) n
+
+let base_workers st =
+  match st.scaler with Some s -> Autoscale.workers s | None -> st.config.workers
+
+(* Runs [f] under the memory budget [b] and restores the caller's budget on
+   every exit. Deltas and cold explains are operator actions: they run with
+   [None], off the query budget. *)
+let with_budget b f =
+  let saved = Memtrack.budget () in
+  Memtrack.set_budget b;
+  Fun.protect ~finally:(fun () -> Memtrack.set_budget saved) f
+
+(* Records one disposition, finished now. *)
+let complete st sub ?started ?(cache_hit = false) ?(retries = 0) ?degraded outcome =
+  let c_finished = !(st.clock) in
+  st.completions <-
+    { c_id = sub.sub_id; c_tenant = sub.tenant; c_edb = sub.edb; c_at = sub.at;
+      c_started = started; c_finished; c_outcome = outcome; c_cache_hit = cache_hit;
+      c_retries = retries; c_degraded = degraded }
+    :: st.completions
+
+let create config store events =
   let pool = Pool.create ~workers:config.workers () in
-  let clock = ref 0.0 in
-  let now_impl = ref (fun () -> !clock) in
-  let trace = Trace.create ~now:(fun () -> !now_impl ()) () in
-  let counts = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace counts n 0) counter_names;
-  let bump name n =
-    Hashtbl.replace counts name (n + Option.value ~default:0 (Hashtbl.find_opt counts name));
-    Trace.count trace ("service." ^ name) n
-  in
+  let clock = ref 0.0 and attempt_base = ref None in
+  let now () = match !attempt_base with Some b -> b +. Pool.vtime_now pool | None -> !clock in
+  let trace = Trace.create ~now () in
   let cache = Result_cache.create ~budget_bytes:config.cache_bytes in
-  (* The autoscaler owns the base worker count when enabled; the retry
-     ladder's knobs derive from it per attempt, so [Half_workers] halves
-     whatever the scaler has currently granted. *)
-  let scaler =
-    Option.map
-      (fun p -> Autoscale.create p ~workers:config.workers ~cache_bytes:config.cache_bytes)
-      config.autoscale
-  in
-  let base_workers () =
-    match scaler with Some s -> Autoscale.workers s | None -> config.workers
-  in
+  let scale p = Autoscale.create p ~workers:config.workers ~cache_bytes:config.cache_bytes in
+  let scaler = Option.map scale config.autoscale in
   (* Store-lifetime persistent join indexes, one manager per database:
      shared across every interpreter run on that database and kept live
      across its deltas by the store's rebase/invalidate commit hook. A
@@ -210,588 +255,532 @@ let run ?(config = config ()) ~edb:store events =
       Edb_store.attach_index_manager store db im;
       Hashtbl.replace db_indexes db im)
     (Edb_store.names store);
-  let shared_indexes db = Hashtbl.find db_indexes db in
-  (* Maintained views: one {!Recstep.Ivm} instance per (database, canonical
-     program) that has produced a cacheable result. On a registered delta
-     the views absorb the net change and hand the result cache its entries'
-     rows at the new version — warm refresh instead of cold invalidation. *)
-  let views : (string * string, view) Hashtbl.t = Hashtbl.create 16 in
-  let sched = Scheduler.create ~seed:config.seed in
-  let completions = ref [] in
   (* auto ids in event order, before time-sorting *)
   let next_id = ref 0 in
-  let events =
-    List.map
-      (function
-        | Submit s when s.sub_id = "" ->
-            incr next_id;
-            Submit { s with sub_id = Printf.sprintf "q%d" !next_id }
-        | e -> e)
-      events
+  let name = function
+    | Submit s when s.sub_id = "" ->
+        incr next_id;
+        Submit { s with sub_id = Printf.sprintf "q%d" !next_id }
+    | e -> e
   in
-  let pending = ref (List.stable_sort (fun a b -> compare (event_time a) (event_time b)) events) in
-  let reject sub reason =
-    bump "rejected" 1;
-    completions :=
-      {
-        c_id = sub.sub_id;
-        c_tenant = sub.tenant;
-        c_edb = sub.edb;
-        c_at = sub.at;
-        c_started = None;
-        c_finished = !clock;
-        c_outcome = Rejected reason;
-        c_cache_hit = false;
-        c_retries = 0;
-        c_degraded = None;
-      }
-      :: !completions
+  let events = List.map name events in
+  {
+    config; store; pool; clock; attempt_base; trace; cache; scaler; db_indexes;
+    views = Hashtbl.create 16;
+    sched = Scheduler.create ~seed:config.seed;
+    pending = List.stable_sort (fun a b -> compare (event_time a) (event_time b)) events;
+    completions = [];
+    explanations = [];
+  }
+
+(* --- stages ---------------------------------------------------------------
+   Each stage returns the simulated seconds it charged and the caller
+   advances the clock by them, so a served query's latency is its queue
+   wait plus the sum of its stages' charges. *)
+
+(* Admission: EDB existence, queue bound, memory headroom. *)
+let admit st sub =
+  bump st "submitted" 1;
+  let decision =
+    if not (Edb_store.mem st.store sub.edb) then
+      Admission.Reject (Admission.Unknown_edb sub.edb)
+    else
+      Admission.decide ~queue_len:(Scheduler.length st.sched)
+        ~queue_capacity:st.config.queue_capacity ~mem:sub.mem ~budget:st.config.mem_budget
+        ~live:(Memtrack.live ())
   in
-  let admit sub =
-    bump "submitted" 1;
-    let decision =
-      if not (Edb_store.mem store sub.edb) then
-        Admission.Reject (Admission.Unknown_edb sub.edb)
-      else
-        Admission.decide ~queue_len:(Scheduler.length sched)
-          ~queue_capacity:config.queue_capacity ~mem:sub.mem ~budget:config.mem_budget
-          ~live:(Memtrack.live ())
-    in
-    match decision with
-    | Admission.Admit ->
-        bump "admitted" 1;
-        Scheduler.push sched ~tenant:sub.tenant sub
-    | Admission.Reject reason -> reject sub reason
+  (match decision with
+  | Admission.Admit ->
+      bump st "admitted" 1;
+      Scheduler.push st.sched ~tenant:sub.tenant sub
+  | Admission.Reject reason ->
+      bump st "rejected" 1;
+      complete st sub (Rejected reason));
+  0.0
+
+(* Warm path of a committed delta: fold the net change into every view of
+   [edb], then re-key its cache entries to [version]; returns how many were
+   refreshed. A view whose maintenance raises — Ivm.Unsupported from a
+   program the support check mispredicted, a count underflow, an arity
+   clash — degrades to invalidation of that one view, never surfaces to the
+   tenant: the store commit already happened, and the refresher recomputes
+   anything the dropped view can no longer answer. *)
+let refresh_views st ~edb ~version net =
+  let doomed =
+    Hashtbl.fold
+      (fun (e, c) v acc ->
+        if e <> edb then acc
+        else
+          let mine = List.filter (fun (rl, _) -> List.mem rl v.v_edbs) net in
+          match Ivm.apply v.v_ivm mine with _ -> acc | exception _ -> (e, c) :: acc)
+      st.views []
   in
-  let drop_views edb =
-    let doomed =
-      Hashtbl.fold (fun (e, c) _ acc -> if e = edb then (e, c) :: acc else acc) views []
-    in
-    List.iter (Hashtbl.remove views) doomed;
-    List.length doomed
+  List.iter
+    (fun key ->
+      Hashtbl.remove st.views key;
+      bump st "view_dropped" 1;
+      Trace.event st.trace ~kind:"service" "view_maintenance_failed" [])
+    doomed;
+  let refreshed =
+    Result_cache.refresh_edb st.cache edb ~version (fun ~canonical ->
+        Option.map view_value (Hashtbl.find_opt st.views (edb, canonical)))
   in
-  let apply_delta d =
-    match d with
-    | Delta { edb; delta; _ } ->
-        (* operator-applied state change: not subject to the query budget *)
-        let saved = Memtrack.budget () in
-        Memtrack.set_budget None;
-        let applied =
-          match Edb_store.apply store edb delta with
-          | r -> Ok r
-          | exception Fault.Injected { cls; point } -> Error (cls, point)
-          | exception Memtrack.Simulated_oom _ ->
-              (* a chaos Mem probe tripped while accounting the staged
-                 relations; the store released them and rolled back *)
-              Error (Fault.Mem, "edb_store.apply")
-        in
-        Memtrack.set_budget saved;
-        (match applied with
-        | Error (cls, point) ->
-            (* the store rolled back atomically: version, cache and views
-               all still agree on the pre-delta state *)
-            bump "delta_fault" 1;
-            Trace.event trace ~kind:"service" "edb_delta_fault"
-              [ ("cls", float_of_int (Fault.cls_index cls)) ];
-            ignore point
-        | Ok (_, net) when Delta.is_empty net ->
-            (* insert-of-present / retract-of-absent: no version bump, every
-               cached result is still exact *)
-            bump "delta_noop" 1
-        | Ok (version, net) ->
-            bump "delta_applied" 1;
-            if config.ivm && Delta.size net <= config.ivm_max_delta then begin
-              (* warm path: fold the net change into every view of this
-                 database, then re-key its cache entries to [version]. A
-                 view whose maintenance raises — Ivm.Unsupported from a
-                 program the support check mispredicted, a count underflow,
-                 an arity clash — must degrade to invalidation of that one
-                 view, never surface to the tenant: the store commit already
-                 happened, and the refresher below recomputes anything the
-                 dropped view can no longer answer *)
-              let doomed = ref [] in
-              Hashtbl.iter
-                (fun (e, c) v ->
-                  if e = edb then
-                    let mine = List.filter (fun (rl, _) -> List.mem rl v.v_edbs) net in
-                    match Ivm.apply v.v_ivm mine with
-                    | _ -> ()
-                    | exception _ -> doomed := (e, c) :: !doomed)
-                views;
-              List.iter
-                (fun key ->
-                  Hashtbl.remove views key;
-                  bump "view_dropped" 1;
-                  Trace.event trace ~kind:"service" "view_maintenance_failed" [])
-                !doomed;
-              let refreshed =
-                Result_cache.refresh_edb cache edb ~version (fun ~canonical ->
-                    Option.map view_value (Hashtbl.find_opt views (edb, canonical)))
-              in
-              bump "refreshed" refreshed;
-              Trace.event trace ~kind:"service" "edb_delta"
-                [
-                  ("ops", float_of_int (Delta.size net));
-                  ("refreshed", float_of_int refreshed);
-                ]
-            end
-            else begin
-              (* fallback: the delta is too large for incremental refresh to
-                 pay off (or maintenance is off) — drop views and entries,
-                 queries recompute against the new version *)
-              bump "view_dropped" (drop_views edb);
-              let dropped = Result_cache.invalidate_edb cache edb in
-              Trace.event trace ~kind:"service" "edb_delta"
-                [
-                  ("ops", float_of_int (Delta.size net));
-                  ("invalidated", float_of_int dropped);
-                ]
-            end)
-    | Submit _ | Explain _ -> assert false
+  bump st "refreshed" refreshed;
+  ("refreshed", refreshed)
+
+(* Cold path: the delta is too large for incremental refresh to pay off (or
+   maintenance is off). Views and entries of [edb] are dropped; queries
+   recompute against the new version. *)
+let invalidate_views st ~edb =
+  let doomed =
+    Hashtbl.fold (fun (e, c) _ acc -> if e = edb then (e, c) :: acc else acc) st.views []
   in
-  let explanations = ref [] in
-  (* Join the derivation answer with the serving timeline: the tenant's
-     latest dispatched query on this database, its end-to-end latency, and
-     the slowest spans nested under its service span — "why is this fact
-     here" and "where did the time go" in one report entry. *)
-  let latency_note (r : explain_request) =
-    match
-      List.find_opt
-        (fun c -> c.c_tenant = r.ex_tenant && c.c_edb = r.ex_edb && c.c_started <> None)
-        !completions
-    with
-    | None -> None
-    | Some c ->
-        let name = c.c_tenant ^ "/" ^ c.c_id in
-        let arr = Array.of_list (Trace.spans trace) in
-        let idx = ref (-1) in
-        Array.iteri
-          (fun i (s : Trace.span) ->
-            if s.Trace.sp_kind = "service" && s.Trace.sp_name = name then idx := i)
-          arr;
-        let spans =
-          if !idx < 0 then []
-          else begin
-            let me = arr.(!idx) in
-            let dur (s : Trace.span) =
-              match s.Trace.sp_stop with Some e -> e -. s.Trace.sp_start | None -> 0.0
-            in
-            let children = ref [] in
-            (try
-               for i = !idx + 1 to Array.length arr - 1 do
-                 let s = arr.(i) in
-                 if s.Trace.sp_depth <= me.Trace.sp_depth then raise Exit;
-                 children := (s.Trace.sp_kind ^ ":" ^ s.Trace.sp_name, dur s) :: !children
-               done
-             with Exit -> ());
-            List.filteri
-              (fun i _ -> i < 3)
-              (List.sort (fun (_, a) (_, b) -> compare (b : float) a) !children)
-          end
-        in
-        Some
-          {
-            ln_query = c.c_id;
-            ln_outcome = outcome_label c.c_outcome;
-            ln_latency = c.c_finished -. c.c_at;
-            ln_spans = spans;
-          }
+  List.iter (Hashtbl.remove st.views) doomed;
+  bump st "view_dropped" (List.length doomed);
+  ("invalidated", Result_cache.invalidate_edb st.cache edb)
+
+(* Apply delta: commit to the store, then refresh or invalidate. *)
+let apply_delta st ~edb delta =
+  let applied =
+    with_budget None (fun () ->
+        match Edb_store.apply st.store edb delta with
+        | r -> Ok r
+        | exception Fault.Injected { cls; _ } -> Error cls
+        | exception Memtrack.Simulated_oom _ ->
+            (* a chaos Mem probe tripped while accounting the staged
+               relations; the store released them and rolled back *)
+            Error Fault.Mem)
   in
-  let explain_one (r : explain_request) =
-    bump "explain" 1;
-    let canonical = Program_key.canonical r.ex_program in
-    let answer () =
-      match Hashtbl.find_opt views (r.ex_edb, canonical) with
-      | Some v ->
-          (* warm: the maintained view's materialized rows and its tag
-             store, kept current across deltas by Ivm.apply *)
-          Ok (Ivm.analyzer v.v_ivm, Ivm.rows v.v_ivm, Ivm.provenance v.v_ivm, true)
-      | None ->
-          if not (Edb_store.mem store r.ex_edb) then
-            Error (Printf.sprintf "unknown EDB %S" r.ex_edb)
-          else begin
-            (* cold: one provenance-enabled evaluation against the current
-               store version — an operator/debug action, off the query
-               budget like the delta path *)
-            let prov = Provenance.create () in
-            let saved = Memtrack.budget () in
-            Memtrack.set_budget None;
-            Fun.protect
-              ~finally:(fun () -> Memtrack.set_budget saved)
-              (fun () ->
-                Pool.begin_run pool;
-                match
-                  Interpreter.run
-                    ~options:(Interpreter.options ~provenance:prov ())
-                    ~pool
-                    ~edb:(Edb_store.lookup store r.ex_edb)
-                    r.ex_program
-                with
-                | result ->
-                    let an = Recstep.Analyzer.analyze r.ex_program in
-                    let rows p =
-                      List.map Array.to_list
-                        (Relation.sorted_distinct_rows (result.Interpreter.relation_of p))
-                    in
-                    Ok (an, rows, Some prov, false)
-                | exception Recstep.Analyzer.Analysis_error m ->
-                    Error ("analysis error: " ^ m))
-          end
-    in
-    let fact = Explain.fact_to_string r.ex_pred r.ex_row in
-    let status, rules, depth, from_view, text =
-      match answer () with
-      | Error m -> ("error", [], 0, false, m)
-      | Ok (an, rows, prov, from_view) -> (
-          match Explain.explain ?prov ~an ~rows r.ex_pred r.ex_row with
-          | Explain.Explained n ->
-              ( "explained",
-                Explain.rules_used n,
-                Explain.depth n,
-                from_view,
-                Explain.render ?tags:prov n )
-          | Explain.Absent as o ->
-              ("absent", [], 0, from_view, Explain.outcome_to_string ~pred:r.ex_pred ~row:r.ex_row o)
-          | Explain.No_proof as o ->
-              ("no_proof", [], 0, from_view, Explain.outcome_to_string ~pred:r.ex_pred ~row:r.ex_row o)
-          | Explain.Budget_exceeded _ as o ->
-              ("budget", [], 0, from_view, Explain.outcome_to_string ~pred:r.ex_pred ~row:r.ex_row o)
-          | exception exn -> ("error", [], 0, from_view, Printexc.to_string exn))
-    in
-    explanations :=
-      {
-        x_at = !clock;
-        x_tenant = r.ex_tenant;
-        x_edb = r.ex_edb;
-        x_fact = fact;
-        x_status = status;
-        x_rules = rules;
-        x_depth = depth;
-        x_from_view = from_view;
-        x_text = text;
-        x_latency = latency_note r;
-      }
-      :: !explanations
-  in
-  let apply_due () =
-    let rec go () =
-      match !pending with
-      | e :: rest when event_time e <= !clock ->
-          pending := rest;
-          (match e with
-          | Submit s -> admit s
-          | Delta _ -> apply_delta e
-          | Explain r -> explain_one r);
-          go ()
-      | _ -> ()
-    in
-    go ()
-  in
-  (* one engine attempt under the rung's knobs; engine spans and pool batches
-     land on the service timeline at offset [base] *)
-  let run_attempt sub rels (knobs : Retry.knobs) deadline_left base =
-    Pool.set_workers pool knobs.Retry.k_workers;
-    Pool.begin_run pool;
-    now_impl := (fun () -> base +. Pool.vtime_now pool);
-    let res =
-      match
-        match sub.engine with
-        | None ->
-            (* Default path: drive the RecStep interpreter directly, so the
-               ladder's lower rungs can turn engine structures off. At
-               {!Retry.Full} the options equal Engines.recstep's. *)
-            Engine_intf.guard (fun () ->
-                let options =
-                  Interpreter.options ?timeout_vs:deadline_left ~trace
-                    ~persistent_indexes:knobs.Retry.k_persistent_indexes
-                    ~shared_indexes:(shared_indexes sub.edb) ~pbme:knobs.Retry.k_fast_path
-                    ~fast_dedup:knobs.Retry.k_fast_path
-                    ~compiled_kernels:(config.kernels && knobs.Retry.k_fast_path) ()
-                in
-                let r = Interpreter.run ~options ~pool ~edb:rels sub.program in
-                Engine_intf.mk_result ~pool ~trace ~iterations:r.Interpreter.iterations
-                  ~queries:r.Interpreter.queries r.Interpreter.relation_of)
-        | Some name -> (
-            match Engines.by_name name with
-            | None ->
-                Engine_intf.Unsupported (Printf.sprintf "unknown engine %S" name)
-            | Some e ->
-                (* named baseline engines have no knob surface; the ladder
-                   degrades them through the pool's worker count only *)
-                Engine_intf.run_guarded e ~pool ?deadline_vs:deadline_left ~trace
-                  ~edb:rels sub.program)
-      with
-      | o -> o
-      | exception Recstep.Analyzer.Analysis_error m ->
-          Engine_intf.Unsupported ("analysis error: " ^ m)
-    in
-    now_impl := (fun () -> !clock);
-    List.iter
-      (fun (e : Pool.event) ->
-        Trace.add_batch trace ~start:(base +. e.Pool.ev_vstart) ~len:e.Pool.ev_vlen
-          ~busy:e.Pool.ev_busy)
-      (Pool.events pool);
-    (res, (Pool.stats pool).Pool.vtime)
-  in
-  let execute sub =
-    let started = !clock in
-    Trace.begin_span trace ~kind:"service" (sub.tenant ^ "/" ^ sub.sub_id);
-    let version = Edb_store.version store sub.edb in
-    (* hash once, keep the canonical text: the cache verifies it on lookup
-       so an FNV-1a collision between tenants can never serve foreign rows *)
-    let canonical = Program_key.canonical sub.program in
-    let key =
-      {
-        Result_cache.program = Program_key.hash_of_canonical canonical;
-        edb = sub.edb;
-        edb_version = version;
-      }
-    in
-    let deadline0 = Option.map (fun d -> d -. (started -. sub.at)) sub.deadline_vs in
-    let outcome, cost, cache_hit, retries, degraded =
-      match deadline0 with
-      | Some d when d <= 0.0 -> (Timeout, 0.0, false, 0, None)
-      | _ -> (
-          match Result_cache.find cache key ~canonical with
-          | Some v ->
-              bump "cache_hit" 1;
-              (Done v, config.cache_hit_cost_s, true, 0, None)
-          | None ->
-              bump "cache_miss" 1;
-              let rels = Edb_store.lookup store sub.edb in
-              let mem_before = Memtrack.live () in
-              let shared_before = Rs_exec.Index_manager.bytes (shared_indexes sub.edb) in
-              let left_after elapsed = Option.map (fun d -> d -. elapsed) deadline0 in
-              (* Walk the retry policy. [attempt] is 1-based; [elapsed] is
-                 simulated seconds since [started] including backoffs. *)
-              let rec attempts rung attempt elapsed =
-                let res, cost =
-                  run_attempt sub rels
-                    (Retry.knobs ~workers:(base_workers ()) rung)
-                    (left_after elapsed) (started +. elapsed)
-                in
-                (* every exit path — success or any fault class — restores
-                   the tracker to the pre-query baseline immediately, so a
-                   retry never runs with the failed attempt's leak still
-                   counted against its headroom (the seed freed it only
-                   after the last attempt); bytes the shared index manager
-                   deliberately grew by are not a leak and stay accounted *)
-                let shared_growth =
-                  Rs_exec.Index_manager.bytes (shared_indexes sub.edb) - shared_before
-                in
-                let leak = Memtrack.live () - mem_before - max 0 shared_growth in
-                if leak > 0 then Memtrack.free leak;
-                let elapsed = elapsed +. cost in
-                match res with
-                | Engine_intf.Done _ | Engine_intf.Timeout | Engine_intf.Unsupported _ ->
-                    (res, elapsed, attempt - 1, rung)
-                | Engine_intf.Oom | Engine_intf.Fault _ -> (
-                    let failure =
-                      match res with
-                      | Engine_intf.Oom -> Retry.Oom_failure
-                      | Engine_intf.Fault { cls; _ } -> Retry.Fault_failure cls
-                      | _ -> assert false
-                    in
-                    match Retry.next config.retry ~attempt ~rung failure with
-                    | Retry.Give_up -> (res, elapsed, attempt - 1, rung)
-                    | Retry.Retry { rung = rung'; backoff_s } -> (
-                        bump "retried" 1;
-                        let elapsed = elapsed +. backoff_s in
-                        match left_after elapsed with
-                        | Some d when d <= 0.0 ->
-                            (* retry budget exhausted: typed, not an
-                               exception — attempt count includes the retry
-                               we could not afford *)
-                            (Engine_intf.Timeout, elapsed, attempt, rung)
-                        | _ -> attempts rung' (attempt + 1) elapsed))
-              in
-              let res, cost, retries, rung = attempts Retry.Full 1 0.0 in
-              let degraded =
-                if rung <> Retry.Full then Some (Retry.rung_name rung) else None
-              in
-              let outcome =
-                match res with
-                | Engine_intf.Done result ->
-                    let rows =
-                      List.map
-                        (fun n ->
-                          (n, Relation.sorted_distinct_rows (result.Engine_intf.relation_of n)))
-                        (output_names sub.program)
-                    in
-                    (* a result that lands after its deadline, or from a
-                       degraded rung, is returned to the client but must not
-                       enter the cache *)
-                    let stale =
-                      match sub.deadline_vs with
-                      | Some d -> started +. cost -. sub.at > d
-                      | None -> false
-                    in
-                    Result_cache.add cache key rows ~canonical ~stale
-                      ~degraded:(degraded <> None);
-                    (* register the incremental twin for whatever entered
-                       the cache: a full-confidence result of a maintainable
-                       program gets a view that will track future deltas *)
-                    if
-                      config.ivm && (not stale) && degraded = None
-                      && (not (Hashtbl.mem views (sub.edb, canonical)))
-                      && Ivm.supported sub.program
-                    then begin
-                      let edb_rows =
-                        List.map
-                          (fun (n, r) ->
-                            (n, List.map Array.to_list (Relation.to_rows r)))
-                          rels
-                      in
-                      (* seed the view from this run's fixpoint instead of
-                         deriving it again; engines that materialize a
-                         relation per read account it, and the view keeps
-                         only its own sets, so those bytes go back *)
-                      let live0 = Memtrack.live () in
-                      let built =
-                        match
-                          Ivm.create ~prov:(Provenance.create ())
-                            ~fixpoint:result.Engine_intf.relation_of ~edb:edb_rows sub.program
-                        with
-                        | ivm -> Some ivm
-                        | exception Ivm.Unsupported _ -> None
-                      in
-                      let read = Memtrack.live () - live0 in
-                      if read > 0 then Memtrack.free read;
-                      match built with
-                      | Some ivm ->
-                          Hashtbl.replace views (sub.edb, canonical)
-                            {
-                              v_ivm = ivm;
-                              v_edbs =
-                                (Recstep.Analyzer.analyze sub.program)
-                                  .Recstep.Analyzer.edbs;
-                              v_outputs = output_names sub.program;
-                            };
-                          bump "view_built" 1;
-                          if (Ivm.stats ivm).Ivm.seeded_strata > 0 then bump "view_seeded" 1
-                      | None -> ()
-                    end;
-                    Done rows
-                | Engine_intf.Oom -> Oom
-                | Engine_intf.Timeout -> Timeout
-                | Engine_intf.Unsupported m -> Unsupported m
-                | Engine_intf.Fault { cls; point } -> Fault { cls; point }
-              in
-              (outcome, cost, false, retries, degraded))
-    in
-    clock := started +. cost;
-    Trace.end_span trace;
-    bump (outcome_label outcome) 1;
-    (match outcome with Timeout -> bump "deadline_miss" 1 | _ -> ());
-    if degraded <> None then bump "degraded" 1;
-    completions :=
-      {
-        c_id = sub.sub_id;
-        c_tenant = sub.tenant;
-        c_edb = sub.edb;
-        c_at = sub.at;
-        c_started = Some started;
-        c_finished = !clock;
-        c_outcome = outcome;
-        c_cache_hit = cache_hit;
-        c_retries = retries;
-        c_degraded = degraded;
-      }
-      :: !completions;
-    match scaler with
-    | None -> ()
-    | Some s ->
-        let before = Autoscale.evals s in
-        let decision =
-          Autoscale.note s ~queue_depth:(Scheduler.length sched)
-            ~latency_s:(!clock -. sub.at)
-        in
-        let evaluated = Autoscale.evals s - before in
-        if evaluated > 0 then bump "autoscale.evals" evaluated;
-        (match decision with
-        | None -> ()
-        | Some d ->
-            (match d.Autoscale.d_dir with
-            | Autoscale.Up -> bump "autoscale.up" 1
-            | Autoscale.Down -> bump "autoscale.down" 1);
-            (* a zero initial budget means the cache is off for the whole
-               run — the scaler must not resurrect it *)
-            if config.cache_bytes > 0 && d.Autoscale.d_cache_to <> d.Autoscale.d_cache_from
-            then begin
-              Result_cache.set_budget cache d.Autoscale.d_cache_to;
-              bump
-                (if d.Autoscale.d_cache_to > d.Autoscale.d_cache_from then
-                   "autoscale.cache_up"
-                 else "autoscale.cache_down")
-                1
-            end;
-            Trace.event trace ~kind:"service" "autoscale"
-              [
-                ("workers", float_of_int d.Autoscale.d_workers_to);
-                ("cache_bytes", float_of_int d.Autoscale.d_cache_to);
-                ("p95", d.Autoscale.d_p95_s);
-                ("queue_per_worker", d.Autoscale.d_queue_per_worker);
-              ])
-  in
-  let prev_budget = Memtrack.budget () in
-  Memtrack.set_budget config.mem_budget;
-  Fun.protect
-    ~finally:(fun () ->
-      Hashtbl.iter (fun _ im -> Rs_exec.Index_manager.release_all im) db_indexes;
-      Memtrack.set_budget prev_budget)
-    (fun () ->
-      let rec loop () =
-        apply_due ();
-        match Scheduler.pop sched with
-        | Some (_, sub) ->
-            execute sub;
-            loop ()
-        | None -> (
-            match !pending with
-            | [] -> ()
-            | e :: _ ->
-                clock := max !clock (event_time e);
-                loop ())
+  (match applied with
+  | Error cls ->
+      (* the store rolled back atomically: version, cache and views all
+         still agree on the pre-delta state *)
+      bump st "delta_fault" 1;
+      Trace.event st.trace ~kind:"service" "edb_delta_fault"
+        [ ("cls", float_of_int (Fault.cls_index cls)) ]
+  | Ok (_, net) when Delta.is_empty net ->
+      (* insert-of-present / retract-of-absent: no version bump, every
+         cached result is still exact *)
+      bump st "delta_noop" 1
+  | Ok (version, net) ->
+      bump st "delta_applied" 1;
+      let what, n =
+        if st.config.ivm && Delta.size net <= st.config.ivm_max_delta then
+          refresh_views st ~edb ~version net
+        else invalidate_views st ~edb
       in
-      loop ());
-  let completions = List.rev !completions in
+      Trace.event st.trace ~kind:"service" "edb_delta"
+        [ ("ops", float_of_int (Delta.size net)); (what, float_of_int n) ]);
+  0.0
+
+(* Join the derivation answer with the serving timeline: the tenant's latest
+   dispatched query on this database, its end-to-end latency, and the
+   slowest spans nested under its service span — "why is this fact here"
+   and "where did the time go" in one report entry. *)
+let latency_note st (r : explain_request) =
+  List.find_opt
+    (fun c -> c.c_tenant = r.ex_tenant && c.c_edb = r.ex_edb && c.c_started <> None)
+    st.completions
+  |> Option.map (fun c ->
+         let name = c.c_tenant ^ "/" ^ c.c_id in
+         (* the spans after the query's own (its last, should the name
+            repeat), up to the next one no deeper than it *)
+         let rec last_own found = function
+           | [] -> found
+           | (s : Trace.span) :: rest ->
+               last_own
+                 (if s.sp_kind = "service" && s.sp_name = name then Some (s, rest) else found)
+                 rest
+         in
+         let rec nested depth = function
+           | (s : Trace.span) :: rest when s.sp_depth > depth ->
+               let dur = match s.sp_stop with Some e -> e -. s.sp_start | None -> 0.0 in
+               (s.sp_kind ^ ":" ^ s.sp_name, dur) :: nested depth rest
+           | _ -> []
+         in
+         let children =
+           match last_own None (Trace.spans st.trace) with
+           | None -> []
+           | Some (me, rest) -> List.rev (nested me.sp_depth rest)
+         in
+         {
+           ln_query = c.c_id;
+           ln_outcome = outcome_label c.c_outcome;
+           ln_latency = c.c_finished -. c.c_at;
+           ln_spans =
+             List.filteri
+               (fun i _ -> i < 3)
+               (List.sort (fun (_, a) (_, b) -> compare (b : float) a) children);
+         })
+
+(* The database an explain request searches: the maintained view's rows and
+   tag store when one exists (kept current across deltas by Ivm.apply),
+   otherwise one provenance-enabled evaluation against the current store
+   version. *)
+let explain_source st (r : explain_request) =
+  match Hashtbl.find_opt st.views (r.ex_edb, Program_key.canonical r.ex_program) with
+  | Some v -> Ok (Ivm.analyzer v.v_ivm, Ivm.rows v.v_ivm, Ivm.provenance v.v_ivm, true)
+  | None when not (Edb_store.mem st.store r.ex_edb) ->
+      Error (Printf.sprintf "unknown EDB %S" r.ex_edb)
+  | None ->
+      let prov = Provenance.create () in
+      with_budget None (fun () ->
+          Pool.begin_run st.pool;
+          let options = Interpreter.options ~provenance:prov () in
+          match
+            Interpreter.run ~options ~pool:st.pool ~edb:(Edb_store.lookup st.store r.ex_edb)
+              r.ex_program
+          with
+          | result ->
+              let rows p =
+                List.map Array.to_list
+                  (Relation.sorted_distinct_rows (result.Interpreter.relation_of p))
+              in
+              Ok (Recstep.Analyzer.analyze r.ex_program, rows, Some prov, false)
+          | exception Recstep.Analyzer.Analysis_error m -> Error ("analysis error: " ^ m))
+
+(* Explain: answer one "why is this fact here?" request. *)
+let explain st (r : explain_request) =
+  bump st "explain" 1;
+  let status, rules, depth, from_view, text =
+    match explain_source st r with
+    | Error m -> ("error", [], 0, false, m)
+    | Ok (an, rows, prov, from_view) -> (
+        let failed status o =
+          (status, [], 0, from_view, Explain.outcome_to_string ~pred:r.ex_pred ~row:r.ex_row o)
+        in
+        match Explain.explain ?prov ~an ~rows r.ex_pred r.ex_row with
+        | Explain.Explained n ->
+            let rules = Explain.rules_used n and text = Explain.render ?tags:prov n in
+            ("explained", rules, Explain.depth n, from_view, text)
+        | Explain.Absent as o -> failed "absent" o
+        | Explain.No_proof as o -> failed "no_proof" o
+        | Explain.Budget_exceeded _ as o -> failed "budget" o
+        | exception exn -> ("error", [], 0, from_view, Printexc.to_string exn))
+  in
+  let x_fact = Explain.fact_to_string r.ex_pred r.ex_row and x_latency = latency_note st r in
+  st.explanations <-
+    { x_at = !(st.clock); x_tenant = r.ex_tenant; x_edb = r.ex_edb; x_fact; x_status = status;
+      x_rules = rules; x_depth = depth; x_from_view = from_view; x_text = text; x_latency }
+    :: st.explanations;
+  0.0
+
+(* Dispatch: open the query's service span and key it for the cache. *)
+let start st sub =
+  let started = !(st.clock) in
+  Trace.begin_span st.trace ~kind:"service" (sub.tenant ^ "/" ^ sub.sub_id);
+  let canonical = Program_key.canonical sub.program in
+  let key =
+    {
+      Result_cache.program = Program_key.hash_of_canonical canonical;
+      edb = sub.edb;
+      edb_version = Edb_store.version st.store sub.edb;
+    }
+  in
+  let budget = Option.map (fun d -> d -. (started -. sub.at)) sub.deadline_vs in
+  { sub; started; canonical; key; budget; outcome = Timeout; cost = 0.0; cache_hit = false;
+    retries = 0; rung = Retry.Full }
+
+(* Cache lookup: a hit settles the query at the configured hit cost. *)
+let lookup st q =
+  match Result_cache.find st.cache q.key ~canonical:q.canonical with
+  | Some v ->
+      bump st "cache_hit" 1;
+      q.cache_hit <- true;
+      q.outcome <- Done v;
+      st.config.cache_hit_cost_s
+  | None ->
+      bump st "cache_miss" 1;
+      0.0
+
+(* One engine attempt under the rung's knobs, starting at [base] on the
+   service clock; returns the engine outcome and its simulated makespan. *)
+let run_attempt st sub rels (knobs : Retry.knobs) deadline_left base =
+  Pool.set_workers st.pool knobs.Retry.k_workers;
+  Pool.begin_run st.pool;
+  st.attempt_base := Some base;
+  let trace = st.trace and pool = st.pool in
+  let res =
+    try
+      match sub.engine with
+      | None ->
+          (* Default path: drive the RecStep interpreter directly, so the
+             ladder's lower rungs can turn engine structures off. At
+             {!Retry.Full} the options equal Engines.recstep's. *)
+          Engine_intf.guard (fun () ->
+              let options =
+                Interpreter.options ?timeout_vs:deadline_left ~trace
+                  ~persistent_indexes:knobs.Retry.k_persistent_indexes
+                  ~shared_indexes:(Hashtbl.find st.db_indexes sub.edb)
+                  ~pbme:knobs.Retry.k_fast_path ~fast_dedup:knobs.Retry.k_fast_path
+                  ~compiled_kernels:(st.config.kernels && knobs.Retry.k_fast_path) ()
+              in
+              let r = Interpreter.run ~options ~pool ~edb:rels sub.program in
+              Engine_intf.mk_result ~pool ~trace ~iterations:r.Interpreter.iterations
+                ~queries:r.Interpreter.queries r.Interpreter.relation_of)
+      | Some name -> (
+          match Engines.by_name name with
+          | None -> Engine_intf.Unsupported (Printf.sprintf "unknown engine %S" name)
+          | Some e ->
+              (* named baseline engines have no knob surface; the ladder
+                 degrades them through the pool's worker count only *)
+              Engine_intf.run_guarded e ~pool ?deadline_vs:deadline_left ~trace ~edb:rels
+                sub.program)
+    with Recstep.Analyzer.Analysis_error m -> Engine_intf.Unsupported ("analysis error: " ^ m)
+  in
+  st.attempt_base := None;
+  List.iter
+    (fun (e : Pool.event) ->
+      Trace.add_batch trace ~start:(base +. e.Pool.ev_vstart) ~len:e.Pool.ev_vlen
+        ~busy:e.Pool.ev_busy)
+    (Pool.events pool);
+  (res, (Pool.stats pool).Pool.vtime)
+
+(* The retry ladder around [run_attempt]: walks [config.retry] down from
+   {!Retry.Full} and records the retries and the final rung on [q]. Returns
+   the last attempt's outcome and the simulated seconds since dispatch,
+   backoffs included. *)
+let ladder st q rels =
+  let indexes = Hashtbl.find st.db_indexes q.sub.edb in
+  let mem_before = Memtrack.live () in
+  let shared_before = Rs_exec.Index_manager.bytes indexes in
+  let left_after elapsed = Option.map (fun d -> d -. elapsed) q.budget in
+  let finish res elapsed retries rung =
+    q.retries <- retries;
+    q.rung <- rung;
+    (res, elapsed)
+  in
+  (* [attempt] is 1-based; [elapsed] counts from [q.started] *)
+  let rec go rung attempt elapsed =
+    let res, cost =
+      run_attempt st q.sub rels
+        (Retry.knobs ~workers:(base_workers st) rung)
+        (left_after elapsed) (q.started +. elapsed)
+    in
+    (* every exit path — success or any fault class — restores the tracker
+       to the pre-query baseline immediately, so a retry never runs with the
+       failed attempt's leak still counted against its headroom; bytes the
+       shared index manager deliberately grew by are not a leak and stay
+       accounted *)
+    let shared_growth = Rs_exec.Index_manager.bytes indexes - shared_before in
+    let leak = Memtrack.live () - mem_before - max 0 shared_growth in
+    if leak > 0 then Memtrack.free leak;
+    let elapsed = elapsed +. cost in
+    let failure =
+      match res with
+      | Engine_intf.Oom -> Some Retry.Oom_failure
+      | Engine_intf.Fault { cls; _ } -> Some (Retry.Fault_failure cls)
+      | Engine_intf.Done _ | Engine_intf.Timeout | Engine_intf.Unsupported _ -> None
+    in
+    match Option.map (Retry.next st.config.retry ~attempt ~rung) failure with
+    | None | Some Retry.Give_up -> finish res elapsed (attempt - 1) rung
+    | Some (Retry.Retry { rung = rung'; backoff_s }) -> (
+        bump st "retried" 1;
+        let elapsed = elapsed +. backoff_s in
+        match left_after elapsed with
+        | Some d when d <= 0.0 ->
+            (* retry budget exhausted: typed, not an exception — the attempt
+               count includes the retry we could not afford *)
+            finish Engine_intf.Timeout elapsed attempt rung
+        | _ -> go rung' (attempt + 1) elapsed)
+  in
+  go Retry.Full 1 0.0
+
+(* Register view: the incremental twin of a full-confidence result of a
+   maintainable program, tracking future deltas. It adopts the run's
+   fixpoint instead of deriving it again. The build is off the query's
+   clock. *)
+let register_view st q rels (result : Engine_intf.run_result) =
+  if
+    st.config.ivm
+    && (not (Hashtbl.mem st.views (q.sub.edb, q.canonical)))
+    && Ivm.supported q.sub.program
+  then begin
+    let edb_rows =
+      List.map (fun (n, r) -> (n, List.map Array.to_list (Relation.to_rows r))) rels
+    in
+    (* engines that materialize a relation per read account it, and the
+       view keeps only its own sets, so those bytes go back *)
+    let live0 = Memtrack.live () in
+    let built =
+      match
+        Ivm.create ~prov:(Provenance.create ()) ~fixpoint:result.Engine_intf.relation_of
+          ~edb:edb_rows q.sub.program
+      with
+      | ivm -> Some ivm
+      | exception Ivm.Unsupported _ -> None
+    in
+    let read = Memtrack.live () - live0 in
+    if read > 0 then Memtrack.free read;
+    match built with
+    | Some ivm ->
+        Hashtbl.replace st.views (q.sub.edb, q.canonical)
+          {
+            v_ivm = ivm;
+            v_edbs = (Recstep.Analyzer.analyze q.sub.program).Recstep.Analyzer.edbs;
+            v_outputs = output_names q.sub.program;
+          };
+        bump st "view_built" 1;
+        if (Ivm.stats ivm).Ivm.seeded_strata > 0 then bump st "view_seeded" 1
+    | None -> ()
+  end;
+  0.0
+
+(* Evaluate on a cache miss: the ladder, then the served result enters the
+   cache and gets a view. A result that lands after its deadline, or from a
+   degraded rung, is served but neither cached nor viewed. *)
+let evaluate st q =
+  let rels = Edb_store.lookup st.store q.sub.edb in
+  let res, elapsed = ladder st q rels in
+  match res with
+  | Engine_intf.Done result ->
+      let rows =
+        List.map
+          (fun n -> (n, Relation.sorted_distinct_rows (result.Engine_intf.relation_of n)))
+          (output_names q.sub.program)
+      in
+      let stale =
+        match q.sub.deadline_vs with
+        | Some d -> q.started +. elapsed -. q.sub.at > d
+        | None -> false
+      in
+      let degraded = q.rung <> Retry.Full in
+      Result_cache.add st.cache q.key rows ~canonical:q.canonical ~stale ~degraded;
+      q.outcome <- Done rows;
+      if stale || degraded then elapsed else elapsed +. register_view st q rels result
+  | Engine_intf.Oom -> q.outcome <- Oom; elapsed
+  | Engine_intf.Timeout -> q.outcome <- Timeout; elapsed
+  | Engine_intf.Unsupported m -> q.outcome <- Unsupported m; elapsed
+  | Engine_intf.Fault { cls; point } -> q.outcome <- Fault { cls; point }; elapsed
+
+(* Feed one completion to the autoscaler and apply what it decides. *)
+let autoscale st q =
+  match st.scaler with
+  | None -> ()
+  | Some s -> (
+      let before = Autoscale.evals s in
+      let decision =
+        Autoscale.note s ~queue_depth:(Scheduler.length st.sched)
+          ~latency_s:(!(st.clock) -. q.sub.at)
+      in
+      let evaluated = Autoscale.evals s - before in
+      if evaluated > 0 then bump st "autoscale.evals" evaluated;
+      match decision with
+      | None -> ()
+      | Some d ->
+          bump st
+            (match d.Autoscale.d_dir with Autoscale.Up -> "autoscale.up" | Down -> "autoscale.down")
+            1;
+          (* a zero initial budget means the cache is off for the whole run
+             — the scaler must not resurrect it *)
+          if st.config.cache_bytes > 0 && d.Autoscale.d_cache_to <> d.Autoscale.d_cache_from
+          then begin
+            Result_cache.set_budget st.cache d.Autoscale.d_cache_to;
+            bump st
+              (if d.Autoscale.d_cache_to > d.Autoscale.d_cache_from then "autoscale.cache_up"
+               else "autoscale.cache_down")
+              1
+          end;
+          Trace.event st.trace ~kind:"service" "autoscale"
+            [
+              ("workers", float_of_int d.Autoscale.d_workers_to);
+              ("cache_bytes", float_of_int d.Autoscale.d_cache_to);
+              ("p95", d.Autoscale.d_p95_s);
+              ("queue_per_worker", d.Autoscale.d_queue_per_worker);
+            ])
+
+(* Respond: close the query's span, count its outcome, record its
+   completion and feed the autoscaler. *)
+let respond st q =
+  Trace.end_span st.trace;
+  bump st (outcome_label q.outcome) 1;
+  (match q.outcome with Timeout -> bump st "deadline_miss" 1 | _ -> ());
+  let degraded = if q.rung = Retry.Full then None else Some (Retry.rung_name q.rung) in
+  if degraded <> None then bump st "degraded" 1;
+  complete st q.sub ~started:q.started ~cache_hit:q.cache_hit ~retries:q.retries ?degraded
+    q.outcome;
+  autoscale st q;
+  0.0
+
+(* One dispatched query through its stages. *)
+let serve st sub =
+  let q = start st sub in
+  let charge seconds =
+    q.cost <- q.cost +. seconds;
+    st.clock := q.started +. q.cost
+  in
+  (match q.budget with
+  | Some d when d <= 0.0 -> () (* expired in the queue *)
+  | _ ->
+      charge (lookup st q);
+      if not q.cache_hit then charge (evaluate st q));
+  charge (respond st q)
+
+(* The event loop: events that are due first, then the next queued query;
+   when both wait, the clock jumps to the next event. *)
+let rec loop st =
+  match st.pending with
+  | e :: rest when event_time e <= !(st.clock) ->
+      st.pending <- rest;
+      let charged =
+        match e with
+        | Submit s -> admit st s
+        | Delta { edb; delta; _ } -> apply_delta st ~edb delta
+        | Explain r -> explain st r
+      in
+      st.clock := !(st.clock) +. charged;
+      loop st
+  | pending -> (
+      match (Scheduler.pop st.sched, pending) with
+      | Some (_, sub), _ ->
+          serve st sub;
+          loop st
+      | None, [] -> ()
+      | None, e :: _ ->
+          st.clock := max !(st.clock) (event_time e);
+          loop st)
+
+let report_of st =
+  let completions = List.rev st.completions in
   (* every served result counts toward the latency distribution, degraded
      ones included — the tenant waited for those bytes too; the report
      carries [served_degraded] so SLO accounting can split them out *)
+  let served =
+    List.filter (fun c -> match c.c_outcome with Done _ -> true | _ -> false) completions
+  in
   let served_latencies =
-    List.filter_map
-      (fun c -> match c.c_outcome with Done _ -> Some (c.c_finished -. c.c_at) | _ -> None)
-      completions
-    |> List.sort compare |> Array.of_list
+    List.map (fun c -> c.c_finished -. c.c_at) served |> List.sort compare |> Array.of_list
   in
-  let served_degraded =
-    List.fold_left
-      (fun acc c ->
-        match c.c_outcome with
-        | Done _ when c.c_degraded <> None -> acc + 1
-        | _ -> acc)
-      0 completions
-  in
-  let counters =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
-  in
-  let served = Array.length served_latencies in
+  let vtime = !(st.clock) in
   {
     completions;
-    explanations = List.rev !explanations;
-    counters;
-    cache = Result_cache.stats cache;
+    explanations = List.rev st.explanations;
+    counters =
+      List.sort compare
+        (List.map (fun n -> (n, Trace.counter st.trace ("service." ^ n))) counter_names);
+    cache = Result_cache.stats st.cache;
     p50_latency = Histogram.percentile_sorted served_latencies 50.0;
     p95_latency = Histogram.percentile_sorted served_latencies 95.0;
     p99_latency = Histogram.percentile_sorted served_latencies 99.0;
     p999_latency = Histogram.percentile_sorted served_latencies 99.9;
-    served_degraded;
-    throughput = (if !clock > 0.0 then float_of_int served /. !clock else 0.0);
-    vtime = !clock;
-    trace;
+    served_degraded = List.length (List.filter (fun c -> c.c_degraded <> None) served);
+    throughput = (if vtime > 0.0 then float_of_int (List.length served) /. vtime else 0.0);
+    vtime;
+    trace = st.trace;
   }
 
-let counter report name = Option.value ~default:0 (List.assoc_opt name report.counters)
+let run ?(config = config ()) ~edb:store events =
+  let st = create config store events in
+  with_budget config.mem_budget (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Hashtbl.iter (fun _ im -> Rs_exec.Index_manager.release_all im) st.db_indexes)
+        (fun () -> loop st));
+  report_of st
+
+let counter (report : report) name = Option.value ~default:0 (List.assoc_opt name report.counters)
+
+let latency c = match c.c_outcome with Rejected _ -> None | _ -> Some (c.c_finished -. c.c_at)
 
 let outcome_detail = function
   | Unsupported m -> Some m
@@ -799,7 +788,7 @@ let outcome_detail = function
   | Fault { cls; point } -> Some (Fault.cls_name cls ^ "@" ^ point)
   | Done _ | Oom | Timeout -> None
 
-let report_json r =
+let report_json (r : report) =
   let query c =
     Json.Obj
       ([
@@ -814,10 +803,7 @@ let report_json r =
          ("retries", Json.Int c.c_retries);
          ( "degraded",
            match c.c_degraded with Some d -> Json.String d | None -> Json.Null );
-         ( "latency",
-           match c.c_outcome with
-           | Rejected _ -> Json.Null
-           | _ -> Json.Float (c.c_finished -. c.c_at) );
+         ("latency", match latency c with Some l -> Json.Float l | None -> Json.Null);
        ]
       @ (match c.c_outcome with
         | Done v ->
@@ -906,7 +892,7 @@ let report_json r =
              r.explanations) );
     ]
 
-let report_summary r =
+let report_summary (r : report) =
   let rows =
     List.map
       (fun c ->
@@ -918,9 +904,7 @@ let report_summary r =
           (if c.c_cache_hit then "hit" else "-");
           string_of_int c.c_retries;
           Option.value ~default:"-" c.c_degraded;
-          (match c.c_outcome with
-          | Rejected _ -> "-"
-          | _ -> Printf.sprintf "%.4f" (c.c_finished -. c.c_at));
+          (match latency c with Some l -> Printf.sprintf "%.4f" l | None -> "-");
         ])
       r.completions
   in

@@ -1,32 +1,31 @@
 (** The query-serving loop: many tenants, one engine substrate.
 
-    Everything below {!run} the repo already had — engines behind
-    [Rs_engines.Engine_intf.run_guarded], the shared [Rs_parallel.Pool], the
-    [Rs_storage.Memtrack] budget, [rs_obs] tracing. This module multiplexes
-    a stream of submitted queries over them in {e simulated time}: the
-    service owns a virtual clock; each dispatched query runs to completion
-    on the pool and advances the clock by its simulated makespan, while
-    arrivals, admission, tenant-fair scheduling and cache hits interleave
-    between dispatches. Deterministic where it matters: same events, same
-    seed, same config ⇒ the same admissions, dispatch order, cache hits and
-    outcomes (durations are simulated from measured execution, so the float
-    timings vary at microsecond scale run to run).
+    This module multiplexes a stream of submitted queries over the engines
+    ([Rs_engines.Engine_intf.run_guarded]), the shared [Rs_parallel.Pool],
+    the [Rs_storage.Memtrack] budget and [rs_obs] tracing, in {e simulated
+    time}. Same events, seed and config ⇒ the same admissions, dispatch
+    order, cache hits and outcomes (durations are simulated from measured
+    execution, so float timings vary at microsecond scale run to run).
 
-    Per query the service applies, in order: admission ({!Admission}: queue
-    bound, memory-class headroom, EDB existence), the result cache
-    ({!Result_cache}, keyed by canonical program hash × EDB version),
-    deadline enforcement (the per-query budget shrinks by the time spent
-    waiting in the queue; an expired deadline is a {!Timeout} without
-    touching the engine), and the typed retry policy ({!Retry}): retryable
-    failures — OOM and transient injected faults — are reattempted with
-    exponential backoff in simulated time, OOM walking down the degradation
-    ladder (half workers → no persistent indexes → no PBME/FAST-DEDUP)
-    until the policy gives up and the last typed failure is reported.
-    Results produced after the deadline or under a degraded rung are served
-    but never cached. Every completion is a typed {!outcome} —
-    the engine vocabulary extended with [Fault] and [Rejected] — and the run yields a
-    {!report} with service counters, latency percentiles and a full
-    [rs_obs] trace whose spans nest each engine run under its query. *)
+    {!run} is an event loop that only dispatches. A due event goes to its
+    stage: admission ({!Admission}: EDB existence, queue bound, memory
+    headroom), a delta, or an explain. A queued query, taken in tenant-fair
+    order, gets one record (submission, dispatch time, canonical text and
+    cache key, outcome, charged cost, cache hit, retries, final rung) and
+    passes through its stages: the deadline check (the budget shrinks by
+    the queue wait; an expired one is a {!Timeout} that reaches no engine),
+    the result-cache lookup ({!Result_cache}, keyed by canonical program
+    hash × EDB version), evaluation under the typed retry policy
+    ({!Retry}: OOM walks down the degradation ladder, transient faults
+    retry in place, with exponential backoff in simulated time), and the
+    response. Results produced after the deadline or under a degraded rung
+    are served but never cached. Every stage returns the simulated seconds
+    it charged and the clock advances by them, so a served query's latency
+    is its queue wait plus the sum of its stages' charges. Every completion
+    is a typed {!outcome} — the engine vocabulary extended with [Fault] and
+    [Rejected] — and the run yields a {!report} with the trace's
+    [service.*] counters, latency percentiles and the [rs_obs] trace whose
+    spans nest each engine run under its query. *)
 
 module Trace = Rs_obs.Trace
 module Json = Rs_obs.Json
@@ -228,7 +227,9 @@ type report = {
     (cache-budget moves) — all zero when [config.autoscale] is [None]. Two
     identities hold by construction and
     are checked by the CI smoke: [submitted = admitted + rejected] and
-    [admitted = done + oom + timeout + unsupported + fault]. *)
+    [admitted = done + oom + timeout + unsupported + fault]. The smoke also
+    matches each outcome counter, [cache_hit], [retried] and [degraded]
+    against the per-query list. *)
 
 val run : ?config:config -> edb:Edb_store.t -> event list -> report
 (** Replays [events] (sorted by {!event_time}, ties in list order) to

@@ -382,3 +382,31 @@ let explain_corpus :
       \    e0(1, 2) [edb]\n\
       \  !e1(0, 2) [absent]" );
   ]
+
+(* --- frozen service signature ---------------------------------------------
+   Counters, per-query dispositions and explanations of the service
+   signature workload (test_service.ml). *)
+
+let service_signature : string list * string list * string list =
+  ( [
+      "admitted=7"; "autoscale.cache_down=0"; "autoscale.cache_up=0"; "autoscale.down=0";
+      "autoscale.evals=0"; "autoscale.up=0"; "cache_hit=3"; "cache_miss=3"; "deadline_miss=1";
+      "degraded=1"; "delta_applied=2"; "delta_fault=0"; "delta_noop=0"; "done=6"; "explain=2";
+      "fault=0"; "oom=0"; "refreshed=1"; "rejected=2"; "retried=2"; "submitted=9";
+      "timeout=1"; "unsupported=0"; "view_built=2"; "view_dropped=1"; "view_seeded=2";
+    ],
+    [
+      "q3 c rejected hit=false retries=0 degraded=-";
+      "q4 d rejected hit=false retries=0 degraded=-";
+      "q2 b done hit=false retries=2 degraded=half_workers rows=36 checksum=2512c48f64a170d8";
+      "q1 a done hit=false retries=0 degraded=- rows=36 checksum=2512c48f64a170d8";
+      "q5 a done hit=true retries=0 degraded=- rows=36 checksum=2512c48f64a170d8";
+      "q6 a timeout hit=false retries=0 degraded=-";
+      "q7 b done hit=true retries=0 degraded=- rows=42 checksum=12d5c0360b65fb1f";
+      "q8 c done hit=false retries=0 degraded=- rows=66 checksum=b3954de7e40d7ab";
+      "q9 a done hit=true retries=0 degraded=- rows=66 checksum=b3954de7e40d7ab";
+    ],
+    [
+      "explained tc(0, 6) view=true rules=[1;2] depth=6";
+      "explained tc(0, 9) view=false rules=[1;2] depth=9";
+    ] )

@@ -263,9 +263,6 @@ let test_retry_backoff_sequence () =
   | _ -> Alcotest.fail "retry 0 accepted"
 
 let test_retry_ladder_knobs () =
-  check "ladder order" true
-    (Retry.all_rungs
-    = [ Retry.Full; Retry.Half_workers; Retry.No_persistent_indexes; Retry.No_fast_path ]);
   check "ladder chain" true
     (Retry.next_rung Retry.Full = Some Retry.Half_workers
     && Retry.next_rung Retry.Half_workers = Some Retry.No_persistent_indexes

@@ -640,6 +640,93 @@ let test_service_explain_after_delta () =
       Alcotest.(check bool) "chain names rules" true (x.Service.x_rules <> [])
   | xs -> Alcotest.fail (Printf.sprintf "expected 1 explanation, got %d" (List.length xs))
 
+(* --- frozen service signature ---
+
+   One workload through every path of the serving loop, pinned against
+   values recorded from a known-good build ({!Refs.service_signature}). The
+   determinism test above compares two runs of the same code; this one
+   catches a change to the loop that drifts from the recorded behaviour.
+
+   Every decision is kept off the host's speed: arrivals are 10 simulated
+   seconds apart (a query here costs milliseconds), the only deadline
+   (1 µs) expires behind a cache hit whose cost is the fixed
+   [cache_hit_cost_s] (100 µs), and no memory budget is set. The armed
+   faults fire once each at the first probe of their class, which belongs
+   to the first dispatched query: a memory fault past the pre-run working
+   set (OOM, one rung down) and a transaction abort (retried in place). *)
+
+let signature_workload () =
+  let sub ?deadline_vs ~at tenant edb = Service.submission ?deadline_vs ~at ~tenant ~edb tc in
+  let explain ~at row = Service.explain_event ~at ~tenant:"a" ~edb:"g" ~pred:"tc" ~row tc in
+  [
+    (* queue capacity 2: a1 and b1 are admitted, c1 finds the queue full *)
+    Service.Submit (sub ~at:0.0 "a" "g");
+    Service.Submit (sub ~at:0.0 "b" "g");
+    Service.Submit (sub ~at:0.0 "c" "g");
+    Service.Submit (sub ~at:0.0 "d" "nope");
+    (* a hit, then a deadline that expires while the hit is served *)
+    Service.Submit (sub ~at:10.0 "a" "g");
+    Service.Submit (sub ~deadline_vs:1e-6 ~at:10.0 "a" "g");
+    (* one op, under ivm_max_delta: refreshed through the view *)
+    Service.delta_event ~at:20.0 ~edb:"g" (Delta.of_inserts "arc" [ [| 5; 6 |] ]);
+    Service.Submit (sub ~at:30.0 "b" "g");
+    explain ~at:30.0 [ 0; 6 ];
+    (* three ops, over ivm_max_delta: views dropped, entries invalidated *)
+    Service.delta_event ~at:40.0 ~edb:"g"
+      (Delta.of_inserts "arc" [ [| 6; 7 |]; [| 7; 8 |]; [| 8; 9 |] ]);
+    explain ~at:45.0 [ 0; 9 ];
+    Service.Submit (sub ~at:50.0 "c" "g");
+    Service.Submit (sub ~at:60.0 "a" "g");
+  ]
+
+let service_signature () =
+  let module Memtrack = Rs_storage.Memtrack in
+  let module Fault = Rs_chaos.Fault in
+  let module Inject = Rs_chaos.Inject in
+  Memtrack.hard_reset ();
+  Memtrack.set_budget None;
+  let s = store () in
+  let threshold = Memtrack.live () + 256 in
+  let config = Service.config ~workers:4 ~seed:3 ~queue_capacity:2 ~ivm_max_delta:2 () in
+  let r =
+    Inject.with_plan
+      (Fault.plan ~seed:1
+         [ Fault.spec ~threshold ~limit:1 Fault.Mem; Fault.spec ~limit:1 Fault.Txn ])
+      (fun () -> Service.run ~config ~edb:s (signature_workload ()))
+  in
+  let query (c : Service.completion) =
+    let rows =
+      match c.Service.c_outcome with
+      | Service.Done v ->
+          Printf.sprintf " rows=%d checksum=%x"
+            (List.fold_left (fun a (_, rs) -> a + List.length rs) 0 v)
+            (Result_cache.value_checksum v)
+      | _ -> ""
+    in
+    Printf.sprintf "%s %s %s hit=%b retries=%d degraded=%s%s" c.Service.c_id
+      c.Service.c_tenant
+      (Service.outcome_label c.Service.c_outcome)
+      c.Service.c_cache_hit c.Service.c_retries
+      (Option.value ~default:"-" c.Service.c_degraded)
+      rows
+  in
+  let explanation (x : Service.explanation) =
+    Printf.sprintf "%s %s view=%b rules=[%s] depth=%d" x.Service.x_status x.Service.x_fact
+      x.Service.x_from_view
+      (String.concat ";" (List.map string_of_int x.Service.x_rules))
+      x.Service.x_depth
+  in
+  ( List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) r.Service.counters,
+    List.map query r.Service.completions,
+    List.map explanation r.Service.explanations )
+
+let test_service_signature () =
+  let counters, queries, explanations = service_signature () in
+  let want_counters, want_queries, want_explanations = Refs.service_signature in
+  Alcotest.(check (list string)) "counters" want_counters counters;
+  Alcotest.(check (list string)) "queries" want_queries queries;
+  Alcotest.(check (list string)) "explanations" want_explanations explanations
+
 let suite =
   [
     Alcotest.test_case "program key canonicalization" `Quick test_program_key;
@@ -661,6 +748,7 @@ let suite =
     Alcotest.test_case "admission: unknown edb" `Quick test_admission_unknown_edb;
     Alcotest.test_case "deadline miss is a timeout" `Quick test_deadline_miss;
     Alcotest.test_case "deterministic replay" `Quick test_determinism;
+    Alcotest.test_case "frozen service signature" `Quick test_service_signature;
     Alcotest.test_case "workload script parsing" `Quick test_script_parse;
     Alcotest.test_case "script delta render round-trip" `Quick test_script_delta_roundtrip;
     Alcotest.test_case "degraded serves counted in latency population" `Quick
