@@ -26,6 +26,12 @@ tmp="${TMPDIR:-/tmp}/recstep-check.$$"
 mkdir -p "$tmp"
 trap 'rm -rf "$tmp"' EXIT
 
+# The bench/main.exe experiments write their BENCH_*.json reports to the
+# working directory. Run them inside $tmp and validate the reports there,
+# so a check leaves the committed snapshots as they are.
+bench_exe="$PWD/_build/default/bench/main.exe"
+bench_in_tmp() { (cd "$tmp" && "$bench_exe" "$@" >/dev/null); }
+
 dune exec bin/recstep_cli.exe -- gen gnp -n 200 -p 0.03 --seed 7 -o "$tmp/arc.tsv"
 
 # TC plus a non-recursive stratum on top, so the profile covers the
@@ -160,7 +166,7 @@ python3 "$tmp/validate_kernel.py" "$tmp/pkern.json"
 # SG's three-atom recursive rule must compile to an n-way chain kernel.
 # CSPA's non-linear rules must make the same dedup probes with kernels on
 # and off: both paths run the same exact delta plans.
-dune exec bench/main.exe -- --only kernel >/dev/null
+bench_in_tmp --only kernel
 cat >"$tmp/validate_bench_kernel.py" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -193,7 +199,7 @@ print("BENCH_kernel OK: tc %.1fx with %d compiled rules, sg %d compiled rules, "
       % (tc["ratio"], tc["compiled_rules"], sg["compiled_rules"], cspa["dedup_probes_on"],
          len(b["workloads"])))
 EOF
-python3 "$tmp/validate_bench_kernel.py" BENCH_kernel.json
+python3 "$tmp/validate_bench_kernel.py" "$tmp/BENCH_kernel.json"
 
 echo "== explain smoke =="
 # Why-provenance and the explain surface: a derived TC fact must explain
@@ -231,7 +237,7 @@ echo "aggregate explain smoke OK: cc3(1, 0) explained through its second MIN wit
 
 # Provenance overhead benchmark: tags on must stay within 2x of tags off in
 # simulated time, with byte-identical outputs and full tag coverage.
-dune exec bench/main.exe -- --only prov >/dev/null
+bench_in_tmp --only prov
 cat >"$tmp/validate_bench_prov.py" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -245,7 +251,7 @@ print("BENCH_prov OK: " + ", ".join(
     "%s %.2fx (%d tags)" % (w["workload"], w["overhead"], w["recorded"])
     for w in b["workloads"]))
 EOF
-python3 "$tmp/validate_bench_prov.py" BENCH_prov.json
+python3 "$tmp/validate_bench_prov.py" "$tmp/BENCH_prov.json"
 
 echo "== differential fuzz smoke =="
 # A fixed-seed campaign over every engine and every optimization-toggle
@@ -323,10 +329,8 @@ python3 "$tmp/validate_ivm.py" "$tmp/serve_ivm.json" "$tmp/serve_noivm.json"
 
 # Incremental-vs-recompute benchmark: the maintained view must beat
 # recompute-per-delta on the serving-shaped churn stream, with identical
-# outputs at every version. BENCH_ivm.json lands in the working directory
-# (tracked, like the other BENCH_*.json snapshots).
-dune exec bench/main.exe -- --only ivm >/dev/null
-BENCH_IVM="BENCH_ivm.json"
+# outputs at every version.
+bench_in_tmp --only ivm
 
 cat >"$tmp/validate_bench_ivm.py" <<'EOF'
 import json, sys
@@ -338,7 +342,7 @@ assert b["ratio"] > 1.0, \
 print("BENCH_ivm OK: %d deltas, recompute/incremental = %.1fx, outputs identical"
       % (b["deltas"], b["ratio"]))
 EOF
-python3 "$tmp/validate_bench_ivm.py" "$BENCH_IVM"
+python3 "$tmp/validate_bench_ivm.py" "$tmp/BENCH_ivm.json"
 
 echo "== CLI serve smoke =="
 dune exec bin/recstep_cli.exe -- serve programs/serve_demo.workload \
@@ -482,9 +486,8 @@ python3 "$tmp/validate_load.py" "$tmp/slo.json"
 # Autoscaler A/B benchmark: same generated load against a fixed-size
 # service and an autoscaled one. Served outputs must be byte-identical
 # (the scaler may only move latency, never answers), the scaled arm must
-# win the tail, and BENCH_service.json lands in the working directory
-# (tracked, like the other BENCH_*.json snapshots).
-dune exec bench/main.exe -- --only load >/dev/null
+# win the tail.
+bench_in_tmp --only load
 cat >"$tmp/validate_bench_load.py" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -505,7 +508,7 @@ print("BENCH_service OK: outputs identical, gold p95 %.4fs -> %.4fs, makespan %.
       % (gold_off["latency"]["p95"], gold["latency"]["p95"],
          off["slo"]["makespan_s"], on["slo"]["makespan_s"]))
 EOF
-python3 "$tmp/validate_bench_load.py" BENCH_service.json
+python3 "$tmp/validate_bench_load.py" "$tmp/BENCH_service.json"
 
 echo "== perfbench smoke =="
 # One traced batch of pa-join and of deep-chain through the repository

@@ -398,7 +398,11 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
   (* The dedup table is pre-allocated from the optimizer's cardinality
      estimate (paper §5.1: "the size of the hash table needs to be
      estimated in order to pre-allocate memory") — with stale statistics
-     (OOF-NA) the estimate degrades and the table pays for rehashing. *)
+     (OOF-NA) the estimate degrades and the table pays for rehashing. For
+     a delta join the estimate is max(|Δ|, |build side|), which can be
+     thousands of times the rows a round emits; [Dedup.create] clamps it
+     at a ceiling of 2^14 entries, which bounds that overshoot, so the
+     stale-statistics rehash acts only below the ceiling. *)
   let dedup_expected plans =
     max 16 (Executor.estimate exec (Plan.UnionAll plans))
   in

@@ -52,15 +52,24 @@ let fast_table ~chaos ~cap arity =
       chaos;
     }
 
+(* The most entries a dedup table is pre-sized for. [expected] is an
+   optimizer estimate, and for a delta join that is max(|Δ|, |build side|):
+   a few hundred new tuples can ask for half a million slots. Clamping it
+   bounds the wasted pre-allocation at 2^15 Fast slots (256 KiB packed) or
+   2^14 Boxed buckets; a table that fills past the ceiling grows by
+   doubling, at a rehash cost linear in the entries it really holds. *)
+let max_expected = 1 lsl 14
+
 let create ?(expected = 64) mode arity =
   if arity < 1 then invalid_arg "Dedup.create";
+  let expected = max 16 (min expected max_expected) in
   let impl =
     match mode with
-    | Boxed -> B (Hashtbl.create (max 16 expected))
+    | Boxed -> B (Hashtbl.create expected)
     | Fast ->
         (* Chaos fault point: allocation of a fast dedup table fails. *)
         Rs_chaos.Inject.dedup_should_fail ~point:"dedup.create";
-        fast_table ~chaos:true ~cap:(pow2_at_least (2 * max 16 expected)) arity
+        fast_table ~chaos:true ~cap:(pow2_at_least (2 * expected)) arity
   in
   { mode; arity; impl; accounted = 0 }
 

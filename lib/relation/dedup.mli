@@ -45,9 +45,13 @@ type mode = Fast | Boxed
 type t
 
 val create : ?expected:int -> mode -> int -> t
-(** [create mode arity] makes an empty set. [expected] pre-sizes the slot
-    array, mirroring the paper's pre-allocation from the optimizer's
-    estimate. *)
+(** [create mode arity] makes an empty set. [expected] is a sizing hint
+    that pre-sizes the slot array, mirroring the paper's pre-allocation
+    from the optimizer's estimate. It is clamped to a ceiling of 2^14
+    entries (at most 2^15 {!Fast} slots, 2^14 {!Boxed} buckets), so an
+    overshooting estimate cannot allocate a table many times the size of
+    what it will hold; a table that fills past the ceiling grows by
+    doubling. *)
 
 val create_set : ?expected:int -> int -> t
 (** [create_set arity] makes an empty membership set in the {!Fast}

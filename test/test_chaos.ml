@@ -426,6 +426,102 @@ let test_index_fault_degrades_kernel () =
       | o -> Alcotest.failf "fault at %s: expected done, got %s" point (Service.outcome_label o))
     points
 
+(* A kernel round whose dedup table must grow. [q]'s rule joins [p]'s
+   130-row Δ with [e], whose 16,430 rows put the round's estimate past the
+   dedup table's 2^14-entry pre-allocation ceiling, and the round claims
+   16,900 distinct pairs, so the table grows inside [Kernel.run]. [p] and
+   [q] are mutually recursive so that [q]'s rows are never joined with [e]
+   again, which keeps the naive oracle quick. Firing [dedup.rehash] there
+   must end the run with the typed fault and drop [q]'s managed membership
+   set, into which the kernel had already claimed tuples, rather than leave
+   it half-filled; the unarmed re-run must match the oracle. *)
+let test_dedup_rehash_in_kernel () =
+  let module Engine_intf = Rs_engines.Engine_intf in
+  let module Index_manager = Rs_exec.Index_manager in
+  let program =
+    Parser.parse
+      ".input s\n.input e\n.input t\n\
+       p(x, y) :- s(x, y).\n\
+       q(x, y) :- p(x, z), e(z, y).\n\
+       p(x, y) :- q(x, y), t(y).\n\
+       .output p\n.output q"
+  in
+  let fan = List.init 130 Fun.id in
+  let edb_rows =
+    [
+      ("s", List.map (fun a -> [ a; 1000 ]) fan);
+      ( "e",
+        List.map (fun c -> [ 1000; 2000 + c ]) fan
+        @ List.init 16_300 (fun i -> [ 10_000 + (2 * i); 10_001 + (2 * i) ]) );
+      ("t", [ [ 99_999 ] ]);
+    ]
+  in
+  let edb () =
+    List.map
+      (fun (name, rows) ->
+        (name, Relation.of_rows ~name (List.length (List.hd rows)) (List.map Array.of_list rows)))
+      edb_rows
+  in
+  let q_keys = [| 0; 1 |] in
+  (* the interpreter over a manager the test holds: the outcome, and whether
+     [q]'s set is still held when the run ends *)
+  let managed plan =
+    let pool = Pool.create ~workers:4 () in
+    Pool.begin_run pool;
+    let shared = Index_manager.create ~persistent:(fun n -> n = "p" || n = "q") pool in
+    let options = Recstep.Interpreter.options ~shared_indexes:shared () in
+    let outcome =
+      Inject.with_plan plan (fun () ->
+          Engine_intf.guard (fun () ->
+              ignore (Recstep.Interpreter.run ~options ~pool ~edb:(edb ()) program)))
+    in
+    let held = Index_manager.peek_set shared ~name:"q" q_keys <> None in
+    Index_manager.release_all shared;
+    (outcome, held)
+  in
+  let once after = Fault.plan ~seed:1 [ Fault.spec ~after ~limit:1 Fault.Dedup_fail ] in
+  let rec points after acc =
+    match fst (managed (once after)) with
+    | Engine_intf.Done () -> List.rev acc
+    | Engine_intf.Fault { point; _ } -> points (after + 1) (point :: acc)
+    | _ -> Alcotest.fail "dedup fault ended the run with another outcome"
+  in
+  let points = points 0 [] in
+  let rec index_of i = function
+    | [] -> Alcotest.fail "no dedup table grew"
+    | "dedup.rehash" :: _ -> i
+    | _ :: rest -> index_of (i + 1) rest
+  in
+  let rehash = once (index_of 0 points) in
+  let is_rehash_fault = function
+    | Engine_intf.Fault { cls = Fault.Dedup_fail; point = "dedup.rehash" } -> true
+    | _ -> false
+  in
+  let clean, held = managed (Fault.plan []) in
+  check "clean run done" true (clean = Engine_intf.Done ());
+  check "clean run keeps q's set" true held;
+  let faulted, held = managed rehash in
+  check "fault at dedup.rehash" true (is_rehash_fault faulted);
+  check "q's half-claimed set dropped" false held;
+  (* the same fault through the engine interface, then the unarmed re-run *)
+  let run () =
+    let pool = Pool.create ~workers:4 () in
+    Pool.begin_run pool;
+    Engine_intf.run_guarded Rs_engines.Engines.recstep ~pool ~edb:(edb ()) program
+  in
+  check "run_guarded: fault at dedup.rehash" true (is_rehash_fault (Inject.with_plan rehash run));
+  (match run () with
+  | Engine_intf.Done r ->
+      let _, oracle = Recstep.Naive.run ~edb:edb_rows program in
+      List.iter
+        (fun name ->
+          Alcotest.(check (list (list int)))
+            ("re-run " ^ name ^ " = naive")
+            (oracle name)
+            (List.map Array.to_list (Relation.sorted_distinct_rows (r.Engine_intf.relation_of name))))
+        [ "p"; "q" ]
+  | _ -> Alcotest.fail "unarmed re-run did not finish")
+
 let test_service_retries_txn_abort () =
   let report, c = run_one [ Fault.spec ~limit:1 Fault.Txn ] in
   (match c.Service.c_outcome with
@@ -533,6 +629,7 @@ let suite =
     Alcotest.test_case "cache refuses stale and degraded results" `Quick
       test_cache_refuses_stale_and_degraded;
     Alcotest.test_case "service retries a txn abort" `Quick test_service_retries_txn_abort;
+    Alcotest.test_case "dedup.rehash inside a kernel round" `Quick test_dedup_rehash_in_kernel;
     Alcotest.test_case "index fault degrades a kernel run cleanly" `Quick
       test_index_fault_degrades_kernel;
     Alcotest.test_case "service degrades on memory faults" `Quick

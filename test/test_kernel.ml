@@ -508,10 +508,23 @@ let test_provenance_kernel_chaos () =
    a transient per-iteration set (persistent indexes off). An
    aggregated IDB never compiles (the cost gate refuses it), so its case
    only shows the interpreted run is deterministic; test_core pins its
-   plans' full scans. *)
+   plans' full scans. The "wide round" arc has more than 2^14 rows, so
+   TC's first kernel round estimates past the dedup table's pre-allocation
+   ceiling; that round claims 16,900 distinct pairs (130 sources x 2 hubs
+   x 130 sinks, each pair twice), so its table grows inside [Kernel.run].
+   The 16,200 disjoint padding edges derive nothing further. *)
 let test_dedup_counters_agree () =
   let module Pa = Rs_datagen.Prog_analysis in
   let gnp () = [ ("arc", Rs_datagen.Graphs.gnp ~seed:3 ~n:80 ~p:0.05) ] in
+  let wide_round () =
+    let fan = List.init 130 Fun.id and hubs = [ 1000; 1001 ] in
+    let rows =
+      List.concat_map (fun a -> List.map (fun h -> [| a; h |]) hubs) fan
+      @ List.concat_map (fun h -> List.map (fun c -> [| h; 2000 + c |]) fan) hubs
+      @ List.init 16_200 (fun i -> [| 10_000 + (2 * i); 10_001 + (2 * i) |])
+    in
+    [ ("arc", Relation.of_rows ~name:"arc" 2 rows) ]
+  in
   let mutual =
     ".input arc\n\
      a(x, y) :- arc(x, y).\n\
@@ -554,6 +567,7 @@ let test_dedup_counters_agree () =
       Alcotest.(check int) (what ^ ": dedup.hits on = off") hits_off hits_on)
     [
       ("tc", true, Recstep.Programs.tc, gnp);
+      ("tc, wide round", true, Recstep.Programs.tc, wide_round);
       ("sg", true, Recstep.Programs.sg, gnp);
       ("mutual non-linear", true, mutual, gnp);
       ("aggregated non-linear", false, aggregated, gnp);

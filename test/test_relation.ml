@@ -180,7 +180,23 @@ let test_dedup_rehash_growth () =
   for i = 0 to 9999 do
     check "dup" false (Dedup.add2 t i (i * 31))
   done;
-  Alcotest.(check int) "cardinal" 10000 (Dedup.cardinal t)
+  Alcotest.(check int) "cardinal" 10000 (Dedup.cardinal t);
+  (* an estimate far past the 2^14-entry ceiling pre-allocates only the
+     ceiling's table (2^15 packed slots plus a one-word arena), and the
+     table then grows past it like any other *)
+  List.iter
+    (fun mode ->
+      let t = Dedup.create ~expected:(1 lsl 40) mode 2 in
+      if mode = Dedup.Fast then
+        Alcotest.(check int) "pre-allocation clamped" ((8 * (1 lsl 15)) + 8) (Dedup.bytes t);
+      for i = 0 to 99_999 do
+        check "new" true (Dedup.add2 t i (i * 31))
+      done;
+      for i = 0 to 99_999 do
+        check "dup" false (Dedup.add2 t i (i * 31))
+      done;
+      Alcotest.(check int) "cardinal" 100_000 (Dedup.cardinal t))
+    [ Dedup.Fast; Dedup.Boxed ]
 
 (* --- hash index --- *)
 
