@@ -269,7 +269,20 @@ assert runs["failed"] == 0, "campaign had crashed runs"
 assert runs["total"] == (r["cases"] - r["invalid"]) * r["runners"], "runs identity"
 assert runs["total"] == runs["ok"] + runs["skipped"] + runs["diverged"] + runs["failed"], \
     "disposition identity"
-print("fuzz OK: seed %d, %d cases x %d runners = %d runs, %d ok, %d skipped"
+# Per runner: the rows add up to the totals, and every runner agreed with
+# the oracle on at least one case. At seed 42 all 54 runners (6 engines +
+# 48 toggle configurations) do, so a runner that silently stops running
+# (skips or refuses every case) fails here instead of passing by default.
+by = r["by_runner"]
+assert len(by) == r["runners"] == 54, "expected 54 runners, got %d" % len(by)
+for k in ("ok", "skipped", "diverged", "failed"):
+    assert sum(b[k] for b in by) == runs[k], "by_runner %s does not add up" % k
+names = [b["runner"] for b in by]
+assert "Souffle-like" in names, "Souffle-like missing from the campaign"
+idle = [b["runner"] for b in by if b["ok"] == 0]
+assert not idle, "runners with no agreeing run: %s" % idle
+print("fuzz OK: seed %d, %d cases x %d runners = %d runs, %d ok, %d skipped, "
+      "every runner ok > 0"
       % (r["seed"], r["cases"], r["runners"], runs["total"], runs["ok"], runs["skipped"]))
 EOF
 python3 "$tmp/validate_fuzz.py" "$tmp/fuzz.json"

@@ -10,14 +10,6 @@ type compiled =
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Analyzer.Analysis_error m)) fmt
 
-let cmp_to_exec = function
-  | Ast.Eq -> Expr.Eq
-  | Ast.Ne -> Expr.Ne
-  | Ast.Lt -> Expr.Lt
-  | Ast.Le -> Expr.Le
-  | Ast.Gt -> Expr.Gt
-  | Ast.Ge -> Expr.Ge
-
 (* Scan of one body atom: constants and repeated variables become filter
    predicates; returns the plan and the atom's variable bindings
    (first-occurrence column per variable). [source] lets the caller redirect
@@ -50,6 +42,18 @@ let rec expr_to_exec binds = function
   | Add (a, b) -> Expr.Add (expr_to_exec binds a, expr_to_exec binds b)
   | Sub (a, b) -> Expr.Sub (expr_to_exec binds a, expr_to_exec binds b)
   | Mul (a, b) -> Expr.Mul (expr_to_exec binds a, expr_to_exec binds b)
+
+let cmp_to_exec binds (op, a, b) =
+  let op =
+    match op with
+    | Ast.Eq -> Expr.Eq
+    | Ast.Ne -> Expr.Ne
+    | Ast.Lt -> Expr.Lt
+    | Ast.Le -> Expr.Le
+    | Ast.Gt -> Expr.Gt
+    | Ast.Ge -> Expr.Ge
+  in
+  Expr.Cmp (op, expr_to_exec binds a, expr_to_exec binds b)
 
 let head_exprs binds head_args =
   Array.of_list
@@ -149,12 +153,7 @@ let compile_rule analyzer stratum rule =
       in
       let build ~delta_occurrence =
         let plan, binds, _arity = compile_body analyzer stratum rule ~delta_occurrence in
-        let cmp_preds =
-          List.map
-            (fun (op, a, b) ->
-              Expr.Cmp (cmp_to_exec op, expr_to_exec binds a, expr_to_exec binds b))
-            cmps
-        in
+        let cmp_preds = List.map (cmp_to_exec binds) cmps in
         let out = head_exprs binds rule.head_args in
         (* Negations wrap the join chain in anti-joins (the negated relation
            is EDB or lower-stratum, hence stable within this stratum). *)

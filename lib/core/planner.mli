@@ -34,6 +34,14 @@ type compiled =
               skips subplans whose Δ went empty; empty list for base rules *)
     }
 
+val cmp_to_exec : (string * int) list -> Ast.cmp * Ast.expr * Ast.expr -> Rs_exec.Expr.pred
+(** [cmp_to_exec binds c] translates a comparison literal over the columns
+    [binds] gives each variable. Raises [Analyzer.Analysis_error] on a
+    variable [binds] lacks. *)
+
+val head_exprs : (string * int) list -> Ast.head_term list -> Rs_exec.Expr.t array
+(** A rule head over [binds]' columns, aggregate arguments included. *)
+
 val compile_rule : Analyzer.t -> Analyzer.stratum -> Ast.rule -> compiled
 (** Raises [Analyzer.Analysis_error] on rules the translation cannot handle
     (none of the paper's benchmarks do). *)

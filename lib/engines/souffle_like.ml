@@ -1,8 +1,12 @@
 module Relation = Rs_relation.Relation
 module Dedup = Rs_relation.Dedup
+module Hash_index = Rs_relation.Hash_index
 module Pool = Rs_parallel.Pool
+module Expr = Rs_exec.Expr
+module Kernel = Rs_exec.Kernel
 module An = Recstep.Analyzer
 module Ast = Recstep.Ast
+module Planner = Recstep.Planner
 
 let name = "Souffle-like"
 
@@ -20,15 +24,17 @@ let capabilities =
     incremental = false;
   }
 
-(* --- storage: one store per predicate, with incremental indices --- *)
+(* --- storage: one store per predicate, its indexes kept current --- *)
 
 type pred_store = {
   arity : int;
   store : Relation.t;
   dedup : Dedup.t;
-  mutable indexes : (int list * Inc_index.t) list;
+  mutable indexes : (int list * Hash_index.t) list;
   mutable delta_lo : int;
-  mutable delta_hi : int;  (* rows [delta_lo, delta_hi) are the current Δ *)
+  mutable delta_hi : int;
+      (* rows [delta_lo, delta_hi) are the current Δ; both stay 0 until the
+         predicate's own stratum runs *)
 }
 
 let make_store name arity =
@@ -41,307 +47,239 @@ let make_store name arity =
     delta_hi = 0;
   }
 
-let insert ps row =
-  if Dedup.add_row ps.dedup row then begin
-    let r = Relation.nrows ps.store in
-    Relation.push_row ps.store row;
-    List.iter (fun (_, idx) -> Inc_index.add idx ps.store r) ps.indexes;
-    true
-  end
-  else false
+let insert ps row = if Dedup.add_row ps.dedup row then Relation.push_row ps.store row
 
-let ensure_index ps positions =
-  let key = List.sort compare positions in
+(* Extend every index of [ps] over the rows inserted since: eager index
+   maintenance, charged serially after each insert batch and before the
+   next variant takes a view. *)
+let extend_indexes ps = List.iter (fun (_, idx) -> ignore (Hash_index.append idx)) ps.indexes
+
+let insert_all ps rel =
+  let tuple = Array.make ps.arity 0 in
+  for row = 0 to Relation.nrows rel - 1 do
+    for c = 0 to ps.arity - 1 do
+      tuple.(c) <- Relation.get rel ~row ~col:c
+    done;
+    insert ps tuple
+  done;
+  extend_indexes ps
+
+(* The index on sorted key positions [key], built on first use. *)
+let ensure_index ps key =
   match List.assoc_opt key ps.indexes with
   | Some idx -> idx
   | None ->
-      let idx = Inc_index.create (Array.of_list key) in
-      for row = 0 to Relation.nrows ps.store - 1 do
-        Inc_index.add idx ps.store row
-      done;
+      let idx = Hash_index.build ps.store (Array.of_list key) in
       ps.indexes <- (key, idx) :: ps.indexes;
       idx
 
 let account ps =
   Relation.account ps.store;
   Dedup.account ps.dedup;
-  List.iter (fun (_, idx) -> Inc_index.account idx) ps.indexes
+  List.iter (fun (_, idx) -> Hash_index.account idx) ps.indexes
 
-(* --- rule compilation: probe programs over registers --- *)
+(* --- rule compilation: chain steps over one frame --- *)
 
-type src = Reg of int | Lit of int
-
+(* One positive atom as a variant reads it: its store and its slice of the
+   frame, the index it probes ([None]: a scan) with the frame columns of
+   the key, its tests, and the frame columns it binds. *)
 type access = {
-  a_pred : string;
-  a_index : Inc_index.t option;  (* None = full scan *)
-  a_key_sources : src array;  (* parallel to the index's key columns *)
-  a_binds : (int * int) array;  (* (column, register) to bind *)
-  a_checks : (int * src) array;  (* residual per-row equality checks *)
+  a_store : pred_store;
+  a_off : int;
+  a_index : Hash_index.t option;
+  a_probe : int array;
+  a_preds : Expr.pred list;
+  a_bind : int array;
 }
 
-type step =
-  | Probe of access
-  | NegCheck of { n_pred : string; n_row : src array }
-  | Test of (int array -> bool)
-
+(* One semi-naive variant of a rule: the driver is iterated wholesale (over
+   its Δ rows when [v_delta]), the other atoms are probed or scanned in
+   [v_steps] order. Constants that key a probe or a negation sit in frame
+   slots [v_consts] past the atoms' columns, set once per run. *)
 type variant = {
-  v_driver_pred : string;
-  v_driver_delta : bool;
-  v_driver_binds : (int * int) array;
-  v_driver_checks : (int * src) array;
-  v_steps : step list;
-  v_emit : (int array -> int) array;  (* head value closures over registers *)
-  v_head : string;
+  v_driver : access;
+  v_delta : bool;
+  v_steps : access array;
+  v_antis : Kernel.anti array;
+  v_consts : (int * int) list;
+  v_width : int;
+  v_head : Expr.t array;
 }
 
-let compile_expr regs_of e =
-  let rec go = function
-    | Ast.T (Ast.Var v) ->
-        let r = regs_of v in
-        fun regs -> regs.(r)
-    | Ast.T (Ast.Const c) -> fun _ -> c
-    | Ast.T Ast.Wildcard -> assert false
-    | Ast.Add (a, b) ->
-        let fa = go a and fb = go b in
-        fun regs -> fa regs + fb regs
-    | Ast.Sub (a, b) ->
-        let fa = go a and fb = go b in
-        fun regs -> fa regs - fb regs
-    | Ast.Mul (a, b) ->
-        let fa = go a and fb = go b in
-        fun regs -> fa regs * fb regs
-  in
-  go e
-
-let compile_cmp regs_of (op, a, b) =
-  let fa = compile_expr regs_of a and fb = compile_expr regs_of b in
-  let test =
-    match op with
-    | Ast.Eq -> ( = )
-    | Ast.Ne -> ( <> )
-    | Ast.Lt -> ( < )
-    | Ast.Le -> ( <= )
-    | Ast.Gt -> ( > )
-    | Ast.Ge -> ( >= )
-  in
-  fun regs -> test (fa regs) (fb regs)
-
-(* Compile one semi-naive variant of a rule. [driver] is the index of the
-   positive atom iterated wholesale (over Δ when [driver_delta]). *)
-let compile_variant stores regs_of nregs rule ~driver ~driver_delta =
-  ignore nregs;
-  let positives =
-    List.filter_map (function Ast.L_pos a -> Some a | _ -> None) rule.Ast.body
-  in
-  let cmps = List.filter_map (function Ast.L_cmp (o, a, b) -> Some (o, a, b) | _ -> None) rule.Ast.body in
+(* The variant of [rule] driven by its [driver]-th positive atom. The frame
+   holds the atoms' columns side by side in binding order; a variable lives
+   at its first binding column. The other atoms join greedily, most bound
+   arguments first, each keyed on its constants and already-bound
+   variables (a repeated variable is tested); a comparison joins the
+   preds of the atom that binds its last variable, and one bound before
+   any step tests the driver. Negations become anti-checks against the
+   negated predicate's store. *)
+let chain_variant stores rule ~driver ~delta =
+  let positives = List.filter_map (function Ast.L_pos a -> Some a | _ -> None) rule.Ast.body in
   let negs = List.filter_map (function Ast.L_neg a -> Some a | _ -> None) rule.Ast.body in
-  let bound : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let atom_access a ~as_driver =
-    (* classify each argument against the currently bound variables *)
-    let key_positions = ref [] and key_sources = ref [] in
-    let binds = ref [] and checks = ref [] in
-    let seen_here : (string, int) Hashtbl.t = Hashtbl.create 4 in
-    List.iteri
-      (fun pos t ->
-        match t with
-        | Ast.Const c ->
-            if as_driver then checks := (pos, Lit c) :: !checks
-            else begin
-              key_positions := pos :: !key_positions;
-              key_sources := (pos, Lit c) :: !key_sources
-            end
-        | Ast.Var v -> (
-            match Hashtbl.find_opt seen_here v with
-            | Some r -> checks := (pos, Reg r) :: !checks
-            | None ->
-                if Hashtbl.mem bound v then begin
-                  let r = regs_of v in
-                  if as_driver then checks := (pos, Reg r) :: !checks
-                  else begin
-                    key_positions := pos :: !key_positions;
-                    key_sources := (pos, Reg r) :: !key_sources
-                  end;
-                  Hashtbl.replace seen_here v r
-                end
-                else begin
-                  let r = regs_of v in
-                  binds := (pos, r) :: !binds;
-                  Hashtbl.replace seen_here v r
-                end)
-        | Ast.Wildcard -> assert false)
-      a.Ast.args;
-    (* commit bindings *)
-    Hashtbl.iter (fun v _ -> Hashtbl.replace bound v ()) seen_here;
-    let key = List.sort compare !key_positions in
-    let sources =
-      Array.of_list (List.map (fun p -> List.assoc p !key_sources) key)
-    in
-    ( key,
-      sources,
-      Array.of_list (List.rev !binds),
-      Array.of_list (List.rev !checks) )
+  let pending =
+    ref (List.filter_map (function Ast.L_cmp (o, a, b) -> Some (o, a, b) | _ -> None) rule.Ast.body)
   in
-  (* driver atom first *)
-  let driver_atom = List.nth positives driver in
-  let _, _, dbinds, dchecks = atom_access driver_atom ~as_driver:true in
-  (* schedule remaining atoms greedily: most bound arguments first *)
-  let remaining = ref (List.filteri (fun i _ -> i <> driver) positives) in
-  let steps = ref [] in
-  let pending_cmps = ref (List.map (fun c -> (c, Ast.expr_vars (let (_, a, b) = c in Ast.Add (a, b)))) cmps) in
+  let atoms_width = List.fold_left (fun w a -> w + List.length a.Ast.args) 0 positives in
+  let binds = ref [] and width = ref 0 and consts = ref [] in
+  let is_bound v = List.mem_assoc v !binds in
+  let const_slot c =
+    let slot = atoms_width + List.length !consts in
+    consts := (slot, c) :: !consts;
+    slot
+  in
   let flush_cmps () =
     let ready, waiting =
-      List.partition (fun (_, vars) -> List.for_all (Hashtbl.mem bound) vars) !pending_cmps
+      List.partition
+        (fun (_, a, b) -> List.for_all is_bound (Ast.expr_vars a @ Ast.expr_vars b))
+        !pending
     in
-    pending_cmps := waiting;
-    List.iter (fun (c, _) -> steps := Test (compile_cmp regs_of c) :: !steps) ready
+    pending := waiting;
+    List.map (Planner.cmp_to_exec !binds) ready
   in
-  flush_cmps ();
-  while !remaining <> [] do
-    let score a =
-      List.fold_left
-        (fun acc t ->
-          match t with
-          | Ast.Const _ -> acc + 1
-          | Ast.Var v -> if Hashtbl.mem bound v then acc + 1 else acc
-          | Ast.Wildcard -> acc)
-        0 a.Ast.args
+  (* Place [a] in the frame; its (position, bound value) pairs key a probe,
+     or are tests of the driver. *)
+  let place a ~as_driver =
+    let ps = Hashtbl.find stores a.Ast.pred in
+    let off = !width in
+    width := off + ps.arity;
+    let keys = ref [] and tests = ref [] and here = ref [] in
+    List.iteri
+      (fun pos t ->
+        let col = off + pos in
+        match t with
+        | Ast.Const c -> keys := (pos, Expr.Const c) :: !keys
+        | Ast.Var v -> (
+            match List.assoc_opt v !here with
+            | Some first -> tests := Expr.Cmp (Expr.Eq, Expr.Col col, Expr.Col first) :: !tests
+            | None -> (
+                match List.assoc_opt v !binds with
+                | Some b ->
+                    here := (v, b) :: !here;
+                    keys := (pos, Expr.Col b) :: !keys
+                | None ->
+                    here := (v, col) :: !here;
+                    binds := (v, col) :: !binds))
+        | Ast.Wildcard -> assert false)
+      a.Ast.args;
+    let keys = List.sort compare !keys in
+    let tests = List.rev !tests in
+    let a =
+      { a_store = ps; a_off = off; a_index = None; a_probe = [||]; a_preds = []; a_bind = [||] }
     in
-    let best =
-      List.fold_left
-        (fun acc a -> match acc with None -> Some a | Some b -> if score a > score b then Some a else acc)
-        None !remaining
+    if as_driver then
+      let eqs = List.map (fun (pos, e) -> Expr.Cmp (Expr.Eq, Expr.Col (off + pos), e)) keys in
+      { a with a_preds = eqs @ tests @ flush_cmps () }
+    else
+      let slot = function Expr.Const c -> const_slot c | Expr.Col b -> b | _ -> assert false in
+      {
+        a with
+        a_index = (if keys = [] then None else Some (ensure_index ps (List.map fst keys)));
+        a_probe = Array.of_list (List.map (fun (_, e) -> slot e) keys);
+        a_preds = tests @ flush_cmps ();
+      }
+  in
+  let driver_atom = List.nth positives driver in
+  let d = place driver_atom ~as_driver:true in
+  let score a =
+    List.fold_left
+      (fun acc t ->
+        match t with
+        | Ast.Const _ -> acc + 1
+        | Ast.Var v -> if is_bound v then acc + 1 else acc
+        | Ast.Wildcard -> acc)
+      0 a.Ast.args
+  in
+  let rec order remaining acc =
+    match remaining with
+    | [] -> List.rev acc
+    | first :: _ ->
+        let a = List.fold_left (fun b a -> if score a > score b then a else b) first remaining in
+        let placed = place a ~as_driver:false in
+        order (List.filter (fun x -> x != a) remaining) (placed :: acc)
+  in
+  let steps = order (List.filteri (fun i _ -> i <> driver) positives) [] in
+  let anti_cols =
+    let col = function
+      | Ast.Const c -> const_slot c
+      | Ast.Var v -> List.assoc v !binds
+      | Ast.Wildcard -> assert false
     in
-    let a = Option.get best in
-    remaining := List.filter (fun x -> x != a) !remaining;
-    let key, sources, binds, checks = atom_access a ~as_driver:false in
-    let idx =
-      if key = [] then None
-      else Some (ensure_index (Hashtbl.find stores a.Ast.pred) key)
-    in
-    steps :=
-      Probe { a_pred = a.Ast.pred; a_index = idx; a_key_sources = sources; a_binds = binds; a_checks = checks }
-      :: !steps;
-    flush_cmps ()
-  done;
-  (* negations last (safety guarantees their variables are bound) *)
+    List.map (fun a -> (a, Array.of_list (List.map col a.Ast.args))) negs
+  in
+  let head = Planner.head_exprs !binds rule.Ast.head_args in
+  (* An atom copies into the frame only the columns something reads. *)
+  let used = Array.make (atoms_width + List.length !consts) false in
+  let mark c = used.(c) <- true in
+  let mark_preds = List.iter (fun p -> List.iter mark (Expr.pred_cols p)) in
   List.iter
     (fun a ->
-      let row =
-        Array.of_list
-          (List.map
-             (function
-               | Ast.Const c -> Lit c
-               | Ast.Var v -> Reg (regs_of v)
-               | Ast.Wildcard -> assert false)
-             a.Ast.args)
-      in
-      steps := NegCheck { n_pred = a.Ast.pred; n_row = row } :: !steps)
-    negs;
-  let emit =
-    Array.of_list
-      (List.map
-         (function
-           | Ast.H_term (Ast.Var v) ->
-               let r = regs_of v in
-               fun (regs : int array) -> regs.(r)
-           | Ast.H_term (Ast.Const c) -> fun _ -> c
-           | Ast.H_term Ast.Wildcard -> assert false
-           | Ast.H_agg (_, e) -> compile_expr regs_of e)
-         rule.Ast.head_args)
+      Array.iter mark a.a_probe;
+      mark_preds a.a_preds)
+    (d :: steps);
+  List.iter (fun (_, cols) -> Array.iter mark cols) anti_cols;
+  Array.iter (fun e -> List.iter mark (Expr.cols e)) head;
+  let with_bind a =
+    let cols = List.init a.a_store.arity (( + ) a.a_off) in
+    { a with a_bind = Array.of_list (List.filter (fun c -> used.(c)) cols) }
   in
   {
-    v_driver_pred = driver_atom.Ast.pred;
-    v_driver_delta = driver_delta;
-    v_driver_binds = dbinds;
-    v_driver_checks = dchecks;
-    v_steps = List.rev !steps;
-    v_emit = emit;
-    v_head = rule.Ast.head_pred;
+    v_driver = with_bind d;
+    v_delta = delta;
+    v_steps = Array.of_list (List.map with_bind steps);
+    v_antis =
+      Array.of_list
+        (List.map (fun (a, cols) -> Kernel.anti (Hashtbl.find stores a.Ast.pred).dedup cols) anti_cols);
+    v_consts = !consts;
+    v_width = Array.length used;
+    v_head = head;
   }
 
 let compile_rule stores stratum rule =
-  let vars =
-    List.sort_uniq compare
-      (List.concat_map Ast.literal_vars rule.Ast.body
-      @ List.concat_map Ast.head_term_vars rule.Ast.head_args)
-  in
-  let reg_of_var = List.mapi (fun i v -> (v, i)) vars in
-  let regs_of v = List.assoc v reg_of_var in
-  let nregs = List.length vars in
   let positives = List.filter_map (function Ast.L_pos a -> Some a | _ -> None) rule.Ast.body in
   let recursive_positions =
-    List.filteri (fun _ _ -> true) positives
-    |> List.mapi (fun i a -> (i, a))
-    |> List.filter_map (fun (i, a) ->
-           if List.mem a.Ast.pred stratum.An.preds then Some i else None)
+    List.concat
+      (List.mapi (fun i a -> if List.mem a.Ast.pred stratum.An.preds then [ i ] else []) positives)
   in
-  let base = compile_variant stores regs_of nregs rule ~driver:0 ~driver_delta:false in
-  let deltas =
-    List.map
-      (fun i -> compile_variant stores regs_of nregs rule ~driver:i ~driver_delta:true)
-      recursive_positions
-  in
-  (nregs, base, deltas)
+  let base = chain_variant stores rule ~driver:0 ~delta:false in
+  (base, List.map (fun i -> chain_variant stores rule ~driver:i ~delta:true) recursive_positions)
 
 (* --- execution --- *)
 
-let run_variant pool stores nregs variant ~out =
-  let ps = Hashtbl.find stores variant.v_driver_pred in
-  let lo, hi =
-    if variant.v_driver_delta then (ps.delta_lo, ps.delta_hi) else (0, Relation.nrows ps.store)
-  in
+(* Resolve [v] against the stores as they stand and run it through the
+   shared chain loop, the driver's rows chunked over the pool. Every match
+   is appended to [out]; nothing the loop reads grows meanwhile. *)
+let run_chain pool v ~out =
+  let d = v.v_driver.a_store in
+  let lo, hi = if v.v_delta then (d.delta_lo, d.delta_hi) else (0, Relation.nrows d.store) in
   if hi > lo then begin
-    let fragments = ref [] in
-    Pool.parallel_for pool lo hi (fun clo chi ->
-        let frag = Relation.create (Array.length variant.v_emit) in
-        let regs = Array.make (max nregs 1) 0 in
-        let value = function Reg r -> regs.(r) | Lit c -> c in
-        let rec exec steps =
-          match steps with
-          | [] ->
-              let row = Array.map (fun f -> f regs) variant.v_emit in
-              Relation.push_row frag row
-          | Test f :: rest -> if f regs then exec rest
-          | NegCheck { n_pred; n_row } :: rest ->
-              let nps = Hashtbl.find stores n_pred in
-              if not (Dedup.mem_row nps.dedup (Array.map value n_row)) then exec rest
-          | Probe a :: rest -> (
-              let aps = Hashtbl.find stores a.a_pred in
-              let try_row row =
-                (* bind before checking: a repeated variable inside this atom
-                   produces a check against a register this same row binds *)
-                Array.iter (fun (pos, r) -> regs.(r) <- Relation.get aps.store ~row ~col:pos) a.a_binds;
-                let ok = ref true in
-                Array.iter
-                  (fun (pos, src) ->
-                    if Relation.get aps.store ~row ~col:pos <> value src then ok := false)
-                  a.a_checks;
-                if !ok then exec rest
-              in
-              match a.a_index with
-              | Some idx ->
-                  let key = Array.map value a.a_key_sources in
-                  Inc_index.iter_matches idx aps.store key try_row
-              | None ->
-                  for row = 0 to Relation.nrows aps.store - 1 do
-                    try_row row
-                  done)
-        in
-        for drow = clo to chi - 1 do
-          (* bind before checking, as in try_row: a repeated variable in the
-             driver atom checks a register bound from this same row *)
-          Array.iter
-            (fun (pos, r) -> regs.(r) <- Relation.get ps.store ~row:drow ~col:pos)
-            variant.v_driver_binds;
-          let ok = ref true in
-          Array.iter
-            (fun (pos, src) ->
-              if Relation.get ps.store ~row:drow ~col:pos <> value src then ok := false)
-            variant.v_driver_checks;
-          if !ok then exec variant.v_steps
-        done;
-        fragments := frag :: !fragments);
-    List.iter (fun frag -> Relation.append_all out frag) (List.rev !fragments)
+    let frame = Array.make v.v_width 0 in
+    List.iter (fun (slot, c) -> frame.(slot) <- c) v.v_consts;
+    let step a =
+      let view =
+        match a.a_index with Some idx -> Hash_index.view idx | None -> Hash_index.empty_view
+      in
+      Kernel.step a.a_store.store ~off:a.a_off ~at:a.a_bind ~preds:a.a_preds
+        ~bound:(Relation.nrows a.a_store.store) ~probe:a.a_probe view
+    in
+    let tuple = Array.make (Array.length v.v_head) 0 in
+    let emit () =
+      for i = 0 to Array.length tuple - 1 do
+        tuple.(i) <- Expr.eval_frame frame v.v_head.(i)
+      done;
+      Relation.push_row out tuple
+    in
+    let chain =
+      {
+        Kernel.frame;
+        driver = step v.v_driver;
+        steps = Array.map step v.v_steps;
+        antis = v.v_antis;
+        residual = [];
+        emit;
+      }
+    in
+    Pool.parallel_for pool lo hi (Kernel.drive chain)
   end
 
 (* --- aggregation (non-recursive strata only) --- *)
@@ -349,8 +287,13 @@ let run_variant pool stores nregs variant ~out =
 let fold_aggregate an pred candidates =
   let sig_ = Option.get (An.agg_sig an pred) in
   let arity = An.arity an pred in
+  let ops = Array.of_list sig_.An.agg_positions in
+  let init = function
+    | Ast.Min -> max_int
+    | Ast.Max -> min_int
+    | Ast.Sum | Ast.Count | Ast.Avg -> 0
+  in
   let table : (int list, int array * int array) Hashtbl.t = Hashtbl.create 256 in
-  let ops = sig_.An.agg_positions in
   let seen = Dedup.create Dedup.Fast arity in
   let tuple = Array.make arity 0 in
   for row = 0 to Relation.nrows candidates - 1 do
@@ -363,21 +306,11 @@ let fold_aggregate an pred candidates =
         match Hashtbl.find_opt table key with
         | Some acc -> acc
         | None ->
-            let acc =
-              ( Array.of_list
-                  (List.map
-                     (fun (_, op) ->
-                       match op with
-                       | Ast.Min -> max_int
-                       | Ast.Max -> min_int
-                       | Ast.Sum | Ast.Count | Ast.Avg -> 0)
-                     ops),
-                Array.make (List.length ops) 0 )
-            in
+            let acc = (Array.map (fun (_, op) -> init op) ops, Array.make (Array.length ops) 0) in
             Hashtbl.add table key acc;
             acc
       in
-      List.iteri
+      Array.iteri
         (fun i (pos, op) ->
           let v = tuple.(pos) in
           counts.(i) <- counts.(i) + 1;
@@ -394,12 +327,9 @@ let fold_aggregate an pred candidates =
     (fun key (vals, counts) ->
       let t = Array.make arity 0 in
       List.iteri (fun i p -> t.(p) <- List.nth key i) sig_.An.group_positions;
-      List.iteri
+      Array.iteri
         (fun i (p, op) ->
-          t.(p) <-
-            (match op with
-            | Ast.Avg -> if counts.(i) = 0 then 0 else vals.(i) / counts.(i)
-            | _ -> vals.(i)))
+          t.(p) <- (if op = Ast.Avg && counts.(i) > 0 then vals.(i) / counts.(i) else vals.(i)))
         ops;
       Relation.push_row out t)
     table;
@@ -454,13 +384,7 @@ let run ~pool ?deadline_vs ?trace ~edb program =
           let ps = Hashtbl.find stores p in
           let arity = Relation.arity r in
           if arity <> ps.arity then Engine_intf.unsupported "%s: arity mismatch on %s" name p;
-          let tuple = Array.make arity 0 in
-          for row = 0 to Relation.nrows r - 1 do
-            for c = 0 to arity - 1 do
-              tuple.(c) <- Relation.get r ~row ~col:c
-            done;
-            ignore (insert ps tuple)
-          done;
+          insert_all ps r;
           account ps
       | None -> Engine_intf.unsupported "%s: missing input %s" name p)
     an.An.edbs;
@@ -479,89 +403,64 @@ let run ~pool ?deadline_vs ?trace ~edb program =
           (fun r -> if r.Ast.body = [] then None else Some (r, compile_rule stores stratum r))
           stratum.An.rules
       in
-      (* facts *)
-      List.iter
-        (fun r ->
-          if r.Ast.body = [] then begin
-            let tuple =
-              Array.of_list
-                (List.map
-                   (function Ast.H_term (Ast.Const c) -> c | _ -> Engine_intf.unsupported "%s: non-ground fact" name)
-                   r.Ast.head_args)
-            in
-            match Hashtbl.find_opt candidates r.Ast.head_pred with
-            | Some cand -> Relation.push_row cand tuple
-            | None -> ignore (insert (Hashtbl.find stores r.Ast.head_pred) tuple)
-          end)
-        stratum.An.rules;
       let sink head out_rel =
         (* route derived tuples: aggregate heads collect candidates,
            plain heads insert (dedup + index maintenance) *)
         match Hashtbl.find_opt candidates head with
         | Some cand -> Relation.append_all cand out_rel
-        | None ->
-            let ps = Hashtbl.find stores head in
-            let tuple = Array.make ps.arity 0 in
-            for row = 0 to Relation.nrows out_rel - 1 do
-              for c = 0 to ps.arity - 1 do
-                tuple.(c) <- Relation.get out_rel ~row ~col:c
-              done;
-              ignore (insert ps tuple)
-            done
+        | None -> insert_all (Hashtbl.find stores head) out_rel
       in
-      (* iteration 0: base variants of every rule *)
-      incr iterations;
+      (* facts *)
       List.iter
-        (fun (r, (nregs, base, _)) ->
-          if r.Ast.body <> [] then begin
-            let out = Relation.create (List.length r.Ast.head_args) in
-            incr rule_evals;
-            run_variant pool stores nregs base ~out;
-            sink r.Ast.head_pred out
-          end)
-        compiled;
-      List.iter (fun p -> account (Hashtbl.find stores p)) stratum.An.preds;
-      (* advance deltas: everything inserted so far is Δ0 *)
-      List.iter
-        (fun p ->
-          let ps = Hashtbl.find stores p in
-          ps.delta_lo <- 0;
-          ps.delta_hi <- Relation.nrows ps.store;
-          note_iteration ~stratum:stratum.An.index ~iteration:0 ~idb:p ~delta_rows:ps.delta_hi)
-        stratum.An.preds;
+        (fun r ->
+          if r.Ast.body = [] then
+            let tuple =
+              List.map
+                (function
+                  | Ast.H_term (Ast.Const c) -> c
+                  | _ -> Engine_intf.unsupported "%s: non-ground fact" name)
+                r.Ast.head_args
+            in
+            sink r.Ast.head_pred (Relation.of_rows (List.length tuple) [ Array.of_list tuple ]))
+        stratum.An.rules;
+      (* One round: every compiled variant [pick] selects, each sunk before
+         the next resolves its steps. *)
+      let round pick =
+        incr iterations;
+        List.iter
+          (fun (r, variants) ->
+            List.iter
+              (fun v ->
+                let out = Relation.create (List.length r.Ast.head_args) in
+                incr rule_evals;
+                run_chain pool v ~out;
+                sink r.Ast.head_pred out)
+              (pick variants))
+          compiled
+      in
+      (* The rows a round added become each predicate's Δ; whether any did. *)
+      let advance iteration =
+        List.fold_left
+          (fun any p ->
+            let ps = Hashtbl.find stores p in
+            ps.delta_lo <- ps.delta_hi;
+            ps.delta_hi <- Relation.nrows ps.store;
+            note_iteration ~stratum:stratum.An.index ~iteration ~idb:p
+              ~delta_rows:(ps.delta_hi - ps.delta_lo);
+            account ps;
+            any || ps.delta_hi > ps.delta_lo)
+          false stratum.An.preds
+      in
+      (* iteration 0: base variants of every rule; everything so far is Δ0 *)
+      round (fun (base, _) -> [ base ]);
+      ignore (advance 0);
       if stratum.An.recursive then begin
-        let round = ref 0 in
-        let continue_ = ref true in
+        let iteration = ref 0 and continue_ = ref true in
         while !continue_ do
           check_deadline ();
-          incr round;
-          incr iterations;
-          let before =
-            List.map (fun p -> (p, Relation.nrows (Hashtbl.find stores p).store)) stratum.An.preds
-          in
-          List.iter
-            (fun (r, (nregs, _, deltas)) ->
-              List.iter
-                (fun v ->
-                  let out = Relation.create (List.length r.Ast.head_args) in
-                  incr rule_evals;
-                  run_variant pool stores nregs v ~out;
-                  sink r.Ast.head_pred out)
-                deltas)
-            compiled;
-          let any = ref false in
-          List.iter
-            (fun (p, old_n) ->
-              let ps = Hashtbl.find stores p in
-              let n = Relation.nrows ps.store in
-              ps.delta_lo <- old_n;
-              ps.delta_hi <- n;
-              note_iteration ~stratum:stratum.An.index ~iteration:!round ~idb:p
-                ~delta_rows:(n - old_n);
-              if n > old_n then any := true;
-              account ps)
-            before;
-          continue_ := !any
+          incr iteration;
+          round snd;
+          continue_ := advance !iteration
         done
       end;
       (* fold aggregates of this stratum *)
@@ -571,22 +470,9 @@ let run ~pool ?deadline_vs ?trace ~edb program =
           let folded = fold_aggregate an p cand in
           Relation.release cand;
           let ps = Hashtbl.find stores p in
-          let tuple = Array.make ps.arity 0 in
-          for row = 0 to Relation.nrows folded - 1 do
-            for c = 0 to ps.arity - 1 do
-              tuple.(c) <- Relation.get folded ~row ~col:c
-            done;
-            ignore (insert ps tuple)
-          done;
+          insert_all ps folded;
           account ps)
-        agg_preds;
-      (* reset deltas for later strata *)
-      List.iter
-        (fun p ->
-          let ps = Hashtbl.find stores p in
-          ps.delta_lo <- 0;
-          ps.delta_hi <- 0)
-        stratum.An.preds)
+        agg_preds)
     an.An.strata;
   let relation_of pred =
     match Hashtbl.find_opt stores pred with

@@ -25,8 +25,6 @@ let find t name =
   | Some e -> e
   | None -> invalid_arg (Printf.sprintf "Catalog: unknown table %S" name)
 
-let replace_rel t name rel = (find t name).rel <- rel
-
 let rel t name = (find t name).rel
 
 let mem t name = Hashtbl.mem t name

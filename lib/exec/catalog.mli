@@ -29,10 +29,6 @@ val create : unit -> t
 val register : t -> string -> Relation.t -> unit
 (** Registers (or replaces) a table and records its initial row count. *)
 
-val replace_rel : t -> string -> Relation.t -> unit
-(** Swap the relation behind a name without refreshing statistics (the
-    stale-stats code path for the OOF-NA ablation). *)
-
 val find : t -> string -> entry
 
 val rel : t -> string -> Relation.t

@@ -22,7 +22,7 @@ let () =
    [s_keys]/[s_probe] are empty. [s_bind] lists the frame columns of this
    atom that a later probe, filter, the residual or the head reads; only
    they are copied into the frame. *)
-type step = {
+type atom = {
   s_name : string;
   s_before : string option;
   s_off : int;
@@ -34,14 +34,12 @@ type step = {
 }
 
 type t = {
-  delta : step;  (* at its body offset, so either side of a join may drive *)
-  steps : step array;  (* the other atoms, in binding order *)
+  delta : atom;  (* at its body offset, so either side of a join may drive *)
+  steps : atom array;  (* the other atoms, in binding order *)
   extra : Expr.pred list;  (* the residual, over the combined frame *)
   width : int;  (* total arity of the combined frame *)
   out : Expr.t array;  (* the head, over the combined frame *)
 }
-
-let arity k = Array.length k.out
 
 (* Collapse Filter* over a Scan or an Old into (table, the Δ-table bounding
    it if any, filters); anything deeper is not kernel-shaped. *)
@@ -51,9 +49,9 @@ let rec flatten_scan preds = function
   | Plan.Filter (ps, src) -> flatten_scan (preds @ ps) src
   | _ -> None
 
-(* An atom of a flattened join tree, as a step not yet keyed: its filters
-   are already shifted into the combined frame. *)
-let atom_step table_arity ~off (name, before, preds) =
+(* An atom of a flattened join tree, not yet keyed: its filters are
+   already shifted into the combined frame. *)
+let atom_of table_arity ~off (name, before, preds) =
   {
     s_name = name;
     s_before = before;
@@ -72,7 +70,7 @@ let rec flatten_joins table_arity = function
   | Plan.Join { l; r; lkeys; rkeys; extra = []; out = None } -> (
       match (flatten_joins table_arity l, flatten_scan [] r) with
       | Ok (atoms, eqs, width), Some scan ->
-          let atom = atom_step table_arity ~off:width scan in
+          let atom = atom_of table_arity ~off:width scan in
           let eqs' = Array.to_list (Array.map2 (fun lc rc -> (lc, width + rc)) lkeys rkeys) in
           Ok (atoms @ [ atom ], eqs @ eqs', width + atom.s_arity)
       | (Error _ as e), _ -> e
@@ -82,7 +80,7 @@ let rec flatten_joins table_arity = function
       match flatten_scan [] p with
       | None -> Error "shape"
       | Some scan ->
-          let atom = atom_step table_arity ~off:0 scan in
+          let atom = atom_of table_arity ~off:0 scan in
           Ok ([ atom ], [], atom.s_arity))
 
 (* Fill in each atom's [s_bind]: the columns read after it is bound. An
@@ -166,13 +164,42 @@ let compile ex ~probe_table plan =
   | () -> compile_shape ex ~probe_table plan
   | exception Fault.Injected _ -> Error "chaos"
 
-let count (ex : Executor.t) name n =
-  match ex.trace with Some tr -> Rs_obs.Trace.count tr name n | None -> ()
+(* --- the chain loop ---------------------------------------------------- *)
 
-(* The row bound a step's [Old] puts on its table, or [max_int]. *)
-let bound_of ex name = function
-  | None -> max_int
-  | Some delta -> Executor.old_bound ex ~table:name ~delta
+type step = {
+  at : int array;
+  src : int array array;
+  preds : Expr.pred list;
+  bound : int;
+  probe : int array;
+  key : int array;
+  view : Hash_index.view;
+}
+
+type anti = { set : Dedup.t; cols : int array; tuple : int array }
+
+let step rel ~off ~at ~preds ~bound ~probe view =
+  let nk = Array.length probe in
+  {
+    at;
+    src = Array.map (fun c -> Int_vec.unsafe_data (Relation.col rel (c - off))) at;
+    preds;
+    bound;
+    probe;
+    key = (if nk > 1 then Array.make nk 0 else [||]);
+    view;
+  }
+
+let anti set cols = { set; cols; tuple = Array.make (Array.length cols) 0 }
+
+type chain = {
+  frame : int array;
+  driver : step;
+  steps : step array;
+  antis : anti array;
+  residual : Expr.pred list;
+  emit : unit -> unit;
+}
 
 (* Copy row [row] of the raw column data [src] into the frame at [at]. *)
 let[@inline] bind frame at src row =
@@ -189,6 +216,82 @@ let[@inline] passes frame = function [] -> true | preds -> passes_all frame pred
 (* Whether [row] holds the probe key [key] in key columns [0, j]. *)
 let rec same_key (keys : int array array) (key : int array) row j =
   j < 0 || (Array.unsafe_get keys.(j) row = key.(j) && same_key keys key row (j - 1))
+
+(* Whether no anti-check from [i] on finds the frame's tuple in its set. *)
+let rec absent frame (antis : anti array) i =
+  i = Array.length antis
+  ||
+  let a = antis.(i) in
+  (match a.cols with
+  | [| c0; c1 |] -> not (Dedup.mem2 a.set frame.(c0) frame.(c1))
+  | cols ->
+      for j = 0 to Array.length cols - 1 do
+        a.tuple.(j) <- frame.(cols.(j))
+      done;
+      not (Dedup.mem_row a.set a.tuple))
+  && absent frame antis (i + 1)
+
+(* Step [i] scans rows [0, bound), or walks its bucket chain newest row
+   first and skips rows past its bound or with another key; it binds each
+   match and descends. Past the last step come the anti-checks, the
+   residual and the emit. *)
+let rec descend c i =
+  let frame = c.frame in
+  if i = Array.length c.steps then begin
+    if absent frame c.antis 0 && passes frame c.residual then c.emit ()
+  end
+  else begin
+    let s = c.steps.(i) in
+    let nk = Array.length s.probe in
+    if nk = 0 then
+      for r = 0 to s.bound - 1 do
+        bind frame s.at s.src r;
+        if passes frame s.preds then descend c (i + 1)
+      done
+    else begin
+      let v = s.view in
+      let bound = s.bound and nexts = v.nexts in
+      let k0 = frame.(s.probe.(0)) and kc0 = v.keys.(0) in
+      let row =
+        ref
+          (if nk = 1 then Hash_index.first1 v k0
+           else begin
+             for j = 0 to nk - 1 do
+               s.key.(j) <- frame.(s.probe.(j))
+             done;
+             Hash_index.first v s.key
+           end)
+      in
+      while !row >= 0 do
+        let r = !row in
+        if
+          r < bound
+          && if nk = 1 then Array.unsafe_get kc0 r = k0 else same_key v.keys s.key r (nk - 1)
+        then begin
+          bind frame s.at s.src r;
+          if passes frame s.preds then descend c (i + 1)
+        end;
+        row := Array.unsafe_get nexts r
+      done
+    end
+  end
+
+let drive c lo hi =
+  let d = c.driver in
+  for row = lo to hi - 1 do
+    bind c.frame d.at d.src row;
+    if passes c.frame d.preds then descend c 0
+  done
+
+(* --- resolve and run --------------------------------------------------- *)
+
+let count (ex : Executor.t) name n =
+  match ex.trace with Some tr -> Rs_obs.Trace.count tr name n | None -> ()
+
+(* The row bound a step's [Old] puts on its table, or [max_int]. *)
+let bound_of ex name = function
+  | None -> max_int
+  | Some delta -> Executor.old_bound ex ~table:name ~delta
 
 (* The emit for head [exprs] over [frame] — the one indirect call per
    match that reaches the head — monomorphized on head arity and on a
@@ -240,18 +343,6 @@ let emitter ~dedup ~r_set ~out ~offered ~emitted frame exprs =
           if arity = 3 then Relation.push3 out tuple.(0) tuple.(1) tuple.(2)
           else Relation.push_row out tuple
 
-(* A step as one run reads it: the frame columns it binds and their raw
-   column data, its row bound and its index view, all fetched once. *)
-type live = {
-  at : int array;
-  src : int array array;
-  preds : Expr.pred list;
-  bound : int;
-  probe : int array;
-  key : int array;  (* scratch probe key for 2+ columns *)
-  view : Hash_index.view;
-}
-
 let run (ex : Executor.t) k ~dedup ~r_set ~out =
   (* The exec probe sits before any write, so a fired fault leaves [dedup],
      [r_set] and [out] untouched. *)
@@ -267,7 +358,6 @@ let run (ex : Executor.t) k ~dedup ~r_set ~out =
      nest strictly, each binding only its own slice. *)
   let frame = Array.make k.width 0 in
   let emit = emitter ~dedup ~r_set ~out ~offered ~emitted frame k.out in
-  let raw rel s c = Int_vec.unsafe_data (Relation.col rel (c - s.s_off)) in
   let acquired = ref [] in
   let index_for s rel =
     let key = (s.s_name, s.s_keys) in
@@ -287,65 +377,31 @@ let run (ex : Executor.t) k ~dedup ~r_set ~out =
       (* Each distinct (table, key columns) index is acquired once per run,
          and every raw array is fetched once: R and the Δ-tables change
          only at absorb, and [out] is none of them. *)
-      let live s =
+      let resolve s =
         let rel = Catalog.rel ex.catalog s.s_name in
         let view = Hash_index.view (index_for s rel) in
-        {
-          at = s.s_bind;
-          src = Array.map (raw rel s) s.s_bind;
-          preds = s.s_preds;
-          bound = bound_of ex s.s_name s.s_before;
-          probe = s.s_probe;
-          key = (if Array.length s.s_probe > 1 then Array.make (Array.length s.s_probe) 0 else [||]);
-          view;
-        }
+        step rel ~off:s.s_off ~at:s.s_bind ~preds:s.s_preds ~bound:(bound_of ex s.s_name s.s_before)
+          ~probe:s.s_probe view
       in
-      let steps = Array.map live k.steps in
-      let nsteps = Array.length steps in
-      let d_at = k.delta.s_bind in
-      let d_src = Array.map (raw drel k.delta) d_at in
-      let d_preds = k.delta.s_preds in
-      (* Step [i] walks its bucket chain newest row first, skips rows past
-         its bound or with another key, binds each match and descends. *)
-      let rec descend i =
-        if i = nsteps then begin
-          if passes frame k.extra then emit ()
-        end
-        else begin
-          let s = steps.(i) in
-          let v = s.view in
-          let nk = Array.length s.probe and bound = s.bound and nexts = v.nexts in
-          let k0 = frame.(s.probe.(0)) and kc0 = v.keys.(0) in
-          let row =
-            ref
-              (if nk = 1 then Hash_index.first1 v k0
-               else begin
-                 for j = 0 to nk - 1 do
-                   s.key.(j) <- frame.(s.probe.(j))
-                 done;
-                 Hash_index.first v s.key
-               end)
-          in
-          while !row >= 0 do
-            let r = !row in
-            if
-              r < bound
-              && if nk = 1 then Array.unsafe_get kc0 r = k0 else same_key v.keys s.key r (nk - 1)
-            then begin
-              bind frame s.at s.src r;
-              if passes frame s.preds then descend (i + 1)
-            end;
-            row := Array.unsafe_get nexts r
-          done
-        end
+      let driver =
+        let d = k.delta in
+        step drel ~off:d.s_off ~at:d.s_bind ~preds:d.s_preds ~bound:n ~probe:[||]
+          Hash_index.empty_view
+      in
+      let c =
+        {
+          frame;
+          driver;
+          steps = Array.map resolve k.steps;
+          antis = [||];
+          residual = k.extra;
+          emit;
+        }
       in
       Pool.parallel_for ex.pool 0 n (fun lo hi ->
           incr batches;
           count ex "kernel.batch_rows" (hi - lo);
-          for row = lo to hi - 1 do
-            bind frame d_at d_src row;
-            if passes frame d_preds then descend 0
-          done));
+          drive c lo hi));
   count ex "kernel.fused_probes" n;
   count ex "kernel.execs" 1;
   count ex "kernel.batches" !batches;

@@ -59,6 +59,8 @@ let why_of_case (c : Gen.case) (ms : Differ.mismatch list) =
 
 type failure = { fail_iter : int; fail_seed : int; fail_runner : string; fail_msg : string }
 
+type runner_runs = { runner : string; ok : int; skipped : int; diverged : int; failed : int }
+
 type report = {
   seed : int;
   iters : int;
@@ -70,6 +72,7 @@ type report = {
   runs_skipped : int;
   runs_diverged : int;
   runs_failed : int;
+  by_runner : runner_runs list;
   divergences : divergence list;
   failures : failure list;
 }
@@ -80,9 +83,11 @@ let run ?(log = fun (_ : string) -> ()) ?(shrink = true) ?runners ~seed ~iters (
   let runners = match runners with Some rs -> rs | None -> Differ.all_runners () in
   let n_runners = List.length runners in
   let invalid = ref 0 in
-  let ok = ref 0 and skipped = ref 0 and diverged = ref 0 and failed = ref 0 in
   let total = ref 0 in
   let divergences = ref [] and failures = ref [] in
+  (* per runner: ok, skipped, diverged, failed *)
+  let tally = Array.make_matrix n_runners 4 0 in
+  let tick ri d = tally.(ri).(d) <- tally.(ri).(d) + 1 in
   for i = 0 to iters - 1 do
     let cseed = case_seed ~seed i in
     let case = Gen.gen_case ~seed:cseed in
@@ -90,20 +95,20 @@ let run ?(log = fun (_ : string) -> ()) ?(shrink = true) ?runners ~seed ~iters (
     | exception _ -> incr invalid
     | oracle ->
         let shrunk_this_case = ref false in
-        List.iter
-          (fun (r : Differ.runner) ->
+        List.iteri
+          (fun ri (r : Differ.runner) ->
             incr total;
             match r.Differ.run case oracle with
-            | Differ.Agree -> incr ok
-            | Differ.Skipped _ -> incr skipped
+            | Differ.Agree -> tick ri 0
+            | Differ.Skipped _ -> tick ri 1
             | Differ.Failed m ->
-                incr failed;
+                tick ri 3;
                 log (Printf.sprintf "case %d (seed %d): %s FAILED: %s" i cseed r.Differ.rname m);
                 failures :=
                   { fail_iter = i; fail_seed = cseed; fail_runner = r.Differ.rname; fail_msg = m }
                   :: !failures
             | Differ.Diverged ms ->
-                incr diverged;
+                tick ri 2;
                 log
                   (Printf.sprintf "case %d (seed %d): %s DIVERGED on %s" i cseed r.Differ.rname
                      (String.concat ", " (List.map (fun m -> m.Differ.pred) ms)));
@@ -143,6 +148,7 @@ let run ?(log = fun (_ : string) -> ()) ?(shrink = true) ?runners ~seed ~iters (
                   :: !divergences)
           runners
   done;
+  let sum d = Array.fold_left (fun n t -> n + t.(d)) 0 tally in
   {
     seed;
     iters;
@@ -150,10 +156,17 @@ let run ?(log = fun (_ : string) -> ()) ?(shrink = true) ?runners ~seed ~iters (
     cases = iters;
     invalid = !invalid;
     runs_total = !total;
-    runs_ok = !ok;
-    runs_skipped = !skipped;
-    runs_diverged = !diverged;
-    runs_failed = !failed;
+    runs_ok = sum 0;
+    runs_skipped = sum 1;
+    runs_diverged = sum 2;
+    runs_failed = sum 3;
+    by_runner =
+      List.mapi
+        (fun ri (r : Differ.runner) ->
+          let t = tally.(ri) in
+          let runner = r.Differ.rname in
+          { runner; ok = t.(0); skipped = t.(1); diverged = t.(2); failed = t.(3) })
+        runners;
     divergences = List.rev !divergences;
     failures = List.rev !failures;
   }
@@ -223,6 +236,19 @@ let report_json (r : report) =
             ("diverged", Json.Int r.runs_diverged);
             ("failed", Json.Int r.runs_failed);
           ] );
+      ( "by_runner",
+        Json.List
+          (List.map
+             (fun c ->
+               Json.Obj
+                 [
+                   ("runner", Json.String c.runner);
+                   ("ok", Json.Int c.ok);
+                   ("skipped", Json.Int c.skipped);
+                   ("diverged", Json.Int c.diverged);
+                   ("failed", Json.Int c.failed);
+                 ])
+             r.by_runner) );
       ( "divergences",
         Json.List
           (List.map

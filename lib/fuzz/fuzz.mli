@@ -26,6 +26,9 @@ type divergence = {
 
 type failure = { fail_iter : int; fail_seed : int; fail_runner : string; fail_msg : string }
 
+type runner_runs = { runner : string; ok : int; skipped : int; diverged : int; failed : int }
+(** One runner's dispositions over the campaign's valid cases. *)
+
 type report = {
   seed : int;
   iters : int;
@@ -37,6 +40,8 @@ type report = {
   runs_skipped : int;
   runs_diverged : int;
   runs_failed : int;
+  by_runner : runner_runs list;
+      (** per runner, in runner order; their sums are the [runs_*] counters *)
   divergences : divergence list;
   failures : failure list;
 }

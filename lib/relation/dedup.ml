@@ -80,7 +80,6 @@ let create_set ?(expected = 64) arity =
   let cap = pow2_at_least (2 * expected) in
   { mode = Fast; arity; impl = fast_table ~chaos:false ~cap arity; accounted = 0 }
 
-let mode t = t.mode
 let arity t = t.arity
 
 (* The first free slot at or after [i]; [stride] is the slot width in words. *)

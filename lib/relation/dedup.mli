@@ -59,8 +59,6 @@ val create_set : ?expected:int -> int -> t
     and never drops a key: its owner (the index manager) probes
     {!Rs_chaos.Inject.index_should_fail} before it writes. *)
 
-val mode : t -> mode
-
 val arity : t -> int
 
 val add2 : t -> int -> int -> bool

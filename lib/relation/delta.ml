@@ -95,19 +95,3 @@ let count (d : t) sign =
     (fun acc (_, ops) ->
       acc + List.length (List.filter (fun o -> o.sign = sign) ops))
     0 d
-
-let to_string (d : t) =
-  let row_str row =
-    String.concat "," (List.map string_of_int (Array.to_list row))
-  in
-  String.concat "\n"
-    (List.map
-       (fun rel ->
-         let ops = ops d rel in
-         let part sign mark =
-           match List.filter (fun o -> o.sign = sign) ops with
-           | [] -> []
-           | os -> [ mark ^ String.concat " " (List.map (fun o -> row_str o.row) os) ]
-         in
-         String.concat " " ((rel :: part Insert "+") @ part Retract "-"))
-       (rels d))

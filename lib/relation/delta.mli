@@ -64,6 +64,3 @@ val of_changes : (string * change) list -> t
 
 val count : t -> sign -> int
 (** Number of operations with the given sign. *)
-
-val to_string : t -> string
-(** One line per relation: ["rel +1,2 -3,4"] — debugging and trace labels. *)

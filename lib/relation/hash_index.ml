@@ -69,43 +69,43 @@ let build_pool pool rel key_cols =
   Rs_parallel.Pool.parallel_for pool 0 t.n (link t);
   t
 
-(* Relink every indexed row into a table of [cap] buckets, chunk-parallel
-   like [build_pool] — the same layout a fresh [build] produces. *)
-let rehash pool t cap =
-  t.heads <- Array.make cap (-1);
-  t.mask <- cap - 1;
-  Rs_parallel.Pool.parallel_for pool 0 t.n (link t);
-  t.rehashes <- t.rehashes + 1
-
-let append_pool pool t =
-  Rs_chaos.Inject.index_should_fail ~point:"hash_index.append_pool";
+(* Extend [t] over the rows appended to its relation, linking rows with
+   [link_rows lo hi]: grow the chain array by amortized doubling and, over
+   the load-factor threshold, the bucket table to a fresh build's count,
+   relinking every row — the same layout a fresh [build] produces. *)
+let extend t link_rows =
   let new_n = Relation.nrows t.rel in
   let added = new_n - t.n in
   if added > 0 then begin
-    (* grow the chain array by amortized doubling *)
     if new_n > Array.length t.nexts then begin
       let cap = max new_n (2 * Array.length t.nexts) in
       let nexts = Array.make cap (-1) in
       Array.blit t.nexts 0 nexts 0 t.n;
       t.nexts <- nexts
     end;
-    (* keep the load factor at or below 1, as [build] does *)
+    let lo = t.n in
+    t.n <- new_n;
     if new_n > Array.length t.heads then begin
-      (* over the load-factor threshold: grow to a fresh build's bucket
-         count and relink everything (the rehash links the fresh rows too) *)
-      t.n <- new_n;
-      rehash pool t (pow2_at_least new_n)
+      (* the rehash links the fresh rows too *)
+      let cap = pow2_at_least new_n in
+      t.heads <- Array.make cap (-1);
+      t.mask <- cap - 1;
+      t.rehashes <- t.rehashes + 1;
+      link_rows 0 new_n
     end
-    else begin
-      let lo = t.n in
-      t.n <- new_n;
+    else
       (* new rows are prepended ahead of older ones — exactly where a full
          rebuild would put them, so probe order is unchanged *)
-      Rs_parallel.Pool.parallel_for pool lo new_n (link t)
-    end
+      link_rows lo new_n
   end;
   t.generation <- Relation.generation t.rel;
   added
+
+let append_pool pool t =
+  Rs_chaos.Inject.index_should_fail ~point:"hash_index.append_pool";
+  extend t (fun lo hi -> Rs_parallel.Pool.parallel_for pool lo hi (link t))
+
+let append t = extend t (link t)
 
 (* Re-point the index at a replacement relation whose prefix
    [0, indexed_rows) holds exactly the old rows in order — the shape an
@@ -121,8 +121,6 @@ let rebase t rel =
   t.generation <- Relation.generation rel
 
 let relation t = t.rel
-let key_cols t = t.key_cols
-let nrows t = Relation.nrows t.rel
 let indexed_rows t = t.n
 let generation t = t.generation
 let rehashes t = t.rehashes
@@ -173,6 +171,8 @@ let view (t : t) : view =
     mask = t.mask;
     keys = Array.map (fun c -> Int_vec.unsafe_data (Relation.col t.rel c)) t.key_cols;
   }
+
+let empty_view = { heads = [| -1 |]; nexts = [||]; mask = 0; keys = [||] }
 
 let first1 v k = v.heads.(Int_key.hash k land v.mask)
 let first v key = v.heads.(key_hash key land v.mask)

@@ -13,7 +13,9 @@
     absorbing its delta each iteration), {!append_pool} extends the index
     over the fresh suffix in one parallel pass with amortized doubling,
     instead of rebuilding from scratch — the maintenance discipline the
-    executor's {!Rs_exec.Index_manager} relies on. *)
+    executor's {!Rs_exec.Index_manager} relies on. The Souffle-like engine
+    extends its indexes with the serial {!append} after every insert
+    batch. *)
 
 type t
 
@@ -39,6 +41,11 @@ val append_pool : Rs_parallel.Pool.t -> t -> int
     within a key — is identical to a fresh {!build} of the grown relation.
     Refreshes the recorded {!generation}. *)
 
+val append : t -> int
+(** {!append_pool} as one serial pass, for an engine that maintains its
+    indexes as it inserts rather than in pool batches. Same growth, same
+    probe order, same result; it probes no fault point. *)
+
 val rebase : t -> Relation.t -> unit
 (** [rebase t rel] re-points the index at a {e replacement} relation whose
     prefix [\[0, indexed_rows t)] contains exactly the rows of the old
@@ -50,8 +57,6 @@ val rebase : t -> Relation.t -> unit
     or it has fewer rows than are indexed. *)
 
 val relation : t -> Relation.t
-
-val key_cols : t -> int array
 
 val indexed_rows : t -> int
 (** Rows currently covered; equals [nrows (relation t)] right after
@@ -86,13 +91,15 @@ type view = private {
 
 val view : t -> view
 
+val empty_view : view
+(** A view whose every chain is empty: what a step that probes no index
+    (a scan) carries. *)
+
 val first1 : view -> int -> int
 (** The head of the chain a one-column key hashes to. *)
 
 val first : view -> int array -> int
 (** The head of the chain [key] hashes to, any key width. *)
-
-val nrows : t -> int
 
 val bytes : t -> int
 (** Footprint of the index arrays (excluding the indexed relation). *)

@@ -2,8 +2,6 @@ type t = { words : int array; n : int }
 
 let create n = { words = Array.make ((n + 62) / 63) 0; n }
 
-let universe t = t.n
-
 let mem t i = t.words.(i / 63) land (1 lsl (i mod 63)) <> 0
 
 let add t i =
@@ -51,9 +49,3 @@ let union_into dst src =
     end
   done;
   !changed
-
-let copy t = { words = Array.copy t.words; n = t.n }
-
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
-
-let bytes t = 8 * Array.length t.words

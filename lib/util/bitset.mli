@@ -8,8 +8,6 @@ type t
 val create : int -> t
 (** [create n] is the empty set over universe [\[0, n)]. *)
 
-val universe : t -> int
-
 val mem : t -> int -> bool
 
 val add : t -> int -> unit
@@ -28,10 +26,3 @@ val iter : (int -> unit) -> t -> unit
 val union_into : t -> t -> bool
 (** [union_into dst src] ors [src] into [dst]; returns [true] if [dst]
     changed. Universes must match. *)
-
-val copy : t -> t
-
-val clear : t -> unit
-
-val bytes : t -> int
-(** Memory footprint of the backing words, for accounting. *)

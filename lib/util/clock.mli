@@ -2,6 +2,3 @@
 
 val now : unit -> float
 (** Monotonic-enough wall time in seconds (microsecond resolution). *)
-
-val time : (unit -> 'a) -> 'a * float
-(** [time f] runs [f] and returns its result with the elapsed seconds. *)

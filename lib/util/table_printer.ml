@@ -26,8 +26,3 @@ let render ~header rows =
   Buffer.contents buf
 
 let print ~header rows = print_string (render ~header rows)
-
-let series ~title ~x_label lines ~x_ticks:ticks =
-  let header = (x_label ^ " \\ " ^ title) :: ticks in
-  let rows = List.map (fun (name, cells) -> name :: cells) lines in
-  render ~header rows

@@ -8,9 +8,3 @@ val render : header:string list -> string list list -> string
 
 val print : header:string list -> string list list -> unit
 (** [print] is {!render} followed by [print_string]. *)
-
-val series : title:string -> x_label:string -> (string * string list) list
-  -> x_ticks:string list -> string
-(** [series ~title ~x_label ~x_ticks lines] renders a figure-like data block:
-    one row per named line (system/config), one column per x tick. Used for
-    the time-series and sweep figures. *)

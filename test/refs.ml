@@ -241,6 +241,52 @@ let fuzz_corpus : (string * string * (string * int list list) list) list =
        p0(x, z) :- p0(x, y), p1(y, 3), p1(y, z).\n\
        .output p0\n.output p1",
       [ ("e0", [ [ 0; 1 ]; [ 3; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 2 ]; [ 4; 3 ]; [ 2; 0 ] ]) ] );
+    (* Shapes of the compiled chain steps the engines share. A negated
+       lower-stratum atom inside a recursive rule is an anti-check tested
+       at every recursive round, not once. *)
+    ( "chain steps: recursive rule with a negated lower stratum",
+      ".input e0\n.input e1\n\
+       p1(x, y) :- e1(x, y).\n\
+       p1(x, y) :- p1(x, z), e1(z, y).\n\
+       p0(x, y) :- e0(x, y).\n\
+       p0(x, y) :- p0(x, z), e0(z, y), !p1(x, y).\n\
+       .output p0\n.output p1",
+      [
+        ("e0", [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 3; 0 ]; [ 1; 4 ] ]);
+        ("e1", [ [ 0; 2 ]; [ 2; 0 ]; [ 1; 1 ] ]);
+      ] );
+    (* The ntc shape: the second atom shares no variable with the first, so
+       it is a scan step, and the negation checks the whole cross product. *)
+    ( "chain steps: cross body with a negation",
+      ".input e0\n.input e1\n\
+       p1(x, y) :- e1(x, y).\n\
+       p1(x, y) :- p1(x, z), e1(z, y).\n\
+       p0(x, y) :- e0(x), e0(y), !p1(x, y).\n\
+       .output p0",
+      [ ("e0", [ [ 0 ]; [ 1 ]; [ 2 ]; [ 5 ] ]); ("e1", [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 2 ] ]) ] );
+    (* Constants in probed atoms of recursive rules: one keys its atom next
+       to a bound variable, one is the atom's whole key. *)
+    ( "chain steps: constants in probed recursive atoms",
+      ".input e0\n.input e1\n\
+       p0(x, y) :- e0(x, y).\n\
+       p0(x, y) :- p0(x, z), e0(z, 2), e1(z, y).\n\
+       p0(x, y) :- p0(x, w), e1(3, y), x != w.\n\
+       .output p0",
+      [
+        ("e0", [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 2 ]; [ 3; 2 ]; [ 4; 0 ] ]);
+        ("e1", [ [ 1; 5 ]; [ 2; 6 ]; [ 3; 7 ]; [ 3; 4 ]; [ 6; 6 ] ]);
+      ] );
+    (* A repeated variable in a recursive driver atom, and an equality
+       whose sides the driver binds both: each must test the driver row
+       before any step runs (where the repeated-variable bug above lived). *)
+    ( "chain steps: repeated variable and equality on the driver",
+      ".input e0\n\
+       p0(x, y) :- e0(x, y).\n\
+       p0(x, y) :- p0(x, x), e0(x, y).\n\
+       p0(x, z) :- p0(x, y), x = y + 1, e0(y, z).\n\
+       p0(y, y) :- p0(x, y), e0(y, x).\n\
+       .output p0",
+      [ ("e0", [ [ 0; 1 ]; [ 1; 0 ]; [ 2; 1 ]; [ 3; 3 ]; [ 3; 4 ]; [ 1; 5 ] ]) ] );
   ]
 
 (* --- delta-sequence regression corpus -----------------------------------

@@ -267,18 +267,33 @@ let test_index_memtrack_roundtrip () =
   Hash_index.release idx;
   Alcotest.(check int) "all released" 0 (Rs_storage.Memtrack.live ())
 
+(* [serial]: the extra rows arrive one at a time, each followed by a serial
+   [append] (an engine maintaining its indexes per insert); otherwise one
+   [append_pool] covers them all. Either way the index must probe like a
+   fresh build, and like a scan of the rows, newest first. *)
 let prop_append_eq_rebuild =
   QCheck2.Test.make ~name:"append_pool = fresh rebuild" ~count:100
-    QCheck2.Gen.(pair gen_pairs gen_pairs)
-    (fun (base, extra) ->
+    QCheck2.Gen.(triple gen_pairs gen_pairs bool)
+    (fun (base, extra, serial) ->
       let pool = Pool.create ~workers:4 () in
       Pool.begin_run pool;
       let r = Relation.create 2 in
       List.iter (fun (x, y) -> Relation.push2 r x y) base;
       let idx = Hash_index.build_pool pool r [| 0 |] in
-      List.iter (fun (x, y) -> Relation.push2 r x y) extra;
-      let added = Hash_index.append_pool pool idx in
+      let added =
+        if serial then
+          List.fold_left
+            (fun n (x, y) ->
+              Relation.push2 r x y;
+              n + Hash_index.append idx)
+            0 extra
+        else begin
+          List.iter (fun (x, y) -> Relation.push2 r x y) extra;
+          Hash_index.append_pool pool idx
+        end
+      in
       let fresh = Hash_index.build r [| 0 |] in
+      let all = base @ extra in
       added = List.length extra
       && Hash_index.indexed_rows idx = Relation.nrows r
       && List.for_all
@@ -286,8 +301,10 @@ let prop_append_eq_rebuild =
              let a = ref [] and b = ref [] in
              Hash_index.iter_matches idx [| x |] (fun i -> a := i :: !a);
              Hash_index.iter_matches fresh [| x |] (fun i -> b := i :: !b);
-             !a = !b)
-           (base @ extra))
+             (* [iter_matches] goes newest first, so [!a] is ascending *)
+             let scan = List.concat (List.mapi (fun i (k, _) -> if k = x then [ i ] else []) all) in
+             !a = !b && !a = scan)
+           all)
 
 let test_append_rehash_growth () =
   let pool = Pool.create ~workers:4 () in
