@@ -18,7 +18,6 @@ module Programs = Recstep.Programs
 module Relation = Rs_relation.Relation
 module Delta = Rs_relation.Delta
 module Engine_intf = Rs_engines.Engine_intf
-module Json = Rs_obs.Json
 
 let normalize outputs =
   List.sort compare
@@ -100,7 +99,11 @@ let exp ~scale =
         Engine_intf.maintain_by_recompute E.run ~pool ~edb program)
   in
   assert (inc && not rc);
-  let identical = inc_states = rc_states in
+  (* one comparison per version: the bootstrap and each delta *)
+  let diverged =
+    List.fold_left2 (fun n a b -> if a = b then n else n + 1) 0 inc_states rc_states
+  in
+  let identical = diverged = 0 in
   let ratio = if inc_apply > 0. then rc_apply /. inc_apply else 0. in
   let row name boot apply =
     [ name; Printf.sprintf "%.4f" boot; Printf.sprintf "%.4f" apply;
@@ -116,26 +119,16 @@ let exp ~scale =
        count n
        (if identical then "identical" else "DIVERGED")
        ratio);
-  let json =
-    Json.Obj
-      [
-        ("version", Json.Int 1);
-        ("workload", Json.String "tc");
-        ("vertices", Json.Int n);
-        ("edges", Json.Int (Relation.nrows arc));
-        ("deltas", Json.Int count);
-        ("incremental_bootstrap_s", Json.Float inc_boot);
-        ("incremental_apply_s", Json.Float inc_apply);
-        ("recompute_bootstrap_s", Json.Float rc_boot);
-        ("recompute_apply_s", Json.Float rc_apply);
-        ("ratio", Json.Float ratio);
-        ("identical", Json.Bool identical);
-      ]
-  in
-  let oc = open_out "BENCH_ivm.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Report.note "(wrote BENCH_ivm.json)"
+  Report.write_record "BENCH_ivm.json" ~attempted:(count + 1) ~failed:diverged
+    [
+      ("tc.vertices", float_of_int n, "count");
+      ("tc.edges", float_of_int (Relation.nrows arc), "count");
+      ("tc.deltas", float_of_int count, "count");
+      ("tc.incremental_bootstrap_s", inc_boot, "s");
+      ("tc.incremental_apply_s", inc_apply, "s");
+      ("tc.recompute_bootstrap_s", rc_boot, "s");
+      ("tc.recompute_apply_s", rc_apply, "s");
+      ("tc.ratio", ratio, "ratio");
+    ]
 
 let run ~scale = exp ~scale

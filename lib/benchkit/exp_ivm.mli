@@ -4,7 +4,8 @@
     ({!Rs_engines.Engine_intf.maintain_by_recompute}). Prints the paper-style
     table and writes the machine-readable summary — per-side bootstrap and
     apply times, the recompute/incremental ratio, and whether every version's
-    outputs were identical — to [BENCH_ivm.json] in the working directory. *)
+    outputs were identical — to [BENCH_ivm.json] in the working directory,
+    as a {!Report.write_record} record (metrics like [tc.ratio]). *)
 
 val exp : scale:int -> unit
 

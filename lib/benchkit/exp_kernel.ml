@@ -15,7 +15,8 @@
     ([Rs_exec.Plan.Old]), as a bounded build side or chain step; its
     dedup probe counts must be equal on both sides, which shows both paths
     run the same exact delta plans. Outputs must be byte-identical on both
-    sides of every row. Results land in [BENCH_kernel.json]. *)
+    sides of every row. Results land in [BENCH_kernel.json], one record
+    whose [failed] counts the workloads whose outputs diverged. *)
 
 module Interpreter = Recstep.Interpreter
 module Programs = Recstep.Programs
@@ -23,7 +24,6 @@ module Relation = Rs_relation.Relation
 module Graphs = Rs_datagen.Graphs
 module Pool = Rs_parallel.Pool
 module Trace = Rs_obs.Trace
-module Json = Rs_obs.Json
 
 let canon rel = List.map Array.to_list (Relation.sorted_distinct_rows rel)
 
@@ -84,24 +84,24 @@ let workload ~name ~src ~edb =
       (if identical then "yes" else "NO");
     ]
   in
-  let json =
-    Json.Obj
+  let count n = float_of_int n in
+  let metrics =
+    List.map
+      (fun (m, v, u) -> (name ^ "." ^ m, v, u))
       [
-        ("workload", Json.String name);
-        ("edges", Json.Int edges);
-        ("compiled_rules", Json.Int compiled);
-        ("fallback_rules", Json.Int (Trace.counter on_tr "kernel.fallback_rules"));
-        ("fused_probes", Json.Int (Trace.counter on_tr "kernel.fused_probes"));
-        ("emitted", Json.Int (Trace.counter on_tr "kernel.emitted"));
-        ("dedup_probes_on", Json.Int (Trace.counter on_tr "dedup.probes"));
-        ("dedup_probes_off", Json.Int (Trace.counter off_tr "dedup.probes"));
-        ("kernels_off_s", Json.Float off_s);
-        ("kernels_on_s", Json.Float on_s);
-        ("ratio", Json.Float ratio);
-        ("identical", Json.Bool identical);
+        ("edges", count edges, "count");
+        ("compiled_rules", count compiled, "count");
+        ("fallback_rules", count (Trace.counter on_tr "kernel.fallback_rules"), "count");
+        ("fused_probes", count (Trace.counter on_tr "kernel.fused_probes"), "count");
+        ("emitted", count (Trace.counter on_tr "kernel.emitted"), "count");
+        ("dedup_probes_on", count (Trace.counter on_tr "dedup.probes"), "count");
+        ("dedup_probes_off", count (Trace.counter off_tr "dedup.probes"), "count");
+        ("kernels_off_s", off_s, "sim_s");
+        ("kernels_on_s", on_s, "sim_s");
+        ("ratio", ratio, "ratio");
       ]
   in
-  (row, json, (name, ratio, identical, compiled))
+  (row, metrics, (name, ratio, identical, compiled))
 
 let exp ~scale =
   Report.section ~id:"kernel"
@@ -128,18 +128,8 @@ let exp ~scale =
            ratio
            (if identical then "identical" else "DIVERGED")))
     results;
-  let json =
-    Json.Obj
-      [
-        ("version", Json.Int 1);
-        ("scale", Json.Int scale);
-        ("workloads", Json.List (List.map (fun (_, j, _) -> j) results));
-      ]
-  in
-  let oc = open_out "BENCH_kernel.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Report.note "(wrote BENCH_kernel.json)"
+  Report.write_record "BENCH_kernel.json" ~attempted:(List.length results)
+    ~failed:(List.length (List.filter (fun (_, _, (_, _, identical, _)) -> not identical) results))
+    (List.concat_map (fun (_, m, _) -> m) results)
 
 let run ~scale = exp ~scale

@@ -6,7 +6,8 @@
     the per-workload table and writes the machine-readable summary —
     per-side simulated runtimes, the off/on speedup ratio, kernel counters,
     the dedup probes of each side, and whether outputs were byte-identical —
-    to [BENCH_kernel.json] in the working directory. *)
+    to [BENCH_kernel.json] in the working directory, as a
+    {!Report.write_record} record (metrics like [tc.ratio]). *)
 
 val exp : scale:int -> unit
 

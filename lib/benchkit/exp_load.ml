@@ -9,13 +9,13 @@
     in this spec, so both arms must serve byte-identical rows per query id
     — the run asserts it via the served checksums — and the arms differ
     only in {e when} results land: makespan and tail latency. Per-class
-    p50/p95/p99/p999 for both arms go to [BENCH_service.json]. *)
+    p50/p95/p99/p999 for both arms go to [BENCH_service.json], as metrics
+    named like [on.gold_p95_s]. *)
 
 module Service = Rs_service.Service
 module Autoscale = Rs_service.Autoscale
 module Load = Rs_load.Load
 module Result_cache = Rs_service.Result_cache
-module Json = Rs_obs.Json
 module Histogram = Rs_obs.Histogram
 
 let base_workers = 2
@@ -55,7 +55,14 @@ let exp ~scale =
   let load = Load.generate (load_spec ~scale) in
   let off = run_arm load () in
   let on = run_arm load ~autoscale:(policy ()) () in
-  let identical = checksums off = checksums on in
+  (* query ids whose served rows differ between the arms, or that only one
+     arm served *)
+  let sums_on = checksums on and sums_off = checksums off in
+  let diverged =
+    List.sort_uniq compare (List.map fst sums_on @ List.map fst sums_off)
+    |> List.filter (fun id -> List.assoc_opt id sums_on <> List.assoc_opt id sums_off)
+  in
+  let identical = diverged = [] in
   let stats_off = Load.slo_stats load off and stats_on = Load.slo_stats load on in
   let pct h p =
     if Histogram.count h = 0 then "-"
@@ -87,34 +94,26 @@ let exp ~scale =
        (Service.counter on "autoscale.up")
        (Service.counter on "autoscale.down")
        (if identical then "identical" else "DIVERGED"));
-  let json =
-    Json.Obj
-      [
-        ("version", Json.Int 1);
-        ("scale", Json.Int scale);
-        ("identical_outputs", Json.Bool identical);
-        ( "arms",
-          Json.List
-            [
-              Json.Obj
-                [
-                  ("autoscale", Json.Bool false);
-                  ("workers", Json.Int base_workers);
-                  ("slo", Load.slo_json load off);
-                ];
-              Json.Obj
-                [
-                  ("autoscale", Json.Bool true);
-                  ("workers", Json.Int base_workers);
-                  ("slo", Load.slo_json load on);
-                ];
-            ] );
-      ]
+  (* per arm: makespan, scaler counters, and per class the served count,
+     attainment and latency quantiles (none for a class that served nothing) *)
+  let arm_metrics arm (r : Service.report) stats =
+    let m name v unit_ = (arm ^ "." ^ name, v, unit_) in
+    m "makespan_s" r.Service.vtime "s"
+    :: List.map
+         (fun k -> m ("autoscale_" ^ k) (float_of_int (Service.counter r ("autoscale." ^ k))) "count")
+         [ "evals"; "up"; "down" ]
+    @ List.concat_map
+        (fun (cs : Load.class_stats) ->
+          let c = Load.class_name cs.Load.cs_class and h = cs.Load.cs_hist in
+          let pct (q, p) = m (c ^ "_" ^ q ^ "_s") (Histogram.percentile h p) "s" in
+          m (c ^ "_served") (float_of_int cs.Load.cs_served) "count"
+          :: m (c ^ "_attainment") (Load.attainment cs) "ratio"
+          :: (if Histogram.count h = 0 then []
+              else List.map pct [ ("p50", 50.0); ("p95", 95.0); ("p99", 99.0); ("p999", 99.9) ]))
+        stats
   in
-  let oc = open_out "BENCH_service.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Report.note "(wrote BENCH_service.json)"
+  Report.write_record "BENCH_service.json" ~attempted:load.Load.spec.Load.queries
+    ~failed:(List.length diverged)
+    (arm_metrics "off" off stats_off @ arm_metrics "on" on stats_on)
 
 let run ~scale = exp ~scale

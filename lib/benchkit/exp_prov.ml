@@ -17,7 +17,6 @@ module Programs = Recstep.Programs
 module Relation = Rs_relation.Relation
 module Graphs = Rs_datagen.Graphs
 module Pool = Rs_parallel.Pool
-module Json = Rs_obs.Json
 
 let canon rel = List.map Array.to_list (Relation.sorted_distinct_rows rel)
 
@@ -88,21 +87,21 @@ let workload ~name ~src ~arc =
       (if identical then "yes" else "NO");
     ]
   in
-  let json =
-    Json.Obj
+  let flag b = if b then 1. else 0. and count n = float_of_int n in
+  let metrics =
+    List.map
+      (fun (m, v, u) -> (name ^ "." ^ m, v, u))
       [
-        ("workload", Json.String name);
-        ("edges", Json.Int (Relation.nrows arc));
-        ("output_rows", Json.Int out_rows);
-        ("recorded", Json.Int (Provenance.recorded prov));
-        ("full_coverage", Json.Bool full_coverage);
-        ("prov_off_s", Json.Float off_s);
-        ("prov_on_s", Json.Float on_s);
-        ("overhead", Json.Float overhead);
-        ("identical", Json.Bool identical);
+        ("edges", count (Relation.nrows arc), "count");
+        ("output_rows", count out_rows, "count");
+        ("recorded", count (Provenance.recorded prov), "count");
+        ("full_coverage", flag full_coverage, "bool");
+        ("prov_off_s", off_s, "sim_s");
+        ("prov_on_s", on_s, "sim_s");
+        ("overhead", overhead, "ratio");
       ]
   in
-  (row, json, (name, overhead, identical))
+  (row, metrics, (name, overhead, identical, full_coverage))
 
 let exp ~scale =
   Report.section ~id:"prov"
@@ -121,23 +120,13 @@ let exp ~scale =
         "overhead"; "identical" ]
     (List.map (fun (row, _, _) -> row) results);
   List.iter
-    (fun (_, _, (name, overhead, identical)) ->
+    (fun (_, _, (name, overhead, identical, _)) ->
       Report.note
         (Printf.sprintf "(%s: %.2fx with tags on, outputs %s)" name overhead
            (if identical then "identical" else "DIVERGED")))
     results;
-  let json =
-    Json.Obj
-      [
-        ("version", Json.Int 1);
-        ("scale", Json.Int scale);
-        ("workloads", Json.List (List.map (fun (_, j, _) -> j) results));
-      ]
-  in
-  let oc = open_out "BENCH_prov.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Report.note "(wrote BENCH_prov.json)"
+  Report.write_record "BENCH_prov.json" ~attempted:(List.length results)
+    ~failed:(List.length (List.filter (fun (_, _, (_, _, same, covered)) -> not (same && covered)) results))
+    (List.concat_map (fun (_, m, _) -> m) results)
 
 let run ~scale = exp ~scale

@@ -6,6 +6,26 @@ let section ~id ~title =
 
 let note msg = Printf.printf "%s\n%!" msg
 
+let write_record file ~attempted ~failed metrics =
+  let module Json = Rs_obs.Json in
+  let metric (name, value, unit_) =
+    (name, Json.Obj [ ("value", Json.Float value); ("unit", Json.String unit_) ])
+  in
+  let record =
+    Json.Obj
+      [
+        ("correct", Json.Bool (failed = 0));
+        ("attempted", Json.Int attempted);
+        ("failed", Json.Int failed);
+        ("metrics", Json.Obj (List.map metric metrics));
+      ]
+  in
+  let oc = open_out file in
+  output_string oc (Json.to_string record);
+  output_char oc '\n';
+  close_out oc;
+  note (Printf.sprintf "(wrote %s)" file)
+
 let run_one ?workers ?mem_budget ?timeout_vs (module E : Engine_intf.S) (w : Workloads.t) =
   let mem_budget =
     (* the paper's Distributed-BigDatalog cluster has 450 GB vs the server's

@@ -5,6 +5,15 @@ val section : id:string -> title:string -> unit
 
 val note : string -> unit
 
+val write_record :
+  string -> attempted:int -> failed:int -> (string * float * string) list -> unit
+(** [write_record file ~attempted ~failed metrics] writes one benchmark
+    record to [file] in the working directory, in perfbench's shape:
+    [correct] (true iff [failed = 0]), [attempted], [failed] and
+    [metrics], each [(name, value, unit)] as [name: {value, unit}]. Every
+    [BENCH_*.json] report is written here, so {!Validate} reads all of
+    them, and perfbench's last line, with one function. *)
+
 val run_one :
   ?workers:int ->
   ?mem_budget:int ->

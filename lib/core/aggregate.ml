@@ -1,5 +1,6 @@
 module Pool = Rs_parallel.Pool
 module Relation = Rs_relation.Relation
+module Memtrack = Rs_storage.Memtrack
 
 type t = {
   group : int list;  (* head positions of the group columns *)
@@ -40,13 +41,17 @@ let create (sig_ : Analyzer.agg_sig) ~arity ~edb =
   }
 
 (* The dense array, grown to cover [k] when [k] is under the bound; keys
-   outside [\[0, bound)] live in the table. *)
+   outside [\[0, bound)] live in the table. The array is charged to
+   [Memtrack] before it is made, so a growth over budget raises while the
+   state still owns (and is charged for) the old one. *)
 let dense_for st a k =
   if k < 0 || k < Array.length a || k >= st.bound then a
   else begin
     let cap = min st.bound (max (k + 1) (2 * Array.length a)) in
+    Memtrack.alloc (8 * cap);
     let b = Array.make cap (init (snd st.aggs.(0))) in
     Array.blit a 0 b 0 (Array.length a);
+    Memtrack.free (8 * Array.length a);
     st.dense <- Some b;
     b
   end
@@ -171,5 +176,12 @@ let to_relation pool st ~name =
       Hashtbl.iter (fun key acc -> Relation.push_row r (finalize st key acc)) st.table;
       Relation.account r;
       r
+
+let release st =
+  match st.dense with
+  | Some a ->
+      Memtrack.free (8 * Array.length a);
+      st.dense <- Some [||]
+  | None -> ()
 
 let dense_slots st = match st.dense with Some a -> Array.length a | None -> 0

@@ -38,5 +38,10 @@ val to_relation : Pool.t -> t -> name:string -> Relation.t
 (** The finalised state, one row per group, accounted: in key order for
     the dense shape, in table order otherwise. *)
 
+val release : t -> unit
+(** Frees the dense array and its [Memtrack] charge (8 bytes a slot, taken
+    as the array grows). The state is empty afterwards; call it once the
+    state's relation is finalised, on every exit path. *)
+
 val dense_slots : t -> int
 (** Slots of the dense array (0 for the hashed shape): at most [bound]. *)

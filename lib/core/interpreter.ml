@@ -129,6 +129,10 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
     Pool.add_serial pool (0.0005 +. (float_of_int bytes /. 300e6))
   in
   let txn = Txn.create ~on_flush ?trace (if options.eost then Txn.Eost else Txn.Per_query) in
+  (* Every aggregate state made so far: a stratum releases its own when it
+     ends, and the exit path below releases any that a failed stratum
+     left charged. *)
+  let aggregates = ref [] in
   (* From here on, every exit path (fixpoint reached, simulated OOM,
      timeout or injected fault) must hand the managed indexes' bytes back to
      the tracker and drop the transaction's scratch state. [Txn.discard] is
@@ -137,6 +141,7 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
      both whenever a run died mid-fixpoint. *)
   Fun.protect
     ~finally:(fun () ->
+      List.iter Aggregate.release !aggregates;
       Txn.discard txn;
       (match index_manager with
       | Some m -> Rs_exec.Index_manager.release_all m
@@ -315,11 +320,13 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
             in
             go [] (List.concat rule_deltas)
       in
-      (* both counters are recorded, one of them 0, so a fully compiled (or
-         fully refused) run still reports the other *)
+      (* every counter is recorded, at 0 if need be, so a fully compiled (or
+         fully refused) run still reports the others, and a clean run
+         reports its degraded executions as 0 rather than not at all *)
       let compiled = match ks with Some _ -> n_rules | None -> 0 in
       count_kernel "kernel.compiled_rules" compiled;
       count_kernel "kernel.fallback_rules" (n_rules - compiled);
+      count_kernel "kernel.fallbacks" 0;
       ks
   in
   (* Kernel-path evaluation of one IDB's live delta plans: matches stream
@@ -468,6 +475,7 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
           let arity = Analyzer.arity an name in
           let compiled = List.map (Planner.compile_rule an stratum) rules in
           let agg = Option.map (Aggregate.create ~arity ~edb) (Analyzer.agg_sig an name) in
+          Option.iter (fun ag -> aggregates := ag :: !aggregates) agg;
           {
             name;
             arity;
@@ -632,11 +640,13 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
         continue_ := !any
       done
     end;
-    (* Clear Δ tables so later strata see empty deltas. *)
+    (* Clear Δ tables so later strata see empty deltas, and free the
+       aggregate states, whose relations are final. *)
     List.iter
       (fun st ->
         let d = Planner.delta_name st.name in
-        replace_table d (Relation.create ~name:d st.arity))
+        replace_table d (Relation.create ~name:d st.arity);
+        Option.iter Aggregate.release st.agg)
       idb_states
   in
   (* PBME dispatch: a TC/SG-shaped stratum over a fitting domain uses the

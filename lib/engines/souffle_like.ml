@@ -284,11 +284,17 @@ let run_chain pool v ~out =
 
 (* --- aggregation (non-recursive strata only) --- *)
 
-(* The finalised relation of aggregated [pred] over its distinct candidates. *)
+(* The finalised relation of aggregated [pred] over its distinct candidates.
+   The candidate set and the aggregate state are charged to [Memtrack]
+   while the fold runs, and released however it ends. *)
 let fold_candidates pool ~edb an pred candidates =
   let arity = An.arity an pred in
   let st = Recstep.Aggregate.create (Option.get (An.agg_sig an pred)) ~arity ~edb in
   let seen = Dedup.create Dedup.Fast arity in
+  Fun.protect ~finally:(fun () ->
+      Dedup.release seen;
+      Recstep.Aggregate.release st)
+  @@ fun () ->
   let tuple = Array.make arity 0 in
   for row = 0 to Relation.nrows candidates - 1 do
     for c = 0 to arity - 1 do
@@ -296,6 +302,7 @@ let fold_candidates pool ~edb an pred candidates =
     done;
     if Dedup.add_row seen tuple then Recstep.Aggregate.fold st tuple
   done;
+  Dedup.account seen;
   Recstep.Aggregate.to_relation pool st ~name:pred
 
 let run ~pool ?deadline_vs ?trace ~edb program =

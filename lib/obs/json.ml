@@ -235,3 +235,14 @@ let to_float = function
 let to_str = function
   | String s -> s
   | v -> raise (Parse_error ("not a string: " ^ to_string v))
+
+let to_bool = function
+  | Bool b -> b
+  | v -> raise (Parse_error ("not a bool: " ^ to_string v))
+
+let field k = function
+  | Obj kvs -> (
+      match List.assoc_opt k kvs with
+      | Some v -> v
+      | None -> raise (Parse_error (Printf.sprintf "missing key %S" k)))
+  | v -> raise (Parse_error (Printf.sprintf "key %S read from a non-object: %s" k (to_string v)))

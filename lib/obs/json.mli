@@ -35,3 +35,9 @@ val to_int : t -> int
 val to_float : t -> float
 
 val to_str : t -> string
+
+val to_bool : t -> bool
+
+val field : string -> t -> t
+(** Strict {!member}: [field k v] is the value bound to [k]; raises
+    {!Parse_error} naming [k] when [v] has no [k] or is not an object. *)

@@ -448,20 +448,3 @@ let dedup_relation_parallel ?expected ?trace ~pool mode r =
   match trace with
   | Some tr -> Rs_obs.Trace.span tr ~kind:"dedup" (Relation.name r) go
   | None -> go ()
-
-let dedup_relation ?expected ?trace mode r =
-  let go () =
-    let arity = Relation.arity r in
-    let n = Relation.nrows r in
-    let t = create ~expected:(Option.value expected ~default:(max 16 n)) mode arity in
-    let out = Relation.create ~name:(Relation.name r ^ "_dedup") arity in
-    dedup_chunk t r out 0 n;
-    account t;
-    Relation.account out;
-    release t;
-    record_trace trace r (Relation.nrows out);
-    out
-  in
-  match trace with
-  | Some tr -> Rs_obs.Trace.span tr ~kind:"dedup" (Relation.name r) go
-  | None -> go ()

@@ -110,17 +110,15 @@ val account : t -> unit
 
 val release : t -> unit
 
-val dedup_relation : ?expected:int -> ?trace:Rs_obs.Trace.t -> mode -> Relation.t -> Relation.t
-(** [dedup_relation mode r] returns a fresh relation with [r]'s distinct
-    tuples in first-occurrence order — the engine's [dedup(R)] call
-    (Algorithm 1, line 10). When [trace] is given the call records a
-    ["dedup"] span named after [r] plus [dedup.probes] (input tuples) and
-    [dedup.hits] (duplicates absorbed) counters. *)
-
 val dedup_relation_parallel :
   ?expected:int -> ?trace:Rs_obs.Trace.t -> pool:Rs_parallel.Pool.t -> mode -> Relation.t
   -> Relation.t
-(** Like {!dedup_relation}, but tuples are inserted chunk-parallel through
-    the worker pool — the paper's dedup table is one *global* table built for
-    exactly this access pattern (Figure 5), so the engine's dedup step
-    scales with cores. Output order is per-chunk first-occurrence. *)
+(** [dedup_relation_parallel ~pool mode r] returns a fresh relation with
+    [r]'s distinct tuples — the engine's [dedup(R)] call (Algorithm 1,
+    line 10). Tuples are inserted chunk-parallel through the worker pool:
+    the paper's dedup table is one *global* table built for exactly this
+    access pattern (Figure 5), so the engine's dedup step scales with
+    cores. Output order is per-chunk first-occurrence. When [trace] is
+    given the call records a ["dedup"] span named after [r] plus
+    [dedup.probes] (input tuples) and [dedup.hits] (duplicates absorbed)
+    counters. *)

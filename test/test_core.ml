@@ -152,6 +152,40 @@ let test_aggregate_dense_bound () =
   Aggregate.fold st [| 3000; 4 |];
   check "dense under a larger input" true (Aggregate.dense_slots st > 3000)
 
+(* The dense MIN/MAX array is charged to Memtrack while it lives, and
+   released with its state. Two arcs between nodes near 1000 grow the array
+   past 1000 slots; the same arcs between nodes 0..2 keep it tiny. So the
+   far run's peak is at least 8 bytes a slot above the near run's, for CC
+   on the interpreter and for a non-recursive MIN on Souffle-like, and
+   both runs end with the same live bytes: nothing of the array stays
+   charged. *)
+let test_aggregate_dense_charged () =
+  let module Memtrack = Rs_storage.Memtrack in
+  let module Relation = Rs_relation.Relation in
+  let measure run base =
+    Memtrack.hard_reset ();
+    let pool = Rs_parallel.Pool.create ~workers:2 () in
+    Rs_parallel.Pool.begin_run pool;
+    let arc = Relation.of_rows 2 [ [| base; base + 1 |]; [| base + 1; base + 2 |] ] in
+    run pool [ ("arc", arc) ];
+    (Memtrack.peak (), Memtrack.live ())
+  in
+  let interpreter pool edb =
+    ignore (Interpreter.run ~pool ~edb (Parser.parse Programs.cc))
+  in
+  let souffle pool edb =
+    ignore
+      (Rs_engines.Souffle_like.run ~pool ~edb
+         (Parser.parse ".input arc\nm(x, MIN(y)) :- arc(x, y).\n.output m"))
+  in
+  List.iter
+    (fun (what, run) ->
+      let near_peak, near_live = measure run 0 and far_peak, far_live = measure run 1000 in
+      check (what ^ ": peak includes the array") true (far_peak - near_peak >= 8 * 1000);
+      Alcotest.(check int) (what ^ ": array released") near_live far_live)
+    [ ("interpreter CC", interpreter); ("Souffle-like MIN", souffle) ];
+  Memtrack.hard_reset ()
+
 (* --- planner --- *)
 
 let test_planner_delta_variants () =
@@ -617,6 +651,8 @@ let suite =
     Alcotest.test_case "analyzer aggregate signatures" `Quick test_analyzer_agg_sig;
     Alcotest.test_case "aggregate: dense array bounded by its input" `Quick
       test_aggregate_dense_bound;
+    Alcotest.test_case "aggregate: dense array charged to Memtrack" `Quick
+      test_aggregate_dense_charged;
     Alcotest.test_case "planner delta variants" `Quick test_planner_delta_variants;
     Alcotest.test_case "planner facts" `Quick test_planner_fact;
     Alcotest.test_case "planner exact delta variants" `Quick test_planner_exact_deltas;

@@ -89,7 +89,9 @@ let test_arity2 () =
   let counters = Trace.counters tr_on in
   check "compiled_rules recorded" true (List.mem_assoc "kernel.compiled_rules" counters);
   check "fallback_rules recorded" true (List.mem_assoc "kernel.fallback_rules" counters);
-  Alcotest.(check int) "fallback_rules is 0" 0 (List.assoc "kernel.fallback_rules" counters)
+  Alcotest.(check int) "fallback_rules is 0" 0 (List.assoc "kernel.fallback_rules" counters);
+  check "fallbacks recorded" true (List.mem_assoc "kernel.fallbacks" counters);
+  Alcotest.(check int) "fallbacks is 0" 0 (List.assoc "kernel.fallbacks" counters)
 
 let test_arity1 () =
   (* unary head: reachability from a source set *)

@@ -22,4 +22,5 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("chaos", Test_chaos.suite);
       ("benchkit", Test_benchkit.suite);
+      ("validate", Test_validate.suite);
     ]

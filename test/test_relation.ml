@@ -103,7 +103,9 @@ let prop_dedup_matches_set mode name =
   QCheck2.Test.make ~name ~count:200 gen_pairs (fun pairs ->
       let r = Relation.create 2 in
       List.iter (fun (x, y) -> Relation.push2 r x y) pairs;
-      let d = Dedup.dedup_relation mode r in
+      let pool = Pool.create ~workers:1 () in
+      Pool.begin_run pool;
+      let d = Dedup.dedup_relation_parallel ~pool mode r in
       Refs.sorted_pairs (Relation.to_rows d |> List.map (fun a -> a))
       = List.sort_uniq compare pairs)
 
