@@ -84,13 +84,37 @@ echo "== compiled-kernel smoke =="
 dune exec bin/recstep_cli.exe -- run "$tmp/tc_only.dl" --fact "arc=$tmp/arc.tsv" \
   --no-pbme --profile "$tmp/pkern.json" --out "$tmp/kern_on" >/dev/null
 dune exec bin/recstep_cli.exe -- run "$tmp/tc_only.dl" --fact "arc=$tmp/arc.tsv" \
-  --no-pbme --no-kernels --out "$tmp/kern_off" >/dev/null
+  --no-pbme --no-kernels --profile "$tmp/pkern_off.json" --out "$tmp/kern_off" >/dev/null
 sort "$tmp/kern_on/tc.tsv" >"$tmp/tc_kern_on.sorted"
 sort "$tmp/kern_off/tc.tsv" >"$tmp/tc_kern_off.sorted"
 cmp "$tmp/tc_kern_on.sorted" "$tmp/tc_kern_off.sorted"
 echo "results identical with and without compiled kernels"
 
 "$validate" kernel-profile "$tmp/pkern.json"
+
+# Kernels append their Δ to the head table while the round still reads
+# it, so every read stops at the round-start rows. The per-round Δ
+# timeline (stratum, iteration, IDB, Δ rows) must then be identical with
+# kernels on and off: on TC, and on a mutual recursion whose non-linear
+# rule reads an IDB the round is appending to.
+"$validate" delta-timeline "$tmp/pkern.json" "$tmp/pkern_off.json"
+cat >"$tmp/mutual.dl" <<'EOF'
+.input arc
+a(x, y) :- arc(x, y).
+b(x, z) :- a(x, y), a(y, z).
+a(x, z) :- b(x, y), a(y, z).
+.output a
+.output b
+EOF
+for side in on off; do
+  flag=""
+  [ "$side" = off ] && flag="--no-kernels"
+  dune exec bin/recstep_cli.exe -- run "$tmp/mutual.dl" --fact "arc=$tmp/arc.tsv" \
+    --no-pbme $flag --profile "$tmp/pmut_$side.json" --out "$tmp/mut_$side" >/dev/null
+  sort "$tmp/mut_$side/a.tsv" "$tmp/mut_$side/b.tsv" >"$tmp/mut_$side.sorted"
+done
+cmp "$tmp/mut_on.sorted" "$tmp/mut_off.sorted"
+"$validate" delta-timeline "$tmp/pmut_on.json" "$tmp/pmut_off.json"
 
 # Kernel benchmark: the fused path must be at least 2x faster in simulated
 # time on recursive TC, with byte-identical outputs on every workload, and

@@ -3,7 +3,8 @@
     The interpreter's relational loop pays a fixed per-query dispatch
     overhead and materializes an intermediate bag per delta plan per
     iteration; the compiled kernels ({!Rs_exec.Kernel}) fuse
-    join→project→dedup into one closure and skip both. This experiment runs
+    join→project→dedup→set difference into one loop that appends the Δ to
+    the head table itself, and skip both. This experiment runs
     the same recursive workloads with [compiled_kernels] on and off (PBME
     held off, so the relational path under test actually executes) on fresh
     pools and compares {e simulated} runtimes. TC's delta plan is exactly
@@ -12,7 +13,9 @@
     it exercises the n-way chain shape: one compiled rule whose two steps
     probe [arc]'s index on its first column. CSPA's non-linear, mutually
     recursive rules read the old rows of the atoms before their Δ
-    ([Rs_exec.Plan.Old]), as a bounded build side or chain step; its
+    ([Rs_exec.Plan.Old], the rows of the table below its Δ range), as a
+    bounded build side or chain step, while the round's kernels append to
+    those same tables; its
     dedup probe counts must be equal on both sides, which shows both paths
     run the same exact delta plans. Outputs must be byte-identical on both
     sides of every row. Results land in [BENCH_kernel.json], one record

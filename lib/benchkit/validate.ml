@@ -101,6 +101,38 @@ let kernel_profile p =
   claim (builds <= 2) "executor.index_builds = %d with kernels on, expected <= 2" builds;
   Printf.sprintf "%d kernel executions, %d index builds" (int "kernel.execs" c) builds
 
+(* Kernels change how a round derives its Δ, never the Δ: the kernels-on
+   profile (whose kernels must have run) and the kernels-off one record the
+   same rounds, in order, with the same |Δ| for every IDB. *)
+let delta_timeline on off =
+  positive "kernel.execs" (Json.field "counters" on);
+  let timeline p =
+    List.map
+      (fun it -> (int "stratum" it, int "iteration" it, str "idb" it, int "delta_rows" it))
+      (list "iterations" p)
+  in
+  let t_on = timeline on and t_off = timeline off in
+  claim (t_on <> []) "iterations: no per-iteration records";
+  let rec same = function
+    | (s, i, idb, d) :: ons, (s', i', idb', d') :: offs ->
+        claim
+          ((s, i, idb) = (s', i', idb'))
+          "iterations: stratum %d iteration %d %s with kernels on, stratum %d iteration %d %s off"
+          s i idb s' i' idb';
+        claim (d = d')
+          "iterations: stratum %d iteration %d %s: delta_rows = %d with kernels on, %d off" s i idb
+          d d';
+        same (ons, offs)
+    | [], [] -> ()
+    | _ ->
+        failwith
+          (Printf.sprintf "iterations: %d rounds with kernels on, %d off" (List.length t_on)
+             (List.length t_off))
+  in
+  same (t_on, t_off);
+  Printf.sprintf "%d rounds, %d Δ rows, identical" (List.length t_on)
+    (sum (fun (_, _, _, d) -> d) t_on)
+
 (* --- fuzz campaigns --- *)
 
 (* At seed 42 all 54 runners (6 engines + 48 toggle configurations) agree
@@ -226,6 +258,8 @@ let one f = function [ r ] -> f r | _ -> failwith "expected one report"
 let checks =
   [ ("profile", one profile); ("index", one (index ~persistent:true));
     ("index-off", one (index ~persistent:false)); ("kernel-profile", one kernel_profile);
+    ("delta-timeline",
+      function [ on; off ] -> delta_timeline on off | _ -> failwith "expected kernels on, kernels off");
     ("fuzz", one fuzz); ("delta-fuzz", one delta_fuzz); ("serve", one serve);
     ("serve-ivm", function [ w; c ] -> serve_ivm w c | _ -> failwith "expected ivm, no-ivm");
     ("chaos", one (chaos ~arm:false)); ("chaos-kernel", one (chaos ~arm:true)); ("load", one load);

@@ -6,7 +6,8 @@
 
 val kinds : string list
 (** [profile], [index], [index-off], [kernel-profile] (profiles of
-    [recstep run]), [fuzz], [delta-fuzz], [serve], [serve-ivm] (a serve
+    [recstep run]), [delta-timeline] (a profile with kernels, then one
+    without: identical per-round Δ timelines), [fuzz], [delta-fuzz], [serve], [serve-ivm] (a serve
     report with maintenance, then one with [--no-ivm]), [chaos],
     [chaos-kernel], [load], [perfbench], [bench-kernel], [bench-prov],
     [bench-ivm] and [bench-service]. *)

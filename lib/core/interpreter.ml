@@ -92,19 +92,18 @@ type idb_state = {
 type eval_result =
   | Ev_none  (* every subplan skipped *)
   | Ev_raw of Relation.t  (* interpreted bag; dedup and set difference pending *)
-  | Ev_delta of { delta : Relation.t; claimed : int }
-      (* kernel output: already the Δ, [claimed] the fresh candidates it
-         was cut from *)
+  | Ev_delta of { claimed : int }
+      (* kernel output, already appended to R past its round-start rows:
+         the Δ; [claimed] the fresh candidates it was cut from *)
 
 let run ?(options = default_options) ?on_iteration ~pool ~edb program =
   let an = Analyzer.analyze program in
   let catalog = Catalog.create () in
   let trace = options.trace in
   (* Persistent join indexes live for the whole run: EDBs are indexed once;
-     a recursive IDB's full table is delta-appended each iteration. Delta
-     tables are excluded (their backing relation is replaced every
-     iteration), and so are aggregated IDBs (their full table is rebuilt
-     from the aggregate state every iteration, so an index could never be
+     a recursive IDB's full table is delta-appended each iteration.
+     Aggregated IDBs are excluded (their full table is rebuilt from the
+     aggregate state every iteration, so an index could never be
      reused). *)
   let index_manager =
     if not options.persistent_indexes then None
@@ -152,9 +151,11 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
   let pbme_strata = ref 0 in
   let dsd_hist = Hashtbl.create 4 in
   let note_dsd c = Hashtbl.replace dsd_hist c (1 + Option.value ~default:0 (Hashtbl.find_opt dsd_hist c)) in
+  (* [name ()] is built only when a trace is attached: it runs once per
+     iteration. *)
   let with_span name f =
     match trace with
-    | Some tr -> Rs_obs.Trace.span tr ~kind:"interpreter" name f
+    | Some tr -> Rs_obs.Trace.span tr ~kind:"interpreter" (name ()) f
     | None -> f ()
   in
   (* Every fixpoint iteration reports per-IDB delta cardinality both to the
@@ -185,24 +186,25 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
     | None -> ()
   in
   (* Why-provenance recording: every tuple that enters an IDB relation does
-     so through exactly one absorption point per path — the Δ appended by
-     [absorb_delta] (interpreted plans reach it through dedup and DSD,
-     compiled kernels hand it their Δ directly), an aggregated IDB's Δ in
-     [absorb_candidates], or the PBME solve's output relation.
+     so through exactly one absorption point per path — the Δ range
+     [absorb_range] moves over (interpreted plans reach it through dedup and
+     DSD, compiled kernels append it to R directly), an aggregated IDB's Δ
+     in [absorb_candidates], or the PBME solve's output relation.
      Tagging the absorbed rows therefore covers every derived tuple with no
      per-path special cases: with sampling at 1.0 an IDB can never end up
      half-tagged, whichever mix of kernels, degraded rounds and retries
      produced it. Recording is charged to the simulated clock so the
      benchmark arm measures an honest overhead. *)
   let prov_scan_cost = 2e-9 and prov_tag_cost = 16e-9 in
-  let prov_record ~pred ~stratum ~iteration rel =
+  let prov_record ~pred ~stratum ~iteration ?(lo = 0) ?hi rel =
     match options.provenance with
     | None -> ()
     | Some p ->
-        let n = Relation.nrows rel in
+        let hi = Option.value hi ~default:(Relation.nrows rel) in
+        let n = hi - lo in
         if n > 0 then begin
           let before = Provenance.recorded p in
-          Provenance.record_relation p ~pred ~stratum ~iteration rel;
+          Provenance.record_relation p ~pred ~stratum ~iteration ~lo ~hi rel;
           let tagged = Provenance.recorded p - before in
           Pool.add_serial pool
             ((float_of_int n *. prov_scan_cost) +. (float_of_int tagged *. prov_tag_cost));
@@ -226,12 +228,9 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
       | None ->
           raise (Analyzer.Analysis_error (Printf.sprintf "missing input relation %s" name)))
     an.Analyzer.edbs;
-  (* Register empty IDB and Δ tables. *)
+  (* Register empty IDB tables; each one's Δ is a row range of it. *)
   List.iter
-    (fun name ->
-      Catalog.register catalog name (Relation.create ~name (Analyzer.arity an name));
-      let d = Planner.delta_name name in
-      Catalog.register catalog d (Relation.create ~name:d (Analyzer.arity an name)))
+    (fun name -> Catalog.register catalog name (Relation.create ~name (Analyzer.arity an name)))
     an.Analyzer.idbs;
   let analyze_updated names =
     match options.oof with
@@ -313,8 +312,8 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
         | Ok () ->
             let rec go acc = function
               | [] -> Some (List.rev acc)
-              | (dpred, plan) :: rest -> (
-                  match Kernel.compile exec ~probe_table:(Planner.delta_name dpred) plan with
+              | (_, plan) :: rest -> (
+                  match Kernel.compile exec plan with
                   | Ok k -> go (k :: acc) rest
                   | Error _reason -> None)
             in
@@ -331,52 +330,59 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
   in
   (* Kernel-path evaluation of one IDB's live delta plans: matches stream
      straight through one two-table claim — FAST-DEDUP, then R's
-     membership set — into the Δ, no query issued, no intermediate bag and
-     no separate set difference. The set is R's full-column set, the one
-     OPSD's [full_table_set] probes, so R has one persistent membership set
+     membership set — into R itself, past its round-start rows: no query
+     issued, no intermediate bag, no separate set difference and no second
+     copy of the Δ. The set is R's full-column set, the one OPSD's
+     [full_table_set] probes, so R has one persistent membership set
      whichever path produced its Δ. It is claimed for writing before the
      dedup table is made, so an index fault raises before any allocation
-     or write; the kernels add every tuple they emit to it, and the absorb
-     then only records that it covers R's new rows ([cover_r_set]).
+     or write; the kernels add every tuple they append to R to it, and the
+     absorb then only records that it covers R's new rows ([cover_r_set]).
      A chaos-degraded kernel re-evaluates interpreted — its probe fires
      before any write, so falling back can never double-count — but an
-     earlier kernel of the round may already have claimed tuples into R's
-     set that R will not receive through this Δ: any exit without a Δ
-     drops the set, and the fallback's set difference rebuilds it. *)
+     earlier kernel of the round may already have appended rows to R and
+     claimed them into R's set: any exit without a Δ truncates R back to
+     its round-start rows, which bumps its generation so R's managed
+     indexes are rebuilt from the rows R keeps, and drops the set, which
+     the fallback's set difference rebuilds. *)
   let r_set_keys arity = Array.init arity Fun.id in
+  (* The rows of [name]'s table the round reads: where its Δ ends. *)
+  let round_start name =
+    let _, _, n = Catalog.read catalog name Catalog.Full in
+    n
+  in
   let eval_kernels plans ks ~name ~arity =
     let r = Catalog.rel catalog name in
+    let start_rows = round_start name in
     let r_set, owned = Executor.claim_set exec ~scan_name:name r (r_set_keys arity) in
     Fun.protect ~finally:(fun () -> if owned then Dedup.release r_set)
     @@ fun () ->
-    let abandon dd out =
+    let abandon dd =
       Dedup.release dd;
-      Relation.release out;
+      if Relation.nrows r > start_rows then Relation.truncate r start_rows;
       if not owned then
         Option.iter (fun m -> Rs_exec.Index_manager.drop_set m ~name (r_set_keys arity)) index_manager
     in
     let dd = Dedup.create ~expected:(dedup_expected plans) dedup_mode arity in
-    let out = Relation.create ~name:(Planner.delta_name name) arity in
-    match List.fold_left (fun n k -> n + Kernel.run exec k ~dedup:dd ~r_set ~out) 0 ks with
+    match List.fold_left (fun n k -> n + Kernel.run exec k ~dedup:dd ~r_set ~head:r) 0 ks with
     | claimed ->
         Dedup.release dd;
-        Relation.account out;
         (* the kernel stands in for a query: under per-query transactions its
            output is written back at its boundary, as [issue] does *)
         if not options.eost then begin
-          Txn.note_dirty txn (Relation.row_bytes out);
+          Txn.note_dirty txn (8 * arity * (Relation.nrows r - start_rows));
           Txn.query_boundary txn
         end;
-        Ev_delta { delta = out; claimed }
+        Ev_delta { claimed }
     | exception Kernel.Degraded _ ->
-        abandon dd out;
+        abandon dd;
         count_kernel "kernel.fallbacks" 1;
         (match eval_plans plans with Some rt -> Ev_raw rt | None -> Ev_none)
     | exception e ->
-        abandon dd out;
+        abandon dd;
         raise e
   in
-  (* After a kernel round's Δ is appended to R, R's managed set (which the
+  (* After a kernel round's Δ is absorbed, R's managed set (which the
      kernels claimed the Δ into) covers R again. *)
   let cover_r_set (st : idb_state) =
     Option.iter
@@ -399,52 +405,72 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
           :: (match st.mu_prev with Some m -> [ ("mu_prev", m) ] | None -> []))
     | None -> ()
   in
-  (* Append one non-aggregated IDB's Δ to its table and make it the
-     Δ-table; returns |Δ|. [stratum]/[iteration] locate the absorption on
+  (* Make the rows a non-aggregated IDB's table gained this round its Δ;
+     returns |Δ|. Nothing is copied: the range moves over the rows the
+     kernels or [absorb_delta] appended past the round-start rows, and R's
+     growth is charged here. [stratum]/[iteration] locate the absorption on
      the fixpoint timeline for provenance tags. [claimed] is |Rδ|, the
      candidate set the Δ was cut from, for the next DSD µ.
 
-     Suffix invariant: whenever delta plans run, every recursive,
-     non-aggregated IDB table ends with exactly its Δ-table's rows, so the
-     planner's [Plan.Old] reads (the rows before the Δ-suffix) are the table
-     as it stood before the last absorb. Four things keep it true:
-     - absorb appends Δ to the table (below) and makes it the Δ-table;
-     - the [Ev_none] drain empties a Δ-table and leaves its table alone;
-     - each stratum ends with every Δ-table emptied;
-     - a Jacobi round evaluates every IDB before it absorbs any.
-     Aggregated IDBs rebuild their table every round, so the planner never
-     reads their old rows. [Executor.old_bound] raises when a Δ-table is
-     longer than its table. *)
-  let absorb_delta ~stratum ~iteration (st : idb_state) ~claimed delta =
-    st.mu_prev <-
-      Some
-        (Cost.observed_mu ~rdelta_rows:claimed
-           ~intersection_rows:(claimed - Relation.nrows delta));
+     Range invariant: whenever delta plans run, every recursive,
+     non-aggregated IDB's Δ is rows [lo, hi) of its own table, [hi] is
+     where the round started, and the planner's [Plan.Old] reads [0, lo),
+     the table as it stood before the last absorb. Every read of a round
+     ends at [hi], so rows appended during the round are seen only from
+     the next one. Four things keep it true:
+     - absorb moves the range to [hi, nrows) (below);
+     - the [Ev_none] drain empties a Δ at its table's end;
+     - each stratum ends with every Δ empty at its table's end;
+     - a Jacobi round evaluates every IDB before it absorbs any, and a
+       degraded kernel round truncates its table back to [hi].
+     Aggregated IDBs rebuild their table every round and keep their Δ in
+     the changed-groups relation, so the planner never reads their old
+     rows. [Catalog.set_delta] refuses a range outside its relation. *)
+  let absorb_range ~stratum ~iteration (st : idb_state) ~claimed ~lo =
     let r = Catalog.rel catalog st.name in
-    Relation.append_all r delta;
+    let hi = Relation.nrows r in
+    st.mu_prev <-
+      Some (Cost.observed_mu ~rdelta_rows:claimed ~intersection_rows:(claimed - (hi - lo)));
     Relation.account r;
     if not options.eost then begin
-      Txn.note_dirty txn (Relation.row_bytes delta);
+      Txn.note_dirty txn (8 * st.arity * (hi - lo));
       Txn.query_boundary txn
     end;
-    prov_record ~pred:st.name ~stratum ~iteration delta;
-    replace_table (Planner.delta_name st.name) delta;
-    Relation.nrows delta
+    prov_record ~pred:st.name ~stratum ~iteration ~lo ~hi r;
+    Catalog.set_delta catalog st.name ~lo ~hi ();
+    hi - lo
+  in
+  (* The interpreted path's Δ, fresh from a set difference: appended to R
+     once, then released, as R's rows hold it. *)
+  let absorb_delta ~stratum ~iteration (st : idb_state) ~claimed delta =
+    let lo = round_start st.name in
+    Relation.append_all (Catalog.rel catalog st.name) delta;
+    Relation.release delta;
+    absorb_range ~stratum ~iteration st ~claimed ~lo
+  in
+  (* An empty Δ at the end of its table. For an aggregated IDB this
+     releases the changed-groups relation the Δ lay in. *)
+  let drain_delta name =
+    let n = round_start name in
+    Catalog.set_delta catalog name ~lo:n ~hi:n ()
   in
   (* Process the deduplicated candidates [rdelta] of one IDB; returns |Δ|. *)
   let absorb_candidates ~stratum ~iteration (st : idb_state) rdelta =
     match st.agg with
     | Some ag ->
-        let delta = Aggregate.absorb pool ag ~name:(Planner.delta_name st.name) rdelta in
+        let delta = Aggregate.absorb pool ag ~name:st.name rdelta in
         (* Tag the changed groups with their current merged value: the tuple
            a group holds in the final relation is exactly the one recorded
            at its last improvement, so every surviving aggregate row carries
            a tag (superseded values keep stale tags that no live row ever
            looks up). *)
         prov_record ~pred:st.name ~stratum ~iteration delta;
-        replace_table (Planner.delta_name st.name) delta;
-        (* R is the finalized view of the state. *)
+        (* The previous changed groups go before R is rebuilt. R is the
+           finalized view of the state, and its Δ lies in the changed
+           groups. *)
+        drain_delta st.name;
         replace_table st.name (Aggregate.to_relation pool ag ~name:st.name);
+        Catalog.set_delta catalog st.name ~src:delta ~lo:0 ~hi:(Relation.nrows delta) ();
         Relation.nrows delta
     | None ->
         let r = Catalog.rel catalog st.name in
@@ -524,11 +550,13 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
       if not options.hoard_memory then Relation.release candidates;
       let d = absorb_candidates ~stratum:stratum.index ~iteration:0 st rdelta in
       if not options.hoard_memory then Relation.release rdelta;
-      analyze_updated [ st.name; Planner.delta_name st.name ];
+      analyze_updated [ st.name ];
       d
     in
     count_iteration ();
-    let deltas0 = with_span "iter-0" (fun () -> List.map (fun st -> (st, iteration0 st)) idb_states) in
+    let deltas0 =
+      with_span (fun () -> "iter-0") (fun () -> List.map (fun st -> (st, iteration0 st)) idb_states)
+    in
     List.iter
       (fun (st, d) ->
         note_iteration
@@ -549,25 +577,25 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
         check_timeout ();
         let any = ref false in
         with_span
-          (Printf.sprintf "iter-%d" !iteration)
+          (fun () -> Printf.sprintf "iter-%d" !iteration)
           (fun () ->
             (* Jacobi rounds: evaluate every IDB's queries against the previous
-               iteration's Δ-tables FIRST, then absorb. Absorbing one IDB before
-               evaluating the next would replace a Δ-table that mutually
-               recursive rules of later IDBs still need to consume. *)
+               iteration's Δs FIRST, then absorb. Absorbing one IDB before
+               evaluating the next would move a Δ that mutually recursive
+               rules of later IDBs still need to consume; kernels append to
+               their table during the evaluation, but every read ends at the
+               round-start rows. *)
             let produced =
               List.map
                 (fun st ->
-                  (* Empty-delta skip: a subplan scanning a Δ-table that went
+                  (* Empty-delta skip: a subplan scanning a Δ that went
                      empty cannot derive anything, so it is never issued —
                      a stratum whose deltas all drain terminates without
                      evaluating the remaining rule subplans. The kernel path
                      honors the same skip (its kernels are aligned 1:1 with
                      the delta plans). *)
                   let dps = delta_plans st in
-                  let is_live (dpred, _) =
-                    Relation.nrows (Catalog.rel catalog (Planner.delta_name dpred)) > 0
-                  in
+                  let is_live (dpred, _) = Catalog.delta_rows catalog dpred > 0 in
                   let plans = List.map snd (List.filter is_live dps) in
                   let result =
                     if plans = [] then Ev_none
@@ -601,21 +629,17 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
                     }
                 in
                 let absorbed d =
-                  analyze_updated [ st.name; Planner.delta_name st.name ];
+                  analyze_updated [ st.name ];
                   if d > 0 then any := true;
                   note d
                 in
                 match result with
                 | Ev_none ->
-                    (* Every subplan was skipped, but this IDB's own Δ-table
-                       may still hold the previous round's delta; drain it so
+                    (* Every subplan was skipped, but this IDB's own Δ may
+                       still hold the previous round's rows; drain it so
                        mutually recursive consumers don't re-read it next
                        round. *)
-                    let dn = Planner.delta_name st.name in
-                    if Relation.nrows (Catalog.rel catalog dn) > 0 then begin
-                      replace_table dn (Relation.create ~name:dn st.arity);
-                      analyze_updated [ dn ]
-                    end;
+                    drain_delta st.name;
                     note 0
                 | Ev_raw rt ->
                     let rdelta =
@@ -626,26 +650,28 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
                     let d = absorb_candidates ~stratum:stratum.index ~iteration:!iteration st rdelta in
                     if not options.hoard_memory then Relation.release rdelta;
                     absorbed d
-                | Ev_delta { delta; claimed } ->
-                    (* kernel output is already the Δ: no dedup pass and no
-                       set difference. The kernel ran OPSD's probe of R's
-                       set inside its claims, so the absorb records an OPSD
-                       choice. *)
+                | Ev_delta { claimed } ->
+                    (* kernel output is already the Δ, in R: no dedup pass
+                       and no set difference. The kernel ran OPSD's probe of
+                       R's set inside its claims, so the absorb records an
+                       OPSD choice. *)
                     note_choice st Cost.Opsd ~r_rows:(Catalog.stat_rows catalog st.name)
                       ~rdelta_rows:claimed;
-                    let d = absorb_delta ~stratum:stratum.index ~iteration:!iteration st ~claimed delta in
+                    let d =
+                      absorb_range ~stratum:stratum.index ~iteration:!iteration st ~claimed
+                        ~lo:(round_start st.name)
+                    in
                     cover_r_set st;
                     absorbed d)
               produced);
         continue_ := !any
       done
     end;
-    (* Clear Δ tables so later strata see empty deltas, and free the
-       aggregate states, whose relations are final. *)
+    (* Empty every Δ at its table's end, so later strata read whole tables,
+       and free the aggregate states, whose relations are final. *)
     List.iter
       (fun st ->
-        let d = Planner.delta_name st.name in
-        replace_table d (Relation.create ~name:d st.arity);
+        drain_delta st.name;
         Option.iter Aggregate.release st.agg)
       idb_states
   in
@@ -723,7 +749,7 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
     (fun stratum ->
       check_timeout ();
       with_span
-        (Printf.sprintf "stratum-%d" stratum.Analyzer.index)
+        (fun () -> Printf.sprintf "stratum-%d" stratum.Analyzer.index)
         (fun () -> if not (try_pbme stratum) then eval_stratum stratum))
     an.Analyzer.strata;
   if options.eost then

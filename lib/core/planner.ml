@@ -2,8 +2,6 @@ open Ast
 module Plan = Rs_exec.Plan
 module Expr = Rs_exec.Expr
 
-let delta_name pred = pred ^ "@delta"
-
 type compiled =
   | Fact of int array
   | Query of { base : Plan.t; deltas : (string * Plan.t) list }
@@ -13,7 +11,7 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Analyzer.Analysis_error m)) fmt
 (* Scan of one body atom: constants and repeated variables become filter
    predicates; returns the plan and the atom's variable bindings
    (first-occurrence column per variable). [source] lets the caller redirect
-   the read to the Δ-table or to the rows before it. *)
+   the read to the table's Δ or to the rows before it. *)
 let atom_scan ?source a =
   let source = Option.value source ~default:(Plan.Scan a.pred) in
   let preds = ref [] and binds = ref [] in
@@ -69,12 +67,12 @@ let head_exprs binds head_args =
        head_args)
 
 (* Compile the rule body with the [i]-th current-stratum atom occurrence
-   (if [delta_occurrence >= 0]) redirected to its Δ-table. Earlier recursive
-   occurrences read only the rows before their table's Δ-suffix ([Plan.Old]),
+   (if [delta_occurrence >= 0]) redirected to its Δ. Earlier recursive
+   occurrences read only the rows before their table's Δ ([Plan.Old]),
    later ones the whole table: the product rule
    Δ(R⋈S) = ΔR⋈S_new ∪ R_old⋈ΔS, so the delta plans of one rule derive each
    combination of rows exactly once. An aggregated IDB's table is rebuilt
-   every round and its Δ is not a suffix of it, so it is always read whole. *)
+   every round and its Δ is not a range of it, so it is always read whole. *)
 let compile_body analyzer stratum rule ~delta_occurrence =
   let positive =
     List.filter_map (function L_pos a -> Some a | L_neg _ | L_cmp _ -> None) rule.body
@@ -86,9 +84,9 @@ let compile_body analyzer stratum rule ~delta_occurrence =
     if not (recursive_here a) then None
     else begin
       incr occurrence;
-      if !occurrence = delta_occurrence then Some (Plan.Scan (delta_name a.pred))
+      if !occurrence = delta_occurrence then Some (Plan.Delta a.pred)
       else if !occurrence < delta_occurrence && Analyzer.agg_sig analyzer a.pred = None then
-        Some (Plan.Old { table = a.pred; delta = delta_name a.pred })
+        Some (Plan.Old a.pred)
       else None
     end
   in
@@ -191,7 +189,7 @@ let compile_rule analyzer stratum rule =
       in
       (* Recursive predicates in body order — the same positive-atom walk
          [compile_body]'s occurrence counter performs, so occurrence [i]
-         scans the Δ-table of [List.nth rec_preds i]. *)
+         scans the Δ of [List.nth rec_preds i]. *)
       let rec_preds =
         List.filter_map
           (function

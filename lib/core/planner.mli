@@ -6,13 +6,13 @@
     anti-joins against lower-stratum tables, and the head projection
     embedded in the top operator. For rules in a recursive stratum the
     semi-naive delta rewriting produces one subplan per occurrence of a
-    current-stratum predicate, scanning that occurrence's Δ-table. The
-    rewriting is exact: recursive occurrences before the Δ read the rows
-    before their table's Δ-suffix ({!Plan.Old}), those after it read the
-    full table, so no combination of Δ rows is derived by two subplans.
-    Aggregated IDBs are always read in full (their Δ is not a suffix of
-    their table); a rule with one recursive atom gets plain full scans,
-    exactly as before.
+    current-stratum predicate, reading that occurrence's Δ ({!Plan.Delta},
+    a row range of its table). The rewriting is exact: recursive
+    occurrences before the Δ read the rows before their table's Δ
+    ({!Plan.Old}), those after it read the full table, so no combination
+    of Δ rows is derived by two subplans. Aggregated IDBs are always read
+    in full (their Δ is not a range of their table); a rule with one
+    recursive atom gets plain full scans, exactly as before.
 
     Aggregate-headed rules compile to *candidate* plans: the aggregate
     argument's value is emitted as a plain column and the interpreter's
@@ -21,16 +21,13 @@
 
 module Plan = Rs_exec.Plan
 
-val delta_name : string -> string
-(** Catalog name of a predicate's Δ-table ("pred@delta"). *)
-
 type compiled =
   | Fact of int array  (** ground rule: tuple to seed the head relation *)
   | Query of {
       base : Plan.t;  (** all-full-tables version (initialization) *)
       deltas : (string * Plan.t) list;
           (** one per current-stratum atom occurrence, tagged with the
-              predicate whose Δ-table the subplan scans — the interpreter
+              predicate whose Δ the subplan scans — the interpreter
               skips subplans whose Δ went empty; empty list for base rules *)
     }
 

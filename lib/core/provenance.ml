@@ -203,14 +203,14 @@ let record t ~pred ~stratum ~iteration row =
   load_row tbl.scratch 0 row;
   record_scratch t tbl ~stratum ~iteration
 
-let record_relation t ~pred ~stratum ~iteration rel =
-  let n = Rs_relation.Relation.nrows rel in
-  if n > 0 then begin
+let record_relation t ~pred ~stratum ~iteration ?(lo = 0) ?hi rel =
+  let hi = Option.value hi ~default:(Rs_relation.Relation.nrows rel) in
+  if hi > lo then begin
     let arity = Rs_relation.Relation.arity rel in
     let tbl = table_of t pred arity in
-    room tbl n;
+    room tbl (hi - lo);
     let cols = Array.init arity (Rs_relation.Relation.col rel) in
-    for row = 0 to n - 1 do
+    for row = lo to hi - 1 do
       for c = 0 to arity - 1 do
         tbl.scratch.(c) <- Rs_util.Int_vec.get cols.(c) row
       done;

@@ -53,9 +53,17 @@ val reserve : t -> pred:string -> arity:int -> int -> unit
     allocates the table once instead of growing it. *)
 
 val record_relation :
-  t -> pred:string -> stratum:int -> iteration:int -> Rs_relation.Relation.t -> unit
-(** [record] for every row of a relation, read column by column: the
-    absorption points hand their whole Δ here, so no row is boxed. *)
+  t ->
+  pred:string ->
+  stratum:int ->
+  iteration:int ->
+  ?lo:int ->
+  ?hi:int ->
+  Rs_relation.Relation.t ->
+  unit
+(** [record] for rows [\[lo, hi)] of a relation (default: every row), read
+    column by column: the absorption points hand their Δ's row range
+    here, so no row is boxed. *)
 
 val retract : t -> pred:string -> int list -> unit
 (** Drop the tag of a tuple that left its relation (IVM retraction). *)

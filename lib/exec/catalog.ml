@@ -7,10 +7,13 @@ type full_stats = {
   distinct_estimate : int;
 }
 
+type range = { src : Relation.t; lo : int; hi : int }
+
 type entry = {
   mutable rel : Relation.t;
   mutable stat_rows : int;
   mutable full : full_stats option;
+  mutable delta : range option;
 }
 
 type t = (string, entry) Hashtbl.t
@@ -18,7 +21,7 @@ type t = (string, entry) Hashtbl.t
 let create () = Hashtbl.create 64
 
 let register t name rel =
-  Hashtbl.replace t name { rel; stat_rows = Relation.nrows rel; full = None }
+  Hashtbl.replace t name { rel; stat_rows = Relation.nrows rel; full = None; delta = None }
 
 let find t name =
   match Hashtbl.find_opt t name with
@@ -29,12 +32,46 @@ let rel t name = (find t name).rel
 
 let mem t name = Hashtbl.mem t name
 
+(* A Δ held in a relation other than its table is the catalog's to
+   release. *)
+let release_delta e =
+  match e.delta with Some d when d.src != e.rel -> Relation.release d.src | _ -> ()
+
 let drop t name =
   match Hashtbl.find_opt t name with
   | Some e ->
       Relation.release e.rel;
+      release_delta e;
       Hashtbl.remove t name
   | None -> ()
+
+let set_delta t name ?src ~lo ~hi () =
+  let e = find t name in
+  let src = Option.value src ~default:e.rel in
+  if lo < 0 || lo > hi || hi > Relation.nrows src then
+    invalid_arg
+      (Printf.sprintf "Catalog.set_delta: Δ [%d, %d) of %s lies outside its %d rows" lo hi name
+         (Relation.nrows src));
+  (match e.delta with Some d when d.src != src -> release_delta e | _ -> ());
+  e.delta <- Some { src; lo; hi }
+
+type read = Full | Old | Delta
+
+let read t name what =
+  let e = find t name in
+  match (e.delta, what) with
+  | None, (Full | Old) -> (e.rel, 0, Relation.nrows e.rel)
+  | None, Delta ->
+      let n = Relation.nrows e.rel in
+      (e.rel, n, n)
+  | Some d, Full when d.src == e.rel -> (e.rel, 0, d.hi)
+  | Some _, Full -> (e.rel, 0, Relation.nrows e.rel)
+  | Some d, Old when d.src == e.rel -> (e.rel, 0, d.lo)
+  | Some _, Old -> invalid_arg (Printf.sprintf "Catalog.read: %s has no rows before its Δ" name)
+  | Some d, Delta -> (d.src, d.lo, d.hi)
+
+let delta_rows t name =
+  match (find t name).delta with Some d -> d.hi - d.lo | None -> 0
 
 let analyze_rows t name =
   let e = find t name in

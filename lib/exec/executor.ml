@@ -17,14 +17,16 @@ let create ?(query_overhead_s = 0.0005) ?(share_builds = true) ?index_manager ?t
     catalog =
   { pool; catalog; query_overhead_s; share_builds; index_manager; trace }
 
-let estimate t p = Plan.estimate (fun name -> Catalog.stat_rows t.catalog name) p
+let estimate t p =
+  Plan.estimate ~rows:(Catalog.stat_rows t.catalog) ~delta_rows:(Catalog.delta_rows t.catalog) p
 
 let arity_of t p = Plan.arity (fun name -> Relation.arity (Catalog.rel t.catalog name)) p
 
 (* short operator label for trace spans/events *)
 let plan_label = function
   | Plan.Scan n -> "scan:" ^ n
-  | Plan.Old { table; _ } -> "old:" ^ table
+  | Plan.Old n -> "old:" ^ n
+  | Plan.Delta n -> "delta:" ^ n
   | Plan.Rel _ -> "rel"
   | Plan.Filter _ -> "filter"
   | Plan.Project _ -> "project"
@@ -58,7 +60,13 @@ let build_transient_set t rel keys =
 type cache = {
   indexes : (string * int list, Hash_index.t) Hashtbl.t;
   sets : (string * int list, Dedup.t) Hashtbl.t;
+  deltas : (string * int list, delta_index) Hashtbl.t;  (* keyed by the Δ's table *)
 }
+
+(* A build-side index over a Δ range. An index covers its relation from
+   row 0, so a range that does not start there is copied out first, and
+   the copy lives as long as the index. *)
+and delta_index = { idx : Hash_index.t; copied : bool }
 
 let managed t = function
   | Some name -> (
@@ -105,9 +113,14 @@ let build_member_set t ?cache ?scan_name rel keys =
 let with_owned (set, own) f =
   Fun.protect ~finally:(fun () -> if own then Dedup.release set) (fun () -> f set)
 
+let release_delta_index d =
+  Hash_index.release d.idx;
+  if d.copied then Relation.release (Hash_index.relation d.idx)
+
 let release_cache c =
   Hashtbl.iter (fun _ idx -> Hash_index.release idx) c.indexes;
-  Hashtbl.iter (fun _ set -> Dedup.release set) c.sets
+  Hashtbl.iter (fun _ set -> Dedup.release set) c.sets;
+  Hashtbl.iter (fun _ idx -> release_delta_index idx) c.deltas
 
 (* Acquisition for compiled kernels: same three-tier policy as a join's
    build side, minus the per-query cache (a kernel is not a query). The
@@ -118,46 +131,69 @@ let claim_set t ?scan_name rel keys =
   acquire t ~from_manager:Index_manager.claim_set ~build:build_transient_set
     ~tbl:(fun c -> c.sets) ?scan_name rel keys
 
-(* The row bound of an [Old] read: how many rows of [table] come before
-   its Δ-suffix. A Δ longer than its table means the suffix invariant is
-   broken, and reading a prefix would silently drop or repeat rows. *)
-let old_bound t ~table ~delta =
-  let n = Relation.nrows (Catalog.rel t.catalog table) in
-  let d = Relation.nrows (Catalog.rel t.catalog delta) in
-  if d > n then
-    invalid_arg
-      (Printf.sprintf "Plan.Old: %s has %d rows, more than the %d of %s" delta d n table);
-  n - d
+(* The rows [\[start, stop)] a leaf reads, as the catalog holds them. *)
+let read_leaf t = function
+  | Plan.Scan n -> Catalog.read t.catalog n Catalog.Full
+  | Plan.Old n -> Catalog.read t.catalog n Catalog.Old
+  | Plan.Delta n -> Catalog.read t.catalog n Catalog.Delta
+  | _ -> invalid_arg "Executor.read_leaf"
 
 (* Merge per-chunk output fragments in chunk order (the virtual pool runs
    chunks sequentially, so a list ref is race-free; chunk order keeps results
-   deterministic). *)
-let chunked_output t ~arity ~n f =
+   deterministic). [f frag lo hi] fills a fragment from rows [\[lo, hi)] of
+   the range [\[start, stop)]. *)
+let chunked_output t ~arity ~start ~stop f =
   let fragments = ref [] in
-  Pool.parallel_for t.pool 0 n (fun lo hi ->
+  Pool.parallel_for t.pool start stop (fun lo hi ->
       let frag = Relation.create arity in
       f frag lo hi;
       fragments := frag :: !fragments);
   Relation.concat_parallel t.pool arity (List.rev !fragments)
 
+(* Rows [\[start, stop)] of [rel] as a relation of their own: [rel] itself
+   when that is every row, else an accounted copy. *)
+let materialize t (rel, start, stop) =
+  if start = 0 && stop = Relation.nrows rel then rel
+  else
+    let arity = Relation.arity rel in
+    chunked_output t ~arity ~start ~stop (fun frag lo hi ->
+        for row = lo to hi - 1 do
+          for c = 0 to arity - 1 do
+            Int_vec.push (Relation.col frag c) (Relation.get rel ~row ~col:c)
+          done
+        done)
+
+(* The index over Δ [range] of table [name], shared per query like a
+   table's build side; [owned] when the caller must
+   {!release_delta_index} it. *)
+let acquire_delta_index t (cache : cache option) name ((rel, _, _) as range) keys =
+  let build () =
+    let copy = materialize t range in
+    { idx = build_transient t copy keys; copied = copy != rel }
+  in
+  match cache with
+  | Some c -> (
+      let k = (name, Array.to_list keys) in
+      match Hashtbl.find_opt c.deltas k with
+      | Some d ->
+          count t "executor.index_cache_hits" 1;
+          (d, false)
+      | None ->
+          let d = build () in
+          Hashtbl.add c.deltas k d;
+          (d, false))
+  | None -> (build (), true)
+
 let rec eval t (cache : cache option) plan : Relation.t =
   match plan with
-  | Plan.Scan name -> Catalog.rel t.catalog name
-  | Plan.Old _ ->
-      (* only reached where no operator reads the prefix in place *)
-      let input, n = eval_rows t cache plan in
-      let arity = Relation.arity input in
-      chunked_output t ~arity ~n (fun frag lo hi ->
-          for row = lo to hi - 1 do
-            for c = 0 to arity - 1 do
-              Int_vec.push (Relation.col frag c) (Relation.get input ~row ~col:c)
-            done
-          done)
+  | Plan.Scan _ | Plan.Old _ | Plan.Delta _ ->
+      (* only reached where no operator reads the rows in place *)
+      materialize t (read_leaf t plan)
   | Plan.Rel r -> r
   | Plan.Filter (preds, src) ->
-      let input, n = eval_rows t cache src in
+      let input, start, stop = eval_rows t cache src in
       let arity = Relation.arity input in
-      chunked_output t ~arity ~n (fun frag lo hi ->
+      chunked_output t ~arity ~start ~stop (fun frag lo hi ->
           for row = lo to hi - 1 do
             let get c = Relation.get input ~row ~col:c in
             if List.for_all (Expr.test get) preds then
@@ -166,10 +202,9 @@ let rec eval t (cache : cache option) plan : Relation.t =
               done
           done)
   | Plan.Project (exprs, src) ->
-      let input = eval t cache src in
+      let input, start, stop = eval_rows t cache src in
       let arity = Array.length exprs in
-      let n = Relation.nrows input in
-      chunked_output t ~arity ~n (fun frag lo hi ->
+      chunked_output t ~arity ~start ~stop (fun frag lo hi ->
           for row = lo to hi - 1 do
             let get c = Relation.get input ~row ~col:c in
             Array.iteri (fun i e -> Int_vec.push (Relation.col frag i) (Expr.eval get e)) exprs
@@ -184,23 +219,19 @@ let rec eval t (cache : cache option) plan : Relation.t =
       let parts = List.map (fun p -> eval t cache p) ps in
       Relation.concat_parallel t.pool arity parts
 
-(* The relation an operator reads and how many of its leading rows the plan
-   covers: an [Old] reads its table in place up to the Δ-suffix, anything
-   else is evaluated whole. *)
+(* The relation an operator reads and the rows [\[start, stop)] of it the
+   plan covers: a leaf reads its table in place, anything else is
+   evaluated whole. *)
 and eval_rows t cache = function
-  | Plan.Old { table; delta } -> (Catalog.rel t.catalog table, old_bound t ~table ~delta)
+  | (Plan.Scan _ | Plan.Old _ | Plan.Delta _) as leaf -> read_leaf t leaf
   | p ->
       let r = eval t cache p in
-      (r, Relation.nrows r)
+      (r, 0, Relation.nrows r)
 
 and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
-  (* [Old] shares its table's index with a full scan of it *)
-  let scan_name = function Plan.Scan n | Plan.Old { table = n; _ } -> Some n | _ -> None in
-  let lrel, lbound = eval_rows t cache l and rrel, rbound = eval_rows t cache r in
-  let la = Relation.arity lrel in
-  let out_arity =
-    match out with Some es -> Array.length es | None -> la + Relation.arity rrel
-  in
+  (* [Old] shares its table's index with a full scan of it; a [Delta] is a
+     row set of its own *)
+  let scan_name = function Plan.Scan n | Plan.Old n -> Some n | _ -> None in
   (* Build-side choice from optimizer estimates (not true sizes): this is
      the decision OOF keeps honest by refreshing row counts. A side whose
      index persists across iterations (the manager's tables) trumps the
@@ -216,16 +247,35 @@ and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
         let est_l = estimate t l and est_r = estimate t r in
         est_l <= est_r
   in
-  let brel, bkeys, bname, bbound, prel, pkeys, n =
-    if build_left then (lrel, lkeys, lname, lbound, rrel, rkeys, rbound)
-    else (rrel, rkeys, rname, rbound, lrel, lkeys, lbound)
+  let build, bkeys, bname, probe, pkeys =
+    if build_left then (l, lkeys, lname, r, rkeys) else (r, rkeys, rname, l, lkeys)
   in
-  (* The index covers the whole build table; an [Old] build side skips the
-     matches in its Δ-suffix (they lead each newest-first chain). *)
-  let idx, own_index = build_index t ?cache ?scan_name:bname brel bkeys in
+  let prel, pstart, pstop = eval_rows t cache probe in
+  (* A table's index covers all its rows; the matches at rows from [bstop]
+     on (an [Old] read's Δ, rows appended since the round started) lead
+     each newest-first chain and are skipped. A Δ build side gets an index
+     over its rows alone. *)
+  let brel, bstop, idx, release =
+    match build with
+    | Plan.Delta name ->
+        let d, owned = acquire_delta_index t cache name (read_leaf t build) bkeys in
+        ( Hash_index.relation d.idx,
+          Hash_index.indexed_rows d.idx,
+          d.idx,
+          fun () -> if owned then release_delta_index d )
+    | _ ->
+        let brel, _, bstop = eval_rows t cache build in
+        let idx, owned = build_index t ?cache ?scan_name:bname brel bkeys in
+        (brel, bstop, idx, fun () -> if owned then Hash_index.release idx)
+  in
+  let lrel, rrel = if build_left then (brel, prel) else (prel, brel) in
+  let la = Relation.arity lrel in
+  let out_arity =
+    match out with Some es -> Array.length es | None -> la + Relation.arity rrel
+  in
   let key = Array.make (Array.length pkeys) 0 in
   let result =
-    chunked_output t ~arity:out_arity ~n (fun frag lo hi ->
+    chunked_output t ~arity:out_arity ~start:pstart ~stop:pstop (fun frag lo hi ->
         for prow = lo to hi - 1 do
           Array.iteri (fun i c -> key.(i) <- Relation.get prel ~row:prow ~col:c) pkeys;
           Hash_index.iter_matches idx key (fun brow ->
@@ -234,7 +284,7 @@ and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
                 if c < la then Relation.get lrel ~row:lrow ~col:c
                 else Relation.get rrel ~row:rrow ~col:(c - la)
               in
-              if brow < bbound && List.for_all (Expr.test get) extra then
+              if brow < bstop && List.for_all (Expr.test get) extra then
                 match out with
                 | Some exprs ->
                     Array.iteri
@@ -246,16 +296,15 @@ and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
                     done)
         done)
   in
-  if own_index then Hash_index.release idx;
+  release ();
   result
 
 and eval_anti t cache { Plan.al; ar; alkeys; arkeys } =
   let scan_name = function Plan.Scan n -> Some n | _ -> None in
-  let lrel = eval t cache al and rrel = eval t cache ar in
+  let lrel, start, stop = eval_rows t cache al and rrel = eval t cache ar in
   let arity = Relation.arity lrel in
-  let n = Relation.nrows lrel in
   let copy_if keep =
-    chunked_output t ~arity ~n (fun frag lo hi ->
+    chunked_output t ~arity ~start ~stop (fun frag lo hi ->
         for row = lo to hi - 1 do
           if keep row then
             for c = 0 to arity - 1 do
@@ -280,7 +329,8 @@ let run_query t plan =
   Pool.add_serial t.pool t.query_overhead_s;
   let go () =
     let cache =
-      if t.share_builds then Some { indexes = Hashtbl.create 8; sets = Hashtbl.create 8 }
+      if t.share_builds then
+        Some { indexes = Hashtbl.create 8; sets = Hashtbl.create 8; deltas = Hashtbl.create 4 }
       else None
     in
     let result = eval t cache plan in
@@ -316,7 +366,7 @@ let full_table_set t ?name r = build_member_set t ?scan_name:name r (all_cols r)
 let anti_probe t src set =
   let arity = Relation.arity src in
   let key = Array.make arity 0 in
-  chunked_output t ~arity ~n:(Relation.nrows src) (fun frag lo hi ->
+  chunked_output t ~arity ~start:0 ~stop:(Relation.nrows src) (fun frag lo hi ->
       for row = lo to hi - 1 do
         for c = 0 to arity - 1 do
           key.(c) <- Relation.get src ~row ~col:c

@@ -18,6 +18,13 @@ module Dedup = Rs_relation.Dedup
       of a UNION ALL (the cache-sharing effect of UIE);
     - a transient build, released when the operator finishes.
 
+    Plan leaves read their tables in place, over the row range the
+    {!Catalog} holds ({!Catalog.read}): a recursive IDB's full table and
+    its rows before the Δ end where the round started, and its Δ is a row
+    range of the same table. A join's build index covers a whole table and
+    skips matches past the leaf's range; a Δ on the build side is indexed
+    over its own rows, copied out when they do not start at row 0.
+
     Joins probe a {!Hash_index}. Operators that only ask whether a tuple is
     present — anti-joins, both set differences and the kernels' claims
     into the head table's set — probe a membership set instead (a FAST-DEDUP table,
@@ -95,8 +102,3 @@ val claim_set : t -> ?scan_name:string -> Relation.t -> int array -> Dedup.t * b
     manager a {!Index_manager.cover_set} or {!Index_manager.drop_set}) or
     a transient one the caller must {!Dedup.release}. *)
 
-val old_bound : t -> table:string -> delta:string -> int
-(** [old_bound t ~table ~delta] is the row bound of
-    [Plan.Old { table; delta }]: [nrows table - nrows delta], the rows of
-    [table] before its Δ-suffix. Raises [Invalid_argument] when [delta] has
-    more rows than [table]. *)

@@ -16,7 +16,8 @@
 
     Invalidation is by identity and generation: an entry is reused only if
     the catalog still maps the name to the {e same} [Relation.t] (physical
-    equality — [replace_table] churn on delta tables is caught here) {e and}
+    equality — an aggregated IDB's table, rebuilt every round, is caught
+    here) {e and}
     the relation's {!Rs_relation.Relation.generation} is unchanged (clears
     and in-place rewrites bump it). Anything else rebuilds.
 
@@ -33,16 +34,20 @@
     itself, appending each absorbed Δ at the next access. On compiled-kernel
     strata the kernels do: the interpreter takes the set with
     {!claim_set} (which probes [index_set.append] once per round, before
-    the kernels' first claim), every fresh tuple a kernel emits is claimed
-    in it, and after the absorb {!cover_set} records that it already holds
-    the Δ — so the next round appends nothing. A round whose kernel
-    degrades drops the set ({!drop_set}) before the interpreted fallback's
-    set difference rebuilds it.
+    the kernels' first claim), every fresh tuple a kernel appends to R is
+    claimed in it, and after the absorb {!cover_set} records that it
+    already holds the Δ — so the next round appends nothing. A round whose
+    kernel degrades truncates R and drops the set ({!drop_set}) before the
+    interpreted fallback's set difference rebuilds it.
 
     The [persistent] predicate supplied at creation decides which table
     names are worth managing (the interpreter passes EDBs and
-    non-aggregated IDB full tables; per-iteration delta tables are excluded
-    because their backing relation changes identity every iteration).
+    non-aggregated IDB full tables; aggregated IDB tables are excluded
+    because their relation changes identity every iteration). A recursive
+    IDB's Δ is a row range of its table, so it has no table of its own to
+    manage. A kernel round appends rows to the table before its Δ moves,
+    so an access later in the same round extends the index over them, and
+    readers skip them by their row bound.
 
     All index and set bytes are accounted against {!Rs_storage.Memtrack};
     the owner must call {!release_all} when the run ends. With a trace
@@ -89,12 +94,12 @@ val get_set : t -> name:string -> Rs_relation.Relation.t -> int array -> Rs_rela
 val claim_set : t -> name:string -> Rs_relation.Relation.t -> int array -> Rs_relation.Dedup.t
 (** [claim_set t ~name rel keys] is {!get_set} for a caller that will
     itself add [rel]'s next rows to the set — the compiled kernels, which
-    claim every tuple they emit in the head table's set. It probes
+    claim every tuple they append to the head table in its set. It probes
     [index_set.append] exactly once, before any write: before the catch-up
     append of rows [rel] gained since the set last covered it, and before
-    the caller's own claims. Until {!cover_set} the set holds rows [rel]
-    lacks, so nothing else may probe it in between; a caller that ends up
-    not appending those rows must {!drop_set} it. *)
+    the caller's own claims. Until {!cover_set} the set holds rows past
+    those it records covering, so nothing else may probe it in between; a
+    caller that takes those rows back out of [rel] must {!drop_set} it. *)
 
 val cover_set : t -> name:string -> Rs_relation.Relation.t -> int array -> unit
 (** [cover_set t ~name rel keys] records that the set {!claim_set} handed

@@ -13,8 +13,8 @@ let () =
     | Degraded point -> Some (Printf.sprintf "Rs_exec.Kernel.Degraded(%s)" point)
     | _ -> None)
 
-(* One atom of the flattened body: [s_name]'s rows below the bound an
-   [Old] read ([s_before] = its Δ-table) puts on the table, bound into the
+(* One atom of the flattened body: the rows of [s_name] that [s_read]
+   names (the whole table, the rows before its Δ, or the Δ), bound into the
    combined frame at [s_off]. A step probes [s_name]'s index on local
    columns [s_keys] with the frame values at [s_probe], then tests
    [s_preds] — the atom's own filters plus any equality that did not become
@@ -24,7 +24,7 @@ let () =
    they are copied into the frame. *)
 type atom = {
   s_name : string;
-  s_before : string option;
+  s_read : Catalog.read;
   s_off : int;
   s_arity : int;
   s_keys : int array;
@@ -41,20 +41,21 @@ type t = {
   out : Expr.t array;  (* the head, over the combined frame *)
 }
 
-(* Collapse Filter* over a Scan or an Old into (table, the Δ-table bounding
-   it if any, filters); anything deeper is not kernel-shaped. *)
+(* Collapse Filter* over a leaf into (table, what it reads of it, filters);
+   anything deeper is not kernel-shaped. *)
 let rec flatten_scan preds = function
-  | Plan.Scan name -> Some (name, None, preds)
-  | Plan.Old { table; delta } -> Some (table, Some delta, preds)
+  | Plan.Scan name -> Some (name, Catalog.Full, preds)
+  | Plan.Old name -> Some (name, Catalog.Old, preds)
+  | Plan.Delta name -> Some (name, Catalog.Delta, preds)
   | Plan.Filter (ps, src) -> flatten_scan (preds @ ps) src
   | _ -> None
 
 (* An atom of a flattened join tree, not yet keyed: its filters are
    already shifted into the combined frame. *)
-let atom_of table_arity ~off (name, before, preds) =
+let atom_of table_arity ~off (name, read, preds) =
   {
     s_name = name;
-    s_before = before;
+    s_read = read;
     s_off = off;
     s_arity = table_arity name;
     s_keys = [||];
@@ -103,11 +104,11 @@ let with_binds k =
    already bound. Every equality is consumed once, at the step that binds
    its later side: as a key column if that column is not keyed yet, else
    as a test. A single-atom body is a chain of no steps. *)
-let compile_chain table_arity ~probe_table ~out ~extra body =
+let compile_chain table_arity ~out ~extra body =
   match flatten_joins table_arity body with
   | Error _ as e -> e
   | Ok (atoms, eqs, width) -> (
-      match List.partition (fun a -> a.s_name = probe_table && a.s_before = None) atoms with
+      match List.partition (fun a -> a.s_read = Catalog.Delta) atoms with
       | [ delta ], rest ->
           let owns a c = c >= a.s_off && c < a.s_off + a.s_arity in
           let rec order bound eqs rest acc =
@@ -148,19 +149,19 @@ let compile_chain table_arity ~probe_table ~out ~extra body =
             (order [ delta ] eqs rest [])
       | _ -> Error "probe")
 
-let compile_shape (ex : Executor.t) ~probe_table plan =
+let compile_shape (ex : Executor.t) plan =
   let table_arity name = Relation.arity (Catalog.rel ex.catalog name) in
   match plan with
-  | Plan.Project (out, src) -> compile_chain table_arity ~probe_table ~out ~extra:[] src
+  | Plan.Project (out, src) -> compile_chain table_arity ~out ~extra:[] src
   | Plan.Join ({ out = Some out; extra; _ } as j) ->
-      compile_chain table_arity ~probe_table ~out ~extra (Plan.Join { j with extra = []; out = None })
+      compile_chain table_arity ~out ~extra (Plan.Join { j with extra = []; out = None })
   | Plan.Join { out = None; _ } -> Error "shape"
   | Plan.AntiJoin _ -> Error "negation"
   | _ -> Error "shape"
 
-let compile ex ~probe_table plan =
+let compile ex plan =
   match Inject.kernel_should_fail ~point:"kernel.compile" with
-  | () -> compile_shape ex ~probe_table plan
+  | () -> compile_shape ex plan
   | exception Fault.Injected _ -> Error "chaos"
 
 (* --- the chain loop ---------------------------------------------------- *)
@@ -287,22 +288,17 @@ let drive c lo hi =
 let count (ex : Executor.t) name n =
   match ex.trace with Some tr -> Rs_obs.Trace.count tr name n | None -> ()
 
-(* The row bound a step's [Old] puts on its table, or [max_int]. *)
-let bound_of ex name = function
-  | None -> max_int
-  | Some delta -> Executor.old_bound ex ~table:name ~delta
-
 (* The emit for head [exprs] over [frame] — the one indirect call per
    match that reaches the head — monomorphized on head arity and on a
    head of plain frame columns. One two-table claim hashes the tuple once,
    claims it in FAST-DEDUP and, when fresh, in R's membership set [r_set],
-   and a tuple R's set lacked is appended to [out]: the set difference runs
-   inside the loop, R's set stays current for the next iteration, and no
+   and a tuple R's set lacked is appended to R itself: the set difference
+   runs inside the loop, R's set stays equal to R's rows, and no
    intermediate relation ever exists. Claiming in the dedup table first
    keeps [offered] and [emitted] the figures of the candidate multiset the
    interpreted path's bag would hold. Only the arms a head needs are
    allocated, once per run. *)
-let emitter ~dedup ~r_set ~out ~offered ~emitted frame exprs =
+let emitter ~dedup ~r_set ~r ~offered ~emitted frame exprs =
   let claimed = function
     | Dedup.Repeat -> false
     | Dedup.Known ->
@@ -316,7 +312,7 @@ let emitter ~dedup ~r_set ~out ~offered ~emitted frame exprs =
   | [| e0 |] ->
       let emit1 v0 =
         incr offered;
-        if claimed (Dedup.claim1 dedup ~set:r_set v0) then Relation.push1 out v0
+        if claimed (Dedup.claim1 dedup ~set:r_set v0) then Relation.push1 r v0
       in
       (match e0 with
       | Expr.Col c0 -> fun () -> emit1 frame.(c0)
@@ -324,7 +320,7 @@ let emitter ~dedup ~r_set ~out ~offered ~emitted frame exprs =
   | [| e0; e1 |] -> (
       let emit2 v0 v1 =
         incr offered;
-        if claimed (Dedup.claim2 dedup ~set:r_set v0 v1) then Relation.push2 out v0 v1
+        if claimed (Dedup.claim2 dedup ~set:r_set v0 v1) then Relation.push2 r v0 v1
       in
       match (e0, e1) with
       | Expr.Col c0, Expr.Col c1 -> fun () -> emit2 frame.(c0) frame.(c1)
@@ -339,12 +335,12 @@ let emitter ~dedup ~r_set ~out ~offered ~emitted frame exprs =
         done;
         incr offered;
         if claimed (Dedup.claim_row dedup ~set:r_set tuple) then
-          if arity = 3 then Relation.push3 out tuple.(0) tuple.(1) tuple.(2)
-          else Relation.push_row out tuple
+          if arity = 3 then Relation.push3 r tuple.(0) tuple.(1) tuple.(2)
+          else Relation.push_row r tuple
 
-let run (ex : Executor.t) k ~dedup ~r_set ~out =
+let run (ex : Executor.t) k ~dedup ~r_set ~head =
   (* The exec probe sits before any write, so a fired fault leaves [dedup],
-     [r_set] and [out] untouched. *)
+     [r_set] and [head] untouched. *)
   (match Inject.kernel_should_fail ~point:"kernel.exec" with
   | () -> ()
   | exception Fault.Injected _ -> raise (Degraded "kernel.exec"));
@@ -356,7 +352,7 @@ let run (ex : Executor.t) k ~dedup ~r_set ~out =
      chunk-safe: the virtual pool runs chunks sequentially, and the steps
      nest strictly, each binding only its own slice. *)
   let frame = Array.make k.width 0 in
-  let emit = emitter ~dedup ~r_set ~out ~offered ~emitted frame k.out in
+  let emit = emitter ~dedup ~r_set ~r:head ~offered ~emitted frame k.out in
   let acquired = ref [] in
   let index_for s rel =
     let key = (s.s_name, s.s_keys) in
@@ -367,24 +363,26 @@ let run (ex : Executor.t) k ~dedup ~r_set ~out =
         acquired := (key, got) :: !acquired;
         idx
   in
-  let drel = Catalog.rel ex.catalog k.delta.s_name in
-  let n = Relation.nrows drel in
+  let drel, lo, hi = Catalog.read ex.catalog k.delta.s_name Catalog.Delta in
+  let n = hi - lo in
   Fun.protect
     ~finally:(fun () ->
       List.iter (fun (_, (idx, owned)) -> if owned then Hash_index.release idx) !acquired)
     (fun () ->
       (* Each distinct (table, key columns) index is acquired once per run,
-         and every raw array is fetched once: R and the Δ-tables change
-         only at absorb, and [out] is none of them. *)
+         and every raw array is fetched once. [head] may be a table the
+         kernel reads (a recursive head's Δ is a range of it), but every
+         read ends at the catalog's round-start bound: rows pushed past it
+         may move a column to a fresh array, and the arrays fetched here
+         still hold every row below it. *)
       let resolve s =
-        let rel = Catalog.rel ex.catalog s.s_name in
+        let rel, _, bound = Catalog.read ex.catalog s.s_name s.s_read in
         let view = Hash_index.view (index_for s rel) in
-        step rel ~off:s.s_off ~at:s.s_bind ~preds:s.s_preds ~bound:(bound_of ex s.s_name s.s_before)
-          ~probe:s.s_probe view
+        step rel ~off:s.s_off ~at:s.s_bind ~preds:s.s_preds ~bound ~probe:s.s_probe view
       in
       let driver =
         let d = k.delta in
-        step drel ~off:d.s_off ~at:d.s_bind ~preds:d.s_preds ~bound:n ~probe:[||]
+        step drel ~off:d.s_off ~at:d.s_bind ~preds:d.s_preds ~bound:hi ~probe:[||]
           Hash_index.empty_view
       in
       let c =
@@ -397,7 +395,7 @@ let run (ex : Executor.t) k ~dedup ~r_set ~out =
           emit;
         }
       in
-      Pool.parallel_for ex.pool 0 n (fun lo hi ->
+      Pool.parallel_for ex.pool lo hi (fun lo hi ->
           incr batches;
           count ex "kernel.batch_rows" (hi - lo);
           drive c lo hi));

@@ -26,8 +26,8 @@
     {!run} has two halves. The resolve half is executor-aware: it looks up
     the tables, acquires each distinct (table, key columns) index once
     through the executor's three-tier policy (so recursive and EDB tables
-    hit the persistent {!Index_manager} indexes), applies the [Old] row
-    bounds and fetches every raw column array and
+    hit the persistent {!Index_manager} indexes), reads each atom's row
+    range from the {!Catalog} and fetches every raw column array and
     {!Rs_relation.Hash_index.view} once. The chain loop ({!drive}) is the
     other half and knows nothing of the executor; the Souffle-like engine
     builds its own steps and runs the same loop. Per driver row the loop
@@ -36,14 +36,19 @@
     row first, a direct compare for 1-column keys), a scan step its rows
     in order, and leaf anti-checks look the frame's tuple up in a
     membership set before the residual. No closure is allocated per row or
-    match: the one indirect call per surviving match is the emit. The raw
-    arrays stay valid because nothing the loop reads grows while it runs.
+    match: the one indirect call per surviving match is the emit. The loop
+    may emit into a table it reads (a recursive head is its own Δ's
+    table), but it reads no row at or past the round-start bound: a push
+    that moves a column to a fresh array leaves the fetched array holding
+    every row below it.
 
     The kernel's emit is one two-table claim
     ({!Rs_relation.Dedup.claim2}): the packed key is hashed once, claimed
     in the dedup table and, when fresh, in the head table R's membership
     set; a tuple new to the set is written out. The set therefore already
-    holds R's next rows when the Δ is absorbed. Claiming in the dedup table
+    holds R's next rows, which the kernel appends to R itself, past the
+    round-start rows: the absorb then only moves R's Δ range over them.
+    Claiming in the dedup table
     first keeps the dedup figures those of the interpreted path's candidate
     bag: [dedup.probes] counts every match offered, [dedup.hits] the
     repeats, and [kernel.emitted] the fresh claims — the candidate set Rδ,
@@ -51,31 +56,34 @@
     fixed: Δ rows ascending and, within each step, matches newest row
     first; the Δ's row order and every render that follows depend on it.
 
-    Row bounds: a step may be a {!Plan.constructor-Old} read, the rows of a
-    recursive table before its Δ-suffix. It probes the table's shared index
-    and skips matches at rows from {!Executor.old_bound} on.
+    Row ranges: the driver is the {!Plan.constructor-Delta} atom, the rows
+    [\[lo, hi)] of its table ({!Catalog.read}). A step reads rows
+    [\[0, hi)] of its table, or [\[0, lo)] for a {!Plan.constructor-Old}
+    read, the rows before the table's Δ. It probes the table's shared index
+    and skips matches at rows from its bound on: the Δ, or rows an earlier
+    kernel of the round appended.
 
     Chaos: both entry points probe {!Rs_chaos.Inject.kernel_should_fail}.
     A compile-time fire yields [Error "chaos"]; an exec-time fire raises
     {!Degraded} {e before any write} of that kernel, so the interpreter can
     always fall back to the interpreted plan — a kernel fault can cost
     time, never correctness. Earlier kernels of the same round may already
-    have claimed tuples in the head table's set, so the fallback drops that
-    set before its set difference. *)
+    have appended rows to the head table and claimed them in its set, so
+    the fallback truncates the table back to its round-start rows, which
+    invalidates that set, before its set difference. *)
 
 exception Degraded of string
 (** Raised by {!run} when an armed {!Rs_chaos.Fault.Kernel_fail} plan fires
     at [kernel.exec]. Guaranteed to be raised before the kernel writes to
-    its dedup table, the head table's set or its output relation. *)
+    its dedup table, the head table's set or the head table. *)
 
 type t
 (** A compiled kernel for one delta plan of one rule. *)
 
-val compile :
-  Executor.t -> probe_table:string -> Plan.t -> (t, string) result
-(** [compile ex ~probe_table plan] compiles [plan] into a fused kernel that
-    scans [probe_table] (the rule's Δ-table for this plan) and probes the
-    other atoms. [Error reason] (["shape"] / ["negation"] / ["cross"] /
+val compile : Executor.t -> Plan.t -> (t, string) result
+(** [compile ex plan] compiles [plan] into a fused kernel that scans the
+    plan's one {!Plan.constructor-Delta} atom and probes the other atoms.
+    [Error reason] (["shape"] / ["negation"] / ["cross"] /
     ["probe"] / ["chaos"]) means the rule must stay on the interpreted
     path. Compilation never touches table contents — only the
     catalog's arities — so it is safe at stratum setup. *)
@@ -85,30 +93,31 @@ val run :
   t ->
   dedup:Rs_relation.Dedup.t ->
   r_set:Rs_relation.Dedup.t ->
-  out:Rs_relation.Relation.t ->
+  head:Rs_relation.Relation.t ->
   int
-(** [run ex k ~dedup ~r_set ~out] executes the kernel batch-at-a-time
+(** [run ex k ~dedup ~r_set ~head] executes the kernel batch-at-a-time
     over the pool: every surviving match is claimed in [dedup], and a fresh
     claim is claimed in [r_set] — the membership set of every tuple of the
-    head table — and appended to [out] iff [r_set] lacked it. [out] then
-    holds [Rδ − R], the Δ, and [r_set] holds [R ∪ Δ]: it runs ahead of the
-    head table until the caller absorbs the Δ, and a caller that does not
-    absorb it (a later kernel of the same round degrades) must drop the
-    set. [out] must not be a table the kernel reads (the interpreter passes
-    a fresh one). Returns the number of fresh claims ([|Rδ|]), so
-    [|Rδ| − |Δ|] is the intersection the DSD µ is made of. The caller owns
-    [dedup], [r_set] and [out] (including {!Relation.account} and
-    {!Rs_relation.Dedup.account} after the batch). Records [kernel.execs] /
-    [kernel.fused_probes] / [kernel.emitted] (fresh claims) /
-    [kernel.batches] / [kernel.batch_rows] on the executor's trace, and the
-    table's [dedup.probes] (matches offered) / [dedup.hits] (offered minus
-    fresh claims) — the figures the interpreted path's dedup pass records
-    for the same candidates. May raise {!Degraded} (chaos) — always before
-    any write. A transient build-side index it acquires is released on
-    every exit path, a worker crash included. *)
+    head table [head] — and appended to [head] iff [r_set] lacked it. The
+    rows [head] gains past its round-start rows are then [Rδ − R], the Δ,
+    and [r_set] holds exactly [head]'s rows. A caller that does not absorb
+    them (a later kernel of the same round degrades) must truncate [head]
+    back to its round-start rows. Returns the number of fresh claims
+    ([|Rδ|]), so [|Rδ| − |Δ|] is the intersection the DSD µ is made of.
+    The caller owns [dedup], [r_set] and [head] (including
+    {!Relation.account} and {!Rs_relation.Dedup.account} after the batch).
+    Records [kernel.execs] / [kernel.fused_probes] / [kernel.emitted]
+    (fresh claims) / [kernel.batches] / [kernel.batch_rows] on the
+    executor's trace, and the table's [dedup.probes] (matches offered) /
+    [dedup.hits] (offered minus fresh claims) — the figures the interpreted
+    path's dedup pass records for the same candidates. May raise
+    {!Degraded} (chaos) — always before any write. A transient build-side
+    index it acquires is released on every exit path, a worker crash
+    included. *)
 
 (** {1 The chain loop} The caller resolves the steps and owns the frame;
-    nothing the loop reads may grow while it runs. *)
+    no row the loop reads, below each step's bound, may change while it
+    runs. *)
 
 type step
 (** One atom of a chain, resolved: a probe of an index, or a scan. *)

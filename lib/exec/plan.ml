@@ -2,7 +2,8 @@ module Relation = Rs_relation.Relation
 module Hash_index = Rs_relation.Hash_index
 type t =
   | Scan of string
-  | Old of { table : string; delta : string }
+  | Old of string
+  | Delta of string
   | Rel of Relation.t
   | Filter of Expr.pred list * t
   | Project of Expr.t array * t
@@ -22,7 +23,7 @@ and join = {
 and anti = { al : t; ar : t; alkeys : int array; arkeys : int array }
 
 let rec arity lookup = function
-  | Scan name | Old { table = name; _ } -> lookup name
+  | Scan name | Old name | Delta name -> lookup name
   | Rel r -> Relation.arity r
   | Filter (_, p) -> arity lookup p
   | Project (exprs, _) -> Array.length exprs
@@ -34,15 +35,16 @@ let rec arity lookup = function
   | UnionAll [] -> invalid_arg "Plan.arity: empty UnionAll"
   | UnionAll (p :: _) -> arity lookup p
 
-let rec estimate rows = function
+let rec estimate ~rows ~delta_rows = function
   | Scan name -> rows name
-  | Old { table; delta } -> max 0 (rows table - rows delta)
+  | Old name -> max 0 (rows name - delta_rows name)
+  | Delta name -> delta_rows name
   | Rel r -> Relation.nrows r
-  | Filter (_, p) -> (estimate rows p / 3) + 1
-  | Project (_, p) -> estimate rows p
-  | Join { l; r; _ } -> max (estimate rows l) (estimate rows r)
-  | AntiJoin { al; _ } -> estimate rows al
-  | UnionAll ps -> List.fold_left (fun acc p -> acc + estimate rows p) 0 ps
+  | Filter (_, p) -> (estimate ~rows ~delta_rows p / 3) + 1
+  | Project (_, p) -> estimate ~rows ~delta_rows p
+  | Join { l; r; _ } -> max (estimate ~rows ~delta_rows l) (estimate ~rows ~delta_rows r)
+  | AntiJoin { al; _ } -> estimate ~rows ~delta_rows al
+  | UnionAll ps -> List.fold_left (fun acc p -> acc + estimate ~rows ~delta_rows p) 0 ps
 
 let to_string p =
   let buf = Buffer.create 256 in
@@ -50,8 +52,8 @@ let to_string p =
   let keys ks = String.concat "," (Array.to_list (Array.map string_of_int ks)) in
   let rec go d = function
     | Scan name -> Buffer.add_string buf (Printf.sprintf "%sScan %s\n" (pad d) name)
-    | Old { table; delta } ->
-        Buffer.add_string buf (Printf.sprintf "%sOld %s before %s\n" (pad d) table delta)
+    | Old name -> Buffer.add_string buf (Printf.sprintf "%sOld %s\n" (pad d) name)
+    | Delta name -> Buffer.add_string buf (Printf.sprintf "%sDelta %s\n" (pad d) name)
     | Rel r ->
         Buffer.add_string buf
           (Printf.sprintf "%sRel %s(%d rows)\n" (pad d) (Relation.name r) (Relation.nrows r))

@@ -11,23 +11,27 @@ module Hash_index = Rs_relation.Hash_index
     produce its candidate rows; the interpreter groups them
     ([Recstep.Aggregate]), so no plan operator aggregates.
 
-    {b Exact deltas.} A rule with several recursive atoms gets one delta
-    plan per recursive occurrence. The plan whose Δ sits at occurrence [i]
-    reads every earlier recursive occurrence through {!constructor-Old}
-    (the rows before that table's Δ-suffix) and every later one through
-    {!constructor-Scan} (the whole table): the product rule
-    [Δ(R⋈S) = ΔR⋈S_new ∪ R_old⋈ΔS]. Each combination of rows with at
-    least one Δ row is then derived by exactly one plan. Aggregated IDBs
-    are rebuilt every round, so their Δ is not a suffix and they always
-    stay [Scan]. *)
+    {b Exact deltas.} A recursive IDB's Δ is a row range of its own table
+    ([Catalog.set_delta]), so a plan names the rows it reads: the whole
+    table ({!constructor-Scan}), the rows before the Δ
+    ({!constructor-Old}) or the Δ itself ({!constructor-Delta}). Within a
+    round every read ends at the round-start rows, so rows a round
+    appends are seen only from the next one. A rule with several
+    recursive atoms gets one delta plan per recursive occurrence. The plan
+    whose Δ sits at occurrence [i] reads every earlier recursive occurrence
+    through {!constructor-Old} and every later one through
+    {!constructor-Scan}: the product rule [Δ(R⋈S) = ΔR⋈S_new ∪ R_old⋈ΔS].
+    Each combination of rows with at least one Δ row is then derived by
+    exactly one plan. Aggregated IDBs are rebuilt every round, so their Δ
+    is not a range of their table and they are always read whole. *)
 
 type t =
-  | Scan of string  (** named table in the catalog *)
-  | Old of { table : string; delta : string }
-      (** rows [\[0, nrows table - nrows delta)] of [table]: the rows that
-          come before its Δ-suffix. Evaluating it raises [Invalid_argument]
-          when [delta] is longer than [table], i.e. when the suffix invariant
-          the interpreter keeps (see [Interpreter]) does not hold. *)
+  | Scan of string
+      (** named table in the catalog: rows [\[0, hi)] of a table whose Δ
+          is [\[lo, hi)], every row of any other *)
+  | Old of string
+      (** rows [\[0, lo)] of a recursive table: the rows before its Δ *)
+  | Delta of string  (** the table's Δ, rows [\[lo, hi)] *)
   | Rel of Relation.t  (** anonymous materialized input *)
   | Filter of Expr.pred list * t
   | Project of Expr.t array * t
@@ -50,10 +54,11 @@ val arity : (string -> int) -> t -> int
 (** [arity lookup p] is the output arity, where [lookup] gives the arity of
     named tables. *)
 
-val estimate : (string -> int) -> t -> int
-(** Cardinality estimate from (possibly stale) catalog row counts — the
-    optimizer input that OOF keeps fresh. An {!constructor-Old} is estimated
-    as its table's rows minus its Δ's rows, clamped at 0. *)
+val estimate : rows:(string -> int) -> delta_rows:(string -> int) -> t -> int
+(** Cardinality estimate from (possibly stale) catalog row counts [rows] —
+    the optimizer input that OOF keeps fresh — and the Δ row counts
+    [delta_rows]. An {!constructor-Old} is estimated as its table's rows
+    minus its Δ's rows, clamped at 0. *)
 
 val to_string : t -> string
 (** Multi-line plan rendering, for logging and tests. *)

@@ -231,7 +231,7 @@ let fuzz_corpus : (string * string * (string * int list list) list) list =
         ("e1", [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ]; [ 4; 1 ]; [ 2; 2 ] ]);
       ] );
     (* Exact deltas in mutual recursion: with the Δ at p1(y, z), the earlier
-       p0 and p1(y, 3) read only the rows before their tables' Δ-suffixes,
+       p0 and p1(y, 3) read only the rows before their tables' Δs,
        p1's through the filter of its constant. A wrong bound loses or
        repeats derivations. *)
     ( "exact deltas: mutual recursion, constant on an earlier atom",

@@ -202,13 +202,14 @@ let test_planner_delta_variants () =
   Alcotest.(check (list int)) "delta plan counts" [ 0; 1; 2; 2 ] (List.map deltas rules)
 
 (* How each delta plan of [head]'s recursive rules reads its atoms, in body
-   order: a Δ-table by name, a full table by name, the rows before a
-   table's Δ-suffix as "old:<table>". One list per rule, one per plan. *)
+   order: a table's Δ as "delta:<table>", a full table by name, the rows
+   before a table's Δ as "old:<table>". One list per rule, one per plan. *)
 let delta_reads src head =
   let module Plan = Rs_exec.Plan in
   let rec reads = function
     | Plan.Scan n -> [ n ]
-    | Plan.Old { table; _ } -> [ "old:" ^ table ]
+    | Plan.Old table -> [ "old:" ^ table ]
+    | Plan.Delta table -> [ "delta:" ^ table ]
     | Plan.Rel _ -> []
     | Plan.Filter (_, p) | Plan.Project (_, p) -> reads p
     | Plan.Join { l; r; _ } -> reads l @ reads r
@@ -235,9 +236,9 @@ let test_planner_exact_deltas () =
   check_reads "three recursive atoms"
     [
       [
-        [ "p@delta"; "p"; "p" ];
-        [ "old:p"; "p@delta"; "p" ];
-        [ "old:p"; "old:p"; "p@delta" ];
+        [ "delta:p"; "p"; "p" ];
+        [ "old:p"; "delta:p"; "p" ];
+        [ "old:p"; "old:p"; "delta:p" ];
       ];
     ]
     ".input e
@@ -246,31 +247,31 @@ p(x, w) :- p(x, y), p(y, z), p(z, w).
 .output p" "p";
   check_reads "Andersen: EDB atom first"
     [
-      [ [ "assign"; "pointsTo@delta" ] ];
-      [ [ "load"; "pointsTo@delta"; "pointsTo" ]; [ "load"; "old:pointsTo"; "pointsTo@delta" ] ];
-      [ [ "store"; "pointsTo@delta"; "pointsTo" ]; [ "store"; "old:pointsTo"; "pointsTo@delta" ] ];
+      [ [ "assign"; "delta:pointsTo" ] ];
+      [ [ "load"; "delta:pointsTo"; "pointsTo" ]; [ "load"; "old:pointsTo"; "delta:pointsTo" ] ];
+      [ [ "store"; "delta:pointsTo"; "pointsTo" ]; [ "store"; "old:pointsTo"; "delta:pointsTo" ] ];
     ]
     Programs.andersen "pointsTo";
   (* mutual recursion: the old rows of the other IDB, filtered by its
      constant *)
   check_reads "mutual recursion, constant on the earlier atom"
-    [ [ [ "q@delta"; "p" ]; [ "old:q"; "p@delta" ] ] ]
+    [ [ [ "delta:q"; "p" ]; [ "old:q"; "delta:p" ] ] ]
     ".input e
 p(x, y) :- e(x, y).
 q(x, y) :- p(x, y).
      p(x, z) :- q(x, 3), p(x, z).
 .output p"
     "p";
-  (* an aggregated IDB is rebuilt every round: its Δ is no suffix, so both
-     plans read the whole table *)
+  (* an aggregated IDB is rebuilt every round: its Δ is no range of its
+     table, so both plans read the whole table *)
   check_reads "aggregated IDB keeps full scans"
-    [ [ [ "m@delta"; "m" ]; [ "m"; "m@delta" ] ] ]
+    [ [ [ "delta:m"; "m" ]; [ "m"; "delta:m" ] ] ]
     ".input e
 m(x, MIN(y)) :- e(x, y).
 m(x, MIN(y)) :- m(x, z), m(z, y).
 .output m" "m";
   (* a rule with one recursive atom plans exactly as before: its delta plan
-     is its base plan with that atom's scan moved to the Δ-table *)
+     is its base plan with that atom's scan moved to the Δ *)
   List.iter
     (fun (name, src) ->
       let an = Analyzer.analyze (Parser.parse src) in
@@ -281,7 +282,10 @@ m(x, MIN(y)) :- m(x, z), m(z, y).
               match Planner.compile_rule an stratum r with
               | Planner.Query { base; deltas = [ (dpred, plan) ] } ->
                   let to_delta line =
-                    if String.trim line = "Scan " ^ dpred then line ^ "@delta" else line
+                    match String.index_opt line 'S' with
+                    | Some i when String.trim line = "Scan " ^ dpred ->
+                        String.sub line 0 i ^ "Delta " ^ dpred
+                    | _ -> line
                   in
                   let want =
                     String.concat "\n"

@@ -31,11 +31,14 @@ let test_plan_arity_estimate () =
   let rows = function "r" -> 100 | "s" -> 10 | _ -> 0 in
   let j = Plan.join2 (Plan.Scan "r") [| 1 |] (Plan.Scan "s") [| 0 |] in
   Alcotest.(check int) "join arity" 5 (Plan.arity lookup j);
-  Alcotest.(check int) "join estimate" 100 (Plan.estimate rows j);
+  let delta_rows = function "r" -> 7 | _ -> 0 in
+  Alcotest.(check int) "join estimate" 100 (Plan.estimate ~rows ~delta_rows j);
+  Alcotest.(check int) "delta estimate" 7 (Plan.estimate ~rows ~delta_rows (Plan.Delta "r"));
+  Alcotest.(check int) "old estimate" 93 (Plan.estimate ~rows ~delta_rows (Plan.Old "r"));
   let p = Plan.Project ([| Expr.Col 0 |], j) in
   Alcotest.(check int) "project arity" 1 (Plan.arity lookup p);
   let u = Plan.UnionAll [ Plan.Scan "r"; Plan.Scan "r" ] in
-  Alcotest.(check int) "union estimate" 200 (Plan.estimate rows u);
+  Alcotest.(check int) "union estimate" 200 (Plan.estimate ~rows ~delta_rows u);
   check "to_string nonempty" true (String.length (Plan.to_string j) > 0)
 
 let gen_rel arity vals =
@@ -438,17 +441,19 @@ let prop_set_difference_model =
              d_rows)
       in
       (* the kernel claims its Δ into R's managed set, so it runs after
-         every other managed probe; the set then holds R ∪ Δ *)
+         every other managed probe; the set then holds R ∪ Δ. Rδ is all of
+         "d"'s Δ range, and the kernel's head a fresh relation. *)
       let kernel () =
+        Catalog.set_delta catalog "d" ~lo:0 ~hi:(Relation.nrows rdelta) ();
         match
-          Kernel.compile managed ~probe_table:"d"
-            (Plan.Project (Array.init arity (fun i -> Expr.Col i), Plan.Scan "d"))
+          Kernel.compile managed
+            (Plan.Project (Array.init arity (fun i -> Expr.Col i), Plan.Delta "d"))
         with
         | Ok k ->
             let dedup = Dedup.create Dedup.Fast arity in
             let out = Relation.create arity in
             let r_set, _ = Executor.claim_set managed ~scan_name:"r" r all in
-            ignore (Kernel.run managed k ~dedup ~r_set ~out);
+            ignore (Kernel.run managed k ~dedup ~r_set ~head:out);
             Dedup.release dedup;
             rows out = List.sort_uniq compare expected
             && Dedup.cardinal r_set
@@ -545,9 +550,9 @@ let qsuite =
       prop_set_difference_model;
     ]
 
-(* --- Old: the rows before a table's Δ-suffix ------------------------------ *)
+(* --- Old: the rows before a table's Δ ----------------------------------- *)
 
-(* "t" holds 8 rows, the last 3 of them its Δ "t@delta". Every plan over
+(* "t" holds 8 rows, the last 3 of them its Δ range [5, 8). Every plan over
    [Old t] must equal, as a bag, the same plan over the first 5 rows
    materialized as an anonymous relation. [persistent] picks which tables
    the executor's index manager keeps; [d_rows] sizes the other join input
@@ -563,13 +568,13 @@ let old_exec ~persistent ~d_rows =
     Catalog.analyze_rows catalog name
   in
   reg "t" t_rows;
-  reg "t@delta" (List.filteri (fun i _ -> i >= 5) t_rows);
+  Catalog.set_delta catalog "t" ~lo:5 ~hi:8 ();
   reg "d" d_rows;
   let index_manager = Rs_exec.Index_manager.create ~persistent pool in
   Executor.create ~query_overhead_s:0.0 ~index_manager pool catalog
 
 let prefix = Plan.Rel (Relation.of_rows 2 (List.map Array.of_list (List.filteri (fun i _ -> i < 5) t_rows)))
-let old_t = Plan.Old { table = "t"; delta = "t@delta" }
+let old_t = Plan.Old "t"
 
 let bag rel = List.sort compare (List.map Array.to_list (Relation.to_rows rel))
 
@@ -577,19 +582,38 @@ let test_old_reads () =
   let few = [ [ 1; 0 ]; [ 2; 9 ] ] in
   let many = List.init 12 (fun i -> [ i mod 4; i ]) in
   let none _ = false in
+  let rows_of pick =
+    Plan.Rel (Relation.of_rows 2 (List.map Array.of_list (List.filteri pick t_rows)))
+  in
+  let same what exec plan_of ~want ~got =
+    Alcotest.(check (list (list int)))
+      what
+      (bag (Executor.run_query exec (plan_of want)))
+      (bag (Executor.run_query exec (plan_of got)))
+  in
   List.iter
-    (fun (what, exec, plan_of) ->
+    (fun (what, (exec : Executor.t), plan_of) ->
       let want = bag (Executor.run_query exec (plan_of prefix)) in
       let got = bag (Executor.run_query exec (plan_of old_t)) in
       check (what ^ ": some rows") true (want <> []);
-      Alcotest.(check (list (list int))) (what ^ ": Old = materialized prefix") want got)
+      Alcotest.(check (list (list int))) (what ^ ": Old = materialized prefix") want got;
+      same (what ^ ": Delta = materialized suffix") exec plan_of
+        ~want:(rows_of (fun i _ -> i >= 5)) ~got:(Plan.Delta "t");
+      (* a row appended during the round: every read ends at the Δ's end *)
+      Relation.push2 (Catalog.rel exec.catalog "t") 1 99;
+      same (what ^ ": Scan ends at the round-start rows") exec plan_of
+        ~want:(rows_of (fun _ _ -> true)) ~got:(Plan.Scan "t");
+      same (what ^ ": Delta ends at the round-start rows") exec plan_of
+        ~want:(rows_of (fun i _ -> i >= 5)) ~got:(Plan.Delta "t");
+      Alcotest.(check (list (list int))) (what ^ ": Old unmoved") want
+        (bag (Executor.run_query exec (plan_of old_t))))
     [
       ("bare", old_exec ~persistent:none ~d_rows:few, fun src -> src);
       (* the probe loop stops at the bound *)
       ( "probe side",
         old_exec ~persistent:none ~d_rows:few,
         fun src -> Plan.join2 (Plan.Scan "d") [| 0 |] src [| 0 |] );
-      (* a transient index over the whole table, Δ-suffix matches skipped *)
+      (* a transient index over the whole table, Δ matches skipped *)
       ( "build side",
         old_exec ~persistent:none ~d_rows:many,
         fun src -> Plan.join2 src [| 0 |] (Plan.Scan "d") [| 0 |] );
@@ -606,17 +630,26 @@ let test_old_reads () =
             [| 0 |] (Plan.Scan "d") [| 0 |] );
     ]
 
-let test_old_invariant_guard () =
-  (* a Δ longer than its table breaks the suffix invariant: Old must refuse
-     to read, not return a wrong prefix *)
+let test_delta_range_guard () =
+  (* a Δ range past its table breaks the range invariant: the catalog must
+     refuse it, not let Old or Delta read a wrong row set *)
   let exec, catalog = make_exec () in
   Catalog.register catalog "t" (Relation.of_rows 2 [ [| 0; 1 |] ]);
-  Catalog.register catalog "t@delta" (Relation.of_rows 2 [ [| 0; 1 |]; [| 1; 2 |] ]);
-  (match Executor.run_query exec old_t with
-  | _ -> Alcotest.fail "Old read past its Δ-suffix"
-  | exception Invalid_argument _ -> ());
-  match Executor.old_bound exec ~table:"t" ~delta:"t@delta" with
-  | _ -> Alcotest.fail "old_bound accepted a Δ longer than its table"
+  let refused what ~lo ~hi =
+    match Catalog.set_delta catalog "t" ~lo ~hi () with
+    | () -> Alcotest.fail ("accepted a Δ range " ^ what)
+    | exception Invalid_argument _ -> ()
+  in
+  refused "past its table" ~lo:0 ~hi:2;
+  refused "starting before row 0" ~lo:(-1) ~hi:1;
+  refused "ending before it starts" ~lo:1 ~hi:0;
+  (* the refused ranges left the table without a Δ: Old reads it whole *)
+  Alcotest.(check int) "Old after refusals" 1 (Relation.nrows (Executor.run_query exec old_t));
+  (* a Δ held in another relation (an aggregated IDB's changed groups)
+     has no rows before it in its table *)
+  Catalog.set_delta catalog "t" ~src:(Relation.of_rows 2 [ [| 5; 5 |] ]) ~lo:0 ~hi:1 ();
+  match Executor.run_query exec old_t with
+  | _ -> Alcotest.fail "Old read a table whose Δ lies in another relation"
   | exception Invalid_argument _ -> ()
 
 let suite =
@@ -637,7 +670,7 @@ let suite =
     Alcotest.test_case "index manager membership-set lifecycle" `Quick
       test_index_manager_set_lifecycle;
     Alcotest.test_case "executor reuses managed index" `Quick test_executor_uses_manager;
-    Alcotest.test_case "Old reads the rows before the Δ-suffix" `Quick test_old_reads;
-    Alcotest.test_case "Old refuses a Δ longer than its table" `Quick test_old_invariant_guard;
+    Alcotest.test_case "Old reads the rows before the Δ" `Quick test_old_reads;
+    Alcotest.test_case "a Δ range past its table is refused" `Quick test_delta_range_guard;
   ]
   @ qsuite

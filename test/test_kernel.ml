@@ -22,6 +22,11 @@ let canon rel = List.map Array.to_list (Relation.sorted_distinct_rows rel)
    new to it too, so the kernel's output is the deduplicated bag. *)
 let empty_r_set arity = Rs_relation.Dedup.create_set arity
 
+(* Rows [n] on of [rel]: what a kernel appended to its head. *)
+let rows_from rel n =
+  Relation.of_rows (Relation.arity rel)
+    (List.filteri (fun i _ -> i >= n) (Relation.to_rows rel))
+
 (* One interpreter run on a fresh pool; returns (rows of each output, trace). *)
 let run_rels ?persistent_indexes ?on_iteration ~kernels program edb =
   let pool = Pool.create ~workers:4 () in
@@ -260,23 +265,24 @@ let test_chain_extra_equality () =
   let reg name arity rows =
     Catalog.register catalog name (Relation.of_rows ~name arity (List.map Array.of_list rows))
   in
-  reg "a@delta" 2 [ [ 1; 10 ]; [ 2; 10 ]; [ 3; 11 ] ];
+  reg "a" 2 [ [ 1; 10 ]; [ 2; 10 ]; [ 3; 11 ] ];
+  Catalog.set_delta catalog "a" ~lo:0 ~hi:3 ();
   reg "b" 2 [ [ 1; 10 ]; [ 2; 10 ]; [ 5; 11 ]; [ 3; 11 ] ];
   reg "c" 1 [ [ 1 ]; [ 2 ]; [ 3 ]; [ 5 ] ];
   let ex = Executor.create pool catalog in
-  let inner = Plan.join2 (Plan.Scan "a@delta") [| 1 |] (Plan.Scan "b") [| 1 |] in
+  let inner = Plan.join2 (Plan.Delta "a") [| 1 |] (Plan.Scan "b") [| 1 |] in
   let plan =
     Plan.join2 ~out:[| Expr.Col 0; Expr.Col 2 |] inner [| 0; 2 |] (Plan.Scan "c") [| 0; 0 |]
   in
   let want = canon (Executor.run_query ex plan) in
   let k =
-    match Kernel.compile ex ~probe_table:"a@delta" plan with
+    match Kernel.compile ex plan with
     | Ok k -> k
     | Error reason -> Alcotest.failf "chain refused: %s" reason
   in
   let dedup = Dedup.create Dedup.Fast 2 in
   let out = Relation.create 2 in
-  ignore (Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~out);
+  ignore (Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~head:out);
   Dedup.release dedup;
   Alcotest.(check (list (list int))) "kernel = executor" want (canon out);
   Alcotest.(check (list (list int))) "only a.0 = b.0 = c.0" [ [ 1; 1 ]; [ 2; 2 ]; [ 3; 3 ] ] want
@@ -392,14 +398,15 @@ let test_crash_releases_transient_indexes () =
   let rel rows = Relation.of_rows 2 (List.map (fun (x, y) -> [| x; y |]) rows) in
   let edges = List.init 40 (fun i -> (i, (i * 7) mod 40)) in
   Catalog.register catalog "e" (rel edges);
-  Catalog.register catalog "p@delta" (rel (List.filteri (fun i _ -> i mod 2 = 0) edges));
+  Catalog.register catalog "p" (rel (List.filteri (fun i _ -> i mod 2 = 0) edges));
+  Catalog.set_delta catalog "p" ~lo:0 ~hi:20 ();
   let ex = Executor.create pool catalog in
   let plan =
-    Plan.join2 ~out:[| Rs_exec.Expr.Col 0; Rs_exec.Expr.Col 3 |] (Plan.Scan "p@delta") [| 1 |]
+    Plan.join2 ~out:[| Rs_exec.Expr.Col 0; Rs_exec.Expr.Col 3 |] (Plan.Delta "p") [| 1 |]
       (Plan.Scan "e") [| 0 |]
   in
   let k =
-    match Kernel.compile ex ~probe_table:"p@delta" plan with
+    match Kernel.compile ex plan with
     | Ok k -> k
     | Error reason -> Alcotest.failf "binary kernel refused: %s" reason
   in
@@ -422,7 +429,7 @@ let test_crash_releases_transient_indexes () =
   sweep "binary kernel" (fun () ->
       let dedup = Dedup.create Dedup.Fast 2 in
       Fun.protect ~finally:(fun () -> Dedup.release dedup) (fun () ->
-          ignore (Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~out:(Relation.create 2))));
+          ignore (Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~head:(Relation.create 2))));
   (* R smaller than Rδ: TPSD builds on R; larger: on Rδ *)
   List.iter
     (fun (what, r, rdelta) ->
@@ -598,7 +605,7 @@ let delta_plans src head =
 let rec materialize ?old_rows plan =
   let module Plan = Rs_exec.Plan in
   match plan with
-  | Plan.Old { table; _ } -> (
+  | Plan.Old table -> (
       match old_rows with
       | Some rows -> Plan.Rel (Relation.of_rows 2 (List.map Array.of_list rows))
       | None -> Plan.Scan table)
@@ -606,11 +613,11 @@ let rec materialize ?old_rows plan =
   | Plan.Join j -> Plan.Join { j with l = materialize ?old_rows j.l; r = materialize ?old_rows j.r }
   | p -> p
 
-(* One plan fused over a catalog where "p" ends with its Δ "p@delta", as
-   the interpreter keeps it. The kernel's output must be the executor's bag
-   for the same plan with its old rows materialized, deduplicated, and the
-   kernel must offer exactly the bag's rows to its dedup table. Returns the
-   number offered. *)
+(* One plan fused over a catalog where "p" ends with its Δ range, as the
+   interpreter keeps it, and emitting into "p" itself, past that range. The
+   rows it appends must be the executor's bag for the same plan with its
+   old rows materialized, deduplicated, and the kernel must offer exactly
+   the bag's rows to its dedup table. Returns the number offered. *)
 let kernel_vs_executor ~what ~p_rows ~delta_rows plan =
   let module Catalog = Rs_exec.Catalog in
   let module Executor = Rs_exec.Executor in
@@ -624,20 +631,22 @@ let kernel_vs_executor ~what ~p_rows ~delta_rows plan =
     Catalog.register catalog name (Relation.of_rows ~name 2 (List.map Array.of_list rows))
   in
   reg "p" (p_rows @ delta_rows);
-  reg "p@delta" delta_rows;
+  let n = List.length p_rows + List.length delta_rows in
+  Catalog.set_delta catalog "p" ~lo:(List.length p_rows) ~hi:n ();
   let index_manager = Rs_exec.Index_manager.create ~persistent:(fun n -> n = "p") pool in
   let ex = Executor.create ~index_manager ~trace pool catalog in
   let bag = Executor.run_query ex (materialize ~old_rows:p_rows plan) in
   let k =
-    match Kernel.compile ex ~probe_table:"p@delta" plan with
+    match Kernel.compile ex plan with
     | Ok k -> k
     | Error reason -> Alcotest.failf "%s: kernel refused: %s" what reason
   in
   let dedup = Dedup.create Dedup.Fast 2 in
-  let out = Relation.create 2 in
-  ignore (Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~out);
+  let p = Catalog.rel catalog "p" in
+  ignore (Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~head:p);
   Dedup.release dedup;
-  Alcotest.(check (list (list int))) (what ^ ": kernel = executor") (canon bag) (canon out);
+  Alcotest.(check (list (list int)))
+    (what ^ ": kernel = executor") (canon bag) (canon (rows_from p n));
   Alcotest.(check int) (what ^ ": offered = bag rows") (Relation.nrows bag) (c trace "dedup.probes");
   Relation.nrows bag
 
@@ -726,7 +735,7 @@ let test_nonlinear_tc_probes_pinned () =
   Alcotest.(check int) "dedup.probes, kernels on" exact (c tr_on "dedup.probes");
   Alcotest.(check int) "dedup.probes, kernels off" exact (c tr_off "dedup.probes")
 
-(* --- the suffix invariant under the Ev_none drain and kernel faults ------ *)
+(* --- the range invariant under the Ev_none drain and kernel faults ------- *)
 
 let test_drain_keeps_suffix () =
   (* One Δ is live per round, moving a -> b -> c -> a. In round 1 only b's
@@ -783,6 +792,143 @@ let test_chaos_bounded_chain () =
     "a degraded bounded chain never changes the answer" want faulted;
   Alcotest.(check int) "one degraded round" 1 (c tr "kernel.fallbacks");
   check "later rounds still fused" true (c tr "kernel.execs" > 3)
+
+(* --- Δ as a row range: the round-start bound ------------------------------ *)
+
+(* One run's per-round |Δ| of every IDB, its dedup counters and its
+   outputs. *)
+let round_counts ?persistent_indexes ~kernels src edb =
+  let deltas = ref [] in
+  let on_iteration (it : Interpreter.iteration_info) =
+    deltas :=
+      ((it.Interpreter.it_stratum, it.it_iteration), (it.it_idb, it.it_delta_rows)) :: !deltas
+  in
+  let outs, tr =
+    run_rels ?persistent_indexes ~on_iteration ~kernels (Parser.parse src)
+      (List.map
+         (fun (name, arity, rows) ->
+           (name, Relation.of_rows ~name arity (List.map Array.of_list rows)))
+         edb)
+  in
+  (outs, tr, List.rev !deltas)
+
+(* A stratum where the 2-ary [p] runs on kernels, which append to [p]'s
+   table while the round is still being evaluated, and the mutually
+   recursive 4-ary [q] stays interpreted ([Cost.kernel_gate]'s arity cap)
+   and reads [p] in full, as its Δ and as its rows before the Δ. [p]'s
+   non-linear rule reads its own head twice. Every read of [q]'s plans ends
+   at [p]'s round-start rows, so per-round |Δ|, the dedup counters and the
+   outputs are those of the all-interpreted run and of the naive oracle. *)
+let test_range_bound_mixed_stratum () =
+  let src =
+    ".input e
+.input f
+     p(x, y) :- e(x, y).
+     p(x, z) :- p(x, y), p(y, z).
+     p(x, w) :- q(x, y, z, w).
+     q(x, y, z, w) :- p(x, y), f(y, z), p(z, w).
+     .output p
+.output q"
+  in
+  let edb =
+    [
+      ("e", 2, List.init 9 (fun i -> [ i; i + 1 ]) @ [ [ 9; 20 ]; [ 20; 21 ] ]);
+      ("f", 2, [ [ 2; 5 ]; [ 4; 0 ]; [ 21; 3 ] ]);
+    ]
+  in
+  let same_deltas = Alcotest.(check (list (pair (pair int int) (pair string int)))) in
+  let same_outs = Alcotest.(check (list (pair string (list (list int))))) in
+  let on, tr_on, deltas_on = round_counts ~kernels:true src edb in
+  let off, tr_off, deltas_off = round_counts ~kernels:false src edb in
+  let _, _, deltas_transient = round_counts ~persistent_indexes:false ~kernels:true src edb in
+  let _, lookup =
+    Recstep.Naive.run ~edb:(List.map (fun (name, _, rows) -> (name, rows)) edb) (Parser.parse src)
+  in
+  same_outs "kernels on = naive" (List.map (fun (name, _) -> (name, lookup name)) on) on;
+  same_outs "kernels on = off" off on;
+  check "p compiled" true (c tr_on "kernel.compiled_rules" = 2);
+  check "q refused by the arity cap" true (c tr_on "kernel.fallback_rules" = 1);
+  check "kernels ran" true (c tr_on "kernel.execs" > 0);
+  check "several rounds" true (List.length deltas_on > 6);
+  same_deltas "|Δ| per round, kernels on = off" deltas_off deltas_on;
+  same_deltas "|Δ| per round, persistent = transient indexes" deltas_on deltas_transient;
+  Alcotest.(check int) "dedup.probes on = off" (c tr_off "dedup.probes") (c tr_on "dedup.probes");
+  Alcotest.(check int) "dedup.hits on = off" (c tr_off "dedup.hits") (c tr_on "dedup.hits")
+
+(* A kernel that degrades after an earlier kernel of its round appended
+   rows: [p]'s non-linear rule has two delta plans, so after two compile
+   probes and round 1's first execution, the fault fires at round 1's
+   second kernel. The round re-runs interpreted from [p]'s round-start
+   rows: [p] ends row for row as when the fault fires at the round's first
+   kernel, before any append, every row of [p] entered through exactly one
+   Δ (the |Δ|s sum to |p|), the run equals the clean one and the naive
+   oracle, and every byte the run charged is held by a table it returns.
+   UIE is off: its UNION ALL keeps the parts it concatenates charged, so
+   with UIE on the bytes would not add up even on a clean run. *)
+let test_degraded_round_truncates () =
+  let module Memtrack = Rs_storage.Memtrack in
+  let src = ".input e\np(x, y) :- e(x, y).\np(x, z) :- p(x, y), p(y, z).\n.output p" in
+  (* a binary tree: the interpreted round's row order differs from the
+     kernels', so rows left in [p] by the first kernel would show *)
+  let edb = [ ("e", 2, List.init 12 (fun i -> [ i / 2; i + 1 ])) ] in
+  let _, lookup =
+    Recstep.Naive.run ~edb:(List.map (fun (name, _, rows) -> (name, rows)) edb) (Parser.parse src)
+  in
+  (* [p]'s rows in order, the run's per-round |Δ| and trace, and the bytes
+     still charged that no returned table holds *)
+  let faulted ~persistent_indexes ~after =
+    let live = Memtrack.live () in
+    let inputs =
+      List.map
+        (fun (name, arity, rows) ->
+          (name, Relation.of_rows ~name arity (List.map Array.of_list rows)))
+        edb
+    in
+    let deltas = ref [] in
+    let on_iteration (it : Interpreter.iteration_info) =
+      deltas := ((it.it_stratum, it.it_iteration), (it.it_idb, it.it_delta_rows)) :: !deltas
+    in
+    let pool = Pool.create ~workers:4 () in
+    Pool.begin_run pool;
+    let trace = Trace.create ~now:(fun () -> Pool.vtime_now pool) () in
+    let options = Interpreter.options ~uie:false ~pbme:false ~persistent_indexes ~trace () in
+    let result =
+      Inject.with_plan
+        (Fault.plan_of_string ~seed:7 (Printf.sprintf "kernel:p=1,after=%d,limit=1" after))
+        (fun () -> Interpreter.run ~options ~on_iteration ~pool ~edb:inputs (Parser.parse src))
+    in
+    let p = result.Interpreter.relation_of "p" in
+    let unheld =
+      Memtrack.live () - live
+      - List.fold_left (fun n (_, r) -> n + Relation.bytes r) (Relation.bytes p) inputs
+    in
+    List.iter (fun (_, r) -> Relation.release r) inputs;
+    Relation.release p;
+    (p, List.rev !deltas, trace, unheld)
+  in
+  List.iter
+    (fun persistent_indexes ->
+      let what = if persistent_indexes then "persistent indexes" else "transient indexes" in
+      let clean, _, clean_deltas = round_counts ~persistent_indexes ~kernels:true src edb in
+      let first, _, _, _ = faulted ~persistent_indexes ~after:2 in
+      let p, deltas, trace, unheld = faulted ~persistent_indexes ~after:3 in
+      Alcotest.(check int) (what ^ ": one degraded kernel") 1 (c trace "kernel.fallbacks");
+      Alcotest.(check (list (list int))) (what ^ ": degraded run = naive") (lookup "p") (canon p);
+      Alcotest.(check (list (pair string (list (list int)))))
+        (what ^ ": degraded run = clean") clean [ ("p", canon p) ];
+      Alcotest.(check (list (list int)))
+        (what ^ ": p row for row as with the fault at the round's first kernel")
+        (List.map Array.to_list (Relation.to_rows first))
+        (List.map Array.to_list (Relation.to_rows p));
+      Alcotest.(check (list (pair (pair int int) (pair string int))))
+        (what ^ ": |Δ| per round = clean run") clean_deltas deltas;
+      Alcotest.(check int) (what ^ ": every row of p came through one Δ")
+        (List.fold_left (fun n (_, (_, d)) -> n + d) 0 deltas)
+        (Relation.nrows p);
+      Alcotest.(check int)
+        (what ^ ": no row of p repeats") (List.length (canon p)) (Relation.nrows p);
+      Alcotest.(check int) (what ^ ": every charged byte is held by a returned table") 0 unheld)
+    [ true; false ]
 
 (* --- R's membership set on kernel strata ---------------------------------- *)
 
@@ -1006,10 +1152,11 @@ let print_rule_case (seed, e, f, old, delta) =
     (pairs old) (pairs delta)
 
 (* Every delta plan of the rule, fused over a catalog where "p" ends with
-   its Δ "p@delta": the kernel's output must be the executor's bag for the
-   same plan with the old rows materialized, deduplicated, and it must
-   offer the bag's rows and claim its distinct ones. Each plan runs again
-   with an arithmetic head over the same columns. *)
+   its Δ range and emitting into "p" past it: the rows it appends must be
+   the executor's bag for the same plan with the old rows materialized,
+   deduplicated, and it must offer the bag's rows and claim its distinct
+   ones. Each plan runs again with an arithmetic head over the same
+   columns. *)
 let plans_match_executor src ~e ~f ~old ~delta =
   let module Expr = Rs_exec.Expr in
   let module Plan = Rs_exec.Plan in
@@ -1037,22 +1184,23 @@ let plans_match_executor src ~e ~f ~old ~delta =
             Catalog.register catalog name (Relation.of_rows ~name arity (List.map Array.of_list rows))
           in
           reg "p" 2 (rows (old @ delta));
-          reg "p@delta" 2 (rows delta);
+          let n = List.length old + List.length delta in
+          Catalog.set_delta catalog "p" ~lo:(List.length old) ~hi:n ();
           reg "e" 2 (rows e);
           reg "f" 3 (List.map (fun (x, y, z) -> [ x; y; z ]) f);
           let index_manager = Rs_exec.Index_manager.create ~persistent:(fun n -> n = "p") pool in
           let ex = Executor.create ~index_manager ~trace pool catalog in
           let bag = Executor.run_query ex (materialize ~old_rows:(rows old) plan) in
-          match Kernel.compile ex ~probe_table:"p@delta" plan with
+          match Kernel.compile ex plan with
           | Error reason -> QCheck2.Test.fail_reportf "kernel refused: %s" reason
           | Ok k ->
               let dedup = Dedup.create Dedup.Fast 2 in
-              let out = Relation.create 2 in
-              let claimed = Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~out in
+              let p = Catalog.rel catalog "p" in
+              let claimed = Kernel.run ex k ~dedup ~r_set:(empty_r_set 2) ~head:p in
               Dedup.release dedup;
               Rs_exec.Index_manager.release_all index_manager;
               let distinct = canon bag in
-              canon out = distinct
+              canon (rows_from p n) = distinct
               && c trace "dedup.probes" = Relation.nrows bag
               && claimed = List.length distinct
               && c trace "kernel.emitted" = claimed)
@@ -1111,6 +1259,10 @@ let suite =
       test_chaos_persistent_exec_fault;
     Alcotest.test_case "chaos: a crash releases transient indexes" `Quick
       test_crash_releases_transient_indexes;
+    Alcotest.test_case "range bound: kernels beside an interpreted IDB" `Quick
+      test_range_bound_mixed_stratum;
+    Alcotest.test_case "range bound: a degraded round truncates R" `Quick
+      test_degraded_round_truncates;
     Alcotest.test_case "provenance: kernel and interpreted tag all-or-nothing"
       `Quick test_provenance_all_or_nothing;
     Alcotest.test_case "provenance: kernel chaos keeps full tag coverage" `Quick

@@ -106,6 +106,10 @@ let cases =
     case "kernel-profile" (profile ~pbme:false tc)
       ~flip:(0, [ "counters"; "kernel.fallbacks" ], Json.Int 1, "kernel.fallbacks")
       ~remove:(0, [ "counters"; "kernel.fallbacks" ], "kernel.fallbacks");
+    case "delta-timeline"
+      (fun () -> profile ~pbme:false tc () @ profile ~pbme:false ~kernels:false tc ())
+      ~flip:(1, [ "iterations"; "*"; "delta_rows" ], Json.Int 7, "delta_rows")
+      ~remove:(0, [ "iterations"; "*"; "idb" ], "idb");
     case "fuzz" (fun () -> [ Rs_fuzz.Fuzz.report_json (Rs_fuzz.Fuzz.run ~seed:42 ~iters:25 ()) ])
       ~flip:(0, [ "runs"; "diverged" ], Json.Int 1, "diverged")
       ~remove:(0, [ "by_runner" ], "by_runner");
