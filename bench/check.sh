@@ -116,6 +116,30 @@ done
 cmp "$tmp/mut_on.sorted" "$tmp/mut_off.sorted"
 "$validate" delta-timeline "$tmp/pmut_on.json" "$tmp/pmut_off.json"
 
+# Every row of a non-aggregated IDB enters it through exactly one Δ: over
+# each profile's timeline an IDB's Δ rows add up to the rows the run wrote
+# for it. The same TC and mutual recursion run once more on the
+# Souffle-like baseline, which drives its strata through the same loop.
+rows_json() {
+  printf '{'
+  sep=''
+  for f in "$@"; do
+    printf '%s"%s":%d' "$sep" "$(basename "$f" .tsv)" "$(wc -l <"$f")"
+    sep=','
+  done
+  echo '}'
+}
+for prog in tc_only mutual; do
+  dune exec bin/recstep_cli.exe -- run "$tmp/$prog.dl" --fact "arc=$tmp/arc.tsv" \
+    --engine Souffle-like --profile "$tmp/p${prog}_souffle.json" --out "$tmp/${prog}_souffle" >/dev/null
+done
+for run in "pkern kern_on" "pkern_off kern_off" "ptc_only_souffle tc_only_souffle" \
+  "pmut_on mut_on" "pmut_off mut_off" "pmutual_souffle mutual_souffle"; do
+  set -- $run
+  rows_json "$tmp/$2"/*.tsv >"$tmp/$2.rows.json"
+  "$validate" delta-sum "$tmp/$1.json" "$tmp/$2.rows.json"
+done
+
 # Kernel benchmark: the fused path must be at least 2x faster in simulated
 # time on recursive TC, with byte-identical outputs on every workload, and
 # SG's three-atom recursive rule must compile to an n-way chain kernel.

@@ -133,6 +133,22 @@ let delta_timeline on off =
   Printf.sprintf "%d rounds, %d Δ rows, identical" (List.length t_on)
     (sum (fun (_, _, _, d) -> d) t_on)
 
+(* Every row of a non-aggregated IDB entered it through exactly one Δ, so
+   over the profile's timeline the IDB's Δ rows add up to the rows the run
+   wrote for it. [written] maps each such IDB to that row count. *)
+let delta_sum p written =
+  let timeline = list "iterations" p in
+  let idbs = match written with Json.Obj kvs -> List.map fst kvs | _ -> failwith "rows: not an object" in
+  claim (idbs <> []) "rows: no IDB written";
+  let check idb =
+    let rounds = List.filter (fun it -> str "idb" it = idb) timeline in
+    claim (rounds <> []) "iterations: no rounds of %s" idb;
+    let total = sum (int "delta_rows") rounds and n = int idb written in
+    claim (total = n) "iterations: %s's delta_rows sum to %d, the run wrote %d rows" idb total n;
+    Printf.sprintf "%s %d rows" idb n
+  in
+  String.concat ", " (List.map check idbs)
+
 (* --- fuzz campaigns --- *)
 
 (* At seed 42 all 54 runners (6 engines + 48 toggle configurations) agree
@@ -260,6 +276,7 @@ let checks =
     ("index-off", one (index ~persistent:false)); ("kernel-profile", one kernel_profile);
     ("delta-timeline",
       function [ on; off ] -> delta_timeline on off | _ -> failwith "expected kernels on, kernels off");
+    ("delta-sum", function [ p; rows ] -> delta_sum p rows | _ -> failwith "expected profile, rows");
     ("fuzz", one fuzz); ("delta-fuzz", one delta_fuzz); ("serve", one serve);
     ("serve-ivm", function [ w; c ] -> serve_ivm w c | _ -> failwith "expected ivm, no-ivm");
     ("chaos", one (chaos ~arm:false)); ("chaos-kernel", one (chaos ~arm:true)); ("load", one load);

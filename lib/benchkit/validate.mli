@@ -7,7 +7,9 @@
 val kinds : string list
 (** [profile], [index], [index-off], [kernel-profile] (profiles of
     [recstep run]), [delta-timeline] (a profile with kernels, then one
-    without: identical per-round Δ timelines), [fuzz], [delta-fuzz], [serve], [serve-ivm] (a serve
+    without: identical per-round Δ timelines), [delta-sum] (a profile, then
+    [{IDB: rows written}] for its non-aggregated IDBs: each IDB's Δ rows
+    over the timeline add up to its rows), [fuzz], [delta-fuzz], [serve], [serve-ivm] (a serve
     report with maintenance, then one with [--no-ivm]), [chaos],
     [chaos-kernel], [load], [perfbench], [bench-kernel], [bench-prov],
     [bench-ivm] and [bench-service]. *)

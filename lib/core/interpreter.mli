@@ -102,12 +102,15 @@ val options :
 val default_options : options
 (** [options ()] — everything on: the RecStep configuration. *)
 
-type iteration_info = {
+(** One IDB's Δ after one round, as {!run} reports it to [on_iteration]
+    and to the trace timeline: the trace's own record, so a note is passed
+    on as it is. *)
+type iteration_info = Rs_obs.Trace.iteration = {
   it_stratum : int;
-  it_iteration : int;
+  it_iteration : int;  (** 0 = the base round *)
   it_idb : string;
-  it_delta_rows : int;
-  it_vtime : float;
+  it_delta_rows : int;  (** |Δ| after the round *)
+  it_vtime : float;  (** simulated time of the note *)
 }
 
 type result = {
@@ -121,6 +124,8 @@ type result = {
 }
 
 exception Timeout_simulated of float
+(** {!Fixpoint.Timeout_simulated}: the simulated clock passed
+    [timeout_vs]. *)
 
 val run :
   ?options:options ->

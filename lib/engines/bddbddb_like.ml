@@ -46,7 +46,6 @@ let rule_var_domains rule =
 let run ~pool ?deadline_vs ?trace ~edb program =
   let an = An.analyze program in
   if an.An.agg_sigs <> [] then unsupported "%s: aggregation" name;
-  let iterations = ref 0 in
   let rule_evals = ref 0 in
   List.iter
     (fun (p, arity) -> if arity > 2 then unsupported "%s: relation %s has arity %d" name p arity)
@@ -110,13 +109,7 @@ let run ~pool ?deadline_vs ?trace ~edb program =
       let remaining = budget -. Pool.vtime_now pool in
       Bdd.set_deadline sp.Bdd_rel.mgr (Some (Rs_util.Clock.now () +. max 0.01 remaining))
   | None -> ());
-  let check_deadline () =
-    match deadline_vs with
-    | Some budget ->
-        let v = Pool.vtime_now pool in
-        if v > budget then raise (Recstep.Interpreter.Timeout_simulated v)
-    | None -> ()
-  in
+  let fx = Recstep.Fixpoint.create ?trace ?deadline:deadline_vs ~kind:"engine" pool in
   (* canonical BDDs per predicate *)
   let full : (string, Bdd.node ref) Hashtbl.t = Hashtbl.create 32 in
   let delta : (string, Bdd.node ref) Hashtbl.t = Hashtbl.create 32 in
@@ -258,19 +251,19 @@ let run ~pool ?deadline_vs ?trace ~edb program =
       an.An.program.Ast.rules
   in
   let eval_stratum stratum =
-      check_deadline ();
-      incr iterations;
-      let m = sp.Bdd_rel.mgr in
-      let rules = List.filter (fun r -> r.Ast.body <> []) stratum.An.rules in
-      let rec_occurrences rule =
-        List.fold_left
-          (fun acc l ->
-            match l with
-            | Ast.L_pos a when List.mem a.Ast.pred stratum.An.preds -> acc + 1
-            | _ -> acc)
-          0 rule.Ast.body
-      in
-      (* iteration 0: facts plus delta-free rules *)
+    let m = sp.Bdd_rel.mgr in
+    let rules = List.filter (fun r -> r.Ast.body <> []) stratum.An.rules in
+    let rec_occurrences rule =
+      List.fold_left
+        (fun acc l ->
+          match l with
+          | Ast.L_pos a when List.mem a.Ast.pred stratum.An.preds -> acc + 1
+          | _ -> acc)
+        0 rule.Ast.body
+    in
+    (* iteration 0: facts plus delta-free rules; bddbddb tests its Δs only
+       after a delta round, so the first one always runs *)
+    let base () =
       List.iter
         (fun (p, tuple) ->
           let f = Hashtbl.find full p in
@@ -285,59 +278,48 @@ let run ~pool ?deadline_vs ?trace ~edb program =
           end)
         rules;
       List.iter (fun p -> Hashtbl.find delta p := !(Hashtbl.find full p)) stratum.An.preds;
-      if stratum.An.recursive then begin
-        let continue_ = ref true in
-        while !continue_ do
-          check_deadline ();
-          incr iterations;
-          let news =
-            List.map
-              (fun p ->
-                let acc = ref Bdd.bfalse in
-                List.iter
-                  (fun rule ->
-                    if rule.Ast.head_pred = p then
-                      for i = 0 to rec_occurrences rule - 1 do
-                        incr rule_evals;
-                        acc := Bdd.mk_or m !acc (eval_rule stratum rule ~delta_at:i)
-                      done)
-                  rules;
-                (p, !acc))
-              stratum.An.preds
-          in
-          let any = ref false in
-          List.iter
-            (fun (p, new_bdd) ->
-              let f = Hashtbl.find full p and d = Hashtbl.find delta p in
-              let fresh = Bdd.mk_diff m new_bdd !f in
-              d := fresh;
-              if fresh <> Bdd.bfalse then begin
-                any := true;
-                f := Bdd.mk_or m !f fresh
-              end)
-            news;
-          continue_ := !any
-        done
-      end;
-      List.iter (fun p -> Hashtbl.find delta p := Bdd.bfalse) stratum.An.preds
+      true
+    in
+    let round _ =
+      let news =
+        List.map
+          (fun p ->
+            let acc = ref Bdd.bfalse in
+            List.iter
+              (fun rule ->
+                if rule.Ast.head_pred = p then
+                  for i = 0 to rec_occurrences rule - 1 do
+                    incr rule_evals;
+                    acc := Bdd.mk_or m !acc (eval_rule stratum rule ~delta_at:i)
+                  done)
+              rules;
+            (p, !acc))
+          stratum.An.preds
+      in
+      List.fold_left
+        (fun any (p, new_bdd) ->
+          let f = Hashtbl.find full p and d = Hashtbl.find delta p in
+          let fresh = Bdd.mk_diff m new_bdd !f in
+          d := fresh;
+          if fresh <> Bdd.bfalse then f := Bdd.mk_or m !f fresh;
+          any || fresh <> Bdd.bfalse)
+        false news
+    in
+    Recstep.Fixpoint.run fx ~recursive:stratum.An.recursive ~base ~delta:round;
+    List.iter (fun p -> Hashtbl.find delta p := Bdd.bfalse) stratum.An.preds
   in
-  let eval_stratum stratum =
-    match trace with
-    | Some tr ->
-        Rs_obs.Trace.span tr ~kind:"engine"
-          (Printf.sprintf "stratum-%d" stratum.An.index)
-          (fun () -> eval_stratum stratum)
-    | None -> eval_stratum stratum
-  in
-  (try List.iter eval_stratum an.An.strata
-   with Bdd.Deadline_exceeded ->
-     raise (Recstep.Interpreter.Timeout_simulated (Pool.vtime_now pool)));
+  (try
+     List.iter
+       (fun s -> Recstep.Fixpoint.stratum fx s.An.index (fun () -> eval_stratum s))
+       an.An.strata
+   with Bdd.Deadline_exceeded -> Recstep.Fixpoint.timeout pool);
   let relation_of p =
     match Hashtbl.find_opt full p with
     | Some f -> Bdd_rel.to_relation sp ~arity:(An.arity an p) ~name:p !f
     | None -> invalid_arg (Printf.sprintf "%s: unknown relation %s" name p)
   in
-  Engine_intf.mk_result ~pool ?trace ~iterations:!iterations ~queries:!rule_evals relation_of
+  Engine_intf.mk_result ~pool ?trace ~iterations:(Recstep.Fixpoint.iterations fx) ~queries:!rule_evals
+    relation_of
 
 let maintain ~pool ?trace ~edb program =
   Engine_intf.maintain_by_recompute run ~pool ?trace ~edb program

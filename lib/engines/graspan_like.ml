@@ -188,13 +188,7 @@ let run ~pool ?deadline_vs ?trace ~edb program =
     if delta > 0 then Rs_storage.Memtrack.alloc delta else Rs_storage.Memtrack.free (-delta);
     accounted := b
   in
-  let check_deadline () =
-    match deadline_vs with
-    | Some budget ->
-        let v = Pool.vtime_now pool in
-        if v > budget then raise (Recstep.Interpreter.Timeout_simulated v)
-    | None -> ()
-  in
+  let fx = Recstep.Fixpoint.create ?trace ?deadline:deadline_vs ~kind:"engine" pool in
   (* seed with EDB edges *)
   let worklist = ref [] in
   List.iter
@@ -217,7 +211,7 @@ let run ~pool ?deadline_vs ?trace ~edb program =
      parallel against the adjacency lists, then a serial merge *)
   let batch = ref (Array.of_list !worklist) in
   while Array.length !batch > 0 do
-    check_deadline ();
+    Recstep.Fixpoint.check_deadline fx;
     incr rounds;
     (match trace with
     | Some tr ->
@@ -276,19 +270,9 @@ let run ~pool ?deadline_vs ?trace ~edb program =
       (List.rev !fragments);
     reaccount ();
     batch := Array.of_list !next;
-    (match trace with
-    | Some tr ->
-        (* one worklist round = one fixpoint iteration over all labels *)
-        Rs_obs.Trace.iteration tr
-          {
-            Rs_obs.Trace.it_stratum = 0;
-            it_iteration = !rounds;
-            it_idb = "worklist";
-            it_delta_rows = Array.length !batch;
-            it_vtime = Pool.vtime_now pool;
-          };
-        Rs_obs.Trace.end_span tr
-    | None -> ())
+    (* one worklist round = one fixpoint iteration over all labels *)
+    Recstep.Fixpoint.note fx ~stratum:0 ~iteration:!rounds "worklist" (Array.length !batch);
+    Option.iter Rs_obs.Trace.end_span trace
   done;
   let relation_of p =
     match Hashtbl.find_opt stores p with

@@ -7,6 +7,7 @@ module Kernel = Rs_exec.Kernel
 module An = Recstep.Analyzer
 module Ast = Recstep.Ast
 module Planner = Recstep.Planner
+module Fixpoint = Recstep.Fixpoint
 
 let name = "Souffle-like"
 
@@ -307,31 +308,8 @@ let fold_candidates pool ~edb an pred candidates =
 
 let run ~pool ?deadline_vs ?trace ~edb program =
   let an = An.analyze program in
-  let iterations = ref 0 in
+  let fx = Fixpoint.create ?trace ?deadline:deadline_vs ~kind:"engine" pool in
   let rule_evals = ref 0 in
-  let with_span sname f =
-    match trace with Some tr -> Rs_obs.Trace.span tr ~kind:"engine" sname f | None -> f ()
-  in
-  let note_iteration ~stratum ~iteration ~idb ~delta_rows =
-    match trace with
-    | Some tr ->
-        Rs_obs.Trace.iteration tr
-          {
-            Rs_obs.Trace.it_stratum = stratum;
-            it_iteration = iteration;
-            it_idb = idb;
-            it_delta_rows = delta_rows;
-            it_vtime = Pool.vtime_now pool;
-          }
-    | None -> ()
-  in
-  let check_deadline () =
-    match deadline_vs with
-    | Some budget ->
-        let v = Pool.vtime_now pool in
-        if v > budget then raise (Recstep.Interpreter.Timeout_simulated v)
-    | None -> ()
-  in
   (* Souffle has no recursive aggregation. *)
   List.iter
     (fun s ->
@@ -358,21 +336,16 @@ let run ~pool ?deadline_vs ?trace ~edb program =
           account ps
       | None -> Engine_intf.unsupported "%s: missing input %s" name p)
     an.An.edbs;
-  (* stratum loop *)
   List.iter
     (fun stratum ->
-      check_deadline ();
-      with_span (Printf.sprintf "stratum-%d" stratum.An.index) @@ fun () ->
+      Fixpoint.stratum fx stratum.An.index @@ fun () ->
       let agg_preds = List.filter (fun p -> An.agg_sig an p <> None) stratum.An.preds in
       let candidates : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
       List.iter
         (fun p -> Hashtbl.replace candidates p (Relation.create ~name:(p ^ "@cand") (An.arity an p)))
         agg_preds;
-      let compiled =
-        List.filter_map
-          (fun r -> if r.Ast.body = [] then None else Some (r, compile_rule stores stratum r))
-          stratum.An.rules
-      in
+      let facts, rules = List.partition (fun r -> r.Ast.body = []) stratum.An.rules in
+      let compiled = List.map (fun r -> (r, compile_rule stores stratum r)) rules in
       let sink head out_rel =
         (* route derived tuples: aggregate heads collect candidates,
            plain heads insert (dedup + index maintenance) *)
@@ -380,23 +353,21 @@ let run ~pool ?deadline_vs ?trace ~edb program =
         | Some cand -> Relation.append_all cand out_rel
         | None -> insert_all (Hashtbl.find stores head) out_rel
       in
-      (* facts *)
       List.iter
         (fun r ->
-          if r.Ast.body = [] then
-            let tuple =
-              List.map
-                (function
-                  | Ast.H_term (Ast.Const c) -> c
-                  | _ -> Engine_intf.unsupported "%s: non-ground fact" name)
-                r.Ast.head_args
-            in
-            sink r.Ast.head_pred (Relation.of_rows (List.length tuple) [ Array.of_list tuple ]))
-        stratum.An.rules;
-      (* One round: every compiled variant [pick] selects, each sunk before
-         the next resolves its steps. *)
-      let round pick =
-        incr iterations;
+          let tuple =
+            List.map
+              (function
+                | Ast.H_term (Ast.Const c) -> c
+                | _ -> Engine_intf.unsupported "%s: non-ground fact" name)
+              r.Ast.head_args
+          in
+          sink r.Ast.head_pred (Relation.of_rows (List.length tuple) [ Array.of_list tuple ]))
+        facts;
+      (* One round [iteration]: every compiled variant [pick] selects, each
+         sunk before the next resolves its steps; then the rows the round
+         added become each predicate's Δ. Returns whether any did. *)
+      let round pick iteration =
         List.iter
           (fun (r, variants) ->
             List.iter
@@ -406,33 +377,22 @@ let run ~pool ?deadline_vs ?trace ~edb program =
                 run_chain pool v ~out;
                 sink r.Ast.head_pred out)
               (pick variants))
-          compiled
-      in
-      (* The rows a round added become each predicate's Δ; whether any did. *)
-      let advance iteration =
+          compiled;
         List.fold_left
           (fun any p ->
             let ps = Hashtbl.find stores p in
             ps.delta_lo <- ps.delta_hi;
             ps.delta_hi <- Relation.nrows ps.store;
-            note_iteration ~stratum:stratum.An.index ~iteration ~idb:p
-              ~delta_rows:(ps.delta_hi - ps.delta_lo);
+            Fixpoint.note fx ~stratum:stratum.An.index ~iteration p (ps.delta_hi - ps.delta_lo);
             account ps;
             any || ps.delta_hi > ps.delta_lo)
           false stratum.An.preds
       in
-      (* iteration 0: base variants of every rule; everything so far is Δ0 *)
-      round (fun (base, _) -> [ base ]);
-      ignore (advance 0);
-      if stratum.An.recursive then begin
-        let iteration = ref 0 and continue_ = ref true in
-        while !continue_ do
-          check_deadline ();
-          incr iteration;
-          round snd;
-          continue_ := advance !iteration
-        done
-      end;
+      (* iteration 0 runs every rule's base variant: everything so far is
+         Δ0 *)
+      Fixpoint.run fx ~recursive:stratum.An.recursive
+        ~base:(fun () -> round (fun (base, _) -> [ base ]) 0)
+        ~delta:(round snd);
       (* fold aggregates of this stratum *)
       List.iter
         (fun p ->
@@ -450,7 +410,8 @@ let run ~pool ?deadline_vs ?trace ~edb program =
     | Some ps -> ps.store
     | None -> invalid_arg (Printf.sprintf "%s: unknown relation %s" name pred)
   in
-  Engine_intf.mk_result ~pool ?trace ~iterations:!iterations ~queries:!rule_evals relation_of
+  Engine_intf.mk_result ~pool ?trace ~iterations:(Fixpoint.iterations fx) ~queries:!rule_evals
+    relation_of
 
 let maintain ~pool ?trace ~edb program =
   Engine_intf.maintain_by_recompute run ~pool ?trace ~edb program

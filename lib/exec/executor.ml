@@ -184,6 +184,23 @@ let acquire_delta_index t (cache : cache option) name ((rel, _, _) as range) key
           (d, false))
   | None -> (build (), true)
 
+(* Release [rel], what [eval] or [eval_rows] gave for [plan], once its
+   reader is done: only a result the executor made. A [Plan.Rel] is its
+   caller's, and a leaf read or [materialize]d in place is the catalog's
+   own table. *)
+let release_eval t plan rel =
+  match plan with
+  | Plan.Rel _ -> ()
+  | Plan.Scan _ | Plan.Old _ | Plan.Delta _ ->
+      let table, _, _ = read_leaf t plan in
+      if rel != table then Relation.release rel
+  | _ -> Relation.release rel
+
+(* [out], built by reading [rel], the rows [plan] gave, which go now. *)
+let consumed t plan rel out =
+  release_eval t plan rel;
+  out
+
 let rec eval t (cache : cache option) plan : Relation.t =
   match plan with
   | Plan.Scan _ | Plan.Old _ | Plan.Delta _ ->
@@ -193,22 +210,24 @@ let rec eval t (cache : cache option) plan : Relation.t =
   | Plan.Filter (preds, src) ->
       let input, start, stop = eval_rows t cache src in
       let arity = Relation.arity input in
-      chunked_output t ~arity ~start ~stop (fun frag lo hi ->
-          for row = lo to hi - 1 do
-            let get c = Relation.get input ~row ~col:c in
-            if List.for_all (Expr.test get) preds then
-              for c = 0 to arity - 1 do
-                Int_vec.push (Relation.col frag c) (get c)
-              done
-          done)
+      consumed t src input
+      @@ chunked_output t ~arity ~start ~stop (fun frag lo hi ->
+             for row = lo to hi - 1 do
+               let get c = Relation.get input ~row ~col:c in
+               if List.for_all (Expr.test get) preds then
+                 for c = 0 to arity - 1 do
+                   Int_vec.push (Relation.col frag c) (get c)
+                 done
+             done)
   | Plan.Project (exprs, src) ->
       let input, start, stop = eval_rows t cache src in
       let arity = Array.length exprs in
-      chunked_output t ~arity ~start ~stop (fun frag lo hi ->
-          for row = lo to hi - 1 do
-            let get c = Relation.get input ~row ~col:c in
-            Array.iteri (fun i e -> Int_vec.push (Relation.col frag i) (Expr.eval get e)) exprs
-          done)
+      consumed t src input
+      @@ chunked_output t ~arity ~start ~stop (fun frag lo hi ->
+             for row = lo to hi - 1 do
+               let get c = Relation.get input ~row ~col:c in
+               Array.iteri (fun i e -> Int_vec.push (Relation.col frag i) (Expr.eval get e)) exprs
+             done)
   | Plan.Join j -> eval_join t cache j
   | Plan.AntiJoin a -> eval_anti t cache a
   | Plan.UnionAll ps ->
@@ -217,7 +236,9 @@ let rec eval t (cache : cache option) plan : Relation.t =
          reuse each other's hash tables via [cache]. The final merge is a
          parallel block copy. *)
       let parts = List.map (fun p -> eval t cache p) ps in
-      Relation.concat_parallel t.pool arity parts
+      let merged = Relation.concat_parallel t.pool arity parts in
+      List.iter2 (release_eval t) ps parts;
+      merged
 
 (* The relation an operator reads and the rows [\[start, stop)] of it the
    plan covers: a leaf reads its table in place, anything else is
@@ -266,7 +287,11 @@ and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
     | _ ->
         let brel, _, bstop = eval_rows t cache build in
         let idx, owned = build_index t ?cache ?scan_name:bname brel bkeys in
-        (brel, bstop, idx, fun () -> if owned then Hash_index.release idx)
+        let release () =
+          if owned then Hash_index.release idx;
+          release_eval t build brel
+        in
+        (brel, bstop, idx, release)
   in
   let lrel, rrel = if build_left then (brel, prel) else (prel, brel) in
   let la = Relation.arity lrel in
@@ -297,20 +322,22 @@ and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
         done)
   in
   release ();
-  result
+  consumed t probe prel result
 
 and eval_anti t cache { Plan.al; ar; alkeys; arkeys } =
   let scan_name = function Plan.Scan n -> Some n | _ -> None in
-  let lrel, start, stop = eval_rows t cache al and rrel = eval t cache ar in
+  let lrel, start, stop = eval_rows t cache al in
+  let rrel = eval t cache ar in
   let arity = Relation.arity lrel in
   let copy_if keep =
-    chunked_output t ~arity ~start ~stop (fun frag lo hi ->
-        for row = lo to hi - 1 do
-          if keep row then
-            for c = 0 to arity - 1 do
-              Int_vec.push (Relation.col frag c) (Relation.get lrel ~row ~col:c)
-            done
-        done)
+    consumed t al lrel @@ consumed t ar rrel
+    @@ chunked_output t ~arity ~start ~stop (fun frag lo hi ->
+           for row = lo to hi - 1 do
+             if keep row then
+               for c = 0 to arity - 1 do
+                 Int_vec.push (Relation.col frag c) (Relation.get lrel ~row ~col:c)
+               done
+           done)
   in
   if Array.length arkeys = 0 then
     (* a negated atom that binds no variable holds for every row or none *)

@@ -652,12 +652,48 @@ let test_delta_range_guard () =
   | _ -> Alcotest.fail "Old read a table whose Δ lies in another relation"
   | exception Invalid_argument _ -> ()
 
+(* An interpreted run under UIE leaves charged only what it returns: every
+   intermediate result of its queries (a UNION ALL's parts, the inputs a
+   filter, projection, join or anti-join evaluates) is released once read.
+   Kernels and PBME are off so every round runs through the executor; the
+   programs cover non-linear recursion, a filter, mutual recursion over
+   three-way joins and a negation. *)
+let test_uie_releases_intermediates () =
+  let module Memtrack = Rs_storage.Memtrack in
+  let arc () = Rs_datagen.Graphs.gnp ~seed:3 ~n:40 ~p:0.05 in
+  let nonlinear = ".input arc\np(x, y) :- arc(x, y).\np(x, z) :- p(x, y), p(y, z).\n.output p" in
+  List.iter
+    (fun (what, src, edb) ->
+      let live = Memtrack.live () in
+      let edb = edb () in
+      let pool = Pool.create ~workers:4 () in
+      Pool.begin_run pool;
+      let options = Recstep.Interpreter.options ~pbme:false ~compiled_kernels:false () in
+      let program = Recstep.Parser.parse src in
+      let r = Recstep.Interpreter.run ~options ~pool ~edb program in
+      let idbs = (Recstep.Analyzer.analyze program).Recstep.Analyzer.idbs in
+      let tables = List.map snd edb @ List.map r.relation_of idbs in
+      let held = List.fold_left (fun n rel -> n + Relation.bytes rel) 0 tables in
+      Alcotest.(check int) (what ^ ": live bytes = bytes of the returned tables") held (Memtrack.live () - live);
+      List.iter Relation.release tables)
+    [
+      ("non-linear tc", nonlinear, fun () -> [ ("arc", arc ()) ]);
+      ("sg", Recstep.Programs.sg, fun () -> [ ("arc", arc ()) ]);
+      ( "cspa",
+        Recstep.Programs.cspa,
+        fun () ->
+          [ ("assign", Rs_datagen.Graphs.gnp ~seed:5 ~n:40 ~p:0.04);
+            ("dereference", Rs_datagen.Graphs.gnp ~seed:6 ~n:40 ~p:0.03) ] );
+      ("ntc", Recstep.Programs.ntc, fun () -> [ ("arc", arc ()) ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "expr eval" `Quick test_expr_eval;
     Alcotest.test_case "plan arity/estimate" `Quick test_plan_arity_estimate;
     Alcotest.test_case "filter/project/union" `Quick test_filter_project_union;
     Alcotest.test_case "anti join" `Quick test_anti_join;
+    Alcotest.test_case "UIE run releases its intermediates" `Quick test_uie_releases_intermediates;
     Alcotest.test_case "catalog stats" `Quick test_catalog_stats;
     Alcotest.test_case "cost model regions" `Quick test_cost_choose_regions;
     Alcotest.test_case "observed mu" `Quick test_observed_mu;

@@ -862,9 +862,7 @@ let test_range_bound_mixed_stratum () =
    rows: [p] ends row for row as when the fault fires at the round's first
    kernel, before any append, every row of [p] entered through exactly one
    Δ (the |Δ|s sum to |p|), the run equals the clean one and the naive
-   oracle, and every byte the run charged is held by a table it returns.
-   UIE is off: its UNION ALL keeps the parts it concatenates charged, so
-   with UIE on the bytes would not add up even on a clean run. *)
+   oracle, and every byte the run charged is held by a table it returns. *)
 let test_degraded_round_truncates () =
   let module Memtrack = Rs_storage.Memtrack in
   let src = ".input e\np(x, y) :- e(x, y).\np(x, z) :- p(x, y), p(y, z).\n.output p" in
@@ -891,7 +889,7 @@ let test_degraded_round_truncates () =
     let pool = Pool.create ~workers:4 () in
     Pool.begin_run pool;
     let trace = Trace.create ~now:(fun () -> Pool.vtime_now pool) () in
-    let options = Interpreter.options ~uie:false ~pbme:false ~persistent_indexes ~trace () in
+    let options = Interpreter.options ~pbme:false ~persistent_indexes ~trace () in
     let result =
       Inject.with_plan
         (Fault.plan_of_string ~seed:7 (Printf.sprintf "kernel:p=1,after=%d,limit=1" after))

@@ -8,6 +8,7 @@ let () =
       ("relation", Test_relation.suite);
       ("exec", Test_exec.suite);
       ("kernel", Test_kernel.suite);
+      ("signature", Test_signature.suite);
       ("core", Test_core.suite);
       ("explain", Test_explain.suite);
       ("ivm", Test_ivm.suite);

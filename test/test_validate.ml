@@ -63,6 +63,16 @@ let profile ?(pbme = true) ?(kernels = true) ?(persistent_indexes = true) src ()
   ignore (Interpreter.run ~options ~pool ~edb:[ ("arc", arc ()) ] (Recstep.Parser.parse src));
   [ Rs_obs.Trace.to_json trace ]
 
+(* A profile, then the rows the run wrote for each of its outputs. *)
+let delta_sum ?kernels src () =
+  let pool = Pool.create ~workers:16 () in
+  Pool.begin_run pool;
+  let trace = Rs_obs.Trace.create ~now:(fun () -> Pool.vtime_now pool) () in
+  let options = Interpreter.options ~pbme:false ?compiled_kernels:kernels ~trace () in
+  let r = Interpreter.run ~options ~pool ~edb:[ ("arc", arc ()) ] (Recstep.Parser.parse src) in
+  [ Rs_obs.Trace.to_json trace;
+    Json.Obj (List.map (fun (n, rel) -> (n, Json.Int (Rs_relation.Relation.nrows rel))) r.outputs) ]
+
 let tc = ".input arc\ntc(x, y) :- arc(x, y).\ntc(x, y) :- tc(x, z), arc(z, y).\n.output tc\n"
 let tc_twohop = tc ^ "twohop(x, y) :- tc(x, z), tc(z, y).\n.output twohop\n"
 
@@ -110,6 +120,9 @@ let cases =
       (fun () -> profile ~pbme:false tc () @ profile ~pbme:false ~kernels:false tc ())
       ~flip:(1, [ "iterations"; "*"; "delta_rows" ], Json.Int 7, "delta_rows")
       ~remove:(0, [ "iterations"; "*"; "idb" ], "idb");
+    case "delta-sum" (delta_sum tc)
+      ~flip:(0, [ "iterations"; "*"; "delta_rows" ], Json.Int 7, "tc")
+      ~remove:(0, [ "iterations"; "*"; "idb" ], "idb");
     case "fuzz" (fun () -> [ Rs_fuzz.Fuzz.report_json (Rs_fuzz.Fuzz.run ~seed:42 ~iters:25 ()) ])
       ~flip:(0, [ "runs"; "diverged" ], Json.Int 1, "diverged")
       ~remove:(0, [ "by_runner" ], "by_runner");
@@ -154,7 +167,17 @@ let test_record_shape () =
   | Ok _ -> Alcotest.fail "a record with a failed operation passed"
   | Error m -> Alcotest.(check bool) ("names failed: " ^ m) true (contains m "failed")
 
+(* an IDB the run wrote but the timeline never noted fails, naming it *)
+let test_delta_sum_missing_idb () =
+  match delta_sum ~kernels:false tc () with
+  | [ p; Json.Obj rows ] -> (
+      match Validate.check "delta-sum" [ p; Json.Obj (("ghost", Json.Int 0) :: rows) ] with
+      | Ok _ -> Alcotest.fail "an IDB with no rounds passed"
+      | Error m -> Alcotest.(check bool) ("names ghost: " ^ m) true (contains m "ghost"))
+  | _ -> Alcotest.fail "delta_sum: expected a profile and its rows"
+
 let suite =
   Alcotest.test_case "one case per report kind" `Quick test_every_kind_covered
+  :: Alcotest.test_case "delta-sum: an IDB with no rounds fails" `Quick test_delta_sum_missing_idb
   :: Alcotest.test_case "record: failed operations fail" `Quick test_record_shape
   :: List.map (fun (kind, f) -> Alcotest.test_case kind `Quick f) cases
