@@ -13,17 +13,22 @@ let core_counts = [ 1; 2; 4; 8; 16; 20; 32; 40 ]
 let time_of (r : Measure.run) =
   match r.Measure.outcome with Measure.Done t -> t | _ -> nan
 
+let run_at (w : Workloads.t) workers =
+  time_of
+    (Measure.run ~workers ~name:(Printf.sprintf "%s @%d" w.Workloads.label workers)
+       ~make_inputs:w.Workloads.make_edb
+       (fun edb pool ~deadline_vs ~trace ->
+         let options = Interpreter.options ?timeout_vs:deadline_vs ?trace () in
+         ignore (Interpreter.run ~options ~pool ~edb w.Workloads.program)))
+
+(* The median of three runs at each core count, each count after a heap
+   compaction; [nan] if any of the three failed. *)
 let speedup_series (w : Workloads.t) =
   List.map
     (fun workers ->
-      let r =
-        Measure.run ~workers ~name:(Printf.sprintf "%s @%d" w.Workloads.label workers)
-          ~make_inputs:w.Workloads.make_edb
-          (fun edb pool ~deadline_vs ~trace ->
-            let options = Interpreter.options ?timeout_vs:deadline_vs ?trace () in
-            ignore (Interpreter.run ~options ~pool ~edb w.Workloads.program))
-      in
-      (workers, time_of r))
+      Gc.compact ();
+      let times = List.sort compare (List.init 3 (fun _ -> run_at w workers)) in
+      (workers, if List.exists Float.is_nan times then nan else List.nth times 1))
     core_counts
 
 let fig8 ~scale =
@@ -38,6 +43,9 @@ let fig8 ~scale =
                     |> fun f -> ("livejournal", f));
     ]
   in
+  (* one discarded run per workload, so that the sweep starts on a warm
+     heap rather than its first core count paying for the warm-up *)
+  List.iter (fun w -> ignore (run_at w 1)) workloads;
   let header = "workload" :: List.map string_of_int core_counts in
   Rs_util.Table_printer.print ~header
     (List.map

@@ -231,6 +231,11 @@ let rec absent frame (antis : anti array) i =
       not (Dedup.mem_row a.set a.tuple))
   && absent frame antis (i + 1)
 
+(* A chain link: row [r]'s 32-bit successor in the view's [nexts], read
+   with the primitive itself so that each chain step is one load, not a
+   call into [Hash_index]. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
 (* Step [i] scans rows [0, bound), or walks its bucket chain newest row
    first and skips rows past its bound or with another key; it binds each
    match and descends. Past the last step come the anti-checks, the
@@ -271,7 +276,7 @@ let rec descend c i =
           bind frame s.at s.src r;
           if passes frame s.preds then descend c (i + 1)
         end;
-        row := Array.unsafe_get nexts r
+        row := Int32.to_int (get32 nexts (r lsl 2))
       done
     end
   end

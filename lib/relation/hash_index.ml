@@ -2,11 +2,29 @@ module Int_vec = Rs_util.Int_vec
 module Int_key = Rs_util.Int_key
 module Memtrack = Rs_storage.Memtrack
 
+(* Bucket heads and chain links are 32-bit row ids, 4 bytes each, in
+   [Bytes] buffers the collector never scans; -1 (all bits set) ends a
+   chain. Slot [i] lives at byte offset [4 * i], read and written with the
+   native-endian primitives, which compile to one load or store. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] slot b i = Int32.to_int (get32 b (i lsl 2))
+let[@inline] set_slot b i v = set32 b (i lsl 2) (Int32.of_int v)
+
+(* [n] slots, every one -1. *)
+let links n = Bytes.make (4 * n) '\255'
+
+let max_rows = 1 lsl 31
+
+let check_rows n =
+  if n > max_rows then invalid_arg "Hash_index: row id past 2^31 - 1"
+
 type t = {
   mutable rel : Relation.t;
   key_cols : int array;
-  mutable heads : int array;
-  mutable nexts : int array;
+  mutable heads : Bytes.t;
+  mutable nexts : Bytes.t;
   mutable mask : int;
   mutable n : int;  (* rows of [rel] currently indexed: [0, n) *)
   mutable generation : int;  (* [rel]'s generation when last (re)built *)
@@ -32,11 +50,12 @@ let row_key_hash rel key_cols row =
 (* An index over all current rows of [rel] with every chain still empty:
    at least one bucket per row (load <= 1). Chains are filtered by a key
    compare on the relation's columns, so a bucket shared by a few rows costs
-   a short walk, while every empty bucket costs a word. *)
+   a short walk, while every empty bucket costs 4 bytes. *)
 let empty rel key_cols =
   let n = Relation.nrows rel in
+  check_rows n;
   let cap = pow2_at_least n in
-  { rel; key_cols; heads = Array.make cap (-1); nexts = Array.make (max 1 n) (-1);
+  { rel; key_cols; heads = links cap; nexts = links (max 1 n);
     mask = cap - 1; n; generation = Relation.generation rel; rehashes = 0; accounted = 0 }
 
 (* Prepend rows [lo, hi) to their bucket chains. Rows go in ascending order,
@@ -47,8 +66,8 @@ let link t lo hi =
   and mask = t.mask in
   for row = lo to hi - 1 do
     let h = row_key_hash rel key_cols row land mask in
-    nexts.(row) <- heads.(h);
-    heads.(h) <- row
+    set_slot nexts row (slot heads h);
+    set_slot heads h row
   done
 
 let build rel key_cols =
@@ -77,18 +96,19 @@ let extend t link_rows =
   let new_n = Relation.nrows t.rel in
   let added = new_n - t.n in
   if added > 0 then begin
-    if new_n > Array.length t.nexts then begin
-      let cap = max new_n (2 * Array.length t.nexts) in
-      let nexts = Array.make cap (-1) in
-      Array.blit t.nexts 0 nexts 0 t.n;
+    check_rows new_n;
+    let link_cap = Bytes.length t.nexts / 4 in
+    if new_n > link_cap then begin
+      let nexts = links (max new_n (2 * link_cap)) in
+      Bytes.blit t.nexts 0 nexts 0 (4 * t.n);
       t.nexts <- nexts
     end;
     let lo = t.n in
     t.n <- new_n;
-    if new_n > Array.length t.heads then begin
+    if new_n > Bytes.length t.heads / 4 then begin
       (* the rehash links the fresh rows too *)
       let cap = pow2_at_least new_n in
-      t.heads <- Array.make cap (-1);
+      t.heads <- links cap;
       t.mask <- cap - 1;
       t.rehashes <- t.rehashes + 1;
       link_rows 0 new_n
@@ -145,12 +165,12 @@ let iter_matches t key f =
   let rec walk row =
     if row >= 0 then begin
       if key_eq t row key then f row;
-      walk nexts.(row)
+      walk (slot nexts row)
     end
   in
-  walk t.heads.(key_hash key land t.mask)
+  walk (slot t.heads (key_hash key land t.mask))
 
-let bytes t = 8 * (Array.length t.heads + Array.length t.nexts)
+let bytes t = Bytes.length t.heads + Bytes.length t.nexts
 
 let account t =
   let b = bytes t in
@@ -162,7 +182,7 @@ let release t =
   Memtrack.free t.accounted;
   t.accounted <- 0
 
-type view = { heads : int array; nexts : int array; mask : int; keys : int array array }
+type view = { heads : Bytes.t; nexts : Bytes.t; mask : int; keys : int array array }
 
 let view (t : t) : view =
   {
@@ -172,7 +192,7 @@ let view (t : t) : view =
     keys = Array.map (fun c -> Int_vec.unsafe_data (Relation.col t.rel c)) t.key_cols;
   }
 
-let empty_view = { heads = [| -1 |]; nexts = [||]; mask = 0; keys = [||] }
+let empty_view = { heads = links 1; nexts = Bytes.empty; mask = 0; keys = [||] }
 
-let first1 v k = v.heads.(Int_key.hash k land v.mask)
-let first v key = v.heads.(key_hash key land v.mask)
+let first1 v k = slot v.heads (Int_key.hash k land v.mask)
+let first v key = slot v.heads (key_hash key land v.mask)

@@ -3,10 +3,11 @@
     The build side of every hash join in the executor and the compiled
     kernels — a join multimap only: membership questions (anti-joins, set
     difference, the kernels' claims) go to a {!Dedup.create_set} table
-    instead. Chains are stored in flat arrays (no boxing), matching the
-    storage discipline of the rest of the backend: a bucket array of a
-    power-of-two size at least the number of indexed rows (load factor
-    <= 1, at least 16 buckets) and one next-link per row.
+    instead. Chains are stored as 32-bit row ids in two [Bytes] buffers,
+    which the collector does not scan: a bucket array of a power-of-two
+    size at least the number of indexed rows (load factor <= 1, at least 16
+    buckets) and one next-link per row, 4 bytes each, with -1 ending a
+    chain. An index therefore covers at most {!max_rows} rows.
 
     An index covers rows [\[0, indexed_rows)] of its relation. When the
     relation only grows (the semi-naive recursive case: a full table
@@ -46,6 +47,16 @@ val append : t -> int
     indexes as it inserts rather than in pool batches. Same growth, same
     probe order, same result; it probes no fault point. *)
 
+val max_rows : int
+(** [2^31]: the most rows an index covers, so that every row id fits a
+    32-bit link. *)
+
+val check_rows : int -> unit
+(** [check_rows n] raises [Invalid_argument] if an index over [n] rows would
+    link a row id above [2^31 - 1]. {!build}, {!build_pool}, {!append_pool}
+    and {!append} call it on the relation's row count before they link or
+    allocate anything. *)
+
 val rebase : t -> Relation.t -> unit
 (** [rebase t rel] re-points the index at a {e replacement} relation whose
     prefix [\[0, indexed_rows t)] contains exactly the rows of the old
@@ -75,8 +86,12 @@ val iter_matches : t -> int array -> (int -> unit) -> unit
     columns equal [key], newest row first. *)
 
 type view = private {
-  heads : int array;  (** first row of each bucket's chain, or [-1] *)
-  nexts : int array;  (** the next (older) row of a row's chain, or [-1] *)
+  heads : Bytes.t;
+      (** first row of each bucket's chain, or [-1]: bucket [b]'s 32-bit
+          native-endian row id at byte offset [4 * b] *)
+  nexts : Bytes.t;
+      (** the next (older) row of a row's chain, or [-1]: row [r]'s link at
+          byte offset [4 * r] *)
   mask : int;  (** bucket count minus one *)
   keys : int array array;
       (** the raw data of the indexed relation's key columns, in key order *)
@@ -85,7 +100,10 @@ type view = private {
     itself, with no closure per match: a probe key's chain starts at
     {!first1} / {!first}, follows [nexts] down to [-1], and holds every row
     whose key hashes to that bucket — the walker tests each row's key in
-    [keys] and skips the others. A view is read-only and stays valid until
+    [keys] and skips the others. The walker reads row [r]'s link with the
+    [%caml_bytes_get32u] primitive, [Int32.to_int (get32 nexts (4 * r))]:
+    one load per step, where a call into this module would cost a call per
+    step. A view is read-only and stays valid until
     the index or its relation next grows ({!append_pool}, {!rebase}, any
     append to the relation): it is for a loop that writes neither. *)
 
@@ -102,7 +120,8 @@ val first : view -> int array -> int
 (** The head of the chain [key] hashes to, any key width. *)
 
 val bytes : t -> int
-(** Footprint of the index arrays (excluding the indexed relation). *)
+(** Footprint of the index buffers, 4 bytes per bucket and per link
+    (excluding the indexed relation). *)
 
 val account : t -> unit
 

@@ -335,6 +335,11 @@ let test_append_rehash_growth () =
   done;
   Alcotest.(check int) "post-rehash probe" !expected hits
 
+(* The next row of a view's chain, read as the kernels read it. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+let next nexts row = Int32.to_int (get32 nexts (row lsl 2))
+
 (* Load <= 1 means buckets are shared: rows over a handful of distinct
    keys on 16–32 buckets collide constantly. Every probe, through each
    entry point, must visit exactly the covered rows with its key, newest
@@ -367,7 +372,7 @@ let prop_index_collisions =
         while !row >= 0 do
           if Array.for_all2 (fun col k -> col.(!row) = k) v.Hash_index.keys key then
             acc := !row :: !acc;
-          row := v.Hash_index.nexts.(!row)
+          row := next v.Hash_index.nexts !row
         done;
         List.rev !acc
       in
@@ -393,6 +398,97 @@ let prop_index_collisions =
       (* at most one row per bucket on average: more than 16 rows has grown
          the 16-bucket table built over at most 16 *)
       ok0 && ok1 && ok2 && (Relation.nrows r <= 16 || Hash_index.rehashes idx > 0))
+
+(* Row ids past 16 bits, over a few hundred repeated 1- or 2-column keys:
+   a build over ~40,000 rows (65,536 buckets), an append that grows the
+   link buffer but not the bucket table, and one past 65,536 rows that
+   rehashes. After each, every key's walk through [iter_matches] and
+   through the view ([first1]/[first], then [next]) must visit its rows
+   newest first, as a fresh [build] and a scan do. *)
+let prop_index_wide_row_ids =
+  QCheck2.Test.make ~name:"hash index past 16-bit row ids: view = iter_matches = fresh build"
+    ~count:4
+    QCheck2.Gen.(quad (int_range 1 2) (int_range 50 400) (int_range 0 0x3FFFFFFF) bool)
+    (fun (kw, distinct, seed, serial) ->
+      let rng = Random.State.make [| seed |] in
+      let pool = Pool.create ~workers:4 () in
+      Pool.begin_run pool;
+      let r = Relation.create 3 in
+      let push n =
+        for _ = 1 to n do
+          Relation.push3 r (Random.State.int rng distinct) (Random.State.int rng 3)
+            (Random.State.bits rng)
+        done
+      in
+      let keys = Array.init kw Fun.id in
+      let key_of row = Array.map (fun c -> Relation.get r ~row ~col:c) keys in
+      let walk_view idx key =
+        let v = Hash_index.view idx in
+        let acc = ref [] in
+        let row = ref (if kw = 1 then Hash_index.first1 v key.(0) else Hash_index.first v key) in
+        while !row >= 0 do
+          if Array.for_all2 (fun col k -> col.(!row) = k) v.Hash_index.keys key then
+            acc := !row :: !acc;
+          row := next v.Hash_index.nexts !row
+        done;
+        List.rev !acc
+      in
+      let walk_iter idx key =
+        let acc = ref [] in
+        Hash_index.iter_matches idx key (fun row -> acc := row :: !acc);
+        List.rev !acc
+      in
+      let exact idx =
+        let n = Relation.nrows r in
+        let by_key = Hashtbl.create 1024 in
+        (* keys are never negative: one probe of an absent key *)
+        Hashtbl.replace by_key (Array.make kw (-1)) [];
+        for row = 0 to n - 1 do
+          let k = key_of row in
+          Hashtbl.replace by_key k (row :: Option.value ~default:[] (Hashtbl.find_opt by_key k))
+        done;
+        let fresh = Hash_index.build r keys in
+        Hash_index.indexed_rows idx = n
+        && Hashtbl.fold
+             (fun key want ok ->
+               ok
+               && walk_view idx key = want
+               && walk_iter idx key = want
+               && walk_view fresh key = want
+               && walk_iter fresh key = want)
+             by_key true
+      in
+      let n0 = 33_000 + Random.State.int rng 12_000 in
+      push n0;
+      let idx = Hash_index.build_pool pool r keys in
+      let ok0 = exact idx in
+      let bytes0 = Hash_index.bytes idx in
+      (* stays within the 65,536 buckets, outgrows the n0 links *)
+      push (1_000 + Random.State.int rng (65_536 - n0 - 1_000));
+      ignore (Hash_index.append_pool pool idx);
+      let grown = Hash_index.bytes idx > bytes0 && Hash_index.rehashes idx = 0 in
+      let ok1 = exact idx in
+      let n2 = 70_000 + Random.State.int rng 3_000 in
+      if serial then
+        for _ = Relation.nrows r to n2 - 1 do
+          push 1;
+          ignore (Hash_index.append idx)
+        done
+      else begin
+        push (n2 - Relation.nrows r);
+        ignore (Hash_index.append_pool pool idx)
+      end;
+      let ok2 = exact idx in
+      ok0 && grown && ok1 && ok2 && Hash_index.rehashes idx = 1)
+
+(* A link holds a 32-bit row id, so an index refuses a relation whose row
+   ids pass 2^31 - 1 before it links or allocates anything; the check runs
+   on the row count alone, so it is tested without that many rows. *)
+let test_index_row_bound () =
+  Alcotest.(check int) "largest row id" (Int32.to_int Int32.max_int) (Hash_index.max_rows - 1);
+  Hash_index.check_rows Hash_index.max_rows;
+  Alcotest.check_raises "one row too many" (Invalid_argument "Hash_index: row id past 2^31 - 1")
+    (fun () -> Hash_index.check_rows (Hash_index.max_rows + 1))
 
 (* The kernels' two-table claim must behave as a claim in the dedup table
    followed, when fresh, by an add to the set — across packed, wide and
@@ -462,6 +558,7 @@ let qsuite =
       prop_build_pool_equals_build;
       prop_append_eq_rebuild;
       prop_index_collisions;
+      prop_index_wide_row_ids;
       prop_two_table_claim;
       prop_sorted_distinct_matches_reference;
     ]
@@ -481,6 +578,7 @@ let suite =
     Alcotest.test_case "index three-column (fold branch)" `Quick test_index_three_col;
     Alcotest.test_case "index memtrack round-trip" `Quick test_index_memtrack_roundtrip;
     Alcotest.test_case "append rehash growth" `Quick test_append_rehash_growth;
+    Alcotest.test_case "index row bound" `Quick test_index_row_bound;
     Alcotest.test_case "relation generation tracking" `Quick test_generation_tracking;
   ]
   @ qsuite

@@ -156,6 +156,57 @@ let read_lines path =
   close_in ic;
   lines
 
+(* The counters ("name+delta" items) of a line, as (name, delta) pairs. *)
+let counters line =
+  List.filter_map
+    (fun w ->
+      match String.index_opt w '+' with
+      | Some i when i > 0 ->
+          Some (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
+      | _ -> None)
+    (String.split_on_char ' ' line)
+
+(* Every counter whose delta differs between two lines, or that only one
+   of them moved. *)
+let differing_counters got frozen =
+  let a = counters got and f = counters frozen in
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (k, v) -> if List.assoc_opt k f = Some v then None else Some k)
+       a
+    @ List.filter_map (fun (k, _) -> if List.mem_assoc k a then None else Some k) f)
+
+(* A report of every differing line: the first one in full, then each
+   counter that differs on any of them with the number of lines it differs
+   on, and the lines whose difference lies outside the counters. *)
+let describe_diff actual frozen =
+  let rec pairs i a f acc =
+    match (a, f) with
+    | x :: a', y :: f' -> pairs (i + 1) a' f' (if x = y then acc else (i, x, y) :: acc)
+    | _ -> (List.rev acc, List.length a, List.length f)
+  in
+  let diffs, extra, missing = pairs 1 actual frozen [] in
+  let first =
+    match diffs with
+    | (i, x, y) :: _ -> Printf.sprintf "line %d: got %S, frozen %S" i x y
+    | [] -> "no line differs in place"
+  in
+  let per_line = List.map (fun (_, x, y) -> differing_counters x y) diffs in
+  let names = List.sort_uniq compare (List.concat per_line) in
+  let counted =
+    List.map
+      (fun k ->
+        Printf.sprintf "%s (%d lines)" k (List.length (List.filter (List.mem k) per_line)))
+      names
+  in
+  Printf.sprintf
+    "%d differing lines; first at %s; counters that differ: %s; %d lines differ outside the \
+     counters; %d extra, %d missing"
+    (List.length diffs) first
+    (if counted = [] then "none" else String.concat ", " counted)
+    (List.length (List.filter (( = ) []) per_line))
+    extra missing
+
 let test_frozen () =
   let frozen = read_lines "frozen_signature.txt" in
   let actual = signature () in
@@ -163,15 +214,7 @@ let test_frozen () =
     let oc = open_out "frozen_signature.actual" in
     List.iter (fun l -> output_string oc (l ^ "\n")) actual;
     close_out oc;
-    let rec first_diff i a f =
-      match (a, f) with
-      | x :: a', y :: f' when x = y -> first_diff (i + 1) a' f'
-      | x :: _, y :: _ -> Printf.sprintf "line %d: got %S, frozen %S" i x y
-      | [], y :: _ -> Printf.sprintf "line %d: missing, frozen %S" i y
-      | x :: _, [] -> Printf.sprintf "line %d: extra %S" i x
-      | [], [] -> "no difference"
-    in
-    Alcotest.fail ("signature differs at " ^ first_diff 1 actual frozen)
+    Alcotest.fail ("signature differs: " ^ describe_diff actual frozen)
   end
 
 let suite = [ Alcotest.test_case "frozen semi-naive signature" `Quick test_frozen ]
