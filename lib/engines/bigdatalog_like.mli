@@ -16,4 +16,11 @@
 
 include Engine_intf.S
 
+val options_for :
+  ?query_overhead_s:float -> ?timeout_vs:float -> ?trace:Rs_obs.Trace.t -> unit ->
+  Recstep.Interpreter.options
+(** The interpreter options this engine runs with: no UIE, no OOF, OPSD,
+    no PBME, no persistent indexes, a scheduling overhead per query and
+    hoarded per-iteration temporaries. *)
+
 val distributed : Engine_intf.engine

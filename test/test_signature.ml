@@ -59,6 +59,16 @@ let configs =
       fun ~trace ~provenance ->
         Interpreter.options ~uie:false ~dsd:Interpreter.Dsd_force_tpsd ~pbme:false ~trace
           ~provenance () );
+    (* perfbench's all-off reference: transient build indexes, no per-query
+       cache, boxed dedup in row order *)
+    ( "reference",
+      fun ~trace ~provenance ->
+        Interpreter.options ~uie:false ~oof:Interpreter.Oof_off ~dsd:Interpreter.Dsd_force_tpsd
+          ~eost:false ~fast_dedup:false ~pbme:false ~persistent_indexes:false
+          ~compiled_kernels:false ~share_builds:false ~trace ~provenance () );
+    ( "bigdatalog",
+      fun ~trace ~provenance ->
+        { (Rs_engines.Bigdatalog_like.options_for ~trace ()) with provenance = Some provenance } );
   ]
 
 let digest rel =
