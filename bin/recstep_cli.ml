@@ -141,7 +141,6 @@ let run_cmd program_path facts out_dir engine workers verbose explain_only profi
        with Sys_error msg -> die "cannot write profile: %s" msg);
       if verbose then print_string (Rs_obs.Trace.summary tr)
   | _ -> ());
-  let outputs = if program.Recstep.Ast.outputs = [] then an.Recstep.Analyzer.idbs else program.Recstep.Ast.outputs in
   List.iter
     (fun name ->
       let rel = lookup name in
@@ -151,7 +150,7 @@ let run_cmd program_path facts out_dir engine workers verbose explain_only profi
           Recstep.Frontend.save_tsv rel (Filename.concat dir (name ^ ".tsv"))
       | None -> ());
       Printf.printf "%-16s %d tuples\n" name (Rs_relation.Relation.nrows rel))
-    outputs;
+    (Recstep.Analyzer.output_names ~an program);
   Printf.printf "done in %.4fs simulated on %d workers (%.4fs wall)\n" stats.Rs_parallel.Pool.vtime
     stats.Rs_parallel.Pool.workers stats.Rs_parallel.Pool.wall
   end
@@ -238,6 +237,10 @@ let explain_cmd program_path fact_spec facts workers sample no_provenance max_st
       exit 1);
   ignore (Rs_parallel.Pool.stats pool)
 
+(* [serve]'s built-in defaults: every knob a flag or script line leaves
+   unset takes [Service.config]'s value. *)
+let serve_defaults = Rs_service.Service.config ()
+
 let serve_cmd script_path workers queue cache_bytes no_cache seed mem_budget no_ivm
     ivm_max_delta no_kernels autoscale_flag autoscale_min autoscale_max
     report_path verbose =
@@ -246,21 +249,23 @@ let serve_cmd script_path workers queue cache_bytes no_cache seed mem_budget no_
   let int_setting = Rs_service.Script.int_setting script in
   let float_setting = Rs_service.Script.float_setting script in
   let bool_setting = Rs_service.Script.bool_setting script in
-  (* precedence: explicit flag > script [set] line > built-in default *)
+  (* precedence: explicit flag > script [set] line > [Service.config]'s
+     default *)
+  let d = serve_defaults in
   let pick cli s default = match cli with Some v -> v | None -> Option.value s ~default in
-  let workers = pick workers (int_setting "workers") 8 in
-  let queue_capacity = pick queue (int_setting "queue") 64 in
+  let workers = pick workers (int_setting "workers") d.workers in
+  let queue_capacity = pick queue (int_setting "queue") d.queue_capacity in
   let cache_bytes =
-    if no_cache then 0 else pick cache_bytes (int_setting "cache_bytes") (64 * 1024 * 1024)
+    if no_cache then 0 else pick cache_bytes (int_setting "cache_bytes") d.cache_bytes
   in
-  let seed = pick seed (int_setting "seed") 1 in
+  let seed = pick seed (int_setting "seed") d.seed in
   let mem_budget =
     match mem_budget with Some b -> Some b | None -> int_setting "budget"
   in
-  let cache_hit_cost_s = Option.value (float_setting "hit_cost") ~default:1e-4 in
-  let ivm = (not no_ivm) && Option.value (bool_setting "ivm") ~default:true in
-  let ivm_max_delta = pick ivm_max_delta (int_setting "ivm_max_delta") 512 in
-  let kernels = (not no_kernels) && Option.value (bool_setting "kernels") ~default:true in
+  let cache_hit_cost_s = Option.value (float_setting "hit_cost") ~default:d.cache_hit_cost_s in
+  let ivm = (not no_ivm) && Option.value (bool_setting "ivm") ~default:d.ivm in
+  let ivm_max_delta = pick ivm_max_delta (int_setting "ivm_max_delta") d.ivm_max_delta in
+  let kernels = (not no_kernels) && Option.value (bool_setting "kernels") ~default:d.kernels in
   let autoscale_on =
     autoscale_flag || Option.value (bool_setting "autoscale") ~default:false
   in
@@ -569,18 +574,18 @@ let script_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"SCRIPT" ~doc:"workload script: EDB definitions plus a stream of submit/delta events (see lib/service/script.mli)")
 
 let serve_workers_arg =
-  Arg.(value & opt (some int) None & info [ "workers"; "j" ] ~doc:"simulated worker count (default: script setting or 8)")
+  Arg.(value & opt (some int) None & info [ "workers"; "j" ] ~doc:(Printf.sprintf "simulated worker count (default: script setting or %d)" serve_defaults.workers))
 
 let queue_arg =
-  Arg.(value & opt (some int) None & info [ "queue" ] ~docv:"N" ~doc:"admission queue capacity (default: script setting or 64)")
+  Arg.(value & opt (some int) None & info [ "queue" ] ~docv:"N" ~doc:(Printf.sprintf "admission queue capacity (default: script setting or %d)" serve_defaults.queue_capacity))
 
 let cache_bytes_arg =
-  Arg.(value & opt (some int) None & info [ "cache-bytes" ] ~docv:"BYTES" ~doc:"result-cache budget in bytes (default: script setting or 64 MiB)")
+  Arg.(value & opt (some int) None & info [ "cache-bytes" ] ~docv:"BYTES" ~doc:(Printf.sprintf "result-cache budget in bytes (default: script setting or %d MiB)" (serve_defaults.cache_bytes / (1024 * 1024))))
 
 let no_cache_arg = Arg.(value & flag & info [ "no-cache" ] ~doc:"disable the result cache")
 
 let serve_seed_arg =
-  Arg.(value & opt (some int) None & info [ "seed" ] ~doc:"scheduler seed (default: script setting or 1)")
+  Arg.(value & opt (some int) None & info [ "seed" ] ~doc:(Printf.sprintf "scheduler seed (default: script setting or %d)" serve_defaults.seed))
 
 let mem_budget_arg =
   Arg.(value & opt (some int) None & info [ "mem-budget" ] ~docv:"BYTES" ~doc:"admission + OOM memory budget in bytes (default: script setting or unlimited)")
@@ -592,7 +597,7 @@ let no_ivm_arg =
   Arg.(value & flag & info [ "no-ivm" ] ~doc:"disable incremental view maintenance: deltas always invalidate cached results instead of refreshing them")
 
 let ivm_max_delta_arg =
-  Arg.(value & opt (some int) None & info [ "ivm-max-delta" ] ~docv:"OPS" ~doc:"net delta size above which warm refresh falls back to invalidation (default: script setting or 512)")
+  Arg.(value & opt (some int) None & info [ "ivm-max-delta" ] ~docv:"OPS" ~doc:(Printf.sprintf "net delta size above which warm refresh falls back to invalidation (default: script setting or %d)" serve_defaults.ivm_max_delta))
 
 let serve_no_kernels_arg =
   Arg.(value & flag & info [ "no-kernels" ] ~doc:"disable the compiled rule kernels for engine-less submissions (default: script 'kernels' setting or enabled)")

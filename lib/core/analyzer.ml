@@ -287,4 +287,8 @@ let stratum_of t name =
 
 let agg_sig t name = List.assoc_opt name t.agg_sigs
 
+let output_names ?an (program : Ast.program) =
+  if program.outputs <> [] then program.outputs
+  else (match an with Some an -> an | None -> analyze program).idbs
+
 let is_recursive_pred _t stratum name = List.mem name stratum.preds

@@ -36,6 +36,11 @@ val analyze : Ast.program -> t
     non-monotone recursive aggregation, inconsistent aggregate signatures,
     or an input declaration that collides with an IDB. *)
 
+val output_names : ?an:t -> Ast.program -> string list
+(** The relations a run of [program] reports: its declared outputs, or
+    every IDB when it declares none. [an], the program's analysis, saves
+    analyzing it again. *)
+
 val arity : t -> string -> int
 
 val stratum_of : t -> string -> int

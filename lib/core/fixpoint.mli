@@ -3,7 +3,7 @@
     long as some IDB of the stratum has a non-empty Δ.
 
     The driver knows nothing of how a round evaluates, just as
-    {!Rs_exec.Kernel.drive} knows nothing of the plans it runs. It owns the
+    {!Rs_exec.Chain.drive} knows nothing of the plans it runs. It owns the
     parts every engine's stratum loop shares: the simulated deadline, the
     iteration count, the [stratum-N]/[iter-N] trace spans, and the per-IDB Δ
     note that feeds both the trace timeline and the caller's

@@ -673,9 +673,9 @@ let write_back r =
    that holds results holds no executor, index manager or transaction. *)
 let result r program =
   let catalog = r.catalog in
-  let output_names = if program.Ast.outputs = [] then r.an.Analyzer.idbs else program.Ast.outputs in
   {
-    outputs = List.map (fun n -> (n, Catalog.rel catalog n)) output_names;
+    outputs =
+      List.map (fun n -> (n, Catalog.rel catalog n)) (Analyzer.output_names ~an:r.an program);
     relation_of = (fun n -> Catalog.rel catalog n);
     iterations = Fixpoint.iterations r.fx;
     queries = r.queries;

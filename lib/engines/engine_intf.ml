@@ -140,12 +140,6 @@ module Row_set = Set.Make (struct
   let compare = compare
 end)
 
-(* The declared outputs of a program, or all its IDBs — the same convention
-   the CLI and the serving layer use. *)
-let output_names (program : Recstep.Ast.program) =
-  if program.Recstep.Ast.outputs <> [] then program.Recstep.Ast.outputs
-  else (Recstep.Analyzer.analyze program).Recstep.Analyzer.idbs
-
 (* [maintain_by_recompute run ...] gives any engine the {!maintained}
    contract without incremental machinery: keep the EDB contents (set-level,
    mirroring [Edb_store.apply] semantics), re-run the engine from scratch on
@@ -161,7 +155,7 @@ let maintain_by_recompute
       edb:(string * Rs_relation.Relation.t) list ->
       Recstep.Ast.program ->
       run_result) ~pool ?trace ~edb program =
-  let outs = output_names program in
+  let outs = Recstep.Analyzer.output_names program in
   let tables =
     List.map
       (fun (name, r) ->

@@ -43,7 +43,7 @@ let maintain ~pool ?trace ~edb program =
   in
   match ivm with
   | Some ivm ->
-      let outs = Engine_intf.output_names program in
+      let outs = Recstep.Analyzer.output_names program in
       {
         Engine_intf.m_incremental = true;
         m_outputs =

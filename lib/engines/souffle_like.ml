@@ -3,7 +3,7 @@ module Dedup = Rs_relation.Dedup
 module Hash_index = Rs_relation.Hash_index
 module Pool = Rs_parallel.Pool
 module Expr = Rs_exec.Expr
-module Kernel = Rs_exec.Kernel
+module Chain = Rs_exec.Chain
 module An = Recstep.Analyzer
 module Ast = Recstep.Ast
 module Planner = Recstep.Planner
@@ -101,7 +101,7 @@ type variant = {
   v_driver : access;
   v_delta : bool;
   v_steps : access array;
-  v_antis : Kernel.anti array;
+  v_antis : Chain.anti array;
   v_consts : (int * int) list;
   v_width : int;
   v_head : Expr.t array;
@@ -230,7 +230,7 @@ let chain_variant stores rule ~driver ~delta =
     v_steps = Array.of_list (List.map with_bind steps);
     v_antis =
       Array.of_list
-        (List.map (fun (a, cols) -> Kernel.anti (Hashtbl.find stores a.Ast.pred).dedup cols) anti_cols);
+        (List.map (fun (a, cols) -> Chain.anti (Hashtbl.find stores a.Ast.pred).dedup cols) anti_cols);
     v_consts = !consts;
     v_width = Array.length used;
     v_head = head;
@@ -260,7 +260,7 @@ let run_chain pool v ~out =
       let view =
         match a.a_index with Some idx -> Hash_index.view idx | None -> Hash_index.empty_view
       in
-      Kernel.step a.a_store.store ~off:a.a_off ~at:a.a_bind ~preds:a.a_preds
+      Chain.step a.a_store.store ~off:a.a_off ~at:a.a_bind ~preds:a.a_preds
         ~bound:(Relation.nrows a.a_store.store) ~probe:a.a_probe view
     in
     let tuple = Array.make (Array.length v.v_head) 0 in
@@ -272,7 +272,7 @@ let run_chain pool v ~out =
     in
     let chain =
       {
-        Kernel.frame;
+        Chain.frame;
         driver = step v.v_driver;
         steps = Array.map step v.v_steps;
         antis = v.v_antis;
@@ -280,7 +280,7 @@ let run_chain pool v ~out =
         emit;
       }
     in
-    Pool.parallel_for pool lo hi (Kernel.drive chain)
+    Pool.parallel_for pool lo hi (Chain.drive chain)
   end
 
 (* --- aggregation (non-recursive strata only) --- *)

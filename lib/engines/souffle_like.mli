@@ -3,8 +3,8 @@
     Reimplements the evaluation strategy of Souffle (paper §6.1): each
     semi-naive variant of a rule is compiled ahead of time, atoms ordered
     greedily (most bound arguments first), into the chain steps of
-    {!Rs_exec.Kernel.drive} — the same probe loop RecStep's compiled
-    kernels run — over one {!Rs_relation.Hash_index} per (predicate,
+    {!Rs_exec.Chain.drive} — the same row loop RecStep's compiled
+    kernels and interpreted operators run — over one {!Rs_relation.Hash_index} per (predicate,
     sorted key positions), our stand-in for Souffle's auto-selected
     B-trees. The indexes are maintained eagerly: a serial
     {!Rs_relation.Hash_index.append} after every insert batch. The outer

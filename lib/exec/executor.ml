@@ -2,7 +2,6 @@ module Relation = Rs_relation.Relation
 module Hash_index = Rs_relation.Hash_index
 module Dedup = Rs_relation.Dedup
 module Pool = Rs_parallel.Pool
-module Int_vec = Rs_util.Int_vec
 
 type t = {
   pool : Pool.t;
@@ -138,30 +137,44 @@ let read_leaf t = function
   | Plan.Delta n -> Catalog.read t.catalog n Catalog.Delta
   | _ -> invalid_arg "Executor.read_leaf"
 
-(* Merge per-chunk output fragments in chunk order (the virtual pool runs
-   chunks sequentially, so a list ref is race-free; chunk order keeps results
-   deterministic). [f frag lo hi] fills a fragment from rows [\[lo, hi)] of
-   the range [\[start, stop)]. *)
-let chunked_output t ~arity ~start ~stop f =
+(* A step that binds every column of [rel] at frame offset [off]: with no
+   [probe], a scan of rows [\[0, bound)]. *)
+let step_all ?(preds = []) ?(probe = [||]) ?(view = Hash_index.empty_view) rel ~off bound =
+  Chain.step rel ~off ~at:(Array.init (Relation.arity rel) (( + ) off)) ~preds ~bound ~probe view
+
+(* Drive a chain over its driver's rows [\[start, stop)], one pool chunk at
+   a time, each match emitted as [out] over the frame (by default the whole
+   frame) into the chunk's own fragment. Fragments merge in chunk order
+   (the virtual pool runs chunks sequentially, so the shared frame and the
+   list ref are race-free; chunk order keeps results deterministic). *)
+let run_chain t ~width ~driver ?(steps = [||]) ?(antis = [||]) ?(residual = []) ?out ~start ~stop
+    () =
+  let out = match out with Some es -> es | None -> Array.init width (fun c -> Expr.Col c) in
+  let arity = Array.length out in
+  let frame = Array.make width 0 and tuple = Array.make arity 0 in
   let fragments = ref [] in
   Pool.parallel_for t.pool start stop (fun lo hi ->
       let frag = Relation.create arity in
-      f frag lo hi;
+      let emit () =
+        for i = 0 to arity - 1 do
+          tuple.(i) <- Expr.eval_frame frame out.(i)
+        done;
+        Relation.push_row frag tuple
+      in
+      Chain.drive { Chain.frame; driver; steps; antis; residual; emit } lo hi;
       fragments := frag :: !fragments);
   Relation.concat_parallel t.pool arity (List.rev !fragments)
 
+(* Rows [\[start, stop)] of [rel] that pass [preds] and that no set of
+   [antis] holds, each emitted as [out] (by default the row itself). *)
+let copy_rows t ?preds ?antis ?out (rel, start, stop) =
+  run_chain t ~width:(Relation.arity rel) ~driver:(step_all ?preds rel ~off:0 stop) ?antis ?out
+    ~start ~stop ()
+
 (* Rows [\[start, stop)] of [rel] as a relation of their own: [rel] itself
    when that is every row, else an accounted copy. *)
-let materialize t (rel, start, stop) =
-  if start = 0 && stop = Relation.nrows rel then rel
-  else
-    let arity = Relation.arity rel in
-    chunked_output t ~arity ~start ~stop (fun frag lo hi ->
-        for row = lo to hi - 1 do
-          for c = 0 to arity - 1 do
-            Int_vec.push (Relation.col frag c) (Relation.get rel ~row ~col:c)
-          done
-        done)
+let materialize t ((rel, start, stop) as range) =
+  if start = 0 && stop = Relation.nrows rel then rel else copy_rows t range
 
 (* The index over Δ [range] of table [name], shared per query like a
    table's build side; [owned] when the caller must
@@ -208,26 +221,11 @@ let rec eval t (cache : cache option) plan : Relation.t =
       materialize t (read_leaf t plan)
   | Plan.Rel r -> r
   | Plan.Filter (preds, src) ->
-      let input, start, stop = eval_rows t cache src in
-      let arity = Relation.arity input in
-      consumed t src input
-      @@ chunked_output t ~arity ~start ~stop (fun frag lo hi ->
-             for row = lo to hi - 1 do
-               let get c = Relation.get input ~row ~col:c in
-               if List.for_all (Expr.test get) preds then
-                 for c = 0 to arity - 1 do
-                   Int_vec.push (Relation.col frag c) (get c)
-                 done
-             done)
-  | Plan.Project (exprs, src) ->
-      let input, start, stop = eval_rows t cache src in
-      let arity = Array.length exprs in
-      consumed t src input
-      @@ chunked_output t ~arity ~start ~stop (fun frag lo hi ->
-             for row = lo to hi - 1 do
-               let get c = Relation.get input ~row ~col:c in
-               Array.iteri (fun i e -> Int_vec.push (Relation.col frag i) (Expr.eval get e)) exprs
-             done)
+      let ((input, _, _) as range) = eval_rows t cache src in
+      consumed t src input @@ copy_rows t ~preds range
+  | Plan.Project (out, src) ->
+      let ((input, _, _) as range) = eval_rows t cache src in
+      consumed t src input @@ copy_rows t ~out range
   | Plan.Join j -> eval_join t cache j
   | Plan.AntiJoin a -> eval_anti t cache a
   | Plan.UnionAll ps ->
@@ -260,14 +258,7 @@ and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
      join degenerates to |probe side| hash probes. *)
   let lname = scan_name l and rname = scan_name r in
   let l_managed = managed t lname <> None and r_managed = managed t rname <> None in
-  let build_left =
-    match (l_managed, r_managed) with
-    | true, false -> true
-    | false, true -> false
-    | _ ->
-        let est_l = estimate t l and est_r = estimate t r in
-        est_l <= est_r
-  in
+  let build_left = if l_managed <> r_managed then l_managed else estimate t l <= estimate t r in
   let build, bkeys, bname, probe, pkeys =
     if build_left then (l, lkeys, lname, r, rkeys) else (r, rkeys, rname, l, lkeys)
   in
@@ -275,82 +266,59 @@ and eval_join t cache { Plan.l; r; lkeys; rkeys; extra; out } =
   (* A table's index covers all its rows; the matches at rows from [bstop]
      on (an [Old] read's Δ, rows appended since the round started) lead
      each newest-first chain and are skipped. A Δ build side gets an index
-     over its rows alone. *)
-  let brel, bstop, idx, release =
+     over its rows alone. A build side with no key gets no index: it is
+     scanned from row 0, so a Δ range that starts later is copied out. *)
+  let brel, bstop, view, release =
     match build with
-    | Plan.Delta name ->
+    | Plan.Delta name when bkeys <> [||] ->
         let d, owned = acquire_delta_index t cache name (read_leaf t build) bkeys in
         ( Hash_index.relation d.idx,
           Hash_index.indexed_rows d.idx,
-          d.idx,
+          Hash_index.view d.idx,
           fun () -> if owned then release_delta_index d )
     | _ ->
-        let brel, _, bstop = eval_rows t cache build in
-        let idx, owned = build_index t ?cache ?scan_name:bname brel bkeys in
-        let release () =
-          if owned then Hash_index.release idx;
-          release_eval t build brel
+        let brel, bstop =
+          match eval_rows t cache build with
+          | rel, 0, stop -> (rel, stop)
+          | range ->
+              let copy = copy_rows t range in
+              (copy, Relation.nrows copy)
         in
-        (brel, bstop, idx, release)
+        let view, release_idx =
+          if bkeys = [||] then (Hash_index.empty_view, ignore)
+          else
+            let idx, owned = build_index t ?cache ?scan_name:bname brel bkeys in
+            (Hash_index.view idx, fun () -> if owned then Hash_index.release idx)
+        in
+        (brel, bstop, view, fun () -> release_idx (); release_eval t build brel)
   in
-  let lrel, rrel = if build_left then (brel, prel) else (prel, brel) in
-  let la = Relation.arity lrel in
-  let out_arity =
-    match out with Some es -> Array.length es | None -> la + Relation.arity rrel
-  in
-  let key = Array.make (Array.length pkeys) 0 in
+  (* the frame holds the left side's columns, then the right side's *)
+  let pa = Relation.arity prel and ba = Relation.arity brel in
+  let poff, boff = if build_left then (ba, 0) else (0, pa) in
   let result =
-    chunked_output t ~arity:out_arity ~start:pstart ~stop:pstop (fun frag lo hi ->
-        for prow = lo to hi - 1 do
-          Array.iteri (fun i c -> key.(i) <- Relation.get prel ~row:prow ~col:c) pkeys;
-          Hash_index.iter_matches idx key (fun brow ->
-              let lrow, rrow = if build_left then (brow, prow) else (prow, brow) in
-              let get c =
-                if c < la then Relation.get lrel ~row:lrow ~col:c
-                else Relation.get rrel ~row:rrow ~col:(c - la)
-              in
-              if brow < bstop && List.for_all (Expr.test get) extra then
-                match out with
-                | Some exprs ->
-                    Array.iteri
-                      (fun i e -> Int_vec.push (Relation.col frag i) (Expr.eval get e))
-                      exprs
-                | None ->
-                    for c = 0 to out_arity - 1 do
-                      Int_vec.push (Relation.col frag c) (get c)
-                    done)
-        done)
+    run_chain t ~width:(pa + ba) ~driver:(step_all prel ~off:poff pstop)
+      ~steps:[| step_all brel ~off:boff ~probe:(Array.map (( + ) poff) pkeys) ~view bstop |]
+      ~residual:extra ?out ~start:pstart ~stop:pstop ()
   in
   release ();
   consumed t probe prel result
 
 and eval_anti t cache { Plan.al; ar; alkeys; arkeys } =
   let scan_name = function Plan.Scan n -> Some n | _ -> None in
-  let lrel, start, stop = eval_rows t cache al in
+  let ((lrel, _, _) as range) = eval_rows t cache al in
   let rrel = eval t cache ar in
-  let arity = Relation.arity lrel in
-  let copy_if keep =
-    consumed t al lrel @@ consumed t ar rrel
-    @@ chunked_output t ~arity ~start ~stop (fun frag lo hi ->
-           for row = lo to hi - 1 do
-             if keep row then
-               for c = 0 to arity - 1 do
-                 Int_vec.push (Relation.col frag c) (Relation.get lrel ~row ~col:c)
-               done
-           done)
+  let copy ?preds ?antis () =
+    consumed t al lrel @@ consumed t ar rrel @@ copy_rows t ?preds ?antis range
   in
   if Array.length arkeys = 0 then
     (* a negated atom that binds no variable holds for every row or none *)
-    let none = Relation.nrows rrel = 0 in
-    copy_if (fun _ -> none)
+    let never = Expr.Cmp (Expr.Ne, Expr.Const 0, Expr.Const 0) in
+    copy ~preds:(if Relation.nrows rrel = 0 then [] else [ never ]) ()
   else
     (* The negated side is a lower-stratum table under stratification, so
        its set persists across every iteration of this stratum's fixpoint. *)
     with_owned (build_member_set t ?cache ?scan_name:(scan_name ar) rrel arkeys) @@ fun set ->
-    let key = Array.make (Array.length alkeys) 0 in
-    copy_if (fun row ->
-        Array.iteri (fun i c -> key.(i) <- Relation.get lrel ~row ~col:c) alkeys;
-        not (Dedup.mem_row set key))
+    copy ~antis:[| Chain.anti set alkeys |] ()
 
 let run_query t plan =
   Pool.add_serial t.pool t.query_overhead_s;
@@ -391,18 +359,7 @@ let full_table_set t ?name r = build_member_set t ?scan_name:name r (all_cols r)
 
 (* The rows of [src] whose tuple is not in [set], chunk-parallel. *)
 let anti_probe t src set =
-  let arity = Relation.arity src in
-  let key = Array.make arity 0 in
-  chunked_output t ~arity ~start:0 ~stop:(Relation.nrows src) (fun frag lo hi ->
-      for row = lo to hi - 1 do
-        for c = 0 to arity - 1 do
-          key.(c) <- Relation.get src ~row ~col:c
-        done;
-        if not (Dedup.mem_row set key) then
-          for c = 0 to arity - 1 do
-            Int_vec.push (Relation.col frag c) key.(c)
-          done
-      done)
+  copy_rows t ~antis:[| Chain.anti set (all_cols src) |] (src, 0, Relation.nrows src)
 
 let opsd_impl t ?name ~rdelta ~r () = with_owned (full_table_set t ?name r) (anti_probe t rdelta)
 
@@ -424,10 +381,7 @@ let tpsd_impl t ?name ~rdelta ~r () =
             for c = 0 to arity - 1 do
               key.(c) <- Relation.get probe ~row ~col:c
             done;
-            if Dedup.mem_row set key then
-              for c = 0 to arity - 1 do
-                Int_vec.push (Relation.col inter c) key.(c)
-              done
+            if Dedup.mem_row set key then Relation.push_row inter key
           done));
   Relation.account inter;
   (* The probe side may contain tuples of [r] several times only if [r] had

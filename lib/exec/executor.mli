@@ -10,6 +10,12 @@ module Dedup = Rs_relation.Dedup
     result ([UNION ALL] semantics — deduplication is the engine's separate
     [dedup] call, as in Algorithm 1).
 
+    Every operator is one {!Chain}, driven chunk by chunk into fragments
+    merged in chunk order: Filter, Project and row copies a bare driver, a
+    join its probe side driving one step over the build side, an anti-join
+    and the set differences' anti-probe a driver with one anti-check.
+    Output rows come probe rows ascending, build rows newest first.
+
     Build-side indexes come from three tiers, cheapest first:
     - the {!Index_manager} (when attached): persistent indexes on
       named tables, reused across queries and delta-appended across fixpoint
@@ -23,7 +29,9 @@ module Dedup = Rs_relation.Dedup
     its rows before the Δ end where the round started, and its Δ is a row
     range of the same table. A join's build index covers a whole table and
     skips matches past the leaf's range; a Δ on the build side is indexed
-    over its own rows, copied out when they do not start at row 0.
+    over its own rows, copied out when they do not start at row 0. A build
+    side with no key columns gets no index: it is a scan step over the
+    same rows.
 
     Joins probe a {!Hash_index}. Operators that only ask whether a tuple is
     present — anti-joins, both set differences and the kernels' claims

@@ -9,13 +9,6 @@ type cmp = Eq | Ne | Lt | Le | Gt | Ge
 
 type pred = Cmp of cmp * t * t
 
-let rec eval get = function
-  | Col c -> get c
-  | Const k -> k
-  | Add (a, b) -> eval get a + eval get b
-  | Sub (a, b) -> eval get a - eval get b
-  | Mul (a, b) -> eval get a * eval get b
-
 let rec eval_frame frame = function
   | Col c -> frame.(c)
   | Const k -> k
@@ -31,8 +24,6 @@ let[@inline] holds op (x : int) (y : int) =
   | Le -> x <= y
   | Gt -> x > y
   | Ge -> x >= y
-
-let test get (Cmp (op, a, b)) = holds op (eval get a) (eval get b)
 
 let test_frame frame (Cmp (op, a, b)) = holds op (eval_frame frame a) (eval_frame frame b)
 

@@ -2,7 +2,9 @@
 
     The query generator compiles Datalog terms (variables, constants,
     arithmetic in aggregate arguments, comparison atoms) into these
-    expressions; the executor evaluates them against a column accessor. *)
+    expressions. They are evaluated over a frame, an [int array] that holds
+    the bound rows' columns side by side: the {!Chain} loop that runs
+    every operator tests its predicates and reads its head this way. *)
 
 type t =
   | Col of int  (** column of the operator's input schema *)
@@ -15,14 +17,8 @@ type cmp = Eq | Ne | Lt | Le | Gt | Ge
 
 type pred = Cmp of cmp * t * t
 
-val eval : (int -> int) -> t -> int
-(** [eval get e] evaluates [e] where [get c] reads column [c]. *)
-
-val test : (int -> int) -> pred -> bool
-
 val eval_frame : int array -> t -> int
-(** [eval_frame frame e] is [eval (Array.get frame) e] without the accessor
-    closure: column [c] reads [frame.(c)]. *)
+(** [eval_frame frame e] evaluates [e] where column [c] reads [frame.(c)]. *)
 
 val test_frame : int array -> pred -> bool
 

@@ -1,5 +1,5 @@
-(** Compiled rule kernels: the fused join→project→dedup fast path, and the
-    chain loop every compiled evaluator in the repo runs.
+(** Compiled rule kernels: the fused join→project→dedup fast path over
+    the {!Chain} loop.
 
     The interpreter's per-iteration loop issues one "SQL query" per delta
     plan, materializes the bag result and deduplicates it in a separate
@@ -28,19 +28,8 @@
     through the executor's three-tier policy (so recursive and EDB tables
     hit the persistent {!Index_manager} indexes), reads each atom's row
     range from the {!Catalog} and fetches every raw column array and
-    {!Rs_relation.Hash_index.view} once. The chain loop ({!drive}) is the
-    other half and knows nothing of the executor; the Souffle-like engine
-    builds its own steps and runs the same loop. Per driver row the loop
-    copies into the frame only the columns a later probe, test, anti-check
-    or the head reads; a probe step walks its bucket chain inline (newest
-    row first, a direct compare for 1-column keys), a scan step its rows
-    in order, and leaf anti-checks look the frame's tuple up in a
-    membership set before the residual. No closure is allocated per row or
-    match: the one indirect call per surviving match is the emit. The loop
-    may emit into a table it reads (a recursive head is its own Δ's
-    table), but it reads no row at or past the round-start bound: a push
-    that moves a column to a fresh array leaves the fetched array holding
-    every row below it.
+    {!Rs_relation.Hash_index.view} once; the other half is {!Chain.drive}.
+    A step binds only the columns a later probe, test or the head reads.
 
     The kernel's emit is one two-table claim
     ({!Rs_relation.Dedup.claim2}): the packed key is hashed once, claimed
@@ -52,9 +41,8 @@
     first keeps the dedup figures those of the interpreted path's candidate
     bag: [dedup.probes] counts every match offered, [dedup.hits] the
     repeats, and [kernel.emitted] the fresh claims — the candidate set Rδ,
-    a superset of the Δ by the tuples R already held. Emission order is
-    fixed: Δ rows ascending and, within each step, matches newest row
-    first; the Δ's row order and every render that follows depend on it.
+    a superset of the Δ by the tuples R already held. The Δ's row order
+    is the chain's walk order.
 
     Row ranges: the driver is the {!Plan.constructor-Delta} atom, the rows
     [\[lo, hi)] of its table ({!Catalog.read}). A step reads rows
@@ -114,47 +102,3 @@ val run :
     {!Degraded} (chaos) — always before any write. A transient build-side
     index it acquires is released on every exit path, a worker crash
     included. *)
-
-(** {1 The chain loop} The caller resolves the steps and owns the frame;
-    no row the loop reads, below each step's bound, may change while it
-    runs. *)
-
-type step
-(** One atom of a chain, resolved: a probe of an index, or a scan. *)
-
-val step :
-  Rs_relation.Relation.t ->
-  off:int ->
-  at:int array ->
-  preds:Expr.pred list ->
-  bound:int ->
-  probe:int array ->
-  Rs_relation.Hash_index.view ->
-  step
-(** [step rel ~off ~at ~preds ~bound ~probe view] reads [rel]'s rows below
-    [bound] and binds frame columns [at] (column [c - off] of [rel] fills
-    frame column [c]), then tests [preds] over the frame. With [probe] (the
-    frame columns of the key, in [view]'s key order) it walks [view]'s
-    bucket chain; with [probe = \[||\]] it scans rows [\[0, bound)] and
-    [view] is {!Rs_relation.Hash_index.empty_view}. *)
-
-type anti
-
-val anti : Rs_relation.Dedup.t -> int array -> anti
-(** [anti set cols]: a negation. A match survives only if [set] lacks the
-    tuple in frame columns [cols]. *)
-
-type chain = {
-  frame : int array;
-  driver : step;  (** a scan step: {!drive} picks its rows *)
-  steps : step array;  (** in binding order *)
-  antis : anti array;  (** tested past the last step, before [residual] *)
-  residual : Expr.pred list;
-  emit : unit -> unit;  (** reads the head off [frame] *)
-}
-
-val drive : chain -> int -> int -> unit
-(** [drive c lo hi] binds driver rows [\[lo, hi)] in order and, for each
-    that passes the driver's preds, walks the steps: a probe step follows
-    its bucket chain newest row first, a scan step its rows in order. The
-    signature of a {!Rs_parallel.Pool.parallel_for} chunk. *)

@@ -156,12 +156,6 @@ let counter_names =
     "autoscale.down"; "autoscale.cache_up"; "autoscale.cache_down";
   ]
 
-(* The declared outputs of a program, or all its IDBs — same convention as
-   the CLI's run command. *)
-let output_names program =
-  if program.Ast.outputs <> [] then program.Ast.outputs
-  else (Recstep.Analyzer.analyze program).Recstep.Analyzer.idbs
-
 (* A maintained view: the incremental twin of one (edb, canonical program)
    cache-entry family. [v_edbs] is the program's own input set — a store
    delta is filtered to it before Ivm.apply, so deltas touching relations
@@ -618,7 +612,7 @@ let register_view st q rels (result : Engine_intf.run_result) =
           {
             v_ivm = ivm;
             v_edbs = (Recstep.Analyzer.analyze q.sub.program).Recstep.Analyzer.edbs;
-            v_outputs = output_names q.sub.program;
+            v_outputs = Recstep.Analyzer.output_names q.sub.program;
           };
         bump st "view_built" 1;
         if (Ivm.stats ivm).Ivm.seeded_strata > 0 then bump st "view_seeded" 1
@@ -637,7 +631,7 @@ let evaluate st q =
       let rows =
         List.map
           (fun n -> (n, Relation.sorted_distinct_rows (result.Engine_intf.relation_of n)))
-          (output_names q.sub.program)
+          (Recstep.Analyzer.output_names q.sub.program)
       in
       let stale =
         match q.sub.deadline_vs with

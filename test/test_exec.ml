@@ -15,12 +15,12 @@ let make_exec () =
   (Executor.create ~query_overhead_s:0.0 pool catalog, catalog)
 
 let test_expr_eval () =
-  let get = function 0 -> 10 | 1 -> 3 | _ -> 0 in
-  Alcotest.(check int) "col" 10 (Expr.eval get (Expr.Col 0));
+  let frame = [| 10; 3 |] in
+  Alcotest.(check int) "col" 10 (Expr.eval_frame frame (Expr.Col 0));
   Alcotest.(check int) "arith" 37
-    (Expr.eval get Expr.(Add (Mul (Col 0, Col 1), Sub (Col 0, Const 3))));
-  check "test lt" true (Expr.test get Expr.(Cmp (Lt, Col 1, Col 0)));
-  check "test ne" true (Expr.test get Expr.(Cmp (Ne, Col 0, Col 1)));
+    (Expr.eval_frame frame Expr.(Add (Mul (Col 0, Col 1), Sub (Col 0, Const 3))));
+  check "test lt" true (Expr.test_frame frame Expr.(Cmp (Lt, Col 1, Col 0)));
+  check "test ne" true (Expr.test_frame frame Expr.(Cmp (Ne, Col 0, Col 1)));
   Alcotest.(check (list int)) "cols" [ 0; 1; 0 ]
     (Expr.cols Expr.(Add (Mul (Col 0, Col 1), Col 0)));
   Alcotest.(check int) "shift" 7
@@ -541,6 +541,113 @@ let test_index_manager_set_lifecycle () =
   Alcotest.(check int) "no bytes held" 0 (Index_manager.bytes sm);
   Index_manager.release_all sm
 
+(* --- every operator against a nested-loop reference, in row order ----- *)
+
+(* Table "a" of arity [aa] and table "b" of arity [ba], whose Δ is its
+   rows [lo, hi): rows past [hi] stand for rows appended during the round,
+   which no read may reach. [bread] picks the leaf over "b"; [akeys] and
+   [bkeys] pair key columns. *)
+type op_case = {
+  aa : int;
+  ba : int;
+  a : int list list;
+  b : int list list;
+  lo : int;
+  hi : int;
+  bread : int;  (* 0: Scan, 1: Delta, 2: Old *)
+  akeys : int array;
+  bkeys : int array;
+  flip : bool;  (* the "b" leaf on the join's left *)
+  residual : bool;
+}
+
+let gen_op_case =
+  let open QCheck2.Gen in
+  let rows arity = list_size (int_range 0 12) (list_repeat arity (int_range (-3) 3)) in
+  let* aa = int_range 1 3 in
+  let* ba = int_range 1 3 in
+  let* a = rows aa in
+  let* b = rows ba in
+  let* lo = int_range 0 (List.length b) in
+  let* hi = int_range lo (List.length b) in
+  let* nk = int_range 0 (min 2 (min aa ba)) in
+  let* acols = shuffle_l (List.init aa Fun.id) in
+  let* bcols = shuffle_l (List.init ba Fun.id) in
+  let* bread = int_range 0 2 in
+  let* flip = bool in
+  let+ residual = bool in
+  let take cols = Array.of_list (List.filteri (fun i _ -> i < nk) cols) in
+  { aa; ba; a; b; lo; hi; bread; akeys = take acols; bkeys = take bcols; flip; residual }
+
+let print_op_case c =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let rows rs = String.concat " " (List.map ints rs) in
+  Printf.sprintf "a/%d=[%s] b/%d=[%s] lo=%d hi=%d bread=%d akeys=[%s] bkeys=[%s] flip=%b residual=%b"
+    c.aa (rows c.a) c.ba (rows c.b) c.lo c.hi c.bread (ints (Array.to_list c.akeys))
+    (ints (Array.to_list c.bkeys)) c.flip c.residual
+
+(* Filter, Project, AntiJoin and Join over the case, each output compared
+   in row order with a nested-loop reference: rows in range order, probe
+   rows ascending, build rows newest first, the build side picked from the
+   executor's own estimates. *)
+let operators_match_reference c =
+  let exec, catalog = make_exec () in
+  let reg name arity rows =
+    Catalog.register catalog name (Relation.of_rows ~name arity (List.map Array.of_list rows));
+    Catalog.analyze_rows catalog name
+  in
+  reg "a" c.aa c.a;
+  reg "b" c.ba c.b;
+  Catalog.set_delta catalog "b" ~lo:c.lo ~hi:c.hi ();
+  let bleaf, brows =
+    let rows_in lo hi = List.filteri (fun i _ -> i >= lo && i < hi) c.b in
+    match c.bread with
+    | 0 -> (Plan.Scan "b", rows_in 0 c.hi)
+    | 1 -> (Plan.Delta "b", rows_in c.lo c.hi)
+    | _ -> (Plan.Old "b", rows_in 0 c.lo)
+  in
+  let got plan = List.map Array.to_list (Relation.to_rows (Executor.run_query exec plan)) in
+  let keyed r ks = List.map (List.nth r) (Array.to_list ks) in
+  let eval r e = Expr.eval_frame (Array.of_list r) e in
+  let filter =
+    got (Plan.Filter ([ Expr.Cmp (Expr.Le, Expr.Col 0, Expr.Const 0) ], bleaf))
+    = List.filter (fun r -> List.hd r <= 0) brows
+  in
+  let out = [| Expr.Col (c.ba - 1); Expr.Add (Expr.Col 0, Expr.Const 1) |] in
+  let project =
+    got (Plan.Project (out, bleaf)) = List.map (fun r -> List.map (eval r) (Array.to_list out)) brows
+  in
+  let anti =
+    got (Plan.AntiJoin { al = Plan.Scan "a"; ar = bleaf; alkeys = c.akeys; arkeys = c.bkeys })
+    = List.filter
+        (fun ar -> not (List.exists (fun br -> keyed ar c.akeys = keyed br c.bkeys) brows))
+        c.a
+  in
+  let (l, lrows, lkeys, la), (r, rrows, rkeys, _) =
+    let sa = (Plan.Scan "a", c.a, c.akeys, c.aa) and sb = (bleaf, brows, c.bkeys, c.ba) in
+    if c.flip then (sb, sa) else (sa, sb)
+  in
+  let extra = if c.residual then [ Expr.Cmp (Expr.Le, Expr.Col 0, Expr.Col la) ] else [] in
+  let build_left = Executor.estimate exec l <= Executor.estimate exec r in
+  let probe, build = if build_left then (rrows, lrows) else (lrows, rrows) in
+  let joined =
+    List.concat_map
+      (fun p ->
+        List.filter_map
+          (fun b ->
+            let lr, rr = if build_left then (b, p) else (p, b) in
+            if keyed lr lkeys = keyed rr rkeys && ((not c.residual) || List.hd lr <= List.hd rr)
+            then Some (lr @ rr)
+            else None)
+          (List.rev build))
+      probe
+  in
+  filter && project && anti && got (Plan.join2 ~extra l lkeys r rkeys) = joined
+
+let prop_operators_in_row_order =
+  QCheck2.Test.make ~name:"operators = nested-loop reference, in row order" ~count:500
+    ~print:print_op_case gen_op_case operators_match_reference
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -548,6 +655,7 @@ let qsuite =
       prop_join_extra_preds;
       prop_opsd_eq_tpsd;
       prop_set_difference_model;
+      prop_operators_in_row_order;
     ]
 
 (* --- Old: the rows before a table's Δ ----------------------------------- *)
