@@ -33,7 +33,10 @@ let canon rel = List.map Array.to_list (Relation.sorted_distinct_rows rel)
 (* Layered random DAG (forward edges only): the closure is deep — ~n
    semi-naive iterations — which is precisely the regime the kernels
    target; a dense or shallow graph would hide the per-iteration overhead
-   they remove. Same shape as the IVM experiment's generator. *)
+   they remove. Same shape as the IVM experiment's generator. TC runs it at
+   1024 nodes, so that the kernels-on side takes about a quarter of a
+   simulated second and host-timing noise stays small beside it (at 192
+   nodes it took under 10 ms). *)
 let dag ~seed ~n ~deg =
   let state = ref seed in
   let rand m =
@@ -109,7 +112,7 @@ let workload ~name ~src ~edb =
 let exp ~scale =
   Report.section ~id:"kernel"
     ~title:"EXTRA: compiled rule kernels vs interpreted fixpoint";
-  let tc_arc = dag ~seed:11 ~n:(192 * scale) ~deg:2 in
+  let tc_arc = dag ~seed:11 ~n:(1024 * scale) ~deg:2 in
   let sg_arc = Graphs.gnp ~seed:3 ~n:(48 * scale) ~p:0.06 in
   let results =
     [

@@ -383,8 +383,9 @@ let note_choice r st choice ~r_rows ~rdelta_rows =
    - absorb moves the range to [hi, nrows) (below);
    - the [Ev_none] drain empties a Δ at its table's end;
    - each stratum ends with every Δ empty at its table's end;
-   - a Jacobi round evaluates every IDB before it absorbs any, and a
-     degraded kernel round truncates its table back to [hi].
+   - a Jacobi round evaluates every IDB before it absorbs any, and every
+     kernel of a round is resolved before any writes, so a degraded
+     kernel finds its table still at [hi].
    Aggregated IDBs rebuild their table every round and keep their Δ in
    the changed-groups relation, so the planner never reads their old
    rows. [Catalog.set_delta] refuses a range outside its relation. *)
@@ -490,63 +491,109 @@ let base_round r s =
    whichever path produced its Δ. It is claimed for writing before the
    dedup table is made, so an index fault raises before any allocation
    or write; the kernels add every tuple they append to R to it, and the
-   absorb then only records that it covers R's new rows ([cover_r_set]).
-   A chaos-degraded kernel re-evaluates interpreted — its probe fires
-   before any write, so falling back can never double-count — but an
-   earlier kernel of the round may already have appended rows to R and
-   claimed them into R's set: any exit without a Δ truncates R back to
-   its round-start rows, which bumps its generation so R's managed
-   indexes are rebuilt from the rows R keeps, and drops the set, which
-   the fallback's set difference rebuilds. *)
-let eval_kernels r st plans ks =
-  let rel = Catalog.rel r.catalog st.name in
-  let start_rows = round_start r st.name in
-  let r_set, owned = Executor.claim_set r.exec ~scan_name:st.name rel (r_set_keys st.arity) in
-  Fun.protect ~finally:(fun () -> if owned then Dedup.release r_set)
-  @@ fun () ->
-  let abandon dd =
-    Dedup.release dd;
-    if Relation.nrows rel > start_rows then Relation.truncate rel start_rows;
-    if not owned then
-      Option.iter
-        (fun m -> Index_manager.drop_set m ~name:st.name (r_set_keys st.arity))
-        r.index_manager
-  in
-  let dd = Dedup.create ~expected:(dedup_expected r plans) r.dedup_mode st.arity in
-  match List.fold_left (fun n k -> n + Kernel.run r.exec k ~dedup:dd ~r_set ~head:rel) 0 ks with
-  | claimed ->
-      Dedup.release dd;
-      (* the kernel stands in for a query: under per-query transactions
-         its output is written back at its boundary, as [issue] does *)
-      query_boundary r (8 * st.arity * (Relation.nrows rel - start_rows));
-      Ev_delta { claimed }
-  | exception Kernel.Degraded _ ->
-      abandon dd;
-      count r "kernel.fallbacks" 1;
-      Ev_raw { bag = eval_plans r plans; plans }
-  | exception e ->
-      abandon dd;
-      raise e
+   absorb then only records that it covers R's new rows ([cover_set]).
 
-(* One IDB's live delta plans, against the previous round's Δs. Empty-delta
-   skip: a subplan scanning a Δ that went empty cannot derive anything,
-   so it is never issued — a stratum whose deltas all drain terminates
-   without evaluating the remaining rule subplans. The kernel path honors
-   the same skip (its kernels are aligned 1:1 with the delta plans). *)
-let eval_idb r st =
+   A round runs in three phases ([delta_round]): every IDB is staged
+   (its kernels resolved, or its plans evaluated interpreted), then every
+   staged kernel of every IDB runs in one pool batch, then each IDB is
+   finished and absorbed. A [staged] IDB holds what its kernels need
+   until the batch is over: R's set ([owned] when transient), the dedup
+   table and the resolved kernels, in delta-plan order. *)
+type staged = {
+  rel : Relation.t;
+  r_set : Dedup.t;
+  owned : bool;
+  dd : Dedup.t;
+  ks : Kernel.resolved list;
+}
+
+let release_staged sg =
+  List.iter Kernel.release sg.ks;
+  Dedup.release sg.dd;
+  if sg.owned then Dedup.release sg.r_set
+
+(* Stage one IDB's live kernels [ks]; on any exception, what was acquired
+   is released before it propagates. A chaos-degraded kernel raises
+   [Kernel.Degraded] from its resolve, before any acquisition — and, as
+   every resolve of the round precedes the batch, before any kernel of
+   the round has written: R still holds its round-start rows and R's set
+   covers exactly them, so the interpreted fallback needs no repair. *)
+let stage_kernels r st plans ks =
+  let rel = Catalog.rel r.catalog st.name in
+  let r_set, owned = Executor.claim_set r.exec ~scan_name:st.name rel (r_set_keys st.arity) in
+  let dd =
+    match Dedup.create ~expected:(dedup_expected r plans) r.dedup_mode st.arity with
+    | dd -> dd
+    | exception e ->
+        if owned then Dedup.release r_set;
+        raise e
+  in
+  let rec resolve acc = function
+    | [] -> { rel; r_set; owned; dd; ks = List.rev acc }
+    | k :: rest -> (
+        match Kernel.resolve r.exec k ~dedup:dd ~r_set ~head:rel with
+        | rk -> resolve (rk :: acc) rest
+        | exception e ->
+            release_staged { rel; r_set; owned; dd; ks = acc };
+            raise e)
+  in
+  resolve [] ks
+
+(* What one IDB's round holds between its staging and its finish. *)
+type prepared =
+  | Evaluated of eval_result  (* nothing left to run *)
+  | Staged of staged  (* kernels to run in the round's batch *)
+
+(* One IDB's live delta plans, against the previous round's Δs: staged
+   kernels, or the interpreted bag. Empty-delta skip: a subplan scanning
+   a Δ that went empty cannot derive anything, so it is never issued — a
+   stratum whose deltas all drain terminates without evaluating the
+   remaining rule subplans. The kernel path honors the same skip (its
+   kernels are aligned 1:1 with the delta plans). *)
+let prepare r st =
   let is_live (dpred, _) = Catalog.delta_rows r.catalog dpred > 0 in
   let plans = List.map snd (List.filter is_live st.deltas) in
-  if plans = [] then Ev_none
+  if plans = [] then Evaluated Ev_none
   else
+    let interpreted () = Evaluated (Ev_raw { bag = eval_plans r plans; plans }) in
     match st.kernels with
-    | Some ks ->
+    | Some ks -> (
         let live_ks =
           List.filter_map
             (fun (dp, k) -> if is_live dp then Some k else None)
             (List.combine st.deltas ks)
         in
-        eval_kernels r st plans live_ks
-    | None -> Ev_raw { bag = eval_plans r plans; plans }
+        match stage_kernels r st plans live_ks with
+        | sg -> Staged sg
+        | exception Kernel.Degraded _ ->
+            count r "kernel.fallbacks" 1;
+            interpreted ())
+    | None -> interpreted ()
+
+(* What an IDB's round held, given up when the round raises. The batch
+   may have claimed rows into R's managed set that the failed run never
+   absorbs, so that set is dropped rather than left half-filled in a
+   manager that can outlive the run ([shared_indexes]); R itself goes
+   with the run. *)
+let abandon r st = function
+  | Staged sg ->
+      release_staged sg;
+      if not sg.owned then
+        Option.iter
+          (fun m -> Index_manager.drop_set m ~name:st.name (r_set_keys st.arity))
+          r.index_manager
+  | Evaluated (Ev_raw { bag; _ }) -> release_temp r bag
+  | Evaluated (Ev_none | Ev_delta _) -> ()
+
+(* After the batch: a staged IDB's counters, and its output written back
+   at its boundary under per-query transactions, as [issue] does for a
+   query. Its Δ is already in R. *)
+let finish r st = function
+  | Evaluated result -> result
+  | Staged sg ->
+      let claimed = List.fold_left (fun n rk -> n + Kernel.finish rk) 0 sg.ks in
+      query_boundary r (8 * st.arity * (Relation.nrows sg.rel - round_start r st.name));
+      Ev_delta { claimed }
 
 (* Absorb what one IDB produced in round [iteration] and note its Δ;
    returns |Δ|. *)
@@ -581,9 +628,46 @@ let absorb r (s : stratum) ~iteration st result =
    iteration's Δs FIRST, then absorb. Absorbing one IDB before evaluating
    the next would move a Δ that mutually recursive rules of later IDBs
    still need to consume; kernels append to their table during the
-   evaluation, but every read ends at the round-start rows. *)
+   evaluation, but every read ends at the round-start rows.
+
+   Every IDB is staged first, so each kernel is resolved — its indexes
+   acquired, its views fetched — before any kernel writes. Then every
+   staged kernel of the round, across all rules and IDBs, runs in one
+   pool batch (IDB, then kernel, then chunk: the rows each kernel
+   appends, and their order, are those of one batch per kernel), with one
+   barrier at its end instead of one per kernel — the UIE idea of
+   scheduling all of an IDB's rules together, across IDBs. With UIE off
+   each rule stays a unit of its own, as its interpreted subqueries are:
+   every kernel's range is a batch of its own, after the same staging.
+   Staging runs from the last IDB to the first, so the IDB whose kernels
+   run first is the one staged last: its dedup table, its set and the
+   indexes it extended are the most recently touched when the batch
+   starts. Whatever the staging acquired is released before the finish,
+   or on any exception: a worker crash in the batch unwinds the run
+   ([abandon]). *)
 let delta_round r s iteration =
-  let produced = List.map (fun st -> (st, eval_idb r st)) s.idbs in
+  let staging = ref [] in
+  let prepared =
+    match
+      List.iter (fun st -> staging := (st, prepare r st) :: !staging) (List.rev s.idbs);
+      let prepared = !staging in
+      let ranges =
+        List.concat_map
+          (function _, Staged sg -> List.map Kernel.range sg.ks | _, Evaluated _ -> [])
+          prepared
+      in
+      if r.options.uie then Pool.batch r.pool ranges
+      else List.iter (fun range -> Pool.batch r.pool [ range ]) ranges;
+      prepared
+    with
+    | prepared ->
+        List.iter (function _, Staged sg -> release_staged sg | _, Evaluated _ -> ()) prepared;
+        prepared
+    | exception e ->
+        List.iter (fun (st, p) -> abandon r st p) !staging;
+        raise e
+  in
+  let produced = List.map (fun (st, p) -> (st, finish r st p)) prepared in
   List.fold_left (fun any (st, result) -> absorb r s ~iteration st result > 0 || any) false produced
 
 (* Empty every Δ at its table's end, so later strata read whole tables,

@@ -101,7 +101,7 @@ type variant = {
   v_driver : access;
   v_delta : bool;
   v_steps : access array;
-  v_antis : Chain.anti array;
+  v_antis : Chain.check array;
   v_consts : (int * int) list;
   v_width : int;
   v_head : Expr.t array;
@@ -275,7 +275,7 @@ let run_chain pool v ~out =
         Chain.frame;
         driver = step v.v_driver;
         steps = Array.map step v.v_steps;
-        antis = v.v_antis;
+        checks = v.v_antis;
         residual = [];
         emit;
       }

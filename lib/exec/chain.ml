@@ -13,7 +13,10 @@ type step = {
   view : Hash_index.view;
 }
 
-type anti = { set : Dedup.t; cols : int array; tuple : int array }
+(* A membership check of the frame's tuple in columns [cols]: the match
+   survives iff [set]'s answer is [keep] (true: a semi-join, false: a
+   negation). *)
+type check = { set : Dedup.t; cols : int array; tuple : int array; keep : bool }
 
 let step rel ~off ~at ~preds ~bound ~probe view =
   let nk = Array.length probe in
@@ -27,13 +30,15 @@ let step rel ~off ~at ~preds ~bound ~probe view =
     view;
   }
 
-let anti set cols = { set; cols; tuple = Array.make (Array.length cols) 0 }
+let check ~keep set cols = { set; cols; tuple = Array.make (Array.length cols) 0; keep }
+let anti set cols = check ~keep:false set cols
+let semi set cols = check ~keep:true set cols
 
 type t = {
   frame : int array;
   driver : step;
   steps : step array;
-  antis : anti array;
+  checks : check array;
   residual : Expr.pred list;
   emit : unit -> unit;
 }
@@ -54,19 +59,20 @@ let[@inline] passes frame = function [] -> true | preds -> passes_all frame pred
 let rec same_key (keys : int array array) (key : int array) row j =
   j < 0 || (Array.unsafe_get keys.(j) row = key.(j) && same_key keys key row (j - 1))
 
-(* Whether no anti-check from [i] on finds the frame's tuple in its set. *)
-let rec absent frame (antis : anti array) i =
-  i = Array.length antis
+(* Whether every check from [i] on gets its [keep] answer for the frame's
+   tuple. *)
+let rec checked frame (checks : check array) i =
+  i = Array.length checks
   ||
-  let a = antis.(i) in
+  let a = checks.(i) in
   (match a.cols with
-  | [| c0; c1 |] -> not (Dedup.mem2 a.set frame.(c0) frame.(c1))
+  | [| c0; c1 |] -> Dedup.mem2 a.set frame.(c0) frame.(c1) = a.keep
   | cols ->
       for j = 0 to Array.length cols - 1 do
         a.tuple.(j) <- frame.(cols.(j))
       done;
-      not (Dedup.mem_row a.set a.tuple))
-  && absent frame antis (i + 1)
+      Dedup.mem_row a.set a.tuple = a.keep)
+  && checked frame checks (i + 1)
 
 (* A chain link: row [r]'s 32-bit successor in the view's [nexts], read
    with the primitive itself so that each chain step is one load, not a
@@ -75,12 +81,12 @@ external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 
 (* Step [i] scans rows [0, bound) newest first, or walks its bucket chain
    newest row first and skips rows past its bound or with another key; it
-   binds each match and descends. Past the last step come the anti-checks,
+   binds each match and descends. Past the last step come the set checks,
    the residual and the emit. *)
 let rec descend c i =
   let frame = c.frame in
   if i = Array.length c.steps then begin
-    if absent frame c.antis 0 && passes frame c.residual then c.emit ()
+    if checked frame c.checks 0 && passes frame c.residual then c.emit ()
   end
   else begin
     let s = c.steps.(i) in

@@ -1,12 +1,12 @@
 (** The chain loop: the one row loop of the compiled kernels ({!Kernel}),
     the Souffle-like engine and every {!Executor} operator.
 
-    A chain is a driver, steps, anti-checks, a residual and an emit over
+    A chain is a driver, steps, set checks, a residual and an emit over
     one frame, an [int array] holding the bound atoms' columns side by
     side. {!drive} binds each driver row and walks the steps depth first:
     a probe step walks its index's bucket chain (a direct compare for
     1-column keys), a scan step its rows; each binds a match, tests its
-    predicates and descends. Past the last step the anti-checks look the
+    predicates and descends. Past the last step the set checks look the
     frame's tuple up in a membership set, the residual is tested and the
     emit reads the head off the frame. Nothing is allocated per row or
     match; the emit is the one indirect call per surviving match.
@@ -38,17 +38,22 @@ val step :
     bucket chain; with [probe = \[||\]] it scans rows [\[0, bound)] newest
     first and [view] is {!Rs_relation.Hash_index.empty_view}. *)
 
-type anti
+type check
+(** A membership check of the frame's tuple against a set. *)
 
-val anti : Rs_relation.Dedup.t -> int array -> anti
+val anti : Rs_relation.Dedup.t -> int array -> check
 (** [anti set cols]: a negation. A match survives only if [set] lacks the
     tuple in frame columns [cols]. *)
+
+val semi : Rs_relation.Dedup.t -> int array -> check
+(** [semi set cols]: a semi-join, {!anti}'s keep-if-present twin. A match
+    survives only if [set] holds the tuple in frame columns [cols]. *)
 
 type t = {
   frame : int array;
   driver : step;  (** a scan step: {!drive} picks its rows *)
   steps : step array;  (** in binding order *)
-  antis : anti array;  (** tested past the last step, before [residual] *)
+  checks : check array;  (** tested past the last step, before [residual] *)
   residual : Expr.pred list;
   emit : unit -> unit;  (** reads the head off [frame] *)
 }

@@ -147,8 +147,8 @@ let step_all ?(preds = []) ?(probe = [||]) ?(view = Hash_index.empty_view) rel ~
    frame) into the chunk's own fragment. Fragments merge in chunk order
    (the virtual pool runs chunks sequentially, so the shared frame and the
    list ref are race-free; chunk order keeps results deterministic). *)
-let run_chain t ~width ~driver ?(steps = [||]) ?(antis = [||]) ?(residual = []) ?out ~start ~stop
-    () =
+let run_chain t ~width ~driver ?(steps = [||]) ?(checks = [||]) ?(residual = []) ?out ~start
+    ~stop () =
   let out = match out with Some es -> es | None -> Array.init width (fun c -> Expr.Col c) in
   let arity = Array.length out in
   let frame = Array.make width 0 and tuple = Array.make arity 0 in
@@ -161,14 +161,14 @@ let run_chain t ~width ~driver ?(steps = [||]) ?(antis = [||]) ?(residual = []) 
         done;
         Relation.push_row frag tuple
       in
-      Chain.drive { Chain.frame; driver; steps; antis; residual; emit } lo hi;
+      Chain.drive { Chain.frame; driver; steps; checks; residual; emit } lo hi;
       fragments := frag :: !fragments);
   Relation.concat_parallel t.pool arity (List.rev !fragments)
 
-(* Rows [\[start, stop)] of [rel] that pass [preds] and that no set of
-   [antis] holds, each emitted as [out] (by default the row itself). *)
-let copy_rows t ?preds ?antis ?out (rel, start, stop) =
-  run_chain t ~width:(Relation.arity rel) ~driver:(step_all ?preds rel ~off:0 stop) ?antis ?out
+(* Rows [\[start, stop)] of [rel] that pass [preds] and every set check
+   of [checks], each emitted as [out] (by default the row itself). *)
+let copy_rows t ?preds ?checks ?out (rel, start, stop) =
+  run_chain t ~width:(Relation.arity rel) ~driver:(step_all ?preds rel ~off:0 stop) ?checks ?out
     ~start ~stop ()
 
 (* Rows [\[start, stop)] of [rel] as a relation of their own: [rel] itself
@@ -307,8 +307,8 @@ and eval_anti t cache { Plan.al; ar; alkeys; arkeys } =
   let scan_name = function Plan.Scan n -> Some n | _ -> None in
   let ((lrel, _, _) as range) = eval_rows t cache al in
   let rrel = eval t cache ar in
-  let copy ?preds ?antis () =
-    consumed t al lrel @@ consumed t ar rrel @@ copy_rows t ?preds ?antis range
+  let copy ?preds ?checks () =
+    consumed t al lrel @@ consumed t ar rrel @@ copy_rows t ?preds ?checks range
   in
   if Array.length arkeys = 0 then
     (* a negated atom that binds no variable holds for every row or none *)
@@ -318,7 +318,7 @@ and eval_anti t cache { Plan.al; ar; alkeys; arkeys } =
     (* The negated side is a lower-stratum table under stratification, so
        its set persists across every iteration of this stratum's fixpoint. *)
     with_owned (build_member_set t ?cache ?scan_name:(scan_name ar) rrel arkeys) @@ fun set ->
-    copy ~antis:[| Chain.anti set alkeys |] ()
+    copy ~checks:[| Chain.anti set alkeys |] ()
 
 let run_query t plan =
   Pool.add_serial t.pool t.query_overhead_s;
@@ -357,15 +357,17 @@ let all_cols rel = Array.init (Relation.arity rel) (fun i -> i)
    round. *)
 let full_table_set t ?name r = build_member_set t ?scan_name:name r (all_cols r)
 
-(* The rows of [src] whose tuple is not in [set], chunk-parallel. *)
+(* The rows of [src] whose tuple [set] lacks, chunk-parallel. *)
 let anti_probe t src set =
-  copy_rows t ~antis:[| Chain.anti set (all_cols src) |] (src, 0, Relation.nrows src)
+  copy_rows t ~checks:[| Chain.anti set (all_cols src) |] (src, 0, Relation.nrows src)
+
+(* The rows of [src] whose tuple [set] holds, chunk-parallel. *)
+let semi_probe t src set =
+  copy_rows t ~checks:[| Chain.semi set (all_cols src) |] (src, 0, Relation.nrows src)
 
 let opsd_impl t ?name ~rdelta ~r () = with_owned (full_table_set t ?name r) (anti_probe t rdelta)
 
 let tpsd_impl t ?name ~rdelta ~r () =
-  let arity = Relation.arity rdelta in
-  let key = Array.make arity 0 in
   (* Phase 1: intersection, building on the smaller input — unless [r]'s
      persistent set already exists, which makes the build side free. *)
   let r_side = Relation.nrows r <= Relation.nrows rdelta || managed t name <> None in
@@ -373,17 +375,8 @@ let tpsd_impl t ?name ~rdelta ~r () =
     if r_side then (full_table_set t ?name r, rdelta)
     else ((build_transient_set t rdelta (all_cols rdelta), true), r)
   in
-  let inter = Relation.create arity in
+  let inter = with_owned build (semi_probe t probe) in
   Fun.protect ~finally:(fun () -> Relation.release inter) @@ fun () ->
-  with_owned build (fun set ->
-      Pool.parallel_for t.pool 0 (Relation.nrows probe) (fun lo hi ->
-          for row = lo to hi - 1 do
-            for c = 0 to arity - 1 do
-              key.(c) <- Relation.get probe ~row ~col:c
-            done;
-            if Dedup.mem_row set key then Relation.push_row inter key
-          done));
-  Relation.account inter;
   (* The probe side may contain tuples of [r] several times only if [r] had
      duplicates; IDB tables are deduplicated, so [inter] is a set. *)
   (* Phase 2: Rδ − r. *)

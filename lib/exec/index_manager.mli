@@ -36,18 +36,21 @@
     {!claim_set} (which probes [index_set.append] once per round, before
     the kernels' first claim), every fresh tuple a kernel appends to R is
     claimed in it, and after the absorb {!cover_set} records that it
-    already holds the Δ — so the next round appends nothing. A round whose
-    kernel degrades truncates R and drops the set ({!drop_set}) before the
-    interpreted fallback's set difference rebuilds it.
+    already holds the Δ — so the next round appends nothing. A kernel
+    degrades before any kernel of its round writes, so the interpreted
+    fallback's set difference finds the set still covering exactly R. A
+    round that fails after its kernels wrote (a worker crash) drops the
+    set ({!drop_set}): it may hold rows R never absorbs.
 
     The [persistent] predicate supplied at creation decides which table
     names are worth managing (the interpreter passes EDBs and
     non-aggregated IDB full tables; aggregated IDB tables are excluded
     because their relation changes identity every iteration). A recursive
     IDB's Δ is a row range of its table, so it has no table of its own to
-    manage. A kernel round appends rows to the table before its Δ moves,
-    so an access later in the same round extends the index over them, and
-    readers skip them by their row bound.
+    manage. A kernel round appends rows to the table before its Δ moves;
+    the interpreter acquires every index a round's kernels read before any
+    of them appends, so the next round's first access extends the index
+    over them. Readers skip rows past their bound either way.
 
     All index and set bytes are accounted against {!Rs_storage.Memtrack};
     the owner must call {!release_all} when the run ends. With a trace

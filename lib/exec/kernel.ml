@@ -218,9 +218,28 @@ let emitter ~dedup ~r_set ~r ~offered ~emitted frame exprs =
           if arity = 3 then Relation.push3 r tuple.(0) tuple.(1) tuple.(2)
           else Relation.push_row r tuple
 
-let run (ex : Executor.t) k ~dedup ~r_set ~head =
-  (* The exec probe sits before any write, so a fired fault leaves [dedup],
-     [r_set] and [head] untouched. *)
+(* One kernel bound to its tables for one round: the chain over the
+   fetched arrays and views, the row range its driver covers, the chunk
+   function that drives it, the indexes it acquired and its counts. *)
+type resolved = {
+  ex : Executor.t;
+  lo : int;
+  hi : int;
+  drive : int -> int -> unit;
+  acquired : ((string * int array) * (Hash_index.t * bool)) list;
+  offered : int ref;
+  emitted : int ref;
+  batches : int ref;
+}
+
+let release_indexes acquired =
+  List.iter (fun (_, (idx, owned)) -> if owned then Hash_index.release idx) acquired
+
+let release rk = release_indexes rk.acquired
+
+let resolve (ex : Executor.t) k ~dedup ~r_set ~head =
+  (* The exec probe sits before any acquisition or write, so a fired fault
+     leaves [dedup], [r_set] and [head] untouched and owes no release. *)
   (match Inject.kernel_should_fail ~point:"kernel.exec" with
   | () -> ()
   | exception Fault.Injected _ -> raise (Degraded "kernel.exec"));
@@ -244,45 +263,48 @@ let run (ex : Executor.t) k ~dedup ~r_set ~head =
         idx
   in
   let drel, lo, hi = Catalog.read ex.catalog k.delta.s_name Catalog.Delta in
-  let n = hi - lo in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (_, (idx, owned)) -> if owned then Hash_index.release idx) !acquired)
-    (fun () ->
-      (* Each distinct (table, key columns) index is acquired once per run,
-         and every raw array is fetched once. [head] may be a table the
-         kernel reads (a recursive head's Δ is a range of it), but every
-         read ends at the catalog's round-start bound: rows pushed past it
-         may move a column to a fresh array, and the arrays fetched here
-         still hold every row below it. *)
-      let resolve s =
-        let rel, _, bound = Catalog.read ex.catalog s.s_name s.s_read in
-        let view = Hash_index.view (index_for s rel) in
-        Chain.step rel ~off:s.s_off ~at:s.s_bind ~preds:s.s_preds ~bound ~probe:s.s_probe view
-      in
+  (* Each distinct (table, key columns) index is acquired once per round,
+     and every raw array is fetched once. [head] may be a table the kernel
+     reads (a recursive head's Δ is a range of it), but every read ends at
+     the catalog's round-start bound: rows pushed past it may move a column
+     to a fresh array, and the arrays fetched here still hold every row
+     below it. *)
+  let step s =
+    let rel, _, bound = Catalog.read ex.catalog s.s_name s.s_read in
+    let view = Hash_index.view (index_for s rel) in
+    Chain.step rel ~off:s.s_off ~at:s.s_bind ~preds:s.s_preds ~bound ~probe:s.s_probe view
+  in
+  match Array.map step k.steps with
+  | exception e ->
+      release_indexes !acquired;
+      raise e
+  | steps ->
+      let d = k.delta in
       let driver =
-        let d = k.delta in
         Chain.step drel ~off:d.s_off ~at:d.s_bind ~preds:d.s_preds ~bound:hi ~probe:[||]
           Hash_index.empty_view
       in
-      let c =
-        {
-          Chain.frame;
-          driver;
-          steps = Array.map resolve k.steps;
-          antis = [||];
-          residual = k.extra;
-          emit;
-        }
+      let c = { Chain.frame; driver; steps; checks = [||]; residual = k.extra; emit } in
+      let drive lo hi =
+        incr batches;
+        count ex "kernel.batch_rows" (hi - lo);
+        Chain.drive c lo hi
       in
-      Pool.parallel_for ex.pool lo hi (fun lo hi ->
-          incr batches;
-          count ex "kernel.batch_rows" (hi - lo);
-          Chain.drive c lo hi));
-  count ex "kernel.fused_probes" n;
+      { ex; lo; hi; drive; acquired = !acquired; offered; emitted; batches }
+
+let range rk = (rk.lo, rk.hi, rk.drive)
+
+let finish rk =
+  let ex = rk.ex in
+  count ex "kernel.fused_probes" (rk.hi - rk.lo);
   count ex "kernel.execs" 1;
-  count ex "kernel.batches" !batches;
-  count ex "kernel.emitted" !emitted;
-  count ex "dedup.probes" !offered;
-  count ex "dedup.hits" (!offered - !emitted);
-  !emitted
+  count ex "kernel.batches" !(rk.batches);
+  count ex "kernel.emitted" !(rk.emitted);
+  count ex "dedup.probes" !(rk.offered);
+  count ex "dedup.hits" (!(rk.offered) - !(rk.emitted));
+  !(rk.emitted)
+
+let run (ex : Executor.t) k ~dedup ~r_set ~head =
+  let rk = resolve ex k ~dedup ~r_set ~head in
+  Fun.protect ~finally:(fun () -> release rk) (fun () -> Pool.batch ex.pool [ range rk ]);
+  finish rk

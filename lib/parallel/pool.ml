@@ -119,33 +119,55 @@ let add_serial t s =
     t.events <- { ev_vstart = vstart; ev_vlen = s; ev_busy = s } :: t.events
   end
 
-let parallel_for t ?chunks lo hi f =
+(* A non-empty range of [len] rows is cut into subranges of [size] rows,
+   the last one shorter: at most [chunks] of them, one per row at most. *)
+let chunk_size ~chunks len = (len + min chunks len - 1) / min chunks len
+
+let chunk_count ~chunks (lo, hi, _) =
   if hi > lo then
-    if t.depth > 0 then f lo hi
+    let size = chunk_size ~chunks (hi - lo) in
+    (hi - lo + size - 1) / size
+  else 0
+
+(* Runs every range of [ranges] chunk by chunk, its chunks in ascending
+   order, storing the duration of the batch's [i]-th chunk at
+   [durations.(i)]: a float array, so a batch of many ranges keeps no boxed
+   duration alive across the minor collections its chunks trigger. *)
+let rec run_chunks ~chunks durations i = function
+  | [] -> ()
+  | ((lo, hi, f) as range) :: rest ->
+      let n = chunk_count ~chunks range in
+      if n > 0 then begin
+        let size = chunk_size ~chunks (hi - lo) in
+        for c = 0 to n - 1 do
+          let sub = lo + (c * size) in
+          let t0 = Rs_util.Clock.now () in
+          (* Chaos fault point: this worker chunk dies. The exception
+             unwinds through the caller's Fun.protect, so the depth guard
+             is restored and the pool stays usable for the retry. *)
+          Rs_chaos.Inject.crash_point ~point:"pool.parallel_for";
+          f sub (min hi (sub + size));
+          durations.(i + c) <- Rs_util.Clock.now () -. t0
+        done
+      end;
+      run_chunks ~chunks durations (i + n) rest
+
+let batch t ?chunks ranges =
+  let chunks = match chunks with Some c -> max 1 c | None -> 4 * t.workers in
+  let n = List.fold_left (fun n range -> n + chunk_count ~chunks range) 0 ranges in
+  if n > 0 then
+    if t.depth > 0 then List.iter (fun (lo, hi, f) -> if hi > lo then f lo hi) ranges
     else begin
-      let n = hi - lo in
-      let chunks = match chunks with Some c -> max 1 c | None -> 4 * t.workers in
-      let chunks = min chunks n in
-      let size = (n + chunks - 1) / chunks in
-      let durations = ref [] in
+      let durations = Array.make n 0.0 in
       t.depth <- t.depth + 1;
       Fun.protect
         ~finally:(fun () -> t.depth <- t.depth - 1)
-        (fun () ->
-          let sub = ref lo in
-          while !sub < hi do
-            let sub_hi = min hi (!sub + size) in
-            let t0 = Rs_util.Clock.now () in
-            (* Chaos fault point: this worker chunk dies. The exception
-               unwinds through the Fun.protect above, so the depth guard is
-               restored and the pool stays usable for the retry. *)
-            Rs_chaos.Inject.crash_point ~point:"pool.parallel_for";
-            f !sub sub_hi;
-            durations := (Rs_util.Clock.now () -. t0) :: !durations;
-            sub := sub_hi
-          done);
-      record_batch t !durations
+        (fun () -> run_chunks ~chunks durations 0 ranges);
+      (* newest first: the last chunk run leads the list *)
+      record_batch t (Array.fold_left (fun acc d -> d :: acc) [] durations)
     end
+
+let parallel_for t ?chunks lo hi f = batch t ?chunks [ (lo, hi, f) ]
 
 let map_tasks t fs =
   if t.depth > 0 then List.map (fun f -> f ()) fs

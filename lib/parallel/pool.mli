@@ -44,10 +44,32 @@ val set_workers : t -> int -> unit
 val begin_run : t -> unit
 (** Resets the simulated clock and counters; call before a measured run. *)
 
+val batch : t -> ?chunks:int -> (int * int * (int -> int -> unit)) list -> unit
+(** [batch t ranges] runs several ranges as {e one} batch, with one barrier
+    at its end: each range [(lo, hi, f)] is covered by [min chunks (hi - lo)]
+    subranges of equal size (the last one shorter; [chunks] defaults to
+    [4 * workers]), and [f sub_lo sub_hi] runs for each. Ranges run in list
+    order, each range's chunks in ascending order, so the rows a range's
+    [f] writes come in the order of separate {!parallel_for} calls. Empty
+    ranges are skipped, and a list with no non-empty range records no
+    batch.
+
+    The batch is charged like any other: its chunk durations go to
+    {!makespan} newest first (the last chunk run leads the list), and the
+    batch's makespan advances the simulated clock once. Over several
+    ranges that makespan is at most the sum of the ranges' separate
+    makespans, since no worker waits at a barrier between them.
+
+    Called from inside a chunk (a nested batch), each non-empty range runs
+    inline as one call [f lo hi], charged to the enclosing chunk. An
+    exception from a chunk ([pool.parallel_for] chaos crashes included)
+    unwinds with the nesting depth restored and records no batch. *)
+
 val parallel_for : t -> ?chunks:int -> int -> int -> (int -> int -> unit) -> unit
-(** [parallel_for t lo hi f] covers [\[lo, hi)] with [chunks] subranges
-    (default [4 * workers]), invoking [f sub_lo sub_hi] for each and charging
-    each subrange's measured cost to a virtual worker. *)
+(** [parallel_for t lo hi f] is [batch t \[(lo, hi, f)\]]: it covers
+    [\[lo, hi)] with [chunks] subranges (default [4 * workers]), invoking
+    [f sub_lo sub_hi] for each and charging each subrange's measured cost
+    to a virtual worker. *)
 
 val add_serial : t -> float -> unit
 (** [add_serial t s] advances the simulated clock by [s] seconds of modeled

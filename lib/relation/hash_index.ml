@@ -89,9 +89,12 @@ let build_pool pool rel key_cols =
   t
 
 (* Extend [t] over the rows appended to its relation, linking rows with
-   [link_rows lo hi]: grow the chain array by amortized doubling and, over
-   the load-factor threshold, the bucket table to a fresh build's count,
-   relinking every row — the same layout a fresh [build] produces. *)
+   [link_rows lo hi]: grow a full chain array to the power of two at least
+   the new row count and, over the load-factor threshold, the bucket table
+   to a fresh build's count, relinking every row — the same layout a fresh
+   [build] produces. Both sizes follow the row count alone, so an index
+   extended once over two rounds' rows ends as large as one extended after
+   each: where a round's appends land does not decide its footprint. *)
 let extend t link_rows =
   let new_n = Relation.nrows t.rel in
   let added = new_n - t.n in
@@ -99,7 +102,7 @@ let extend t link_rows =
     check_rows new_n;
     let link_cap = Bytes.length t.nexts / 4 in
     if new_n > link_cap then begin
-      let nexts = links (max new_n (2 * link_cap)) in
+      let nexts = links (pow2_at_least new_n) in
       Bytes.blit t.nexts 0 nexts 0 (4 * t.n);
       t.nexts <- nexts
     end;

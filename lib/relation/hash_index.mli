@@ -35,7 +35,9 @@ val build_pool : Rs_parallel.Pool.t -> Relation.t -> int array -> t
 val append_pool : Rs_parallel.Pool.t -> t -> int
 (** [append_pool pool t] indexes the rows appended to the relation since the
     index was built or last appended ([\[indexed_rows, nrows)]), returning
-    how many were added. The chain array grows by amortized doubling; when
+    how many were added. A chain array that is full grows to the power of
+    two at least the new row count (amortized doubling whose size depends
+    only on the rows indexed, not on how the appends were spaced); when
     the load factor would exceed 1 (more rows than buckets) the bucket
     table grows to the bucket count a fresh {!build} would pick and every
     row is relinked (one {!rehashes} tick). Probe order — newest row first

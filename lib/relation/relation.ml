@@ -76,10 +76,6 @@ let clear t =
   Array.iter Int_vec.clear t.cols;
   touch t
 
-let truncate t n =
-  Array.iter (fun c -> Int_vec.truncate c n) t.cols;
-  touch t
-
 let concat_parallel pool arity fragments =
   let frags = Array.of_list fragments in
   let nf = Array.length frags in

@@ -25,8 +25,8 @@ val nrows : t -> int
 
 val generation : t -> int
 (** Destructive-mutation counter. Appends ([push_*], {!append_all}) leave it
-    unchanged — growth is tracked by {!nrows} — while {!clear},
-    {!truncate} (and any in-place rewrite, via {!touch}) bump it. A persistent index built at
+    unchanged — growth is tracked by {!nrows} — while {!clear} (and any
+    in-place rewrite, via {!touch}) bumps it. A persistent index built at
     [(generation, nrows)] therefore remains valid while the generation is
     unchanged, and only rows [\[nrows_at_build, nrows)] need appending. *)
 
@@ -66,11 +66,6 @@ val concat_parallel : Rs_parallel.Pool.t -> int -> t list -> t
     without a serial step. The result is accounted. *)
 
 val clear : t -> unit
-
-val truncate : t -> int -> unit
-(** [truncate t n] drops every row from [n] on and bumps {!generation},
-    so a persistent index or set built over the dropped rows is rebuilt.
-    Raises [Invalid_argument] unless [0 <= n <= nrows t]. *)
 
 val account : t -> unit
 (** Reconciles this relation's reserved bytes with {!Rs_storage.Memtrack}.

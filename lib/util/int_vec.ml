@@ -25,10 +25,6 @@ let set v i x =
 
 let clear v = v.len <- 0
 
-let truncate v n =
-  if n < 0 || n > v.len then invalid_arg "Int_vec.truncate";
-  v.len <- n
-
 let to_array v = Array.sub v.data 0 v.len
 
 let of_array a = { data = Array.copy a; len = Array.length a }

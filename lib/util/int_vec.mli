@@ -22,10 +22,6 @@ val set : t -> int -> int -> unit
 val clear : t -> unit
 (** Resets length to zero, keeping capacity. *)
 
-val truncate : t -> int -> unit
-(** [truncate v n] drops every element from index [n] on, keeping
-    capacity. Raises [Invalid_argument] unless [0 <= n <= length v]. *)
-
 val to_array : t -> int array
 (** Fresh array copy of the contents. *)
 

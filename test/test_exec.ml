@@ -586,10 +586,13 @@ let print_op_case c =
     c.aa (rows c.a) c.ba (rows c.b) c.lo c.hi c.bread (ints (Array.to_list c.akeys))
     (ints (Array.to_list c.bkeys)) c.flip c.residual
 
-(* Filter, Project, AntiJoin and Join over the case, each output compared
-   in row order with a nested-loop reference: rows in range order, probe
-   rows ascending, build rows newest first, the build side picked from the
-   executor's own estimates. *)
+(* Filter, Project, AntiJoin, Join and — when the two tables share an
+   arity — both set differences over the case, each output compared in row
+   order with a nested-loop reference: rows in range order, probe rows
+   ascending, build rows newest first, the build side picked from the
+   executor's own estimates. A set difference keeps [a]'s rows that the
+   "b" leaf's rows lack; TPSD's intersection phase probes whichever side
+   is larger, so both of its phase-1 builds are drawn. *)
 let operators_match_reference c =
   let exec, catalog = make_exec () in
   let reg name arity rows =
@@ -642,7 +645,17 @@ let operators_match_reference c =
           (List.rev build))
       probe
   in
-  filter && project && anti && got (Plan.join2 ~extra l lkeys r rkeys) = joined
+  let set_differences =
+    c.aa <> c.ba
+    ||
+    let rel rows = Relation.of_rows c.aa (List.map Array.of_list rows) in
+    let want = List.filter (fun ar -> not (List.mem ar brows)) c.a in
+    let rows_of diff = List.map Array.to_list (Relation.to_rows diff) in
+    rows_of (Executor.tpsd exec ~rdelta:(rel c.a) ~r:(rel brows) ()) = want
+    && rows_of (Executor.opsd exec ~rdelta:(rel c.a) ~r:(rel brows) ()) = want
+  in
+  filter && project && anti && set_differences
+  && got (Plan.join2 ~extra l lkeys r rkeys) = joined
 
 let prop_operators_in_row_order =
   QCheck2.Test.make ~name:"operators = nested-loop reference, in row order" ~count:500

@@ -855,15 +855,17 @@ let test_range_bound_mixed_stratum () =
   Alcotest.(check int) "dedup.probes on = off" (c tr_off "dedup.probes") (c tr_on "dedup.probes");
   Alcotest.(check int) "dedup.hits on = off" (c tr_off "dedup.hits") (c tr_on "dedup.hits")
 
-(* A kernel that degrades after an earlier kernel of its round appended
-   rows: [p]'s non-linear rule has two delta plans, so after two compile
-   probes and round 1's first execution, the fault fires at round 1's
-   second kernel. The round re-runs interpreted from [p]'s round-start
-   rows: [p] ends row for row as when the fault fires at the round's first
-   kernel, before any append, every row of [p] entered through exactly one
-   Δ (the |Δ|s sum to |p|), the run equals the clean one and the naive
-   oracle, and every byte the run charged is held by a table it returns. *)
-let test_degraded_round_truncates () =
+(* A kernel that degrades after an earlier kernel of its round was
+   resolved: [p]'s non-linear rule has two delta plans, so after two
+   compile probes and round 1's first resolve, the fault fires at round 1's
+   second kernel. Every resolve of a round precedes its batch, so no kernel
+   has appended yet and the round re-runs interpreted from [p]'s
+   round-start rows with R's set as it stood: [p] ends row for row as when
+   the fault fires at the round's first kernel, every row of [p] entered
+   through exactly one Δ (the |Δ|s sum to |p|), the run equals the clean
+   one and the naive oracle, and every byte the run charged is held by a
+   table it returns. *)
+let test_degraded_after_resolve () =
   let module Memtrack = Rs_storage.Memtrack in
   let src = ".input e\np(x, y) :- e(x, y).\np(x, z) :- p(x, y), p(y, z).\n.output p" in
   (* a binary tree: the interpreted round's row order differs from the
@@ -1049,7 +1051,8 @@ let prop_kernel_keeps_r_set =
       let execs = c tr "kernel.execs" in
       (* Every live round runs all [k] kernels (they all scan Δp), after the
          [k] compile probes: probe [k + k*i + q] with [q >= 1] is a later
-         kernel of round [i], after an earlier one has claimed into R's set. *)
+         kernel of round [i], after an earlier one was resolved against
+         R's set. *)
       let armed_ok =
         if k < 2 || execs < k then true
         else
@@ -1234,6 +1237,171 @@ let prop_one_loop_every_body =
       && c tr_on "kernel.emitted" = c tr_off "dedup.probes" - c tr_off "dedup.hits" - base
       && plans_match_executor src ~e ~f ~old ~delta)
 
+(* --- one pool batch per round: faults across a multi-IDB round ------------ *)
+
+(* CSPA: three mutually recursive IDBs whose nine delta plans all compile,
+   so a round's batch drives kernels of every IDB at once. Each IDB's table
+   in row order, run under [plan] on a fresh pool with [trace] attached. *)
+let cspa_run ?(plan = Fault.plan []) ?on_iteration ?shared_indexes ?(persistent_indexes = true)
+    ?uie ?(pool = Pool.create ~workers:2 ()) trace =
+  Pool.begin_run pool;
+  let options = Interpreter.options ~trace ?shared_indexes ~persistent_indexes ?uie () in
+  let edb =
+    [
+      ("assign", Rs_datagen.Graphs.gnp ~seed:5 ~n:40 ~p:0.04);
+      ("dereference", Rs_datagen.Graphs.gnp ~seed:6 ~n:40 ~p:0.03);
+    ]
+  in
+  let program = Recstep.Programs.parsed Recstep.Programs.cspa in
+  Inject.with_plan plan (fun () ->
+      let result = Interpreter.run ~options ?on_iteration ~pool ~edb program in
+      List.map
+        (fun n -> (n, List.map Array.to_list (Relation.to_rows (result.Interpreter.relation_of n))))
+        program.Recstep.Ast.outputs)
+
+let fresh_trace () = Trace.create ~now:(fun () -> 0.0) ()
+
+(* A [kernel.exec] fault at each kernel execution of the run in turn —
+   every kernel of every round, the rounds whose batch spans all three
+   IDBs included — and, first, at each compile probe. Every resolve of a
+   round precedes its batch, so the degraded IDB re-runs interpreted from
+   untouched tables: each IDB's table equals the clean run's row for
+   row. *)
+let test_round_exec_fault_each_kernel () =
+  let tr = fresh_trace () in
+  let clean = cspa_run tr in
+  let compiled = c tr "kernel.compiled_rules" and execs = c tr "kernel.execs" in
+  Alcotest.(check int) "every CSPA rule compiles" 5 compiled;
+  let degraded = ref 0 and refused = ref 0 in
+  let rec go after =
+    let plan = Fault.plan_of_string ~seed:7 (Printf.sprintf "kernel:p=1,after=%d,limit=1" after) in
+    let tr = fresh_trace () in
+    let tables = cspa_run ~plan tr in
+    let fired = c tr "kernel.fallbacks" = 1 || c tr "kernel.compiled_rules" < compiled in
+    if c tr "kernel.fallbacks" = 1 then incr degraded else if fired then incr refused;
+    if fired then begin
+      Alcotest.(check (list (pair string (list (list int)))))
+        (Printf.sprintf "fault at kernel probe %d: every table row for row" after) clean tables;
+      go (after + 1)
+    end
+  in
+  go 0;
+  Alcotest.(check int) "a compile fault at each of the nine delta plans" 9 !refused;
+  Alcotest.(check int) "one degraded round per kernel execution" execs !degraded
+
+(* A [pool.parallel_for] crash at every chunk of a round's one kernel
+   batch, in the round that drives the most kernels (of several IDBs). The
+   crash unwinds the run after the staging acquired every IDB's membership
+   set of R, dedup table and step indexes: all must be released, so the
+   bytes charged are those charged at the round's start (its last
+   iteration note) plus what a shared manager, which outlives the run,
+   gained since. Run with transient indexes (each IDB's set and each step
+   index is a transient build) and with every table's structures in a
+   shared manager. The kernel rows driven when a crash fires at crash
+   point [k] grow with [k]; the batch's first chunk is the first point
+   whose successor finds more rows than the round started with. *)
+let test_round_crash_releases () =
+  let module Memtrack = Rs_storage.Memtrack in
+  let rows tr = c tr "kernel.batch_rows" in
+  (* (rows driven, kernel execs) at the first and last note of each round *)
+  let notes = Hashtbl.create 16 in
+  let tr = fresh_trace () in
+  let on_iteration (it : Interpreter.iteration_info) =
+    let now = (rows tr, c tr "kernel.execs") in
+    let first = Option.fold ~none:now ~some:fst (Hashtbl.find_opt notes it.it_iteration) in
+    Hashtbl.replace notes it.it_iteration (first, now)
+  in
+  ignore (cspa_run ~on_iteration tr);
+  let round =
+    Hashtbl.fold
+      (fun i _ best ->
+        let execs j = match Hashtbl.find_opt notes j with Some ((_, e), _) -> e | None -> 0 in
+        if i > 0 && execs i - execs (i - 1) > execs best - execs (best - 1) then i else best)
+      notes 1
+  in
+  let (_, execs_before), _ = Hashtbl.find notes (round - 1)
+  and (_, execs_after), _ = Hashtbl.find notes round in
+  check "the round drives kernels of several IDBs" true (execs_after - execs_before > 5);
+  let before = fst (snd (Hashtbl.find notes (round - 1))) in
+  let after_round = fst (fst (Hashtbl.find notes round)) in
+  List.iter
+    (fun shared ->
+      let what = if shared then "shared manager" else "transient indexes" in
+      let held m = match m with Some m -> Index_manager.bytes m | None -> 0 in
+      (* the rows driven and the bytes left unaccounted when a crash fires
+         at point [k]; [max_int] rows when the run ends first *)
+      let crash k =
+        let m =
+          if shared then
+            Some (Index_manager.create ~persistent:(fun _ -> true) (Pool.create ~workers:2 ()))
+          else None
+        in
+        let at_note = ref (Memtrack.live (), held m) in
+        let on_iteration _ = at_note := (Memtrack.live (), held m) in
+        let plan = Fault.plan [ Fault.spec ~after:k ~limit:1 Fault.Crash ] in
+        let tr = fresh_trace () in
+        let outcome =
+          match cspa_run ~plan ~on_iteration ?shared_indexes:m ~persistent_indexes:shared tr with
+          | _ -> (max_int, 0)
+          | exception Fault.Injected _ ->
+              let live, held0 = !at_note in
+              (rows tr, Memtrack.live () - live - (held m - held0))
+        in
+        Option.iter Index_manager.release_all m;
+        outcome
+      in
+      (* the batch's first chunk: one before the first point whose crash
+         finds more rows than the round started with *)
+      let past k = fst (crash k) > before in
+      let rec bound k = if past k then k else bound (2 * k) in
+      let rec first lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if past mid then first lo mid else first (mid + 1) hi
+      in
+      let rec sweep k (_, unheld) chunks =
+        Alcotest.(check int)
+          (Printf.sprintf "%s: bytes left by a crash at batch chunk %d" what chunks) 0 unheld;
+        let next = crash (k + 1) in
+        if fst next < after_round then sweep (k + 1) next (chunks + 1) else chunks + 1
+      in
+      let k0 = first 0 (bound 1) - 1 in
+      let chunks = sweep k0 (crash k0) 0 in
+      check (what ^ ": a chunk per kernel at least") true (chunks >= execs_after - execs_before))
+    [ false; true ]
+
+(* Under UIE every kernel of a delta round shares the round's one pool
+   batch; with UIE off each kernel keeps a batch of its own after the same
+   staging. The delta rounds then record one more batch per kernel beyond
+   the first of its round, and nothing else moves: every table, row for
+   row, and every kernel and dedup count is the same. *)
+let test_round_batch_follows_uie () =
+  let run uie =
+    let pool = Pool.create ~workers:2 () in
+    let tr = fresh_trace () in
+    (* pool batches and kernel executions at each iteration's last note *)
+    let notes = Hashtbl.create 16 in
+    let on_iteration (it : Interpreter.iteration_info) =
+      Hashtbl.replace notes it.it_iteration (List.length (Pool.events pool), c tr "kernel.execs")
+    in
+    let tables = cspa_run ~uie ~pool ~on_iteration tr in
+    let at i = Hashtbl.find notes i in
+    let rounds =
+      Hashtbl.fold (fun i (_, e) n -> if i > 0 && e > snd (at (i - 1)) then n + 1 else n) notes 0
+    in
+    (tables, tr, List.length (Pool.events pool) - fst (at 0), rounds)
+  in
+  let on, tr_on, batches_on, rounds = run true and off, tr_off, batches_off, _ = run false in
+  let execs = c tr_on "kernel.execs" in
+  check "rounds drive several kernels" true (execs > rounds && rounds > 0);
+  Alcotest.(check (list (pair string (list (list int))))) "tables row for row" on off;
+  List.iter
+    (fun k -> Alcotest.(check int) (k ^ " on = off") (c tr_on k) (c tr_off k))
+    [ "kernel.execs"; "kernel.batches"; "kernel.emitted"; "dedup.probes"; "dedup.hits" ];
+  Alcotest.(check int) "UIE off: a batch per kernel, UIE on: a batch per round"
+    (batches_on + execs - rounds) batches_off
+
 let suite =
   [
     Alcotest.test_case "arity-2 kernel matches interpreted" `Quick test_arity2;
@@ -1259,8 +1427,8 @@ let suite =
       test_crash_releases_transient_indexes;
     Alcotest.test_case "range bound: kernels beside an interpreted IDB" `Quick
       test_range_bound_mixed_stratum;
-    Alcotest.test_case "range bound: a degraded round truncates R" `Quick
-      test_degraded_round_truncates;
+    Alcotest.test_case "range bound: a degrade after a resolve leaves R whole" `Quick
+      test_degraded_after_resolve;
     Alcotest.test_case "provenance: kernel and interpreted tag all-or-nothing"
       `Quick test_provenance_all_or_nothing;
     Alcotest.test_case "provenance: kernel chaos keeps full tag coverage" `Quick
@@ -1276,6 +1444,12 @@ let suite =
       test_drain_keeps_suffix;
     Alcotest.test_case "exact deltas: chaos on a bounded chain kernel" `Quick
       test_chaos_bounded_chain;
+    Alcotest.test_case "one batch per round: an exec fault at each kernel" `Quick
+      test_round_exec_fault_each_kernel;
+    Alcotest.test_case "one batch per round: a crash at any chunk releases" `Quick
+      test_round_crash_releases;
+    Alcotest.test_case "one batch per round: UIE off keeps a batch per kernel" `Quick
+      test_round_batch_follows_uie;
     QCheck_alcotest.to_alcotest prop_kernel_keeps_r_set;
     QCheck_alcotest.to_alcotest prop_one_loop_every_body;
   ]
